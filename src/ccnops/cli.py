@@ -1,10 +1,13 @@
 """Command-line front end: suites, ad-hoc evaluation, solver access, reports.
 
 Commands: suite, eval, solve-section, fourier-kernel, report-schema.
-Configuration is a flat key=value file; flags override environment variables
-(prefix CCNOPS_), which override the file.  Reports are versioned JSON with
-one record per check; exit status 0 means every check passed, 1 means some
-check failed, 2 means the configuration was rejected.
+Configuration is a flat key=value file (keys as in DEFAULTS, plus x1..x8 for
+the van Diejen parameters); the flags --seed, --prec, --tol, --n and --trunc
+override environment variables (CCNOPS_<KEY>), which override the file.
+Checks run one after another in the calling thread.  Reports are versioned
+JSON with one record per check; exit status 0 means every check passed, 1
+means some check failed, 2 means the configuration or the command line was
+rejected.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
@@ -38,7 +40,6 @@ DEFAULTS = {
     "seed": "1",
     "n": "1",
     "trunc": "3",
-    "threads": "1",
     "tau": "0.13+1.09j",
     "q": "0.21+0.39j",
     "t": "0.31+0.17j",
@@ -91,15 +92,14 @@ def session_from_config(cfg):
         seed = int(cfg["seed"])
         n = int(cfg["n"])
         trunc = int(cfg["trunc"])
-        threads = int(cfg["threads"])
         tol = mpf(cfg["tol"])
         samples = int(cfg["samples"])
     except (KeyError, ValueError) as exc:
         raise ConfigError("bad session values: %s" % exc) from exc
     if prec < 64:
         raise ConfigError("precision below the supported minimum (64 bits)")
-    if n < 1 or trunc < 0 or threads < 1:
-        raise ConfigError("n, trunc and threads must be positive")
+    if n < 1 or trunc < 0:
+        raise ConfigError("n must be positive and trunc non-negative")
     tau = parse_complex(cfg["tau"])
     q = parse_complex(cfg["q"])
     t = parse_complex(cfg["t"])
@@ -122,7 +122,6 @@ def session_from_config(cfg):
         "seed": seed,
         "n": n,
         "trunc": trunc,
-        "threads": threads,
         "tol": tol,
         "tau": tau,
         "q": q,
@@ -521,11 +520,7 @@ def run_suite(suite, cfg, out=None):
             "millis": millis,
         }
 
-    if S["threads"] > 1:
-        with ThreadPoolExecutor(max_workers=S["threads"]) as pool:
-            results = list(pool.map(run_one, checks))
-    else:
-        results = [run_one(c) for c in checks]
+    results = [run_one(c) for c in checks]
     results.sort(key=lambda r: r["id"])
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -691,7 +686,6 @@ def main(argv=None):
     common.add_argument("--tol", default=supp)
     common.add_argument("--n", type=int, default=supp)
     common.add_argument("--trunc", type=int, default=supp)
-    common.add_argument("--threads", type=int, default=supp)
     common.add_argument("--out", default=supp, help="report / operator output path")
     parser = argparse.ArgumentParser(prog="ccnops", description=__doc__, parents=[common])
     sub = parser.add_subparsers(dest="command")
@@ -702,7 +696,6 @@ def main(argv=None):
     psolve = sub.add_parser("solve-section", help="numeric section-space solve", parents=[common])
     psolve.add_argument("family", choices=("first-order", "van-diejen"))
     psolve.add_argument("--dprime", type=int, default=0)
-    psolve.add_argument("--m", type=int, default=1)
     pker = sub.add_parser("fourier-kernel", help="solve and print a Fourier kernel tail", parents=[common])
     pker.add_argument("c")
     pker.add_argument("--at")
@@ -711,7 +704,7 @@ def main(argv=None):
 
     overrides = {
         key: getattr(args, key, None)
-        for key in ("seed", "prec", "tol", "n", "trunc", "threads")
+        for key in ("seed", "prec", "tol", "n", "trunc")
     }
     out_path = getattr(args, "out", None)
     try:

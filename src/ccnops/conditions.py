@@ -1,25 +1,44 @@
 """Membership conditions for the spherical families and the section solver.
 
 Residue conditions relate coefficients at shift vectors linked by an affine
-reflection; each is checked by residue cancellation at sample points taken on
-several components of the divisor (offsets 0, 1 and tau), with the displayed
-theta correction bracket evaluated honestly at the sample point and at two
-independent u-probes.  Holomorphy along a divisor is therefore never a limit
-extraction: coefficients carry explicit denominator factor lists.
+reflection; vanishing conditions ask one coefficient to vanish along an x- or
+t-divisor.  A single sampling pipeline feeds both of its consumers:
+
+* `_residue_samples` draws points on components of a root divisor
+  {beta(z) + m q = lambda}, lambda in 0, 1, tau (and 1+tau), away from the
+  other denominator divisors, and evaluates the displayed theta correction
+  bracket there at one or more u-probes;
+* `_vanishing_samples` draws points on an x- or t-divisor, each with a
+  nearby reference point that sets the scale.
+
+Every point is put on its root divisor by the one rule `_place_on_root`.
+`check_residue`/`check_vanishing` verify a given operator: three components,
+two independent u-probes, and the denominators of the two coefficients under
+test as the avoid list.  `SectionModel.condition_rows` builds the solver's
+linear system over an ansatz basis: four components, one probe, and every
+basis denominator as the avoid list.  Holomorphy along a divisor is never a
+limit extraction: coefficients carry explicit denominator factor lists, and a
+residue is read off the unique vanishing factor.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
-from .curve import CurveContext, PoleProximityError
-from .diffop import DegreeVector, DifferenceOperator, ExprCoefficient, SumCoefficient
-from .symbols import AffineForm, PolarizationRecord, ThetaExpr, zvar
+from .curve import MAX_RETRIES, PoleProximityError
+from .diffop import (
+    DegreeVector,
+    DifferenceOperator,
+    ExprCoefficient,
+    SumCoefficient,
+    bindings_for,
+)
+from .families import van_diejen_leading_expr
+from .symbols import AffineForm, ThetaExpr, zvar
 from .weyl import (
     bruhat_interval,
     inversion_set,
@@ -74,28 +93,6 @@ class ConditionReport:
     def add(self, spec_id, defect, detail=""):
         self.records.append(
             ConditionRecord(spec_id, defect, bool(abs(defect) < self.tolerance), detail)
-        )
-
-    def to_json(self):
-        import json
-
-        return json.dumps(
-            {
-                "pass": self.passed,
-                "tolerance": float(self.tolerance),
-                "seed": self.seed,
-                "prec": self.prec,
-                "records": [
-                    {
-                        "id": r.spec_id,
-                        "defect": float(abs(r.defect)),
-                        "pass": r.passed,
-                        "detail": r.detail,
-                    }
-                    for r in self.records
-                ],
-            },
-            indent=1,
         )
 
 
@@ -219,19 +216,29 @@ def enumerate_conditions(degree, lam, params, n, family="even", lattice="coroot"
 # residue extraction
 
 
-def _residue_of_parts(ctx, parts, zstar, svar_index, beta_coeffs, tol=mpf("1e-9")):
+def _residue_parts(coeff):
+    """(scale, ThetaExpr, params) parts of a coefficient; [] for an absent one."""
+    if coeff is None:
+        return []
+    parts = coeff.residue_parts()
+    if parts is None:
+        raise ValueError("residue checks need structured coefficients")
+    return parts
+
+
+def _residue_of_parts(ctx, parts, zstar, beta_coeffs, tol=mpf("1e-9")):
     """Residue of sum(scale * expr) along the divisor through zstar.
 
     The local coordinate is s = beta(z) + m q - lambda, traversed by varying
-    z_{svar_index}; each part contributes through its unique vanishing
-    denominator factor, scaled by the exact lattice derivative of theta.
+    the first coordinate beta involves; each part contributes through its
+    unique vanishing denominator factor, scaled by the exact lattice
+    derivative of theta.
     """
     total = mpc(0)
-    bslope = beta_coeffs[svar_index]
+    svar = next(i for i, c in enumerate(beta_coeffs) if c)
+    bslope = beta_coeffs[svar]
     for scale, expr, params in parts:
-        bind = dict(params)
-        for i, w in enumerate(zstar):
-            bind["z%d" % (i + 1)] = w
+        bind = bindings_for(params, zstar)
         vanishing = None
         for idx, (form, mexp) in enumerate(expr.factors):
             if mexp >= 0:
@@ -248,7 +255,7 @@ def _residue_of_parts(ctx, parts, zstar, svar_index, beta_coeffs, tol=mpf("1e-9"
             continue
         idx, form, a, b = vanishing
         rest = expr.eval(ctx, bind, skip=idx)
-        slope = form.coeff("z%d" % (svar_index + 1)) / bslope
+        slope = form.coeff("z%d" % (svar + 1)) / bslope
         deriv = ctx.theta_deriv_at_lattice(a, b) * mpc(slope.numerator) / slope.denominator
         total += mpc(scale) * rest / deriv
     return total
@@ -273,39 +280,57 @@ def _parallel(form, beta_coeffs, n):
     return True
 
 
-def _divisor_sample(ctx, rng, n, beta, m, q, component, avoid=(), tries=64):
-    """A random point on the lambda-component of {beta(z) + m q = 0}.
+# ---------------------------------------------------------------------------
+# the sampling pipeline shared by the checkers and the solver
+
+#: divisor components checked by check_residue and used by the solver
+_CHECK_COMPONENTS = ("0", "1", "tau")
+_SOLVE_COMPONENTS = ("0", "1", "tau", "1+tau")
+
+#: boxes (real range, imaginary range) of the successive u-probes
+_PROBE_BOXES = (((0.1, 0.5), (0.05, 0.4)), ((-0.5, -0.1), (0.05, 0.4)))
+
+_VANISHING = ("x-vanish", "t-vanish")
+
+
+def _env_values(env, n):
+    """(q, t, X) from a condition environment; X = q + (n-1) t + eta' (or x_0)."""
+    q = mpc(env["q"])
+    t = mpc(env.get("t", 0))
+    x = mpc(env.get("eta_prime", env.get("x0", 0)))
+    return q, t, q + (n - 1) * t + x
+
+
+def _place_on_root(z, beta, target):
+    """Move the first coordinate beta involves so that beta(z) = target."""
+    i = beta[1]
+    if beta[0] == "sum":
+        z[i] = target - z[beta[2]]
+    elif beta[0] == "diff":
+        z[i] = target + z[beta[2]]
+    else:
+        z[i] = target / 2
+
+
+def _divisor_sample(ctx, rng, n, beta, target, avoid, tries=MAX_RETRIES):
+    """A random point of {beta(z) = target} at least 5e-3 from the avoid list's poles.
 
     Denominator forms parallel to the divisor are excluded from the
     rejection test (their vanishing is the pole under examination).
     """
-    lam_offsets = {"0": mpc(0), "1": mpc(1), "tau": ctx.tau, "1+tau": 1 + ctx.tau}
-    lam = lam_offsets[component]
     beta_coeffs = _beta_form(beta, n)
     effective = [
         (form, bind0) for form, bind0 in avoid if not _parallel(form, beta_coeffs, n)
     ]
+    margin = mpf("5e-3")
     for _ in range(tries):
         z = [mpc(rng.uniform(-0.4, 0.4), rng.uniform(-0.35, 0.35)) for _ in range(n)]
-        if beta[0] == "sum":
-            i, j = beta[1], beta[2]
-            z[i] = lam - m * q - z[j]
-        elif beta[0] == "diff":
-            i, j = beta[1], beta[2]
-            z[i] = lam - m * q + z[j]
-        else:
-            i = beta[1]
-            z[i] = (lam - m * q) / 2
+        _place_on_root(z, beta, target)
         z = tuple(z)
-        ok = True
-        for form, bind0 in effective:
-            bind = dict(bind0)
-            for ii, w in enumerate(z):
-                bind["z%d" % (ii + 1)] = w
-            if ctx.dist_to_lattice(form.eval(bind)) < mpf("5e-3"):
-                ok = False
-                break
-        if ok:
+        if all(
+            ctx.dist_to_lattice(form.eval(bindings_for(bind0, z))) >= margin
+            for form, bind0 in effective
+        ):
             return z
     raise PoleProximityError("could not sample the divisor away from other poles")
 
@@ -337,73 +362,96 @@ def _collect_avoid(op, keys):
     return avoid
 
 
-def check_residue(ctx, op, specs, env, samples=2, seed=11, tol=mpf("1e-25"), components=("0", "1", "tau")):
+def _residue_samples(ctx, rng, spec, n, env, components, samples, probes, avoid):
+    """Sample points for a residue-pair condition.
+
+    Yields (component, sample number, point, brackets): `samples` points on
+    each component {beta(z) + m q = lambda} of the divisor, each with the
+    correction bracket, raised to the pair exponent, at `probes` u-probes.
+    The RNG draws the point first, then the probes in order.
+    """
+    q, _, X = _env_values(env, n)
+    offsets = {"0": mpc(0), "1": mpc(1), "tau": ctx.tau, "1+tau": 1 + ctx.tau}
+    for comp in components:
+        target = offsets[comp] - spec.level * q
+        for snum in range(samples):
+            zstar = _divisor_sample(ctx, rng, n, spec.beta, target, avoid)
+            brackets = []
+            for re_box, im_box in _PROBE_BOXES[:probes]:
+                u = mpc(rng.uniform(*re_box), rng.uniform(*im_box))
+                brackets.append(_bracket(ctx, spec, zstar, u, X, q, n) ** spec.exponent)
+            yield comp, snum, zstar, brackets
+
+
+def _vanishing_samples(rng, spec, n, env, samples):
+    """Sample points for an x- or t-vanishing condition.
+
+    Yields (sample number, point, reference point): the point lies on the
+    condition's divisor, the reference point a small random step off it.
+    """
+    q, t, _ = _env_values(env, n)
+    for snum in range(samples):
+        z = [mpc(rng.uniform(-0.4, 0.4), rng.uniform(-0.3, 0.3)) for _ in range(n)]
+        if spec.kind == "x-vanish":
+            z[spec.divisor_var] = spec.divisor_point.eval(env)
+        else:
+            _place_on_root(z, spec.beta, t + spec.level * q)
+        z = tuple(z)
+        zref = tuple(w + mpc(rng.uniform(0.05, 0.15), rng.uniform(0.02, 0.1)) for w in z)
+        yield snum, z, zref
+
+
+# ---------------------------------------------------------------------------
+# checkers
+
+
+def check_residue(ctx, op, specs, env, samples=2, seed=11, tol=mpf("1e-25")):
     """Residue-pair conditions for an operator; returns a ConditionReport.
 
     env: dict with at least q, t and eta' (or x0 for the odd family).
     """
     rng = random.Random(seed)
     n = op.n
-    q = mpc(env["q"])
-    t = mpc(env.get("t", 0))
-    x = mpc(env.get("eta_prime", env.get("x0", 0)))
-    X = q + (n - 1) * t + x
     report = ConditionReport(tolerance=tol, seed=seed, prec=ctx.prec)
     for spec in specs:
         if spec.kind != "residue-pair":
             continue
-        ca = op.coefficient(spec.k)
-        cb = op.coefficient(spec.k2)
-        parts_a = ca.residue_parts() if ca is not None else []
-        parts_b = cb.residue_parts() if cb is not None else []
-        if parts_a is None or parts_b is None:
-            raise ValueError("residue checks need structured coefficients")
+        parts_a = _residue_parts(op.coefficient(spec.k))
+        parts_b = _residue_parts(op.coefficient(spec.k2))
         beta_coeffs = _beta_form(spec.beta, n)
-        svar = next(i for i in range(n) if beta_coeffs[i])
         avoid = _collect_avoid(op, [spec.k, spec.k2])
-        for comp in components:
-            for snum in range(samples):
-                zstar = _divisor_sample(ctx, rng, n, spec.beta, spec.level, q, comp, avoid)
-                res_a = _residue_of_parts(ctx, parts_a, zstar, svar, beta_coeffs)
-                res_b = _residue_of_parts(ctx, parts_b, zstar, svar, beta_coeffs)
-                u1 = mpc(rng.uniform(0.1, 0.5), rng.uniform(0.05, 0.4))
-                u2 = mpc(rng.uniform(-0.5, -0.1), rng.uniform(0.05, 0.4))
-                b1 = _bracket(ctx, spec, zstar, u1, X, q, n) ** spec.exponent
-                b2 = _bracket(ctx, spec, zstar, u2, X, q, n) ** spec.exponent
-                probe_defect = abs(b1 - b2) / max(abs(b1), abs(b2), mpf("1e-30"))
-                combo = res_b + b1 * res_a
-                scale = abs(res_b) + abs(b1 * res_a) + mpf("1e-30")
-                report.add(
-                    "residue[%s;m=%d;%s<->%s;comp=%s;#%d]"
-                    % (spec.beta, spec.level, spec.k, spec.k2, comp, snum),
-                    abs(combo) / scale,
-                )
-                report.add(
-                    "residue-probe[%s;m=%d;comp=%s;#%d]" % (spec.beta, spec.level, comp, snum),
-                    probe_defect,
-                )
+        for comp, snum, zstar, (b1, b2) in _residue_samples(
+            ctx, rng, spec, n, env, _CHECK_COMPONENTS, samples, 2, avoid
+        ):
+            res_a = _residue_of_parts(ctx, parts_a, zstar, beta_coeffs)
+            res_b = _residue_of_parts(ctx, parts_b, zstar, beta_coeffs)
+            probe_defect = abs(b1 - b2) / max(abs(b1), abs(b2), mpf("1e-30"))
+            combo = res_b + b1 * res_a
+            scale = abs(res_b) + abs(b1 * res_a) + mpf("1e-30")
+            report.add(
+                "residue[%s;m=%d;%s<->%s;comp=%s;#%d]"
+                % (spec.beta, spec.level, spec.k, spec.k2, comp, snum),
+                abs(combo) / scale,
+            )
+            report.add(
+                "residue-probe[%s;m=%d;comp=%s;#%d]" % (spec.beta, spec.level, comp, snum),
+                probe_defect,
+            )
     return report
 
 
 def check_vanishing(ctx, op, specs, env, samples=2, seed=13, tol=mpf("1e-25")):
     """x-vanishing and t-vanishing conditions (zeros of coefficients on divisors)."""
     rng = random.Random(seed)
-    n = op.n
-    q = mpc(env["q"])
-    t = mpc(env.get("t", 0))
     report = ConditionReport(tolerance=tol, seed=seed, prec=ctx.prec)
     for spec in specs:
-        if spec.kind not in ("x-vanish", "t-vanish"):
+        if spec.kind not in _VANISHING:
             continue
         c = op.coefficient(spec.k)
         if c is None:
             continue
-        for snum in range(samples):
-            z = [mpc(rng.uniform(-0.4, 0.4), rng.uniform(-0.3, 0.3)) for _ in range(n)]
+        for snum, z, zref in _vanishing_samples(rng, spec, op.n, env, samples):
             if spec.kind == "x-vanish":
-                bind = dict(env)
-                pt = spec.divisor_point.eval(bind)
-                z[spec.divisor_var] = pt
                 label = "x-vanish[k=%s;i=%d;l=%d;#%d]" % (
                     spec.k,
                     spec.divisor_var,
@@ -411,24 +459,14 @@ def check_vanishing(ctx, op, specs, env, samples=2, seed=13, tol=mpf("1e-25")):
                     snum,
                 )
             else:
-                kind, i, j = spec.beta
-                if kind == "sum":
-                    z[i] = t + spec.level * q - z[j]
-                elif kind == "diff":
-                    z[i] = t + spec.level * q + z[j]
-                else:
-                    z[i] = (t + spec.level * q) / 2
                 label = "t-vanish[k=%s;%s;m=%d;#%d]" % (spec.k, spec.beta, spec.level, snum)
-            zref = tuple(
-                w + mpc(rng.uniform(0.05, 0.15), rng.uniform(0.02, 0.1)) for w in z
-            )
-            val = c.eval(ctx, tuple(z))
+            val = c.eval(ctx, z)
             ref = abs(c.eval(ctx, zref)) + mpf("1e-30")
             report.add(label, abs(val) / ref)
     return report
 
 
-def check_polarization(ctx, fn, expected, samples=2, seed=17, tol=mpf("1e-25"), params=None):
+def check_polarization(ctx, fn, expected, samples=2, seed=17, tol=mpf("1e-25")):
     """Measured tau-translation multipliers against the predicted (Q, w) form.
 
     fn: callable z -> value (or a Coefficient); expected: PolarizationRecord.
@@ -508,45 +546,48 @@ def _even_univariate_basis(params, zsym, degree, rng, tag):
     return out
 
 
-def validate_basis_rank(ctx, exprs, params, zsym, seed=23, gap=mpf("1e6")):
-    """Numeric rank of a univariate expression family (sanity for the solver)."""
-    rng = random.Random(seed)
-    pts = [mpc(rng.uniform(-0.4, 0.4), rng.uniform(-0.3, 0.3)) for _ in range(len(exprs) + 3)]
-    rows = []
-    for e in exprs:
-        row = []
-        for p in pts:
-            bind = dict(params)
-            bind[zsym] = p
-            row.append(e.eval(ctx, bind))
-        rows.append(row)
-    return numeric_rank(rows, gap=gap, prec=ctx.prec)
+def _shift_var(expr, i):
+    """Rename z1 -> z_i in a univariate ThetaExpr."""
+    return expr.substitute({"z1": AffineForm.var("z%d" % i)})
+
+
+def _symmetric_square(shared, uni):
+    """Corner parts of shared * Sym^2(uni) in (z1, z2), one list per column.
+
+    The column for a < b is the symmetrized pair u_a(z1) u_b(z2) + u_b(z1) u_a(z2).
+    """
+    out = []
+    for a in range(len(uni)):
+        for b in range(a, len(uni)):
+            parts = [shared * (uni[a] * _shift_var(uni[b], 2))]
+            if a != b:
+                parts.append(shared * (uni[b] * _shift_var(uni[a], 2)))
+            out.append(parts)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # section models
 
 
-def _substitute_expr_z(expr, mapping):
-    return expr.substitute(mapping)
+def _orbit_coefficients(n, mu, corner_parts, params):
+    """Spread a corner at shift -mu over its signed-permutation orbit by invariance.
 
-
-def _orbit_operator(n, mu, corner_expr, params, scale=1):
-    """Spread a corner ThetaExpr (at shift -mu) over the whole orbit by invariance."""
+    corner_parts: ThetaExprs summed at the corner.  Returns shift -> an
+    ExprCoefficient for one part, a SumCoefficient for several.
+    """
     corner = tuple(-x for x in mu)
     coeffs = {}
-    seen = set()
     for w in signed_permutations(n):
         k = sp_apply(w, corner)
-        if k in seen:
+        if k in coeffs:
             continue
-        seen.add(k)
-        winv = sp_inverse(w)
-        iperm, isigns = winv
+        iperm, isigns = sp_inverse(w)
         mapping = {
             "z%d" % (i + 1): AffineForm({"z%d" % (iperm[i] + 1): isigns[i]}) for i in range(n)
         }
-        coeffs[k] = ExprCoefficient(corner_expr.substitute(mapping), params, scale)
+        parts = [ExprCoefficient(p.substitute(mapping), params) for p in corner_parts]
+        coeffs[k] = parts[0] if len(parts) == 1 else SumCoefficient(parts)
     return coeffs
 
 
@@ -561,24 +602,19 @@ class SectionModel:
         self.degree = degree
         self.lam = lam
         self.family = family
-        self.basis_ops = []  # list of (mu, DifferenceOperator)
-        self.labels = []
+        self.basis_ops = []  # one (mu, DifferenceOperator) per column
 
-    def add_weight_basis(self, mu, corner_exprs):
-        for b, expr in enumerate(corner_exprs):
-            coeffs = _orbit_operator(self.n, mu, expr, self.params)
+    def add_weight_basis(self, mu, columns):
+        """Append one column per entry of `columns`, a list of corner parts at -mu."""
+        for corner_parts in columns:
+            coeffs = _orbit_coefficients(self.n, mu, corner_parts, self.params)
             op = DifferenceOperator(self.n, coeffs, self.params, self.degree)
             self.basis_ops.append((tuple(mu), op))
-            self.labels.append((tuple(mu), b))
 
-    def condition_rows(self, specs, samples=2, seed=29, components=("0", "1", "tau")):
-        """Linear condition matrix over the ansatz basis."""
+    def condition_rows(self, specs, seed=29):
+        """Linear condition matrix over the ansatz basis, one row per sample."""
         rng = random.Random(seed)
         ctx, n = self.ctx, self.n
-        q = mpc(self.env["q"])
-        t = mpc(self.env.get("t", 0))
-        x = mpc(self.env.get("eta_prime", self.env.get("x0", 0)))
-        X = q + (n - 1) * t + x
         rows = []
         avoid = []
         for _, op in self.basis_ops:
@@ -586,65 +622,37 @@ class SectionModel:
         for spec in specs:
             if spec.kind == "residue-pair":
                 beta_coeffs = _beta_form(spec.beta, n)
-                svar = next(i for i in range(n) if beta_coeffs[i])
-                for comp in components:
-                    for _ in range(samples):
-                        zstar = _divisor_sample(ctx, rng, n, spec.beta, spec.level, q, comp, avoid)
-                        u1 = mpc(rng.uniform(0.1, 0.5), rng.uniform(0.05, 0.4))
-                        b1 = _bracket(ctx, spec, zstar, u1, X, q, n) ** spec.exponent
-                        row = []
-                        scale = mpf(0)
-                        for _, op in self.basis_ops:
-                            ca = op.coefficient(spec.k)
-                            cb = op.coefficient(spec.k2)
-                            ra = (
-                                _residue_of_parts(ctx, ca.residue_parts(), zstar, svar, beta_coeffs)
-                                if ca is not None
-                                else mpc(0)
-                            )
-                            rb = (
-                                _residue_of_parts(ctx, cb.residue_parts(), zstar, svar, beta_coeffs)
-                                if cb is not None
-                                else mpc(0)
-                            )
-                            row.append(rb + b1 * ra)
-                            scale = max(scale, abs(rb) + abs(b1 * ra))
-                        if scale > mpf("1e-60"):
-                            rows.append([v / scale for v in row])
-            elif spec.kind in ("x-vanish", "t-vanish"):
-                for _ in range(samples):
-                    z = [mpc(rng.uniform(-0.4, 0.4), rng.uniform(-0.3, 0.3)) for _ in range(n)]
-                    zref = None
-                    if spec.kind == "x-vanish":
-                        bind = dict(self.env)
-                        z[spec.divisor_var] = spec.divisor_point.eval(bind)
-                    else:
-                        kind, i, j = spec.beta
-                        if kind == "sum":
-                            z[i] = t + spec.level * q - z[j]
-                        elif kind == "diff":
-                            z[i] = t + spec.level * q + z[j]
-                        else:
-                            z[i] = (t + spec.level * q) / 2
-                    z = tuple(z)
-                    zref = tuple(
-                        w + mpc(rng.uniform(0.05, 0.15), rng.uniform(0.02, 0.1)) for w in z
-                    )
+                parts = [
+                    (_residue_parts(op.coefficient(spec.k)), _residue_parts(op.coefficient(spec.k2)))
+                    for _, op in self.basis_ops
+                ]
+                for _, _, zstar, (b1,) in _residue_samples(
+                    ctx, rng, spec, n, self.env, _SOLVE_COMPONENTS, 2, 1, avoid
+                ):
                     row = []
                     scale = mpf(0)
-                    for _, op in self.basis_ops:
-                        c = op.coefficient(spec.k)
+                    for parts_a, parts_b in parts:
+                        ra = _residue_of_parts(ctx, parts_a, zstar, beta_coeffs)
+                        rb = _residue_of_parts(ctx, parts_b, zstar, beta_coeffs)
+                        row.append(rb + b1 * ra)
+                        scale = max(scale, abs(rb) + abs(b1 * ra))
+                    if scale > mpf("1e-60"):
+                        rows.append([v / scale for v in row])
+            elif spec.kind in _VANISHING:
+                coeffs = [op.coefficient(spec.k) for _, op in self.basis_ops]
+                for _, z, zref in _vanishing_samples(rng, spec, n, self.env, 2):
+                    row = []
+                    scale = mpf(0)
+                    for c in coeffs:
                         row.append(c.eval(ctx, z) if c is not None else mpc(0))
                         scale = max(scale, abs(c.eval(ctx, zref)) if c is not None else mpf(0))
                     if scale > mpf("1e-60"):
                         rows.append([v / scale for v in row])
         return rows
 
-    def nullspace(self, specs, samples=2, seed=29, gap=mpf("1e6")):
-        rows = self.condition_rows(
-            specs, samples=samples, seed=seed, components=("0", "1", "tau", "1+tau")
-        )
-        return nullspace_basis(rows, len(self.basis_ops), gap=gap, prec=self.ctx.prec)
+    def nullspace(self, specs, seed=29):
+        rows = self.condition_rows(specs, seed=seed)
+        return nullspace_basis(rows, len(self.basis_ops), gap=mpf("1e6"), prec=self.ctx.prec)
 
     def operator_from_vector(self, vec):
         total = {}
@@ -726,63 +734,21 @@ def first_order_model(ctx, n, dprime, eta_prime, q, t, seed=31):
     env = {"q": mpc(q), "t": mpc(t), "eta_prime": mpc(eta_prime)}
     degree = (DegreeVector(), DegreeVector(0, 1, dprime))
     model = SectionModel(ctx, n, params, env, degree, lam)
-    exprs = []
     if n == 1:
-        exprs = [shared_expr * b for b in uni]
+        columns = [[shared_expr * b] for b in uni]
     elif n == 2:
-        for a in range(K):
-            for b in range(a, K):
-                term1 = uni[a] * _shift_var(uni[b], 2)
-                if a == b:
-                    exprs.append(shared_expr * term1)
-                else:
-                    term2 = uni[b] * _shift_var(uni[a], 2)
-                    exprs.append(("sym", shared_expr, term1, term2))
+        columns = _symmetric_square(shared_expr, uni)
     else:
         raise NotImplementedError("first-order solve implemented for n <= 2")
-    _install_first_order_basis(model, exprs, params)
+    model.add_weight_basis(lam, columns)
     return model
 
 
-def _shift_var(expr, i):
-    """Rename z1 -> z_i in a univariate ThetaExpr."""
-    return expr.substitute({"z1": AffineForm.var("z%d" % i)})
-
-
-def _install_first_order_basis(model, exprs, params):
-    for b, e in enumerate(exprs):
-        if isinstance(e, tuple) and e[0] == "sym":
-            _, shared, t1, t2 = e
-            corner_parts = [shared * t1, shared * t2]
-        else:
-            corner_parts = [e]
-        mu = model.lam
-        corner = tuple(-x for x in mu)
-        coeffs = {}
-        seen = set()
-        for w in signed_permutations(model.n):
-            k = sp_apply(w, corner)
-            if k in seen:
-                continue
-            seen.add(k)
-            winv = sp_inverse(w)
-            iperm, isigns = winv
-            mapping = {
-                "z%d" % (i + 1): AffineForm({"z%d" % (iperm[i] + 1): isigns[i]})
-                for i in range(model.n)
-            }
-            parts = [ExprCoefficient(p.substitute(mapping), params) for p in corner_parts]
-            coeffs[k] = parts[0] if len(parts) == 1 else SumCoefficient(parts)
-        op = DifferenceOperator(model.n, coeffs, params, model.degree)
-        model.basis_ops.append((tuple(mu), op))
-        model.labels.append((tuple(mu), b))
-
-
-def section_solve_first_order(ctx, n, dprime, eta_prime, q, t, seed=31, samples=2):
+def section_solve_first_order(ctx, n, dprime, eta_prime, q, t, seed=31):
     """Nullspace basis for degree (0, s+d'f); expected dimension 2d'+2."""
     model = first_order_model(ctx, n, dprime, eta_prime, q, t, seed=seed)
     specs = enumerate_conditions(model.degree, model.lam, model.params, n)
-    null = model.nullspace([s for s in specs if s.kind == "residue-pair"], samples=samples, seed=seed)
+    null = model.nullspace([s for s in specs if s.kind == "residue-pair"], seed=seed)
     ops = [model.operator_from_vector(v) for v in null]
     return model, null, ops
 
@@ -803,41 +769,13 @@ def vandiejen_model(ctx, xs, q, t, n, eta_prime=None, seed=37):
     env = dict(params)
     env["eta_prime"] = mpc(eta_prime)
     qf = AffineForm.var("q")
-    tf = AffineForm.var("t")
     degree = (DegreeVector(), DegreeVector(0, 2, 2, (1,) * 8))
     lam = tuple([Fraction(1)] * n)
     model = SectionModel(ctx, n, params, env, degree, lam, family="even")
 
-    def xblock(i):
-        """prod_j theta(q/2 + x_j - z_i) / theta(-2 z_i, q - 2 z_i)."""
-        fs = []
-        for j in range(1, 9):
-            fs.append((qf * Fraction(1, 2) + AffineForm.var("x%d" % j) - zvar(i), 1))
-        fs.append((zvar(i) * -2, -1))
-        fs.append((qf - zvar(i) * 2, -1))
-        return ThetaExpr(tuple(fs), 1, None, n)
-
     def gblock(i):
         """1 / theta(-q-2z_i, q-2z_i)."""
         return ThetaExpr((((qf * -1) - zvar(i) * 2, -1), (qf - zvar(i) * 2, -1)), 1, None, n)
-
-    def pair_block(i, j, qlevels=False):
-        """theta(t - z_i - z_j)/theta(-z_i-z_j) [times the q-level pair if asked]."""
-        arg = zvar(i) * -1 - zvar(j)
-        fs = [(tf + arg, 1), (arg, -1)]
-        if qlevels:
-            fs.append((qf + tf + arg, 1))
-            fs.append((qf + arg, -1))
-        return ThetaExpr(tuple(fs), 1, None, n)
-
-    def mixed_block(i, j):
-        """theta(t - z_i +- z_j)/theta(-z_i +- z_j)."""
-        fs = []
-        for sz in (1, -1):
-            arg = zvar(i) * -1 + zvar(j) * sz
-            fs.append((tf + arg, 1))
-            fs.append((arg, -1))
-        return ThetaExpr(tuple(fs), 1, None, n)
 
     def cross_block(i, j):
         """1/[theta(z_i+z_j+q) theta(z_i+z_j-q) theta(z_i-z_j+q) theta(z_i-z_j-q)]."""
@@ -848,63 +786,28 @@ def vandiejen_model(ctx, xs, q, t, n, eta_prime=None, seed=37):
             fs.append((arg - qf, -1))
         return ThetaExpr(tuple(fs), 1, None, n)
 
-    # top weight (1^n): prescribed 1-dimensional corner
-    if n == 1:
-        top = xblock(1)
-    else:
-        top = xblock(1) * xblock(2) * pair_block(1, 2, qlevels=True)
-    model.add_weight_basis(lam, [top])
+    # top weight (1^n): the prescribed 1-dimensional corner
+    model.add_weight_basis(lam, [[van_diejen_leading_expr(n, n)]])
 
     # even univariate numerators (one basis, shifted into each variable)
     v8 = _even_univariate_basis(params, "z1", 8, rng, "g8")
     if n == 1:
-        model.add_weight_basis((Fraction(0),), [gblock(1) * b for b in v8])
+        model.add_weight_basis((Fraction(0),), [[gblock(1) * b] for b in v8])
     else:
-        mid = []
-        for b in v8:
-            mid.append(xblock(1) * mixed_block(1, 2) * gblock(2) * _shift_var(b, 2))
-        model.add_weight_basis((Fraction(1), Fraction(0)), mid)
+        mid = van_diejen_leading_expr(1, 2) * gblock(2)
+        model.add_weight_basis((Fraction(1), Fraction(0)), [[mid * _shift_var(b, 2)] for b in v8])
         v12 = _even_univariate_basis(params, "z1", 12, rng, "g12")
         shared00 = gblock(1) * gblock(2) * cross_block(1, 2)
-        for a in range(7):
-            for b in range(a, 7):
-                t1 = v12[a] * _shift_var(v12[b], 2)
-                if a == b:
-                    _append_raw(model, (Fraction(0), Fraction(0)), [shared00 * t1], params)
-                else:
-                    t2 = v12[b] * _shift_var(v12[a], 2)
-                    _append_raw(model, (Fraction(0), Fraction(0)), [shared00 * t1, shared00 * t2], params)
+        model.add_weight_basis((Fraction(0), Fraction(0)), _symmetric_square(shared00, v12))
     return model
 
 
-def _append_raw(model, mu, corner_parts, params):
-    corner = tuple(-x for x in mu)
-    coeffs = {}
-    seen = set()
-    for w in signed_permutations(model.n):
-        k = sp_apply(w, corner)
-        if k in seen:
-            continue
-        seen.add(k)
-        winv = sp_inverse(w)
-        iperm, isigns = winv
-        mapping = {
-            "z%d" % (i + 1): AffineForm({"z%d" % (iperm[i] + 1): isigns[i]})
-            for i in range(model.n)
-        }
-        parts = [ExprCoefficient(p.substitute(mapping), params) for p in corner_parts]
-        coeffs[k] = parts[0] if len(parts) == 1 else SumCoefficient(parts)
-    op = DifferenceOperator(model.n, coeffs, params, model.degree)
-    model.basis_ops.append((tuple(mu), op))
-    model.labels.append((tuple(mu), len(model.labels)))
-
-
-def vandiejen_nullspace(ctx, xs, q, t, n, eta_prime=None, seed=37, samples=2, gap=mpf("1e6")):
+def vandiejen_nullspace(ctx, xs, q, t, n, eta_prime=None, seed=37):
     """(model, nullspace vectors) for the van Diejen degree."""
     model = vandiejen_model(ctx, xs, q, t, n, eta_prime=eta_prime, seed=seed)
     specs = enumerate_conditions(model.degree, model.lam, model.params, n)
     pair_specs = [s for s in specs if s.kind == "residue-pair"]
-    null = model.nullspace(pair_specs, samples=samples, seed=seed, gap=gap)
+    null = model.nullspace(pair_specs, seed=seed)
     return model, null
 
 
@@ -918,9 +821,9 @@ def vandiejen_sections(ctx, xs, q, t, n, eta_prime=None, seed=37):
     from .diffop import identity_operator
 
     model, null = vandiejen_nullspace(ctx, xs, q, t, n, eta_prime=eta_prime, seed=seed)
-    weights = sorted({mu for mu, _ in model.labels}, key=lambda mu: sum(mu))
+    weights = sorted({mu for mu, _ in model.basis_ops}, key=sum)
     cols_by_weight = {
-        mu: [i for i, (nu, _) in enumerate(model.labels) if nu == mu] for mu in weights
+        mu: [i for i, (nu, _) in enumerate(model.basis_ops) if nu == mu] for mu in weights
     }
     # Gauss-reduce the nullspace against the weight filtration, top down
     basis = [list(v) for v in null]
@@ -973,7 +876,7 @@ def section_solve_vandiejen(ctx, xs, q, t, n, m, eta_prime=None, seed=37):
 # public dispatcher
 
 
-def section_solve(ctx, degree, lam, leading, params, seed=31, samples=2):
+def section_solve(ctx, degree, lam, leading, params, seed=31):
     """Numeric basis of the section space for a supported degree family.
 
     degree: pair of DegreeVectors.  Supported families: (0,0) (constants),
@@ -993,9 +896,7 @@ def section_solve(ctx, degree, lam, leading, params, seed=31, samples=2):
         eta = params.get("eta_prime")
         if eta is None:
             raise ValueError("the first-order family needs eta_prime")
-        model, null, ops = section_solve_first_order(
-            ctx, n, d2.f, eta, q, t, seed=seed, samples=samples
-        )
+        model, null, ops = section_solve_first_order(ctx, n, d2.f, eta, q, t, seed=seed)
         return len(null), ops
     if d2.s == 2 and d2.f == 2 and tuple(d2.e or ()) == (1,) * 8:
         xs = [params["x%d" % (j + 1)] for j in range(8)]
@@ -1005,7 +906,7 @@ def section_solve(ctx, degree, lam, leading, params, seed=31, samples=2):
             )
             return len(sections), sections
         model, null = vandiejen_nullspace(
-            ctx, xs, q, t, n, eta_prime=params.get("eta_prime"), seed=seed, samples=samples
+            ctx, xs, q, t, n, eta_prime=params.get("eta_prime"), seed=seed
         )
         return len(null), [model.operator_from_vector(v) for v in null]
     raise NotImplementedError("section solving implemented for the supported degree families")

@@ -53,7 +53,11 @@ MAX_RETRIES = 64
 GUARD_BITS = 16
 
 
-def _key(z):
+def point_key(z):
+    """Hashable key of a complex number: its mpf tuples at the current mp.prec.
+
+    Every point-keyed cache in the package uses this key.
+    """
     z = mpc(z)
     return (z.real._mpf_, z.imag._mpf_)
 
@@ -62,8 +66,7 @@ class CurveContext:
     """Evaluation context for a fixed modulus tau and working precision.
 
     Caches the nome power tables and memoizes theta values; all methods are
-    pure and the caches are lock-protected, so a context can be shared
-    between worker threads.
+    pure and the caches are lock-protected.
     """
 
     def __init__(self, tau, prec=256):
@@ -137,15 +140,11 @@ class CurveContext:
                     best = min(best, abs(z0 + dm + dn * self.tau))
             return best
 
-    def assert_off_divisor(self, z, what="theta argument"):
-        if self.dist_to_lattice(z) < POLE_THRESHOLD:
-            raise PoleProximityError("%s within %s of a lattice point" % (what, POLE_THRESHOLD))
-
     # -- theta ------------------------------------------------------------
 
     def theta(self, z):
         """theta(z; tau) via the lacunary sum formula, with memoization."""
-        k = _key(z)
+        k = point_key(z)
         hit = self._theta_cache.get(k)
         if hit is not None:
             return hit
@@ -277,7 +276,7 @@ class CurveContext:
         Satisfies gamma(q+z) = theta(z) gamma(z).  Requires Im(q) above the
         modulus threshold.
         """
-        k = (_key(z), _key(q))
+        k = (point_key(z), point_key(q))
         hit = self._gamma_cache.get(k)
         if hit is not None:
             return hit

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpc
 
-from .curve import PoleProximityError
+from .curve import point_key
 from .symbols import AffineForm, GammaProduct, ThetaExpr, Unbalanced, zvar
 
 
@@ -34,10 +34,6 @@ class DegreeVector:
     def __sub__(self, other):
         ne = tuple(a - b for a, b in zip(self.e or (0,) * len(other.e or ()), other.e or (0,) * len(self.e or ())))
         return DegreeVector(self.delta - other.delta, self.s - other.s, self.f - other.f, ne)
-
-
-def _zkey(z):
-    return tuple((mpc(w).real._mpf_, mpc(w).imag._mpf_) for w in z)
 
 
 def bindings_for(params, z):
@@ -137,7 +133,7 @@ class FnCoefficient(Coefficient):
         self._lock = threading.Lock()
 
     def eval(self, ctx, z):
-        key = (_zkey(z), ctx.prec)
+        key = (tuple(map(point_key, z)), ctx.prec)
         hit = self._cache.get(key)
         if hit is not None:
             return hit

@@ -11,14 +11,13 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from mpmath import mp, mpc, mpf
+from mpmath import mpc, mpf
 
-from .curve import CurveContext, PoleProximityError, TorsionError
+from .curve import TorsionError, point_key
 from .diffop import (
     DegreeVector,
     DifferenceOperator,
     ExprCoefficient,
-    FnCoefficient,
     identity_operator,
     multiplication_operator,
 )
@@ -37,11 +36,6 @@ _FRESH = itertools.count()
 
 def _fresh(name):
     return "%s_%d" % (name, next(_FRESH))
-
-
-def _pm(form_a, form_b):
-    """[a+b, a-b] for the +- shorthand."""
-    return [form_a + form_b, form_a - form_b]
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +136,6 @@ def cascade_leading_expr(d, n):
                 for l in range(d):
                     factors.append((t + arg + q * l, 1))
     return ThetaExpr(tuple(factors), 1, None, n)
-
-
-def min_torsion_margin(ctx, q, d):
-    """min over 1<=k<=d of the distance of k*q to the lattice."""
-    return min(ctx.dist_to_lattice(k * mpc(q)) for k in range(1, d + 1))
 
 
 def d_torsion_closed_form(d, q, t, n, ctx, params=None, tol=mpf("1e-6")):
@@ -261,7 +250,7 @@ class FourierKernel(FormalGaugedOperator):
         """e_m(w), memoized per point."""
         if all(x == 0 for x in m):
             return mpc(1)
-        key = (m, tuple((mpc(x).real._mpf_, mpc(x).imag._mpf_) for x in w))
+        key = (m, tuple(map(point_key, w)))
         hit = self._memo.get(key)
         if hit is not None:
             return hit
@@ -406,42 +395,32 @@ def braid_check(ctx, c, d, t0, q, t, n, order, points):
 
 
 def van_diejen_leading_expr(m, n, nx=8):
-    """Corner coefficient of the section with leading weight (1^m, 0^{n-m})."""
+    """Corner coefficient of the section with leading weight (1^m, 0^{n-m}).
+
+    Factor order: the x-block of each i <= m, then the pair factors of
+    i < j <= m, then the cross factors of i <= m < j.
+    """
     q = AffineForm.var("q")
     t = AffineForm.var("t")
     factors = []
     for i in range(1, m + 1):
+        for jx in range(1, nx + 1):
+            factors.append((q * Fraction(1, 2) + AffineForm.var("x%d" % jx) - zvar(i), 1))
+        factors.append((zvar(i) * -2, -1))
+        factors.append((q - zvar(i) * 2, -1))
+    for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
             arg = zvar(i) * -1 - zvar(j)
             factors.append((t + arg, 1))
-            factors.append((q + t + arg, 1))
             factors.append((arg, -1))
+            factors.append((q + t + arg, 1))
             factors.append((q + arg, -1))
     for i in range(1, m + 1):
         for j in range(m + 1, n + 1):
             for sz in (1, -1):
                 factors.append((t - zvar(i) + zvar(j) * sz, 1))
                 factors.append((zvar(i) * -1 + zvar(j) * sz, -1))
-    for i in range(1, m + 1):
-        for jx in range(1, nx + 1):
-            factors.append((q * Fraction(1, 2) + AffineForm.var("x%d" % jx) - zvar(i), 1))
-        factors.append((zvar(i) * -2, -1))
-        factors.append((q - zvar(i) * 2, -1))
     return ThetaExpr(tuple(factors), 1, None, n)
-
-
-def van_diejen_family(ctx, xs, q, t, n, prec=None, seed=7):
-    """The n+1 commuting sections at degree 2s+2f-e_1-...-e_8.
-
-    Requires sum(xs) = 2*eta'; each member is reconstructed by the section
-    solver with its prescribed leading coefficient.
-    """
-    from .conditions import vandiejen_sections
-
-    if len(xs) != 8:
-        raise ValueError("the family takes exactly 8 x-parameters")
-    _, sections = vandiejen_sections(ctx, xs, q, t, n, seed=seed)
-    return sections
 
 
 # ---------------------------------------------------------------------------

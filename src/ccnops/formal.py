@@ -14,11 +14,8 @@ from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
-from .symbols import AffineForm, GammaProduct, ThetaExpr, Unbalanced, zvar
-
-
-def _zkey(z):
-    return tuple((mpc(w).real._mpf_, mpc(w).imag._mpf_) for w in z)
+from .curve import point_key
+from .symbols import AffineForm, GammaProduct, Unbalanced, zvar
 
 
 class Tail:
@@ -49,7 +46,7 @@ class Tail:
             return mpc(0)
         if fn == 1:
             return mpc(1)
-        key = (tuple(k), _zkey(z), ctx.prec)
+        key = (tuple(k), tuple(map(point_key, z)), ctx.prec)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
@@ -80,9 +77,6 @@ class FormalGaugedOperator:
     @property
     def order(self):
         return self.tail.order
-
-    def head_is_trivial(self):
-        return not self.gamma.terms
 
     # -- composition --------------------------------------------------------
 
@@ -204,7 +198,7 @@ class FormalGaugedOperator:
         def v_val(ctx, m, z):
             if all(x == 0 for x in m):
                 return mpc(1)
-            key = (m, _zkey(z), ctx.prec)
+            key = (m, tuple(map(point_key, z)), ctx.prec)
             hit = memo.get(key)
             if hit is not None:
                 return hit

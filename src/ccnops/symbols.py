@@ -19,6 +19,8 @@ from fractions import Fraction
 
 from mpmath import mp, mpc
 
+from .curve import point_key
+
 
 # ---------------------------------------------------------------------------
 # polynomials over Q in named symbols, with negative powers of q permitted
@@ -70,13 +72,6 @@ class Poly:
 
     def __neg__(self):
         return self * Fraction(-1)
-
-    def div_q(self):
-        """Divide by the symbol q (exponent bookkeeping, exact)."""
-        out = {}
-        for m, c in self.terms.items():
-            out[_mono_mul(m, (("q", -1),))] = c
-        return Poly(out)
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.terms == other.terms
@@ -200,18 +195,6 @@ class AffineForm:
         if self.const:
             terms[()] = self.const
         return Poly(terms)
-
-    def proportional_ratio(self, other):
-        """If self = r * other for a rational r (on the symbol part), return r."""
-        if not other.coeffs:
-            return None
-        items = iter(other.coeffs.items())
-        s0, c0 = next(items)
-        r = self.coeff(s0) / c0
-        probe = other * r
-        if dict(probe.coeffs) == dict(self.coeffs):
-            return r
-        return None
 
     def __repr__(self):
         bits = []
@@ -347,9 +330,6 @@ class ThetaExpr:
                     Q[i][j] += Fraction(m) * ci * cj
         return tuple(tuple(row) for row in Q)
 
-    def polarization_record(self, n):
-        return PolarizationRecord(self.zpart_quadratic(n), self.weight())
-
     def is_function_on_curve_power(self, n):
         """Whether the well-definedness constraints hold (weight 0, trivial form)."""
         if self.weight() != 0:
@@ -372,7 +352,7 @@ class ThetaExpr:
         """Evaluate at the bindings; `skip` omits one factor index (numerator path)."""
         key = None
         if skip is None:
-            key = (tuple(sorted((s, _ckey(v)) for s, v in bind.items())), ctx.prec)
+            key = (tuple(sorted((s, point_key(v)) for s, v in bind.items())), ctx.prec)
             hit = self._cache.get(key)
             if hit is not None:
                 return hit
@@ -411,11 +391,6 @@ def _cpow(a, k):
     if a == 1:
         return 1
     return mpc(a) ** k
-
-
-def _ckey(v):
-    v = mpc(v)
-    return (v.real._mpf_, v.imag._mpf_)
 
 
 def _poly_substitute(poly, assignments):
@@ -509,9 +484,6 @@ class GammaProduct:
             if not placed:
                 classes.append([form, {0: m}])
         return classes
-
-    def is_balanced(self):
-        return all(sum(ks.values()) == 0 for _, ks in self._classes())
 
     def reduce(self, arity=0):
         """Resolve a balanced product into a ThetaExpr; else return Unbalanced.

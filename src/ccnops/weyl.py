@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
-from .curve import CurveContext
+from .curve import CurveContext, point_key
 
 
 def as_weight(entries):
@@ -29,13 +29,6 @@ def as_weight(entries):
     if len(pars) > 1:
         raise ValueError("weight entries must share a parity class")
     return w
-
-
-def parity_class(w):
-    """0 for integral weights, 1/2 for half-integral ones."""
-    if not w:
-        return Fraction(0)
-    return w[0] - int(w[0]) if w[0] >= 0 else w[0] - int(w[0]) + (1 if w[0] % 1 else 0)
 
 
 def is_dominant(w):
@@ -149,21 +142,6 @@ class AffineRoot:
         if self.kind == "double":
             return 2 * lam[self.i]
         return lam[self.i]
-
-    def form_coeffs(self, n):
-        """Coefficient vector of the finite part on (z_1..z_n)."""
-        v = [Fraction(0)] * n
-        if self.kind == "sum":
-            v[self.i] += 1
-            v[self.j] += 1
-        elif self.kind == "diff":
-            v[self.i] += 1
-            v[self.j] -= 1
-        elif self.kind == "double":
-            v[self.i] += 2
-        else:
-            v[self.i] += 1
-        return tuple(v)
 
 
 def positive_finite_roots(n, filter="D"):
@@ -482,7 +460,7 @@ def theta_symmetrization_rank(Q, gens, ctx=None, samples=None, gap=mpf("1e6")):
         idx_row = []
         for g in group:
             gz = tuple(sum(g[i][j] * z[j] for j in range(n)) for i in range(n))
-            key = tuple((mpc(w).real._mpf_, mpc(w).imag._mpf_) for w in gz)
+            key = tuple(map(point_key, gz))
             if key not in seen:
                 seen[key] = len(gpts)
                 gpts.append(gz)

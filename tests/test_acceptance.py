@@ -144,8 +144,10 @@ def test_criterion_4_cascade(ctx):
                     worst,
                     rel(expr.eval(ctx, bind), Da.eval_coeff(ctx, tuple([F(-d, 2)] * n), z)),
                 )
-    # the three displayed operator relations (exchange in the kernel-consistent
-    # normalization: sum u = (1-d) q, shift +d q/2; see the decisions ledger)
+    # the three displayed operator relations; the third (exchange) relation
+    # is taken in the kernel-consistent normalization, where the four u's
+    # sum to (1-d) q and D_d moves each of them by +d q/2:
+    # D_d D(u_0..u_3) = D(u_0 + d q/2, ..., u_3 + d q/2) D_d
     for n in (1, 2):
         d = 1
         u = mpc("0.23", "-0.11")
@@ -264,8 +266,10 @@ def test_criterion_8_section_dimensions(ctx, xs8):
     for dprime in (0, 1, 2):
         _, null, _ = section_solve_first_order(ctx, 1, dprime, ETA, Q, T)
         assert len(null) == 2 * dprime + 2, (1, dprime, len(null))
-    # n = 2: the solved dimension follows the symmetric-power structure
-    # dim = C(2d'+3, 2); see the decisions ledger for the dimension note
+    # n = 2: the solved dimension follows the symmetric-power structure of
+    # the t=0 fiber, Sym^2 of the univariate (2d'+2)-dimensional space, so
+    # dim = C(2d'+3, 2); the literal value 2d'+2 is pinned as a strict xfail
+    # in test_criterion_8_spec_literal_n2
     for dprime in (0, 1, 2):
         _, null, _ = section_solve_first_order(ctx, 2, dprime, ETA, Q, T)
         K = 2 * dprime + 2
@@ -278,7 +282,8 @@ def test_criterion_8_section_dimensions(ctx, xs8):
 
 @pytest.mark.xfail(
     reason="stated value 2d'+2 at n=2 contradicts the symmetric-power structure "
-    "of the t=0 fiber (dimension C(2d'+3,2)); see the decisions ledger",
+    "of the t=0 fiber: the solver returns C(2d'+3,2), as "
+    "test_criterion_8_section_dimensions asserts",
     strict=True,
 )
 def test_criterion_8_spec_literal_n2(ctx):

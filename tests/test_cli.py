@@ -34,6 +34,13 @@ def test_exit_two_on_bad_constraint(tmp_path):
     assert out.returncode == 2
 
 
+def test_threads_flag_rejected():
+    # checks run in one thread; the removed --threads flag is a usage error
+    out = run_cli("--threads", "2", "suite", "degenerations")
+    assert out.returncode == 2
+    assert "error" in out.stderr
+
+
 def test_exit_one_on_failing_check(tmp_path):
     # an absurd tolerance forces failures without invalidating the config
     out = run_cli("--tol", "1e-200", "suite", "degenerations")

@@ -6,6 +6,9 @@ from mpmath import mpc, mpf
 
 from ccnops.conditions import (
     ConditionSpec,
+    _beta_form,
+    _residue_samples,
+    _vanishing_samples,
     check_polarization,
     check_residue,
     check_vanishing,
@@ -17,9 +20,10 @@ from ccnops.conditions import (
     vandiejen_nullspace,
     vandiejen_sections,
 )
-from ccnops.diffop import DegreeVector, DifferenceOperator, ExprCoefficient
-from ccnops.families import first_order
-from ccnops.symbols import PolarizationRecord, ThetaExpr, zvar
+from ccnops.curve import PoleProximityError
+from ccnops.diffop import DegreeVector, DifferenceOperator, ExprCoefficient, bindings_for
+from ccnops.families import first_order, van_diejen_leading_expr
+from ccnops.symbols import AffineForm, PolarizationRecord, ThetaExpr, zvar
 from conftest import ETA, Q, T, TOL, op_defect, rel, sample_points
 
 
@@ -203,9 +207,9 @@ def test_operator_span_contains(ctx):
 
 def test_vandiejen_t_zero_and_wedge(ctx, xs8):
     # the solve stays 3-dimensional at t = 0, and the wedge of the n = 1
-    # sections passes the same residue suite there (it lives in the
-    # delta-shifted Hom space, so span membership is not expected; see the
-    # decisions ledger)
+    # sections passes the same residue suite there.  The wedge lives in the
+    # Hom space whose degree is shifted by delta, so it is not expected to
+    # lie in the span of the solved sections; the last assertion pins that.
     from ccnops.families import wedge_section
 
     model, null = vandiejen_nullspace(ctx, xs8, Q, mpc(0), 2)
@@ -222,3 +226,53 @@ def test_vandiejen_t_zero_and_wedge(ctx, xs8):
     ops = [model.operator_from_vector(v) for v in null]
     pts = sample_points(2, 3, seed=211)
     assert not operator_span_contains(ctx, ops, W, pts)
+
+
+BETAS = (("double", 0), ("sum", 0, 1), ("diff", 0, 1))
+
+
+def _beta_value(beta, z):
+    return sum(mpc(c.numerator) / c.denominator * w for c, w in zip(_beta_form(beta, 2), z))
+
+
+@pytest.mark.parametrize("beta", BETAS, ids=[b[0] for b in BETAS])
+def test_shared_sampler_on_divisor_and_off_poles(ctx, beta):
+    m = 1
+    spec = ConditionSpec("residue-pair", "even", beta, m, (F(1, 2), F(1, 2)), (), 1)
+    env = {"q": Q, "t": T, "eta_prime": ETA}
+    params = {"q": Q, "a": mpc("0.1", "0.05"), "b": mpc("-0.2", "0.1")}
+    zf = [AffineForm.var("z1"), AffineForm.var("z2")]
+    # the divisor's own form is parallel and must not be avoided
+    parallel = sum((f * c for f, c in zip(zf, _beta_form(beta, 2))), AffineForm.var("q") * m)
+    others = [zf[0] - zf[1] + AffineForm.var("a"), zf[1] * 2 + AffineForm.var("b"), zf[0] + zf[1]]
+    avoid = [(f, params) for f in others + [parallel]]
+    offsets = {"0": mpc(0), "1": mpc(1), "tau": ctx.tau, "1+tau": 1 + ctx.tau}
+    eps = mpf(2) ** -(ctx.prec - 8)
+    for comp, lam in offsets.items():
+        rng = random.Random(7)
+        samples = list(_residue_samples(ctx, rng, spec, 2, env, (comp,), 2, 2, avoid))
+        assert [(c, s) for c, s, _, _ in samples] == [(comp, 0), (comp, 1)]
+        for _, _, z, brackets in samples:
+            assert len(brackets) == 2
+            assert abs(_beta_value(beta, z) + m * Q - lam) < eps
+            for f in others:
+                assert ctx.dist_to_lattice(f.eval(bindings_for(params, z))) >= mpf("5e-3")
+    # a pole that no point of the divisor avoids
+    stuck = [(AffineForm.var("p"), {"p": 1 + ctx.tau})]
+    with pytest.raises(PoleProximityError):
+        next(_residue_samples(ctx, random.Random(7), spec, 2, env, ("0",), 1, 1, stuck))
+    # the t-vanishing sampler puts its points on beta(z) = t + m q
+    tspec = ConditionSpec("t-vanish", "even", beta, m, (F(-1), F(0)))
+    for _, z, zref in _vanishing_samples(random.Random(7), tspec, 2, env, 2):
+        assert abs(_beta_value(beta, z) - T - m * Q) < eps
+        assert all(0 < (r - w).real < 0.15 and 0 < (r - w).imag < 0.1 for r, w in zip(zref, z))
+
+
+def test_vandiejen_corner_matches_leading_expr(ctx, xs8):
+    # the m = n = 1 section, normalized to corner coefficient 1, carries the
+    # closed-form leading coefficient at the corner shift k = (-1,)
+    model, sections = vandiejen_sections(ctx, xs8, Q, T, 1)
+    corner = sections[1].coefficient((F(-1),))
+    expr = van_diejen_leading_expr(1, 1)
+    for z in sample_points(1, 2, seed=307):
+        assert rel(corner.eval(ctx, z), expr.eval(ctx, bindings_for(model.params, z))) < TOL
