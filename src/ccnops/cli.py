@@ -13,6 +13,7 @@ rejected.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -159,7 +160,7 @@ def _suite_kernel_identities(S):
 
 
 def _suite_operator_algebra(S):
-    from .diffop import SelbergDensity
+    from .diffop import SelbergDensity, op_defect, rel_defect
     from .families import first_order
 
     ctx, q, t, n = S["ctx"], S["q"], S["t"], min(S["n"], 2)
@@ -169,7 +170,7 @@ def _suite_operator_algebra(S):
         A = first_order([_c(S, 1), _c(S, 2)], t, q, n)
         B = first_order([_c(S, 3), _c(S, 4)], t, q, n)
         C = first_order([_c(S, 5), _c(S, 6)], t, q, n)
-        return _op_defect(ctx, A.compose(B).compose(C), A.compose(B.compose(C)), zpts)
+        return op_defect(ctx, A.compose(B).compose(C), A.compose(B.compose(C)), zpts)
 
     def apply_consistency():
         A = first_order([_c(S, 1), _c(S, 2)], t, q, n)
@@ -178,8 +179,7 @@ def _suite_operator_algebra(S):
         worst = mpf(0)
         for z in zpts:
             a = A.compose(B).apply(ctx, f, z)
-            b = A.apply(ctx, lambda w: B.apply(ctx, f, w), z)
-            worst = max(worst, abs(a - b) / max(abs(a), abs(b), mpf("1e-30")))
+            worst = max(worst, rel_defect(a, A.apply(ctx, lambda w: B.apply(ctx, f, w), z)))
         return worst
 
     def invariance():
@@ -191,7 +191,7 @@ def _suite_operator_algebra(S):
         u0, u1 = _c(S, 1), _c(S, 2)
         D = first_order([u0, u1], t, q, n)
         target = first_order([mpc(q) / 2 - u0, mpc(q) / 2 - u1], t, q, n)
-        return _op_defect(ctx, D.selberg_adjoint(dens), target, zpts)
+        return op_defect(ctx, D.selberg_adjoint(dens), target, zpts)
 
     def adjoint_antihom():
         dens = SelbergDensity(n)
@@ -199,12 +199,12 @@ def _suite_operator_algebra(S):
         B = first_order([_c(S, 3), _c(S, 4)], t, q, n)
         lhs = A.compose(B).selberg_adjoint(dens)
         rhs = B.selberg_adjoint(dens).compose(A.selberg_adjoint(dens))
-        return _op_defect(ctx, lhs, rhs, zpts)
+        return op_defect(ctx, lhs, rhs, zpts)
 
     def roundtrip():
         D = first_order([_c(S, 1), _c(S, 2)], t, q, n)
         D2 = D.from_text(D.to_text())
-        return _op_defect(ctx, D, D2, zpts)
+        return op_defect(ctx, D, D2, zpts)
 
     return [
         _check("algebra/associativity", "operator composition is associative", assoc),
@@ -217,6 +217,7 @@ def _suite_operator_algebra(S):
 
 
 def _suite_cascade(S):
+    from .diffop import bindings_for, op_defect, rel_defect
     from .families import (
         cascade_leading_expr,
         d_cascade,
@@ -235,7 +236,7 @@ def _suite_cascade(S):
         for d in range(1, dmax + 1):
             Da = d_cascade(d, q, t, n, _c(S, 11))
             Db = d_cascade(d, q, t, n, _c(S, 12))
-            worst = max(worst, _op_defect(ctx, Da, Db, zpts))
+            worst = max(worst, op_defect(ctx, Da, Db, zpts))
         return worst
 
     def leading():
@@ -243,12 +244,8 @@ def _suite_cascade(S):
         expr = cascade_leading_expr(dmax, n)
         worst = mpf(0)
         for z in zpts:
-            bind = {"q": mpc(q), "t": mpc(t)}
-            for i, w in enumerate(z):
-                bind["z%d" % (i + 1)] = w
-            a = expr.eval(ctx, bind)
-            b = D.eval_coeff(ctx, tuple([Fraction(-dmax, 2)] * n), z)
-            worst = max(worst, abs(a - b) / max(abs(a), abs(b), mpf("1e-30")))
+            a = expr.eval(ctx, bindings_for({"q": mpc(q), "t": mpc(t)}, z))
+            worst = max(worst, rel_defect(a, D.eval_coeff(ctx, tuple([Fraction(-dmax, 2)] * n), z)))
         return worst
 
     def relations():
@@ -259,16 +256,16 @@ def _suite_cascade(S):
         Dd1 = d_cascade(d + 1, q, t, n, _c(S, 12))
         lhs = first_order([(d + 1) * mpc(q) / 2 + u, (d + 1) * mpc(q) / 2 - u], t, q, n).compose(Dd)
         rhs = Dd1.compose(theta_pm_multiplier(u, n, params))
-        w1 = _op_defect(ctx, lhs, rhs, zpts)
+        w1 = op_defect(ctx, lhs, rhs, zpts)
         lhs = Dd.compose(first_order([-d * mpc(q) / 2 + u, -d * mpc(q) / 2 - u], t, q, n))
         rhs = theta_pm_multiplier(u, n, params).compose(Dd1)
-        w2 = _op_defect(ctx, lhs, rhs, zpts)
+        w2 = op_defect(ctx, lhs, rhs, zpts)
         u0, u1, u2 = _c(S, 14), _c(S, 15), _c(S, 16)
         u3 = (1 - d) * mpc(q) - u0 - u1 - u2
         lhs = Dd.compose(first_order([u0, u1, u2, u3], t, q, n))
         sh = d * mpc(q) / 2
         rhs = first_order([u0 + sh, u1 + sh, u2 + sh, u3 + sh], t, q, n).compose(Dd)
-        w3 = _op_defect(ctx, lhs, rhs, zpts)
+        w3 = op_defect(ctx, lhs, rhs, zpts)
         return max(w1, w2, w3)
 
     def torsion():
@@ -379,8 +376,8 @@ def _suite_fourier(S):
 
 
 def _suite_van_diejen(S):
-    from .conditions import vandiejen_nullspace, vandiejen_sections
-    from .diffop import SelbergDensity
+    from .conditions import sections_by_weight, vandiejen_nullspace
+    from .diffop import SelbergDensity, op_defect
     from .symbols import AffineForm
 
     ctx, q, t = S["ctx"], S["q"], S["t"]
@@ -399,27 +396,34 @@ def _suite_van_diejen(S):
         xs = [mpc(rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2)) for _ in range(8)]
     zpts = _sample_points(S, n, 2)
 
+    # the checks share one solve, made by the first check that needs it
+    @functools.cache
+    def solved():
+        return vandiejen_nullspace(ctx, xs, q, t, n, seed=S["seed"])
+
+    @functools.cache
+    def sections():
+        return sections_by_weight(*solved())
+
     def dimension():
-        _, null = vandiejen_nullspace(ctx, xs, q, t, n, seed=S["seed"])
-        return mpf(0) if len(null) == n + 1 else mpf(1)
+        return mpf(0) if len(solved()[1]) == n + 1 else mpf(1)
 
     def commute():
-        _, sections = vandiejen_sections(ctx, xs, q, t, n, seed=S["seed"])
+        ops = sections()
         worst = mpf(0)
         for a in range(1, n + 1):
             for b in range(a + 1, n + 1):
-                AB = sections[a].compose(sections[b])
-                BA = sections[b].compose(sections[a])
-                worst = max(worst, _op_defect(ctx, AB, BA, zpts))
+                AB = ops[a].compose(ops[b])
+                BA = ops[b].compose(ops[a])
+                worst = max(worst, op_defect(ctx, AB, BA, zpts))
         return worst
 
     def self_adjoint():
-        _, sections = vandiejen_sections(ctx, xs, q, t, n, seed=S["seed"])
         qf = AffineForm.var("q")
         ulist = [qf * Fraction(1, 2) + AffineForm.var("x%d" % (j + 1)) for j in range(8)]
         dens = SelbergDensity(n, ulist=ulist)
-        H = sections[1]
-        return _op_defect(ctx, H, H.selberg_adjoint(dens), zpts)
+        H = sections()[1]
+        return op_defect(ctx, H, H.selberg_adjoint(dens), zpts)
 
     checks = [
         _check("van-diejen/dimension", "the section space is (n+1)-dimensional", dimension),
@@ -469,17 +473,6 @@ def _c(S, salt):
 
     rng = random.Random(S["seed"] * 1000 + salt)
     return mpc(rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2))
-
-
-def _op_defect(ctx, A, B, pts):
-    worst = mpf(0)
-    keys = set(A.support()) | set(B.support())
-    for z in pts:
-        for k in keys:
-            a = A.eval_coeff(ctx, k, z)
-            b = B.eval_coeff(ctx, k, z)
-            worst = max(worst, abs(a - b) / max(abs(a), abs(b), mpf("1e-30")))
-    return worst
 
 
 SUITE_BUILDERS = {

@@ -36,6 +36,7 @@ from .diffop import (
     ExprCoefficient,
     SumCoefficient,
     bindings_for,
+    rel_defect,
 )
 from .families import van_diejen_leading_expr
 from .symbols import AffineForm, ThetaExpr, zvar
@@ -425,7 +426,7 @@ def check_residue(ctx, op, specs, env, samples=2, seed=11, tol=mpf("1e-25")):
         ):
             res_a = _residue_of_parts(ctx, parts_a, zstar, beta_coeffs)
             res_b = _residue_of_parts(ctx, parts_b, zstar, beta_coeffs)
-            probe_defect = abs(b1 - b2) / max(abs(b1), abs(b2), mpf("1e-30"))
+            probe_defect = rel_defect(b1, b2)
             combo = res_b + b1 * res_a
             scale = abs(res_b) + abs(b1 * res_a) + mpf("1e-30")
             report.add(
@@ -812,7 +813,13 @@ def vandiejen_nullspace(ctx, xs, q, t, n, eta_prime=None, seed=37):
 
 
 def vandiejen_sections(ctx, xs, q, t, n, eta_prime=None, seed=37):
-    """All n+1 sections from one nullspace solve, triangularized by weight.
+    """(model, all n+1 sections) from one nullspace solve, triangularized by weight."""
+    model, null = vandiejen_nullspace(ctx, xs, q, t, n, eta_prime=eta_prime, seed=seed)
+    return model, sections_by_weight(model, null)
+
+
+def sections_by_weight(model, null):
+    """The n+1 sections of a solved van Diejen model, triangularized by weight.
 
     The member with leading weight (1^m, 0^(n-m)) is returned with its
     higher-weight columns eliminated and its leading column normalized (for
@@ -820,7 +827,7 @@ def vandiejen_sections(ctx, xs, q, t, n, eta_prime=None, seed=37):
     """
     from .diffop import identity_operator
 
-    model, null = vandiejen_nullspace(ctx, xs, q, t, n, eta_prime=eta_prime, seed=seed)
+    n = model.n
     weights = sorted({mu for mu, _ in model.basis_ops}, key=sum)
     cols_by_weight = {
         mu: [i for i, (nu, _) in enumerate(model.basis_ops) if nu == mu] for mu in weights
@@ -859,7 +866,7 @@ def vandiejen_sections(ctx, xs, q, t, n, eta_prime=None, seed=37):
     missing = [m for m in range(n + 1) if m not in sections]
     if missing:
         raise ArithmeticError("sections missing for weights %s" % missing)
-    return model, [sections[m] for m in range(n + 1)]
+    return [sections[m] for m in range(n + 1)]
 
 
 def section_solve_vandiejen(ctx, xs, q, t, n, m, eta_prime=None, seed=37):

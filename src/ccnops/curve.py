@@ -22,6 +22,7 @@ import threading
 from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_float, from_int, fzero
 
 
 class ModulusError(ValueError):
@@ -53,20 +54,50 @@ MAX_RETRIES = 64
 GUARD_BITS = 16
 
 
-def point_key(z):
-    """Hashable key of a complex number: its mpf tuples at the current mp.prec.
+#: the package's one lock: every memo store runs under it
+_LOCK = threading.Lock()
 
-    Every point-keyed cache in the package uses this key.
+_MISS = object()
+
+
+def point_key(z):
+    """Exact hashable key of a number: the mpf tuples of its real and imaginary parts.
+
+    Nothing is rounded: an mpc keys by its own tuples and ints, floats and
+    complex numbers convert without loss, so distinct points never share a
+    key whatever the global mp.prec.  Every point-keyed cache uses this key.
     """
-    z = mpc(z)
-    return (z.real._mpf_, z.imag._mpf_)
+    if isinstance(z, mpc):
+        return z._mpc_
+    if isinstance(z, mpf):
+        return (z._mpf_, fzero)
+    if isinstance(z, int):
+        return (from_int(z), fzero)
+    if isinstance(z, (float, complex)):
+        return (from_float(z.real), from_float(z.imag))
+    raise TypeError("no exact point key for %r" % (z,))
+
+
+def memo(cache, key, compute):
+    """cache[key], calling compute() and storing its value on a miss.
+
+    The package's one cache policy: keys are exact (point_key), caches owned
+    by objects other than a context key on the context object itself, the
+    store runs under the one lock, and caches are unbounded.
+    """
+    val = cache.get(key, _MISS)
+    if val is _MISS:
+        val = compute()
+        with _LOCK:
+            cache[key] = val
+    return val
 
 
 class CurveContext:
     """Evaluation context for a fixed modulus tau and working precision.
 
-    Caches the nome power tables and memoizes theta values; all methods are
-    pure and the caches are lock-protected.
+    Caches the nome power tables and memoizes theta and Gamma values through
+    `memo`; all methods are pure.
     """
 
     def __init__(self, tau, prec=256):
@@ -88,9 +119,7 @@ class CurveContext:
             self.dtheta0 = self.two_pi_i  # theta'(0) from the product formula
         self._theta_cache = {}
         self._gamma_cache = {}
-        self._pochhammer_cache = {}
-        self._log_c_cache = {}
-        self._lock = threading.Lock()
+        self._c_pair_cache = {}
 
     # -- primitives -------------------------------------------------------
 
@@ -143,11 +172,10 @@ class CurveContext:
     # -- theta ------------------------------------------------------------
 
     def theta(self, z):
-        """theta(z; tau) via the lacunary sum formula, with memoization."""
-        k = point_key(z)
-        hit = self._theta_cache.get(k)
-        if hit is not None:
-            return hit
+        """theta(z; tau) via the lacunary sum formula, memoized per point."""
+        return memo(self._theta_cache, point_key(z), lambda: self._theta_at(z))
+
+    def _theta_at(self, z):
         with mp.workprec(self._wp):
             z0, m, n = self.lattice_reduce(z)
             val = self._theta_reduced(z0)
@@ -157,9 +185,7 @@ class CurveContext:
                 if (m + n) % 2:
                     mult = -mult
                 val = mult * val
-        with self._lock:
-            self._theta_cache[k] = val
-        return val
+            return val
 
     def _theta_reduced(self, z0):
         xh = self.e(z0 / 2)
@@ -250,10 +276,14 @@ class CurveContext:
     # -- elliptic Gamma -----------------------------------------------------
 
     def _log_c(self):
-        """Principal log of C = -prod_{j>=1}(1-e(j tau))^2, cached per context."""
-        hit = self._log_c_cache.get("logc")
-        if hit is not None:
-            return hit
+        """Principal log of C = -(p;p)_inf^2 with p = e(tau)."""
+        return self._c_pair()[0]
+
+    def _c_pair(self):
+        """(log C, (p;p)_inf^2), computed once per context."""
+        return memo(self._c_pair_cache, (), self._c_pair_at)
+
+    def _c_pair_at(self):
         with mp.workprec(self._wp):
             p = self.e(self.tau)
             prod = mpc(1)
@@ -261,14 +291,7 @@ class CurveContext:
             while abs(pj) > self._cutoff:
                 prod *= (1 - pj) ** 2
                 pj *= p
-            val = mp.log(-prod)
-            self._log_c_cache["logc"] = val
-            self._log_c_cache["pp2"] = prod  # (p;p)_inf^2
-            return val
-
-    def _pp2(self):
-        self._log_c()
-        return self._log_c_cache["pp2"]
+            return mp.log(-prod), prod
 
     def gamma(self, z, q):
         """The elliptic Gamma symbol gamma_q(z; tau) (principal-branch prefactor).
@@ -276,10 +299,9 @@ class CurveContext:
         Satisfies gamma(q+z) = theta(z) gamma(z).  Requires Im(q) above the
         modulus threshold.
         """
-        k = (point_key(z), point_key(q))
-        hit = self._gamma_cache.get(k)
-        if hit is not None:
-            return hit
+        return memo(self._gamma_cache, (point_key(z), point_key(q)), lambda: self._gamma_at(z, q))
+
+    def _gamma_at(self, z, q):
         with mp.workprec(self._wp):
             z = mpc(z)
             q = mpc(q)
@@ -287,10 +309,7 @@ class CurveContext:
                 raise ModulusError("Im(q) = %s below threshold %s" % (q.imag, MIN_IM))
             logc = self._log_c()
             pref = mp.exp(-(z / q) * logc) * self.e(-z * (z - q) / (4 * q))
-            val = pref * self._gamma_std(z, q)
-        with self._lock:
-            self._gamma_cache[k] = val
-        return val
+            return pref * self._gamma_std(z, q)
 
     def _gamma_std(self, z, q):
         """prod_{j,k>=0} (1-e((j+1)tau+(k+1)q-z)) / (1-e(j tau+k q+z)).
@@ -302,7 +321,7 @@ class CurveContext:
         k = int(mp.nint((z.imag - im_target) / q.imag))
         z0 = z - k * q
         val = self._gamma_std_series(z0, q)
-        pp2 = self._pp2()
+        pp2 = self._c_pair()[1]
         if k > 0:
             for j in range(k):
                 arg = z0 + j * q

@@ -12,13 +12,12 @@ checkers evaluate residues on divisors instead of extracting limits.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp, mpc
+from mpmath import mp, mpc, mpf
 
-from .curve import point_key
+from .curve import memo, point_key
 from .symbols import AffineForm, GammaProduct, ThetaExpr, Unbalanced, zvar
 
 
@@ -37,10 +36,26 @@ class DegreeVector:
 
 
 def bindings_for(params, z):
+    """The parameter bindings extended by z1, z2, ... for the point z."""
     bind = dict(params)
     for i, w in enumerate(z):
         bind["z%d" % (i + 1)] = w
     return bind
+
+
+def rel_defect(a, b):
+    """Symmetric relative defect |a - b| / max(|a|, |b|, 1e-30)."""
+    return abs(a - b) / max(abs(a), abs(b), mpf("1e-30"))
+
+
+def op_defect(ctx, A, B, pts):
+    """Worst rel_defect of the coefficients of A and B over their joint support at pts."""
+    worst = mpf(0)
+    keys = set(A.support()) | set(B.support())
+    for z in pts:
+        for k in keys:
+            worst = max(worst, rel_defect(A.eval_coeff(ctx, k, z), B.eval_coeff(ctx, k, z)))
+    return worst
 
 
 class Coefficient:
@@ -124,29 +139,19 @@ class SumCoefficient(Coefficient):
 
 
 class FnCoefficient(Coefficient):
-    """Opaque memoized evaluator (products of operators, solver output)."""
+    """Opaque evaluator (operator products, solver output); memoized per (context, exact point)."""
 
     def __init__(self, fn, denominators=()):
         self.fn = fn
         self.denominators = tuple(denominators)
         self._cache = {}
-        self._lock = threading.Lock()
 
     def eval(self, ctx, z):
-        key = (tuple(map(point_key, z)), ctx.prec)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        val = self.fn(ctx, z)
-        with self._lock:
-            self._cache[key] = val
-        return val
+        return memo(self._cache, (ctx, tuple(map(point_key, z))), lambda: self.fn(ctx, z))
 
     def transformed(self, assignments, params=None):
         def fn(ctx, z, assignments=assignments, inner=self, params=params):
-            bind = dict(params or {})
-            for i, w in enumerate(z):
-                bind["z%d" % (i + 1)] = w
+            bind = bindings_for(params or {}, z)
             w = tuple(assignments["z%d" % (i + 1)].eval(bind) if "z%d" % (i + 1) in assignments
                       else z[i] for i in range(len(z)))
             return inner.eval(ctx, w)
@@ -288,7 +293,7 @@ class DifferenceOperator:
         """Max relative defect of D - w D w^{-1} over group generators at samples."""
         from .weyl import hyperoctahedral_generators
 
-        worst = mpc(0).real
+        worst = mpf(0)
         for w in hyperoctahedral_generators(self.n):
             Dw = self.group_act(w)
             if set(Dw.coeffs) != set(self.coeffs):
@@ -296,9 +301,7 @@ class DifferenceOperator:
             for z in samples:
                 for k in self.coeffs:
                     a = self.eval_coeff(ctx, k, z)
-                    b = Dw.eval_coeff(ctx, k, z)
-                    scale = max(abs(a), abs(b), mp.mpf("1e-30"))
-                    worst = max(worst, abs(a - b) / scale)
+                    worst = max(worst, rel_defect(a, Dw.eval_coeff(ctx, k, z)))
         if tol is None:
             return worst
         return worst < tol
@@ -417,18 +420,14 @@ class SelbergDensity:
         self._ratio_cache = {}
 
     def shift_ratio(self, k):
-        """Delta(z + q k) / Delta(z) resolved to a ThetaExpr."""
+        """Delta(z + q k) / Delta(z) resolved to a ThetaExpr, memoized per shift."""
         k = tuple(Fraction(x) for x in k)
-        hit = self._ratio_cache.get(k)
-        if hit is not None:
-            return hit
-        qform = AffineForm.var("q")
-        shift = {"z%d" % (i + 1): zvar(i + 1) + qform * k[i] for i in range(self.n)}
-        ratio = self.product.substitute(shift) * self.product.inverse()
-        resolved = ratio.reduce(arity=self.n)
+        return memo(self._ratio_cache, k, lambda: self._resolve_ratio(k))
+
+    def _resolve_ratio(self, k):
+        resolved = self.product.shift_ratio(k, self.n)
         if isinstance(resolved, Unbalanced):
             raise ValueError("density ratio unbalanced at shift %s" % (k,))
-        self._ratio_cache[k] = resolved
         return resolved
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from mpmath import mpc, mpf
 
-from .curve import TorsionError, point_key
+from .curve import TorsionError
 from .diffop import (
     DegreeVector,
     DifferenceOperator,
@@ -216,7 +216,6 @@ class FourierKernel(FormalGaugedOperator):
         margin = min(ctx.dist_to_lattice(k * mpc(q)) for k in range(1, order + 1)) if order else mpf(1)
         if order and margin < torsion_margin:
             raise TorsionError("q is numerically torsion up to the truncation order")
-        self._memo = {}
 
         entries = {}
         for m in itertools.product(range(order + 1), repeat=n):
@@ -225,7 +224,7 @@ class FourierKernel(FormalGaugedOperator):
             if all(x == 0 for x in m):
                 entries[m] = 1
             else:
-                entries[m] = (lambda ctx2, z, m=m: self.tail_value(m, z))
+                entries[m] = (lambda ctx2, z, m=m: self._solve_tail(m, z))
         super().__init__(
             n, kernel_head(n, c_form, t_form), c_form, Tail(n, entries, order), params
         )
@@ -247,13 +246,11 @@ class FourierKernel(FormalGaugedOperator):
         return val
 
     def tail_value(self, m, w):
-        """e_m(w), memoized per point."""
-        if all(x == 0 for x in m):
-            return mpc(1)
-        key = (m, tuple(map(point_key, w)))
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
+        """e_m(w), read through the tail's memo."""
+        return self.tail.eval(self.ctx, m, w)
+
+    def _solve_tail(self, m, w):
+        """e_m(w) from the defining relation at the pivot coordinate (m != 0)."""
         ctx, q, c = self.ctx, self._q, self._c
         n = self.n
         # pivot: coordinate with m_j >= 1 maximizing |theta(-m_j q)|
@@ -277,9 +274,7 @@ class FourierKernel(FormalGaugedOperator):
                 pivot = a
             else:
                 total += self.tail_value(mprime, w) * a
-        val = -total / pivot
-        self._memo[key] = val
-        return val
+        return -total / pivot
 
     def defining_residual(self, z, order=None):
         """Max |coefficient| of D(c) D(c +- u)|_{u=z_j} over tail orders <= order."""

@@ -9,24 +9,23 @@ with total degree <= order above the support corner.
 from __future__ import annotations
 
 import itertools
-import threading
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
-from .curve import point_key
+from .curve import memo, point_key
+from .diffop import DifferenceOperator, FnCoefficient, bindings_for, rel_defect
 from .symbols import AffineForm, GammaProduct, Unbalanced, zvar
 
 
 class Tail:
-    """Integer-keyed coefficient map with memoized evaluators."""
+    """Integer-keyed coefficient map; values memoized per (context, key, exact point)."""
 
     def __init__(self, n, entries, order):
         self.n = n
         self.entries = dict(entries)  # key tuple -> fn(ctx, z) or 1
         self.order = order  # reliable total degree above the corner
         self._memo = {}
-        self._lock = threading.Lock()
 
     def corner(self):
         if not self.entries:
@@ -46,14 +45,7 @@ class Tail:
             return mpc(0)
         if fn == 1:
             return mpc(1)
-        key = (tuple(k), tuple(map(point_key, z)), ctx.prec)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        val = fn(ctx, z)
-        with self._lock:
-            self._memo[key] = val
-        return val
+        return memo(self._memo, (ctx, tuple(k), tuple(map(point_key, z))), lambda: fn(ctx, z))
 
 
 def unit_tail(n, order):
@@ -94,15 +86,11 @@ class FormalGaugedOperator:
             other.tail.order,
         ) if order is None else order
         # rho_m(z) = resolve(Gamma2(z + q m) / Gamma2(z)) for the keys of our tail
-        qform = AffineForm.var("q")
         rho = {}
         for m in self.tail.entries:
-            shift = {"z%d" % (i + 1): zvar(i + 1) + qform * m[i] for i in range(n)}
-            ratio = other.gamma.substitute(shift) * other.gamma.inverse()
-            res = ratio.reduce(arity=n)
-            if isinstance(res, Unbalanced):
+            rho[m] = other.gamma.shift_ratio(m, n)
+            if isinstance(rho[m], Unbalanced):
                 raise ValueError("head does not commute through the tail at %s" % (m,))
-            rho[m] = res
         # new tail: [self.tail * rho]^{(c2? no: shifted by other's c)} * other.tail
         c2 = other.c_value
         entries = {}
@@ -130,10 +118,7 @@ class FormalGaugedOperator:
                     v = tail1.eval(ctx, m1, zc)
                     if v == 0:
                         continue
-                    bind = dict(gslf)
-                    for i, w in enumerate(zc):
-                        bind["z%d" % (i + 1)] = w
-                    v *= rho[m1].eval(ctx, bind)
+                    v *= rho[m1].eval(ctx, bindings_for(gslf, zc))
                     v *= tail2.eval(ctx, m2, tuple(z[i] + q * m1[i] for i in range(len(z))))
                     total += v
                 return total
@@ -159,7 +144,6 @@ class FormalGaugedOperator:
         params = self.params
         q = mpc(params["q"])
         c = self.c_value
-        qform = AffineForm.var("q")
         # U = tail twisted by its own head's ratios, shifted by -c:
         # from F*G = Gamma*Gamma'(..)*T(0)*[U * tailG] with U_m(z) = e_m(z-c+?) …
         # Solving F*G=1 with G = (Gamma(z-c))^{-1} T(-c) D' gives
@@ -169,16 +153,11 @@ class FormalGaugedOperator:
         gamma_inv = self.gamma.substitute(shift_minus_c).inverse()
         rho = {}
         for m in self.tail.entries:
-            sh = {"z%d" % (i + 1): zvar(i + 1) + qform * m[i] for i in range(n)}
-            ratio = gamma_inv.substitute(sh) * gamma_inv.inverse()
-            res = ratio.reduce(arity=n)
-            if isinstance(res, Unbalanced):
+            rho[m] = gamma_inv.shift_ratio(m, n)
+            if isinstance(rho[m], Unbalanced):
                 raise ValueError("inversion head ratio unbalanced")
-            rho[m] = res
 
         tail = self.tail
-        memo = {}
-        lock = threading.Lock()
 
         if self.tail.entries.get((0,) * n) != 1:
             raise ValueError("inversion requires tail constant term exactly 1")
@@ -190,29 +169,18 @@ class FormalGaugedOperator:
             v = tail.eval(ctx, m, zc)
             if v == 0:
                 return v
-            bind = dict(params)
-            for i, w in enumerate(zc):
-                bind["z%d" % (i + 1)] = w
-            return v * rho[m].eval(ctx, bind)
+            return v * rho[m].eval(ctx, bindings_for(params, zc))
 
+        # the recursion reads lower keys through the inverse tail's own memo
         def v_val(ctx, m, z):
-            if all(x == 0 for x in m):
-                return mpc(1)
-            key = (m, tuple(map(point_key, z)), ctx.prec)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
             total = mpc(0)
             for l in tail.entries:
                 if all(x == 0 for x in l) or any(a > b for a, b in zip(l, m)):
                     continue
                 rest = tuple(a - b for a, b in zip(m, l))
                 zl = tuple(z[i] + q * l[i] for i in range(len(z)))
-                total += u_val(ctx, l, z) * v_val(ctx, rest, zl)
-            val = -total
-            with lock:
-                memo[key] = val
-            return val
+                total += u_val(ctx, l, z) * inverse.eval(ctx, rest, zl)
+            return -total
 
         entries = {}
         for m in itertools.product(range(order + 1), repeat=n):
@@ -222,9 +190,8 @@ class FormalGaugedOperator:
                 entries[m] = 1
             else:
                 entries[m] = (lambda ctx, z, m=m: v_val(ctx, m, z))
-        return FormalGaugedOperator(
-            n, gamma_inv, self.c_form * -1, Tail(n, entries, order), params
-        )
+        inverse = Tail(n, entries, order)
+        return FormalGaugedOperator(n, gamma_inv, self.c_form * -1, inverse, params)
 
     def rebased(self, r):
         """Rewrite with global shift c - r*q by moving T(q r) into the tail keys."""
@@ -257,8 +224,6 @@ class FormalGaugedOperator:
 
     def to_difference_operator(self, order=None):
         """Render as a finite operator when the head resolves and c in (q/2)Z."""
-        from .diffop import DifferenceOperator, FnCoefficient
-
         n = self.n
         head = self.resolved_head()
         params = self.params
@@ -275,10 +240,7 @@ class FormalGaugedOperator:
             shift = tuple(half + x for x in m)
 
             def fn(ctx, z, m=m):
-                bind = dict(params)
-                for i, w in enumerate(z):
-                    bind["z%d" % (i + 1)] = w
-                v = head.eval(ctx, bind)
+                v = head.eval(ctx, bindings_for(params, z))
                 zc = tuple(w + c for w in z)
                 return v * self.tail.eval(ctx, m, zc)
 
@@ -337,15 +299,8 @@ def compare_gauged(ctx, F1, F2, points, order=None):
     c = F1.c_value
     worst = mpf(0)
     for z in points:
-        bind = dict(F1.params)
-        bind.update(F2.params)
-        for i, w in enumerate(z):
-            bind["z%d" % (i + 1)] = w
-        r = res.eval(ctx, bind)
+        r = res.eval(ctx, bindings_for({**F1.params, **F2.params}, z))
         zc = tuple(w + c for w in z)
         for k in keys:
-            a = r * F1.tail.eval(ctx, k, zc)
-            b = F2.tail.eval(ctx, k, zc)
-            scale = max(abs(a), abs(b), mpf("1e-30"))
-            worst = max(worst, abs(a - b) / scale)
+            worst = max(worst, rel_defect(r * F1.tail.eval(ctx, k, zc), F2.tail.eval(ctx, k, zc)))
     return worst

@@ -13,7 +13,7 @@ import random
 from mpmath import mp, mpc, mpf
 
 from .conditions import ConditionReport
-from .curve import CurveContext
+from .diffop import rel_defect
 
 
 CATALOGUE = (
@@ -40,10 +40,6 @@ def _draw_q(rng, ctx):
     return mpc(rng.uniform(-0.3, 0.3), rng.uniform(0.35, float(ctx.tau.imag) * 0.7))
 
 
-def _rel(a, b):
-    return abs(a - b) / max(abs(a), abs(b), mpf("1e-30"))
-
-
 def run_identity(ctx, name, n=2, samples=20, seed=1, tol=mpf("1e-25")):
     """Evaluate one catalogue identity; returns a ConditionReport."""
     if name not in CATALOGUE:
@@ -53,27 +49,27 @@ def run_identity(ctx, name, n=2, samples=20, seed=1, tol=mpf("1e-25")):
     for s in range(samples):
         if name == "theta-oddness":
             z = _draw(rng)
-            report.add("%s#%d" % (name, s), _rel(ctx.theta(-z), -ctx.theta(z)))
+            report.add("%s#%d" % (name, s), rel_defect(ctx.theta(-z), -ctx.theta(z)))
         elif name == "theta-quasiperiod":
             z = _draw(rng)
             v = ctx.theta(z)
-            d1 = _rel(ctx.theta(z + 1), -v)
-            d2 = _rel(ctx.theta(z + ctx.tau), -ctx.e(-z - ctx.tau / 2) * v)
+            d1 = rel_defect(ctx.theta(z + 1), -v)
+            d2 = rel_defect(ctx.theta(z + ctx.tau), -ctx.e(-z - ctx.tau / 2) * v)
             report.add("%s[+1]#%d" % (name, s), d1)
             report.add("%s[+tau]#%d" % (name, s), d2)
         elif name == "sum-vs-product":
             z = _draw(rng)
-            report.add("%s#%d" % (name, s), _rel(ctx.theta(z), ctx.theta_product(z)))
+            report.add("%s#%d" % (name, s), rel_defect(ctx.theta(z), ctx.theta_product(z)))
         elif name == "gamma-shift":
             z = _draw(rng)
             q = _draw_q(rng, ctx)
             lhs = ctx.gamma(q + z, q) / ctx.gamma(z, q)
-            report.add("%s#%d" % (name, s), _rel(lhs, ctx.theta(z)))
+            report.add("%s#%d" % (name, s), rel_defect(lhs, ctx.theta(z)))
         elif name == "gamma-reflection":
             z = _draw(rng)
             q = _draw_q(rng, ctx)
             f = lambda w: ctx.gamma(w, q) * ctx.gamma(q - w, q)
-            report.add("%s#%d" % (name, s), _rel(f(z + q), -f(z)))
+            report.add("%s#%d" % (name, s), rel_defect(f(z + q), -f(z)))
         elif name == "multiplication-principle":
             z = _draw(rng)
             q = _draw_q(rng, ctx)
@@ -86,7 +82,7 @@ def run_identity(ctx, name, n=2, samples=20, seed=1, tol=mpf("1e-25")):
             corr = ctx.e(q * (k * k - 1) / mpf(24)) * mp.exp(
                 -mpf(k - 1) / 2 * ctx._log_c()
             )
-            report.add("%s#%d" % (name, s), _rel(ctx.gamma(z, q) * corr, rhs))
+            report.add("%s#%d" % (name, s), rel_defect(ctx.gamma(z, q) * corr, rhs))
         elif name == "restrict-2z":
             u, v = _draw(rng), _draw(rng)
             for tor, want in ((mpc(0.5), -1), (ctx.tau / 2, -1), ((1 + ctx.tau) / 2, -1)):
@@ -97,7 +93,7 @@ def run_identity(ctx, name, n=2, samples=20, seed=1, tol=mpf("1e-25")):
                     * ctx.theta(u + v + z)
                     / (ctx.theta(u + z) * ctx.theta(v + z) * ctx.theta(u + v - z))
                 )
-                report.add("%s[%s]#%d" % (name, want, s), _rel(val, mpc(want)))
+                report.add("%s[%s]#%d" % (name, want, s), rel_defect(val, mpc(want)))
         elif name == "restrict-mz":
             u, v, w = _draw(rng), _draw(rng), _draw(rng)
             m = 2 + s % 3
@@ -115,7 +111,7 @@ def run_identity(ctx, name, n=2, samples=20, seed=1, tol=mpf("1e-25")):
                     * ctx.theta(v + w)
                 )
             )
-            report.add("%s[m=%d]#%d" % (name, m, s), _rel(val, mpc(1)))
+            report.add("%s[m=%d]#%d" % (name, m, s), rel_defect(val, mpc(1)))
         elif name == "sym-An":
             report.add("%s#%d" % (name, s), _sym_a(ctx, rng, n))
         elif name in ("sym-Bn", "sym-Cn", "sym-Dn"):
@@ -144,7 +140,7 @@ def _sym_a(ctx, rng, n):
     rhs = mpc(1)
     for y in ys:
         rhs *= ctx.theta(Y - y)
-    return _rel(total, rhs)
+    return rel_defect(total, rhs)
 
 
 def _sym_bcd(ctx, rng, n, kind):
@@ -185,4 +181,4 @@ def _sym_bcd(ctx, rng, n, kind):
         rhs *= ctx.theta(2 * Y) / ctx.theta(Y)
     elif kind == "D":
         rhs *= ctx.theta(2 * Y)
-    return _rel(total, rhs)
+    return rel_defect(total, rhs)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from mpmath import mp, mpc, mpf
+from mpmath import mpc, mpf
 
 from .symbols import AffineForm, Poly, ThetaExpr
 

@@ -13,13 +13,12 @@ class in Z[Hom/q] is trivial.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpc
 
-from .curve import point_key
+from .curve import memo, point_key
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +256,11 @@ class ThetaExpr:
     """Product of theta factors with an exponential prefactor; immutable.
 
     factors: tuple of (AffineForm, int exponent); prefactor: (constant,
-    Poly exponent) meaning constant * e(poly).  Evaluation memoizes per
-    (bindings, precision) key.
+    Poly exponent) meaning constant * e(poly).  Full evaluations are
+    memoized per (context, exact bindings).
     """
 
-    __slots__ = ("factors", "pref_const", "pref_exp", "arity", "_cache", "_lock")
+    __slots__ = ("factors", "pref_const", "pref_exp", "arity", "_cache")
 
     def __init__(self, factors=(), pref_const=1, pref_exp=None, arity=0):
         canon = []
@@ -274,7 +273,6 @@ class ThetaExpr:
         self.pref_exp = pref_exp if pref_exp is not None else Poly()
         self.arity = arity
         self._cache = {}
-        self._lock = threading.Lock()
 
     @staticmethod
     def one(arity=0):
@@ -350,25 +348,23 @@ class ThetaExpr:
 
     def eval(self, ctx, bind, skip=None):
         """Evaluate at the bindings; `skip` omits one factor index (numerator path)."""
-        key = None
-        if skip is None:
-            key = (tuple(sorted((s, point_key(v)) for s, v in bind.items())), ctx.prec)
-            hit = self._cache.get(key)
-            if hit is not None:
-                return hit
-        with mp.workprec(ctx.prec + 16):
-            val = mpc(self.pref_const if not isinstance(self.pref_const, Fraction)
-                      else mpc(self.pref_const.numerator) / self.pref_const.denominator)
-            if self.pref_exp.terms:
-                val *= ctx.e(self.pref_exp.eval(bind))
-            for idx, (form, m) in enumerate(self.factors):
-                if skip is not None and idx == skip:
-                    continue
-                val *= ctx.theta(form.eval(bind)) ** m
-        if key is not None:
-            with self._lock:
-                self._cache[key] = val
-        return val
+
+        def compute():
+            with mp.workprec(ctx.prec + 16):
+                val = mpc(self.pref_const if not isinstance(self.pref_const, Fraction)
+                          else mpc(self.pref_const.numerator) / self.pref_const.denominator)
+                if self.pref_exp.terms:
+                    val *= ctx.e(self.pref_exp.eval(bind))
+                for idx, (form, m) in enumerate(self.factors):
+                    if skip is not None and idx == skip:
+                        continue
+                    val *= ctx.theta(form.eval(bind)) ** m
+            return val
+
+        if skip is not None:
+            return compute()
+        key = (ctx, tuple(sorted((s, point_key(v)) for s, v in bind.items())))
+        return memo(self._cache, key, compute)
 
     def __repr__(self):
         bits = []
@@ -450,6 +446,12 @@ class GammaProduct:
             self.step.substitute(assignments),
             tuple((f.substitute(assignments), m) for f, m in self.terms),
         )
+
+    def shift_ratio(self, k, arity):
+        """self(z + q k) / self(z) resolved by reduce(arity): a ThetaExpr, or Unbalanced."""
+        qform = AffineForm.var("q")
+        shift = {"z%d" % (i + 1): zvar(i + 1) + qform * k[i] for i in range(arity)}
+        return (self.substitute(shift) * self.inverse()).reduce(arity=arity)
 
     def polarization_poly(self):
         """Ledger polarization sum m * a(a-q)(2a-q)/12q, q = the step."""

@@ -453,26 +453,19 @@ def theta_symmetrization_rank(Q, gens, ctx=None, samples=None, gap=mpf("1e6")):
             return total
 
     # evaluate each basis element once per distinct group-translated point
-    gpts = []
+    gpts = {}  # exact point key -> point, in first-seen order
     index = []
-    seen = {}
     for z in pts:
-        idx_row = []
+        keys = []
         for g in group:
             gz = tuple(sum(g[i][j] * z[j] for j in range(n)) for i in range(n))
-            key = tuple(map(point_key, gz))
-            if key not in seen:
-                seen[key] = len(gpts)
-                gpts.append(gz)
-            idx_row.append(seen[key])
-        index.append(idx_row)
+            keys.append(tuple(map(point_key, gz)))
+            gpts.setdefault(keys[-1], gz)
+        index.append(keys)
     rows = []
     for c in elements:
-        vals = [theta_basis(c, gz) for gz in gpts]
-        row = []
-        for idx_row in index:
-            row.append(sum((vals[i] for i in idx_row), mpc(0)) / len(group))
-        rows.append(row)
+        vals = {key: theta_basis(c, gz) for key, gz in gpts.items()}
+        rows.append([sum((vals[key] for key in keys), mpc(0)) / len(group) for keys in index])
     return numeric_rank(rows, gap=gap, prec=ctx.prec)
 
 

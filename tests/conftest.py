@@ -5,6 +5,9 @@ from mpmath import mp, mpc, mpf
 
 mp.prec = 320
 
+# imported after mp.prec is set, so module constants are parsed at 320 bits
+from ccnops.diffop import op_defect, rel_defect as rel  # noqa: E402,F401 (shared with the test modules)
+
 TAU = mpc("0.13", "1.09")
 Q = mpc("0.21", "0.39")
 T = mpc("0.31", "0.17")
@@ -31,18 +34,3 @@ def sample_points(n, count=2, seed=101):
         tuple(mpc(rng.uniform(-0.35, 0.35), rng.uniform(-0.25, 0.25)) for _ in range(n))
         for _ in range(count)
     ]
-
-
-def op_defect(ctx, A, B, pts):
-    worst = mpf(0)
-    keys = set(A.support()) | set(B.support())
-    for z in pts:
-        for k in keys:
-            a = A.eval_coeff(ctx, k, z)
-            b = B.eval_coeff(ctx, k, z)
-            worst = max(worst, abs(a - b) / max(abs(a), abs(b), mpf("1e-30")))
-    return worst
-
-
-def rel(a, b):
-    return abs(a - b) / max(abs(a), abs(b), mpf("1e-30"))

@@ -4,19 +4,23 @@ from fractions import Fraction as F
 import pytest
 from mpmath import mpc, mpf
 
+from ccnops.curve import CurveContext
 from ccnops.diffop import (
     DifferenceOperator,
     ExprCoefficient,
+    FnCoefficient,
     SelbergDensity,
     identity_operator,
     monomial_operator,
     multiplication_operator,
 )
 from ccnops.families import first_order, theta_pm_multiplier
+from ccnops.formal import gauged_from_operator
 from ccnops.symbols import AffineForm, GammaProduct, ThetaExpr, zvar
 from conftest import ETA, Q, T, TOL, op_defect, rel, sample_points
 
 PARAMS = {"q": Q, "t": T}
+US = [mpc("0.12", "0.05"), mpc("-0.07", "0.11")]
 
 
 def test_apply_identity(ctx):
@@ -238,3 +242,44 @@ def test_parity_enforced():
             },
             PARAMS,
         )
+
+
+def _memoized_evaluators(z):
+    """One ExprCoefficient, one FnCoefficient and one Tail entry of a new operator, as f(ctx)."""
+    D = first_order(US, T, Q, 1)
+    k = D.support()[-1]
+    DD = D.compose(D)
+    kk = DD.support()[-1]
+    tail = gauged_from_operator(D).tail
+    m = max(tail.entries)
+    assert isinstance(D.coefficient(k), ExprCoefficient)
+    assert isinstance(DD.coefficient(kk), FnCoefficient)
+    return {
+        "expr": lambda c: D.coefficient(k).eval(c, z),
+        "fn": lambda c: DD.coefficient(kk).eval(c, z),
+        "tail": lambda c: tail.eval(c, m, z),
+    }
+
+
+def test_memos_are_scoped_to_the_context(ctx):
+    # a second context at the same precision but another modulus must not
+    # read the values memoized under the first
+    other = CurveContext(mpc("0.27", "0.93"), 256)
+    z = sample_points(1, 1)[0]
+    used = _memoized_evaluators(z)
+    fresh = _memoized_evaluators(z)
+    for name, f in used.items():
+        f(ctx)
+        assert rel(f(other), fresh[name](other)) < mpf("1e-70"), name
+
+
+def test_op_defect_measures_a_leading_perturbation(ctx):
+    # the shared defect measure reads 0 on equal operators and the size of a
+    # 1e-6 relative change of the leading coefficient
+    D = first_order(US, T, Q, 2)
+    pts = sample_points(2, 2)
+    assert op_defect(ctx, D, D, pts) == 0
+    corner = tuple(-x for x in D.leading_terms()[0][0])
+    coeffs = {k: (c.scaled(1 + mpf("1e-6")) if k == corner else c) for k, c in D.coeffs.items()}
+    perturbed = DifferenceOperator(D.n, coeffs, D.params, D.degree)
+    assert mpf("1e-7") < op_defect(ctx, D, perturbed, pts) < mpf("1e-5")

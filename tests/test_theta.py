@@ -92,6 +92,19 @@ def test_curve_point_reduction(ctx):
     assert abs(p.value - (z0 + m + n * ctx.tau)) < mpf("1e-40")
 
 
+def test_theta_memo_key_is_exact_below_global_precision():
+    # two points that differ past bit 53 keep separate memo entries even when
+    # the global mp.prec is lower than the context's precision
+    z = mpc("0.1") + mpc(0, 1) / 7
+    z2 = z + mpf(2) ** -100
+    fresh = CurveContext(TAU, 256)
+    with mp.workprec(53):
+        fresh.theta(z)
+        got = fresh.theta(z2)
+        want = CurveContext(TAU, 256).theta(z2)
+    assert rel(got, want) < mpf("1e-70")
+
+
 def test_theta_deriv_at_lattice(ctx):
     # numeric derivative against the exact lattice multiplier
     eps = mpf("1e-30")
