@@ -147,7 +147,11 @@ class FnCoefficient(Coefficient):
         self._cache = {}
 
     def eval(self, ctx, z):
-        return memo(self._cache, (ctx, tuple(map(point_key, z))), lambda: self.fn(ctx, z))
+        def compute():
+            with mp.workprec(ctx._wp):
+                return self.fn(ctx, z)
+
+        return memo(self._cache, (ctx, tuple(map(point_key, z))), compute)
 
     def transformed(self, assignments, params=None):
         def fn(ctx, z, assignments=assignments, inner=self, params=params):

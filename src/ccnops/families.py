@@ -224,7 +224,7 @@ class FourierKernel(FormalGaugedOperator):
             if all(x == 0 for x in m):
                 entries[m] = 1
             else:
-                entries[m] = (lambda ctx2, z, m=m: self._solve_tail(m, z))
+                entries[m] = (lambda ctx2, z, m=m: self._solve_tail(ctx2, m, z))
         super().__init__(
             n, kernel_head(n, c_form, t_form), c_form, Tail(n, entries, order), params
         )
@@ -249,9 +249,15 @@ class FourierKernel(FormalGaugedOperator):
         """e_m(w), read through the tail's memo."""
         return self.tail.eval(self.ctx, m, w)
 
-    def _solve_tail(self, m, w):
-        """e_m(w) from the defining relation at the pivot coordinate (m != 0)."""
-        ctx, q, c = self.ctx, self._q, self._c
+    def _solve_tail(self, ctx, m, w):
+        """e_m(w) from the defining relation at the pivot coordinate (m != 0).
+
+        The tail is solved from the kernel's own thetas, so a tail entry asked
+        for under another context raises instead of returning this one's value.
+        """
+        if ctx is not self.ctx:
+            raise ValueError("a FourierKernel tail evaluates only under the kernel's own context")
+        q, c = self._q, self._c
         n = self.n
         # pivot: coordinate with m_j >= 1 maximizing |theta(-m_j q)|
         best, best_j = None, None

@@ -15,10 +15,11 @@ coroot one, which is the order in which single coordinates may drop by 1.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp, mpc, mpf
+from mpmath import matrix, mp, mpc, mpf
 
 from .curve import CurveContext, point_key
 
@@ -192,10 +193,10 @@ def inversion_set_bruteforce(lam, filter="D", max_level=None):
     for root in positive_finite_roots(n, filter):
         c = root.pairing(lam)
         for m in range(0, max_level + 1):
-            # t_lam sends beta + m q to beta + (m - <beta,lam>) q
+            # t_lam sends beta + m q to beta + (m - <beta,lam>) q, which is
+            # negative iff its level is below 0 (at level 0, beta stays positive)
             m2 = Fraction(m) - c
-            negative = m2 < 0 or (m2 == 0 and False)  # beta stays positive finite
-            if negative:
+            if m2 < 0:
                 out.append(AffineRoot(root.kind, root.i, root.j, m))
     return out
 
@@ -413,87 +414,129 @@ def automorphism_group(Q):
     return out
 
 
-def theta_symmetrization_rank(Q, gens, ctx=None, samples=None, gap=mpf("1e6")):
-    """Oracle for `invariant_dimension`: numeric rank of the symmetrizer.
+def _theta_radius(Q, ctx):
+    """Truncation radius B of the theta sums: m - c runs over the box [-B, B]^n."""
+    with mp.workprec(ctx.prec + 16):
+        lam_min = min(mp.re(x) for x in mp.eigsy(_mp_matrix(Q), eigvals_only=True))
+        return int(mp.sqrt((ctx.prec + 32) * mp.log(2) * 2 / (lam_min * 2 * mp.pi * ctx.tau.imag))) + 2
 
-    Builds the theta basis of the degree-Q bundle indexed by the
-    discriminant group, averages over the group, and measures the rank of
-    the sampled value matrix by its singular value gap.
+
+def _int_powers(x, K):
+    """[x^0, ..., x^K, x^-K, ..., x^-1], so that x^k sits at index k for -K <= k <= K."""
+    up, down = [mpc(1)], [mpc(1)]
+    xinv = 1 / x
+    for _ in range(K):
+        up.append(up[-1] * x)
+        down.append(down[-1] * xinv)
+    return up + down[:0:-1]
+
+
+def theta_basis_values(Q, points, ctx):
+    """The degree-Q theta basis at `points`: one row per c of `discriminant_group(Q)`.
+
+    f_c(z) = sum_{m in Z^n + c} e(m^T Q m tau/2 + m^T Q z), truncated to m - c
+    in [-B, B]^n and summed at prec + 16 bits.  With k = Qm, an integer vector
+    (Qc is integral for c in Q^{-1} Z^n), each term is
+
+        e(m^T Q m tau/2 + m^T Q z) = w(c, m) * prod_j e(z_j)^(k_j),
+
+    so the z-free weights w(c, m) = e(m^T Q m tau/2) cost one e call per
+    (c, m), with m^T Q m exact, and each point costs one e call per
+    coordinate; the powers come by repeated multiplication.
     """
     n = len(Q)
-    ctx = ctx or CurveContext(mpc("0.06", "1.13"), 96)
-    group = [tuple(tuple(int(x) for x in row) for row in g) for g in group_closure(gens)] if gens else [tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))]
-    elements = discriminant_group(Q)
-    det = len(elements)
-    samples = samples or (det + 3)
-    import random
+    Q = [[int(x) for x in row] for row in Q]
+    B = _theta_radius(Q, ctx)
+    box = list(itertools.product(range(-B, B + 1), repeat=n))
+    with mp.workprec(ctx.prec + 16):
+        half_tau = ctx.tau / 2
+        terms = []  # per c: (w(c, m), Qm) for m - c in the box
+        for c in discriminant_group(Q):
+            qc = [int(sum(Q[i][j] * c[j] for j in range(n))) for i in range(n)]
+            row = []
+            for m0 in box:
+                k = tuple(qc[i] + sum(Q[i][j] * m0[j] for j in range(n)) for i in range(n))
+                quad = sum((m0[i] + c[i]) * k[i] for i in range(n))
+                row.append((ctx.e(quad.numerator * half_tau / quad.denominator), k))
+            terms.append(row)
+        K = max(abs(x) for row in terms for _, k in row for x in k)
+        values = [[] for _ in terms]
+        for z in points:
+            powers = [_int_powers(ctx.e(zj), K) for zj in z]
+            for out, row in zip(values, terms):
+                total = mpc(0)
+                for w, k in row:
+                    for pj, kj in zip(powers, k):
+                        w *= pj[kj]
+                    total += w
+                out.append(total)
+    return values
 
+
+def theta_symmetrization_rows(Q, gens, ctx, samples=None):
+    """The group average of the theta basis at seeded points: one row per c, one column per point."""
+    n = len(Q)
+    group = [tuple(tuple(int(x) for x in row) for row in g) for g in group_closure(gens)] if gens else [tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))]
+    samples = samples or (len(discriminant_group(Q)) + 3)
     rng = random.Random(20240601)
     pts = []
     for _ in range(samples):
         pts.append(tuple(mpc(rng.uniform(-0.45, 0.45), rng.uniform(-0.35, 0.35)) for _ in range(n)))
-
-    with mp.workprec(ctx.prec + 16):
-        lam_min = min(mp.re(x) for x in mp.eigsy(_mp_matrix(Q), eigvals_only=True))
-        B = int(mp.sqrt((ctx.prec + 32) * mp.log(2) * 2 / (lam_min * 2 * mp.pi * ctx.tau.imag))) + 2
-        # precompute the lattice points and q-powers shared by all evaluations
-        lattice = []
-        for m0 in itertools.product(range(-B, B + 1), repeat=n):
-            lattice.append(m0)
-
-    def theta_basis(c, z):
-        # f_c(z) = sum_{m in Z^n + c} e(m^T Q m tau/2 + m^T Q z)
-        with mp.workprec(ctx.prec + 16):
-            total = mpc(0)
-            for m0 in lattice:
-                m = [m0[i] + mpc(c[i].numerator) / c[i].denominator for i in range(n)]
-                quad = sum(m[i] * Q[i][j] * m[j] for i in range(n) for j in range(n))
-                lin = sum(m[i] * Q[i][j] * z[j] for i in range(n) for j in range(n))
-                total += ctx.e(quad * ctx.tau / 2 + lin)
-            return total
-
-    # evaluate each basis element once per distinct group-translated point
-    gpts = {}  # exact point key -> point, in first-seen order
+    # evaluate the basis once per distinct group-translated point
+    gpts = {}  # exact point key -> (column, point), in first-seen order
     index = []
     for z in pts:
-        keys = []
+        cols = []
         for g in group:
             gz = tuple(sum(g[i][j] * z[j] for j in range(n)) for i in range(n))
-            keys.append(tuple(map(point_key, gz)))
-            gpts.setdefault(keys[-1], gz)
-        index.append(keys)
-    rows = []
-    for c in elements:
-        vals = {key: theta_basis(c, gz) for key, gz in gpts.items()}
-        rows.append([sum((vals[key] for key in keys), mpc(0)) / len(group) for keys in index])
-    return numeric_rank(rows, gap=gap, prec=ctx.prec)
+            cols.append(gpts.setdefault(tuple(map(point_key, gz)), (len(gpts), gz))[0])
+        index.append(cols)
+    vals = theta_basis_values(Q, [gz for _, gz in gpts.values()], ctx)
+    return [[sum((row[col] for col in cols), mpc(0)) / len(group) for cols in index] for row in vals]
+
+
+def theta_symmetrization_rank(Q, gens, ctx=None, samples=None, gap=mpf("1e6")):
+    """Oracle for `invariant_dimension`: numeric rank of the symmetrizer.
+
+    The degree-Q theta bundle on E^n has the basis f_c of
+    `theta_basis_values`, indexed by the discriminant group Q^{-1} Z^n / Z^n.
+    Each c lies in Q^{-1} Z^n, so Qc is an integer vector and so is k = Qm for
+    every m in Z^n + c; hence e(m^T Q z) = prod_j e(z_j)^(k_j), and every term
+    of f_c(z) is a z-free weight e(m^T Q m tau/2) times integer powers of
+    e(z_j).  The basis is averaged over the group at seeded points and the
+    rank of that value matrix is read from its singular value gap.
+    """
+    ctx = ctx or CurveContext(mpc("0.06", "1.13"), 96)
+    return numeric_rank(theta_symmetrization_rows(Q, gens, ctx, samples), gap=gap, prec=ctx.prec)
 
 
 def _mp_matrix(Q):
-    import mpmath
-
     n = len(Q)
-    A = mpmath.matrix(n, n)
+    A = matrix(n, n)
     for i in range(n):
         for j in range(n):
             A[i, j] = Q[i][j]
     return A
 
 
-def numeric_rank(rows, gap=mpf("1e6"), prec=192):
-    """Rank detection by singular-value gap at multiprecision."""
-    import mpmath
-
+def singular_values(rows, prec=192):
+    """Singular values of the matrix `rows` at prec + 16 bits, largest first."""
     with mp.workprec(prec + 16):
-        A = mpmath.matrix(len(rows), len(rows[0]))
+        A = matrix(len(rows), len(rows[0]))
         for i, row in enumerate(rows):
             for j, v in enumerate(row):
                 A[i, j] = v
         S = mp.svd_c(A, compute_uv=False)
-        svals = sorted((abs(S[i]) for i in range(len(S))), reverse=True)
-        if not svals or svals[0] == 0:
-            return 0
+        return sorted((abs(S[i]) for i in range(len(S))), reverse=True)
+
+
+def numeric_rank(rows, gap=mpf("1e6"), prec=192):
+    """Rank detection by singular-value gap at multiprecision."""
+    svals = singular_values(rows, prec)
+    if not svals or svals[0] == 0:
+        return 0
+    with mp.workprec(prec + 16):
         for r in range(1, len(svals)):
             if svals[r] == 0 or svals[r - 1] / max(svals[r], mpf("1e-99999")) > gap:
                 return r
-        return len(svals)
+    return len(svals)

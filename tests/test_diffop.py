@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from mpmath import mpc, mpf
+from mpmath import mp, mpc, mpf
 
 from ccnops.curve import CurveContext
 from ccnops.diffop import (
@@ -271,6 +271,16 @@ def test_memos_are_scoped_to_the_context(ctx):
     for name, f in used.items():
         f(ctx)
         assert rel(f(other), fresh[name](other)) < mpf("1e-70"), name
+
+
+def test_fn_coefficient_runs_at_the_context_precision(ctx):
+    # an opaque coefficient first evaluated under a 53-bit global precision
+    # must still carry the context's precision when read back at 320 bits
+    z = sample_points(1, 1)[0]
+    used = _memoized_evaluators(z)["fn"]
+    with mp.workprec(53):
+        used(ctx)
+    assert rel(used(ctx), _memoized_evaluators(z)["fn"](ctx)) < mpf("1e-70")
 
 
 def test_op_defect_measures_a_leading_perturbation(ctx):

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from mpmath import mpc, mpf
 
-from ccnops.curve import TorsionError
+from ccnops.curve import CurveContext, TorsionError
 from ccnops.families import (
     FourierKernel,
     braid_check,
@@ -35,6 +35,17 @@ def test_kernel_matches_first_cascade_step(ctx):
     # beyond the finite support the tail vanishes
     z = sample_points(1, 1)[0]
     assert abs(K.tail_value((2,), z)) < mpf("1e-60")
+
+
+def test_kernel_tail_rejects_another_context(ctx):
+    # the tail is solved from the kernel's own thetas: under another modulus
+    # it must raise rather than return (and memoize) this kernel's value
+    K = FourierKernel(ctx, AffineForm.var("q") * F(-1, 2), Q, T, 1, 3)
+    other = CurveContext(mpc("0.27", "0.93"), 256)
+    z = sample_points(1, 1)[0]
+    with pytest.raises(ValueError):
+        K.tail.eval(other, (1,), z)
+    assert K.tail.eval(ctx, (1,), z) == K.tail_value((1,), z)
 
 
 def test_kernel_matches_d2(ctx):

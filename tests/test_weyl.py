@@ -1,25 +1,32 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
-from mpmath import mpc
+from mpmath import mp, mpc, mpf
 
+from ccnops.curve import CurveContext
 from ccnops.weyl import (
     AffineRoot,
     automorphism_group,
     bruhat_interval,
     coroot_leq,
+    discriminant_group,
     dominance_leq,
     hyperoctahedral_generators,
     invariant_dimension,
     inversion_set,
     inversion_set_bruteforce,
+    numeric_rank,
+    singular_values,
     sp_apply,
     sp_compose,
     sp_inverse,
     sp_matrix,
     signed_permutations,
+    theta_basis_values,
     theta_symmetrization_rank,
+    theta_symmetrization_rows,
     weight_orbit,
 )
 
@@ -134,3 +141,68 @@ def test_automorphism_group_preserves():
     auts = automorphism_group(Q)
     assert len(auts) == 12  # the hexagonal lattice
     assert invariant_dimension(Q, auts) == theta_symmetrization_rank(Q, auts)
+
+
+#: the rank oracle's default context
+ORACLE_CTX = CurveContext(mpc("0.06", "1.13"), 96)
+BASIS_FORMS = ([[2]], [[8]], [[2, 1], [1, 4]])
+
+
+def _oracle_points(n, count=2, seed=29):
+    rng = random.Random(seed)
+    return [
+        tuple(mpc(rng.uniform(-0.45, 0.45), rng.uniform(-0.35, 0.35)) for _ in range(n))
+        for _ in range(count)
+    ]
+
+
+def _theta_by_definition(ctx, Q, c, z):
+    """sum over m in Z^n + c of e(m^T Q m tau/2 + m^T Q z), term by term.
+
+    The box |m - c| <= 8 is wider than the oracle's own truncation radius.
+    """
+    n = len(Q)
+    total = mpc(0)
+    with mp.workprec(ctx.prec + 16):
+        for m0 in itertools.product(range(-8, 9), repeat=n):
+            m = [m0[i] + mpf(c[i].numerator) / c[i].denominator for i in range(n)]
+            quad = sum(m[i] * Q[i][j] * m[j] for i in range(n) for j in range(n))
+            lin = sum(m[i] * Q[i][j] * z[j] for i in range(n) for j in range(n))
+            total += ctx.e(quad * ctx.tau / 2 + lin)
+    return total
+
+
+@pytest.mark.parametrize("Q", BASIS_FORMS, ids=str)
+def test_theta_basis_values_match_the_definition(Q):
+    pts = _oracle_points(len(Q))
+    rows = theta_basis_values(Q, pts, ORACLE_CTX)
+    elements = discriminant_group(Q)
+    assert len(rows) == len(elements)
+    for c, row in zip(elements, rows):
+        for z, got in zip(pts, row):
+            want = _theta_by_definition(ORACLE_CTX, Q, c, z)
+            assert abs(got - want) / abs(want) < mpf("1e-25"), (c, z)
+
+
+@pytest.mark.parametrize("Q", BASIS_FORMS, ids=str)
+def test_theta_basis_values_are_periodic(Q):
+    n = len(Q)
+    z = _oracle_points(n, 1)[0]
+    shifted = [tuple(z[i] + (i == j) for i in range(n)) for j in range(n)]
+    for row in theta_basis_values(Q, [z] + shifted, ORACLE_CTX):
+        for val in row[1:]:
+            assert abs(val - row[0]) / abs(row[0]) < mpf("1e-25")
+
+
+@pytest.mark.parametrize("Q", BASIS_FORMS + ([[2, 0], [0, 2]], [[2, 1], [1, 2]]), ids=str)
+def test_theta_rank_gap(Q):
+    # the rank is read from a gap far above the 1e6 threshold; at full rank the
+    # gap is measured against the rounding floor of the largest singular value
+    prec = ORACLE_CTX.prec
+    for gens in ([], automorphism_group(Q)):
+        rows = theta_symmetrization_rows(Q, gens, ORACLE_CTX)
+        svals = singular_values(rows, prec)
+        r = numeric_rank(rows, prec=prec)
+        assert r == invariant_dimension(Q, gens)
+        below = svals[r] if r < len(svals) else svals[0] * mpf(2) ** -prec
+        assert svals[r - 1] / below >= mpf("1e20"), (len(gens), r)
