@@ -8,6 +8,13 @@ Checks run one after another in the calling thread.  Reports are versioned
 JSON with one record per check; exit status 0 means every check passed, 1
 means some check failed, 2 means the configuration or the command line was
 rejected.
+
+Every library result is computed at its CurveContext's working precision.
+The session still sets the global mp.prec to prec + 48, but only as this
+process's precision for its own input arithmetic: the suites derive inputs
+such as (d+1)q/2 + u, and callers of `session_from_config` such as the
+benchmark form sums like q + eta - sum(u) after it returns, which are off
+by about 1e-17 at mpmath's default 53 bits.
 """
 
 from __future__ import annotations
@@ -107,6 +114,7 @@ def session_from_config(cfg):
     eta = parse_complex(cfg["eta_prime"])
     if tau.imag < MIN_IM or q.imag < MIN_IM:
         raise ConfigError("Im(tau) and Im(q) must be at least %s" % MIN_IM)
+    # the process's precision for its own input arithmetic (module docstring)
     mp.prec = prec + 48
     try:
         ctx = CurveContext(tau, prec)

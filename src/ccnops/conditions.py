@@ -29,18 +29,20 @@ from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
-from .curve import MAX_RETRIES, PoleProximityError
+from .curve import GUARD_BITS, MAX_RETRIES, PoleProximityError, at_context_precision, exact_mpc
 from .diffop import (
     DegreeVector,
     DifferenceOperator,
     ExprCoefficient,
     SumCoefficient,
     bindings_for,
+    identity_operator,
     rel_defect,
 )
 from .families import van_diejen_leading_expr
 from .symbols import AffineForm, ThetaExpr, zvar
 from .weyl import (
+    RANK_GAP,
     bruhat_interval,
     inversion_set,
     numeric_rank,
@@ -73,15 +75,12 @@ class ConditionRecord:
     spec_id: str
     defect: object
     passed: bool
-    detail: str = ""
 
 
 @dataclass
 class ConditionReport:
     records: list = field(default_factory=list)
     tolerance: object = mpf("1e-25")
-    seed: int = 0
-    prec: int = 256
 
     @property
     def passed(self):
@@ -91,10 +90,8 @@ class ConditionReport:
     def max_defect(self):
         return max((mpf(abs(r.defect)) for r in self.records), default=mpf(0))
 
-    def add(self, spec_id, defect, detail=""):
-        self.records.append(
-            ConditionRecord(spec_id, defect, bool(abs(defect) < self.tolerance), detail)
-        )
+    def add(self, spec_id, defect):
+        self.records.append(ConditionRecord(spec_id, defect, bool(abs(defect) < self.tolerance)))
 
 
 def _beta_form(beta, n):
@@ -406,6 +403,7 @@ def _vanishing_samples(rng, spec, n, env, samples):
 # checkers
 
 
+@at_context_precision
 def check_residue(ctx, op, specs, env, samples=2, seed=11, tol=mpf("1e-25")):
     """Residue-pair conditions for an operator; returns a ConditionReport.
 
@@ -413,7 +411,7 @@ def check_residue(ctx, op, specs, env, samples=2, seed=11, tol=mpf("1e-25")):
     """
     rng = random.Random(seed)
     n = op.n
-    report = ConditionReport(tolerance=tol, seed=seed, prec=ctx.prec)
+    report = ConditionReport(tolerance=tol)
     for spec in specs:
         if spec.kind != "residue-pair":
             continue
@@ -441,10 +439,11 @@ def check_residue(ctx, op, specs, env, samples=2, seed=11, tol=mpf("1e-25")):
     return report
 
 
+@at_context_precision
 def check_vanishing(ctx, op, specs, env, samples=2, seed=13, tol=mpf("1e-25")):
     """x-vanishing and t-vanishing conditions (zeros of coefficients on divisors)."""
     rng = random.Random(seed)
-    report = ConditionReport(tolerance=tol, seed=seed, prec=ctx.prec)
+    report = ConditionReport(tolerance=tol)
     for spec in specs:
         if spec.kind not in _VANISHING:
             continue
@@ -467,6 +466,7 @@ def check_vanishing(ctx, op, specs, env, samples=2, seed=13, tol=mpf("1e-25")):
     return report
 
 
+@at_context_precision
 def check_polarization(ctx, fn, expected, samples=2, seed=17, tol=mpf("1e-25")):
     """Measured tau-translation multipliers against the predicted (Q, w) form.
 
@@ -482,7 +482,7 @@ def check_polarization(ctx, fn, expected, samples=2, seed=17, tol=mpf("1e-25")):
 
     rng = random.Random(seed)
     n = len(expected.Q)
-    report = ConditionReport(tolerance=tol, seed=seed, prec=ctx.prec)
+    report = ConditionReport(tolerance=tol)
     tau = ctx.tau
     for i in range(n):
         pairs = []
@@ -614,6 +614,10 @@ class SectionModel:
 
     def condition_rows(self, specs, seed=29):
         """Linear condition matrix over the ansatz basis, one row per sample."""
+        with mp.workprec(self.ctx._wp):
+            return self._rows(specs, seed)
+
+    def _rows(self, specs, seed):
         rng = random.Random(seed)
         ctx, n = self.ctx, self.n
         rows = []
@@ -653,9 +657,13 @@ class SectionModel:
 
     def nullspace(self, specs, seed=29):
         rows = self.condition_rows(specs, seed=seed)
-        return nullspace_basis(rows, len(self.basis_ops), gap=mpf("1e6"), prec=self.ctx.prec)
+        return nullspace_basis(rows, len(self.basis_ops), prec=self.ctx.prec)
 
     def operator_from_vector(self, vec):
+        with mp.workprec(self.ctx._wp):
+            return self._operator(vec)
+
+    def _operator(self, vec):
         total = {}
         for x, (_, op) in zip(vec, self.basis_ops):
             if abs(x) < mpf("1e-40"):
@@ -678,11 +686,11 @@ def _as_mpc(x):
     return mpc(x)
 
 
-def nullspace_basis(rows, ncols, gap=mpf("1e6"), prec=256):
-    """Nullspace of a complex matrix by SVD with singular-value gap detection."""
+def nullspace_basis(rows, ncols, prec=256):
+    """Nullspace of a complex matrix by SVD with singular-value gap detection (RANK_GAP)."""
     import mpmath
 
-    with mp.workprec(prec + 16):
+    with mp.workprec(prec + GUARD_BITS):
         if not rows:
             return [[mpc(1) if i == j else mpc(0) for j in range(ncols)] for i in range(ncols)]
         while len(rows) < ncols:
@@ -696,12 +704,12 @@ def nullspace_basis(rows, ncols, gap=mpf("1e6"), prec=256):
         smax = max(svals) if svals else mpf(1)
         # rows are normalized to O(1) ingredients, so an absolute floor is
         # meaningful alongside the relative singular-value gap
-        floor = max(smax / gap, mpf(2) ** (-(prec // 2)))
+        floor = max(smax / RANK_GAP, mpf(2) ** (-(prec // 2)))
         rank = sum(1 for s in svals if s > floor)
         if 0 < rank < len(svals):
             kept = min(s for s in svals if s > floor)
             cut = max((s for s in svals if s <= floor), default=mpf(0))
-            if cut > 0 and kept / cut < gap:
+            if cut > 0 and kept / cut < RANK_GAP:
                 raise ArithmeticError("singular value gap ambiguous: %s vs %s" % (kept, cut))
         null = []
         for j in range(rank, ncols):
@@ -714,10 +722,11 @@ def nullspace_basis(rows, ncols, gap=mpf("1e6"), prec=256):
 # concrete solvers
 
 
+@at_context_precision
 def first_order_model(ctx, n, dprime, eta_prime, q, t, seed=31):
     """Ansatz for degree (0, s + d'f): single orbit of (1/2,...,1/2)."""
     rng = random.Random(seed)
-    params = {"q": mpc(q), "t": mpc(t)}
+    params = {"q": exact_mpc(q), "t": exact_mpc(t)}
     K = 2 * dprime + 2
     zero_sum = mpc(q) + mpc(eta_prime)
     uni = _univariate_basis(params, "z1", K, zero_sum, rng)
@@ -732,7 +741,7 @@ def first_order_model(ctx, n, dprime, eta_prime, q, t, seed=31):
             shared.append((arg, -1))
     shared_expr = ThetaExpr(tuple(shared), 1, None, n)
     lam = tuple(Fraction(1, 2) for _ in range(n))
-    env = {"q": mpc(q), "t": mpc(t), "eta_prime": mpc(eta_prime)}
+    env = {"q": params["q"], "t": params["t"], "eta_prime": exact_mpc(eta_prime)}
     degree = (DegreeVector(), DegreeVector(0, 1, dprime))
     model = SectionModel(ctx, n, params, env, degree, lam)
     if n == 1:
@@ -757,18 +766,17 @@ def section_solve_first_order(ctx, n, dprime, eta_prime, q, t, seed=31):
 # -- van Diejen model --------------------------------------------------------
 
 
+@at_context_precision
 def vandiejen_model(ctx, xs, q, t, n, eta_prime=None, seed=37):
     """Ansatz for degree (0, 2s+2f-e_1-...-e_8) over the coroot interval of (1^n)."""
     if n not in (1, 2):
         raise NotImplementedError("van Diejen solve implemented for n <= 2")
     rng = random.Random(seed)
-    params = {"q": mpc(q), "t": mpc(t)}
+    params = {"q": exact_mpc(q), "t": exact_mpc(t)}
     for j, xv in enumerate(xs):
-        params["x%d" % (j + 1)] = mpc(xv)
-    if eta_prime is None:
-        eta_prime = sum(mpc(xv) for xv in xs) / 2
+        params["x%d" % (j + 1)] = exact_mpc(xv)
     env = dict(params)
-    env["eta_prime"] = mpc(eta_prime)
+    env["eta_prime"] = sum(xs, mpc(0)) / 2 if eta_prime is None else exact_mpc(eta_prime)
     qf = AffineForm.var("q")
     degree = (DegreeVector(), DegreeVector(0, 2, 2, (1,) * 8))
     lam = tuple([Fraction(1)] * n)
@@ -825,8 +833,11 @@ def sections_by_weight(model, null):
     higher-weight columns eliminated and its leading column normalized (for
     m = n the prescribed corner has coefficient exactly 1).
     """
-    from .diffop import identity_operator
+    with mp.workprec(model.ctx._wp):
+        return _sections(model, null)
 
+
+def _sections(model, null):
     n = model.n
     weights = sorted({mu for mu, _ in model.basis_ops}, key=sum)
     cols_by_weight = {
@@ -871,10 +882,8 @@ def sections_by_weight(model, null):
 
 def section_solve_vandiejen(ctx, xs, q, t, n, m, eta_prime=None, seed=37):
     """The section with leading weight (1^m, 0^(n-m)); m = 0 is the identity."""
-    from .diffop import identity_operator
-
     if m == 0:
-        return identity_operator(n, {"q": mpc(q), "t": mpc(t)})
+        return identity_operator(n, {"q": exact_mpc(q), "t": exact_mpc(t)})
     _, sections = vandiejen_sections(ctx, xs, q, t, n, eta_prime=eta_prime, seed=seed)
     return sections[m]
 
@@ -891,14 +900,12 @@ def section_solve(ctx, degree, lam, leading, params, seed=31):
     is "free" (full nullspace) or "prescribed" (van Diejen normalization).
     Returns (dimension, list of operators).
     """
-    from .diffop import identity_operator
-
     d1, d2 = degree
     n = len(lam)
     q = params["q"]
     t = params.get("t", 0)
     if d2.s == 0 and d2.f == 0 and not any(d2.e or ()):
-        return 1, [identity_operator(n, {"q": mpc(q), "t": mpc(t)})]
+        return 1, [identity_operator(n, {"q": exact_mpc(q), "t": exact_mpc(t)})]
     if d2.s == 1 and not any(d2.e or ()):
         eta = params.get("eta_prime")
         if eta is None:
@@ -919,7 +926,8 @@ def section_solve(ctx, degree, lam, leading, params, seed=31):
     raise NotImplementedError("section solving implemented for the supported degree families")
 
 
-def operator_span_contains(ctx, basis_ops, op, points, gap=mpf("1e6")):
+@at_context_precision
+def operator_span_contains(ctx, basis_ops, op, points):
     """Whether op lies in the numeric span of basis_ops on sampled coefficients."""
     keys = set()
     for b in basis_ops:
@@ -935,7 +943,7 @@ def operator_span_contains(ctx, basis_ops, op, points, gap=mpf("1e6")):
     scale = max(abs(v) for v in cols[-1]) or mpf(1)
     cols = [[v / scale for v in col] for col in cols]
     rows = [[col[i] for col in cols] for i in range(len(cols[0]))]
-    r_with = numeric_rank(rows, gap=gap, prec=ctx.prec)
+    r_with = numeric_rank(rows, prec=ctx.prec)
     rows_without = [row[:-1] for row in rows]
-    r_without = numeric_rank(rows_without, gap=gap, prec=ctx.prec)
+    r_without = numeric_rank(rows_without, prec=ctx.prec)
     return r_with == r_without

@@ -14,10 +14,20 @@ symbol is the meromorphic solution
 
 normalized by an explicit exponential prefactor whose branch is the principal
 logarithm, fixed once per tau.
+
+Precision rule: a CurveContext owns its working precision, `ctx._wp` = prec +
+GUARD_BITS, and every public function or method that takes a context
+computes under `mp.workprec(ctx._wp)` (most through `at_context_precision`).
+Constructors that take no context store their numeric inputs exactly
+(`exact_mpc`) and keep derived parameters as affine forms, so no library
+result depends on mpmath's global `mp.prec`.  That global is only the
+caller's precision for its own arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import threading
 from dataclasses import dataclass
 
@@ -76,6 +86,28 @@ def point_key(z):
     if isinstance(z, (float, complex)):
         return (from_float(z.real), from_float(z.imag))
     raise TypeError("no exact point key for %r" % (z,))
+
+
+def exact_mpc(z):
+    """z as an mpc with nothing rounded, whatever the global mp.prec.
+
+    `mpc(z)` rounds even an mpc to the global precision; this keeps the
+    exact tuples of `point_key`, so stored parameters are the caller's own.
+    """
+    return z if isinstance(z, mpc) else mp.make_mpc(point_key(z))
+
+
+def at_context_precision(fn):
+    """Run fn(..., ctx, ...) under mp.workprec(ctx._wp), the package's precision rule."""
+    pos = list(inspect.signature(fn).parameters).index("ctx")
+
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        ctx = kwargs["ctx"] if "ctx" in kwargs else args[pos]
+        with mp.workprec(ctx._wp):
+            return fn(*args, **kwargs)
+
+    return run
 
 
 def memo(cache, key, compute):

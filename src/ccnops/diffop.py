@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import mpc_mul
 
-from .curve import memo, point_key
+from .curve import at_context_precision, exact_mpc, memo, point_key
 from .symbols import AffineForm, GammaProduct, ThetaExpr, Unbalanced, zvar
 
 
@@ -43,11 +44,23 @@ def bindings_for(params, z):
     return bind
 
 
+def shift_point(z, q, k):
+    """z + q k, the point that the shift k of an operator over q reads; q is taken exactly.
+
+    `apply`, `compose` and the formal tails all form their shifted points
+    here, at the caller's (the context's) precision, so equal points get
+    equal memo keys.
+    """
+    q = exact_mpc(q)
+    return tuple(w + q * mpc(x.numerator) / x.denominator for w, x in zip(z, k))
+
+
 def rel_defect(a, b):
     """Symmetric relative defect |a - b| / max(|a|, |b|, 1e-30)."""
     return abs(a - b) / max(abs(a), abs(b), mpf("1e-30"))
 
 
+@at_context_precision
 def op_defect(ctx, A, B, pts):
     """Worst rel_defect of the coefficients of A and B over their joint support at pts."""
     worst = mpf(0)
@@ -88,7 +101,10 @@ class ExprCoefficient(Coefficient):
 
     def eval(self, ctx, z):
         v = self.expr.eval(ctx, bindings_for(self.params, z))
-        return v if self.scale == 1 else mpc(self.scale) * v
+        if self.scale == 1:
+            return v
+        with mp.workprec(ctx._wp):
+            return mpc(self.scale) * v
 
     @property
     def denominators(self):
@@ -100,7 +116,7 @@ class ExprCoefficient(Coefficient):
     def scaled(self, factor):
         if isinstance(factor, ThetaExpr):
             return ExprCoefficient(self.expr * factor, self.params, self.scale)
-        return ExprCoefficient(self.expr, self.params, _scale_mul(self.scale, factor))
+        return ExprCoefficient(self.expr, self.params, mul_scales(self.scale, factor))
 
     def scaled_expr(self, expr, params=None):
         return ExprCoefficient(self.expr * expr, self.params, self.scale)
@@ -115,6 +131,7 @@ class SumCoefficient(Coefficient):
     def __init__(self, parts):
         self.parts = [p if isinstance(p, ExprCoefficient) else ExprCoefficient(*p) for p in parts]
 
+    @at_context_precision
     def eval(self, ctx, z):
         return sum((p.eval(ctx, z) for p in self.parts), mpc(0))
 
@@ -178,12 +195,13 @@ class FnCoefficient(Coefficient):
         return FnCoefficient(fn, self.denominators + expr.denominator_forms())
 
 
-def _scale_mul(a, b):
+def mul_scales(a, b):
+    """The product of two coefficient scales, formed exactly (no rounding)."""
     if a == 1:
         return b
     if b == 1:
         return a
-    return mpc(a) * mpc(b)
+    return mp.make_mpc(mpc_mul(exact_mpc(a)._mpc_, exact_mpc(b)._mpc_, 0))
 
 
 class DifferenceOperator:
@@ -217,22 +235,20 @@ class DifferenceOperator:
             return mpc(0)
         return c.eval(ctx, z)
 
+    @at_context_precision
     def apply(self, ctx, f, z):
         """(D f)(z) = sum_k c_k(z) f(z + q k)."""
-        q = mpc(self.q)
         total = mpc(0)
         for k, c in self.coeffs.items():
-            shifted = tuple(z[i] + q * mpc(k[i].numerator) / k[i].denominator for i in range(self.n))
-            total += c.eval(ctx, z) * f(shifted)
+            total += c.eval(ctx, z) * f(shift_point(z, self.q, k))
         return total
 
     def compose(self, other):
         """self after other: (A B) f = A (B f)."""
         if self.n != other.n:
             raise ValueError("arity mismatch")
-        if mpc(self.q) != mpc(other.q):
+        if point_key(self.q) != point_key(other.q):
             raise ValueError("operators built over different q")
-        q = mpc(self.q)
         new = {}
         for ka, ca in self.coeffs.items():
             for kb, cb in other.coeffs.items():
@@ -240,11 +256,10 @@ class DifferenceOperator:
                 new.setdefault(k, []).append((ka, ca, cb))
         coeffs = {}
         for k, terms in new.items():
-            def fn(ctx, z, terms=terms, q=q, n=self.n):
+            def fn(ctx, z, terms=terms, q=self.q):
                 total = mpc(0)
                 for ka, ca, cb in terms:
-                    zs = tuple(z[i] + q * mpc(ka[i].numerator) / ka[i].denominator for i in range(n))
-                    total += ca.eval(ctx, z) * cb.eval(ctx, zs)
+                    total += ca.eval(ctx, z) * cb.eval(ctx, shift_point(z, q, ka))
                 return total
 
             coeffs[k] = FnCoefficient(fn)
@@ -293,6 +308,7 @@ class DifferenceOperator:
             coeffs[sp_apply(w, k)] = c.transformed(assignments)
         return DifferenceOperator(self.n, coeffs, self.params, self.degree)
 
+    @at_context_precision
     def is_invariant(self, ctx, samples, tol=None):
         """Max relative defect of D - w D w^{-1} over group generators at samples."""
         from .weyl import hyperoctahedral_generators

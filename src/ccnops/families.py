@@ -11,15 +11,17 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from mpmath import mpc, mpf
+from mpmath import mp, mpc, mpf
 
-from .curve import TorsionError
+from .curve import TorsionError, at_context_precision, exact_mpc
 from .diffop import (
     DegreeVector,
     DifferenceOperator,
     ExprCoefficient,
     identity_operator,
+    mul_scales,
     multiplication_operator,
+    shift_point,
 )
 from .formal import (
     FormalGaugedOperator,
@@ -38,6 +40,14 @@ def _fresh(name):
     return "%s_%d" % (name, next(_FRESH))
 
 
+def _as_form(x, name, params):
+    """x itself if it is an affine form over the params, else params[name] = x, kept exactly."""
+    if isinstance(x, AffineForm):
+        return x
+    params[name] = exact_mpc(x)
+    return AffineForm.var(name)
+
+
 # ---------------------------------------------------------------------------
 # first-order family
 
@@ -47,17 +57,17 @@ def first_order(ulist, t, q, n, params=None):
 
     Coefficient at sigma:  prod_i prod_r theta(u_r + s_i z_i)/theta(2 s_i z_i)
     * prod_{i<j} theta(t + s_i z_i + s_j z_j)/theta(s_i z_i + s_j z_j).
-    The derived parameter is eta' = sum(u) - q.
+    The derived parameter is eta' = sum(u) - q.  Each u (and t) is a number,
+    stored exactly under a fresh symbol, or an affine form over the params.
     """
     params = dict(params or {})
-    params.setdefault("q", mpc(q))
-    params.setdefault("t", mpc(t))
-    usyms = []
-    for uv in ulist:
-        s = _fresh("u")
-        params[s] = mpc(uv)
-        usyms.append(AffineForm.var(s))
-    tsym = AffineForm.var("t")
+    params.setdefault("q", exact_mpc(q))
+    if isinstance(t, AffineForm):
+        tsym = t
+    else:
+        params.setdefault("t", exact_mpc(t))
+        tsym = AffineForm.var("t")
+    usyms = [_as_form(uv, _fresh("u"), params) for uv in ulist]
     coeffs = {}
     for sigma in itertools.product((1, -1), repeat=n):
         factors = []
@@ -80,11 +90,9 @@ def first_order(ulist, t, q, n, params=None):
 
 
 def theta_pm_multiplier(u, n, params, exponent=1):
-    """The multiplication operator prod_i theta(z_i + u) theta(z_i - u)."""
+    """The multiplication operator prod_i theta(z_i + u) theta(z_i - u); u a number or a form."""
     params = dict(params)
-    s = _fresh("v")
-    params[s] = mpc(u)
-    uform = AffineForm.var(s)
+    uform = _as_form(u, _fresh("v"), params)
     factors = []
     for i in range(n):
         factors.append((zvar(i + 1) + uform, exponent))
@@ -96,27 +104,23 @@ def theta_pm_multiplier(u, n, params, exponent=1):
 # cascade
 
 
-def d_cascade(d, q, t, n, u_probe, tau=None, ctx=None, params=None):
+def d_cascade(d, q, t, n, u_probe, params=None):
     """D_d by the recurrence D_{d+1} = D((d+1)q/2 +- u) D_d prod theta(z_i +- u)^{-1}.
 
     The result is independent of the probe u; callers are expected to verify
-    that at a second probe.  Torsion q (theta(k q) ~ 0 for some k <= d) is
-    rejected unless allow_torsion_probe is handled by the caller directly.
+    that at a second probe.  The parameters (d+1)q/2 +- u are affine forms in
+    q and the probe's symbol, so the evaluating context forms them.
     """
     params = dict(params or {})
-    params.setdefault("q", mpc(q))
-    params.setdefault("t", mpc(t))
+    params.setdefault("q", exact_mpc(q))
+    params.setdefault("t", exact_mpc(t))
+    probe = _as_form(u_probe, _fresh("v"), params)
+    div = theta_pm_multiplier(probe, n, params, exponent=-1)
     op = identity_operator(n, params)
     op = DifferenceOperator(op.n, op.coeffs, op.params, (DegreeVector(0, 0, 0), DegreeVector(0, 0, 0)))
     for level in range(d):
-        head = first_order(
-            [(level + 1) * mpc(q) / 2 + mpc(u_probe), (level + 1) * mpc(q) / 2 - mpc(u_probe)],
-            t,
-            q,
-            n,
-            params,
-        )
-        div = theta_pm_multiplier(u_probe, n, params, exponent=-1)
+        shift = AffineForm.var("q", Fraction(level + 1, 2))
+        head = first_order([shift + probe, shift - probe], t, q, n, params)
         op = head.compose(op).compose(div)
     degree = (DegreeVector(0, 0, d), DegreeVector(0, d, 0))
     return DifferenceOperator(op.n, op.coeffs, op.params, degree)
@@ -138,6 +142,7 @@ def cascade_leading_expr(d, n):
     return ThetaExpr(tuple(factors), 1, None, n)
 
 
+@at_context_precision
 def d_torsion_closed_form(d, q, t, n, ctx, params=None, tol=mpf("1e-6")):
     """Closed form at q of exact order d: only the 2^n extreme shifts survive."""
     if ctx.dist_to_lattice(d * mpc(q)) > tol:
@@ -146,8 +151,8 @@ def d_torsion_closed_form(d, q, t, n, ctx, params=None, tol=mpf("1e-6")):
         if ctx.dist_to_lattice(k * mpc(q)) < tol:
             raise TorsionError("q has order smaller than d")
     params = dict(params or {})
-    params.setdefault("q", mpc(q))
-    params.setdefault("t", mpc(t))
+    params.setdefault("q", exact_mpc(q))
+    params.setdefault("t", exact_mpc(t))
     qf = AffineForm.var("q")
     tf = AffineForm.var("t")
     coeffs = {}
@@ -198,20 +203,16 @@ class FourierKernel(FormalGaugedOperator):
     related kernels share symbols so that composite heads stay balanced.
     """
 
+    @at_context_precision
     def __init__(self, ctx, c, q, t, n, order, torsion_margin=mpf("1e-8"), extra_params=None):
         self.ctx = ctx
-        params = {"q": mpc(q)}
+        params = {"q": exact_mpc(q)}
         params.update(extra_params or {})
-        if isinstance(c, AffineForm):
-            c_form = c
-        else:
-            csym = _fresh("c")
-            params[csym] = mpc(c)
-            c_form = AffineForm.var(csym)
+        c_form = _as_form(c, _fresh("c"), params)
         if isinstance(t, AffineForm):
             t_form = t
         else:
-            params.setdefault("t", mpc(t))
+            params.setdefault("t", exact_mpc(t))
             t_form = AffineForm.var("t")
         margin = min(ctx.dist_to_lattice(k * mpc(q)) for k in range(1, order + 1)) if order else mpf(1)
         if order and margin < torsion_margin:
@@ -229,7 +230,7 @@ class FourierKernel(FormalGaugedOperator):
             n, kernel_head(n, c_form, t_form), c_form, Tail(n, entries, order), params
         )
         self._c = c_form.eval(params)
-        self._q = mpc(q)
+        self._q = exact_mpc(q)
         self._t = t_form.eval(params)
 
     def _A(self, sigma, y, u):
@@ -274,8 +275,7 @@ class FourierKernel(FormalGaugedOperator):
             mprime = tuple(m[i] - (1 + sigma[i]) // 2 for i in range(n))
             if any(x < 0 for x in mprime):
                 continue
-            y = tuple(w[i] + q * mprime[i] for i in range(n))
-            a = self._A(sigma, y, u)
+            a = self._A(sigma, shift_point(w, q, mprime), u)
             if all(s == -1 for s in sigma):
                 pivot = a
             else:
@@ -284,9 +284,12 @@ class FourierKernel(FormalGaugedOperator):
 
     def defining_residual(self, z, order=None):
         """Max |coefficient| of D(c) D(c +- u)|_{u=z_j} over tail orders <= order."""
-        ctx, q, c = self.ctx, self._q, self._c
+        with mp.workprec(self.ctx._wp):
+            return self._residual(z, self.order if order is None else order)
+
+    def _residual(self, z, order):
+        q, c = self._q, self._c
         n = self.n
-        order = self.order if order is None else order
         worst = mpf(0)
         for j in range(n):
             u = z[j] - c
@@ -301,8 +304,7 @@ class FourierKernel(FormalGaugedOperator):
                     mprime = tuple(s_off[i] + (1 - sigma[i]) // 2 for i in range(n))
                     if any(x < 0 for x in mprime):
                         continue
-                    y = tuple(z[i] + q * mprime[i] for i in range(n))
-                    term = self.tail_value(mprime, z) * self._A(sigma, y, u)
+                    term = self.tail_value(mprime, z) * self._A(sigma, shift_point(z, q, mprime), u)
                     total += term
                     scale = max(scale, abs(term))
                 if scale > 0:
@@ -319,21 +321,20 @@ def solve_fourier_kernel(ctx, c, q, t, n, order):
 # Fourier transform of a finite operator
 
 
+@at_context_precision
 def fourier_transform(ctx, op, c, d, dprime, order):
     """D-hat = K(c - (d'-d) q/2) . D . K(-c), truncated to the given order.
 
     `op` must have degree (0, d s + d' f) with eta' = 2c; the kernels are
     solved to order + support width automatically.
     """
-    q = mpc(op.params["q"])
+    q = op.params["q"]
     n = op.n
     sums = [sum(k) for k in op.support()]
     width = int(max(sums) - min(sums))
     korder = order + width
-    csym = _fresh("cF")
     params = dict(op.params)
-    params[csym] = mpc(c)
-    cf = AffineForm.var(csym)
+    cf = _as_form(c, _fresh("cF"), params)
     qf = AffineForm.var("q")
     cprime = cf + qf * Fraction(d - dprime, 2)
     K1 = FourierKernel(ctx, cprime, q, AffineForm.var("t"), n, korder, extra_params=params)
@@ -352,21 +353,14 @@ def braid_multiplier(n, a, b, params):
     return gamma_multiplier(n, GammaProduct(terms=tuple(terms)), params)
 
 
-def _as_form(x, name, params):
-    """Allow c/d/t0 arguments to be numbers or affine forms over the params."""
-    if isinstance(x, AffineForm):
-        return x
-    params[name] = mpc(x)
-    return AffineForm.var(name)
-
-
+@at_context_precision
 def braid_check(ctx, c, d, t0, q, t, n, order, points):
     """Both sides of the braid identity plus K(c)^{-1} = K(-c).
 
     Returns (defect_braid, defect_inverse).  c, d, t0 may be numbers or
     affine forms in q (for cascade specializations).
     """
-    params = {"q": mpc(q), "t": mpc(t)}
+    params = {"q": exact_mpc(q), "t": exact_mpc(t)}
     cf = _as_form(c, "braid_c", params)
     df = _as_form(d, "braid_d", params)
     t0f = _as_form(t0, "braid_t0", params)
@@ -477,18 +471,10 @@ def wedge_section(univariate_ops, params):
                 scale = sign
                 for s, e in choice:
                     expr = expr * e
-                    scale = _mul_scale(scale, s)
+                    scale = mul_scales(scale, s)
                 parts.append(ExprCoefficient(expr, full, scale))
         coeffs[k] = parts[0] if len(parts) == 1 else SumCoefficient(parts)
     return DifferenceOperator(n, coeffs, full)
-
-
-def _mul_scale(a, b):
-    if a == 1:
-        return b
-    if b == 1:
-        return a
-    return mpc(a) * mpc(b)
 
 
 def _perm_sign(perm):
@@ -562,16 +548,6 @@ class TrigOperator:
         self.q = q
         self.terms = dict(terms)
 
-    def apply(self, f, z):
-        total = None
-        for k, cf in self.terms.items():
-            scale = [self.q ** k[i] for i in range(self.n)]
-            # q**half-integer: the caller supplies q as an exact square when needed
-            zz = tuple(z[i] * scale[i] for i in range(self.n))
-            term = cf(z) * f(zz)
-            total = term if total is None else total + term
-        return total
-
     def apply_with_sqrt(self, f, z, q_sqrt):
         """Apply using an explicit square root of q for half-integer shifts."""
         total = None
@@ -589,6 +565,7 @@ class TrigOperator:
 # curious kernel identities (n = 2)
 
 
+@at_context_precision
 def hilbert_gauge_identities(ctx, u1, u2, u3, q, tval, c, order, points):
     """The two n=2 kernel identities.
 
@@ -598,15 +575,17 @@ def hilbert_gauge_identities(ctx, u1, u2, u3, q, tval, c, order, points):
     Returns (defect_triple, defect_pair).
     """
     n = 2
-    params = {"q": mpc(q), "hu1": mpc(u1), "hu2": mpc(u2), "hu3": mpc(u3),
-              "hc": mpc(c), "ht": mpc(tval)}
+    params = {
+        name: exact_mpc(x)
+        for name, x in (("q", q), ("hu1", u1), ("hu2", u2), ("hu3", u3), ("hc", c), ("ht", tval))
+    }
     f1, f2, f3 = AffineForm.var("hu1"), AffineForm.var("hu2"), AffineForm.var("hu3")
     K1 = FourierKernel(ctx, f2 - f3, q, f1 * 2, n, order, extra_params=params)
     K2 = FourierKernel(ctx, f3 - f1, q, f2 * 2, n, order, extra_params=params)
     K3 = FourierKernel(ctx, f1 - f2, q, f3 * 2, n, order, extra_params=params)
     prod = K1.compose(K2, order=order).compose(K3, order=order)
     ident = FormalGaugedOperator(
-        n, GammaProduct.one(), AffineForm.const_form(0), unit_tail(n, order), {"q": mpc(q)}
+        n, GammaProduct.one(), AffineForm.const_form(0), unit_tail(n, order), {"q": params["q"]}
     )
     defect_triple = compare_gauged(ctx, prod, ident, points, order=order)
 
@@ -615,7 +594,7 @@ def hilbert_gauge_identities(ctx, u1, u2, u3, q, tval, c, order, points):
     KA = FourierKernel(ctx, cf * -1 - qf * Fraction(1, 2), q, tf + qf, n, order, extra_params=params)
     KB = FourierKernel(ctx, cf, q, tf, n, order, extra_params=params)
     lhs = KA.compose(KB, order=order)
-    target = first_order([], mpc(tval) + 2 * mpc(c) + mpc(q), q, n)
+    target = first_order([], tf + cf * 2 + qf, q, n, params)
     rhs = gauged_from_operator(target)
     defect_pair = compare_gauged(ctx, lhs, rhs, points, order=min(order, 1))
     return defect_triple, defect_pair

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
-from .curve import memo, point_key
-from .diffop import DifferenceOperator, FnCoefficient, bindings_for, rel_defect
+from .curve import at_context_precision, memo, point_key
+from .diffop import DifferenceOperator, FnCoefficient, bindings_for, rel_defect, shift_point
 from .symbols import AffineForm, GammaProduct, Unbalanced, zvar
 
 
@@ -45,7 +45,12 @@ class Tail:
             return mpc(0)
         if fn == 1:
             return mpc(1)
-        return memo(self._memo, (ctx, tuple(k), tuple(map(point_key, z))), lambda: fn(ctx, z))
+
+        def compute():
+            with mp.workprec(ctx._wp):
+                return fn(ctx, z)
+
+        return memo(self._memo, (ctx, tuple(k), tuple(map(point_key, z))), compute)
 
 
 def unit_tail(n, order):
@@ -79,8 +84,7 @@ class FormalGaugedOperator:
         n = self.n
         params = dict(other.params)
         params.update(self.params)
-        q = mpc(params["q"])
-        c1 = self.c_value
+        q = params["q"]
         order = min(
             self.tail.order,
             other.tail.order,
@@ -91,8 +95,7 @@ class FormalGaugedOperator:
             rho[m] = other.gamma.shift_ratio(m, n)
             if isinstance(rho[m], Unbalanced):
                 raise ValueError("head does not commute through the tail at %s" % (m,))
-        # new tail: [self.tail * rho]^{(c2? no: shifted by other's c)} * other.tail
-        c2 = other.c_value
+        # new tail: [self.tail * rho], shifted by other's c, times other.tail
         entries = {}
         base1 = self.tail.corner()
         base2 = other.tail.corner()
@@ -112,6 +115,7 @@ class FormalGaugedOperator:
             # D1''_m(z) = e1_m(z - c2) rho_m(z - c2) and
             # (D1'' D2)_k(z) = sum d1''_{m1}(z) d2_{m2}(z + q m1).
             def fn(ctx, z, pairs=pairs):
+                c2 = other.c_value
                 total = mpc(0)
                 for m1, m2 in pairs:
                     zc = tuple(w - c2 for w in z)
@@ -119,7 +123,7 @@ class FormalGaugedOperator:
                     if v == 0:
                         continue
                     v *= rho[m1].eval(ctx, bindings_for(gslf, zc))
-                    v *= tail2.eval(ctx, m2, tuple(z[i] + q * m1[i] for i in range(len(z))))
+                    v *= tail2.eval(ctx, m2, shift_point(z, q, m1))
                     total += v
                 return total
 
@@ -142,8 +146,7 @@ class FormalGaugedOperator:
         if any(base):
             raise ValueError("inversion requires a unit tail based at 0")
         params = self.params
-        q = mpc(params["q"])
-        c = self.c_value
+        q = params["q"]
         # U = tail twisted by its own head's ratios, shifted by -c:
         # from F*G = Gamma*Gamma'(..)*T(0)*[U * tailG] with U_m(z) = e_m(z-c+?) …
         # Solving F*G=1 with G = (Gamma(z-c))^{-1} T(-c) D' gives
@@ -165,6 +168,7 @@ class FormalGaugedOperator:
         # with G = Gamma(z-c)^{-1} T(-c) D', F*G has tail U * D' where
         # U_m(z) = e_m(z + c) rho_m(z + c), rho from the inverse head
         def u_val(ctx, m, z):
+            c = self.c_value
             zc = tuple(w + c for w in z)
             v = tail.eval(ctx, m, zc)
             if v == 0:
@@ -178,8 +182,7 @@ class FormalGaugedOperator:
                 if all(x == 0 for x in l) or any(a > b for a, b in zip(l, m)):
                     continue
                 rest = tuple(a - b for a, b in zip(m, l))
-                zl = tuple(z[i] + q * l[i] for i in range(len(z)))
-                total += u_val(ctx, l, z) * inverse.eval(ctx, rest, zl)
+                total += u_val(ctx, l, z) * inverse.eval(ctx, rest, shift_point(z, q, l))
             return -total
 
         entries = {}
@@ -199,16 +202,16 @@ class FormalGaugedOperator:
         if r == 0:
             return self
         n = self.n
-        q = mpc(self.params["q"])
+        q = self.params["q"]
         entries = {}
         for m, fn in self.tail.entries.items():
             key = tuple(x + r for x in m)
             if fn == 1:
-                def fn2(ctx, z, r=r, q=q):
+                def fn2(ctx, z):
                     return mpc(1)
             else:
-                def fn2(ctx, z, fn=fn, r=r, q=q):
-                    return fn(ctx, tuple(w + q * r for w in z))
+                def fn2(ctx, z, fn=fn):
+                    return fn(ctx, shift_point(z, q, (r,) * n))
             entries[key] = fn2
         c_form = self.c_form - AffineForm.var("q") * r
         return FormalGaugedOperator(n, self.gamma, c_form, Tail(n, entries, self.tail.order), self.params)
@@ -227,13 +230,9 @@ class FormalGaugedOperator:
         n = self.n
         head = self.resolved_head()
         params = self.params
-        q = mpc(params["q"])
-        c = self.c_value
-        steps = c / (q / 2)
-        step_int = mp.nint(steps.real)
-        if abs(steps - step_int) > mpf("1e-20"):
+        half = self.c_form.coeff("q")
+        if self.c_form != AffineForm.var("q", half) or half.denominator > 2:
             raise ValueError("global shift is not a half-integer multiple of q")
-        half = Fraction(int(step_int), 2)
         order = self.tail.order if order is None else min(order, self.tail.order)
         coeffs = {}
         for m in self.tail.keys_within(order):
@@ -241,8 +240,7 @@ class FormalGaugedOperator:
 
             def fn(ctx, z, m=m):
                 v = head.eval(ctx, bindings_for(params, z))
-                zc = tuple(w + c for w in z)
-                return v * self.tail.eval(ctx, m, zc)
+                return v * self.tail.eval(ctx, m, shift_point(z, params["q"], (half,) * n))
 
             coeffs[shift] = FnCoefficient(fn)
         return DifferenceOperator(n, coeffs, params)
@@ -257,16 +255,13 @@ def gauged_from_operator(op, order=mp.inf):
         for x in k:
             if (x - par).denominator != 1:
                 raise ValueError("support not in a single parity coset")
-    q = mpc(op.params["q"])
     cpar = AffineForm.var("q") * par
-    cval = q * mpc(par.numerator) / par.denominator if par else mpc(0)
     entries = {}
     for k in keys:
         m = tuple(int(x - par) for x in k)
 
         def fn(ctx, z, k=k):
-            zs = tuple(z[i] - cval for i in range(n))
-            return op.coefficient(k).eval(ctx, zs)
+            return op.coefficient(k).eval(ctx, shift_point(z, op.params["q"], (-par,) * n))
 
         entries[m] = fn
     return FormalGaugedOperator(n, GammaProduct.one(), cpar, Tail(n, entries, order), op.params)
@@ -277,6 +272,7 @@ def gamma_multiplier(n, gamma, params, order=mp.inf):
     return FormalGaugedOperator(n, gamma, AffineForm.const_form(0), unit_tail(n, order), params)
 
 
+@at_context_precision
 def compare_gauged(ctx, F1, F2, points, order=None):
     """Max relative coefficient defect between two gauged operators.
 

@@ -13,6 +13,7 @@ import random
 from mpmath import mp, mpc, mpf
 
 from .conditions import ConditionReport
+from .curve import at_context_precision
 from .diffop import rel_defect
 
 
@@ -40,12 +41,13 @@ def _draw_q(rng, ctx):
     return mpc(rng.uniform(-0.3, 0.3), rng.uniform(0.35, float(ctx.tau.imag) * 0.7))
 
 
+@at_context_precision
 def run_identity(ctx, name, n=2, samples=20, seed=1, tol=mpf("1e-25")):
     """Evaluate one catalogue identity; returns a ConditionReport."""
     if name not in CATALOGUE:
         raise ValueError("unknown identity %r" % (name,))
     rng = random.Random(seed)
-    report = ConditionReport(tolerance=tol, seed=seed, prec=ctx.prec)
+    report = ConditionReport(tolerance=tol)
     for s in range(samples):
         if name == "theta-oddness":
             z = _draw(rng)

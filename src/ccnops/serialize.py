@@ -2,7 +2,8 @@
 
 JSON-based line format: shift vectors with theta-factor lists plus the
 parameter bindings.  Multiprecision values are stored as exact mantissa
-tuples, so ThetaExpr-backed operators round-trip exactly.
+tuples and read back without rounding, so ThetaExpr-backed operators
+round-trip exactly whatever the global mp.prec.
 """
 
 from __future__ import annotations
@@ -10,8 +11,10 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from mpmath import mpc, mpf
+from mpmath import mp
+from mpmath.libmp import from_man_exp
 
+from .curve import point_key
 from .symbols import AffineForm, Poly, ThetaExpr
 
 
@@ -25,34 +28,27 @@ def _dec_frac(s):
     return Fraction(int(num), int(den))
 
 
-def _enc_mpf(x):
-    sign, man, exp, bc = mpf(x)._mpf_
+def _enc_mpf(t):
+    sign, man, exp, bc = t
     return [int(sign), str(int(man)), int(exp), int(bc)]
 
 
 def _dec_mpf(v):
-    from mpmath.libmp import from_man_exp
-
     sign, man, exp, _ = v
-    x = mpf(0)
-    val = from_man_exp(int(man), int(exp))
-    x = mpf(val)
-    return -x if sign else x
+    return from_man_exp(-int(man) if sign else int(man), int(exp))
 
 
 def _enc_number(x):
-    if isinstance(x, Fraction):
+    if isinstance(x, (Fraction, int)):
         return {"frac": _enc_frac(x)}
-    if isinstance(x, int):
-        return {"frac": _enc_frac(x)}
-    z = mpc(x)
-    return {"re": _enc_mpf(z.real), "im": _enc_mpf(z.imag)}
+    re, im = point_key(x)
+    return {"re": _enc_mpf(re), "im": _enc_mpf(im)}
 
 
 def _dec_number(d):
     if "frac" in d:
         return _dec_frac(d["frac"])
-    return mpc(_dec_mpf(d["re"]), _dec_mpf(d["im"]))
+    return mp.make_mpc((_dec_mpf(d["re"]), _dec_mpf(d["im"])))
 
 
 def _enc_affine(form):

@@ -350,7 +350,7 @@ class ThetaExpr:
         """Evaluate at the bindings; `skip` omits one factor index (numerator path)."""
 
         def compute():
-            with mp.workprec(ctx.prec + 16):
+            with mp.workprec(ctx._wp):
                 val = mpc(self.pref_const if not isinstance(self.pref_const, Fraction)
                           else mpc(self.pref_const.numerator) / self.pref_const.denominator)
                 if self.pref_exp.terms:

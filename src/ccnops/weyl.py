@@ -21,7 +21,11 @@ from fractions import Fraction
 
 from mpmath import matrix, mp, mpc, mpf
 
-from .curve import CurveContext, point_key
+from .curve import GUARD_BITS, CurveContext, at_context_precision, point_key
+
+#: singular-value ratio that separates a numeric rank from rounding noise,
+#: for every rank and nullspace decision of the package
+RANK_GAP = mpf("1e6")
 
 
 def as_weight(entries):
@@ -416,9 +420,8 @@ def automorphism_group(Q):
 
 def _theta_radius(Q, ctx):
     """Truncation radius B of the theta sums: m - c runs over the box [-B, B]^n."""
-    with mp.workprec(ctx.prec + 16):
-        lam_min = min(mp.re(x) for x in mp.eigsy(_mp_matrix(Q), eigvals_only=True))
-        return int(mp.sqrt((ctx.prec + 32) * mp.log(2) * 2 / (lam_min * 2 * mp.pi * ctx.tau.imag))) + 2
+    lam_min = min(mp.re(x) for x in mp.eigsy(_mp_matrix(Q), eigvals_only=True))
+    return int(mp.sqrt((ctx.prec + 32) * mp.log(2) * 2 / (lam_min * 2 * mp.pi * ctx.tau.imag))) + 2
 
 
 def _int_powers(x, K):
@@ -431,12 +434,13 @@ def _int_powers(x, K):
     return up + down[:0:-1]
 
 
+@at_context_precision
 def theta_basis_values(Q, points, ctx):
     """The degree-Q theta basis at `points`: one row per c of `discriminant_group(Q)`.
 
     f_c(z) = sum_{m in Z^n + c} e(m^T Q m tau/2 + m^T Q z), truncated to m - c
-    in [-B, B]^n and summed at prec + 16 bits.  With k = Qm, an integer vector
-    (Qc is integral for c in Q^{-1} Z^n), each term is
+    in [-B, B]^n.  With k = Qm, an integer vector (Qc is integral for c in
+    Q^{-1} Z^n), each term is
 
         e(m^T Q m tau/2 + m^T Q z) = w(c, m) * prod_j e(z_j)^(k_j),
 
@@ -448,31 +452,31 @@ def theta_basis_values(Q, points, ctx):
     Q = [[int(x) for x in row] for row in Q]
     B = _theta_radius(Q, ctx)
     box = list(itertools.product(range(-B, B + 1), repeat=n))
-    with mp.workprec(ctx.prec + 16):
-        half_tau = ctx.tau / 2
-        terms = []  # per c: (w(c, m), Qm) for m - c in the box
-        for c in discriminant_group(Q):
-            qc = [int(sum(Q[i][j] * c[j] for j in range(n))) for i in range(n)]
-            row = []
-            for m0 in box:
-                k = tuple(qc[i] + sum(Q[i][j] * m0[j] for j in range(n)) for i in range(n))
-                quad = sum((m0[i] + c[i]) * k[i] for i in range(n))
-                row.append((ctx.e(quad.numerator * half_tau / quad.denominator), k))
-            terms.append(row)
-        K = max(abs(x) for row in terms for _, k in row for x in k)
-        values = [[] for _ in terms]
-        for z in points:
-            powers = [_int_powers(ctx.e(zj), K) for zj in z]
-            for out, row in zip(values, terms):
-                total = mpc(0)
-                for w, k in row:
-                    for pj, kj in zip(powers, k):
-                        w *= pj[kj]
-                    total += w
-                out.append(total)
+    half_tau = ctx.tau / 2
+    terms = []  # per c: (w(c, m), Qm) for m - c in the box
+    for c in discriminant_group(Q):
+        qc = [int(sum(Q[i][j] * c[j] for j in range(n))) for i in range(n)]
+        row = []
+        for m0 in box:
+            k = tuple(qc[i] + sum(Q[i][j] * m0[j] for j in range(n)) for i in range(n))
+            quad = sum((m0[i] + c[i]) * k[i] for i in range(n))
+            row.append((ctx.e(quad.numerator * half_tau / quad.denominator), k))
+        terms.append(row)
+    K = max(abs(x) for row in terms for _, k in row for x in k)
+    values = [[] for _ in terms]
+    for z in points:
+        powers = [_int_powers(ctx.e(zj), K) for zj in z]
+        for out, row in zip(values, terms):
+            total = mpc(0)
+            for w, k in row:
+                for pj, kj in zip(powers, k):
+                    w *= pj[kj]
+                total += w
+            out.append(total)
     return values
 
 
+@at_context_precision
 def theta_symmetrization_rows(Q, gens, ctx, samples=None):
     """The group average of the theta basis at seeded points: one row per c, one column per point."""
     n = len(Q)
@@ -495,7 +499,7 @@ def theta_symmetrization_rows(Q, gens, ctx, samples=None):
     return [[sum((row[col] for col in cols), mpc(0)) / len(group) for cols in index] for row in vals]
 
 
-def theta_symmetrization_rank(Q, gens, ctx=None, samples=None, gap=mpf("1e6")):
+def theta_symmetrization_rank(Q, gens, ctx=None, samples=None):
     """Oracle for `invariant_dimension`: numeric rank of the symmetrizer.
 
     The degree-Q theta bundle on E^n has the basis f_c of
@@ -506,8 +510,8 @@ def theta_symmetrization_rank(Q, gens, ctx=None, samples=None, gap=mpf("1e6")):
     e(z_j).  The basis is averaged over the group at seeded points and the
     rank of that value matrix is read from its singular value gap.
     """
-    ctx = ctx or CurveContext(mpc("0.06", "1.13"), 96)
-    return numeric_rank(theta_symmetrization_rows(Q, gens, ctx, samples), gap=gap, prec=ctx.prec)
+    ctx = ctx or CurveContext(0.06 + 1.13j, 96)
+    return numeric_rank(theta_symmetrization_rows(Q, gens, ctx, samples), prec=ctx.prec)
 
 
 def _mp_matrix(Q):
@@ -520,8 +524,8 @@ def _mp_matrix(Q):
 
 
 def singular_values(rows, prec=192):
-    """Singular values of the matrix `rows` at prec + 16 bits, largest first."""
-    with mp.workprec(prec + 16):
+    """Singular values of the matrix `rows` at prec + GUARD_BITS bits, largest first."""
+    with mp.workprec(prec + GUARD_BITS):
         A = matrix(len(rows), len(rows[0]))
         for i, row in enumerate(rows):
             for j, v in enumerate(row):
@@ -530,13 +534,13 @@ def singular_values(rows, prec=192):
         return sorted((abs(S[i]) for i in range(len(S))), reverse=True)
 
 
-def numeric_rank(rows, gap=mpf("1e6"), prec=192):
-    """Rank detection by singular-value gap at multiprecision."""
+def numeric_rank(rows, prec=192):
+    """Rank detection by a singular-value gap above RANK_GAP at multiprecision."""
     svals = singular_values(rows, prec)
     if not svals or svals[0] == 0:
         return 0
-    with mp.workprec(prec + 16):
+    with mp.workprec(prec + GUARD_BITS):
         for r in range(1, len(svals)):
-            if svals[r] == 0 or svals[r - 1] / max(svals[r], mpf("1e-99999")) > gap:
+            if svals[r] == 0 or svals[r - 1] / max(svals[r], mpf("1e-99999")) > RANK_GAP:
                 return r
     return len(svals)

@@ -3,9 +3,12 @@ import random
 import pytest
 from mpmath import mp, mpc, mpf
 
-mp.prec = 320
+#: the tests' own input precision: constants and derived inputs of the tests
+#: are formed at 320 bits; the library computes at each context's precision
+INPUT_PREC = 320
 
-# imported after mp.prec is set, so module constants are parsed at 320 bits
+mp.prec = INPUT_PREC  # for the module constants parsed at import
+
 from ccnops.diffop import op_defect, rel_defect as rel  # noqa: E402,F401 (shared with the test modules)
 
 TAU = mpc("0.13", "1.09")
@@ -13,6 +16,12 @@ Q = mpc("0.21", "0.39")
 T = mpc("0.31", "0.17")
 ETA = mpc("0.17", "0.11")
 TOL = mpf("1e-25")
+
+
+@pytest.fixture(autouse=True)
+def input_precision():
+    """Pin the input precision before each test; a CLI session run earlier may have changed it."""
+    mp.prec = INPUT_PREC
 
 
 @pytest.fixture(scope="session")

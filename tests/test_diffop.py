@@ -230,6 +230,10 @@ def test_serialization_roundtrip(ctx):
     z = sample_points(2, 1)[0]
     for k in D.support():
         assert rel(D.eval_coeff(ctx, k, z), D2.eval_coeff(ctx, k, z)) == 0
+    # the 320-bit parameters survive a round trip made under a 53-bit global precision
+    with mp.workprec(53):
+        D3 = DifferenceOperator.from_text(D.to_text())
+    assert {s: v._mpc_ for s, v in D3.params.items()} == {s: v._mpc_ for s, v in D.params.items()}
 
 
 def test_parity_enforced():

@@ -163,7 +163,7 @@ def _theta_by_definition(ctx, Q, c, z):
     """
     n = len(Q)
     total = mpc(0)
-    with mp.workprec(ctx.prec + 16):
+    with mp.workprec(ctx._wp):
         for m0 in itertools.product(range(-8, 9), repeat=n):
             m = [m0[i] + mpf(c[i].numerator) / c[i].denominator for i in range(n)]
             quad = sum(m[i] * Q[i][j] * m[j] for i in range(n) for j in range(n))
