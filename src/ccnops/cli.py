@@ -24,6 +24,7 @@ import functools
 import hashlib
 import json
 import os
+import random
 import sys
 import time
 from fractions import Fraction
@@ -398,8 +399,6 @@ def _suite_van_diejen(S):
         if abs(sum(xs) - 2 * S["eta_prime"]) > mpf("1e-12"):
             raise ConfigError("van-diejen needs sum(x_j) = 2*eta_prime")
     else:
-        import random
-
         rng = random.Random(S["seed"] + 1000)
         xs = [mpc(rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2)) for _ in range(8)]
     zpts = _sample_points(S, n, 2)
@@ -467,8 +466,6 @@ def _suite_degenerations(S):
 
 
 def _sample_points(S, n, count):
-    import random
-
     rng = random.Random(S["seed"] + 77)
     return [
         tuple(mpc(rng.uniform(-0.35, 0.35), rng.uniform(-0.25, 0.25)) for _ in range(n))
@@ -477,8 +474,6 @@ def _sample_points(S, n, count):
 
 
 def _c(S, salt):
-    import random
-
     rng = random.Random(S["seed"] * 1000 + salt)
     return mpc(rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2))
 
@@ -585,23 +580,19 @@ def cmd_eval(args, cfg):
         return 0
     if head == "family":
         op = _registry_build(tokens[1], tokens[2:], S)
-        at = _eval_kv(tokens[2:]).get("at")
-        z = tuple(parse_complex(p) for p in (at.split(";") if at else ["0.11+0.13j"] * op.n))
-        for k in op.support():
-            print("%s  %s" % (tuple(str(x) for x in k), mp.nstr(op.eval_coeff(ctx, k, z), 30)))
-        return 0
-    if head == "compose":
-        spec1, spec2 = tokens[1], tokens[2]
-        rest = tokens[3:]
-        op1 = _registry_build(*_split_spec(spec1), S)
-        op2 = _registry_build(*_split_spec(spec2), S)
+        rest = tokens[2:]
+    elif head == "compose":
+        op1 = _registry_build(*_split_spec(tokens[1]), S)
+        op2 = _registry_build(*_split_spec(tokens[2]), S)
         op = op1.compose(op2)
-        at = _eval_kv(rest).get("at")
-        z = tuple(parse_complex(p) for p in (at.split(";") if at else ["0.11+0.13j"] * op.n))
-        for k in op.support():
-            print("%s  %s" % (tuple(str(x) for x in k), mp.nstr(op.eval_coeff(ctx, k, z), 30)))
-        return 0
-    raise ConfigError("unknown eval form %r" % head)
+        rest = tokens[3:]
+    else:
+        raise ConfigError("unknown eval form %r" % head)
+    at = _eval_kv(rest).get("at")
+    z = tuple(parse_complex(p) for p in (at.split(";") if at else ["0.11+0.13j"] * op.n))
+    for k in op.support():
+        print("%s  %s" % (tuple(str(x) for x in k), mp.nstr(op.eval_coeff(ctx, k, z), 30)))
+    return 0
 
 
 def _split_spec(spec):

@@ -17,24 +17,32 @@ two independent u-probes, and the denominators of the two coefficients under
 test as the avoid list.  `SectionModel.condition_rows` builds the solver's
 linear system over an ansatz basis: four components, one probe, and every
 basis denominator as the avoid list.  Holomorphy along a divisor is never a
-limit extraction: coefficients carry explicit denominator factor lists, and a
-residue is read off the unique vanishing factor.
+limit extraction: both read structured coefficients (`ExprCoefficient`, a sum
+of scaled ThetaExprs with explicit denominator factors), and a residue is read
+off the unique vanishing factor.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
-from .curve import GUARD_BITS, MAX_RETRIES, PoleProximityError, at_context_precision, exact_mpc
+from .curve import (
+    GUARD_BITS,
+    MAX_RETRIES,
+    PoleProximityError,
+    at_context_precision,
+    exact_mpc,
+    point_key,
+)
 from .diffop import (
     DegreeVector,
     DifferenceOperator,
     ExprCoefficient,
-    SumCoefficient,
     bindings_for,
     identity_operator,
     rel_defect,
@@ -186,7 +194,7 @@ def enumerate_conditions(degree, lam, params, n, family="even", lattice="coroot"
         for i in range(n):
             for jx in range(nx):
                 lo = k[i] + Fraction(d2.s - d1.s, 2) + r1[jx]
-                for l in range(int(mp.ceil(float(lo))) if lo > int(lo) else int(lo), r2[jx]):
+                for l in range(math.ceil(lo), r2[jx]):
                     point = AffineForm.var("x%d" % (jx + 1)) - qf * Fraction(2 * l - d2.s + 1, 2)
                     specs.append(
                         ConditionSpec(
@@ -194,7 +202,7 @@ def enumerate_conditions(degree, lam, params, n, family="even", lattice="coroot"
                         )
                     )
                 lo = -k[i] + Fraction(d2.s - d1.s, 2) + r1[jx]
-                for l in range(int(mp.ceil(float(lo))) if lo > int(lo) else int(lo), r2[jx]):
+                for l in range(math.ceil(lo), r2[jx]):
                     point = AffineForm.var("x%d" % (jx + 1)) * -1 + qf * Fraction(2 * l - d2.s + 1, 2)
                     specs.append(
                         ConditionSpec(
@@ -215,13 +223,12 @@ def enumerate_conditions(degree, lam, params, n, family="even", lattice="coroot"
 
 
 def _residue_parts(coeff):
-    """(scale, ThetaExpr, params) parts of a coefficient; [] for an absent one."""
+    """(scale, ThetaExpr, params) parts of a coefficient; () for an absent one."""
     if coeff is None:
-        return []
-    parts = coeff.residue_parts()
-    if parts is None:
+        return ()
+    if not isinstance(coeff, ExprCoefficient):
         raise ValueError("residue checks need structured coefficients")
-    return parts
+    return coeff.parts
 
 
 def _residue_of_parts(ctx, parts, zstar, beta_coeffs, tol=mpf("1e-9")):
@@ -345,19 +352,21 @@ def _bracket(ctx, spec, zstar, u, X, q, n):
     return val
 
 
-def _collect_avoid(op, keys):
-    avoid = []
-    for k in keys:
-        c = op.coefficient(k)
-        if c is None:
+def _collect_avoid(coeffs):
+    """The distinct (denominator form, params) poles of the structured coefficients.
+
+    Entries that read equal forms at equal parameter values are one pole, so
+    each is kept once: `_divisor_sample` tests every entry at every try.
+    """
+    avoid = {}
+    for c in coeffs:
+        if not isinstance(c, ExprCoefficient):
             continue
-        parts = c.residue_parts()
-        if parts is None:
-            continue
-        for _, expr, params in parts:
+        for _, expr, params in c.parts:
             for form in expr.denominator_forms():
-                avoid.append((form, params))
-    return avoid
+                values = tuple((s, point_key(params[s])) for s in sorted(form.coeffs) if s in params)
+                avoid.setdefault((form.key(), values), (form, params))
+    return list(avoid.values())
 
 
 def _residue_samples(ctx, rng, spec, n, env, components, samples, probes, avoid):
@@ -418,7 +427,7 @@ def check_residue(ctx, op, specs, env, samples=2, seed=11, tol=mpf("1e-25")):
         parts_a = _residue_parts(op.coefficient(spec.k))
         parts_b = _residue_parts(op.coefficient(spec.k2))
         beta_coeffs = _beta_form(spec.beta, n)
-        avoid = _collect_avoid(op, [spec.k, spec.k2])
+        avoid = _collect_avoid([op.coefficient(spec.k), op.coefficient(spec.k2)])
         for comp, snum, zstar, (b1, b2) in _residue_samples(
             ctx, rng, spec, n, env, _CHECK_COMPONENTS, samples, 2, avoid
         ):
@@ -470,7 +479,7 @@ def check_vanishing(ctx, op, specs, env, samples=2, seed=13, tol=mpf("1e-25")):
 def check_polarization(ctx, fn, expected, samples=2, seed=17, tol=mpf("1e-25")):
     """Measured tau-translation multipliers against the predicted (Q, w) form.
 
-    fn: callable z -> value (or a Coefficient); expected: PolarizationRecord.
+    fn: callable z -> value (or a coefficient); expected: PolarizationRecord.
     The z-independent constant of each multiplier is free (it absorbs the
     bundle's C-constants); the z-dependent part must match e(-(Q z)_i - ...).
     """
@@ -523,7 +532,7 @@ def _univariate_basis(params, zsym, count, zero_sum, rng):
         params[last] = mpc(zero_sum) - sum(params[s] for s in syms)
         forms = [AffineForm.var(s) - AffineForm.var(zsym) for s in syms]
         forms.append(AffineForm.var(last) - AffineForm.var(zsym))
-        out.append(ThetaExpr(tuple((f, 1) for f in forms), 1, None, 1))
+        out.append(ThetaExpr(tuple((f, 1) for f in forms), 1))
     return out
 
 
@@ -543,7 +552,7 @@ def _even_univariate_basis(params, zsym, degree, rng, tag):
             a = AffineForm.var(s)
             forms.append((a + AffineForm.var(zsym), 1))
             forms.append((a - AffineForm.var(zsym), 1))
-        out.append(ThetaExpr(tuple(forms), 1, None, 1))
+        out.append(ThetaExpr(tuple(forms), 1))
     return out
 
 
@@ -574,8 +583,8 @@ def _symmetric_square(shared, uni):
 def _orbit_coefficients(n, mu, corner_parts, params):
     """Spread a corner at shift -mu over its signed-permutation orbit by invariance.
 
-    corner_parts: ThetaExprs summed at the corner.  Returns shift -> an
-    ExprCoefficient for one part, a SumCoefficient for several.
+    corner_parts: ThetaExprs summed at the corner.  Returns shift -> their
+    ExprCoefficient.
     """
     corner = tuple(-x for x in mu)
     coeffs = {}
@@ -587,8 +596,9 @@ def _orbit_coefficients(n, mu, corner_parts, params):
         mapping = {
             "z%d" % (i + 1): AffineForm({"z%d" % (iperm[i] + 1): isigns[i]}) for i in range(n)
         }
-        parts = [ExprCoefficient(p.substitute(mapping), params) for p in corner_parts]
-        coeffs[k] = parts[0] if len(parts) == 1 else SumCoefficient(parts)
+        coeffs[k] = ExprCoefficient.sum(
+            ExprCoefficient(p.substitute(mapping), params) for p in corner_parts
+        )
     return coeffs
 
 
@@ -621,9 +631,9 @@ class SectionModel:
         rng = random.Random(seed)
         ctx, n = self.ctx, self.n
         rows = []
-        avoid = []
-        for _, op in self.basis_ops:
-            avoid.extend(_collect_avoid(op, op.support()))
+        avoid = _collect_avoid(
+            op.coefficient(k) for _, op in self.basis_ops for k in op.support()
+        )
         for spec in specs:
             if spec.kind == "residue-pair":
                 beta_coeffs = _beta_form(spec.beta, n)
@@ -664,26 +674,14 @@ class SectionModel:
             return self._operator(vec)
 
     def _operator(self, vec):
-        total = {}
+        terms = {}
         for x, (_, op) in zip(vec, self.basis_ops):
             if abs(x) < mpf("1e-40"):
                 continue
             for k, c in op.coeffs.items():
-                for s0, expr, prms in c.residue_parts():
-                    total.setdefault(k, []).append(
-                        ExprCoefficient(expr, prms, mpc(x) * _as_mpc(s0))
-                    )
-        coeffs = {
-            k: (parts[0] if len(parts) == 1 else SumCoefficient(parts))
-            for k, parts in total.items()
-        }
+                terms.setdefault(k, []).append(c.scaled(x))
+        coeffs = {k: ExprCoefficient.sum(cs) for k, cs in terms.items()}
         return DifferenceOperator(self.n, coeffs, self.params, self.degree)
-
-
-def _as_mpc(x):
-    if isinstance(x, Fraction):
-        return mpc(x.numerator) / x.denominator
-    return mpc(x)
 
 
 def nullspace_basis(rows, ncols, prec=256):
@@ -739,7 +737,7 @@ def first_order_model(ctx, n, dprime, eta_prime, q, t, seed=31):
             arg = zvar(i) * -1 - zvar(j)
             shared.append((tf + arg, 1))
             shared.append((arg, -1))
-    shared_expr = ThetaExpr(tuple(shared), 1, None, n)
+    shared_expr = ThetaExpr(tuple(shared), n)
     lam = tuple(Fraction(1, 2) for _ in range(n))
     env = {"q": params["q"], "t": params["t"], "eta_prime": exact_mpc(eta_prime)}
     degree = (DegreeVector(), DegreeVector(0, 1, dprime))
@@ -784,7 +782,7 @@ def vandiejen_model(ctx, xs, q, t, n, eta_prime=None, seed=37):
 
     def gblock(i):
         """1 / theta(-q-2z_i, q-2z_i)."""
-        return ThetaExpr((((qf * -1) - zvar(i) * 2, -1), (qf - zvar(i) * 2, -1)), 1, None, n)
+        return ThetaExpr((((qf * -1) - zvar(i) * 2, -1), (qf - zvar(i) * 2, -1)), n)
 
     def cross_block(i, j):
         """1/[theta(z_i+z_j+q) theta(z_i+z_j-q) theta(z_i-z_j+q) theta(z_i-z_j-q)]."""
@@ -793,7 +791,7 @@ def vandiejen_model(ctx, xs, q, t, n, eta_prime=None, seed=37):
             arg = zvar(i) + zvar(j) * sz
             fs.append((arg + qf, -1))
             fs.append((arg - qf, -1))
-        return ThetaExpr(tuple(fs), 1, None, n)
+        return ThetaExpr(tuple(fs), n)
 
     # top weight (1^n): the prescribed 1-dimensional corner
     model.add_weight_basis(lam, [[van_diejen_leading_expr(n, n)]])

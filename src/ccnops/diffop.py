@@ -5,9 +5,11 @@ half-integer parity class) to coefficient evaluators:
 
     (D f)(z) = sum_k c_k(z) f(z + q*k),
 
-so T_i pulls a function back through z_i -> z_i + q.  Coefficients carry
-their denominator theta factors explicitly, which lets the condition
-checkers evaluate residues on divisors instead of extracting limits.
+so T_i pulls a function back through z_i -> z_i + q.  A coefficient is either
+structured, an `ExprCoefficient` (a sum of scaled ThetaExprs, so its
+denominator theta factors are explicit and the condition checkers evaluate
+residues on divisors instead of extracting limits), or an opaque
+`FnCoefficient` (compositions, formal tails).
 """
 
 from __future__ import annotations
@@ -71,96 +73,56 @@ def op_defect(ctx, A, B, pts):
     return worst
 
 
-class Coefficient:
-    """Base evaluator; subclasses add residue support where structure allows."""
+class ExprCoefficient:
+    """A structured coefficient: the sum of scale * expr over its parts.
 
-    denominators = ()
-
-    def eval(self, ctx, z):
-        raise NotImplementedError
-
-    def transformed(self, assignments, params=None):
-        """Precompose the evaluator with an affine substitution of z symbols."""
-        raise NotImplementedError
-
-    def scaled(self, expr_or_const):
-        raise NotImplementedError
-
-    def residue_parts(self):
-        """List of (scale, ThetaExpr, params) if residue-capable, else None."""
-        return None
-
-
-class ExprCoefficient(Coefficient):
-    """ThetaExpr-backed coefficient with parameter bindings."""
+    parts: tuple of (scale, ThetaExpr, params) triples, params binding each
+    expression's parameter symbols.  `ExprCoefficient(expr, params, scale)`
+    is the one-part coefficient and `ExprCoefficient.sum` joins several.
+    """
 
     def __init__(self, expr, params, scale=1):
-        self.expr = expr
-        self.params = dict(params)
-        self.scale = scale
+        self.parts = ((scale, expr, dict(params)),)
+
+    @staticmethod
+    def sum(coeffs):
+        """One coefficient holding the parts of every coefficient in coeffs, in order."""
+        out = object.__new__(ExprCoefficient)
+        out.parts = tuple(part for c in coeffs for part in c.parts)
+        return out
 
     def eval(self, ctx, z):
-        v = self.expr.eval(ctx, bindings_for(self.params, z))
-        if self.scale == 1:
-            return v
         with mp.workprec(ctx._wp):
-            return mpc(self.scale) * v
-
-    @property
-    def denominators(self):
-        return self.expr.denominator_forms()
-
-    def transformed(self, assignments, params=None):
-        return ExprCoefficient(self.expr.substitute(assignments), self.params, self.scale)
-
-    def scaled(self, factor):
-        if isinstance(factor, ThetaExpr):
-            return ExprCoefficient(self.expr * factor, self.params, self.scale)
-        return ExprCoefficient(self.expr, self.params, mul_scales(self.scale, factor))
-
-    def scaled_expr(self, expr, params=None):
-        return ExprCoefficient(self.expr * expr, self.params, self.scale)
-
-    def residue_parts(self):
-        return [(self.scale, self.expr, self.params)]
-
-
-class SumCoefficient(Coefficient):
-    """Linear combination of ThetaExpr-backed coefficients (residue-capable)."""
-
-    def __init__(self, parts):
-        self.parts = [p if isinstance(p, ExprCoefficient) else ExprCoefficient(*p) for p in parts]
-
-    @at_context_precision
-    def eval(self, ctx, z):
-        return sum((p.eval(ctx, z) for p in self.parts), mpc(0))
-
-    @property
-    def denominators(self):
-        out = []
-        for p in self.parts:
-            out.extend(p.denominators)
-        return tuple(out)
+            total = mpc(0)
+            for scale, expr, params in self.parts:
+                v = expr.eval(ctx, bindings_for(params, z))
+                total += v if scale == 1 else mpc(scale) * v
+        return total
 
     def transformed(self, assignments, params=None):
-        return SumCoefficient([p.transformed(assignments, params) for p in self.parts])
+        """Precompose with an affine substitution of z symbols."""
+        return ExprCoefficient.sum(
+            ExprCoefficient(expr.substitute(assignments), prms, scale)
+            for scale, expr, prms in self.parts
+        )
 
     def scaled(self, factor):
-        return SumCoefficient([p.scaled(factor) for p in self.parts])
+        return ExprCoefficient.sum(
+            ExprCoefficient(expr, prms, mul_scales(scale, factor))
+            for scale, expr, prms in self.parts
+        )
 
     def scaled_expr(self, expr, params=None):
-        return SumCoefficient([p.scaled_expr(expr) for p in self.parts])
+        return ExprCoefficient.sum(
+            ExprCoefficient(e * expr, prms, scale) for scale, e, prms in self.parts
+        )
 
-    def residue_parts(self):
-        return [(p.scale, p.expr, p.params) for p in self.parts]
 
+class FnCoefficient:
+    """Opaque evaluator (operator products, formal tails); memoized per (context, exact point)."""
 
-class FnCoefficient(Coefficient):
-    """Opaque evaluator (operator products, solver output); memoized per (context, exact point)."""
-
-    def __init__(self, fn, denominators=()):
+    def __init__(self, fn):
         self.fn = fn
-        self.denominators = tuple(denominators)
         self._cache = {}
 
     def eval(self, ctx, z):
@@ -179,20 +141,11 @@ class FnCoefficient(Coefficient):
 
         return FnCoefficient(fn)
 
-    def scaled(self, factor):
-        if isinstance(factor, ThetaExpr):
-            raise ValueError("opaque coefficients need scaled_expr for symbolic factors")
-
-        def fn(ctx, z, inner=self, factor=factor):
-            return mpc(factor) * inner.eval(ctx, z)
-
-        return FnCoefficient(fn, self.denominators)
-
     def scaled_expr(self, expr, params):
         def fn(ctx, z, inner=self, expr=expr, params=params):
             return inner.eval(ctx, z) * expr.eval(ctx, bindings_for(params, z))
 
-        return FnCoefficient(fn, self.denominators + expr.denominator_forms())
+        return FnCoefficient(fn)
 
 
 def mul_scales(a, b):
@@ -272,25 +225,12 @@ class DifferenceOperator:
         return self.compose(other)
 
     def scaled(self, factor):
+        """factor * self; every coefficient must be structured."""
+        if not all(isinstance(c, ExprCoefficient) for c in self.coeffs.values()):
+            raise ValueError("only operators with structured coefficients scale")
         return DifferenceOperator(
             self.n, {k: c.scaled(factor) for k, c in self.coeffs.items()}, self.params, self.degree
         )
-
-    def add(self, other, scale=1):
-        keys = set(self.coeffs) | set(other.coeffs)
-        coeffs = {}
-        for k in keys:
-            a, b = self.coefficient(k), other.coefficient(k)
-            if a is not None and b is not None:
-                def fn(ctx, z, a=a, b=b, scale=scale):
-                    return a.eval(ctx, z) + mpc(scale) * b.eval(ctx, z)
-
-                coeffs[k] = FnCoefficient(fn)
-            elif a is not None:
-                coeffs[k] = a
-            else:
-                coeffs[k] = b if scale == 1 else b.scaled(scale)
-        return DifferenceOperator(self.n, coeffs, self.params, self.degree)
 
     # -- group action -----------------------------------------------------
 

@@ -81,7 +81,7 @@ def first_order(ulist, t, q, n, params=None):
                 arg = zvar(i + 1) * sigma[i] + zvar(j + 1) * sigma[j]
                 factors.append((tsym + arg, 1))
                 factors.append((arg, -1))
-        expr = ThetaExpr(tuple(factors), 1, None, n)
+        expr = ThetaExpr(tuple(factors), n)
         key = tuple(Fraction(s, 2) for s in sigma)
         coeffs[key] = ExprCoefficient(expr, params)
     dprime = len(ulist) // 2 - 1
@@ -97,7 +97,7 @@ def theta_pm_multiplier(u, n, params, exponent=1):
     for i in range(n):
         factors.append((zvar(i + 1) + uform, exponent))
         factors.append((zvar(i + 1) - uform, exponent))
-    return multiplication_operator(n, ThetaExpr(tuple(factors), 1, None, n), params)
+    return multiplication_operator(n, ThetaExpr(tuple(factors), n), params)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +139,7 @@ def cascade_leading_expr(d, n):
             if j > i:
                 for l in range(d):
                     factors.append((t + arg + q * l, 1))
-    return ThetaExpr(tuple(factors), 1, None, n)
+    return ThetaExpr(tuple(factors), n)
 
 
 @at_context_precision
@@ -168,7 +168,7 @@ def d_torsion_closed_form(d, q, t, n, ctx, params=None, tol=mpf("1e-6")):
                 for l in range(d):
                     factors.append((tf + arg + qf * l, 1))
                     factors.append((arg + qf * l, -1))
-        expr = ThetaExpr(tuple(factors), 1, None, n)
+        expr = ThetaExpr(tuple(factors), n)
         key = tuple(Fraction(s * d, 2) for s in sigma)
         coeffs[key] = ExprCoefficient(expr, params)
     degree = (DegreeVector(0, 0, d), DegreeVector(0, d, 0))
@@ -415,7 +415,7 @@ def van_diejen_leading_expr(m, n, nx=8):
             for sz in (1, -1):
                 factors.append((t - zvar(i) + zvar(j) * sz, 1))
                 factors.append((zvar(i) * -1 + zvar(j) * sz, -1))
-    return ThetaExpr(tuple(factors), 1, None, n)
+    return ThetaExpr(tuple(factors), n)
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +428,6 @@ def wedge_section(univariate_ops, params):
     The univariate coefficients must be ThetaExpr-backed, so the result
     carries structured coefficients and supports the residue checkers.
     """
-    from .diffop import ExprCoefficient, SumCoefficient
-
     t = mpc(params.get("t", 0))
     if abs(t) > mpf("1e-30"):
         raise ValueError("the wedge construction requires t = 0")
@@ -444,7 +442,7 @@ def wedge_section(univariate_ops, params):
         for j in range(i + 1, n + 1):
             denom_factors.append((zvar(i) + zvar(j), -1))
             denom_factors.append((zvar(i) - zvar(j), -1))
-    denom = ThetaExpr(tuple(denom_factors), 1, None, n)
+    denom = ThetaExpr(tuple(denom_factors), n)
     support = {}
     for perm in itertools.permutations(range(n)):
         sign = _perm_sign(perm)
@@ -460,11 +458,10 @@ def wedge_section(univariate_ops, params):
             slot_parts = []
             for i in range(n):
                 c = univariate_ops[i].coefficient(combo[i])
-                cparts = c.residue_parts()
-                if cparts is None:
+                if not isinstance(c, ExprCoefficient):
                     raise ValueError("wedge needs ThetaExpr-backed univariate operators")
                 slot_parts.append(
-                    [(s, e.substitute({"z1": zvar(perm[i] + 1)})) for s, e, _ in cparts]
+                    [(s, e.substitute({"z1": zvar(perm[i] + 1)})) for s, e, _ in c.parts]
                 )
             for choice in itertools.product(*slot_parts):
                 expr = denom
@@ -473,7 +470,7 @@ def wedge_section(univariate_ops, params):
                     expr = expr * e
                     scale = mul_scales(scale, s)
                 parts.append(ExprCoefficient(expr, full, scale))
-        coeffs[k] = parts[0] if len(parts) == 1 else SumCoefficient(parts)
+        coeffs[k] = ExprCoefficient.sum(parts)
     return DifferenceOperator(n, coeffs, full)
 
 

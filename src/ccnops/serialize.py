@@ -15,7 +15,12 @@ from mpmath import mp
 from mpmath.libmp import from_man_exp
 
 from .curve import point_key
-from .symbols import AffineForm, Poly, ThetaExpr
+from .diffop import DifferenceOperator, ExprCoefficient
+from .symbols import AffineForm, ThetaExpr
+
+#: format 1 stores an exponential prefactor with every expression; a
+#: ThetaExpr has none, so these fields always hold the trivial one, 1 * e(0)
+_PREFACTOR = {"pref_const": {"frac": "1/1"}, "pref_exp": []}
 
 
 def _enc_frac(x):
@@ -62,35 +67,21 @@ def _dec_affine(d):
     return AffineForm({s: _dec_frac(c) for s, c in d["coeffs"].items()}, _dec_frac(d["const"]))
 
 
-def _enc_poly(p):
-    return [[[list(se) for se in mono], _enc_frac(c)] for mono, c in sorted(p.terms.items())]
-
-
-def _dec_poly(rows):
-    return Poly({tuple((s, int(e)) for s, e in mono): _dec_frac(c) for mono, c in rows})
-
-
 def _enc_expr(expr):
     return {
         "factors": [[_enc_affine(f), m] for f, m in expr.factors],
-        "pref_const": _enc_number(expr.pref_const),
-        "pref_exp": _enc_poly(expr.pref_exp),
         "arity": expr.arity,
+        **_PREFACTOR,
     }
 
 
 def _dec_expr(d):
-    return ThetaExpr(
-        tuple((_dec_affine(f), int(m)) for f, m in d["factors"]),
-        _dec_number(d["pref_const"]),
-        _dec_poly(d["pref_exp"]),
-        int(d["arity"]),
-    )
+    if any(d.get(key) != value for key, value in _PREFACTOR.items()):
+        raise ValueError("only the trivial expression prefactor 1 * e(0) is supported")
+    return ThetaExpr(tuple((_dec_affine(f), int(m)) for f, m in d["factors"]), int(d["arity"]))
 
 
 def operator_to_text(op):
-    from .diffop import ExprCoefficient, SumCoefficient
-
     doc = {
         "format": "ccnops-operator/1",
         "n": op.n,
@@ -99,17 +90,14 @@ def operator_to_text(op):
     }
     for k in op.support():
         c = op.coefficient(k)
-        if isinstance(c, ExprCoefficient):
-            parts = [c]
-        elif isinstance(c, SumCoefficient):
-            parts = c.parts
-        else:
+        if not isinstance(c, ExprCoefficient):
             raise ValueError("only ThetaExpr-backed coefficients serialize")
         doc["terms"].append(
             {
                 "shift": [_enc_frac(x) for x in k],
                 "parts": [
-                    {"scale": _enc_number(p.scale), "expr": _enc_expr(p.expr)} for p in parts
+                    {"scale": _enc_number(scale), "expr": _enc_expr(expr)}
+                    for scale, expr, _ in c.parts
                 ],
             }
         )
@@ -117,8 +105,6 @@ def operator_to_text(op):
 
 
 def operator_from_text(text):
-    from .diffop import DifferenceOperator, ExprCoefficient, SumCoefficient
-
     doc = json.loads(text)
     if doc.get("format") != "ccnops-operator/1":
         raise ValueError("unrecognized operator format")
@@ -126,9 +112,8 @@ def operator_from_text(text):
     coeffs = {}
     for term in doc["terms"]:
         k = tuple(_dec_frac(s) for s in term["shift"])
-        parts = [
+        coeffs[k] = ExprCoefficient.sum(
             ExprCoefficient(_dec_expr(p["expr"]), params, _dec_number(p["scale"]))
             for p in term["parts"]
-        ]
-        coeffs[k] = parts[0] if len(parts) == 1 else SumCoefficient(parts)
+        )
     return DifferenceOperator(int(doc["n"]), coeffs, params)

@@ -1,9 +1,9 @@
 """Formal layer: affine forms, theta-product expressions, Gamma-symbol ledgers.
 
 All coefficients are exact rationals.  A ThetaExpr is a finite product of
-theta factors with affine-linear arguments, an integer exponent each, and an
-exponential prefactor; a GammaProduct is a formal product of elliptic Gamma
-symbols with a fixed step, tracked by the polarization/weight ledger
+theta factors with affine-linear arguments, an integer exponent each; a
+GammaProduct is a formal product of elliptic Gamma symbols with a fixed step,
+tracked by the polarization/weight ledger
 
     pol(gamma_q(a)) = a(a-q)(2a-q) / 12q,      wt(gamma_q(a)) = -a/q,
 
@@ -44,10 +44,6 @@ class Poly:
         c = Fraction(c)
         return Poly({(): c} if c else {})
 
-    @staticmethod
-    def var(sym, exp=1):
-        return Poly({((sym, exp),): Fraction(1)})
-
     def __add__(self, other):
         out = dict(self.terms)
         for m, c in other.terms.items():
@@ -77,15 +73,6 @@ class Poly:
 
     def is_zero(self):
         return not self.terms
-
-    def eval(self, bind):
-        total = mpc(0)
-        for m, c in self.terms.items():
-            v = mpc(c.numerator) / c.denominator
-            for sym, e in m:
-                v *= mpc(bind[sym]) ** e
-            total += v
-        return total
 
     def __repr__(self):
         if not self.terms:
@@ -253,56 +240,25 @@ class PolarizationRecord:
 
 
 class ThetaExpr:
-    """Product of theta factors with an exponential prefactor; immutable.
+    """Product of theta factors over `arity` curve coordinates; immutable.
 
-    factors: tuple of (AffineForm, int exponent); prefactor: (constant,
-    Poly exponent) meaning constant * e(poly).  Full evaluations are
+    factors: tuple of (AffineForm, int exponent).  Full evaluations are
     memoized per (context, exact bindings).
     """
 
-    __slots__ = ("factors", "pref_const", "pref_exp", "arity", "_cache")
+    __slots__ = ("factors", "arity", "_cache")
 
-    def __init__(self, factors=(), pref_const=1, pref_exp=None, arity=0):
-        canon = []
-        for form, m in factors:
-            m = int(m)
-            if m:
-                canon.append((form, m))
-        self.factors = tuple(canon)
-        self.pref_const = pref_const
-        self.pref_exp = pref_exp if pref_exp is not None else Poly()
+    def __init__(self, factors=(), arity=0):
+        self.factors = tuple((form, int(m)) for form, m in factors if int(m))
         self.arity = arity
         self._cache = {}
 
     @staticmethod
     def one(arity=0):
-        return ThetaExpr((), 1, None, arity)
-
-    @staticmethod
-    def theta(form, arity=0):
-        return ThetaExpr(((form, 1),), 1, None, arity)
+        return ThetaExpr((), arity)
 
     def __mul__(self, other):
-        if isinstance(other, ThetaExpr):
-            return ThetaExpr(
-                self.factors + other.factors,
-                _cmul(self.pref_const, other.pref_const),
-                self.pref_exp + other.pref_exp,
-                max(self.arity, other.arity),
-            )
-        return ThetaExpr(self.factors, _cmul(self.pref_const, other), self.pref_exp, self.arity)
-
-    def power(self, k):
-        k = int(k)
-        return ThetaExpr(
-            tuple((f, m * k) for f, m in self.factors),
-            _cpow(self.pref_const, k),
-            self.pref_exp * k,
-            self.arity,
-        )
-
-    def inverse(self):
-        return self.power(-1)
+        return ThetaExpr(self.factors + other.factors, max(self.arity, other.arity))
 
     def weight(self):
         return -sum(m for _, m in self.factors)
@@ -339,26 +295,17 @@ class ThetaExpr:
         return tuple(f for f, m in self.factors if m < 0)
 
     def substitute(self, assignments):
-        return ThetaExpr(
-            tuple((f.substitute(assignments), m) for f, m in self.factors),
-            self.pref_const,
-            _poly_substitute(self.pref_exp, assignments),
-            self.arity,
-        )
+        return ThetaExpr(tuple((f.substitute(assignments), m) for f, m in self.factors), self.arity)
 
     def eval(self, ctx, bind, skip=None):
         """Evaluate at the bindings; `skip` omits one factor index (numerator path)."""
 
         def compute():
             with mp.workprec(ctx._wp):
-                val = mpc(self.pref_const if not isinstance(self.pref_const, Fraction)
-                          else mpc(self.pref_const.numerator) / self.pref_const.denominator)
-                if self.pref_exp.terms:
-                    val *= ctx.e(self.pref_exp.eval(bind))
+                val = mpc(1)
                 for idx, (form, m) in enumerate(self.factors):
-                    if skip is not None and idx == skip:
-                        continue
-                    val *= ctx.theta(form.eval(bind)) ** m
+                    if idx != skip:
+                        val *= ctx.theta(form.eval(bind)) ** m
             return val
 
         if skip is not None:
@@ -367,41 +314,7 @@ class ThetaExpr:
         return memo(self._cache, key, compute)
 
     def __repr__(self):
-        bits = []
-        if self.pref_const != 1 or self.pref_exp.terms:
-            bits.append("pref(%s, e(%s))" % (self.pref_const, self.pref_exp))
-        for f, m in self.factors:
-            bits.append("theta(%s)^%d" % (f, m))
-        return " * ".join(bits) if bits else "1"
-
-
-def _cmul(a, b):
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a * b
-    return mpc(a) * mpc(b) if not (a == 1) else b if not (b == 1) else 1
-
-
-def _cpow(a, k):
-    if isinstance(a, Fraction):
-        return a ** k
-    if a == 1:
-        return 1
-    return mpc(a) ** k
-
-
-def _poly_substitute(poly, assignments):
-    out = Poly()
-    for mono, c in poly.terms.items():
-        term = Poly.const(c)
-        for s, e in mono:
-            if s in assignments and e > 0:
-                p = assignments[s].to_poly()
-                for _ in range(e):
-                    term = term * p
-            else:
-                term = term * Poly.var(s, e)
-        out = out + term
-    return out
+        return " * ".join("theta(%s)^%d" % (f, m) for f, m in self.factors) or "1"
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +425,7 @@ class GammaProduct:
                 else:
                     for i in range(1, -k + 1):
                         factors.append((rep - self.step * i, -m))
-        return ThetaExpr(tuple(factors), 1, None, arity)
+        return ThetaExpr(tuple(factors), arity)
 
     def __repr__(self):
         return " * ".join("Gamma(%s)^%d" % (f, m) for f, m in self.terms) or "Gamma()"

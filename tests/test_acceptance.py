@@ -18,8 +18,8 @@ from ccnops.conditions import (
     enumerate_conditions,
     operator_span_contains,
     section_solve_first_order,
+    sections_by_weight,
     vandiejen_nullspace,
-    vandiejen_sections,
 )
 from ccnops.diffop import DegreeVector, DifferenceOperator, SelbergDensity
 from ccnops.families import (
@@ -245,7 +245,7 @@ def test_criterion_7_van_diejen_integrability(ctx, xs8):
     t0 = time.time()
     model, null = vandiejen_nullspace(ctx, xs8, Q, T, 2)
     assert len(null) == 3, "section space dimension %d != 3" % len(null)
-    _, sections = vandiejen_sections(ctx, xs8, Q, T, 2)
+    sections = sections_by_weight(model, null)
     pts = sample_points(2, 2, seed=37)
     worst = mpf(0)
     for a in range(1, 3):

@@ -1,9 +1,11 @@
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 from mpmath import mp, mpc, mpf
 
+from ccnops.conditions import section_solve_first_order
 from ccnops.curve import CurveContext
 from ccnops.diffop import (
     DifferenceOperator,
@@ -236,6 +238,29 @@ def test_serialization_roundtrip(ctx):
     assert {s: v._mpc_ for s, v in D3.params.items()} == {s: v._mpc_ for s, v in D.params.items()}
 
 
+def test_serialization_roundtrip_solved_operator(ctx):
+    # a solved operator sums scaled basis columns, so its coefficients have several parts
+    _, _, ops = section_solve_first_order(ctx, 1, 1, ETA, Q, T)
+    D = ops[0]
+    assert any(len(D.coefficient(k).parts) > 1 for k in D.support())
+    text = D.to_text()
+    D2 = DifferenceOperator.from_text(text)
+    assert D2.to_text() == text
+    z = sample_points(1, 1)[0]
+    for k in D.support():
+        assert D2.eval_coeff(ctx, k, z)._mpc_ == D.eval_coeff(ctx, k, z)._mpc_
+
+
+@pytest.mark.parametrize(
+    "field, value", [("pref_const", {"frac": "2/1"}), ("pref_exp", [[[["q", 1]], "1/2"]])]
+)
+def test_serialization_rejects_a_prefactor(field, value):
+    doc = json.loads(first_order(US, T, Q, 1).to_text())
+    doc["terms"][0]["parts"][0]["expr"][field] = value
+    with pytest.raises(ValueError):
+        DifferenceOperator.from_text(json.dumps(doc))
+
+
 def test_parity_enforced():
     with pytest.raises(ValueError):
         DifferenceOperator(
@@ -297,3 +322,10 @@ def test_op_defect_measures_a_leading_perturbation(ctx):
     coeffs = {k: (c.scaled(1 + mpf("1e-6")) if k == corner else c) for k, c in D.coeffs.items()}
     perturbed = DifferenceOperator(D.n, coeffs, D.params, D.degree)
     assert mpf("1e-7") < op_defect(ctx, D, perturbed, pts) < mpf("1e-5")
+
+
+def test_scaling_an_opaque_operator_raises():
+    D = first_order(US, T, Q, 1)
+    assert D.scaled(2).support() == D.support()
+    with pytest.raises(ValueError):
+        D.compose(D).scaled(2)
