@@ -6,20 +6,20 @@ t-divisor.  A single sampling pipeline feeds both of its consumers:
 
 * `_residue_samples` draws points on components of a root divisor
   {beta(z) + m q = lambda}, lambda in 0, 1, tau (and 1+tau), away from the
-  other denominator divisors, and evaluates the displayed theta correction
+  poles of a factor table, and evaluates the displayed theta correction
   bracket there at one or more u-probes;
 * `_vanishing_samples` draws points on an x- or t-divisor, each with a
   nearby reference point that sets the scale.
 
 Every point is put on its root divisor by the one rule `_place_on_root`.
-`check_residue`/`check_vanishing` verify a given operator: three components,
-two independent u-probes, and the denominators of the two coefficients under
-test as the avoid list.  `SectionModel.condition_rows` builds the solver's
-linear system over an ansatz basis: four components, one probe, and every
-basis denominator as the avoid list.  Holomorphy along a divisor is never a
-limit extraction: both read structured coefficients (`ExprCoefficient`, a sum
-of scaled ThetaExprs with explicit denominator factors), and a residue is read
-off the unique vanishing factor.
+Residues of structured coefficients (`ExprCoefficient`) are read through a
+factor table, `_Factors`, that holds each distinct theta argument once and
+evaluates it once per sample point: the pole test, the search for the unique
+vanishing factor and the numerator product all read those values, so
+holomorphy along a divisor is never a limit extraction.  `check_residue`
+builds a table over the two coefficients under test and uses three
+components and two u-probes; `SectionModel.condition_rows` builds one table
+over every basis coefficient and uses four components and one probe.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from mpmath import mp, mpc, mpf
+from mpmath import matrix, mp, mpc, mpf
 
 from .curve import (
     GUARD_BITS,
@@ -219,20 +219,63 @@ def enumerate_conditions(degree, lam, params, n, family="even", lattice="coroot"
 
 
 # ---------------------------------------------------------------------------
-# residue extraction
+# the factor table and residue extraction
 
 
-def _residue_parts(coeff):
-    """(scale, ThetaExpr, params) parts of a coefficient; () for an absent one."""
-    if coeff is None:
-        return ()
-    if not isinstance(coeff, ExprCoefficient):
-        raise ValueError("residue checks need structured coefficients")
-    return coeff.parts
+class _Factors:
+    """The distinct theta arguments of a set of structured coefficients.
+
+    `add` encodes a coefficient as parts (scale, ((argument, exponent), ...))
+    in factor order.  An argument is a (form, bindings of the parameters it
+    reads) pair, keyed on the form's coefficients in their stored order plus
+    the exact values it reads, so equal keys evaluate by the same operations
+    to the same bits.  `poles` keeps one argument per distinct denominator
+    pole (`form.key()` plus those values), in first-seen order.
+    """
+
+    def __init__(self):
+        self.args = []
+        self.poles = {}
+        self._index = {}
+
+    def add(self, coeff):
+        """The encoded parts of a coefficient; () for an absent one."""
+        if coeff is None:
+            return ()
+        if not isinstance(coeff, ExprCoefficient):
+            raise ValueError("residue checks need structured coefficients")
+        return tuple(
+            (scale, tuple((self._arg(form, params, m < 0), m) for form, m in expr.factors))
+            for scale, expr, params in coeff.parts
+        )
+
+    def _arg(self, form, params, pole):
+        reads = {s: params[s] for s in form.coeffs if s in params}
+        values = tuple((s, point_key(v)) for s, v in reads.items())
+        i = self._index.setdefault((tuple(form.coeffs.items()), form.const, values), len(self.args))
+        if i == len(self.args):
+            self.args.append((form, reads))
+        if pole:
+            self.poles.setdefault((form.key(), tuple(sorted(values))), i)
+        return i
 
 
-def _residue_of_parts(ctx, parts, zstar, beta_coeffs, tol=mpf("1e-9")):
-    """Residue of sum(scale * expr) along the divisor through zstar.
+class _Point(dict):
+    """Argument index of a `_Factors` table -> its value at the point `z`, filled on first use."""
+
+    def __init__(self, args, z):
+        super().__init__()
+        self.args = args
+        self.z = z
+
+    def __missing__(self, i):
+        form, reads = self.args[i]
+        val = self[i] = form.eval(bindings_for(reads, self.z))
+        return val
+
+
+def _residue_of_parts(ctx, parts, point, beta_coeffs, tol=mpf("1e-9")):
+    """Residue of the encoded parts' sum along the divisor through the point.
 
     The local coordinate is s = beta(z) + m q - lambda, traversed by varying
     the first coordinate beta involves; each part contributes through its
@@ -242,25 +285,26 @@ def _residue_of_parts(ctx, parts, zstar, beta_coeffs, tol=mpf("1e-9")):
     total = mpc(0)
     svar = next(i for i, c in enumerate(beta_coeffs) if c)
     bslope = beta_coeffs[svar]
-    for scale, expr, params in parts:
-        bind = bindings_for(params, zstar)
+    for scale, factors in parts:
         vanishing = None
-        for idx, (form, mexp) in enumerate(expr.factors):
+        for idx, (arg, mexp) in enumerate(factors):
             if mexp >= 0:
                 continue
-            val = form.eval(bind)
-            z0, a, b = ctx.lattice_reduce(val)
+            z0, a, b = ctx.lattice_reduce(point[arg])
             if abs(z0) < tol:
                 if vanishing is not None:
                     raise PoleProximityError("two denominator factors vanish at the sample")
                 if mexp != -1:
                     raise PoleProximityError("higher-order pole along the divisor")
-                vanishing = (idx, form, a, b)
+                vanishing = (idx, arg, a, b)
         if vanishing is None:
             continue
-        idx, form, a, b = vanishing
-        rest = expr.eval(ctx, bind, skip=idx)
-        slope = form.coeff("z%d" % (svar + 1)) / bslope
+        idx, arg, a, b = vanishing
+        rest = mpc(1)
+        for j, (other, m) in enumerate(factors):
+            if j != idx:
+                rest *= ctx.theta(point[other]) ** m
+        slope = point.args[arg][0].coeff("z%d" % (svar + 1)) / bslope
         deriv = ctx.theta_deriv_at_lattice(a, b) * mpc(slope.numerator) / slope.denominator
         total += mpc(scale) * rest / deriv
     return total
@@ -317,26 +361,24 @@ def _place_on_root(z, beta, target):
         z[i] = target / 2
 
 
-def _divisor_sample(ctx, rng, n, beta, target, avoid, tries=MAX_RETRIES):
-    """A random point of {beta(z) = target} at least 5e-3 from the avoid list's poles.
+def _divisor_sample(ctx, rng, n, beta, target, table, tries=MAX_RETRIES):
+    """A random point of {beta(z) = target} at least 5e-3 from the table's poles.
 
-    Denominator forms parallel to the divisor are excluded from the
-    rejection test (their vanishing is the pole under examination).
+    Returns the table's values at the point (a `_Point`).  Poles parallel to
+    the divisor are excluded from the rejection test (their vanishing is the
+    pole under examination).
     """
     beta_coeffs = _beta_form(beta, n)
     effective = [
-        (form, bind0) for form, bind0 in avoid if not _parallel(form, beta_coeffs, n)
+        i for i in table.poles.values() if not _parallel(table.args[i][0], beta_coeffs, n)
     ]
     margin = mpf("5e-3")
     for _ in range(tries):
         z = [mpc(rng.uniform(-0.4, 0.4), rng.uniform(-0.35, 0.35)) for _ in range(n)]
         _place_on_root(z, beta, target)
-        z = tuple(z)
-        if all(
-            ctx.dist_to_lattice(form.eval(bindings_for(bind0, z))) >= margin
-            for form, bind0 in effective
-        ):
-            return z
+        point = _Point(table.args, tuple(z))
+        if all(ctx.dist_to_lattice(point[i]) >= margin for i in effective):
+            return point
     raise PoleProximityError("could not sample the divisor away from other poles")
 
 
@@ -352,42 +394,25 @@ def _bracket(ctx, spec, zstar, u, X, q, n):
     return val
 
 
-def _collect_avoid(coeffs):
-    """The distinct (denominator form, params) poles of the structured coefficients.
-
-    Entries that read equal forms at equal parameter values are one pole, so
-    each is kept once: `_divisor_sample` tests every entry at every try.
-    """
-    avoid = {}
-    for c in coeffs:
-        if not isinstance(c, ExprCoefficient):
-            continue
-        for _, expr, params in c.parts:
-            for form in expr.denominator_forms():
-                values = tuple((s, point_key(params[s])) for s in sorted(form.coeffs) if s in params)
-                avoid.setdefault((form.key(), values), (form, params))
-    return list(avoid.values())
-
-
-def _residue_samples(ctx, rng, spec, n, env, components, samples, probes, avoid):
-    """Sample points for a residue-pair condition.
+def _residue_samples(ctx, rng, spec, n, env, components, samples, probes, table):
+    """Sample points for a residue-pair condition, away from the poles of `table`.
 
     Yields (component, sample number, point, brackets): `samples` points on
-    each component {beta(z) + m q = lambda} of the divisor, each with the
-    correction bracket, raised to the pair exponent, at `probes` u-probes.
-    The RNG draws the point first, then the probes in order.
+    each component {beta(z) + m q = lambda} of the divisor, each a `_Point`
+    of the table, with the correction bracket, raised to the pair exponent,
+    at `probes` u-probes.  The RNG draws the point first, then the probes.
     """
     q, _, X = _env_values(env, n)
     offsets = {"0": mpc(0), "1": mpc(1), "tau": ctx.tau, "1+tau": 1 + ctx.tau}
     for comp in components:
         target = offsets[comp] - spec.level * q
         for snum in range(samples):
-            zstar = _divisor_sample(ctx, rng, n, spec.beta, target, avoid)
+            point = _divisor_sample(ctx, rng, n, spec.beta, target, table)
             brackets = []
             for re_box, im_box in _PROBE_BOXES[:probes]:
                 u = mpc(rng.uniform(*re_box), rng.uniform(*im_box))
-                brackets.append(_bracket(ctx, spec, zstar, u, X, q, n) ** spec.exponent)
-            yield comp, snum, zstar, brackets
+                brackets.append(_bracket(ctx, spec, point.z, u, X, q, n) ** spec.exponent)
+            yield comp, snum, point, brackets
 
 
 def _vanishing_samples(rng, spec, n, env, samples):
@@ -424,15 +449,15 @@ def check_residue(ctx, op, specs, env, samples=2, seed=11, tol=mpf("1e-25")):
     for spec in specs:
         if spec.kind != "residue-pair":
             continue
-        parts_a = _residue_parts(op.coefficient(spec.k))
-        parts_b = _residue_parts(op.coefficient(spec.k2))
+        table = _Factors()
+        parts_a = table.add(op.coefficient(spec.k))
+        parts_b = table.add(op.coefficient(spec.k2))
         beta_coeffs = _beta_form(spec.beta, n)
-        avoid = _collect_avoid([op.coefficient(spec.k), op.coefficient(spec.k2)])
-        for comp, snum, zstar, (b1, b2) in _residue_samples(
-            ctx, rng, spec, n, env, _CHECK_COMPONENTS, samples, 2, avoid
+        for comp, snum, point, (b1, b2) in _residue_samples(
+            ctx, rng, spec, n, env, _CHECK_COMPONENTS, samples, 2, table
         ):
-            res_a = _residue_of_parts(ctx, parts_a, zstar, beta_coeffs)
-            res_b = _residue_of_parts(ctx, parts_b, zstar, beta_coeffs)
+            res_a = _residue_of_parts(ctx, parts_a, point, beta_coeffs)
+            res_b = _residue_of_parts(ctx, parts_b, point, beta_coeffs)
             probe_defect = rel_defect(b1, b2)
             combo = res_b + b1 * res_a
             scale = abs(res_b) + abs(b1 * res_a) + mpf("1e-30")
@@ -631,38 +656,25 @@ class SectionModel:
         rng = random.Random(seed)
         ctx, n = self.ctx, self.n
         rows = []
-        avoid = _collect_avoid(
-            op.coefficient(k) for _, op in self.basis_ops for k in op.support()
-        )
+        table = _Factors()
+        columns = [{k: table.add(op.coefficient(k)) for k in op.support()} for _, op in self.basis_ops]
         for spec in specs:
-            if spec.kind == "residue-pair":
-                beta_coeffs = _beta_form(spec.beta, n)
-                parts = [
-                    (_residue_parts(op.coefficient(spec.k)), _residue_parts(op.coefficient(spec.k2)))
-                    for _, op in self.basis_ops
-                ]
-                for _, _, zstar, (b1,) in _residue_samples(
-                    ctx, rng, spec, n, self.env, _SOLVE_COMPONENTS, 2, 1, avoid
-                ):
-                    row = []
-                    scale = mpf(0)
-                    for parts_a, parts_b in parts:
-                        ra = _residue_of_parts(ctx, parts_a, zstar, beta_coeffs)
-                        rb = _residue_of_parts(ctx, parts_b, zstar, beta_coeffs)
-                        row.append(rb + b1 * ra)
-                        scale = max(scale, abs(rb) + abs(b1 * ra))
-                    if scale > mpf("1e-60"):
-                        rows.append([v / scale for v in row])
-            elif spec.kind in _VANISHING:
-                coeffs = [op.coefficient(spec.k) for _, op in self.basis_ops]
-                for _, z, zref in _vanishing_samples(rng, spec, n, self.env, 2):
-                    row = []
-                    scale = mpf(0)
-                    for c in coeffs:
-                        row.append(c.eval(ctx, z) if c is not None else mpc(0))
-                        scale = max(scale, abs(c.eval(ctx, zref)) if c is not None else mpf(0))
-                    if scale > mpf("1e-60"):
-                        rows.append([v / scale for v in row])
+            if spec.kind != "residue-pair":
+                raise ValueError("condition rows are built from residue-pair specs only")
+            beta_coeffs = _beta_form(spec.beta, n)
+            parts = [(col.get(spec.k, ()), col.get(spec.k2, ())) for col in columns]
+            for _, _, point, (b1,) in _residue_samples(
+                ctx, rng, spec, n, self.env, _SOLVE_COMPONENTS, 2, 1, table
+            ):
+                row = []
+                scale = mpf(0)
+                for parts_a, parts_b in parts:
+                    ra = _residue_of_parts(ctx, parts_a, point, beta_coeffs)
+                    rb = _residue_of_parts(ctx, parts_b, point, beta_coeffs)
+                    row.append(rb + b1 * ra)
+                    scale = max(scale, abs(rb) + abs(b1 * ra))
+                if scale > mpf("1e-60"):
+                    rows.append([v / scale for v in row])
         return rows
 
     def nullspace(self, specs, seed=29):
@@ -686,18 +698,12 @@ class SectionModel:
 
 def nullspace_basis(rows, ncols, prec=256):
     """Nullspace of a complex matrix by SVD with singular-value gap detection (RANK_GAP)."""
-    import mpmath
-
     with mp.workprec(prec + GUARD_BITS):
         if not rows:
             return [[mpc(1) if i == j else mpc(0) for j in range(ncols)] for i in range(ncols)]
         while len(rows) < ncols:
             rows = rows + [[mpc(0)] * ncols]
-        A = mpmath.matrix(len(rows), ncols)
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                A[i, j] = v
-        U, S, V = mp.svd_c(A)
+        U, S, V = mp.svd_c(matrix(rows))
         svals = [abs(S[i]) for i in range(len(S))]
         smax = max(svals) if svals else mpf(1)
         # rows are normalized to O(1) ingredients, so an absolute floor is
@@ -709,11 +715,7 @@ def nullspace_basis(rows, ncols, prec=256):
             cut = max((s for s in svals if s <= floor), default=mpf(0))
             if cut > 0 and kept / cut < RANK_GAP:
                 raise ArithmeticError("singular value gap ambiguous: %s vs %s" % (kept, cut))
-        null = []
-        for j in range(rank, ncols):
-            vec = [mpmath.conj(V[j, i]) for i in range(ncols)]
-            null.append(vec)
-        return null
+        return [[mp.conj(V[j, i]) for i in range(ncols)] for j in range(rank, ncols)]
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,6 @@ class DegreeVector:
     f: int = 0
     e: tuple = ()
 
-    def __sub__(self, other):
-        ne = tuple(a - b for a, b in zip(self.e or (0,) * len(other.e or ()), other.e or (0,) * len(self.e or ())))
-        return DegreeVector(self.delta - other.delta, self.s - other.s, self.f - other.f, ne)
-
 
 def bindings_for(params, z):
     """The parameter bindings extended by z1, z2, ... for the point z."""
@@ -160,17 +156,15 @@ def mul_scales(a, b):
 class DifferenceOperator:
     """Finite difference operator with tagged degree data; immutable."""
 
-    def __init__(self, n, coeffs, params, degree=None, parity=None):
+    def __init__(self, n, coeffs, params, degree=None):
         self.n = n
         self.coeffs = {tuple(Fraction(x) for x in k): v for k, v in coeffs.items()}
         self.params = dict(params)
         self.degree = degree
-        pars = {x - int(x) if x >= 0 else x - int(x) + (1 if x % 1 else 0)
-                for k in self.coeffs for x in k}
-        pars = {Fraction(p) % 1 for p in pars} or {Fraction(0)}
+        pars = {x % 1 for k in self.coeffs for x in k} or {Fraction(0)}
         if len(pars) > 1:
             raise ValueError("support keys do not share a parity class")
-        self.parity = parity if parity is not None else pars.pop()
+        self.parity = pars.pop()
 
     @property
     def q(self):

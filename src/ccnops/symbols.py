@@ -242,8 +242,8 @@ class PolarizationRecord:
 class ThetaExpr:
     """Product of theta factors over `arity` curve coordinates; immutable.
 
-    factors: tuple of (AffineForm, int exponent).  Full evaluations are
-    memoized per (context, exact bindings).
+    factors: tuple of (AffineForm, int exponent).  Evaluations are memoized
+    per (context, exact bindings).
     """
 
     __slots__ = ("factors", "arity", "_cache")
@@ -291,25 +291,19 @@ class ThetaExpr:
         Q = self.zpart_quadratic(n)
         return all(not Q[i][j] for i in range(n) for j in range(n))
 
-    def denominator_forms(self):
-        return tuple(f for f, m in self.factors if m < 0)
-
     def substitute(self, assignments):
         return ThetaExpr(tuple((f.substitute(assignments), m) for f, m in self.factors), self.arity)
 
-    def eval(self, ctx, bind, skip=None):
-        """Evaluate at the bindings; `skip` omits one factor index (numerator path)."""
+    def eval(self, ctx, bind):
+        """The product at the bindings, memoized per (context, exact bindings)."""
 
         def compute():
             with mp.workprec(ctx._wp):
                 val = mpc(1)
-                for idx, (form, m) in enumerate(self.factors):
-                    if idx != skip:
-                        val *= ctx.theta(form.eval(bind)) ** m
+                for form, m in self.factors:
+                    val *= ctx.theta(form.eval(bind)) ** m
             return val
 
-        if skip is not None:
-            return compute()
         key = (ctx, tuple(sorted((s, point_key(v)) for s, v in bind.items())))
         return memo(self._cache, key, compute)
 

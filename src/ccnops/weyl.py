@@ -420,7 +420,7 @@ def automorphism_group(Q):
 
 def _theta_radius(Q, ctx):
     """Truncation radius B of the theta sums: m - c runs over the box [-B, B]^n."""
-    lam_min = min(mp.re(x) for x in mp.eigsy(_mp_matrix(Q), eigvals_only=True))
+    lam_min = min(mp.re(x) for x in mp.eigsy(matrix(Q), eigvals_only=True))
     return int(mp.sqrt((ctx.prec + 32) * mp.log(2) * 2 / (lam_min * 2 * mp.pi * ctx.tau.imag))) + 2
 
 
@@ -514,23 +514,10 @@ def theta_symmetrization_rank(Q, gens, ctx=None, samples=None):
     return numeric_rank(theta_symmetrization_rows(Q, gens, ctx, samples), prec=ctx.prec)
 
 
-def _mp_matrix(Q):
-    n = len(Q)
-    A = matrix(n, n)
-    for i in range(n):
-        for j in range(n):
-            A[i, j] = Q[i][j]
-    return A
-
-
 def singular_values(rows, prec=192):
     """Singular values of the matrix `rows` at prec + GUARD_BITS bits, largest first."""
     with mp.workprec(prec + GUARD_BITS):
-        A = matrix(len(rows), len(rows[0]))
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                A[i, j] = v
-        S = mp.svd_c(A, compute_uv=False)
+        S = mp.svd_c(matrix(rows), compute_uv=False)
         return sorted((abs(S[i]) for i in range(len(S))), reverse=True)
 
 

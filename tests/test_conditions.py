@@ -7,12 +7,14 @@ from mpmath import mpc, mpf
 from ccnops.conditions import (
     ConditionSpec,
     _beta_form,
+    _Factors,
     _residue_samples,
     _vanishing_samples,
     check_polarization,
     check_residue,
     check_vanishing,
     enumerate_conditions,
+    first_order_model,
     operator_span_contains,
     reflect_shift,
     section_solve,
@@ -245,20 +247,23 @@ def test_shared_sampler_on_divisor_and_off_poles(ctx, beta):
     # the divisor's own form is parallel and must not be avoided
     parallel = sum((f * c for f, c in zip(zf, _beta_form(beta, 2))), AffineForm.var("q") * m)
     others = [zf[0] - zf[1] + AffineForm.var("a"), zf[1] * 2 + AffineForm.var("b"), zf[0] + zf[1]]
-    avoid = [(f, params) for f in others + [parallel]]
+    table = _Factors()
+    table.add(ExprCoefficient(ThetaExpr(tuple((f, -1) for f in others + [parallel]), 2), params))
     offsets = {"0": mpc(0), "1": mpc(1), "tau": ctx.tau, "1+tau": 1 + ctx.tau}
     eps = mpf(2) ** -(ctx.prec - 8)
     for comp, lam in offsets.items():
         rng = random.Random(7)
-        samples = list(_residue_samples(ctx, rng, spec, 2, env, (comp,), 2, 2, avoid))
+        samples = list(_residue_samples(ctx, rng, spec, 2, env, (comp,), 2, 2, table))
         assert [(c, s) for c, s, _, _ in samples] == [(comp, 0), (comp, 1)]
-        for _, _, z, brackets in samples:
+        for _, _, point, brackets in samples:
+            z = point.z
             assert len(brackets) == 2
             assert abs(_beta_value(beta, z) + m * Q - lam) < eps
             for f in others:
                 assert ctx.dist_to_lattice(f.eval(bindings_for(params, z))) >= mpf("5e-3")
     # a pole that no point of the divisor avoids
-    stuck = [(AffineForm.var("p"), {"p": 1 + ctx.tau})]
+    stuck = _Factors()
+    stuck.add(ExprCoefficient(ThetaExpr(((AffineForm.var("p"), -1),), 2), {"p": 1 + ctx.tau}))
     with pytest.raises(PoleProximityError):
         next(_residue_samples(ctx, random.Random(7), spec, 2, env, ("0",), 1, 1, stuck))
     # the t-vanishing sampler puts its points on beta(z) = t + m q
@@ -276,3 +281,55 @@ def test_vandiejen_corner_matches_leading_expr(ctx, xs8):
     expr = van_diejen_leading_expr(1, 1)
     for z in sample_points(1, 2, seed=307):
         assert rel(corner.eval(ctx, z), expr.eval(ctx, bindings_for(model.params, z))) < TOL
+
+
+SUM_SPEC = ConditionSpec("residue-pair", "even", ("sum", 0, 1), 0, (F(1, 2), F(1, 2)), (F(-1, 2), F(-1, 2)), 1)
+
+
+def _one_coefficient_operator(factors):
+    params = {"q": Q, "t": T}
+    return DifferenceOperator(2, {SUM_SPEC.k: ExprCoefficient(ThetaExpr(factors, 2), params)}, params)
+
+
+def test_check_residue_rejects_opaque_coefficients(ctx):
+    D = first_order([], T, Q, 1)
+    spec = ConditionSpec("residue-pair", "even", ("double", 0), 0, (F(-1),), (F(1),), 2)
+    with pytest.raises(ValueError, match="structured coefficients"):
+        check_residue(ctx, D.compose(D), [spec], {"q": Q, "t": T, "eta_prime": ETA}, samples=1)
+
+
+def test_check_residue_rejects_a_double_pole(ctx):
+    op = _one_coefficient_operator(((zvar(1) + zvar(2), -2),))
+    with pytest.raises(PoleProximityError, match="higher-order pole"):
+        check_residue(ctx, op, [SUM_SPEC], {"q": Q, "t": T, "eta_prime": ETA}, samples=1)
+
+
+def test_check_residue_rejects_two_vanishing_factors(ctx):
+    op = _one_coefficient_operator(((zvar(1) + zvar(2), -1), (zvar(1) + zvar(2) + 1, -1)))
+    with pytest.raises(PoleProximityError, match="two denominator factors"):
+        check_residue(ctx, op, [SUM_SPEC], {"q": Q, "t": T, "eta_prime": ETA}, samples=1)
+
+
+def test_factor_table_shares_arguments_and_poles():
+    a = mpc("0.1", "0.05")
+    expr = ThetaExpr(((AffineForm.var("a") - zvar(1), -1), (zvar(1), 1)), 1)
+    table = _Factors()
+    # parts are (scale, ((argument, exponent), ...)) in factor order
+    assert table.add(ExprCoefficient(expr, {"q": Q, "a": a})) == ((1, ((0, -1), (1, 1))),)
+    # no factor reads q, so a different q shares every argument
+    assert table.add(ExprCoefficient(expr, {"q": T, "a": a})) == ((1, ((0, -1), (1, 1))),)
+    assert (len(table.args), len(table.poles)) == (2, 1)
+    # a different value of a is a second argument and a second pole
+    assert table.add(ExprCoefficient(expr, {"a": a + 1})) == ((1, ((2, -1), (1, 1))),)
+    assert (len(table.args), len(table.poles)) == (3, 2)
+    # the same form stored in another order is its own argument but the same pole
+    table.add(ExprCoefficient(ThetaExpr(((AffineForm({"z1": -1, "a": 1}), -1),), 1), {"a": a}))
+    assert (len(table.args), len(table.poles)) == (4, 2)
+    assert table.add(None) == ()
+
+
+def test_condition_rows_reject_vanishing_specs(ctx):
+    model = first_order_model(ctx, 1, 0, ETA, Q, T)
+    tspec = ConditionSpec("t-vanish", "even", ("double", 0), 0, (F(-1, 2),))
+    with pytest.raises(ValueError, match="residue-pair"):
+        model.condition_rows([tspec])
