@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import matrix, mp, mpc, mpf
+from mpmath.matrices.eigen_symmetric import svd_c_raw
 
 from .curve import (
     GUARD_BITS,
@@ -37,6 +38,7 @@ from .curve import (
     PoleProximityError,
     at_context_precision,
     exact_mpc,
+    memo,
     point_key,
 )
 from .diffop import (
@@ -261,17 +263,30 @@ class _Factors:
 
 
 class _Point(dict):
-    """Argument index of a `_Factors` table -> its value at the point `z`, filled on first use."""
+    """Argument index of a `_Factors` table -> its value at the point `z`, filled on first use.
 
-    def __init__(self, args, z):
+    `reduced(i)` and `theta(i)` hold the argument's `lattice_reduce` triple
+    and theta value the same way, so each is computed once per point.
+    """
+
+    def __init__(self, ctx, args, z):
         super().__init__()
+        self.ctx = ctx
         self.args = args
         self.z = z
+        self._reduced = {}
+        self._theta = {}
 
     def __missing__(self, i):
         form, reads = self.args[i]
         val = self[i] = form.eval(bindings_for(reads, self.z))
         return val
+
+    def reduced(self, i):
+        return memo(self._reduced, i, lambda: self.ctx.lattice_reduce(self[i]))
+
+    def theta(self, i):
+        return memo(self._theta, i, lambda: self.ctx.theta(self[i]))
 
 
 def _residue_of_parts(ctx, parts, point, beta_coeffs, tol=mpf("1e-9")):
@@ -290,7 +305,7 @@ def _residue_of_parts(ctx, parts, point, beta_coeffs, tol=mpf("1e-9")):
         for idx, (arg, mexp) in enumerate(factors):
             if mexp >= 0:
                 continue
-            z0, a, b = ctx.lattice_reduce(point[arg])
+            z0, a, b = point.reduced(arg)
             if abs(z0) < tol:
                 if vanishing is not None:
                     raise PoleProximityError("two denominator factors vanish at the sample")
@@ -303,7 +318,7 @@ def _residue_of_parts(ctx, parts, point, beta_coeffs, tol=mpf("1e-9")):
         rest = mpc(1)
         for j, (other, m) in enumerate(factors):
             if j != idx:
-                rest *= ctx.theta(point[other]) ** m
+                rest *= point.theta(other) ** m
         slope = point.args[arg][0].coeff("z%d" % (svar + 1)) / bslope
         deriv = ctx.theta_deriv_at_lattice(a, b) * mpc(slope.numerator) / slope.denominator
         total += mpc(scale) * rest / deriv
@@ -376,7 +391,7 @@ def _divisor_sample(ctx, rng, n, beta, target, table, tries=MAX_RETRIES):
     for _ in range(tries):
         z = [mpc(rng.uniform(-0.4, 0.4), rng.uniform(-0.35, 0.35)) for _ in range(n)]
         _place_on_root(z, beta, target)
-        point = _Point(table.args, tuple(z))
+        point = _Point(ctx, table.args, tuple(z))
         if all(ctx.dist_to_lattice(point[i]) >= margin for i in effective):
             return point
     raise PoleProximityError("could not sample the divisor away from other poles")
@@ -703,7 +718,9 @@ def nullspace_basis(rows, ncols, prec=256):
             return [[mpc(1) if i == j else mpc(0) for j in range(ncols)] for i in range(ncols)]
         while len(rows) < ncols:
             rows = rows + [[mpc(0)] * ncols]
-        U, S, V = mp.svd_c(matrix(rows))
+        # mp.svd_c's own kernel without the U that nothing here reads
+        V = mp.zeros(ncols, ncols)
+        S = svd_c_raw(mp, matrix(rows), V, calc_u=False)
         svals = [abs(S[i]) for i in range(len(S))]
         smax = max(svals) if svals else mpf(1)
         # rows are normalized to O(1) ingredients, so an absolute floor is

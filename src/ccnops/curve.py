@@ -6,8 +6,14 @@ The odd theta function is defined by its product formula
     theta(z) = (e(z/2)-e(-z/2)) prod_{j>=1} (1-e(j*tau+z))(1-e(j*tau-z))
                / prod_{j>=1} (1-e(j*tau))^2
 
-and evaluated through the equivalent lacunary sum formula (both are exposed,
-and their agreement is part of the identity suite).  The elliptic Gamma
+and evaluated through the equivalent lacunary sum formula; `theta_product`
+keeps the product formula as the reference path, and their agreement is part
+of the identity suite and the tests.  The sum runs in fixed point on Python
+integers at F = `ctx._wp` + GUARD_BITS bits (Brent & Zimmermann, Modern
+Computer Arithmetic, 2010, section 4.4): every term of size at most
+|e(z0/2)|^(2j+1) carries an absolute error of a few units of 2^-F, and the
+sum is rounded once to `ctx._wp` bits.  A reduced argument with
+|z0| < 2^-`ctx._wp` gives exactly 0 (see `_theta_reduced`).  The elliptic Gamma
 symbol is the meromorphic solution
 
     gamma_q(q+z) = theta(z) gamma_q(z)
@@ -32,7 +38,23 @@ import threading
 from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_float, from_int, fzero
+from mpmath.libmp import (
+    from_float,
+    from_int,
+    from_man_exp,
+    fzero,
+    mpf_add,
+    mpc_neg,
+    mpf_cos_sin_pi,
+    mpf_exp,
+    mpf_lt,
+    mpf_mul,
+    mpf_neg,
+    mpf_pi,
+    round_floor,
+    round_nearest,
+    to_fixed,
+)
 
 
 class ModulusError(ValueError):
@@ -149,9 +171,22 @@ class CurveContext:
             self._sum_weights = self._build_sum_weights()
             self._theta_denom = self._build_denominator()
             self.dtheta0 = self.two_pi_i  # theta'(0) from the product formula
+            # the fixed-point kernel's constants, as integers scaled by 2^F
+            self._fix = F = self._wp + GUARD_BITS
+            # each weight keeps all its bits: w_j scaled by 2^(F + s_j), 2^-s_j ~ |w_j|
+            self._fix_weights = []
+            for w in self._sum_weights:
+                re, im = w._mpc_
+                s = max(0, -max(re[2] + re[3], im[2] + im[3]))
+                self._fix_weights.append((to_fixed(re, F + s), to_fixed(im, F + s), s))
+            inv = (1 / self._theta_denom)._mpc_
+            self._fix_inv_denom = (to_fixed(inv[0], F), to_fixed(inv[1], F))
+            self._fix_pi = mpf_pi(F)
+            self._zero_sq = from_man_exp(1, -2 * self._wp)
         self._theta_cache = {}
         self._gamma_cache = {}
         self._c_pair_cache = {}
+        self._deriv_cache = {}
 
     # -- primitives -------------------------------------------------------
 
@@ -211,27 +246,67 @@ class CurveContext:
         with mp.workprec(self._wp):
             z0, m, n = self.lattice_reduce(z)
             val = self._theta_reduced(z0)
-            if m or n:
-                # theta(z0 + m + n*tau) = (-1)^(m+n) e(-n*z0 - n^2*tau/2) theta(z0)
-                mult = self.e(-n * z0 - n * n * self.tau / 2)
-                if (m + n) % 2:
-                    mult = -mult
-                val = mult * val
+            # theta(z0 + m + n*tau) = (-1)^(m+n) e(-n*z0 - n^2*tau/2) theta(z0)
+            if n and val:
+                val = self.e(-n * z0 - n * n * self.tau / 2) * val
+            if (m + n) % 2:
+                val = -val
             return val
 
     def _theta_reduced(self, z0):
-        xh = self.e(z0 / 2)
-        x = xh * xh
-        num = mpc(0)
-        pk = xh  # x^(j+1/2)
-        inv_x = 1 / x
-        ipk = 1 / xh
-        for w in self._sum_weights:
-            term = w * (pk - ipk)
-            num += term
-            pk *= x
-            ipk *= inv_x
-        return num / self._theta_denom
+        """theta(z0) for a reduced z0, by the lacunary sum in F-bit fixed point.
+
+        With x = e(z0), theta(z0) = sum_j w_j (x^(j+1/2) - x^-(j+1/2)) / D for
+        the weights w_j and D = sum_j (2j+1) w_j of `_build_sum_weights`.
+        e(z0/2) = exp(-pi Im z0) (cos pi Re z0 + i sin pi Re z0) comes from one
+        real exponential and one cos/sin pair at F bits, and e(-z0/2) from an
+        integer reciprocal of the exponential's mantissa.
+
+        Error: the powers are integers scaled by 2^F and every product
+        truncates, so x^(+-(j+1/2)) is off by O(j) units of 2^-F on a term
+        of size at most |e(z0/2)|^(2j+1).  Each weight keeps its whole
+        mantissa (scaled by 2^(F + s_j), 2^-s_j ~ |w_j|), so the weights add
+        no error of that kind.  Near z0 = 0 the differences cancel to about
+        (2j+1) pi i z0, which costs log2(1/|z0|) bits: the GUARD_BITS of F
+        over `ctx._wp` cover that down to |z0| ~ 2^-16, before the one
+        rounding of the sum times 1/D to `ctx._wp` bits.
+
+        Zero rule: |z0| < 2^-`ctx._wp` gives exactly 0.  Such a z0 is a
+        lattice point up to rounding (`FourierKernel` evaluates theta at
+        c + (z_j - c) - z_j), and callers read the exact zero.
+        """
+        F = self._fix
+        re, im = z0._mpc_
+        if (
+            (not re[1] or re[2] + re[3] <= -self._wp)
+            and (not im[1] or im[2] + im[3] <= -self._wp)
+            # exact squares; floor rounding keeps the comparison with 2^-2wp exact
+            and mpf_lt(mpf_add(mpf_mul(re, re), mpf_mul(im, im), 53, round_floor), self._zero_sq)
+        ):
+            return mpc(0)
+        cos, sin = mpf_cos_sin_pi(re, F)
+        cos, sin = to_fixed(cos, F), to_fixed(sin, F)
+        r = mpf_exp(mpf_neg(mpf_mul(self._fix_pi, im, F)), F)  # man * 2^exp
+        ri = (1 << (F - r[2])) // r[1]  # 2^F / r to F significant bits
+        r = to_fixed(r, F)
+        pr, pi = (r * cos) >> F, (r * sin) >> F  # x^(j+1/2)
+        qr, qi = (ri * cos) >> F, -((ri * sin) >> F)  # x^-(j+1/2)
+        xr, xi = (pr * pr - pi * pi) >> F, (pr * pi) >> (F - 1)
+        yr, yi = (qr * qr - qi * qi) >> F, (qr * qi) >> (F - 1)
+        nr = ni = 0  # scaled by 2^(2F)
+        for wr, wi, s in self._fix_weights:
+            dr, di = pr - qr, pi - qi
+            nr += (wr * dr - wi * di) >> s
+            ni += (wr * di + wi * dr) >> s
+            pr, pi = (pr * xr - pi * xi) >> F, (pr * xi + pi * xr) >> F
+            qr, qi = (qr * yr - qi * yi) >> F, (qr * yi + qi * yr) >> F
+        dr, di = self._fix_inv_denom
+        return mp.make_mpc(
+            (
+                from_man_exp(nr * dr - ni * di, -3 * F, self._wp, round_nearest),
+                from_man_exp(nr * di + ni * dr, -3 * F, self._wp, round_nearest),
+            )
+        )
 
     def theta_product(self, z, reduce=True):
         """theta(z; tau) via the defining product formula (reference path)."""
@@ -266,11 +341,13 @@ class CurveContext:
 
     def theta_deriv_at_lattice(self, m, n):
         """d/deps theta(m + n*tau + eps) at eps = 0."""
+        val = memo(self._deriv_cache, n, lambda: self._deriv_at(n))
+        return mp.make_mpc(mpc_neg(val._mpc_)) if (m + n) % 2 else val
+
+    def _deriv_at(self, n):
+        # theta'(n*tau) = (-1)^n e(-n^2*tau/2) theta'(0); the sign is the caller's
         with mp.workprec(self._wp):
-            val = self.e(-n * n * self.tau / 2) * self.dtheta0
-            if (m + n) % 2:
-                val = -val
-            return val
+            return self.e(-n * n * self.tau / 2) * self.dtheta0
 
     # -- theta shifted factorial -------------------------------------------
 

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from mpmath import mpc, mpf
+
+import ccnops.conditions as conditions
+from mpmath import matrix, mp, mpc, mpf
 
 from ccnops.conditions import (
     ConditionSpec,
@@ -15,6 +17,7 @@ from ccnops.conditions import (
     check_vanishing,
     enumerate_conditions,
     first_order_model,
+    nullspace_basis,
     operator_span_contains,
     reflect_shift,
     section_solve,
@@ -22,7 +25,7 @@ from ccnops.conditions import (
     vandiejen_nullspace,
     vandiejen_sections,
 )
-from ccnops.curve import PoleProximityError
+from ccnops.curve import PoleProximityError, point_key
 from ccnops.diffop import DegreeVector, DifferenceOperator, ExprCoefficient, bindings_for
 from ccnops.families import first_order, van_diejen_leading_expr
 from ccnops.symbols import AffineForm, PolarizationRecord, ThetaExpr, zvar
@@ -333,3 +336,33 @@ def test_condition_rows_reject_vanishing_specs(ctx):
     tspec = ConditionSpec("t-vanish", "even", ("double", 0), 0, (F(-1, 2),))
     with pytest.raises(ValueError, match="residue-pair"):
         model.condition_rows([tspec])
+
+
+def test_nullspace_svd_equals_svd_c(monkeypatch):
+    # nullspace_basis skips U; its S and V must be mp.svd_c's, bit for bit
+    rng = random.Random(41)
+
+    def rand(r, c):
+        return [[mpc(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(c)] for _ in range(r)]
+
+    with mp.workprec(256 + 16):
+        rows = (matrix(rand(30, 9)) * matrix(rand(9, 12))).tolist()
+        _, S_ref, V_ref = mp.svd_c(matrix(rows))
+    seen = []
+    raw = conditions.svd_c_raw
+
+    def spy(ctx, A, V, calc_u):
+        S = raw(ctx, A, V, calc_u=calc_u)
+        seen.append((S, V, calc_u))
+        return S
+
+    monkeypatch.setattr(conditions, "svd_c_raw", spy)
+    null = nullspace_basis(rows, 12, prec=256)
+    ((S, V, calc_u),) = seen
+    assert not calc_u
+    assert [point_key(x) for x in S] == [point_key(x) for x in S_ref]
+    assert [point_key(x) for x in V] == [point_key(x) for x in V_ref]
+    assert len(null) == 3
+    with mp.workprec(256 + 16):
+        want = [[mp.conj(V_ref[j, i]) for i in range(12)] for j in range(9, 12)]
+    assert [[point_key(x) for x in v] for v in null] == [[point_key(x) for x in v] for v in want]

@@ -108,8 +108,41 @@ def test_theta_memo_key_is_exact_below_global_precision():
 def test_theta_deriv_at_lattice(ctx):
     # numeric derivative against the exact lattice multiplier
     eps = mpf("1e-30")
-    for (m, n) in ((0, 0), (1, 0), (0, 1), (1, 1)):
+    for (m, n) in ((0, 0), (1, 0), (0, 1), (1, 1), (0, -1), (1, 2), (-1, -2)):
         lam = m + n * ctx.tau
         approx = ctx.theta(lam + eps) / eps
         exact = ctx.theta_deriv_at_lattice(m, n)
         assert rel(approx, exact) < mpf("1e-20")
+
+
+@pytest.mark.parametrize("prec", [96, 256])
+@pytest.mark.parametrize("tau", [mpc("0.13", "1.09"), mpc("-0.4", "0.31"), mpc("0.2", "1.95")])
+def test_theta_against_the_product_formula_at_800_bits(prec, tau):
+    # the fixed-point kernel keeps all but a few bits of the context's
+    # precision, over the whole fundamental domain and near the zero at 0
+    c = CurveContext(tau, prec)
+    ref = CurveContext(tau, 800)
+    rng = random.Random(6)
+    points = [
+        mpc(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5) * tau.imag) for _ in range(12)
+    ]
+    points += [z + 2 - 3 * tau for z in points[:4]]  # n = -3 lattice shifts
+    points += [mpc(small, small) / 3 for small in ("1e-3", "1e-6", "1e-9")]
+    # reducing z costs |z| 2^-wp absolutely, so a shifted point keeps |z0| >= 1e-3
+    points.append(mpc("1e-3") + 2 - 3 * tau)
+    for z in points:
+        want = ref.theta_product(z)
+        with mp.workprec(820):
+            assert abs(c.theta(z) - want) <= abs(want) * mpf(2) ** (8 - prec)
+
+
+def test_theta_zero_rule(ctx):
+    # a reduced argument below 2^-wp is a lattice point up to rounding: exactly 0
+    tiny = mpf(2) ** -(ctx._wp + 2)
+    for z in (tiny, mpc(0, tiny), 1 + ctx.tau + mpc(tiny, -tiny) / 2):
+        assert ctx.theta(z) == 0
+    # above it, theta is its linear term 2 pi i z0; the cancellation in the
+    # sum leaves about GUARD_BITS + 8 = 24 of the kernel's bits at this size
+    z0 = mpf(2) ** -(ctx._wp - 8)
+    want = ctx.two_pi_i * z0
+    assert abs(ctx.theta(z0) - want) < abs(want) * mpf(2) ** -20
