@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import inspect
-import threading
 from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
@@ -51,6 +50,8 @@ from mpmath.libmp import (
     mpf_mul,
     mpf_neg,
     mpf_pi,
+    mpf_pos,
+    mpf_sub,
     round_floor,
     round_nearest,
     to_fixed,
@@ -85,9 +86,6 @@ MAX_RETRIES = 64
 #: truncation guard bits on top of the working precision
 GUARD_BITS = 16
 
-
-#: the package's one lock: every memo store runs under it
-_LOCK = threading.Lock()
 
 _MISS = object()
 
@@ -136,14 +134,12 @@ def memo(cache, key, compute):
     """cache[key], calling compute() and storing its value on a miss.
 
     The package's one cache policy: keys are exact (point_key), caches owned
-    by objects other than a context key on the context object itself, the
-    store runs under the one lock, and caches are unbounded.
+    by objects other than a context key on the context object itself, and
+    caches are unbounded.
     """
     val = cache.get(key, _MISS)
     if val is _MISS:
-        val = compute()
-        with _LOCK:
-            cache[key] = val
+        val = cache[key] = compute()
     return val
 
 
@@ -159,6 +155,8 @@ class CurveContext:
             raise PrecisionError("need at least 64 bits of precision")
         self.prec = int(prec)
         self._wp = self.prec + GUARD_BITS
+        # tau as given, unrounded: lattice_reduce subtracts its multiples exactly
+        self._tau_exact = point_key(tau)
         with mp.workprec(self._wp):
             self.tau = mpc(tau)
             if self.tau.imag < MIN_IM:
@@ -218,13 +216,22 @@ class CurveContext:
     # -- lattice ----------------------------------------------------------
 
     def lattice_reduce(self, z):
-        """Reduce z modulo <1, tau>; returns (z0, m, n) with z = z0 + m + n*tau."""
+        """Reduce z modulo <1, tau>; returns (z0, m, n) with z = z0 + m + n*tau.
+
+        m and n are read from z and tau rounded to `ctx._wp` bits.  Then
+        z0 = z - m - n*tau is formed exactly, from z as given and the exact
+        tau the context was built on, and rounded once to `ctx._wp` bits, so
+        a small z0 keeps its relative precision however large m and n are.
+        """
         with mp.workprec(self._wp):
-            z = mpc(z)
-            n = int(mp.nint(z.imag / self.tau.imag))
-            w = z - n * self.tau
-            m = int(mp.nint(w.real))
-            return w - m, m, n
+            w = mpc(z)
+            n = int(mp.nint(w.imag / self.tau.imag))
+            m = int(mp.nint((w - n * self.tau).real))
+        re, im = point_key(z)
+        tre, tim = self._tau_exact
+        re = mpf_sub(mpf_sub(re, from_int(m)), mpf_mul(from_int(n), tre))
+        im = mpf_sub(im, mpf_mul(from_int(n), tim))
+        return mp.make_mpc((mpf_pos(re, self._wp, round_nearest), mpf_pos(im, self._wp, round_nearest))), m, n
 
     def dist_to_lattice(self, z):
         """Distance from z to the nearest point of <1, tau>."""

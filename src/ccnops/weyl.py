@@ -15,11 +15,13 @@ coroot one, which is the order in which single coordinates may drop by 1.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import matrix, mp, mpc, mpf
+from mpmath.libmp import mpc_add, mpc_mul, mpc_zero, round_nearest
 
 from .curve import GUARD_BITS, CurveContext, at_context_precision, point_key
 
@@ -403,7 +405,7 @@ def automorphism_group(Q):
     Q = [[int(x) for x in row] for row in Q]
     bound = max(Q[i][i] for i in range(n))
     # columns v must satisfy v^T Q v = Q[j][j]; search a box
-    box = int(mp.sqrt(bound * n)) + 2
+    box = math.isqrt(bound * n) + 2
     cols = {j: [] for j in range(n)}
     for v in itertools.product(range(-box, box + 1), repeat=n):
         nrm = sum(v[i] * Q[i][j] * v[j] for i in range(n) for j in range(n))
@@ -418,12 +420,6 @@ def automorphism_group(Q):
     return out
 
 
-def _theta_radius(Q, ctx):
-    """Truncation radius B of the theta sums: m - c runs over the box [-B, B]^n."""
-    lam_min = min(mp.re(x) for x in mp.eigsy(matrix(Q), eigvals_only=True))
-    return int(mp.sqrt((ctx.prec + 32) * mp.log(2) * 2 / (lam_min * 2 * mp.pi * ctx.tau.imag))) + 2
-
-
 def _int_powers(x, K):
     """[x^0, ..., x^K, x^-K, ..., x^-1], so that x^k sits at index k for -K <= k <= K."""
     up, down = [mpc(1)], [mpc(1)]
@@ -434,45 +430,131 @@ def _int_powers(x, K):
     return up + down[:0:-1]
 
 
+def _ellipsoid_rows(Q, d, bound, residues):
+    """Per r in residues, the points M = r (mod d) with M^T Q M <= bound, row by row.
+
+    Each row is a pair (M, L): M is the row's first point and its L points
+    are M + t d e_n for 0 <= t < L; empty rows are left out.  For fixed
+    M_1..M_(i-1), M_i runs where the minimum of M^T Q M over real
+    M_(i+1)..M_n, the form with matrix the inverse of the leading i x i
+    block of Q^-1, stays within the bound, so every nonempty row is
+    reached.  All arithmetic is on integers.
+    """
+    n = len(Q)
+    qinv = _q_inverse(Q)
+    forms = []  # per i, the minimum scaled to an integer form: (A_i, D_i)
+    for i in range(1, n + 1):
+        P = _q_inverse([row[:i] for row in qinv[:i]])
+        D = math.lcm(*(x.denominator for row in P for x in row))
+        forms.append(([[int(x * D) for x in row] for row in P], D))
+
+    def rows(r, prefix):
+        i = len(prefix)
+        A, D = forms[i]
+        a = A[i][i]
+        b = sum(A[i][j] * prefix[j] for j in range(i))
+        c = sum(A[j][l] * prefix[j] * prefix[l] for j in range(i) for l in range(i)) - D * bound
+        disc = b * b - a * c
+        if disc < 0:
+            return
+        # a M^2 + 2 b M + c <= 0 iff |a M + b| <= isqrt(b^2 - a c); then M = r_i (mod d)
+        s = math.isqrt(disc)
+        lo, hi = -((b + s) // a), (s - b) // a
+        tlo, thi = -((r[i] - lo) // d), (hi - r[i]) // d
+        if i == n - 1:
+            if tlo <= thi:
+                yield prefix + (d * tlo + r[i],), thi - tlo + 1
+        else:
+            for t in range(tlo, thi + 1):
+                yield from rows(r, prefix + (d * t + r[i],))
+
+    return [list(rows(r, ())) for r in residues]
+
+
 @at_context_precision
 def theta_basis_values(Q, points, ctx):
     """The degree-Q theta basis at `points`: one row per c of `discriminant_group(Q)`.
 
-    f_c(z) = sum_{m in Z^n + c} e(m^T Q m tau/2 + m^T Q z), truncated to m - c
-    in [-B, B]^n.  With k = Qm, an integer vector (Qc is integral for c in
-    Q^{-1} Z^n), each term is
+    f_c(z) = sum_{m in Z^n + c} e(m^T Q m tau/2 + m^T Q z), truncated to the
+    ellipsoid m^T Q m <= R = (rho + 2S)^2 with
+
+        rho^2 = (prec + 32) ln 2 / (pi Im tau),
+        S = max over the points of ||u||_Q,  u = Im z / Im tau,
+
+    where ||v||_Q = sqrt(v^T Q v).  Soundness (the tail bound of Deconinck,
+    Heil, Bobenko, van Hoeij & Schmies, "Computing Riemann theta functions",
+    Math. Comp. 2004): with r = ||m||_Q, Cauchy-Schwarz gives
+    |m^T Q u| <= r S, so
+
+        |e(m^T Q m tau/2 + m^T Q z)| = exp(-pi Im tau (r^2 + 2 m^T Q u))
+                                     <= exp(-pi Im tau r (r - 2S)),
+
+    and r >= rho + 2S makes that at most exp(-pi Im tau rho^2) =
+    2^-(prec + 32).  At r = rho + 2S + x, r (r - 2S) >= rho^2 + 2 rho x, so
+    the terms beyond the ellipsoid fall off geometrically and their sum is a
+    small multiple of that bound.
+
+    Enumeration is on integers: with d the common denominator of the
+    discriminant group, M = d m runs over the M = d c (mod d) with
+    M^T Q M <= d^2 R (`_ellipsoid_rows`), and k = Qm = QM/d is an integer
+    vector.  Each term is
 
         e(m^T Q m tau/2 + m^T Q z) = w(c, m) * prod_j e(z_j)^(k_j),
 
-    so the z-free weights w(c, m) = e(m^T Q m tau/2) cost one e call per
-    (c, m), with m^T Q m exact, and each point costs one e call per
-    coordinate; the powers come by repeated multiplication.
+    with z-free weights w(c, m) = e(m^T Q m tau/2), one e call per term per
+    call.  Along a row, m_1..m_(n-1) fixed and m_n rising by 1, k rises by
+    Q e_n, so consecutive terms differ by the factor y = prod_j e(z_j)^(Q_jn)
+    besides their weights.  Per point, a row of weights w_0..w_(L-1) from
+    its first point m is
+
+        prod_j e(z_j)^(k_j(m)) * (w_0 + y (w_1 + y (w_2 + ...))),
+
+    by Horner in y: one multiply and one add per term, and n multiplies per
+    row from the integer-power tables of e(z_j).
     """
     n = len(Q)
     Q = [[int(x) for x in row] for row in Q]
-    B = _theta_radius(Q, ctx)
-    box = list(itertools.product(range(-B, B + 1), repeat=n))
+    elements = discriminant_group(Q)
+    d = math.lcm(*(x.denominator for c in elements for x in c))
+    im_tau = ctx.tau.imag
+    rho = mp.sqrt((ctx.prec + 32) * mp.ln2 / (mp.pi * im_tau))
+    S = mpf(0)
+    for z in points:
+        u = [mp.im(zj) / im_tau for zj in z]
+        S = max(S, mp.sqrt(sum(u[i] * Q[i][j] * u[j] for i in range(n) for j in range(n))))
+    bound = int(mp.floor(d * d * (rho + 2 * S) ** 2))
     half_tau = ctx.tau / 2
-    terms = []  # per c: (w(c, m), Qm) for m - c in the box
-    for c in discriminant_group(Q):
-        qc = [int(sum(Q[i][j] * c[j] for j in range(n))) for i in range(n)]
-        row = []
-        for m0 in box:
-            k = tuple(qc[i] + sum(Q[i][j] * m0[j] for j in range(n)) for i in range(n))
-            quad = sum((m0[i] + c[i]) * k[i] for i in range(n))
-            row.append((ctx.e(quad.numerator * half_tau / quad.denominator), k))
-        terms.append(row)
-    K = max(abs(x) for row in terms for _, k in row for x in k)
+    col = [Q[j][n - 1] for j in range(n)]
+    terms = []  # per c, per row: (k at the row's first point, weights last to first)
+    for ellipsoid in _ellipsoid_rows(Q, d, bound, [[int(d * x) for x in c] for c in elements]):
+        rows = []
+        for M, L in ellipsoid:
+            k = [sum(Q[i][j] * M[j] for j in range(n)) // d for i in range(n)]
+            mk, kn, ws = sum(Mi * ki for Mi, ki in zip(M, k)), k[-1], []  # mk = d m^T Q m
+            for _ in range(L):
+                ws.append(ctx.e(mk * half_tau / d)._mpc_)
+                # m_n -> m_n + 1: d m^T Q m grows by d (2 k_n + Q_nn), k_n by Q_nn
+                mk += d * (2 * kn + col[-1])
+                kn += col[-1]
+            rows.append((k, ws[-1], ws[-2::-1]))
+        terms.append(rows)
+    Ks = [max([abs(col[j])] + [abs(k[j]) for rows in terms for k, _, _ in rows]) for j in range(n)]
+    prec = ctx._wp
     values = [[] for _ in terms]
     for z in points:
-        powers = [_int_powers(ctx.e(zj), K) for zj in z]
-        for out, row in zip(values, terms):
-            total = mpc(0)
-            for w, k in row:
+        powers = [[p._mpc_ for p in _int_powers(ctx.e(zj), K)] for zj, K in zip(z, Ks)]
+        y = powers[0][col[0]]
+        for pj, qj in zip(powers[1:], col[1:]):
+            y = mpc_mul(y, pj[qj], prec, round_nearest)
+        for out, rows in zip(values, terms):
+            total = mpc_zero
+            for k, acc, rest in rows:
+                for w in rest:
+                    acc = mpc_add(mpc_mul(acc, y, prec, round_nearest), w, prec, round_nearest)
                 for pj, kj in zip(powers, k):
-                    w *= pj[kj]
-                total += w
-            out.append(total)
+                    acc = mpc_mul(acc, pj[kj], prec, round_nearest)
+                total = mpc_add(total, acc, prec, round_nearest)
+            out.append(mp.make_mpc(total))
     return values
 
 
@@ -507,8 +589,12 @@ def theta_symmetrization_rank(Q, gens, ctx=None, samples=None):
     Each c lies in Q^{-1} Z^n, so Qc is an integer vector and so is k = Qm for
     every m in Z^n + c; hence e(m^T Q z) = prod_j e(z_j)^(k_j), and every term
     of f_c(z) is a z-free weight e(m^T Q m tau/2) times integer powers of
-    e(z_j).  The basis is averaged over the group at seeded points and the
-    rank of that value matrix is read from its singular value gap.
+    e(z_j).  The sums run over the ellipsoid m^T Q m <= (rho + 2S)^2 that
+    the tail bound sizes from the precision and the points' imaginary parts,
+    row by row in the last coordinate, each row by Horner in
+    y = prod_j e(z_j)^(Q_jn).  The basis is averaged over the group at
+    seeded points and the rank of that value matrix is read from its
+    singular value gap.
     """
     ctx = ctx or CurveContext(0.06 + 1.13j, 96)
     return numeric_rank(theta_symmetrization_rows(Q, gens, ctx, samples), prec=ctx.prec)

@@ -43,3 +43,22 @@ def sample_points(n, count=2, seed=101):
         tuple(mpc(rng.uniform(-0.35, 0.35), rng.uniform(-0.25, 0.25)) for _ in range(n))
         for _ in range(count)
     ]
+
+
+def even_positive_definite(max_det):
+    """Even positive definite forms of rank 1 and 2 with det <= max_det.
+
+    Rank 2 takes one [[a, b], [b, c]] per a <= c and 0 <= b <= a/2.
+    """
+    mats = [[[d]] for d in range(2, max_det + 1, 2)]
+    seen = set()
+    for a in range(2, 2 * max_det + 1, 2):
+        for c in range(a, 2 * max_det + 1, 2):
+            for b in range(0, a // 2 + 1):
+                det = a * c - b * b
+                if 0 < det <= max_det:
+                    key = (a, b, c)
+                    if key not in seen:
+                        seen.add(key)
+                        mats.append([[a, b], [b, c]])
+    return mats

@@ -45,7 +45,7 @@ from ccnops.weyl import (
     sp_matrix,
     theta_symmetrization_rank,
 )
-from conftest import ETA, Q, T, TOL, op_defect, rel, sample_points
+from conftest import ETA, Q, T, TOL, even_positive_definite, op_defect, rel, sample_points
 
 PARAMS = {"q": Q, "t": T}
 
@@ -351,25 +351,10 @@ def test_criterion_10_adjoint_suite(ctx):
     _report("10-adjoint-suite", worst, 300, time.time() - t0)
 
 
-def _even_positive_definite(max_det=16):
-    mats = [[[d]] for d in range(2, max_det + 1, 2)]
-    seen = set()
-    for a in range(2, 2 * max_det + 1, 2):
-        for c in range(a, 2 * max_det + 1, 2):
-            for b in range(0, a // 2 + 1):
-                det = a * c - b * b
-                if 0 < det <= max_det:
-                    key = (a, b, c)
-                    if key not in seen:
-                        seen.add(key)
-                        mats.append([[a, b], [b, c]])
-    return mats
-
-
 def test_criterion_11_invariant_dimensions():
     t0 = time.time()
     count = 0
-    for Qm in _even_positive_definite(16):
+    for Qm in even_positive_definite(16):
         n = len(Qm)
         auts = automorphism_group(Qm)
         for gens in ([], auts):

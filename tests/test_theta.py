@@ -127,9 +127,9 @@ def test_theta_against_the_product_formula_at_800_bits(prec, tau):
         mpc(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5) * tau.imag) for _ in range(12)
     ]
     points += [z + 2 - 3 * tau for z in points[:4]]  # n = -3 lattice shifts
-    points += [mpc(small, small) / 3 for small in ("1e-3", "1e-6", "1e-9")]
-    # reducing z costs |z| 2^-wp absolutely, so a shifted point keeps |z0| >= 1e-3
-    points.append(mpc("1e-3") + 2 - 3 * tau)
+    smalls = ("1e-3", "1e-6", "1e-9")
+    points += [mpc(small, small) / 3 for small in smalls]
+    points += [mpc(small) + 2 - 3 * tau for small in smalls]
     for z in points:
         want = ref.theta_product(z)
         with mp.workprec(820):

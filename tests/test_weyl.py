@@ -29,6 +29,7 @@ from ccnops.weyl import (
     theta_symmetrization_rows,
     weight_orbit,
 )
+from conftest import even_positive_definite
 
 
 def test_dominance_examples():
@@ -156,15 +157,31 @@ def _oracle_points(n, count=2, seed=29):
     ]
 
 
+#: points far off the real axis, Im z_j = +-0.9, where the terms' Gaussian
+#: is centred away from m = 0 and the truncation must widen with the points
+FAR_POINTS = {
+    1: [(mpc("0.17", "0.9"),), (mpc("-0.23", "-0.9"),)],
+    2: [
+        (mpc("0.17", "0.9"), mpc("-0.31", "0.9")),
+        (mpc("-0.23", "0.9"), mpc("0.08", "-0.9")),
+        (mpc("0.41", "-0.9"), mpc("-0.12", "-0.9")),
+    ],
+}
+BASIS_CASES = [pytest.param(Q, False, id=str(Q)) for Q in BASIS_FORMS] + [
+    pytest.param(Q, True, id=str(Q) + "-far") for Q in ([[8]], [[2, 1], [1, 4]])
+]
+
+
 def _theta_by_definition(ctx, Q, c, z):
     """sum over m in Z^n + c of e(m^T Q m tau/2 + m^T Q z), term by term.
 
-    The box |m - c| <= 8 is wider than the oracle's own truncation radius.
+    The box |m - c| <= 12 holds every term above 2^-(prec + 32) at the test
+    points, far points included.
     """
     n = len(Q)
     total = mpc(0)
     with mp.workprec(ctx._wp):
-        for m0 in itertools.product(range(-8, 9), repeat=n):
+        for m0 in itertools.product(range(-12, 13), repeat=n):
             m = [m0[i] + mpf(c[i].numerator) / c[i].denominator for i in range(n)]
             quad = sum(m[i] * Q[i][j] * m[j] for i in range(n) for j in range(n))
             lin = sum(m[i] * Q[i][j] * z[j] for i in range(n) for j in range(n))
@@ -172,9 +189,9 @@ def _theta_by_definition(ctx, Q, c, z):
     return total
 
 
-@pytest.mark.parametrize("Q", BASIS_FORMS, ids=str)
-def test_theta_basis_values_match_the_definition(Q):
-    pts = _oracle_points(len(Q))
+@pytest.mark.parametrize("Q, far", BASIS_CASES)
+def test_theta_basis_values_match_the_definition(Q, far):
+    pts = FAR_POINTS[len(Q)] if far else _oracle_points(len(Q))
     rows = theta_basis_values(Q, pts, ORACLE_CTX)
     elements = discriminant_group(Q)
     assert len(rows) == len(elements)
@@ -194,15 +211,27 @@ def test_theta_basis_values_are_periodic(Q):
             assert abs(val - row[0]) / abs(row[0]) < mpf("1e-25")
 
 
-@pytest.mark.parametrize("Q", BASIS_FORMS + ([[2, 0], [0, 2]], [[2, 1], [1, 2]]), ids=str)
-def test_theta_rank_gap(Q):
+def _assert_rank_gap(Q, ctx):
     # the rank is read from a gap far above the 1e6 threshold; at full rank the
     # gap is measured against the rounding floor of the largest singular value
-    prec = ORACLE_CTX.prec
+    prec = ctx.prec
     for gens in ([], automorphism_group(Q)):
-        rows = theta_symmetrization_rows(Q, gens, ORACLE_CTX)
+        rows = theta_symmetrization_rows(Q, gens, ctx)
         svals = singular_values(rows, prec)
         r = numeric_rank(rows, prec=prec)
-        assert r == invariant_dimension(Q, gens)
+        assert r == invariant_dimension(Q, gens), (Q, len(gens))
         below = svals[r] if r < len(svals) else svals[0] * mpf(2) ** -prec
-        assert svals[r - 1] / below >= mpf("1e20"), (len(gens), r)
+        assert svals[r - 1] / below >= mpf("1e20"), (Q, len(gens), r)
+
+
+@pytest.mark.parametrize("Q", BASIS_FORMS + ([[2, 0], [0, 2]], [[2, 1], [1, 2]]), ids=str)
+def test_theta_rank_gap(Q):
+    _assert_rank_gap(Q, ORACLE_CTX)
+
+
+@pytest.mark.parametrize("tau", [mpc("-0.21", "1.13"), mpc("0.18", "1.6")], ids=str)
+def test_theta_rank_gap_at_other_moduli(tau):
+    # the oracle's ranks and gaps do not hinge on its default modulus
+    ctx = CurveContext(tau, 96)
+    for Q in even_positive_definite(8):
+        _assert_rank_gap(Q, ctx)
