@@ -20,6 +20,12 @@ holomorphy along a divisor is never a limit extraction.  `check_residue`
 builds a table over the two coefficients under test and uses three
 components and two u-probes; `SectionModel.condition_rows` builds one table
 over every basis coefficient and uses four components and one probe.
+
+Dimensions are decided by the one rank rule of `weyl.spectrum_rank`: the
+solver's `nullspace_basis` and `operator_span_contains` scale their matrices
+to entries of order one (s_max between 10^-0.2 and 10^2.6 at nonzero rank in
+the tests and the benchmark), the singular values above 2^-(prec//2) count,
+and a cut needs a RANK_GAP ratio; `weyl.singular_values` shows its margin.
 """
 
 from __future__ import annotations
@@ -29,8 +35,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from mpmath import matrix, mp, mpc, mpf
-from mpmath.matrices.eigen_symmetric import svd_c_raw
+from mpmath import mp, mpc, mpf
 
 from .curve import (
     GUARD_BITS,
@@ -52,13 +57,14 @@ from .diffop import (
 from .families import van_diejen_leading_expr
 from .symbols import AffineForm, ThetaExpr, zvar
 from .weyl import (
-    RANK_GAP,
     bruhat_interval,
     inversion_set,
     numeric_rank,
     signed_permutations,
     sp_apply,
     sp_inverse,
+    spectrum_rank,
+    svd_spectrum,
     weight_orbit,
 )
 
@@ -69,8 +75,7 @@ from .weyl import (
 
 @dataclass(frozen=True)
 class ConditionSpec:
-    kind: str  # "residue-pair" | "x-vanish" | "t-vanish" | "polarization"
-    family: str = "even"  # "even" -> eta' bracket, "odd" -> x_0 bracket with sign
+    kind: str  # "residue-pair" | "x-vanish" | "t-vanish"
     beta: tuple = ()  # ("sum", i, j) | ("diff", i, j) | ("double", i)
     level: int = 0
     k: tuple = ()
@@ -141,16 +146,16 @@ def pair_exponent(beta, m, k):
     return int(m - 2 * k[beta[1]])
 
 
-def enumerate_conditions(degree, lam, params, n, family="even", lattice="coroot"):
+def enumerate_conditions(degree, lam, params, n):
     """Complete condition list for the Hom space of the given degree.
 
     degree: (DegreeVector, DegreeVector); lam: leading dominant weight.  The
-    support is the orbit union over the Bruhat interval of lam; residue pairs
-    are enumerated between support shifts, x-vanishing from the blowup data
-    of the degree, and t-vanishing from inversion sets.
+    support is the orbit union over the coroot Bruhat interval of lam;
+    residue pairs are enumerated between support shifts, x-vanishing from
+    the blowup data of the degree, and t-vanishing from inversion sets.
     """
     d1, d2 = degree
-    interval = bruhat_interval(lam, lattice=lattice)
+    interval = bruhat_interval(lam, lattice="coroot")
     support = set()
     for mu in interval:
         support |= weight_orbit(mu)
@@ -175,15 +180,7 @@ def enumerate_conditions(degree, lam, params, n, family="even", lattice="coroot"
                     continue
                 seen.add(key)
                 specs.append(
-                    ConditionSpec(
-                        "residue-pair",
-                        family,
-                        beta,
-                        m,
-                        k,
-                        k2,
-                        pair_exponent(beta, m, k),
-                    )
+                    ConditionSpec("residue-pair", beta, m, k, k2, pair_exponent(beta, m, k))
                 )
     # x-vanishing from the blowup data
     r1 = d1.e or ()
@@ -198,25 +195,17 @@ def enumerate_conditions(degree, lam, params, n, family="even", lattice="coroot"
                 lo = k[i] + Fraction(d2.s - d1.s, 2) + r1[jx]
                 for l in range(math.ceil(lo), r2[jx]):
                     point = AffineForm.var("x%d" % (jx + 1)) - qf * Fraction(2 * l - d2.s + 1, 2)
-                    specs.append(
-                        ConditionSpec(
-                            "x-vanish", family, (), l, k, (), 0, i, point
-                        )
-                    )
+                    specs.append(ConditionSpec("x-vanish", (), l, k, (), 0, i, point))
                 lo = -k[i] + Fraction(d2.s - d1.s, 2) + r1[jx]
                 for l in range(math.ceil(lo), r2[jx]):
                     point = AffineForm.var("x%d" % (jx + 1)) * -1 + qf * Fraction(2 * l - d2.s + 1, 2)
-                    specs.append(
-                        ConditionSpec(
-                            "x-vanish", family, (), l, k, (), 0, i, point
-                        )
-                    )
+                    specs.append(ConditionSpec("x-vanish", (), l, k, (), 0, i, point))
     # t-vanishing at the corner of each interval weight
     for mu in interval:
         corner = tuple(-x for x in mu)
         for root in inversion_set(mu, filter="D"):
             beta = (root.kind, root.i, root.j)
-            specs.append(ConditionSpec("t-vanish", family, beta, root.level, corner, (), 0))
+            specs.append(ConditionSpec("t-vanish", beta, root.level, corner, (), 0))
     return specs
 
 
@@ -289,7 +278,11 @@ class _Point(dict):
         return memo(self._theta, i, lambda: self.ctx.theta(self[i]))
 
 
-def _residue_of_parts(ctx, parts, point, beta_coeffs, tol=mpf("1e-9")):
+#: |reduced argument| below which a denominator factor vanishes at a sample
+_ON_DIVISOR = mpf("1e-9")
+
+
+def _residue_of_parts(ctx, parts, point, beta_coeffs):
     """Residue of the encoded parts' sum along the divisor through the point.
 
     The local coordinate is s = beta(z) + m q - lambda, traversed by varying
@@ -306,7 +299,7 @@ def _residue_of_parts(ctx, parts, point, beta_coeffs, tol=mpf("1e-9")):
             if mexp >= 0:
                 continue
             z0, a, b = point.reduced(arg)
-            if abs(z0) < tol:
+            if abs(z0) < _ON_DIVISOR:
                 if vanishing is not None:
                     raise PoleProximityError("two denominator factors vanish at the sample")
                 if mexp != -1:
@@ -358,10 +351,10 @@ _VANISHING = ("x-vanish", "t-vanish")
 
 
 def _env_values(env, n):
-    """(q, t, X) from a condition environment; X = q + (n-1) t + eta' (or x_0)."""
+    """(q, t, X) from a condition environment; X = q + (n-1) t + eta'."""
     q = mpc(env["q"])
     t = mpc(env.get("t", 0))
-    x = mpc(env.get("eta_prime", env.get("x0", 0)))
+    x = mpc(env.get("eta_prime", 0))
     return q, t, q + (n - 1) * t + x
 
 
@@ -376,7 +369,7 @@ def _place_on_root(z, beta, target):
         z[i] = target / 2
 
 
-def _divisor_sample(ctx, rng, n, beta, target, table, tries=MAX_RETRIES):
+def _divisor_sample(ctx, rng, n, beta, target, table):
     """A random point of {beta(z) = target} at least 5e-3 from the table's poles.
 
     Returns the table's values at the point (a `_Point`).  Poles parallel to
@@ -388,7 +381,7 @@ def _divisor_sample(ctx, rng, n, beta, target, table, tries=MAX_RETRIES):
         i for i in table.poles.values() if not _parallel(table.args[i][0], beta_coeffs, n)
     ]
     margin = mpf("5e-3")
-    for _ in range(tries):
+    for _ in range(MAX_RETRIES):
         z = [mpc(rng.uniform(-0.4, 0.4), rng.uniform(-0.35, 0.35)) for _ in range(n)]
         _place_on_root(z, beta, target)
         point = _Point(ctx, table.args, tuple(z))
@@ -403,10 +396,7 @@ def _bracket(ctx, spec, zstar, u, X, q, n):
     sval = sum(
         mpc(beta_coeffs[i].numerator) / beta_coeffs[i].denominator * zstar[i] for i in range(n)
     ) + spec.level * q
-    val = ctx.theta(u) * ctx.theta(X + u + sval) / (ctx.theta(u + sval) * ctx.theta(X + u))
-    if spec.family == "odd" and spec.beta[0] == "double":
-        val *= ctx.frak_q(zstar[spec.beta[1]] + spec.level * q / 2)
-    return val
+    return ctx.theta(u) * ctx.theta(X + u + sval) / (ctx.theta(u + sval) * ctx.theta(X + u))
 
 
 def _residue_samples(ctx, rng, spec, n, env, components, samples, probes, table):
@@ -456,7 +446,7 @@ def _vanishing_samples(rng, spec, n, env, samples):
 def check_residue(ctx, op, specs, env, samples=2, seed=11, tol=mpf("1e-25")):
     """Residue-pair conditions for an operator; returns a ConditionReport.
 
-    env: dict with at least q, t and eta' (or x0 for the odd family).
+    env: dict with at least q, t and eta'.
     """
     rng = random.Random(seed)
     n = op.n
@@ -645,14 +635,13 @@ def _orbit_coefficients(n, mu, corner_parts, params):
 class SectionModel:
     """Ansatz for one Hom-space solve: per-weight corner bases plus conditions."""
 
-    def __init__(self, ctx, n, params, env, degree, lam, family="even"):
+    def __init__(self, ctx, n, params, env, degree, lam):
         self.ctx = ctx
         self.n = n
         self.params = params
         self.env = env
         self.degree = degree
         self.lam = lam
-        self.family = family
         self.basis_ops = []  # one (mu, DifferenceOperator) per column
 
     def add_weight_basis(self, mu, columns):
@@ -663,34 +652,38 @@ class SectionModel:
             self.basis_ops.append((tuple(mu), op))
 
     def condition_rows(self, specs, seed=29):
-        """Linear condition matrix over the ansatz basis, one row per sample."""
-        with mp.workprec(self.ctx._wp):
-            return self._rows(specs, seed)
+        """Linear condition matrix over the ansatz basis, one row per sample.
 
-    def _rows(self, specs, seed):
-        rng = random.Random(seed)
-        ctx, n = self.ctx, self.n
-        rows = []
-        table = _Factors()
-        columns = [{k: table.add(op.coefficient(k)) for k in op.support()} for _, op in self.basis_ops]
-        for spec in specs:
-            if spec.kind != "residue-pair":
-                raise ValueError("condition rows are built from residue-pair specs only")
-            beta_coeffs = _beta_form(spec.beta, n)
-            parts = [(col.get(spec.k, ()), col.get(spec.k2, ())) for col in columns]
-            for _, _, point, (b1,) in _residue_samples(
-                ctx, rng, spec, n, self.env, _SOLVE_COMPONENTS, 2, 1, table
-            ):
-                row = []
-                scale = mpf(0)
-                for parts_a, parts_b in parts:
-                    ra = _residue_of_parts(ctx, parts_a, point, beta_coeffs)
-                    rb = _residue_of_parts(ctx, parts_b, point, beta_coeffs)
-                    row.append(rb + b1 * ra)
-                    scale = max(scale, abs(rb) + abs(b1 * ra))
-                if scale > mpf("1e-60"):
-                    rows.append([v / scale for v in row])
-        return rows
+        Each entry combines two residues, rb + b1 ra, and each row is divided
+        by the largest |rb| + |b1 ra| of its entries, so the matrix has
+        entries of order one.
+        """
+        with mp.workprec(self.ctx._wp):
+            rng = random.Random(seed)
+            ctx, n = self.ctx, self.n
+            rows = []
+            table = _Factors()
+            columns = [
+                {k: table.add(op.coefficient(k)) for k in op.support()} for _, op in self.basis_ops
+            ]
+            for spec in specs:
+                if spec.kind != "residue-pair":
+                    raise ValueError("condition rows are built from residue-pair specs only")
+                beta_coeffs = _beta_form(spec.beta, n)
+                parts = [(col.get(spec.k, ()), col.get(spec.k2, ())) for col in columns]
+                for _, _, point, (b1,) in _residue_samples(
+                    ctx, rng, spec, n, self.env, _SOLVE_COMPONENTS, 2, 1, table
+                ):
+                    row = []
+                    scale = mpf(0)
+                    for parts_a, parts_b in parts:
+                        ra = _residue_of_parts(ctx, parts_a, point, beta_coeffs)
+                        rb = _residue_of_parts(ctx, parts_b, point, beta_coeffs)
+                        row.append(rb + b1 * ra)
+                        scale = max(scale, abs(rb) + abs(b1 * ra))
+                    if scale > mpf("1e-60"):
+                        rows.append([v / scale for v in row])
+            return rows
 
     def nullspace(self, specs, seed=29):
         rows = self.condition_rows(specs, seed=seed)
@@ -698,40 +691,31 @@ class SectionModel:
 
     def operator_from_vector(self, vec):
         with mp.workprec(self.ctx._wp):
-            return self._operator(vec)
-
-    def _operator(self, vec):
-        terms = {}
-        for x, (_, op) in zip(vec, self.basis_ops):
-            if abs(x) < mpf("1e-40"):
-                continue
-            for k, c in op.coeffs.items():
-                terms.setdefault(k, []).append(c.scaled(x))
-        coeffs = {k: ExprCoefficient.sum(cs) for k, cs in terms.items()}
-        return DifferenceOperator(self.n, coeffs, self.params, self.degree)
+            terms = {}
+            for x, (_, op) in zip(vec, self.basis_ops):
+                if abs(x) < mpf("1e-40"):
+                    continue
+                for k, c in op.coeffs.items():
+                    terms.setdefault(k, []).append(c.scaled(x))
+            coeffs = {k: ExprCoefficient.sum(cs) for k, cs in terms.items()}
+            return DifferenceOperator(self.n, coeffs, self.params, self.degree)
 
 
 def nullspace_basis(rows, ncols, prec=256):
-    """Nullspace of a complex matrix by SVD with singular-value gap detection (RANK_GAP)."""
+    """Nullspace of a complex matrix with `ncols` columns, one vector per row of the result.
+
+    The rows are normalized to entries of order one (`condition_rows`
+    divides each by the size of its largest ingredients), so the absolute
+    floor of `spectrum_rank` decides the dimension: the right singular
+    vectors of the values at or below 2^-(prec//2) span the nullspace.
+    """
+    if not rows:
+        return [[mpc(1) if i == j else mpc(0) for j in range(ncols)] for i in range(ncols)]
+    while len(rows) < ncols:
+        rows = rows + [[mpc(0)] * ncols]
+    V = mp.zeros(ncols, ncols)
+    rank = spectrum_rank(svd_spectrum(rows, prec, V), prec)
     with mp.workprec(prec + GUARD_BITS):
-        if not rows:
-            return [[mpc(1) if i == j else mpc(0) for j in range(ncols)] for i in range(ncols)]
-        while len(rows) < ncols:
-            rows = rows + [[mpc(0)] * ncols]
-        # mp.svd_c's own kernel without the U that nothing here reads
-        V = mp.zeros(ncols, ncols)
-        S = svd_c_raw(mp, matrix(rows), V, calc_u=False)
-        svals = [abs(S[i]) for i in range(len(S))]
-        smax = max(svals) if svals else mpf(1)
-        # rows are normalized to O(1) ingredients, so an absolute floor is
-        # meaningful alongside the relative singular-value gap
-        floor = max(smax / RANK_GAP, mpf(2) ** (-(prec // 2)))
-        rank = sum(1 for s in svals if s > floor)
-        if 0 < rank < len(svals):
-            kept = min(s for s in svals if s > floor)
-            cut = max((s for s in svals if s <= floor), default=mpf(0))
-            if cut > 0 and kept / cut < RANK_GAP:
-                raise ArithmeticError("singular value gap ambiguous: %s vs %s" % (kept, cut))
         return [[mp.conj(V[j, i]) for i in range(ncols)] for j in range(rank, ncols)]
 
 
@@ -797,7 +781,7 @@ def vandiejen_model(ctx, xs, q, t, n, eta_prime=None, seed=37):
     qf = AffineForm.var("q")
     degree = (DegreeVector(), DegreeVector(0, 2, 2, (1,) * 8))
     lam = tuple([Fraction(1)] * n)
-    model = SectionModel(ctx, n, params, env, degree, lam, family="even")
+    model = SectionModel(ctx, n, params, env, degree, lam)
 
     def gblock(i):
         """1 / theta(-q-2z_i, q-2z_i)."""
@@ -851,58 +835,46 @@ def sections_by_weight(model, null):
     m = n the prescribed corner has coefficient exactly 1).
     """
     with mp.workprec(model.ctx._wp):
-        return _sections(model, null)
-
-
-def _sections(model, null):
-    n = model.n
-    weights = sorted({mu for mu, _ in model.basis_ops}, key=sum)
-    cols_by_weight = {
-        mu: [i for i, (nu, _) in enumerate(model.basis_ops) if nu == mu] for mu in weights
-    }
-    # Gauss-reduce the nullspace against the weight filtration, top down
-    basis = [list(v) for v in null]
-    sections = {0: identity_operator(n, model.params)}
-    remaining = basis
-    for mu in reversed(weights):
-        if sum(mu) == 0:
-            continue
-        cols = cols_by_weight[mu]
-        lead = None
-        for v in remaining:
-            mag = max(abs(v[i]) for i in cols)
-            if lead is None or mag > max(abs(lead[i]) for i in cols):
-                lead = v
-        if lead is None or max(abs(lead[i]) for i in cols) < mpf("1e-20"):
-            raise ArithmeticError("no section with leading weight %s exists" % (mu,))
-        i0 = max(cols, key=lambda i: abs(lead[i]))
-        others = []
-        for v in remaining:
-            if v is lead:
+        n = model.n
+        weights = sorted({mu for mu, _ in model.basis_ops}, key=sum)
+        cols_by_weight = {
+            mu: [i for i, (nu, _) in enumerate(model.basis_ops) if nu == mu] for mu in weights
+        }
+        # Gauss-reduce the nullspace against the weight filtration, top down
+        basis = [list(v) for v in null]
+        sections = {0: identity_operator(n, model.params)}
+        remaining = basis
+        for mu in reversed(weights):
+            if sum(mu) == 0:
                 continue
-            f = v[i0] / lead[i0]
-            others.append([a - f * b for a, b in zip(v, lead)])
-        remaining = others
-        msize = sum(1 for x in mu if x != 0)
-        if msize == n:
-            scale = 1 / lead[cols_by_weight[mu][0]]
-            lead = [x * scale for x in lead]
-        else:
-            norm = max(abs(lead[i]) for i in cols)
-            lead = [x / norm for x in lead]
-        sections[msize] = model.operator_from_vector(lead)
-    missing = [m for m in range(n + 1) if m not in sections]
-    if missing:
-        raise ArithmeticError("sections missing for weights %s" % missing)
-    return [sections[m] for m in range(n + 1)]
-
-
-def section_solve_vandiejen(ctx, xs, q, t, n, m, eta_prime=None, seed=37):
-    """The section with leading weight (1^m, 0^(n-m)); m = 0 is the identity."""
-    if m == 0:
-        return identity_operator(n, {"q": exact_mpc(q), "t": exact_mpc(t)})
-    _, sections = vandiejen_sections(ctx, xs, q, t, n, eta_prime=eta_prime, seed=seed)
-    return sections[m]
+            cols = cols_by_weight[mu]
+            lead = None
+            for v in remaining:
+                mag = max(abs(v[i]) for i in cols)
+                if lead is None or mag > max(abs(lead[i]) for i in cols):
+                    lead = v
+            if lead is None or max(abs(lead[i]) for i in cols) < mpf("1e-20"):
+                raise ArithmeticError("no section with leading weight %s exists" % (mu,))
+            i0 = max(cols, key=lambda i: abs(lead[i]))
+            others = []
+            for v in remaining:
+                if v is lead:
+                    continue
+                f = v[i0] / lead[i0]
+                others.append([a - f * b for a, b in zip(v, lead)])
+            remaining = others
+            msize = sum(1 for x in mu if x != 0)
+            if msize == n:
+                scale = 1 / lead[cols_by_weight[mu][0]]
+                lead = [x * scale for x in lead]
+            else:
+                norm = max(abs(lead[i]) for i in cols)
+                lead = [x / norm for x in lead]
+            sections[msize] = model.operator_from_vector(lead)
+        missing = [m for m in range(n + 1) if m not in sections]
+        if missing:
+            raise ArithmeticError("sections missing for weights %s" % missing)
+        return [sections[m] for m in range(n + 1)]
 
 
 # ---------------------------------------------------------------------------

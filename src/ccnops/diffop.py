@@ -215,9 +215,6 @@ class DifferenceOperator:
             degree = (other.degree[0], self.degree[1])
         return DifferenceOperator(self.n, coeffs, self.params, degree)
 
-    def __mul__(self, other):
-        return self.compose(other)
-
     def scaled(self, factor):
         """factor * self; every coefficient must be structured."""
         if not all(isinstance(c, ExprCoefficient) for c in self.coeffs.values()):
@@ -348,10 +345,9 @@ class SelbergDensity:
     transformation factors; the pure Selberg density has none.
     """
 
-    def __init__(self, n, ulist=(), with_t=True):
+    def __init__(self, n, ulist=()):
         self.n = n
         self.ulist = tuple(u if isinstance(u, AffineForm) else AffineForm.const_form(u) for u in ulist)
-        self.with_t = with_t
         terms = []
         t = AffineForm.var("t")
         for i in range(1, n + 1):
@@ -367,8 +363,7 @@ class SelbergDensity:
                 for si in (1, -1):
                     for sj in (1, -1):
                         arg = zi * si + zj * sj
-                        if self.with_t:
-                            terms.append((t + arg, 1))
+                        terms.append((t + arg, 1))
                         terms.append((arg, -1))
         self.product = GammaProduct(terms=tuple(terms))
         self._ratio_cache = {}

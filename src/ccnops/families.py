@@ -35,6 +35,13 @@ from .symbols import AffineForm, GammaProduct, ThetaExpr, zvar
 
 _FRESH = itertools.count()
 
+#: how close to the lattice d q may lie for `d_torsion_closed_form` to call
+#: q d-torsion
+TORSION_TOL = mpf("1e-6")
+
+#: least distance from the lattice of k q, 1 <= k <= order, for a FourierKernel
+TORSION_MARGIN = mpf("1e-8")
+
 
 def _fresh(name):
     return "%s_%d" % (name, next(_FRESH))
@@ -104,16 +111,14 @@ def theta_pm_multiplier(u, n, params, exponent=1):
 # cascade
 
 
-def d_cascade(d, q, t, n, u_probe, params=None):
+def d_cascade(d, q, t, n, u_probe):
     """D_d by the recurrence D_{d+1} = D((d+1)q/2 +- u) D_d prod theta(z_i +- u)^{-1}.
 
     The result is independent of the probe u; callers are expected to verify
     that at a second probe.  The parameters (d+1)q/2 +- u are affine forms in
     q and the probe's symbol, so the evaluating context forms them.
     """
-    params = dict(params or {})
-    params.setdefault("q", exact_mpc(q))
-    params.setdefault("t", exact_mpc(t))
+    params = {"q": exact_mpc(q), "t": exact_mpc(t)}
     probe = _as_form(u_probe, _fresh("v"), params)
     div = theta_pm_multiplier(probe, n, params, exponent=-1)
     op = identity_operator(n, params)
@@ -143,16 +148,14 @@ def cascade_leading_expr(d, n):
 
 
 @at_context_precision
-def d_torsion_closed_form(d, q, t, n, ctx, params=None, tol=mpf("1e-6")):
+def d_torsion_closed_form(d, q, t, n, ctx):
     """Closed form at q of exact order d: only the 2^n extreme shifts survive."""
-    if ctx.dist_to_lattice(d * mpc(q)) > tol:
+    if ctx.dist_to_lattice(d * mpc(q)) > TORSION_TOL:
         raise TorsionError("q is not d-torsion within tolerance")
     for k in range(1, d):
-        if ctx.dist_to_lattice(k * mpc(q)) < tol:
+        if ctx.dist_to_lattice(k * mpc(q)) < TORSION_TOL:
             raise TorsionError("q has order smaller than d")
-    params = dict(params or {})
-    params.setdefault("q", exact_mpc(q))
-    params.setdefault("t", exact_mpc(t))
+    params = {"q": exact_mpc(q), "t": exact_mpc(t)}
     qf = AffineForm.var("q")
     tf = AffineForm.var("t")
     coeffs = {}
@@ -204,7 +207,7 @@ class FourierKernel(FormalGaugedOperator):
     """
 
     @at_context_precision
-    def __init__(self, ctx, c, q, t, n, order, torsion_margin=mpf("1e-8"), extra_params=None):
+    def __init__(self, ctx, c, q, t, n, order, extra_params=None):
         self.ctx = ctx
         params = {"q": exact_mpc(q)}
         params.update(extra_params or {})
@@ -215,7 +218,7 @@ class FourierKernel(FormalGaugedOperator):
             params.setdefault("t", exact_mpc(t))
             t_form = AffineForm.var("t")
         margin = min(ctx.dist_to_lattice(k * mpc(q)) for k in range(1, order + 1)) if order else mpf(1)
-        if order and margin < torsion_margin:
+        if order and margin < TORSION_MARGIN:
             raise TorsionError("q is numerically torsion up to the truncation order")
 
         entries = {}
@@ -284,37 +287,30 @@ class FourierKernel(FormalGaugedOperator):
 
     def defining_residual(self, z, order=None):
         """Max |coefficient| of D(c) D(c +- u)|_{u=z_j} over tail orders <= order."""
+        order = self.order if order is None else order
         with mp.workprec(self.ctx._wp):
-            return self._residual(z, self.order if order is None else order)
-
-    def _residual(self, z, order):
-        q, c = self._q, self._c
-        n = self.n
-        worst = mpf(0)
-        for j in range(n):
-            u = z[j] - c
-            for s_off in itertools.product(range(-1, order + 1), repeat=n):
-                # only test equations whose every contribution is within the
-                # solved truncation (the sigma = -1 vector needs s_off + 1)
-                if sum(s_off) + n > self.order or sum(x + 1 for x in s_off) > order + n:
-                    continue
-                total = mpc(0)
-                scale = mpf(0)
-                for sigma in itertools.product((1, -1), repeat=n):
-                    mprime = tuple(s_off[i] + (1 - sigma[i]) // 2 for i in range(n))
-                    if any(x < 0 for x in mprime):
+            q, c = self._q, self._c
+            n = self.n
+            worst = mpf(0)
+            for j in range(n):
+                u = z[j] - c
+                for s_off in itertools.product(range(-1, order + 1), repeat=n):
+                    # only test equations whose every contribution is within the
+                    # solved truncation (the sigma = -1 vector needs s_off + 1)
+                    if sum(s_off) + n > self.order or sum(x + 1 for x in s_off) > order + n:
                         continue
-                    term = self.tail_value(mprime, z) * self._A(sigma, shift_point(z, q, mprime), u)
-                    total += term
-                    scale = max(scale, abs(term))
-                if scale > 0:
-                    worst = max(worst, abs(total) / scale)
-        return worst
-
-
-def solve_fourier_kernel(ctx, c, q, t, n, order):
-    """Public constructor for the Fourier kernel family."""
-    return FourierKernel(ctx, c, q, t, n, order)
+                    total = mpc(0)
+                    scale = mpf(0)
+                    for sigma in itertools.product((1, -1), repeat=n):
+                        mprime = tuple(s_off[i] + (1 - sigma[i]) // 2 for i in range(n))
+                        if any(x < 0 for x in mprime):
+                            continue
+                        term = self.tail_value(mprime, z) * self._A(sigma, shift_point(z, q, mprime), u)
+                        total += term
+                        scale = max(scale, abs(term))
+                    if scale > 0:
+                        worst = max(worst, abs(total) / scale)
+            return worst
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +385,7 @@ def braid_check(ctx, c, d, t0, q, t, n, order, points):
 # van Diejen family
 
 
-def van_diejen_leading_expr(m, n, nx=8):
+def van_diejen_leading_expr(m, n):
     """Corner coefficient of the section with leading weight (1^m, 0^{n-m}).
 
     Factor order: the x-block of each i <= m, then the pair factors of
@@ -399,7 +395,7 @@ def van_diejen_leading_expr(m, n, nx=8):
     t = AffineForm.var("t")
     factors = []
     for i in range(1, m + 1):
-        for jx in range(1, nx + 1):
+        for jx in range(1, 9):  # the eight blowup parameters x1..x8
             factors.append((q * Fraction(1, 2) + AffineForm.var("x%d" % jx) - zvar(i), 1))
         factors.append((zvar(i) * -2, -1))
         factors.append((q - zvar(i) * 2, -1))

@@ -246,7 +246,7 @@ class FormalGaugedOperator:
         return DifferenceOperator(n, coeffs, params)
 
 
-def gauged_from_operator(op, order=mp.inf):
+def gauged_from_operator(op):
     """Lift a finite difference operator to a trivial-head gauged operator."""
     n = op.n
     keys = op.support()
@@ -264,12 +264,12 @@ def gauged_from_operator(op, order=mp.inf):
             return op.coefficient(k).eval(ctx, shift_point(z, op.params["q"], (-par,) * n))
 
         entries[m] = fn
-    return FormalGaugedOperator(n, GammaProduct.one(), cpar, Tail(n, entries, order), op.params)
+    return FormalGaugedOperator(n, GammaProduct.one(), cpar, Tail(n, entries, mp.inf), op.params)
 
 
-def gamma_multiplier(n, gamma, params, order=mp.inf):
+def gamma_multiplier(n, gamma, params):
     """A pure Gamma-symbol gauge as a formal gauged operator (unit tail)."""
-    return FormalGaugedOperator(n, gamma, AffineForm.const_form(0), unit_tail(n, order), params)
+    return FormalGaugedOperator(n, gamma, AffineForm.const_form(0), unit_tail(n, mp.inf), params)
 
 
 @at_context_precision

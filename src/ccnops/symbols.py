@@ -454,8 +454,3 @@ def _poly_div_form(poly, form):
     for mono, coeff in poly.terms.items():
         out[_mono_mul(mono, ((sym, -1),))] = coeff / c
     return Poly(out)
-
-
-def gamma_product_reduce(product, arity=0):
-    """Resolve a balanced GammaProduct to a ThetaExpr, else Unbalanced."""
-    return product.reduce(arity=arity)

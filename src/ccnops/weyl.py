@@ -10,6 +10,12 @@ half-integral).  Two partial orders are exposed:
 
 Bruhat intervals can be taken in either lattice; the section solver uses the
 coroot one, which is the order in which single coordinates may drop by 1.
+
+Every rank and nullspace dimension of the package is decided by one SVD
+(`svd_spectrum`) and one rule (`spectrum_rank`): the singular values above
+2^-(prec//2) count.  That absolute floor assumes entries of order one (s_max
+between 10^-0.2 and 10^2.6 at nonzero rank in the tests and the benchmark);
+the margin of a decision is read from `singular_values`.
 """
 
 from __future__ import annotations
@@ -22,11 +28,14 @@ from fractions import Fraction
 
 from mpmath import matrix, mp, mpc, mpf
 from mpmath.libmp import mpc_add, mpc_mul, mpc_zero, round_nearest
+from mpmath.matrices.eigen_symmetric import svd_c_raw
 
 from .curve import GUARD_BITS, CurveContext, at_context_precision, point_key
 
-#: singular-value ratio that separates a numeric rank from rounding noise,
-#: for every rank and nullspace decision of the package
+#: least ratio between the last singular value `spectrum_rank` keeps, above
+#: the floor 2^-(prec//2) for entries of order one (s_max 10^-0.2 to 10^2.6 at
+#: nonzero rank in the tests and the benchmark), and the first it drops; a
+#: smaller one raises ArithmeticError.  Margins are read from `singular_values`.
 RANK_GAP = mpf("1e6")
 
 
@@ -559,14 +568,16 @@ def theta_basis_values(Q, points, ctx):
 
 
 @at_context_precision
-def theta_symmetrization_rows(Q, gens, ctx, samples=None):
-    """The group average of the theta basis at seeded points: one row per c, one column per point."""
+def theta_symmetrization_rows(Q, gens, ctx):
+    """The group average of the theta basis at |Q^-1 Z^n / Z^n| + 3 seeded points.
+
+    One row per c of the discriminant group, one column per point.
+    """
     n = len(Q)
     group = [tuple(tuple(int(x) for x in row) for row in g) for g in group_closure(gens)] if gens else [tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))]
-    samples = samples or (len(discriminant_group(Q)) + 3)
     rng = random.Random(20240601)
     pts = []
-    for _ in range(samples):
+    for _ in range(len(discriminant_group(Q)) + 3):
         pts.append(tuple(mpc(rng.uniform(-0.45, 0.45), rng.uniform(-0.35, 0.35)) for _ in range(n)))
     # evaluate the basis once per distinct group-translated point
     gpts = {}  # exact point key -> (column, point), in first-seen order
@@ -581,7 +592,7 @@ def theta_symmetrization_rows(Q, gens, ctx, samples=None):
     return [[sum((row[col] for col in cols), mpc(0)) / len(group) for cols in index] for row in vals]
 
 
-def theta_symmetrization_rank(Q, gens, ctx=None, samples=None):
+def theta_symmetrization_rank(Q, gens, ctx=None):
     """Oracle for `invariant_dimension`: numeric rank of the symmetrizer.
 
     The degree-Q theta bundle on E^n has the basis f_c of
@@ -597,23 +608,48 @@ def theta_symmetrization_rank(Q, gens, ctx=None, samples=None):
     singular value gap.
     """
     ctx = ctx or CurveContext(0.06 + 1.13j, 96)
-    return numeric_rank(theta_symmetrization_rows(Q, gens, ctx, samples), prec=ctx.prec)
+    return numeric_rank(theta_symmetrization_rows(Q, gens, ctx), prec=ctx.prec)
+
+
+def svd_spectrum(rows, prec, V=False):
+    """Singular values of the matrix `rows` at prec + GUARD_BITS bits, largest first.
+
+    The package's one SVD: mpmath's `svd_c` kernel without the U that no
+    caller reads.  If V is an ncols x ncols matrix it receives the right
+    singular vectors as its rows, in the order of the values.
+    """
+    with mp.workprec(prec + GUARD_BITS):
+        A = matrix(rows)
+        S = svd_c_raw(mp, A, V, calc_u=False)
+        return [abs(S[i]) for i in range(min(A.rows, A.cols))]
 
 
 def singular_values(rows, prec=192):
     """Singular values of the matrix `rows` at prec + GUARD_BITS bits, largest first."""
-    with mp.workprec(prec + GUARD_BITS):
-        S = mp.svd_c(matrix(rows), compute_uv=False)
-        return sorted((abs(S[i]) for i in range(len(S))), reverse=True)
+    return svd_spectrum(rows, prec)
+
+
+def spectrum_rank(svals, prec):
+    """The package's one rank rule: the number of singular values above 2^-(prec//2).
+
+    `svals`, largest first, is the spectrum of a matrix with entries of order
+    one, which every caller scales to.  A cut with the last kept value less
+    than RANK_GAP times the first dropped one raises ArithmeticError.  In the
+    tests and the benchmark, s_max lies between 10^-0.2 and 10^2.6 at nonzero
+    rank, and a rank-zero spectrum (conditions that cancel identically) is
+    rounding noise, at most 10^-80 at 256 bits.  Kept values sit at least 11.9
+    (96 bits) and 34.8 (256 bits) decades above the floor, dropped ones at
+    least 16.8 and 41.5 below it; `singular_values` shows a decision's margin.
+    """
+    floor = mpf(2) ** -(prec // 2)
+    rank = sum(1 for s in svals if s > floor)
+    if 0 < rank < len(svals) and svals[rank - 1] < mp.fmul(RANK_GAP, svals[rank], exact=True):
+        raise ArithmeticError(
+            "singular value gap ambiguous at the floor %s: %s vs %s" % (floor, svals[rank - 1], svals[rank])
+        )
+    return rank
 
 
 def numeric_rank(rows, prec=192):
-    """Rank detection by a singular-value gap above RANK_GAP at multiprecision."""
-    svals = singular_values(rows, prec)
-    if not svals or svals[0] == 0:
-        return 0
-    with mp.workprec(prec + GUARD_BITS):
-        for r in range(1, len(svals)):
-            if svals[r] == 0 or svals[r - 1] / max(svals[r], mpf("1e-99999")) > RANK_GAP:
-                return r
-    return len(svals)
+    """Rank of the matrix `rows` by `spectrum_rank` of its singular values."""
+    return spectrum_rank(singular_values(rows, prec), prec)

@@ -31,7 +31,6 @@ from ccnops.families import (
     first_order,
     fourier_transform,
     hilbert_gauge_identities,
-    solve_fourier_kernel,
     theta_pm_multiplier,
     wedge_section,
 )
@@ -203,10 +202,10 @@ def test_criterion_6_fourier_kernel(ctx):
     for n, order in ((1, 4), (2, 3)):
         pts = sample_points(n, 2, seed=31 + n)
         # defining relations to truncation
-        K = solve_fourier_kernel(ctx, mpc(rng.uniform(-0.2, 0.2), rng.uniform(-0.1, 0.2)), Q, T, n, order)
+        K = FourierKernel(ctx, mpc(rng.uniform(-0.2, 0.2), rng.uniform(-0.1, 0.2)), Q, T, n, order)
         worst = max(worst, max(K.defining_residual(z, order=order - 1) for z in pts))
         # K(0) = 1
-        K0 = solve_fourier_kernel(ctx, mpc(0), Q, T, n, order)
+        K0 = FourierKernel(ctx, mpc(0), Q, T, n, order)
         for m in K0.tail.entries:
             if any(m):
                 worst = max(worst, abs(K0.tail_value(m, pts[0])))

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-import ccnops.conditions as conditions
+import ccnops.weyl as weyl
 from mpmath import matrix, mp, mpc, mpf
 
 from ccnops.conditions import (
@@ -29,6 +29,7 @@ from ccnops.curve import PoleProximityError, point_key
 from ccnops.diffop import DegreeVector, DifferenceOperator, ExprCoefficient, bindings_for
 from ccnops.families import first_order, van_diejen_leading_expr
 from ccnops.symbols import AffineForm, PolarizationRecord, ThetaExpr, zvar
+from ccnops.weyl import numeric_rank
 from conftest import ETA, Q, T, TOL, op_defect, rel, sample_points
 
 
@@ -105,7 +106,6 @@ def test_check_vanishing_detects_generic_failure(ctx, xs8):
     specs = [
         ConditionSpec(
             "x-vanish",
-            "even",
             (),
             0,
             (F(-1, 2),),
@@ -122,10 +122,7 @@ def test_check_vanishing_detects_generic_failure(ctx, xs8):
 
 
 def test_check_vanishing_vandiejen_corner(ctx, xs8):
-    H = None
-    from ccnops.conditions import section_solve_vandiejen
-
-    H = section_solve_vandiejen(ctx, xs8, Q, T, 1, 1)
+    _, (_, H) = vandiejen_sections(ctx, xs8, Q, T, 1)
     degree = (DegreeVector(), DegreeVector(0, 2, 2, (1,) * 8))
     specs = enumerate_conditions(degree, (F(1),), H.params, 1)
     env = dict(H.params)
@@ -188,10 +185,14 @@ def test_section_solve_reproducible(ctx):
 def test_vandiejen_dimension_and_collapse(ctx, xs8):
     _, null = vandiejen_nullspace(ctx, xs8, Q, T, 1)
     assert len(null) == 2
+    # x1 off the balancing constraint by delta breaks one section; its singular
+    # value, about delta times s_max, stands some 70 decades above the rounding
+    # noise even at 1e-8, so the absolute floor keeps it
     xs_bad = list(xs8)
-    xs_bad[0] = xs8[0] + mpf("1e-3")
-    _, null_bad = vandiejen_nullspace(ctx, xs_bad, Q, T, 1, eta_prime=sum(xs8) / 2)
-    assert len(null_bad) == 1
+    for delta in ("1e-3", "1e-6", "1e-8"):
+        xs_bad[0] = xs8[0] + mpf(delta)
+        _, null_bad = vandiejen_nullspace(ctx, xs_bad, Q, T, 1, eta_prime=sum(xs8) / 2)
+        assert len(null_bad) == 1, delta
 
 
 def test_vandiejen_section_failure_raises(ctx, xs8):
@@ -243,7 +244,7 @@ def _beta_value(beta, z):
 @pytest.mark.parametrize("beta", BETAS, ids=[b[0] for b in BETAS])
 def test_shared_sampler_on_divisor_and_off_poles(ctx, beta):
     m = 1
-    spec = ConditionSpec("residue-pair", "even", beta, m, (F(1, 2), F(1, 2)), (), 1)
+    spec = ConditionSpec("residue-pair", beta, m, (F(1, 2), F(1, 2)), (), 1)
     env = {"q": Q, "t": T, "eta_prime": ETA}
     params = {"q": Q, "a": mpc("0.1", "0.05"), "b": mpc("-0.2", "0.1")}
     zf = [AffineForm.var("z1"), AffineForm.var("z2")]
@@ -270,7 +271,7 @@ def test_shared_sampler_on_divisor_and_off_poles(ctx, beta):
     with pytest.raises(PoleProximityError):
         next(_residue_samples(ctx, random.Random(7), spec, 2, env, ("0",), 1, 1, stuck))
     # the t-vanishing sampler puts its points on beta(z) = t + m q
-    tspec = ConditionSpec("t-vanish", "even", beta, m, (F(-1), F(0)))
+    tspec = ConditionSpec("t-vanish", beta, m, (F(-1), F(0)))
     for _, z, zref in _vanishing_samples(random.Random(7), tspec, 2, env, 2):
         assert abs(_beta_value(beta, z) - T - m * Q) < eps
         assert all(0 < (r - w).real < 0.15 and 0 < (r - w).imag < 0.1 for r, w in zip(zref, z))
@@ -286,7 +287,7 @@ def test_vandiejen_corner_matches_leading_expr(ctx, xs8):
         assert rel(corner.eval(ctx, z), expr.eval(ctx, bindings_for(model.params, z))) < TOL
 
 
-SUM_SPEC = ConditionSpec("residue-pair", "even", ("sum", 0, 1), 0, (F(1, 2), F(1, 2)), (F(-1, 2), F(-1, 2)), 1)
+SUM_SPEC = ConditionSpec("residue-pair", ("sum", 0, 1), 0, (F(1, 2), F(1, 2)), (F(-1, 2), F(-1, 2)), 1)
 
 
 def _one_coefficient_operator(factors):
@@ -296,7 +297,7 @@ def _one_coefficient_operator(factors):
 
 def test_check_residue_rejects_opaque_coefficients(ctx):
     D = first_order([], T, Q, 1)
-    spec = ConditionSpec("residue-pair", "even", ("double", 0), 0, (F(-1),), (F(1),), 2)
+    spec = ConditionSpec("residue-pair", ("double", 0), 0, (F(-1),), (F(1),), 2)
     with pytest.raises(ValueError, match="structured coefficients"):
         check_residue(ctx, D.compose(D), [spec], {"q": Q, "t": T, "eta_prime": ETA}, samples=1)
 
@@ -333,30 +334,36 @@ def test_factor_table_shares_arguments_and_poles():
 
 def test_condition_rows_reject_vanishing_specs(ctx):
     model = first_order_model(ctx, 1, 0, ETA, Q, T)
-    tspec = ConditionSpec("t-vanish", "even", ("double", 0), 0, (F(-1, 2),))
+    tspec = ConditionSpec("t-vanish", ("double", 0), 0, (F(-1, 2),))
     with pytest.raises(ValueError, match="residue-pair"):
         model.condition_rows([tspec])
 
 
-def test_nullspace_svd_equals_svd_c(monkeypatch):
-    # nullspace_basis skips U; its S and V must be mp.svd_c's, bit for bit
+def _rank_nine_rows():
+    """A seeded 30 x 12 complex matrix of rank 9 with entries of order one."""
     rng = random.Random(41)
 
     def rand(r, c):
         return [[mpc(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(c)] for _ in range(r)]
 
     with mp.workprec(256 + 16):
-        rows = (matrix(rand(30, 9)) * matrix(rand(9, 12))).tolist()
+        return (matrix(rand(30, 9)) * matrix(rand(9, 12))).tolist()
+
+
+def test_nullspace_svd_equals_svd_c(monkeypatch):
+    # nullspace_basis skips U; its S and V must be mp.svd_c's, bit for bit
+    rows = _rank_nine_rows()
+    with mp.workprec(256 + 16):
         _, S_ref, V_ref = mp.svd_c(matrix(rows))
     seen = []
-    raw = conditions.svd_c_raw
+    raw = weyl.svd_c_raw
 
     def spy(ctx, A, V, calc_u):
         S = raw(ctx, A, V, calc_u=calc_u)
         seen.append((S, V, calc_u))
         return S
 
-    monkeypatch.setattr(conditions, "svd_c_raw", spy)
+    monkeypatch.setattr(weyl, "svd_c_raw", spy)
     null = nullspace_basis(rows, 12, prec=256)
     ((S, V, calc_u),) = seen
     assert not calc_u
@@ -366,3 +373,20 @@ def test_nullspace_svd_equals_svd_c(monkeypatch):
     with mp.workprec(256 + 16):
         want = [[mp.conj(V_ref[j, i]) for i in range(12)] for j in range(9, 12)]
     assert [[point_key(x) for x in v] for v in null] == [[point_key(x) for x in v] for v in want]
+
+
+def test_rank_and_nullspace_dimension_add_up():
+    rows = _rank_nine_rows()
+    assert numeric_rank(rows, prec=256) + len(nullspace_basis(rows, 12, prec=256)) == 12
+
+
+def test_rank_cut_without_a_gap_raises():
+    # the floor at 256 bits is 2^-128 ~ 2.9e-39; 1e-37 and 1e-40 straddle it
+    # only 1e3 apart, short of RANK_GAP
+    diag = [mpc(1), mpc("1e-37"), mpc("1e-40")]
+    rows = [[d if i == j else mpc(0) for j in range(3)] for i, d in enumerate(diag)]
+    with pytest.raises(ArithmeticError, match="ambiguous"):
+        numeric_rank(rows, prec=256)
+    with pytest.raises(ArithmeticError, match="ambiguous"):
+        nullspace_basis(rows, 3, prec=256)
+

@@ -11,7 +11,6 @@ from ccnops.families import (
     first_order,
     fourier_transform,
     hilbert_gauge_identities,
-    solve_fourier_kernel,
     theta_pm_multiplier,
 )
 from ccnops.formal import compare_gauged, gauged_from_operator
@@ -22,7 +21,7 @@ PARAMS = {"q": Q, "t": T}
 
 
 def test_kernel_c_zero_is_identity(ctx):
-    K0 = solve_fourier_kernel(ctx, mpc(0), Q, T, 1, 3)
+    K0 = FourierKernel(ctx, mpc(0), Q, T, 1, 3)
     z = sample_points(1, 1)[0]
     for m in ((1,), (2,), (3,)):
         assert abs(K0.tail_value(m, z)) < mpf("1e-60")
@@ -56,14 +55,14 @@ def test_kernel_matches_d2(ctx):
 
 def test_defining_residual(ctx):
     for n, order in ((1, 4), (2, 3)):
-        K = solve_fourier_kernel(ctx, mpc("0.123", "0.221"), Q, T, n, order)
+        K = FourierKernel(ctx, mpc("0.123", "0.221"), Q, T, n, order)
         z = sample_points(n, 1)[0]
         assert K.defining_residual(z, order=order - 1) < TOL
 
 
 def test_kernel_torsion_guard(ctx):
     with pytest.raises(TorsionError):
-        solve_fourier_kernel(ctx, mpc("0.1", "0.1"), mpf(1) / 2, T, 1, 3)
+        FourierKernel(ctx, mpc("0.1", "0.1"), mpf(1) / 2, T, 1, 3)
 
 
 def test_kernel_inverse_is_negated_argument(ctx):

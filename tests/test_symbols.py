@@ -9,7 +9,6 @@ from ccnops.symbols import (
     Poly,
     ThetaExpr,
     Unbalanced,
-    gamma_product_reduce,
     zvar,
 )
 from conftest import TOL, rel
@@ -20,7 +19,7 @@ z1 = zvar(1)
 
 def test_reduce_shift():
     gp = GammaProduct(terms=((qf + z1, 1), (z1, -1)))
-    te = gamma_product_reduce(gp, arity=1)
+    te = gp.reduce(arity=1)
     assert isinstance(te, ThetaExpr)
     assert te.factors == ((z1, 1),)
     # ledger: polarization z^2/2, weight -1 agree with the resolution
@@ -31,14 +30,14 @@ def test_reduce_shift():
 
 
 def test_reduce_empty():
-    te = gamma_product_reduce(GammaProduct.one())
+    te = GammaProduct.one().reduce()
     assert isinstance(te, ThetaExpr)
     assert te.factors == ()
 
 
 def test_reduce_unbalanced():
     gp = GammaProduct(terms=((z1, 1), (zvar(2), -1)))
-    out = gamma_product_reduce(gp)
+    out = gp.reduce()
     assert isinstance(out, Unbalanced)
     assert len(out.residual) == 2
 
@@ -51,7 +50,7 @@ def test_reflection_ledger():
 
 def test_pochhammer_class_resolution(ctx):
     gp = GammaProduct(terms=((qf * 2 + z1, 1), (z1, -1)))
-    te = gamma_product_reduce(gp, arity=1)
+    te = gp.reduce(arity=1)
     bind = {"z1": mpc("0.17", "0.23"), "q": mpc("0.05", "0.71")}
     want = ctx.theta(bind["z1"]) * ctx.theta(bind["q"] + bind["z1"])
     assert rel(te.eval(ctx, bind), want) < TOL
@@ -59,7 +58,7 @@ def test_pochhammer_class_resolution(ctx):
 
 def test_negative_class_resolution(ctx):
     gp = GammaProduct(terms=((z1 - qf, 1), (z1, -1)))
-    te = gamma_product_reduce(gp, arity=1)
+    te = gp.reduce(arity=1)
     bind = {"z1": mpc("0.17", "0.23"), "q": mpc("0.05", "0.71")}
     want = 1 / ctx.theta(bind["z1"] - bind["q"])
     assert rel(te.eval(ctx, bind), want) < TOL
@@ -68,7 +67,7 @@ def test_negative_class_resolution(ctx):
 def test_ledger_matches_measured_multiplier(ctx):
     # balanced product resolves; its measured tau-multiplier agrees with Q
     gp = GammaProduct(terms=((qf + z1, 2), (z1, -2)))
-    te = gamma_product_reduce(gp, arity=1)
+    te = gp.reduce(arity=1)
     Q = te.zpart_quadratic(1)
     assert Q == ((Fraction(2),),)
     bind = {"q": mpc("0.05", "0.71")}

@@ -235,3 +235,10 @@ def test_theta_rank_gap_at_other_moduli(tau):
     ctx = CurveContext(tau, 96)
     for Q in even_positive_definite(8):
         _assert_rank_gap(Q, ctx)
+
+
+def test_numeric_rank_of_rounding_noise_is_zero():
+    # every singular value of 1e-80 noise lies below the floor 2^-128
+    rng = random.Random(43)
+    rows = [[mpc(rng.gauss(0, 1), rng.gauss(0, 1)) * mpf("1e-80") for _ in range(4)] for _ in range(6)]
+    assert numeric_rank(rows, prec=256) == 0
