@@ -12,14 +12,28 @@ t-divisor.  A single sampling pipeline feeds both of its consumers:
   nearby reference point that sets the scale.
 
 Every point is put on its root divisor by the one rule `_place_on_root`.
-Residues of structured coefficients (`ExprCoefficient`) are read through a
-factor table, `_Factors`, that holds each distinct theta argument once and
-evaluates it once per sample point: the pole test, the search for the unique
-vanishing factor and the numerator product all read those values, so
-holomorphy along a divisor is never a limit extraction.  `check_residue`
-builds a table over the two coefficients under test and uses three
-components and two u-probes; `SectionModel.condition_rows` builds one table
-over every basis coefficient and uses four components and one probe.
+Residues and values of structured coefficients (`ExprCoefficient`) are read
+through a factor table, `_Factors`, that holds each distinct theta argument
+once and evaluates it once per sample point: the pole test, the search for
+the unique vanishing factor and the numerator product all read those
+values, so holomorphy along a divisor is never a limit extraction.
+`check_residue` builds a table over the two coefficients under test and
+uses three components and two u-probes; `SectionModel.condition_rows`
+builds one table over every basis coefficient and uses four components and
+one probe; `check_vanishing` builds one per coefficient.
+
+The table path runs on Python integers (see `curve`).  Each argument is
+compiled once per table into a parameter constant c and integer
+z-coefficients k_j (+-1 or +-2 in every model), with e(+-c/2) formed there;
+a point forms e(+-z_j/2) once per coordinate.  An argument's F-bit
+fixed-point value c + sum_j k_j z_j serves the pole tests and the lattice
+reduction, and its theta comes from `CurveContext.theta_fixed` as a
+Gaussian float, F = `ctx._wp` + GUARD_BITS.  A part, scale times a product
+of theta powers, is a numerator and a denominator of Gaussian-float
+products, divided once (`_quotient`): its relative error is the theta
+values' own (a few units of 2^-F each, more only near a theta zero) plus
+2^(2-F) per product, and one rounding to `ctx._wp` bits.  The u-probe
+brackets stay on `ctx.theta`.
 
 Dimensions are decided by the one rank rule of `weyl.spectrum_rank`: the
 solver's `nullspace_basis` and `operator_span_contains` scale their matrices
@@ -37,12 +51,18 @@ from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
+from mpmath.libmp import to_fixed
+
 from .curve import (
+    GAUSS_ONE,
     GUARD_BITS,
     MAX_RETRIES,
     PoleProximityError,
     at_context_precision,
     exact_mpc,
+    gauss_div,
+    gauss_exact,
+    gauss_mul,
     memo,
     point_key,
 )
@@ -50,7 +70,6 @@ from .diffop import (
     DegreeVector,
     DifferenceOperator,
     ExprCoefficient,
-    bindings_for,
     identity_operator,
     rel_defect,
 )
@@ -219,22 +238,29 @@ class _Factors:
     `add` encodes a coefficient as parts (scale, ((argument, exponent), ...))
     in factor order.  An argument is a (form, bindings of the parameters it
     reads) pair, keyed on the form's coefficients in their stored order plus
-    the exact values it reads, so equal keys evaluate by the same operations
-    to the same bits.  `poles` keeps one argument per distinct denominator
-    pole (`form.key()` plus those values), in first-seen order.
+    the exact values it reads, so equal keys are one argument.  `poles`
+    keeps one argument per distinct denominator pole (`form.key()` plus
+    those values), in first-seen order.
+
+    `compiled(ctx)` splits each argument once per table into its parameter
+    constant c and its integer z-coefficients k_j: the argument at z is
+    c + sum_j k_j z_j, and e(+-c/2) are formed once here, so a sample point
+    needs only e(+-z_j/2) (see `_Point`).
     """
 
     def __init__(self):
         self.args = []
         self.poles = {}
         self._index = {}
+        self._ctx = None
+        self._compiled = []
 
     def add(self, coeff):
         """The encoded parts of a coefficient; () for an absent one."""
         if coeff is None:
             return ()
         if not isinstance(coeff, ExprCoefficient):
-            raise ValueError("residue checks need structured coefficients")
+            raise ValueError("condition checks need structured coefficients")
         return tuple(
             (scale, tuple((self._arg(form, params, m < 0), m) for form, m in expr.factors))
             for scale, expr, params in coeff.parts
@@ -250,36 +276,129 @@ class _Factors:
             self.poles.setdefault((form.key(), tuple(sorted(values))), i)
         return i
 
+    def compiled(self, ctx):
+        """Per argument: (c as F-bit fixed-point integers, ((j, k_j), ...), e(c/2), e(-c/2))."""
+        if ctx is not self._ctx:
+            self._ctx, self._compiled = ctx, []
+        for form, reads in self.args[len(self._compiled):]:
+            self._compiled.append(_compile_argument(ctx, form, reads))
+        return self._compiled
 
-class _Point(dict):
-    """Argument index of a `_Factors` table -> its value at the point `z`, filled on first use.
 
-    `reduced(i)` and `theta(i)` hold the argument's `lattice_reduce` triple
-    and theta value the same way, so each is computed once per point.
+def _compile_argument(ctx, form, reads):
+    """A table argument as (c in F-bit fixed point, ((j, k_j), ...), e(c/2), e(-c/2))."""
+    F = ctx._fix
+    zk = []
+    with mp.workprec(F + GUARD_BITS):
+        c = mpc(form.const.numerator) / form.const.denominator
+        for s, k in form.coeffs.items():
+            if s[0] == "z" and s[1:].isdigit():
+                if k.denominator != 1:
+                    raise ValueError("factor tables need integer z-coefficients, got %s in %s" % (k, form))
+                zk.append((int(s[1:]) - 1, int(k)))
+            else:
+                c += exact_mpc(reads[s]) * mpc(k.numerator) / k.denominator
+    re, im = c._mpc_
+    return (to_fixed(re, F), to_fixed(im, F)), tuple(zk), *ctx.half_e(c)
+
+
+class _Point:
+    """A factor table at the point z: each argument's reduction and theta, computed once on first use.
+
+    Everything is on integers.  The argument c + sum_j k_j z_j is summed in
+    F-bit fixed point and reduced by `CurveContext.reduce_fixed`; e(+-arg/2)
+    is e(+-c/2) from the table times e(+-z_j/2)^k_j, formed once per point
+    and coordinate, and `CurveContext.theta_fixed` turns them into theta as
+    a Gaussian float.
     """
 
-    def __init__(self, ctx, args, z):
-        super().__init__()
+    def __init__(self, ctx, table, z):
         self.ctx = ctx
-        self.args = args
+        self.table = table
         self.z = z
+        self._args = table.compiled(ctx)
+        F = ctx._fix
+        self._fixed = [tuple(to_fixed(x, F) for x in point_key(w)) for w in z]
+        self._halves = {}
+        self._powers = {}
         self._reduced = {}
-        self._theta = {}
-
-    def __missing__(self, i):
-        form, reads = self.args[i]
-        val = self[i] = form.eval(bindings_for(reads, self.z))
-        return val
+        self._factors = {}
 
     def reduced(self, i):
-        return memo(self._reduced, i, lambda: self.ctx.lattice_reduce(self[i]))
+        """(w0r, w0i, m, n) of argument i: its `reduce_fixed` lattice reduction."""
 
-    def theta(self, i):
-        return memo(self._theta, i, lambda: self.ctx.theta(self[i]))
+        def compute():
+            (ar, ai), zk, _, _ = self._args[i]
+            for j, k in zk:
+                ar += k * self._fixed[j][0]
+                ai += k * self._fixed[j][1]
+            return self.ctx.reduce_fixed(ar, ai)
+
+        return memo(self._reduced, i, compute)
+
+    def dist2(self, i):
+        """Squared distance of argument i to the lattice, scaled by 2^(2F)."""
+        w0r, w0i, _, _ = self.reduced(i)
+        return self.ctx.fixed_dist2(w0r, w0i)
+
+    def factor(self, i):
+        """theta(argument i) as a Gaussian float."""
+
+        def compute():
+            F = self.ctx._fix
+            _, zk, half, inv_half = self._args[i]
+            for j, k in zk:
+                half = gauss_mul(half, self._power(j, k), F)
+                inv_half = gauss_mul(inv_half, self._power(j, -k), F)
+            return self.ctx.theta_fixed(self.reduced(i), half, inv_half)
+
+        return memo(self._factors, i, compute)
+
+    def _power(self, j, k):
+        """e(k z_j / 2) as a Gaussian float."""
+
+        def compute():
+            if abs(k) == 1:
+                return memo(self._halves, j, lambda: self.ctx.half_e(self.z[j]))[k < 0]
+            step = 1 if k > 0 else -1
+            return gauss_mul(self._power(j, step), self._power(j, k - step), self.ctx._fix)
+
+        return memo(self._powers, (j, k), compute)
+
+
+def _fixed_square(ctx, bound):
+    """(bound 2^F)^2 for a rational bound: a squared distance threshold of the fixed point."""
+    return ((bound.numerator << ctx._fix) // bound.denominator) ** 2
 
 
 #: |reduced argument| below which a denominator factor vanishes at a sample
-_ON_DIVISOR = mpf("1e-9")
+_ON_DIVISOR = Fraction(1, 10**9)
+
+#: least distance of a sample point from the table's poles
+_POLE_MARGIN = Fraction(5, 1000)
+
+
+def _quotient(ctx, point, factors, skip, num, den):
+    """num prod theta^m / (den prod theta^-m) over the factors but `skip`, rounded once to `ctx._wp` bits."""
+    F = ctx._fix
+    for j, (arg, m) in enumerate(factors):
+        if j == skip:
+            continue
+        v = point.factor(arg)
+        for _ in range(abs(m)):
+            if m > 0:
+                num = gauss_mul(num, v, F)
+            else:
+                den = gauss_mul(den, v, F)
+    return gauss_div(num, den, ctx._wp)
+
+
+def _value_of_parts(ctx, parts, point):
+    """The encoded parts' sum at the point."""
+    total = mpc(0)
+    for scale, factors in parts:
+        total += _quotient(ctx, point, factors, None, gauss_exact(scale), GAUSS_ONE)
+    return total
 
 
 def _residue_of_parts(ctx, parts, point, beta_coeffs):
@@ -288,18 +407,21 @@ def _residue_of_parts(ctx, parts, point, beta_coeffs):
     The local coordinate is s = beta(z) + m q - lambda, traversed by varying
     the first coordinate beta involves; each part contributes through its
     unique vanishing denominator factor, scaled by the exact lattice
-    derivative of theta.
+    derivative of theta.  A part's numerator and denominator are
+    Gaussian-float products divided once (`_quotient`).
     """
     total = mpc(0)
     svar = next(i for i, c in enumerate(beta_coeffs) if c)
     bslope = beta_coeffs[svar]
+    F = ctx._fix
+    on_divisor = _fixed_square(ctx, _ON_DIVISOR)
     for scale, factors in parts:
         vanishing = None
         for idx, (arg, mexp) in enumerate(factors):
             if mexp >= 0:
                 continue
-            z0, a, b = point.reduced(arg)
-            if abs(z0) < _ON_DIVISOR:
+            w0r, w0i, a, b = point.reduced(arg)
+            if w0r * w0r + w0i * w0i < on_divisor:
                 if vanishing is not None:
                     raise PoleProximityError("two denominator factors vanish at the sample")
                 if mexp != -1:
@@ -308,13 +430,10 @@ def _residue_of_parts(ctx, parts, point, beta_coeffs):
         if vanishing is None:
             continue
         idx, arg, a, b = vanishing
-        rest = mpc(1)
-        for j, (other, m) in enumerate(factors):
-            if j != idx:
-                rest *= point.theta(other) ** m
-        slope = point.args[arg][0].coeff("z%d" % (svar + 1)) / bslope
-        deriv = ctx.theta_deriv_at_lattice(a, b) * mpc(slope.numerator) / slope.denominator
-        total += mpc(scale) * rest / deriv
+        slope = point.table.args[arg][0].coeff("z%d" % (svar + 1)) / bslope
+        num = gauss_mul(gauss_exact(scale), (slope.denominator, 0, 0), F)
+        den = gauss_mul(ctx.theta_deriv_fixed(a, b), (slope.numerator, 0, 0), F)
+        total += _quotient(ctx, point, factors, idx, num, den)
     return total
 
 
@@ -380,12 +499,12 @@ def _divisor_sample(ctx, rng, n, beta, target, table):
     effective = [
         i for i in table.poles.values() if not _parallel(table.args[i][0], beta_coeffs, n)
     ]
-    margin = mpf("5e-3")
+    margin = _fixed_square(ctx, _POLE_MARGIN)
     for _ in range(MAX_RETRIES):
         z = [mpc(rng.uniform(-0.4, 0.4), rng.uniform(-0.35, 0.35)) for _ in range(n)]
         _place_on_root(z, beta, target)
-        point = _Point(ctx, table.args, tuple(z))
-        if all(ctx.dist_to_lattice(point[i]) >= margin for i in effective):
+        point = _Point(ctx, table, tuple(z))
+        if all(point.dist2(i) >= margin for i in effective):
             return point
     raise PoleProximityError("could not sample the divisor away from other poles")
 
@@ -489,6 +608,8 @@ def check_vanishing(ctx, op, specs, env, samples=2, seed=13, tol=mpf("1e-25")):
         c = op.coefficient(spec.k)
         if c is None:
             continue
+        table = _Factors()
+        parts = table.add(c)
         for snum, z, zref in _vanishing_samples(rng, spec, op.n, env, samples):
             if spec.kind == "x-vanish":
                 label = "x-vanish[k=%s;i=%d;l=%d;#%d]" % (
@@ -499,8 +620,8 @@ def check_vanishing(ctx, op, specs, env, samples=2, seed=13, tol=mpf("1e-25")):
                 )
             else:
                 label = "t-vanish[k=%s;%s;m=%d;#%d]" % (spec.k, spec.beta, spec.level, snum)
-            val = c.eval(ctx, z)
-            ref = abs(c.eval(ctx, zref)) + mpf("1e-30")
+            val = _value_of_parts(ctx, parts, _Point(ctx, table, z))
+            ref = abs(_value_of_parts(ctx, parts, _Point(ctx, table, zref))) + mpf("1e-30")
             report.add(label, abs(val) / ref)
     return report
 

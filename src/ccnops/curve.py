@@ -21,6 +21,25 @@ symbol is the meromorphic solution
 normalized by an explicit exponential prefactor whose branch is the principal
 logarithm, fixed once per tau.
 
+The factor tables of the condition checkers and the section solver read
+theta on integers end to end, as Gaussian floats: a value
+(re + i im) 2^e with integer re, im cut back to F = `ctx._wp` + GUARD_BITS
+bits after each product (`gauss_mul`).  An argument z arrives as F-bit
+fixed-point integers, is reduced to z = w0 + m + n tau by integer rounding
+(`reduce_fixed`), and e(z/2), e(-z/2) arrive as Gaussian floats formed from
+per-table and per-point exponentials (`half_e`).  Then x0 = e(w0/2) =
+(-1)^m e(-n tau/2) e(z/2) feeds the lacunary sum, and
+
+    theta(z) = (-1)^(m+n) x0^(-2n) e(-n^2 tau/2) theta(w0)
+
+(`theta_fixed`), with e(k tau/2) memoized per context.  No exponential,
+cos/sin, `lattice_reduce` or mpc operation runs per theta.  Error: each
+product cuts its mantissas once, a relative error of at most 2^(2-F); a
+theta value carries the sum's few units of 2^-F (relative to |theta|, so
+more near a zero of theta) plus a few such cuts; a quotient of products
+of k theta values is then good to about k (that error + 2^(2-F))
+relative, and is rounded once, to `ctx._wp` bits (`gauss_div`).
+
 Precision rule: a CurveContext owns its working precision, `ctx._wp` = prec +
 GUARD_BITS, and every public function or method that takes a context
 computes under `mp.workprec(ctx._wp)` (most through `at_context_precision`).
@@ -43,7 +62,6 @@ from mpmath.libmp import (
     from_man_exp,
     fzero,
     mpf_add,
-    mpc_neg,
     mpf_cos_sin_pi,
     mpf_exp,
     mpf_lt,
@@ -143,6 +161,65 @@ def memo(cache, key, compute):
     return val
 
 
+# -- Gaussian floats: (re, im, e) is the value (re + i im) 2^e, re and im integers
+
+GAUSS_ONE = (1, 0, 0)
+
+
+def gauss_exact(z):
+    """A number as a Gaussian float, exactly."""
+    if z == 1:
+        return GAUSS_ONE
+    parts = [(-man if sign else man, exp) for sign, man, exp, _ in point_key(z)]
+    e = min((exp for man, exp in parts if man), default=0)
+    (re, rexp), (im, iexp) = parts
+    return re << (rexp - e) if re else 0, im << (iexp - e) if im else 0, e
+
+
+def gauss_cut(re, im, e, F):
+    """(re + i im) 2^e with its mantissas cut back to F bits (a relative error of at most 2^(2-F))."""
+    t = (abs(re) | abs(im)).bit_length() - F
+    if t > 0:
+        return re >> t, im >> t, e + t
+    return re, im, e
+
+
+def gauss_mul(a, b, F):
+    """a b, its mantissas cut back to F bits (`gauss_cut`, inlined: the row path's hottest call)."""
+    re = a[0] * b[0] - a[1] * b[1]
+    im = a[0] * b[1] + a[1] * b[0]
+    t = (abs(re) | abs(im)).bit_length() - F
+    if t > 0:
+        return re >> t, im >> t, a[2] + b[2] + t
+    return re, im, a[2] + b[2]
+
+
+def gauss_fixed(a, F):
+    """a as F-bit fixed-point integers: (re, im) scaled by 2^F."""
+    s = a[2] + F
+    return (a[0] << s, a[1] << s) if s >= 0 else (a[0] >> -s, a[1] >> -s)
+
+
+def gauss_div(a, b, prec):
+    """a / b as an mpc at prec bits, rounded from a quotient of prec + GUARD_BITS bits.
+
+    ZeroDivisionError when b is 0.
+    """
+    br, bi = b[0], b[1]
+    d = br * br + bi * bi
+    nr = a[0] * br + a[1] * bi
+    ni = a[1] * br - a[0] * bi
+    k = prec + GUARD_BITS + d.bit_length() - (abs(nr) | abs(ni)).bit_length()
+    if k >= 0:
+        nr, ni = nr << k, ni << k
+    else:
+        d <<= -k
+    e = a[2] - b[2] - k
+    return mp.make_mpc(
+        (from_man_exp(nr // d, e, prec, round_nearest), from_man_exp(ni // d, e, prec, round_nearest))
+    )
+
+
 class CurveContext:
     """Evaluation context for a fixed modulus tau and working precision.
 
@@ -168,7 +245,6 @@ class CurveContext:
             self._p_half = self.e(self.tau / 2)
             self._sum_weights = self._build_sum_weights()
             self._theta_denom = self._build_denominator()
-            self.dtheta0 = self.two_pi_i  # theta'(0) from the product formula
             # the fixed-point kernel's constants, as integers scaled by 2^F
             self._fix = F = self._wp + GUARD_BITS
             # each weight keeps all its bits: w_j scaled by 2^(F + s_j), 2^-s_j ~ |w_j|
@@ -181,10 +257,16 @@ class CurveContext:
             self._fix_inv_denom = (to_fixed(inv[0], F), to_fixed(inv[1], F))
             self._fix_pi = mpf_pi(F)
             self._zero_sq = from_man_exp(1, -2 * self._wp)
+        # the factor tables' fixed-point lattice: tau as given, its 9 nearest
+        # translates of 0, and the zero rule's |w0|^2 < 2^-2wp at scale 2^2F
+        tre, tim = self._tau_exact
+        self._fix_tau = tr, ti = to_fixed(tre, F), to_fixed(tim, F)
+        self._fix_near = [(dm * (1 << F) + dn * tr, dn * ti) for dm in (-1, 0, 1) for dn in (-1, 0, 1)]
+        self._fix_zero = 1 << 2 * (F - self._wp)
+        self._half_tau_cache = {}
         self._theta_cache = {}
         self._gamma_cache = {}
         self._c_pair_cache = {}
-        self._deriv_cache = {}
 
     # -- primitives -------------------------------------------------------
 
@@ -234,14 +316,11 @@ class CurveContext:
         return mp.make_mpc((mpf_pos(re, self._wp, round_nearest), mpf_pos(im, self._wp, round_nearest))), m, n
 
     def dist_to_lattice(self, z):
-        """Distance from z to the nearest point of <1, tau>."""
-        z0, _, _ = self.lattice_reduce(z)
+        """Distance from z to the nearest point of <1, tau>, from z's F-bit fixed-point reduction."""
+        F = self._fix
+        w0r, w0i, _, _ = self.reduce_fixed(*(to_fixed(x, F) for x in point_key(z)))
         with mp.workprec(self._wp):
-            best = abs(z0)
-            for dm in (-1, 0, 1):
-                for dn in (-1, 0, 1):
-                    best = min(best, abs(z0 + dm + dn * self.tau))
-            return best
+            return mp.sqrt(mp.ldexp(self.fixed_dist2(w0r, w0i), -2 * F))
 
     # -- theta ------------------------------------------------------------
 
@@ -263,20 +342,11 @@ class CurveContext:
     def _theta_reduced(self, z0):
         """theta(z0) for a reduced z0, by the lacunary sum in F-bit fixed point.
 
-        With x = e(z0), theta(z0) = sum_j w_j (x^(j+1/2) - x^-(j+1/2)) / D for
-        the weights w_j and D = sum_j (2j+1) w_j of `_build_sum_weights`.
-        e(z0/2) = exp(-pi Im z0) (cos pi Re z0 + i sin pi Re z0) comes from one
-        real exponential and one cos/sin pair at F bits, and e(-z0/2) from an
-        integer reciprocal of the exponential's mantissa.
-
-        Error: the powers are integers scaled by 2^F and every product
-        truncates, so x^(+-(j+1/2)) is off by O(j) units of 2^-F on a term
-        of size at most |e(z0/2)|^(2j+1).  Each weight keeps its whole
-        mantissa (scaled by 2^(F + s_j), 2^-s_j ~ |w_j|), so the weights add
-        no error of that kind.  Near z0 = 0 the differences cancel to about
-        (2j+1) pi i z0, which costs log2(1/|z0|) bits: the GUARD_BITS of F
-        over `ctx._wp` cover that down to |z0| ~ 2^-16, before the one
-        rounding of the sum times 1/D to `ctx._wp` bits.
+        e(z0/2) and e(-z0/2) come from `half_e` and the sum from `_theta_sum`.
+        Near z0 = 0 the sum's differences cancel to about (2j+1) pi i z0,
+        which costs log2(1/|z0|) bits: the GUARD_BITS of F over `ctx._wp`
+        cover that down to |z0| ~ 2^-16, before the one rounding of the sum
+        times 1/D to `ctx._wp` bits.
 
         Zero rule: |z0| < 2^-`ctx._wp` gives exactly 0.  Such a z0 is a
         lattice point up to rounding (`FourierKernel` evaluates theta at
@@ -291,13 +361,44 @@ class CurveContext:
             and mpf_lt(mpf_add(mpf_mul(re, re), mpf_mul(im, im), 53, round_floor), self._zero_sq)
         ):
             return mpc(0)
+        x, y = self.half_e(z0)
+        nr, ni = self._theta_sum(*gauss_fixed(x, F), *gauss_fixed(y, F))
+        return mp.make_mpc(
+            (from_man_exp(nr, -3 * F, self._wp, round_nearest), from_man_exp(ni, -3 * F, self._wp, round_nearest))
+        )
+
+    def half_e(self, z):
+        """(e(z/2), e(-z/2)) as Gaussian floats with F-bit mantissas, z taken exactly.
+
+        e(z/2) = exp(-pi Im z) (cos pi Re z + i sin pi Re z) comes from one
+        real exponential and one cos/sin pair at F bits, and e(-z/2) from an
+        integer reciprocal of the exponential's mantissa.
+        """
+        F = self._fix
+        re, im = point_key(z)
         cos, sin = mpf_cos_sin_pi(re, F)
         cos, sin = to_fixed(cos, F), to_fixed(sin, F)
-        r = mpf_exp(mpf_neg(mpf_mul(self._fix_pi, im, F)), F)  # man * 2^exp
-        ri = (1 << (F - r[2])) // r[1]  # 2^F / r to F significant bits
-        r = to_fixed(r, F)
-        pr, pi = (r * cos) >> F, (r * sin) >> F  # x^(j+1/2)
-        qr, qi = (ri * cos) >> F, -((ri * sin) >> F)  # x^-(j+1/2)
+        _, man, exp, bc = mpf_exp(mpf_neg(mpf_mul(self._fix_pi, im, F)), F)  # man * 2^exp
+        inv = (1 << (F + bc)) // man  # 2^(F + bc) / man to F significant bits
+        return (
+            gauss_cut(man * cos, man * sin, exp - F, F),
+            gauss_cut(inv * cos, -inv * sin, -2 * F - bc - exp, F),
+        )
+
+    def _theta_sum(self, pr, pi, qr, qi):
+        """The lacunary sum at x = e(z0/2)^2, from e(+-z0/2) in F-bit fixed point.
+
+        With x = e(z0), theta(z0) = sum_j w_j (x^(j+1/2) - x^-(j+1/2)) / D for
+        the weights w_j and D = sum_j (2j+1) w_j of `_build_sum_weights`.
+        Returns theta(z0) as integers scaled by 2^(3F).
+
+        Error: the powers are integers scaled by 2^F and every product
+        truncates, so x^(+-(j+1/2)) is off by O(j) units of 2^-F on a term
+        of size at most |e(z0/2)|^(2j+1).  Each weight keeps its whole
+        mantissa (scaled by 2^(F + s_j), 2^-s_j ~ |w_j|), so the weights add
+        no error of that kind.
+        """
+        F = self._fix
         xr, xi = (pr * pr - pi * pi) >> F, (pr * pi) >> (F - 1)
         yr, yi = (qr * qr - qi * qi) >> F, (qr * qi) >> (F - 1)
         nr = ni = 0  # scaled by 2^(2F)
@@ -308,12 +409,69 @@ class CurveContext:
             pr, pi = (pr * xr - pi * xi) >> F, (pr * xi + pi * xr) >> F
             qr, qi = (qr * yr - qi * yi) >> F, (qr * yi + qi * yr) >> F
         dr, di = self._fix_inv_denom
-        return mp.make_mpc(
-            (
-                from_man_exp(nr * dr - ni * di, -3 * F, self._wp, round_nearest),
-                from_man_exp(nr * di + ni * dr, -3 * F, self._wp, round_nearest),
-            )
-        )
+        return nr * dr - ni * di, nr * di + ni * dr
+
+    # -- theta on integers, for the factor tables ----------------------------
+
+    def reduce_fixed(self, ar, ai):
+        """(w0r, w0i, m, n): z = ar + i ai (scaled by 2^F) as w0 + m + n tau, w0 scaled by 2^F.
+
+        m and n are z's nearest lattice coordinates, found by integer
+        rounding against tau as given; w0 is exact in that fixed point.
+        """
+        F = self._fix
+        tr, ti = self._fix_tau
+        n = (2 * ai + ti) // (2 * ti)
+        ar, ai = ar - n * tr, ai - n * ti
+        m = (ar + (1 << (F - 1))) >> F
+        return ar - (m << F), ai, m, n
+
+    def fixed_dist2(self, w0r, w0i):
+        """The squared distance of a reduced w0 (scaled by 2^F) to the lattice, scaled by 2^(2F)."""
+        return min((w0r + a) ** 2 + (w0i + b) ** 2 for a, b in self._fix_near)
+
+    def half_tau_power(self, k):
+        """e(k tau/2) for an integer k, as a Gaussian float with F-bit mantissas, memoized per k."""
+
+        def compute():
+            k_tau = tuple(mpf_mul(from_int(k), x) for x in self._tau_exact)  # exact
+            return self.half_e(mp.make_mpc(k_tau))[0]
+
+        return memo(self._half_tau_cache, k, compute)
+
+    def theta_fixed(self, reduced, half, inv_half):
+        """theta(z) as a Gaussian float, from `reduce_fixed`(z) and e(+-z/2) as Gaussian floats.
+
+        x0 = e(w0/2) = (-1)^m e(-n tau/2) e(z/2) and 1/x0 feed `_theta_sum`,
+        then theta(z) = (-1)^(m+n) x0^(-2n) e(-n^2 tau/2) theta(w0).  The zero
+        rule of `_theta_reduced` holds: |w0| < 2^-`ctx._wp` gives exactly 0.
+        """
+        w0r, w0i, m, n = reduced
+        if w0r * w0r + w0i * w0i < self._fix_zero:
+            return (0, 0, 0)
+        F = self._fix
+        x, y = half, inv_half
+        if n:
+            x = gauss_mul(x, self.half_tau_power(-n), F)
+            y = gauss_mul(y, self.half_tau_power(n), F)
+        if m % 2:
+            x, y = (-x[0], -x[1], x[2]), (-y[0], -y[1], y[2])
+        nr, ni = self._theta_sum(*gauss_fixed(x, F), *gauss_fixed(y, F))
+        val = gauss_cut(nr, ni, -3 * F, F)
+        if n:
+            val = gauss_mul(val, self.half_tau_power(-n * n), F)
+            step = y if n > 0 else x
+            for _ in range(2 * abs(n)):
+                val = gauss_mul(val, step, F)
+        if (m + n) % 2:
+            val = (-val[0], -val[1], val[2])
+        return val
+
+    def theta_deriv_fixed(self, m, n):
+        """theta'(m + n tau) = (-1)^(m+n) e(-n^2 tau/2) 2 pi i as a Gaussian float."""
+        F = self._fix
+        sign = -1 if (m + n) % 2 else 1
+        return gauss_mul(self.half_tau_power(-n * n), (0, sign * to_fixed(self._fix_pi, F + 1), -F), F)
 
     def theta_product(self, z, reduce=True):
         """theta(z; tau) via the defining product formula (reference path)."""
@@ -346,16 +504,6 @@ class CurveContext:
                     raise PrecisionError("theta product did not converge")
             return mult * val / denom
 
-    def theta_deriv_at_lattice(self, m, n):
-        """d/deps theta(m + n*tau + eps) at eps = 0."""
-        val = memo(self._deriv_cache, n, lambda: self._deriv_at(n))
-        return mp.make_mpc(mpc_neg(val._mpc_)) if (m + n) % 2 else val
-
-    def _deriv_at(self, n):
-        # theta'(n*tau) = (-1)^n e(-n^2*tau/2) theta'(0); the sign is the caller's
-        with mp.workprec(self._wp):
-            return self.e(-n * n * self.tau / 2) * self.dtheta0
-
     # -- theta shifted factorial -------------------------------------------
 
     def theta_pochhammer(self, z, k, q):
@@ -374,20 +522,6 @@ class CurveContext:
                         raise PoleProximityError("theta factorial hit a pole at step %d" % i)
                     val /= f
             return val
-
-    # -- the quadratic character on 2-torsion -------------------------------
-
-    def frak_q(self, x, tol=mpf("1e-9")):
-        """+1 at 0, -1 at the three nontrivial 2-torsion points."""
-        with mp.workprec(self._wp):
-            z0, _, _ = self.lattice_reduce(mpc(2) * mpc(x))
-            if abs(z0) > tol and self.dist_to_lattice(2 * mpc(x)) > tol:
-                raise ValueError("not a 2-torsion point within tolerance")
-            # recover the parity of the representative of 2x in the lattice
-            two_x = 2 * mpc(x)
-            n = int(mp.nint(two_x.imag / self.tau.imag))
-            m = int(mp.nint((two_x - n * self.tau).real))
-            return 1 if (m % 2 == 0 and n % 2 == 0) else -1
 
     # -- elliptic Gamma -----------------------------------------------------
 

@@ -15,7 +15,13 @@ Every rank and nullspace dimension of the package is decided by one SVD
 (`svd_spectrum`) and one rule (`spectrum_rank`): the singular values above
 2^-(prec//2) count.  That absolute floor assumes entries of order one (s_max
 between 10^-0.2 and 10^2.6 at nonzero rank in the tests and the benchmark);
-the margin of a decision is read from `singular_values`.
+the margin of a decision is read from `singular_values`.  A tall matrix
+(the solver's condition rows, `operator_span_contains`) is first reduced to
+the R of an integer Householder QR and the SVD runs on R, the R-SVD of
+Chan (ACM TOMS 1982): A = QR gives A^H A = R^H R, so the singular values
+and right singular vectors are those of A, and Householder QR is backward
+stable (Higham, Accuracy and Stability of Numerical Algorithms, ch. 19).
+The theta-lattice oracle's matrices are wide and go to the SVD directly.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import matrix, mp, mpc, mpf
-from mpmath.libmp import mpc_add, mpc_mul, mpc_zero, round_nearest
+from mpmath.libmp import from_man_exp, mpc_add, mpc_mul, mpc_zero, round_nearest, to_fixed
 from mpmath.matrices.eigen_symmetric import svd_c_raw
 
 from .curve import GUARD_BITS, CurveContext, at_context_precision, point_key
@@ -611,14 +617,86 @@ def theta_symmetrization_rank(Q, gens, ctx=None):
     return numeric_rank(theta_symmetrization_rows(Q, gens, ctx), prec=ctx.prec)
 
 
+def _householder_r(rows, F):
+    """The R of a complex Householder QR of the tall matrix `rows`, on Python integers.
+
+    The entries are scaled by one power of two to at most 1 and held as
+    F-bit fixed-point Gaussian integers.  The rest x of column k is
+    reflected onto alpha e_k, alpha = -phase(x0) ||x||, by
+    H = I - 2 v v^H / (v^H v) with v = x - alpha e_k.  A column that is
+    dependent up to rounding leaves an x of rounding noise, with a pivot x0
+    of only a few significant bits, yet its H acts on the columns after it
+    at full size.  So v^H v is summed exactly, which keeps H a reflection
+    whatever v is, and x0's phase is read at 2F bits, which makes
+    H x = alpha e_k to 2^-F.  With x0's own rounded phase and the textbook
+    v^H v = 2 ||x|| (||x|| + |x0|) instead, the later columns of a van
+    Diejen n=2 solve came out off by 1e-5.  Each operation truncates once
+    at 2^-F of the scaled matrix.  Returns the ncols x ncols R as rows of
+    mpc at the working precision.
+    """
+    keys = [[point_key(x) for x in row] for row in rows]
+    top = max((p[2] + p[3] for row in keys for key in row for p in key if p[1]), default=0)
+    cols = [
+        [[to_fixed(re, F - top), to_fixed(im, F - top)] for re, im in col] for col in zip(*keys)
+    ]
+    ncols = len(cols)
+    R = [[(0, 0)] * ncols for _ in range(ncols)]
+    for k, col in enumerate(cols):
+        v = col[k:]  # x, then v = x - alpha e_k
+        norm2 = sum(xr * xr + xi * xi for xr, xi in v)
+        if norm2:
+            norm = math.isqrt(norm2)
+            x0r, x0i = v[0]
+            a0 = math.isqrt((x0r * x0r + x0i * x0i) << (2 * F))  # |x0| 2^F, at 2F bits
+            pr, pi = ((x0r << (2 * F)) // a0, (x0i << (2 * F)) // a0) if a0 else (1 << F, 0)
+            alpha = (-((pr * norm) >> F), -((pi * norm) >> F))
+            v0r, v0i = x0r - alpha[0], x0i - alpha[1]
+            v[0] = [v0r, v0i]
+            vv = norm2 - x0r * x0r - x0i * x0i + v0r * v0r + v0i * v0i  # v^H v, exactly
+            for j in range(k + 1, ncols):
+                a = cols[j][k:]
+                wr = wi = 0  # v^H a
+                for (vr, vi), (ar, ai) in zip(v, a):
+                    wr += vr * ar + vi * ai
+                    wi += vr * ai - vi * ar
+                fr, fi = (wr << (F + 1)) // vv, (wi << (F + 1)) // vv
+                for entry, (vr, vi) in zip(a, v):
+                    entry[0] -= (vr * fr - vi * fi) >> F
+                    entry[1] -= (vr * fi + vi * fr) >> F
+        else:
+            alpha = (0, 0)
+        R[k][k] = alpha
+        for j in range(k + 1, ncols):
+            R[k][j] = tuple(cols[j][k])
+    exp = top - F
+
+    def entry(re, im):
+        return mp.make_mpc((from_man_exp(re, exp, mp.prec, round_nearest), from_man_exp(im, exp, mp.prec, round_nearest)))
+
+    return [[entry(re, im) for re, im in row] for row in R]
+
+
 def svd_spectrum(rows, prec, V=False):
     """Singular values of the matrix `rows` at prec + GUARD_BITS bits, largest first.
 
     The package's one SVD: mpmath's `svd_c` kernel without the U that no
     caller reads.  If V is an ncols x ncols matrix it receives the right
     singular vectors as its rows, in the order of the values.
+
+    A tall matrix (more rows than columns) is first reduced to the ncols x
+    ncols R of a Householder QR on integers at F = prec + 32 bits
+    (`_householder_r`), and the SVD runs on R: this is the R-SVD of Chan
+    ("An improved algorithm for computing the singular value
+    decomposition", ACM TOMS 1982).  A = QR with Q unitary gives
+    A^H A = R^H R, so S and V are those of A in exact arithmetic, and the
+    QR is backward stable (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 19): it is the SVD of A + dA with ||dA|| a
+    small multiple of 2^-F ||A||.  Wide and square matrices go straight to
+    the SVD.
     """
     with mp.workprec(prec + GUARD_BITS):
+        if len(rows) > len(rows[0]):
+            rows = _householder_r(rows, prec + 32)
         A = matrix(rows)
         S = svd_c_raw(mp, A, V, calc_u=False)
         return [abs(S[i]) for i in range(min(A.rows, A.cols))]

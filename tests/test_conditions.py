@@ -10,7 +10,10 @@ from ccnops.conditions import (
     ConditionSpec,
     _beta_form,
     _Factors,
+    _Point,
+    _residue_of_parts,
     _residue_samples,
+    _value_of_parts,
     _vanishing_samples,
     check_polarization,
     check_residue,
@@ -25,7 +28,7 @@ from ccnops.conditions import (
     vandiejen_nullspace,
     vandiejen_sections,
 )
-from ccnops.curve import PoleProximityError, point_key
+from ccnops.curve import GAUSS_ONE, PoleProximityError, gauss_div, point_key
 from ccnops.diffop import DegreeVector, DifferenceOperator, ExprCoefficient, bindings_for
 from ccnops.families import first_order, van_diejen_leading_expr
 from ccnops.symbols import AffineForm, PolarizationRecord, ThetaExpr, zvar
@@ -332,6 +335,71 @@ def test_factor_table_shares_arguments_and_poles():
     assert table.add(None) == ()
 
 
+def _table_point(ctx, forms, params, z):
+    """A factor table over one theta factor per form, at the point z."""
+    table = _Factors()
+    table.add(ExprCoefficient(ThetaExpr(tuple((f, 1) for f in forms), len(z)), params))
+    return _Point(ctx, table, z)
+
+
+def test_table_theta_against_the_product_formula(ctx):
+    # the integer theta of a table argument c + z1, at lattice shifts of
+    # both signs, against the product formula of the untouched mpc path
+    rng = random.Random(8)
+    tau = mp.make_mpc(point_key(ctx.tau))
+    forms = [AffineForm.var("p") + zvar(1), AffineForm.var("p") - zvar(1) * 2]
+    for n in range(-3, 4):
+        for m in (-5, -2, 0, 3, 5):
+            with mp.workprec(600):
+                p = m + n * tau + mpc(rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2))
+                z = (mpc(rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2)),)
+                args = (p + z[0], p - 2 * z[0])
+            point = _table_point(ctx, forms, {"p": p}, z)
+            for i, arg in enumerate(args):
+                got = gauss_div(point.factor(i), GAUSS_ONE, ctx._wp)
+                want = ctx.theta_product(arg)
+                assert rel(got, want) < mpf("1e-75"), (m, n, i)
+
+
+def test_table_theta_zero_rule(ctx):
+    # a reduced argument below 2^-wp is a lattice point up to rounding: exactly 0
+    tiny = mpf(2) ** -(ctx._wp + 2)
+    with mp.workprec(600):
+        lattice = 1 + mp.make_mpc(point_key(ctx.tau))
+        z = (lattice + mpc(tiny, -tiny) / 2,)
+    point = _table_point(ctx, [zvar(1) - AffineForm.var("p")], {"p": lattice}, z)
+    assert point.factor(0) == (0, 0, 0)
+    assert point.reduced(0)[2:] == (0, 0)
+
+
+def test_residue_of_parts_against_the_mpc_path(ctx):
+    # residue along 2 z1 = tau (lattice point (0, 1)) against eps * c(z) a
+    # distance eps off the divisor, evaluated through ThetaExpr.eval
+    params = {"q": Q, "a": mpc("0.12", "0.05")}
+    a = AffineForm.var("a")
+    first = ThetaExpr(((zvar(1) * 2, -1), (zvar(1) + a, 1), (zvar(1) - AffineForm.var("q"), -1)), 1)
+    second = ThetaExpr(((zvar(1) * -2, -1), (a - zvar(1), 2), (zvar(1) + a, -1)), 1)
+    coeff = ExprCoefficient.sum(
+        [ExprCoefficient(first, params), ExprCoefficient(second, params, mpc("0.3", "-1.7"))]
+    )
+    table = _Factors()
+    parts = table.add(coeff)
+    beta = _beta_form(("double", 0), 1)
+    with mp.workprec(600):
+        z = (mp.make_mpc(point_key(ctx.tau)) / 2,)
+    got = _residue_of_parts(ctx, parts, _Point(ctx, table, z), beta)
+    eps = mpf("1e-30")
+    with mp.workprec(600):
+        off = (z[0] + eps / 2,)  # s = 2 z1 - tau moves by eps
+    want = eps * coeff.eval(ctx, off)
+    assert abs(got) > mpf("1e-3")
+    assert rel(got, want) < mpf("1e-25")
+    # the value path of check_vanishing, at a point away from every pole
+    away = (z[0] + mpc("0.1", "0.05"),)
+    value = _value_of_parts(ctx, parts, _Point(ctx, table, away))
+    assert rel(value, coeff.eval(ctx, away)) < mpf("1e-70")
+
+
 def test_condition_rows_reject_vanishing_specs(ctx):
     model = first_order_model(ctx, 1, 0, ETA, Q, T)
     tspec = ConditionSpec("t-vanish", ("double", 0), 0, (F(-1, 2),))
@@ -350,29 +418,80 @@ def _rank_nine_rows():
         return (matrix(rand(30, 9)) * matrix(rand(9, 12))).tolist()
 
 
-def test_nullspace_svd_equals_svd_c(monkeypatch):
-    # nullspace_basis skips U; its S and V must be mp.svd_c's, bit for bit
-    rows = _rank_nine_rows()
-    with mp.workprec(256 + 16):
+def _few_bit_pivot_rows():
+    """A seeded 40 x 12 complex matrix of rank 9 whose QR pivots have few significant bits.
+
+    Entry (0, 0) is about 1e-60 in a column of order one, and columns 3, 7
+    and 11 are exact sums of two others, so after the columns before them
+    are reflected their rest is rounding noise.  A pivot's phase must be
+    read to the full fixed point and v^H v summed exactly (`_householder_r`).
+    """
+    rng = random.Random(43)
+    free = [[mpc(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(40)] for _ in range(9)]
+    free[0][0] = mpc(2.0**-200, -(2.0**-201))
+    with mp.workprec(256 + 16):  # sums of doubles: exact
+        cols = free[:3] + [[a + b for a, b in zip(free[0], free[1])]]
+        cols += free[3:6] + [[a - b for a, b in zip(free[2], free[4])]]
+        cols += free[6:9] + [[a + b for a, b in zip(free[5], free[8])]]
+    return [list(row) for row in zip(*cols)]
+
+
+def _assert_svd_contract(rows, rank, prec=256):
+    """The R-SVD against mp.svd_c of the whole matrix.
+
+    Kept values agree to 1e-70 relative, dropped ones stay at or below
+    2^-(prec//2) 1e-30, and the nullspace projectors agree to 1e-70.
+    """
+    ncols = len(rows[0])
+    with mp.workprec(prec + 16):
         _, S_ref, V_ref = mp.svd_c(matrix(rows))
+    S = weyl.singular_values(rows, prec)
+    null = nullspace_basis(rows, ncols, prec=prec)
+    assert len(null) == ncols - rank
+    with mp.workprec(prec + 16):
+        for i in range(rank):
+            assert abs(S[i] - S_ref[i]) <= S_ref[i] * mpf("1e-70")
+        assert all(s <= mpf(2) ** -(prec // 2) * mpf("1e-30") for s in S[rank:])
+        want = [[mp.conj(V_ref[j, i]) for i in range(ncols)] for j in range(rank, ncols)]
+        for a in range(ncols):
+            for b in range(ncols):
+                got = sum(v[a] * mp.conj(v[b]) for v in null)
+                ref = sum(v[a] * mp.conj(v[b]) for v in want)
+                assert abs(got - ref) < mpf("1e-70")
+
+
+def test_nullspace_svd_runs_on_the_householder_r(monkeypatch):
+    # a tall matrix reaches the SVD kernel as the 12 x 12 R of its QR, once
+    # and without U; S and V are mp.svd_c's of that R, bit for bit
+    rows = _rank_nine_rows()
     seen = []
     raw = weyl.svd_c_raw
 
     def spy(ctx, A, V, calc_u):
+        R = A.copy()
         S = raw(ctx, A, V, calc_u=calc_u)
-        seen.append((S, V, calc_u))
+        seen.append((R, S, V.copy(), calc_u))
         return S
 
     monkeypatch.setattr(weyl, "svd_c_raw", spy)
     null = nullspace_basis(rows, 12, prec=256)
-    ((S, V, calc_u),) = seen
+    ((R, S, V, calc_u),) = seen
     assert not calc_u
+    assert (R.rows, R.cols) == (12, 12)
+    assert all(R[i, j] == 0 for i in range(12) for j in range(i))
+    with mp.workprec(256 + 16):
+        _, S_ref, V_ref = mp.svd_c(R)
     assert [point_key(x) for x in S] == [point_key(x) for x in S_ref]
     assert [point_key(x) for x in V] == [point_key(x) for x in V_ref]
-    assert len(null) == 3
     with mp.workprec(256 + 16):
         want = [[mp.conj(V_ref[j, i]) for i in range(12)] for j in range(9, 12)]
     assert [[point_key(x) for x in v] for v in null] == [[point_key(x) for x in v] for v in want]
+    monkeypatch.undo()
+    _assert_svd_contract(rows, 9)
+
+
+def test_householder_r_on_few_bit_pivots():
+    _assert_svd_contract(_few_bit_pivot_rows(), 9)
 
 
 def test_rank_and_nullspace_dimension_add_up():

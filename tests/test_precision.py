@@ -6,6 +6,7 @@ inputs twice, once under a 53-bit global precision and once at the tests'
 from the CurveContext alone.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from ccnops.conditions import (
     check_vanishing,
     enumerate_conditions,
     section_solve_first_order,
+    vandiejen_model,
 )
 from ccnops.curve import CurveContext, point_key
 from ccnops.diffop import DegreeVector, op_defect
@@ -38,6 +40,8 @@ C = mpc("0.13", "-0.07")
 F_SHIFTS = (mpc("0.3", "0.1"), mpc("0.2", "0.05"))
 LATTICE_Q = ((2, 1), (1, 4))
 ORACLE_TAU = mpc("0.06", "1.13")
+_XS_RNG = random.Random(5)
+XS8 = [mpc(_XS_RNG.uniform(-0.3, 0.3), _XS_RNG.uniform(-0.2, 0.2)) for _ in range(8)]
 
 
 def _exact(x):
@@ -56,6 +60,15 @@ def _first_order_nullspace(n, dim):
         return null
 
     return case
+
+
+def _vandiejen_rows():
+    # the integer factor-table path: arguments, thetas and residues
+    model = vandiejen_model(CurveContext(TAU, 256), XS8, Q, T, 1)
+    specs = enumerate_conditions(model.degree, model.lam, model.params, 1)
+    rows = model.condition_rows([s for s in specs if s.kind == "residue-pair"])
+    assert len(rows) == 24
+    return rows
 
 
 def _checker_records():
@@ -124,6 +137,7 @@ CASES = {
     "compose-apply": _compose_against_nested_apply,
     "fourier": _fourier_tail_and_compare,
     "theta-lattice": _theta_symmetrization_rows,
+    "vandiejen-n1-rows": _vandiejen_rows,
 }
 
 

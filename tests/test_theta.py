@@ -4,11 +4,13 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from ccnops.curve import (
+    GAUSS_ONE,
     CurveContext,
     CurvePoint,
     ModulusError,
     PoleProximityError,
     PrecisionError,
+    gauss_div,
 )
 from conftest import TAU, TOL, rel
 
@@ -67,15 +69,6 @@ def test_pochhammer_pole_guard():
         ctx.theta_pochhammer(q, -1, q)  # hits theta(0)
 
 
-def test_frak_q(ctx):
-    assert ctx.frak_q(0) == 1
-    assert ctx.frak_q(mpf(1) / 2) == -1
-    assert ctx.frak_q(ctx.tau / 2) == -1
-    assert ctx.frak_q((1 + ctx.tau) / 2) == -1
-    with pytest.raises(ValueError):
-        ctx.frak_q(mpc("0.123", "0.234"))
-
-
 def test_threshold_errors():
     with pytest.raises(ModulusError):
         CurveContext(mpc("0.1", "0.1"), 128)
@@ -111,7 +104,7 @@ def test_theta_deriv_at_lattice(ctx):
     for (m, n) in ((0, 0), (1, 0), (0, 1), (1, 1), (0, -1), (1, 2), (-1, -2)):
         lam = m + n * ctx.tau
         approx = ctx.theta(lam + eps) / eps
-        exact = ctx.theta_deriv_at_lattice(m, n)
+        exact = gauss_div(ctx.theta_deriv_fixed(m, n), GAUSS_ONE, ctx._wp)
         assert rel(approx, exact) < mpf("1e-20")
 
 
