@@ -32,14 +32,13 @@ Gaussian float, F = `ctx._wp` + GUARD_BITS.  A part, scale times a product
 of theta powers, is a numerator and a denominator of Gaussian-float
 products, divided once (`_quotient`): its relative error is the theta
 values' own (a few units of 2^-F each, more only near a theta zero) plus
-2^(2-F) per product, and one rounding to `ctx._wp` bits.  The u-probe
-brackets stay on `ctx.theta`.
+2^(2-F) per product, and one rounding to `ctx._wp` bits.
 
 Dimensions are decided by the one rank rule of `weyl.spectrum_rank`: the
 solver's `nullspace_basis` and `operator_span_contains` scale their matrices
 to entries of order one (s_max between 10^-0.2 and 10^2.6 at nonzero rank in
 the tests and the benchmark), the singular values above 2^-(prec//2) count,
-and a cut needs a RANK_GAP ratio; `weyl.singular_values` shows its margin.
+and a cut needs a RANK_GAP ratio; `weyl.svd_spectrum` shows its margin.
 """
 
 from __future__ import annotations
@@ -627,19 +626,13 @@ def check_vanishing(ctx, op, specs, env, samples=2, seed=13, tol=mpf("1e-25")):
 
 
 @at_context_precision
-def check_polarization(ctx, fn, expected, samples=2, seed=17, tol=mpf("1e-25")):
+def check_polarization(ctx, coeff, expected, samples=2, seed=17, tol=mpf("1e-25")):
     """Measured tau-translation multipliers against the predicted (Q, w) form.
 
-    fn: callable z -> value (or a coefficient); expected: PolarizationRecord.
+    coeff: a coefficient, read through coeff.eval; expected: PolarizationRecord.
     The z-independent constant of each multiplier is free (it absorbs the
     bundle's C-constants); the z-dependent part must match e(-(Q z)_i - ...).
     """
-    if hasattr(fn, "eval"):
-        coeff = fn
-
-        def fn(ctx2, z):
-            return coeff.eval(ctx2, z)
-
     rng = random.Random(seed)
     n = len(expected.Q)
     report = ConditionReport(tolerance=tol)
@@ -649,7 +642,7 @@ def check_polarization(ctx, fn, expected, samples=2, seed=17, tol=mpf("1e-25")):
         for _ in range(samples + 1):
             z = tuple(mpc(rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2)) for _ in range(n))
             zshift = tuple(z[j] + (tau if j == i else 0) for j in range(n))
-            mplier = fn(ctx, zshift) / fn(ctx, z)
+            mplier = coeff.eval(ctx, zshift) / coeff.eval(ctx, z)
             pairs.append((z, mplier))
         z0, m0 = pairs[0]
         for s, (z1, m1) in enumerate(pairs[1:]):

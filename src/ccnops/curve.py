@@ -1,44 +1,44 @@
 """Multiprecision kernel: theta functions, theta factorials, elliptic Gamma symbols.
 
-Everything is built on the single exponential primitive e(x) = exp(2*pi*i*x).
-The odd theta function is defined by its product formula
+Everything is built on the exponential e(x) = exp(2*pi*i*x).  The odd theta
+function is defined by its product formula
 
     theta(z) = (e(z/2)-e(-z/2)) prod_{j>=1} (1-e(j*tau+z))(1-e(j*tau-z))
                / prod_{j>=1} (1-e(j*tau))^2
 
 and evaluated through the equivalent lacunary sum formula; `theta_product`
 keeps the product formula as the reference path, and their agreement is part
-of the identity suite and the tests.  The sum runs in fixed point on Python
-integers at F = `ctx._wp` + GUARD_BITS bits (Brent & Zimmermann, Modern
-Computer Arithmetic, 2010, section 4.4): every term of size at most
-|e(z0/2)|^(2j+1) carries an absolute error of a few units of 2^-F, and the
-sum is rounded once to `ctx._wp` bits.  A reduced argument with
-|z0| < 2^-`ctx._wp` gives exactly 0 (see `_theta_reduced`).  The elliptic Gamma
-symbol is the meromorphic solution
+of the identity suite and the tests.  The elliptic Gamma symbol is the
+meromorphic solution
 
     gamma_q(q+z) = theta(z) gamma_q(z)
 
 normalized by an explicit exponential prefactor whose branch is the principal
 logarithm, fixed once per tau.
 
-The factor tables of the condition checkers and the section solver read
-theta on integers end to end, as Gaussian floats: a value
+Theta has one kernel, on Python integers, and one zero rule
+(`theta_fixed`); `CurveContext.theta` and the factor tables of the condition
+checkers and the section solver all read it.  Values are Gaussian floats:
 (re + i im) 2^e with integer re, im cut back to F = `ctx._wp` + GUARD_BITS
 bits after each product (`gauss_mul`).  An argument z arrives as F-bit
-fixed-point integers, is reduced to z = w0 + m + n tau by integer rounding
-(`reduce_fixed`), and e(z/2), e(-z/2) arrive as Gaussian floats formed from
-per-table and per-point exponentials (`half_e`).  Then x0 = e(w0/2) =
-(-1)^m e(-n tau/2) e(z/2) feeds the lacunary sum, and
+fixed-point integers and is reduced to z = w0 + m + n tau by integer
+rounding (`reduce_fixed`); e(z/2) and e(-z/2) arrive as Gaussian floats
+(`half_e`, which `CurveContext.theta` calls on z itself and the tables form
+from per-table and per-point exponentials).  Then x0 = e(w0/2) =
+(-1)^m e(-n tau/2) e(z/2) feeds the lacunary sum, run in F-bit fixed point
+(Brent & Zimmermann, Modern Computer Arithmetic, 2010, section 4.4), and
 
-    theta(z) = (-1)^(m+n) x0^(-2n) e(-n^2 tau/2) theta(w0)
+    theta(z) = (-1)^(m+n) x0^(-2n) e(-n^2 tau/2) theta(w0),
 
-(`theta_fixed`), with e(k tau/2) memoized per context.  No exponential,
-cos/sin, `lattice_reduce` or mpc operation runs per theta.  Error: each
-product cuts its mantissas once, a relative error of at most 2^(2-F); a
-theta value carries the sum's few units of 2^-F (relative to |theta|, so
-more near a zero of theta) plus a few such cuts; a quotient of products
-of k theta values is then good to about k (that error + 2^(2-F))
-relative, and is rounded once, to `ctx._wp` bits (`gauss_div`).
+with e(k tau/2) memoized per context.  Zero rule: |w0| < 2^-`ctx._wp` gives
+exactly 0.  Beyond `half_e`, no exponential, cos/sin, `lattice_reduce` or mpc
+operation runs per theta.  Error: every term of the sum, of size at most
+|x0|^(2j+1), carries an absolute error of a few units of 2^-F (relative to
+|theta|, so more near a zero of theta); each product cuts its mantissas
+once, a relative error of at most 2^(2-F).  `CurveContext.theta` rounds one
+value once to `ctx._wp` bits, and a table's quotient of products of k theta
+values is good to about k (that error + 2^(2-F)) relative and is rounded
+once, to `ctx._wp` bits (both by `gauss_div`).
 
 Precision rule: a CurveContext owns its working precision, `ctx._wp` = prec +
 GUARD_BITS, and every public function or method that takes a context
@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import functools
 import inspect
-from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (
@@ -61,16 +60,13 @@ from mpmath.libmp import (
     from_int,
     from_man_exp,
     fzero,
-    mpf_add,
     mpf_cos_sin_pi,
     mpf_exp,
-    mpf_lt,
     mpf_mul,
     mpf_neg,
     mpf_pi,
     mpf_pos,
     mpf_sub,
-    round_floor,
     round_nearest,
     to_fixed,
 )
@@ -256,8 +252,7 @@ class CurveContext:
             inv = (1 / self._theta_denom)._mpc_
             self._fix_inv_denom = (to_fixed(inv[0], F), to_fixed(inv[1], F))
             self._fix_pi = mpf_pi(F)
-            self._zero_sq = from_man_exp(1, -2 * self._wp)
-        # the factor tables' fixed-point lattice: tau as given, its 9 nearest
+        # the kernel's fixed-point lattice: tau as given, its 9 nearest
         # translates of 0, and the zero rule's |w0|^2 < 2^-2wp at scale 2^2F
         tre, tim = self._tau_exact
         self._fix_tau = tr, ti = to_fixed(tre, F), to_fixed(tim, F)
@@ -325,47 +320,13 @@ class CurveContext:
     # -- theta ------------------------------------------------------------
 
     def theta(self, z):
-        """theta(z; tau) via the lacunary sum formula, memoized per point."""
+        """theta(z; tau), memoized per point: `theta_fixed` at z's F-bit reduction, rounded once."""
         return memo(self._theta_cache, point_key(z), lambda: self._theta_at(z))
 
     def _theta_at(self, z):
-        with mp.workprec(self._wp):
-            z0, m, n = self.lattice_reduce(z)
-            val = self._theta_reduced(z0)
-            # theta(z0 + m + n*tau) = (-1)^(m+n) e(-n*z0 - n^2*tau/2) theta(z0)
-            if n and val:
-                val = self.e(-n * z0 - n * n * self.tau / 2) * val
-            if (m + n) % 2:
-                val = -val
-            return val
-
-    def _theta_reduced(self, z0):
-        """theta(z0) for a reduced z0, by the lacunary sum in F-bit fixed point.
-
-        e(z0/2) and e(-z0/2) come from `half_e` and the sum from `_theta_sum`.
-        Near z0 = 0 the sum's differences cancel to about (2j+1) pi i z0,
-        which costs log2(1/|z0|) bits: the GUARD_BITS of F over `ctx._wp`
-        cover that down to |z0| ~ 2^-16, before the one rounding of the sum
-        times 1/D to `ctx._wp` bits.
-
-        Zero rule: |z0| < 2^-`ctx._wp` gives exactly 0.  Such a z0 is a
-        lattice point up to rounding (`FourierKernel` evaluates theta at
-        c + (z_j - c) - z_j), and callers read the exact zero.
-        """
         F = self._fix
-        re, im = z0._mpc_
-        if (
-            (not re[1] or re[2] + re[3] <= -self._wp)
-            and (not im[1] or im[2] + im[3] <= -self._wp)
-            # exact squares; floor rounding keeps the comparison with 2^-2wp exact
-            and mpf_lt(mpf_add(mpf_mul(re, re), mpf_mul(im, im), 53, round_floor), self._zero_sq)
-        ):
-            return mpc(0)
-        x, y = self.half_e(z0)
-        nr, ni = self._theta_sum(*gauss_fixed(x, F), *gauss_fixed(y, F))
-        return mp.make_mpc(
-            (from_man_exp(nr, -3 * F, self._wp, round_nearest), from_man_exp(ni, -3 * F, self._wp, round_nearest))
-        )
+        reduced = self.reduce_fixed(*(to_fixed(x, F) for x in point_key(z)))
+        return gauss_div(self.theta_fixed(reduced, *self.half_e(z)), GAUSS_ONE, self._wp)
 
     def half_e(self, z):
         """(e(z/2), e(-z/2)) as Gaussian floats with F-bit mantissas, z taken exactly.
@@ -411,8 +372,6 @@ class CurveContext:
         dr, di = self._fix_inv_denom
         return nr * dr - ni * di, nr * di + ni * dr
 
-    # -- theta on integers, for the factor tables ----------------------------
-
     def reduce_fixed(self, ar, ai):
         """(w0r, w0i, m, n): z = ar + i ai (scaled by 2^F) as w0 + m + n tau, w0 scaled by 2^F.
 
@@ -443,8 +402,14 @@ class CurveContext:
         """theta(z) as a Gaussian float, from `reduce_fixed`(z) and e(+-z/2) as Gaussian floats.
 
         x0 = e(w0/2) = (-1)^m e(-n tau/2) e(z/2) and 1/x0 feed `_theta_sum`,
-        then theta(z) = (-1)^(m+n) x0^(-2n) e(-n^2 tau/2) theta(w0).  The zero
-        rule of `_theta_reduced` holds: |w0| < 2^-`ctx._wp` gives exactly 0.
+        then theta(z) = (-1)^(m+n) x0^(-2n) e(-n^2 tau/2) theta(w0).  Near
+        w0 = 0 the sum's differences cancel to about (2j+1) pi i w0, which
+        costs log2(1/|w0|) bits: the GUARD_BITS of F over `ctx._wp` cover
+        that down to |w0| ~ 2^-16.
+
+        Zero rule: |w0| < 2^-`ctx._wp` gives exactly 0.  Such a w0 is a
+        lattice point up to rounding (`FourierKernel` evaluates theta at
+        c + (z_j - c) - z_j), and callers read the exact zero.
         """
         w0r, w0i, m, n = reduced
         if w0r * w0r + w0i * w0i < self._fix_zero:
@@ -473,18 +438,15 @@ class CurveContext:
         sign = -1 if (m + n) % 2 else 1
         return gauss_mul(self.half_tau_power(-n * n), (0, sign * to_fixed(self._fix_pi, F + 1), -F), F)
 
-    def theta_product(self, z, reduce=True):
-        """theta(z; tau) via the defining product formula (reference path)."""
+    def theta_product(self, z):
+        """theta(z; tau) via the defining product formula at the reduced argument (reference path)."""
         with mp.workprec(self._wp):
-            z = mpc(z)
+            z, m, n = self.lattice_reduce(z)
             mult = mpc(1)
-            if reduce:
-                z0, m, n = self.lattice_reduce(z)
-                if m or n:
-                    mult = self.e(-n * z0 - n * n * self.tau / 2)
-                    if (m + n) % 2:
-                        mult = -mult
-                z = z0
+            if m or n:
+                mult = self.e(-n * z - n * n * self.tau / 2)
+                if (m + n) % 2:
+                    mult = -mult
             xh = self.e(z / 2)
             x = xh * xh
             val = xh - 1 / xh
@@ -634,20 +596,3 @@ class CurveContext:
                 if done_row and abs(pj) * (abs(x) + 1 / abs(x)) < self._cutoff:
                     break
             return pref * val
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    """A point z on the analytic curve C/<1, tau>."""
-
-    tau: object
-    value: object
-
-    def __post_init__(self):
-        if mpc(self.tau).imag < MIN_IM:
-            raise ModulusError("Im(tau) below threshold")
-
-    def reduced(self, ctx=None):
-        ctx = ctx or CurveContext(self.tau, 64)
-        z0, _, _ = ctx.lattice_reduce(self.value)
-        return CurvePoint(self.tau, z0)

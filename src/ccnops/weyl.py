@@ -15,7 +15,7 @@ Every rank and nullspace dimension of the package is decided by one SVD
 (`svd_spectrum`) and one rule (`spectrum_rank`): the singular values above
 2^-(prec//2) count.  That absolute floor assumes entries of order one (s_max
 between 10^-0.2 and 10^2.6 at nonzero rank in the tests and the benchmark);
-the margin of a decision is read from `singular_values`.  A tall matrix
+the margin of a decision is read from `svd_spectrum`.  A tall matrix
 (the solver's condition rows, `operator_span_contains`) is first reduced to
 the R of an integer Householder QR and the SVD runs on R, the R-SVD of
 Chan (ACM TOMS 1982): A = QR gives A^H A = R^H R, so the singular values
@@ -41,7 +41,7 @@ from .curve import GUARD_BITS, CurveContext, at_context_precision, point_key
 #: least ratio between the last singular value `spectrum_rank` keeps, above
 #: the floor 2^-(prec//2) for entries of order one (s_max 10^-0.2 to 10^2.6 at
 #: nonzero rank in the tests and the benchmark), and the first it drops; a
-#: smaller one raises ArithmeticError.  Margins are read from `singular_values`.
+#: smaller one raises ArithmeticError.  Margins are read from `svd_spectrum`.
 RANK_GAP = mpf("1e6")
 
 
@@ -702,11 +702,6 @@ def svd_spectrum(rows, prec, V=False):
         return [abs(S[i]) for i in range(min(A.rows, A.cols))]
 
 
-def singular_values(rows, prec=192):
-    """Singular values of the matrix `rows` at prec + GUARD_BITS bits, largest first."""
-    return svd_spectrum(rows, prec)
-
-
 def spectrum_rank(svals, prec):
     """The package's one rank rule: the number of singular values above 2^-(prec//2).
 
@@ -717,7 +712,7 @@ def spectrum_rank(svals, prec):
     rank, and a rank-zero spectrum (conditions that cancel identically) is
     rounding noise, at most 10^-80 at 256 bits.  Kept values sit at least 11.9
     (96 bits) and 34.8 (256 bits) decades above the floor, dropped ones at
-    least 16.8 and 41.5 below it; `singular_values` shows a decision's margin.
+    least 16.8 and 41.5 below it; `svd_spectrum` shows a decision's margin.
     """
     floor = mpf(2) ** -(prec // 2)
     rank = sum(1 for s in svals if s > floor)
@@ -728,6 +723,6 @@ def spectrum_rank(svals, prec):
     return rank
 
 
-def numeric_rank(rows, prec=192):
+def numeric_rank(rows, prec):
     """Rank of the matrix `rows` by `spectrum_rank` of its singular values."""
-    return spectrum_rank(singular_values(rows, prec), prec)
+    return spectrum_rank(svd_spectrum(rows, prec), prec)

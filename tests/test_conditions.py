@@ -445,7 +445,7 @@ def _assert_svd_contract(rows, rank, prec=256):
     ncols = len(rows[0])
     with mp.workprec(prec + 16):
         _, S_ref, V_ref = mp.svd_c(matrix(rows))
-    S = weyl.singular_values(rows, prec)
+    S = weyl.svd_spectrum(rows, prec)
     null = nullspace_basis(rows, ncols, prec=prec)
     assert len(null) == ncols - rank
     with mp.workprec(prec + 16):

@@ -28,7 +28,7 @@ from ccnops.weyl import (
     automorphism_group,
     invariant_dimension,
     numeric_rank,
-    singular_values,
+    svd_spectrum,
     theta_symmetrization_rows,
 )
 from conftest import ETA, Q, T, TAU, TOL, rel, sample_points
@@ -124,7 +124,7 @@ def _theta_symmetrization_rows():
     rows = theta_symmetrization_rows(LATTICE_Q, gens, ctx)
     rank = numeric_rank(rows, prec=ctx.prec)
     assert rank == invariant_dimension(LATTICE_Q, gens)
-    svals = singular_values(rows, ctx.prec)
+    svals = svd_spectrum(rows, ctx.prec)
     assert svals[rank - 1] / svals[rank] > mpf("1e30")
     return rows
 

@@ -2,15 +2,16 @@ import random
 
 import pytest
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import to_fixed
 
 from ccnops.curve import (
     GAUSS_ONE,
     CurveContext,
-    CurvePoint,
     ModulusError,
     PoleProximityError,
     PrecisionError,
     gauss_div,
+    point_key,
 )
 from conftest import TAU, TOL, rel
 
@@ -77,12 +78,10 @@ def test_threshold_errors():
 
 
 def test_curve_point_reduction(ctx):
-    p = CurvePoint(TAU, mpc("3.7", "2.9"))
-    r1 = p.reduced(ctx)
-    r2 = r1.reduced(ctx)
-    assert abs(r1.value - r2.value) < mpf("1e-40")
-    z0, m, n = ctx.lattice_reduce(p.value)
-    assert abs(p.value - (z0 + m + n * ctx.tau)) < mpf("1e-40")
+    z = mpc("3.7", "2.9")
+    z0, m, n = ctx.lattice_reduce(z)
+    assert abs(z - (z0 + m + n * ctx.tau)) < mpf("1e-40")
+    assert ctx.lattice_reduce(z0) == (z0, 0, 0)
 
 
 def test_theta_memo_key_is_exact_below_global_precision():
@@ -112,7 +111,8 @@ def test_theta_deriv_at_lattice(ctx):
 @pytest.mark.parametrize("tau", [mpc("0.13", "1.09"), mpc("-0.4", "0.31"), mpc("0.2", "1.95")])
 def test_theta_against_the_product_formula_at_800_bits(prec, tau):
     # the fixed-point kernel keeps all but a few bits of the context's
-    # precision, over the whole fundamental domain and near the zero at 0
+    # precision, over the whole fundamental domain, on lattice shifts of it
+    # (|n| = 3, and |Im z| near 2.5) and near the zero at 0
     c = CurveContext(tau, prec)
     ref = CurveContext(tau, 800)
     rng = random.Random(6)
@@ -120,6 +120,8 @@ def test_theta_against_the_product_formula_at_800_bits(prec, tau):
         mpc(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5) * tau.imag) for _ in range(12)
     ]
     points += [z + 2 - 3 * tau for z in points[:4]]  # n = -3 lattice shifts
+    points += [z - 2 + 3 * tau for z in points[4:8]]  # n = +3
+    points += [mpc(rng.uniform(-0.5, 0.5), sign * rng.uniform(2.4, 2.6)) for sign in (1, -1, 1, -1)]
     smalls = ("1e-3", "1e-6", "1e-9")
     points += [mpc(small, small) / 3 for small in smalls]
     points += [mpc(small) + 2 - 3 * tau for small in smalls]
@@ -139,3 +141,26 @@ def test_theta_zero_rule(ctx):
     z0 = mpf(2) ** -(ctx._wp - 8)
     want = ctx.two_pi_i * z0
     assert abs(ctx.theta(z0) - want) < abs(want) * mpf(2) ** -20
+
+
+def test_theta_reads_the_integer_kernel(monkeypatch):
+    # ctx.theta is theta_fixed at z's F-bit reduction, rounded once; it calls
+    # neither the mpc exponential nor the mpc lattice reduction
+    ctx = CurveContext(TAU, 256)
+    calls = []
+    for name in ("e", "lattice_reduce"):
+        original = getattr(CurveContext, name)
+
+        def spy(self, *args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(CurveContext, name, spy)
+    z = mpc("0.17", "0.23") - 2 + 3 * ctx.tau
+    got = ctx.theta(z)
+    assert calls == []
+    F = ctx._fix
+    reduced = ctx.reduce_fixed(*(to_fixed(x, F) for x in point_key(z)))
+    assert reduced[2:] == (-2, 3)
+    want = gauss_div(ctx.theta_fixed(reduced, *ctx.half_e(z)), GAUSS_ONE, ctx._wp)
+    assert got._mpc_ == want._mpc_ and got != 0

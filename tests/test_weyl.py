@@ -18,12 +18,12 @@ from ccnops.weyl import (
     inversion_set,
     inversion_set_bruteforce,
     numeric_rank,
-    singular_values,
     sp_apply,
     sp_compose,
     sp_inverse,
     sp_matrix,
     signed_permutations,
+    svd_spectrum,
     theta_basis_values,
     theta_symmetrization_rank,
     theta_symmetrization_rows,
@@ -217,7 +217,7 @@ def _assert_rank_gap(Q, ctx):
     prec = ctx.prec
     for gens in ([], automorphism_group(Q)):
         rows = theta_symmetrization_rows(Q, gens, ctx)
-        svals = singular_values(rows, prec)
+        svals = svd_spectrum(rows, prec)
         r = numeric_rank(rows, prec=prec)
         assert r == invariant_dimension(Q, gens), (Q, len(gens))
         below = svals[r] if r < len(svals) else svals[0] * mpf(2) ** -prec
