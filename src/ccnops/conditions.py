@@ -942,53 +942,46 @@ def vandiejen_sections(ctx, xs, q, t, n, eta_prime=None, seed=37):
 
 
 def sections_by_weight(model, null):
-    """The n+1 sections of a solved van Diejen model, triangularized by weight.
+    """The n+1 sections of a solved van Diejen model, in echelon form by weight.
 
-    The member with leading weight (1^m, 0^(n-m)) is returned with its
-    higher-weight columns eliminated and its leading column normalized (for
-    m = n the prescribed corner has coefficient exactly 1).
+    They depend only on the span of `null`, not on its basis.  Each weight,
+    from the top down, gets one pivot column: its column with the largest
+    diagonal entry of the nullspace projector P = sum_v v v^H, after the
+    pivots above it are eliminated (P - P e_p e_p^H P / P_pp is the
+    projector onto the nullspace vectors that vanish at the pivot p).  The
+    member with leading weight (1^m, 0^(n-m)) is the nullspace vector with
+    1 at its own pivot and 0 at the other weights' pivots, the weight-0
+    pivot included; for m = n the pivot is the prescribed corner.  The
+    weight-0 member is the identity.
     """
     with mp.workprec(model.ctx._wp):
         n = model.n
-        weights = sorted({mu for mu, _ in model.basis_ops}, key=sum)
-        cols_by_weight = {
-            mu: [i for i, (nu, _) in enumerate(model.basis_ops) if nu == mu] for mu in weights
-        }
-        # Gauss-reduce the nullspace against the weight filtration, top down
-        basis = [list(v) for v in null]
-        sections = {0: identity_operator(n, model.params)}
-        remaining = basis
-        for mu in reversed(weights):
-            if sum(mu) == 0:
-                continue
-            cols = cols_by_weight[mu]
-            lead = None
-            for v in remaining:
-                mag = max(abs(v[i]) for i in cols)
-                if lead is None or mag > max(abs(lead[i]) for i in cols):
-                    lead = v
-            if lead is None or max(abs(lead[i]) for i in cols) < mpf("1e-20"):
+        weights = sorted({mu for mu, _ in model.basis_ops}, key=sum, reverse=True)
+        if len(null) > len(weights):
+            raise ArithmeticError("nullspace of dimension %d for %d sections" % (len(null), len(weights)))
+        ncols = len(model.basis_ops)
+        P = [[sum(v[a] * mp.conj(v[b]) for v in null) for b in range(ncols)] for a in range(ncols)]
+        pivots = []
+        for mu in weights:
+            cols = [i for i, (nu, _) in enumerate(model.basis_ops) if nu == mu]
+            p = max(cols, key=lambda i: P[i][i].real)
+            if P[p][p].real < mpf("1e-40"):
                 raise ArithmeticError("no section with leading weight %s exists" % (mu,))
-            i0 = max(cols, key=lambda i: abs(lead[i]))
-            others = []
-            for v in remaining:
-                if v is lead:
-                    continue
-                f = v[i0] / lead[i0]
-                others.append([a - f * b for a, b in zip(v, lead)])
-            remaining = others
-            msize = sum(1 for x in mu if x != 0)
-            if msize == n:
-                scale = 1 / lead[cols_by_weight[mu][0]]
-                lead = [x * scale for x in lead]
-            else:
-                norm = max(abs(lead[i]) for i in cols)
-                lead = [x / norm for x in lead]
-            sections[msize] = model.operator_from_vector(lead)
-        missing = [m for m in range(n + 1) if m not in sections]
-        if missing:
-            raise ArithmeticError("sections missing for weights %s" % missing)
-        return [sections[m] for m in range(n + 1)]
+            pivots.append(p)
+            col = [P[a][p] / mp.sqrt(P[p][p].real) for a in range(ncols)]
+            P = [[x - ca * mp.conj(cb) for x, cb in zip(row, col)] for row, ca in zip(P, col)]
+        # Gauss-Jordan on the fixed pivots, the largest entry leading
+        rest, echelon = [list(v) for v in null], []
+        for p in pivots:
+            lead = rest.pop(max(range(len(rest)), key=lambda j: abs(rest[j][p])))
+            lead = [x / lead[p] for x in lead]
+            rest = [[x - v[p] * y for x, y in zip(v, lead)] for v in rest]
+            echelon = [[x - v[p] * y for x, y in zip(v, lead)] for v in echelon] + [lead]
+        sections = [identity_operator(n, model.params)] + [None] * n
+        for mu, vec in zip(weights, echelon):
+            if any(mu):
+                sections[sum(1 for x in mu if x != 0)] = model.operator_from_vector(vec)
+        return sections
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,12 @@ from per-table and per-point exponentials).  Then x0 = e(w0/2) =
 
     theta(z) = (-1)^(m+n) x0^(-2n) e(-n^2 tau/2) theta(w0),
 
-with e(k tau/2) memoized per context.  Zero rule: |w0| < 2^-`ctx._wp` gives
-exactly 0.  Beyond `half_e`, no exponential, cos/sin, `lattice_reduce` or mpc
-operation runs per theta.  Error: every term of the sum, of size at most
+with e(k tau/2) memoized per context.  At a point with n != 0,
+`CurveContext.theta` instead forms w0 exactly and calls `half_e` on w0, so
+that x0 - 1/x0 keeps its relative precision near a zero of theta.  Zero
+rule: |w0| < 2^-`ctx._wp` gives exactly 0.  Beyond `half_e` and that exact
+w0, no exponential, cos/sin, `lattice_reduce` or mpc operation runs per
+theta.  Error: every term of the sum, of size at most
 |x0|^(2j+1), carries an absolute error of a few units of 2^-F (relative to
 |theta|, so more near a zero of theta); each product cuts its mantissas
 once, a relative error of at most 2^(2-F).  `CurveContext.theta` rounds one
@@ -304,11 +307,14 @@ class CurveContext:
             w = mpc(z)
             n = int(mp.nint(w.imag / self.tau.imag))
             m = int(mp.nint((w - n * self.tau).real))
-        re, im = point_key(z)
-        tre, tim = self._tau_exact
-        re = mpf_sub(mpf_sub(re, from_int(m)), mpf_mul(from_int(n), tre))
-        im = mpf_sub(im, mpf_mul(from_int(n), tim))
+        re, im = self._exact_w0(point_key(z), m, n)
         return mp.make_mpc((mpf_pos(re, self._wp, round_nearest), mpf_pos(im, self._wp, round_nearest))), m, n
+
+    def _exact_w0(self, key, m, n):
+        """z - m - n tau for the point key of z, exactly, against the tau the context was built on."""
+        tre, tim = self._tau_exact
+        re = mpf_sub(mpf_sub(key[0], from_int(m)), mpf_mul(from_int(n), tre))
+        return re, mpf_sub(key[1], mpf_mul(from_int(n), tim))
 
     def dist_to_lattice(self, z):
         """Distance from z to the nearest point of <1, tau>, from z's F-bit fixed-point reduction."""
@@ -320,13 +326,29 @@ class CurveContext:
     # -- theta ------------------------------------------------------------
 
     def theta(self, z):
-        """theta(z; tau), memoized per point: `theta_fixed` at z's F-bit reduction, rounded once."""
+        """theta(z; tau), memoized per point, rounded once.
+
+        `theta_fixed` at z's F-bit reduction with `half_e`(z); at a point
+        with n != 0, `theta_at_x0` at w0 = z - m - n tau, formed exactly,
+        with x0 = `half_e`(w0).  Near 2 - 3 tau, theta then keeps the
+        relative error it has near 0 (4e-17 at 256 bits, 2^-240 from the
+        zero), where e(z/2) e(3 tau/2) gave 6e-16.
+        """
         return memo(self._theta_cache, point_key(z), lambda: self._theta_at(z))
 
     def _theta_at(self, z):
         F = self._fix
-        reduced = self.reduce_fixed(*(to_fixed(x, F) for x in point_key(z)))
-        return gauss_div(self.theta_fixed(reduced, *self.half_e(z)), GAUSS_ONE, self._wp)
+        key = point_key(z)
+        reduced = self.reduce_fixed(*(to_fixed(x, F) for x in key))
+        _, _, m, n = reduced
+        if not n:
+            return gauss_div(self.theta_fixed(reduced, *self.half_e(z)), GAUSS_ONE, self._wp)
+        # z's fixed point and the product e(z/2) e(-n tau/2) would each carry
+        # an absolute 2^-F, which near a zero of theta is all of theta(w0); so
+        # w0 = z - m - n tau is formed exactly and x0 = e(w0/2) read from it
+        w0 = self._exact_w0(key, m, n)
+        reduced = (to_fixed(w0[0], F), to_fixed(w0[1], F), m, n)
+        return gauss_div(self.theta_at_x0(reduced, *self.half_e(mp.make_mpc(w0))), GAUSS_ONE, self._wp)
 
     def half_e(self, z):
         """(e(z/2), e(-z/2)) as Gaussian floats with F-bit mantissas, z taken exactly.
@@ -401,11 +423,29 @@ class CurveContext:
     def theta_fixed(self, reduced, half, inv_half):
         """theta(z) as a Gaussian float, from `reduce_fixed`(z) and e(+-z/2) as Gaussian floats.
 
-        x0 = e(w0/2) = (-1)^m e(-n tau/2) e(z/2) and 1/x0 feed `_theta_sum`,
-        then theta(z) = (-1)^(m+n) x0^(-2n) e(-n^2 tau/2) theta(w0).  Near
-        w0 = 0 the sum's differences cancel to about (2j+1) pi i w0, which
-        costs log2(1/|w0|) bits: the GUARD_BITS of F over `ctx._wp` cover
-        that down to |w0| ~ 2^-16.
+        x0 = e(w0/2) = (-1)^m e(-n tau/2) e(z/2) and 1/x0, each a product
+        cut to F bits, feed `theta_at_x0`.
+        """
+        _, _, m, n = reduced
+        F = self._fix
+        x, y = half, inv_half
+        if n:
+            x = gauss_mul(x, self.half_tau_power(-n), F)
+            y = gauss_mul(y, self.half_tau_power(n), F)
+        if m % 2:
+            x, y = (-x[0], -x[1], x[2]), (-y[0], -y[1], y[2])
+        return self.theta_at_x0(reduced, x, y)
+
+    def theta_at_x0(self, reduced, x, y):
+        """theta(z) as a Gaussian float, from `reduce_fixed`(z), x0 = e(w0/2) and y = 1/x0.
+
+        x0 and 1/x0 feed `_theta_sum`, then
+        theta(z) = (-1)^(m+n) x0^(-2n) e(-n^2 tau/2) theta(w0).  Near w0 = 0
+        the sum's differences cancel to about (2j+1) pi i w0, which costs
+        log2(1/|w0|) bits: the GUARD_BITS of F over `ctx._wp` cover that
+        down to |w0| ~ 2^-16, if x0 - 1/x0 is good to 2^-F relative, as
+        `half_e` at w0 gives it.  An x0 formed as a product carries an
+        absolute error of 2^-F instead.
 
         Zero rule: |w0| < 2^-`ctx._wp` gives exactly 0.  Such a w0 is a
         lattice point up to rounding (`FourierKernel` evaluates theta at
@@ -415,12 +455,6 @@ class CurveContext:
         if w0r * w0r + w0i * w0i < self._fix_zero:
             return (0, 0, 0)
         F = self._fix
-        x, y = half, inv_half
-        if n:
-            x = gauss_mul(x, self.half_tau_power(-n), F)
-            y = gauss_mul(y, self.half_tau_power(n), F)
-        if m % 2:
-            x, y = (-x[0], -x[1], x[2]), (-y[0], -y[1], y[2])
         nr, ni = self._theta_sum(*gauss_fixed(x, F), *gauss_fixed(y, F))
         val = gauss_cut(nr, ni, -3 * F, F)
         if n:

@@ -15,13 +15,18 @@ Every rank and nullspace dimension of the package is decided by one SVD
 (`svd_spectrum`) and one rule (`spectrum_rank`): the singular values above
 2^-(prec//2) count.  That absolute floor assumes entries of order one (s_max
 between 10^-0.2 and 10^2.6 at nonzero rank in the tests and the benchmark);
-the margin of a decision is read from `svd_spectrum`.  A tall matrix
-(the solver's condition rows, `operator_span_contains`) is first reduced to
-the R of an integer Householder QR and the SVD runs on R, the R-SVD of
-Chan (ACM TOMS 1982): A = QR gives A^H A = R^H R, so the singular values
-and right singular vectors are those of A, and Householder QR is backward
+the margin of a decision is read from `svd_spectrum`.  The SVD runs on
+Python integers at F = prec + 32 bits.  A matrix, or a wide one's conjugate
+transpose, is reduced to the R of an integer Householder QR: A = QR gives
+A^H A = R^H R, so the singular values and right singular vectors are those
+of A (the R-SVD of Chan, ACM TOMS 1982), and Householder QR is backward
 stable (Higham, Accuracy and Stability of Numerical Algorithms, ch. 19).
-The theta-lattice oracle's matrices are wide and go to the SVD directly.
+R's SVD is a cyclic one-sided complex Jacobi (Hestenes; Demmel & Veselic,
+"Jacobi's method is more accurate than QR", SIAM J. Matrix Anal. Appl.
+1992), seeded by the same Jacobi in Python floats.  Its rotations come from
+exact integer Gram entries, with each phase read at 2F bits, and the sweeps
+stop after one that finds every pair of columns orthogonal to 2^-(F-16) or
+at rounding level.
 """
 
 from __future__ import annotations
@@ -32,16 +37,19 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import matrix, mp, mpc, mpf
-from mpmath.libmp import from_man_exp, mpc_add, mpc_mul, mpc_zero, round_nearest, to_fixed
-from mpmath.matrices.eigen_symmetric import svd_c_raw
+from operator import mul
+
+from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp, mpc_add, mpc_mul, mpc_zero, mpf_neg, mpf_sqrt, round_nearest, to_fixed
 
 from .curve import GUARD_BITS, CurveContext, at_context_precision, point_key
 
 #: least ratio between the last singular value `spectrum_rank` keeps, above
 #: the floor 2^-(prec//2) for entries of order one (s_max 10^-0.2 to 10^2.6 at
 #: nonzero rank in the tests and the benchmark), and the first it drops; a
-#: smaller one raises ArithmeticError.  Margins are read from `svd_spectrum`.
+#: smaller one raises ArithmeticError.  The least ratio at a cut there is
+#: 10^31.2 (96 bits) and 10^74.8 (256 bits).  Margins are read from
+#: `svd_spectrum`.
 RANK_GAP = mpf("1e6")
 
 
@@ -617,89 +625,234 @@ def theta_symmetrization_rank(Q, gens, ctx=None):
     return numeric_rank(theta_symmetrization_rows(Q, gens, ctx), prec=ctx.prec)
 
 
-def _householder_r(rows, F):
-    """The R of a complex Householder QR of the tall matrix `rows`, on Python integers.
+def _fixed_columns(keys, F):
+    """The columns of a matrix of point keys as F-bit fixed-point Gaussian integers, and their exponent.
 
-    The entries are scaled by one power of two to at most 1 and held as
-    F-bit fixed-point Gaussian integers.  The rest x of column k is
-    reflected onto alpha e_k, alpha = -phase(x0) ||x||, by
-    H = I - 2 v v^H / (v^H v) with v = x - alpha e_k.  A column that is
-    dependent up to rounding leaves an x of rounding noise, with a pivot x0
-    of only a few significant bits, yet its H acts on the columns after it
-    at full size.  So v^H v is summed exactly, which keeps H a reflection
-    whatever v is, and x0's phase is read at 2F bits, which makes
-    H x = alpha e_k to 2^-F.  With x0's own rounded phase and the textbook
-    v^H v = 2 ||x|| (||x|| + |x0|) instead, the later columns of a van
-    Diejen n=2 solve came out off by 1e-5.  Each operation truncates once
-    at 2^-F of the scaled matrix.  Returns the ncols x ncols R as rows of
-    mpc at the working precision.
+    The entries are scaled by one power of two to at most 1: entry (i, j)
+    is (cols[j][0][i] + i cols[j][1][i]) 2^exp.
     """
-    keys = [[point_key(x) for x in row] for row in rows]
     top = max((p[2] + p[3] for row in keys for key in row for p in key if p[1]), default=0)
     cols = [
-        [[to_fixed(re, F - top), to_fixed(im, F - top)] for re, im in col] for col in zip(*keys)
+        ([to_fixed(re, F - top) for re, _ in col], [to_fixed(im, F - top) for _, im in col])
+        for col in zip(*keys)
     ]
+    return cols, top - F
+
+
+def _householder_r(cols, F):
+    """The R of a complex Householder QR of F-bit fixed-point columns, no more than rows, on integers.
+
+    The rest x of column k is reflected onto alpha e_k,
+    alpha = -phase(x0) ||x||, by H = I - 2 v v^H / (v^H v) with
+    v = x - alpha e_k.  A column that is dependent up to rounding leaves an
+    x of rounding noise, with a pivot x0 of only a few significant bits, yet
+    its H acts on the columns after it at full size.  So v^H v is summed
+    exactly, which keeps H a reflection whatever v is, and x0's phase is
+    read at 2F bits, which makes H x = alpha e_k to 2^-F.  With x0's own
+    rounded phase and the textbook v^H v = 2 ||x|| (||x|| + |x0|) instead,
+    the later columns of a van Diejen n=2 solve came out off by 1e-5.  Each
+    operation truncates once at 2^-F.  `cols`, as `_fixed_columns` gives
+    them, is overwritten; returns the ncols x ncols R as rows of (re, im)
+    integer pairs at the same scale.
+    """
     ncols = len(cols)
     R = [[(0, 0)] * ncols for _ in range(ncols)]
-    for k, col in enumerate(cols):
-        v = col[k:]  # x, then v = x - alpha e_k
-        norm2 = sum(xr * xr + xi * xi for xr, xi in v)
+    for k, (colr, coli) in enumerate(cols):
+        vr, vi = colr[k:], coli[k:]  # x, then v = x - alpha e_k
+        norm2 = sum(map(mul, vr, vr)) + sum(map(mul, vi, vi))
+        alpha = (0, 0)
         if norm2:
             norm = math.isqrt(norm2)
-            x0r, x0i = v[0]
+            x0r, x0i = vr[0], vi[0]
             a0 = math.isqrt((x0r * x0r + x0i * x0i) << (2 * F))  # |x0| 2^F, at 2F bits
             pr, pi = ((x0r << (2 * F)) // a0, (x0i << (2 * F)) // a0) if a0 else (1 << F, 0)
             alpha = (-((pr * norm) >> F), -((pi * norm) >> F))
-            v0r, v0i = x0r - alpha[0], x0i - alpha[1]
-            v[0] = [v0r, v0i]
-            vv = norm2 - x0r * x0r - x0i * x0i + v0r * v0r + v0i * v0i  # v^H v, exactly
-            for j in range(k + 1, ncols):
-                a = cols[j][k:]
-                wr = wi = 0  # v^H a
-                for (vr, vi), (ar, ai) in zip(v, a):
-                    wr += vr * ar + vi * ai
-                    wi += vr * ai - vi * ar
+            vr[0], vi[0] = x0r - alpha[0], x0i - alpha[1]
+            vv = norm2 - x0r * x0r - x0i * x0i + vr[0] * vr[0] + vi[0] * vi[0]  # v^H v, exactly
+            for ar, ai in cols[k + 1 :]:
+                wr, wi = _dot(vr, vi, ar[k:], ai[k:])  # v^H a
                 fr, fi = (wr << (F + 1)) // vv, (wi << (F + 1)) // vv
-                for entry, (vr, vi) in zip(a, v):
-                    entry[0] -= (vr * fr - vi * fi) >> F
-                    entry[1] -= (vr * fi + vi * fr) >> F
-        else:
-            alpha = (0, 0)
+                ar[k:] = [a - ((x * fr - y * fi) >> F) for a, x, y in zip(ar[k:], vr, vi)]
+                ai[k:] = [a - ((x * fi + y * fr) >> F) for a, x, y in zip(ai[k:], vr, vi)]
         R[k][k] = alpha
         for j in range(k + 1, ncols):
-            R[k][j] = tuple(cols[j][k])
-    exp = top - F
+            R[k][j] = (cols[j][0][k], cols[j][1][k])
+    return R
 
-    def entry(re, im):
-        return mp.make_mpc((from_man_exp(re, exp, mp.prec, round_nearest), from_man_exp(im, exp, mp.prec, round_nearest)))
 
-    return [[entry(re, im) for re, im in row] for row in R]
+def _dot(ar, ai, br, bi):
+    """a^H b for Gaussian vectors held as real and imaginary parts, exactly."""
+    return (
+        sum(map(mul, ar, br)) + sum(map(mul, ai, bi)),
+        sum(map(mul, ar, bi)) - sum(map(mul, ai, br)),
+    )
+
+
+def _float_seed(R, F):
+    """Right singular vectors of the integer R (scaled by 2^F) by a one-sided Jacobi in floats.
+
+    Returns the columns of V0 as lists of Python complex, orthonormal to
+    about 1e-15.  It only seeds the integer sweeps of `_jacobi_svd`, which
+    take the same rotations, so it stops after 30 sweeps whether converged
+    or not.
+    """
+    n, scale = len(R), 1 << F
+    B = [[complex(R[i][j][0] / scale, R[i][j][1] / scale) for i in range(n)] for j in range(n)]
+    W = [[complex(i == j) for i in range(n)] for j in range(n)]
+    norms = [sum(map(mul, map(complex.conjugate, b), b)).real for b in B]
+    for _ in range(30):
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                a, b = norms[p], norms[q]
+                g = sum(map(mul, map(complex.conjugate, B[p]), B[q]))
+                if abs(g) <= 1e-15 * math.sqrt(a) * math.sqrt(b):
+                    continue
+                rotated = True
+                zeta = (b - a) / (2 * abs(g))
+                t = math.copysign(1, zeta) / (abs(zeta) + math.hypot(1, zeta))
+                c = 1 / math.hypot(1, t)
+                sw = c * t * g.conjugate() / abs(g)
+                for M in (B, W):
+                    x, y = M[p], M[q]
+                    M[p] = [c * u - sw * v for u, v in zip(x, y)]
+                    M[q] = [sw.conjugate() * u + c * v for u, v in zip(x, y)]
+                norms[p], norms[q] = (sum(map(mul, map(complex.conjugate, x), x)).real for x in (B[p], B[q]))
+        if not rotated:
+            break
+    return W
+
+
+def _rotate(x, y, cp, sr, si, F):
+    """The columns x, y as (re, im) integer lists, rotated to c x - s y and conj(s) x + c y.
+
+    c = 1 - cp 2^-F is real and s = (sr + i si) 2^-F; cp and s are small
+    once the sweeps converge, so every product is of a short integer.
+    """
+    (ur, ui), (xr, xi) = x, y
+    return (
+        [u + ((si * b - cp * u - sr * a) >> F) for u, a, b in zip(ur, xr, xi)],
+        [u + ((-cp * u - sr * b - si * a) >> F) for u, a, b in zip(ui, xr, xi)],
+    ), (
+        [a + ((sr * u + si * v - cp * a) >> F) for a, u, v in zip(xr, ur, ui)],
+        [b + ((sr * v - si * u - cp * b) >> F) for b, u, v in zip(xi, ur, ui)],
+    )
+
+
+def _jacobi_svd(R, F, want_v):
+    """The one-sided Jacobi SVD of an upper-triangular integer R: (squared column norms, V).
+
+    R is n x n, rows of (re, im) integer pairs scaled by 2^F.  The columns
+    of W, F-bit fixed point, start from the float seed orthonormalized on
+    integers (modified Gram-Schmidt, twice) and B = R W.  Then cyclic sweeps
+    rotate pairs of B's columns to orthogonality (Hestenes), each rotation
+    taken from the exact Gram entries alpha = ||b_p||^2, beta = ||b_q||^2,
+    gamma = b_p^H b_q, with gamma's phase read at 2F bits: read from
+    gamma cut to F bits, it leaves rotations that are not unitary once
+    gamma is small, and V of a seeded rank-9 30 x 12 matrix came out
+    orthonormal only to 0.3.  A pair is left alone when |gamma|^2 <= 2^-2(F-16) alpha beta (orthogonal
+    to working precision) or |gamma|^2 <= 2^20 (alpha + beta) (rounding
+    level), and the sweeps stop after one that rotates no pair.  Returns
+    the squared column norms of B = R W, the squared singular values scaled
+    by 2^2F, and W's columns as (re, im) lists, or None without `want_v`;
+    W is only carried through the sweeps if it is wanted.
+    """
+    n = len(R)
+
+    def fixed(x):
+        return round(math.ldexp(x, 62)) << (F - 62)
+
+    W = [([fixed(x.real) for x in w], [fixed(x.imag) for x in w]) for w in _float_seed(R, F)]
+    for _ in range(2):
+        for j in range(n):
+            wr, wi = W[j]
+            for kr, ki in W[:j]:
+                cr, ci = (x >> F for x in _dot(kr, ki, wr, wi))
+                wr = [a - ((x * cr - y * ci) >> F) for a, x, y in zip(wr, kr, ki)]
+                wi = [a - ((x * ci + y * cr) >> F) for a, x, y in zip(wi, kr, ki)]
+            norm = math.isqrt(sum(map(mul, wr, wr)) + sum(map(mul, wi, wi)))
+            W[j] = [(x << F) // norm for x in wr], [(x << F) // norm for x in wi]
+    Rr = [[x for x, _ in row[i:]] for i, row in enumerate(R)]
+    Ri = [[-y for _, y in row[i:]] for i, row in enumerate(R)]  # conjugated, for _dot
+    B = []
+    for wr, wi in W:
+        col = [_dot(ar, ai, wr[i:], wi[i:]) for i, (ar, ai) in enumerate(zip(Rr, Ri))]
+        B.append(([x >> F for x, _ in col], [y >> F for _, y in col]))
+    norms = [sum(map(mul, br, br)) + sum(map(mul, bi, bi)) for br, bi in B]
+    tiny, noise, one = 2 * (F - 16), 1 << 20, 1 << F
+    for _ in range(64):
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                a, b = norms[p], norms[q]
+                gr, gi = _dot(*B[p], *B[q])
+                g2 = gr * gr + gi * gi
+                if (g2 << tiny) <= a * b or g2 <= noise * (a + b):
+                    continue
+                rotated = True
+                g = math.isqrt(g2 << (2 * F))  # |gamma| 2^F, at 2F bits
+                d = (b - a) << F
+                t = (2 * g << F) // (abs(d) + math.isqrt(d * d + 4 * g * g))  # tan 2^F
+                if d < 0:
+                    t = -t
+                h = math.isqrt((1 << 2 * F) + t * t)  # sec 2^F
+                cp, s = one - (1 << 2 * F) // h, (t << F) // h
+                # s conj(phase(gamma)) 2^F, the phase read at 2F bits
+                sr, si = (s * gr << F) // g, -((s * gi << F) // g)
+                B[p], B[q] = _rotate(B[p], B[q], cp, sr, si, F)
+                if want_v:
+                    W[p], W[q] = _rotate(W[p], W[q], cp, sr, si, F)
+                norms[p], norms[q] = (sum(map(mul, x, x)) + sum(map(mul, y, y)) for x, y in (B[p], B[q]))
+        if not rotated:
+            return norms, W if want_v else None
+    raise ArithmeticError("Jacobi SVD: no convergence in 64 sweeps")
 
 
 def svd_spectrum(rows, prec, V=False):
     """Singular values of the matrix `rows` at prec + GUARD_BITS bits, largest first.
 
-    The package's one SVD: mpmath's `svd_c` kernel without the U that no
-    caller reads.  If V is an ncols x ncols matrix it receives the right
-    singular vectors as its rows, in the order of the values.
+    The package's one SVD, on Python integers at F = prec + 32 bits.  If V
+    is an ncols x ncols matrix it receives the conjugated right singular
+    vectors as its rows, A = U S V, in the order of the values; only tall
+    and square matrices are asked for V.
 
-    A tall matrix (more rows than columns) is first reduced to the ncols x
-    ncols R of a Householder QR on integers at F = prec + 32 bits
-    (`_householder_r`), and the SVD runs on R: this is the R-SVD of Chan
-    ("An improved algorithm for computing the singular value
-    decomposition", ACM TOMS 1982).  A = QR with Q unitary gives
-    A^H A = R^H R, so S and V are those of A in exact arithmetic, and the
-    QR is backward stable (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., ch. 19): it is the SVD of A + dA with ||dA|| a
-    small multiple of 2^-F ||A||.  Wide and square matrices go straight to
-    the SVD.
+    The matrix, or for a wide one its conjugate transpose (same singular
+    values), is reduced to the n x n R of a Householder QR on integers
+    (`_householder_r`).  A = QR with Q unitary gives A^H A = R^H R, so S
+    and V are those of A in exact arithmetic (the R-SVD of Chan, "An
+    improved algorithm for computing the singular value decomposition", ACM
+    TOMS 1982), and the QR is backward stable (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 19): it is the SVD of
+    A + dA with ||dA|| a small multiple of 2^-F ||A||.
+
+    The SVD of R is a cyclic one-sided (Hestenes) complex Jacobi
+    (`_jacobi_svd`), the method that Demmel and Veselic ("Jacobi's method
+    is more accurate than QR", SIAM J. Matrix Anal. Appl. 13, 1992) show
+    to be accurate to the scaled condition of R.  A Jacobi in Python floats
+    on R seeds V; its columns, orthonormalized on integers, turn R into
+    B = R V0 with nearly orthogonal columns (to about 1e-13 for the 34
+    columns of a van Diejen n=2 solve), and the integer sweeps converge
+    quadratically from there: on that R of 561 pairs they rotate 561, 561,
+    506, 29, 1 and 0 pairs.  Each rotation reads its angle from the exact integer
+    Gram entries and the phase of gamma at 2F bits, and the sweeps stop
+    after one that finds every pair orthogonal to 2^-(F-16) or at
+    rounding level.
     """
-    with mp.workprec(prec + GUARD_BITS):
-        if len(rows) > len(rows[0]):
-            rows = _householder_r(rows, prec + 32)
-        A = matrix(rows)
-        S = svd_c_raw(mp, A, V, calc_u=False)
-        return [abs(S[i]) for i in range(min(A.rows, A.cols))]
+    F = prec + 32
+    keys = [[point_key(x) for x in row] for row in rows]
+    if len(rows) < len(rows[0]):
+        keys = [[(re, mpf_neg(im)) for re, im in col] for col in zip(*keys)]
+    cols, exp = _fixed_columns(keys, F)
+    norms, W = _jacobi_svd(_householder_r(cols, F), F, V is not False)
+    order = sorted(range(len(norms)), key=norms.__getitem__, reverse=True)
+    wp = prec + GUARD_BITS
+    if W is not None:
+        for i, j in enumerate(order):
+            for k, (re, im) in enumerate(zip(*W[j])):
+                V[i, k] = mp.make_mpc(
+                    (from_man_exp(re, -F, wp, round_nearest), from_man_exp(-im, -F, wp, round_nearest))
+                )
+    return [mp.make_mpf(mpf_sqrt(from_man_exp(norms[j], 2 * exp), wp, round_nearest)) for j in order]
 
 
 def spectrum_rank(svals, prec):
@@ -710,9 +863,12 @@ def spectrum_rank(svals, prec):
     than RANK_GAP times the first dropped one raises ArithmeticError.  In the
     tests and the benchmark, s_max lies between 10^-0.2 and 10^2.6 at nonzero
     rank, and a rank-zero spectrum (conditions that cancel identically) is
-    rounding noise, at most 10^-80 at 256 bits.  Kept values sit at least 11.9
-    (96 bits) and 34.8 (256 bits) decades above the floor, dropped ones at
-    least 16.8 and 41.5 below it; `svd_spectrum` shows a decision's margin.
+    rounding noise, at most 10^-80.2 at 256 bits (10^-79.2 for a test's
+    1e-80 noise).  Kept values sit at least 11.9 (96 bits) and 34.8 (256
+    bits) decades above the floor, but 33.1 and 31.1 for the van Diejen n=1
+    sections that a test breaks by moving x1 by 1e-6 and 1e-8; dropped ones
+    sit at least 16.9 and 40.7 below it.  `svd_spectrum` shows a decision's
+    margin.
     """
     floor = mpf(2) ** -(prec // 2)
     rank = sum(1 for s in svals if s > floor)

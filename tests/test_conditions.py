@@ -25,6 +25,7 @@ from ccnops.conditions import (
     reflect_shift,
     section_solve,
     section_solve_first_order,
+    sections_by_weight,
     vandiejen_nullspace,
     vandiejen_sections,
 )
@@ -203,6 +204,19 @@ def test_vandiejen_section_failure_raises(ctx, xs8):
     xs_bad[0] = xs8[0] + mpf("1e-3")
     with pytest.raises(ArithmeticError):
         vandiejen_sections(ctx, xs_bad, Q, T, 1, eta_prime=sum(xs8) / 2)
+
+
+def test_sections_do_not_depend_on_the_nullspace_basis(ctx, xs8):
+    # the echelon form reads its pivots from the nullspace projector, so a
+    # unitary change of basis leaves every section as it was
+    model, null = vandiejen_nullspace(ctx, xs8, Q, T, 2)
+    k = len(null)
+    U = _unitary(random.Random(53), k)
+    with mp.workprec(256 + 16):
+        turned = [[sum(U[i, j] * null[j][a] for j in range(k)) for a in range(len(null[0]))] for i in range(k)]
+    pts = sample_points(2, 2, seed=59)
+    for A, B in zip(sections_by_weight(model, null), sections_by_weight(model, turned)):
+        assert op_defect(ctx, A, B, pts) < mpf("1e-70")
 
 
 def test_operator_span_contains(ctx):
@@ -444,7 +458,7 @@ def _assert_svd_contract(rows, rank, prec=256):
     """
     ncols = len(rows[0])
     with mp.workprec(prec + 16):
-        _, S_ref, V_ref = mp.svd_c(matrix(rows))
+        _, S_ref, V_ref = mp.svd_c(matrix(rows), full_matrices=True)
     S = weyl.svd_spectrum(rows, prec)
     null = nullspace_basis(rows, ncols, prec=prec)
     assert len(null) == ncols - rank
@@ -461,33 +475,80 @@ def _assert_svd_contract(rows, rank, prec=256):
 
 
 def test_nullspace_svd_runs_on_the_householder_r(monkeypatch):
-    # a tall matrix reaches the SVD kernel as the 12 x 12 R of its QR, once
-    # and without U; S and V are mp.svd_c's of that R, bit for bit
+    # a tall matrix reaches the Jacobi kernel once, as the upper-triangular
+    # 12 x 12 integer R of its QR
     rows = _rank_nine_rows()
     seen = []
-    raw = weyl.svd_c_raw
+    kernel = weyl._jacobi_svd
 
-    def spy(ctx, A, V, calc_u):
-        R = A.copy()
-        S = raw(ctx, A, V, calc_u=calc_u)
-        seen.append((R, S, V.copy(), calc_u))
-        return S
+    def spy(R, F, want_v):
+        seen.append((R, want_v))
+        return kernel(R, F, want_v)
 
-    monkeypatch.setattr(weyl, "svd_c_raw", spy)
+    monkeypatch.setattr(weyl, "_jacobi_svd", spy)
     null = nullspace_basis(rows, 12, prec=256)
-    ((R, S, V, calc_u),) = seen
-    assert not calc_u
-    assert (R.rows, R.cols) == (12, 12)
-    assert all(R[i, j] == 0 for i in range(12) for j in range(i))
-    with mp.workprec(256 + 16):
-        _, S_ref, V_ref = mp.svd_c(R)
-    assert [point_key(x) for x in S] == [point_key(x) for x in S_ref]
-    assert [point_key(x) for x in V] == [point_key(x) for x in V_ref]
-    with mp.workprec(256 + 16):
-        want = [[mp.conj(V_ref[j, i]) for i in range(12)] for j in range(9, 12)]
-    assert [[point_key(x) for x in v] for v in null] == [[point_key(x) for x in v] for v in want]
+    ((R, want_v),) = seen
+    assert want_v and len(null) == 3
+    assert len(R) == 12 and all(len(row) == 12 for row in R)
+    assert all(type(x) is int for row in R for entry in row for x in entry)
+    assert all(R[i][j] == (0, 0) for i in range(12) for j in range(i))
     monkeypatch.undo()
     _assert_svd_contract(rows, 9)
+
+
+def _unitary(rng, n):
+    """A seeded n x n unitary: the Q of a complex Gaussian matrix."""
+    with mp.workprec(256 + 16):
+        Q_, _ = mp.qr(matrix([[mpc(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)] for _ in range(n)]))
+    return Q_
+
+
+def _with_singular_values(rng, m, svals):
+    """A seeded m x len(svals) matrix U diag(svals) V^H with U, V from `_unitary`."""
+    n = len(svals)
+    U, V = _unitary(rng, m), _unitary(rng, n)
+    with mp.workprec(256 + 16):
+        return [[sum(U[i, k] * svals[k] * mp.conj(V[j, k]) for k in range(n)) for j in range(n)] for i in range(m)]
+
+
+def _gauss_rows(rng, r, c, scale=1):
+    return [[mpc(rng.gauss(0, 1), rng.gauss(0, 1)) * scale for _ in range(c)] for _ in range(r)]
+
+
+def _low_rank_rows(rng, r, c, rank):
+    with mp.workprec(256 + 16):
+        return (matrix(_gauss_rows(rng, r, rank)) * matrix(_gauss_rows(rng, rank, c))).tolist()
+
+
+def _assert_v_orthonormal(rows, prec=256):
+    ncols = len(rows[0])
+    V = mp.zeros(ncols, ncols)
+    weyl.svd_spectrum(rows, prec, V)
+    with mp.workprec(prec + 16):
+        for i in range(ncols):
+            for j in range(ncols):
+                dot = sum(V[i, k] * mp.conj(V[j, k]) for k in range(ncols))
+                assert abs(dot - (i == j)) <= mpf(2) ** -prec, (i, j)
+
+
+SVD_INPUTS = {
+    # name: (rows from a seeded generator, rank)
+    "wide-8x11": (lambda rng: _gauss_rows(rng, 8, 11), 8),
+    "square-rank-7": (lambda rng: _low_rank_rows(rng, 10, 10, 7), 7),
+    # the scale of a first-order solve's condition rows: rounding noise
+    "noise-1e-81": (lambda rng: _gauss_rows(rng, 20, 6, mpf("1e-81")), 0),
+    "zero": (lambda rng: [[mpc(0)] * 5 for _ in range(9)], 0),
+    "threefold-value": (lambda rng: _with_singular_values(rng, 14, [2, 1, 1, 1, mpf("0.5"), 0, 0, 0]), 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SVD_INPUTS))
+def test_svd_contract_on_more_shapes(name):
+    make, rank = SVD_INPUTS[name]
+    rows = make(random.Random(47))
+    _assert_svd_contract(rows, rank)
+    if len(rows) >= len(rows[0]):
+        _assert_v_orthonormal(rows)
 
 
 def test_householder_r_on_few_bit_pivots():

@@ -143,8 +143,27 @@ def test_theta_zero_rule(ctx):
     assert abs(ctx.theta(z0) - want) < abs(want) * mpf(2) ** -20
 
 
+def test_theta_near_a_zero_at_shifted_points():
+    # near the zero 2 - 3 tau, theta keeps the relative error it has near 0:
+    # w0 = z - m - n tau is formed exactly and x0 = e(w0/2) read from it
+    ctx, ref = CurveContext(TAU, 256), CurveContext(TAU, 1100)
+    small = mpf(2) ** -(ctx._wp - 32)
+
+    def error(z):
+        with mp.workprec(1100):
+            want = ref.theta_product(z)
+            return abs(ctx.theta(z) - want) / abs(want)
+
+    with mp.workprec(1100):  # exact: TAU has 320 bits
+        shifted = [m + n * TAU + small for m, n in ((2, -3), (2, 3), (1, 1), (0, -1))]
+    base = error(small)
+    for z in shifted:
+        assert error(z) <= 4 * base
+
+
 def test_theta_reads_the_integer_kernel(monkeypatch):
-    # ctx.theta is theta_fixed at z's F-bit reduction, rounded once; it calls
+    # at a shifted point ctx.theta is theta_at_x0 at the F-bit fixed point of
+    # the exact w0 = z - m - n tau, with x0 = e(w0/2), rounded once; it calls
     # neither the mpc exponential nor the mpc lattice reduction
     ctx = CurveContext(TAU, 256)
     calls = []
@@ -162,5 +181,8 @@ def test_theta_reads_the_integer_kernel(monkeypatch):
     F = ctx._fix
     reduced = ctx.reduce_fixed(*(to_fixed(x, F) for x in point_key(z)))
     assert reduced[2:] == (-2, 3)
-    want = gauss_div(ctx.theta_fixed(reduced, *ctx.half_e(z)), GAUSS_ONE, ctx._wp)
+    with mp.workprec(1100):  # exact
+        w0 = z + 2 - 3 * mp.make_mpc(point_key(TAU))
+    exact = (*(to_fixed(x, F) for x in point_key(w0)), -2, 3)
+    want = gauss_div(ctx.theta_at_x0(exact, *ctx.half_e(w0)), GAUSS_ONE, ctx._wp)
     assert got._mpc_ == want._mpc_ and got != 0
