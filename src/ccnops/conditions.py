@@ -825,8 +825,6 @@ def nullspace_basis(rows, ncols, prec=256):
     """
     if not rows:
         return [[mpc(1) if i == j else mpc(0) for j in range(ncols)] for i in range(ncols)]
-    while len(rows) < ncols:
-        rows = rows + [[mpc(0)] * ncols]
     V = mp.zeros(ncols, ncols)
     rank = spectrum_rank(svd_spectrum(rows, prec, V), prec)
     with mp.workprec(prec + GUARD_BITS):

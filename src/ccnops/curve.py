@@ -16,32 +16,30 @@ meromorphic solution
 normalized by an explicit exponential prefactor whose branch is the principal
 logarithm, fixed once per tau.
 
-Theta has one kernel, on Python integers, and one zero rule
-(`theta_fixed`); `CurveContext.theta` and the factor tables of the condition
-checkers and the section solver all read it.  Values are Gaussian floats:
-(re + i im) 2^e with integer re, im cut back to F = `ctx._wp` + GUARD_BITS
-bits after each product (`gauss_mul`).  An argument z arrives as F-bit
-fixed-point integers and is reduced to z = w0 + m + n tau by integer
-rounding (`reduce_fixed`); e(z/2) and e(-z/2) arrive as Gaussian floats
-(`half_e`, which `CurveContext.theta` calls on z itself and the tables form
-from per-table and per-point exponentials).  Then x0 = e(w0/2) =
-(-1)^m e(-n tau/2) e(z/2) feeds the lacunary sum, run in F-bit fixed point
-(Brent & Zimmermann, Modern Computer Arithmetic, 2010, section 4.4), and
+Theta has one kernel, on Python integers, and one zero rule (`theta_at_x0`);
+`CurveContext.theta` and the factor tables of the condition checkers and the
+section solver (through `theta_fixed`) all read it.  Values are Gaussian
+floats: (re + i im) 2^e with integer re, im cut back to F = `ctx._wp` +
+GUARD_BITS bits after each product (`gauss_mul`).  An argument z arrives as
+F-bit fixed-point integers and is reduced to z = w0 + m + n tau by integer
+rounding (`reduce_fixed`).  The tables form e(z/2) and e(-z/2) as Gaussian
+floats from per-table and per-point exponentials, and x0 = e(w0/2) = (-1)^m
+e(-n tau/2) e(z/2) (`theta_fixed`); `CurveContext.theta` forms w0 exactly and
+reads x0 = `half_e`(w0), so that x0 - 1/x0 keeps its relative precision near a
+zero of theta.  x0 feeds the lacunary sum, run in F-bit fixed point (Brent &
+Zimmermann, Modern Computer Arithmetic, 2010, section 4.4), and
 
     theta(z) = (-1)^(m+n) x0^(-2n) e(-n^2 tau/2) theta(w0),
 
-with e(k tau/2) memoized per context.  At a point with n != 0,
-`CurveContext.theta` instead forms w0 exactly and calls `half_e` on w0, so
-that x0 - 1/x0 keeps its relative precision near a zero of theta.  Zero
-rule: |w0| < 2^-`ctx._wp` gives exactly 0.  Beyond `half_e` and that exact
-w0, no exponential, cos/sin, `lattice_reduce` or mpc operation runs per
-theta.  Error: every term of the sum, of size at most
-|x0|^(2j+1), carries an absolute error of a few units of 2^-F (relative to
-|theta|, so more near a zero of theta); each product cuts its mantissas
-once, a relative error of at most 2^(2-F).  `CurveContext.theta` rounds one
-value once to `ctx._wp` bits, and a table's quotient of products of k theta
-values is good to about k (that error + 2^(2-F)) relative and is rounded
-once, to `ctx._wp` bits (both by `gauss_div`).
+with e(k tau/2) memoized per context.  Zero rule: |w0| < 2^-`ctx._wp` gives
+exactly 0.  Beyond `half_e` and that exact w0, no exponential, cos/sin,
+`lattice_reduce` or mpc operation runs per theta.  Error: every term of the
+sum, of size at most |x0|^(2j+1), carries an absolute error of a few units of
+2^-F (relative to |theta|, so more near a zero of theta); each product cuts
+its mantissas once, a relative error of at most 2^(2-F).  `CurveContext.theta`
+rounds one value once to `ctx._wp` bits, and a table's quotient of products of
+k theta values is good to about k (that error + 2^(2-F)) relative and is
+rounded once, to `ctx._wp` bits (both by `gauss_div`).
 
 Precision rule: a CurveContext owns its working precision, `ctx._wp` = prec +
 GUARD_BITS, and every public function or method that takes a context
@@ -328,24 +326,21 @@ class CurveContext:
     def theta(self, z):
         """theta(z; tau), memoized per point, rounded once.
 
-        `theta_fixed` at z's F-bit reduction with `half_e`(z); at a point
-        with n != 0, `theta_at_x0` at w0 = z - m - n tau, formed exactly,
-        with x0 = `half_e`(w0).  Near 2 - 3 tau, theta then keeps the
-        relative error it has near 0 (4e-17 at 256 bits, 2^-240 from the
-        zero), where e(z/2) e(3 tau/2) gave 6e-16.
+        `theta_at_x0` at w0 = z - m - n tau, formed exactly from z's
+        nearest lattice point m + n tau, with x0 = `half_e`(w0).  Near
+        2 - 3 tau, theta then keeps the relative error it has near 0 (4e-17
+        at 256 bits, 2^-240 from the zero), where e(z/2) e(3 tau/2) gave
+        6e-16.
         """
         return memo(self._theta_cache, point_key(z), lambda: self._theta_at(z))
 
     def _theta_at(self, z):
-        F = self._fix
-        key = point_key(z)
-        reduced = self.reduce_fixed(*(to_fixed(x, F) for x in key))
-        _, _, m, n = reduced
-        if not n:
-            return gauss_div(self.theta_fixed(reduced, *self.half_e(z)), GAUSS_ONE, self._wp)
         # z's fixed point and the product e(z/2) e(-n tau/2) would each carry
         # an absolute 2^-F, which near a zero of theta is all of theta(w0); so
         # w0 = z - m - n tau is formed exactly and x0 = e(w0/2) read from it
+        F = self._fix
+        key = point_key(z)
+        _, _, m, n = self.reduce_fixed(*(to_fixed(x, F) for x in key))
         w0 = self._exact_w0(key, m, n)
         reduced = (to_fixed(w0[0], F), to_fixed(w0[1], F), m, n)
         return gauss_div(self.theta_at_x0(reduced, *self.half_e(mp.make_mpc(w0))), GAUSS_ONE, self._wp)

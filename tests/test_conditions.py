@@ -520,15 +520,19 @@ def _low_rank_rows(rng, r, c, rank):
         return (matrix(_gauss_rows(rng, r, rank)) * matrix(_gauss_rows(rng, rank, c))).tolist()
 
 
-def _assert_v_orthonormal(rows, prec=256):
+def _assert_v_contract(rows, prec=256):
+    """V is orthonormal to 2^-prec, and A v_i^H has length s_i for each row v_i of V."""
     ncols = len(rows[0])
     V = mp.zeros(ncols, ncols)
-    weyl.svd_spectrum(rows, prec, V)
+    S = weyl.svd_spectrum(rows, prec, V)
+    assert len(S) == ncols
     with mp.workprec(prec + 16):
         for i in range(ncols):
             for j in range(ncols):
                 dot = sum(V[i, k] * mp.conj(V[j, k]) for k in range(ncols))
                 assert abs(dot - (i == j)) <= mpf(2) ** -prec, (i, j)
+            image = mp.sqrt(sum(abs(sum(a * mp.conj(V[i, k]) for k, a in enumerate(row))) ** 2 for row in rows))
+            assert abs(image - S[i]) <= mpf("1e-70") * max(S[0], 1), i
 
 
 SVD_INPUTS = {
@@ -547,8 +551,7 @@ def test_svd_contract_on_more_shapes(name):
     make, rank = SVD_INPUTS[name]
     rows = make(random.Random(47))
     _assert_svd_contract(rows, rank)
-    if len(rows) >= len(rows[0]):
-        _assert_v_orthonormal(rows)
+    _assert_v_contract(rows)
 
 
 def test_householder_r_on_few_bit_pivots():
