@@ -41,6 +41,17 @@ rounds one value once to `ctx._wp` bits, and a table's quotient of products of
 k theta values is good to about k (that error + 2^(2-F)) relative and is
 rounded once, to `ctx._wp` bits (both by `gauss_div`).
 
+Gamma runs on the same integers.  Per step q a table (`_gamma_table`) holds
+c_m = 1/(m (1-p^m)(1-Q^m)), p = e(tau), Q = e(q), in F-bit fixed point, and
+pQ.  Per call z is shifted along q to z0 = z - k q, where x = e(z0) and
+y = pQ/x are at most e^(-pi Im tau) in modulus, and sum_m c_m (x^m - y^m),
+the log of the standard double product (Felder & Varchenko, Adv. Math.
+2000), runs in fixed point with forward powers: an absolute error of a few
+units of 2^-F.  That sum, the prefactor and the shift's e(+-arg/2) add into
+one exponent formed at F + GUARD_BITS bits, and one `exp` of it, times the
+factors (-(p;p)^2 theta(arg))^(+-1) from the theta kernel, is rounded once to
+`ctx._wp` bits: a relative error of a few units of 2^-F before that rounding.
+
 Precision rule: a CurveContext owns its working precision, `ctx._wp` = prec +
 GUARD_BITS, and every public function or method that takes a context
 computes under `mp.workprec(ctx._wp)` (most through `at_context_precision`).
@@ -54,6 +65,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import math
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (
@@ -61,15 +73,18 @@ from mpmath.libmp import (
     from_int,
     from_man_exp,
     fzero,
+    mpf_add,
     mpf_cos_sin_pi,
     mpf_exp,
     mpf_mul,
     mpf_neg,
     mpf_pi,
     mpf_pos,
+    mpf_shift,
     mpf_sub,
     round_nearest,
     to_fixed,
+    to_float,
 )
 
 
@@ -262,7 +277,9 @@ class CurveContext:
         self._half_tau_cache = {}
         self._theta_cache = {}
         self._gamma_cache = {}
+        self._gamma_table_cache = {}
         self._c_pair_cache = {}
+        self._lattice_weight_cache = {}  # weyl.theta_basis_values: e(mk tau/2d) per (mk, d)
 
     # -- primitives -------------------------------------------------------
 
@@ -332,18 +349,18 @@ class CurveContext:
         at 256 bits, 2^-240 from the zero), where e(z/2) e(3 tau/2) gave
         6e-16.
         """
-        return memo(self._theta_cache, point_key(z), lambda: self._theta_at(z))
+        key = point_key(z)
+        return memo(self._theta_cache, key, lambda: gauss_div(self._theta_gauss(key), GAUSS_ONE, self._wp))
 
-    def _theta_at(self, z):
+    def _theta_gauss(self, key):
         # z's fixed point and the product e(z/2) e(-n tau/2) would each carry
         # an absolute 2^-F, which near a zero of theta is all of theta(w0); so
         # w0 = z - m - n tau is formed exactly and x0 = e(w0/2) read from it
         F = self._fix
-        key = point_key(z)
         _, _, m, n = self.reduce_fixed(*(to_fixed(x, F) for x in key))
         w0 = self._exact_w0(key, m, n)
         reduced = (to_fixed(w0[0], F), to_fixed(w0[1], F), m, n)
-        return gauss_div(self.theta_at_x0(reduced, *self.half_e(mp.make_mpc(w0))), GAUSS_ONE, self._wp)
+        return self.theta_at_x0(reduced, *self.half_e(mp.make_mpc(w0)))
 
     def half_e(self, z):
         """(e(z/2), e(-z/2)) as Gaussian floats with F-bit mantissas, z taken exactly.
@@ -379,15 +396,27 @@ class CurveContext:
         F = self._fix
         xr, xi = (pr * pr - pi * pi) >> F, (pr * pi) >> (F - 1)
         yr, yi = (qr * qr - qi * qi) >> F, (qr * qi) >> (F - 1)
-        nr = ni = 0  # scaled by 2^(2F)
-        for wr, wi, s in self._fix_weights:
+        nr, ni = self._fixed_series(self._fix_weights, pr, pi, xr, xi, qr, qi, yr, yi)
+        dr, di = self._fix_inv_denom
+        return nr * dr - ni * di, nr * di + ni * dr
+
+    def _fixed_series(self, weights, pr, pi, xr, xi, qr, qi, yr, yi):
+        """sum_j w_j (p x^j - q y^j) for weights (re, im, s) scaled by 2^(F + s) and p, x, q, y by 2^F.
+
+        The sum comes scaled by 2^(2F); it stops once both powers have fallen
+        to 0 in that fixed point.
+        """
+        F = self._fix
+        nr = ni = 0
+        for wr, wi, s in weights:
+            if not (pr or pi or qr or qi):
+                break
             dr, di = pr - qr, pi - qi
             nr += (wr * dr - wi * di) >> s
             ni += (wr * di + wi * dr) >> s
             pr, pi = (pr * xr - pi * xi) >> F, (pr * xi + pi * xr) >> F
             qr, qi = (qr * yr - qi * yi) >> F, (qr * yi + qi * yr) >> F
-        dr, di = self._fix_inv_denom
-        return nr * dr - ni * di, nr * di + ni * dr
+        return nr, ni
 
     def reduce_fixed(self, ar, ai):
         """(w0r, w0i, m, n): z = ar + i ai (scaled by 2^F) as w0 + m + n tau, w0 scaled by 2^F.
@@ -521,80 +550,100 @@ class CurveContext:
         return self._c_pair()[0]
 
     def _c_pair(self):
-        """(log C, (p;p)_inf^2), computed once per context."""
+        """(log C, C) at F + GUARD_BITS bits, computed once per context."""
         return memo(self._c_pair_cache, (), self._c_pair_at)
 
     def _c_pair_at(self):
-        with mp.workprec(self._wp):
-            p = self.e(self.tau)
-            prod = mpc(1)
-            pj = p
-            while abs(pj) > self._cutoff:
+        with mp.workprec(self._fix + GUARD_BITS):
+            p = mp.expjpi(2 * mp.make_mpc(self._tau_exact))
+            prod, pj = mpc(1), p
+            while mp.mag(pj) > -mp.prec:
                 prod *= (1 - pj) ** 2
                 pj *= p
-            return mp.log(-prod), prod
+            return mp.log(-prod), -prod
 
     def gamma(self, z, q):
         """The elliptic Gamma symbol gamma_q(z; tau) (principal-branch prefactor).
 
         Satisfies gamma(q+z) = theta(z) gamma(z).  Requires Im(q) above the
-        modulus threshold.
+        modulus threshold; PoleProximityError on a pole.
         """
         return memo(self._gamma_cache, (point_key(z), point_key(q)), lambda: self._gamma_at(z, q))
 
-    def _gamma_at(self, z, q):
-        with mp.workprec(self._wp):
-            z = mpc(z)
-            q = mpc(q)
-            if q.imag < MIN_IM:
-                raise ModulusError("Im(q) = %s below threshold %s" % (q.imag, MIN_IM))
-            logc = self._log_c()
-            pref = mp.exp(-(z / q) * logc) * self.e(-z * (z - q) / (4 * q))
-            return pref * self._gamma_std(z, q)
+    def _gamma_table(self, q):
+        """(weights c_m for `_fixed_series`, pQ and C as Gaussian floats) for the step q, memoized per q.
 
-    def _gamma_std(self, z, q):
-        """prod_{j,k>=0} (1-e((j+1)tau+(k+1)q-z)) / (1-e(j tau+k q+z)).
-
-        Computed by shifting z along q into the annulus where the standard
-        log-series converges fast, then correcting with theta factors.
+        c_m = 1/(m (1-p^m)(1-Q^m)), |c_m| < 1.4/m, is formed on F-bit
+        fixed-point integers to a unit of 2^-F; the table ends once
+        e^(-pi Im tau m) < 2^-(F+4).
         """
-        im_target = (self.tau.imag + q.imag) / 2
-        k = int(mp.nint((z.imag - im_target) / q.imag))
-        z0 = z - k * q
-        val = self._gamma_std_series(z0, q)
-        pp2 = self._c_pair()[1]
-        if k > 0:
-            for j in range(k):
-                arg = z0 + j * q
-                val *= -self.e(arg / 2) * pp2 * self.theta(arg)
-        elif k < 0:
-            for j in range(k, 0):
-                arg = z0 + j * q
-                val /= -self.e(arg / 2) * pp2 * self.theta(arg)
-        return val
 
-    def _gamma_std_series(self, z, q):
-        # log Gamma_std = sum_{m>=1} (x^m - (pQ/x)^m) / (m (1-p^m)(1-Q^m))
-        x = self.e(z)
-        p = self.e(self.tau)
-        Q = self.e(q)
-        y = p * Q / x
-        total = mpc(0)
-        xm, ym, pm, Qm = x, y, p, Q
-        m = 1
-        while True:
-            term = (xm - ym) / (m * (1 - pm) * (1 - Qm))
-            total += term
-            if (abs(xm) + abs(ym)) < self._cutoff:
-                break
-            m += 1
-            xm *= x
-            ym *= y
-            pm *= p
-            Qm *= Q
-            if m > 50000:
-                raise PrecisionError("Gamma series did not converge")
-        return mp.exp(total)
+        def compute():
+            if mp.make_mpf(qk[1]) < MIN_IM:
+                raise ModulusError("Im(q) = %s below threshold %s" % (mp.make_mpf(qk[1]), MIN_IM))
+            F, one = self._fix, 1 << self._fix
+            p, Q = self.half_tau_power(2), self.half_e(mp.make_mpc(tuple(mpf_shift(a, 1) for a in qk)))[0]
+            (pr, pi), (Qr, Qi) = gauss_fixed(p, F), gauss_fixed(Q, F)
+            weights, ar, ai, br, bi = [], pr, pi, Qr, Qi
+            for m in range(1, int((F + 4) * math.log(2) / (math.pi * float(self.tau.imag))) + 2):
+                # m (1-p^m)(1-Q^m) scaled by 2^(2F); c_m = 2^(3F) conj(d) / |d|^2 scaled by 2^F
+                dr, di = m * ((one - ar) * (one - br) - ai * bi), -m * ((one - ar) * bi + ai * (one - br))
+                d2 = dr * dr + di * di
+                weights.append(((dr << 3 * F) // d2, (-di << 3 * F) // d2, 0))
+                ar, ai = (ar * pr - ai * pi) >> F, (ar * pi + ai * pr) >> F
+                br, bi = (br * Qr - bi * Qi) >> F, (br * Qi + bi * Qr) >> F
+            return weights, gauss_mul(p, Q, F), gauss_cut(*gauss_exact(self._c_pair()[1]), F)
+
+        qk = point_key(q)
+        return memo(self._gamma_table_cache, qk, compute)
+
+    def _gamma_at(self, z, q):
+        """gamma_q(z): one fixed-point series, one exponent and one exp, rounded once.
+
+        With k = nint((Im z - (Im tau + Im q)/2) / Im q), z0 = z - k q has
+        Im tau/2 <= Im z0 <= Im tau/2 + Im q, so x = e(z0) and y = pQ/x (both
+        from one `half_e`(2 z0)) are at most e^(-pi Im tau) in modulus, and
+        S = sum_m c_m (x^m - y^m) is the log of the standard product at z0.
+        The shifts gamma(q+w) = -e(w/2) (p;p)^2 theta(w) gamma(w) then give
+
+            gamma_q(z) = exp(E) prod_j (-(p;p)^2 theta(z0 + j q))^sign(k),
+            E = S - (z/q) log C - pi i (z (z-q)/(2q) - k z0 - k (k-1) q/2),
+
+        over j = 0..k-1 (k > 0) or k..-1 (k < 0), each z0 + j q exact and its
+        theta an unrounded value of the integer kernel.  E is formed at
+        F + GUARD_BITS bits (formed at `ctx._wp`, its rounding doubled the
+        kernel identities' defects) and the product is rounded once, to
+        `ctx._wp` bits.  A divisor theta that is exactly 0 (the kernel's
+        zero rule) puts z on a pole: PoleProximityError.
+        """
+        F = self._fix
+        weights, pq, c = self._gamma_table(q)
+        zk, qk = point_key(z), point_key(q)
+        q_im = to_float(qk[1])
+        k = round((to_float(zk[1]) - (float(self.tau.imag) + q_im) / 2) / q_im)
+
+        def shifted(j):  # z + j q, exactly
+            return tuple(mpf_add(a, mpf_mul(from_int(j), b)) for a, b in zip(zk, qk))
+
+        z0 = shifted(-k)
+        x, inv_x = self.half_e(mp.make_mpc(tuple(mpf_shift(a, 1) for a in z0)))
+        x, y = gauss_fixed(x, F), gauss_fixed(gauss_mul(pq, inv_x, F), F)
+        sr, si = self._fixed_series(weights, *x, *x, *y, *y)
+        with mp.workprec(F + GUARD_BITS):
+            z, q, w0 = mp.make_mpc(zk), mp.make_mpc(qk), mp.make_mpc(z0)
+            w = z / q
+            E = mp.make_mpc((from_man_exp(sr, -2 * F), from_man_exp(si, -2 * F))) - w * self._log_c()
+            E -= mpc(0, mp.pi) * (z * (w - 1) / 2 - k * w0 - k * (k - 1) // 2 * q)
+            num, den = gauss_cut(*gauss_exact(mp.exp(E)), F), GAUSS_ONE
+        for j in range(min(k, 0), max(k, 0)):
+            f = gauss_mul(c, self._theta_gauss(shifted(j - k)), F)
+            if k > 0:
+                num = gauss_mul(num, f, F)
+            elif f[0] or f[1]:
+                den = gauss_mul(den, f, F)
+            else:
+                raise PoleProximityError("gamma_q(z) has a pole at z = %s" % mp.make_mpc(zk))
+        return gauss_div(num, den, self._wp)
 
     def gamma_double_product(self, z, q, max_terms=400):
         """Reference evaluation of the Gamma symbol by its raw double product."""

@@ -13,10 +13,12 @@ class in Z[Hom/q] is trivial.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpc
+from mpmath.libmp import from_int, fzero, mpf_add, mpf_div, mpf_mul, round_nearest
 
 from .curve import memo, point_key
 
@@ -100,9 +102,10 @@ def _mono_mul(m1, m2):
 class AffineForm:
     """Affine-linear form sum_i c_i * sym_i + const with rational coefficients."""
 
-    __slots__ = ("coeffs", "const")
+    __slots__ = ("coeffs", "const", "_scaled")
 
     def __init__(self, coeffs=None, const=0):
+        self._scaled = None
         self.coeffs = {}
         if coeffs:
             for s, c in coeffs.items():
@@ -171,10 +174,23 @@ class AffineForm:
         return out
 
     def eval(self, bind):
-        total = mpc(self.const.numerator) / self.const.denominator
-        for s, c in self.coeffs.items():
-            total += mpc(bind[s]) * mpc(c.numerator) / c.denominator
-        return total
+        """The form at the bindings, an mpc summed exactly and rounded once to mp.prec.
+
+        With D the common denominator of the coefficients and the constant,
+        D const + sum_i (D c_i) sym_i has integer coefficients and is summed
+        exactly from the bound values' point keys (libmp at prec 0); the one
+        division by D rounds it, to nearest at mp.prec bits.
+        """
+        if self._scaled is None:
+            den = math.lcm(self.const.denominator, *(c.denominator for c in self.coeffs.values()))
+            self._scaled = den, int(self.const * den), [(s, from_int(int(c * den))) for s, c in self.coeffs.items()]
+        den, const, terms = self._scaled
+        re, im = from_int(const), fzero
+        for s, k in terms:
+            r, i = point_key(bind[s])
+            re, im = mpf_add(re, mpf_mul(r, k)), mpf_add(im, mpf_mul(i, k))
+        den, prec = from_int(den), mp.prec
+        return mp.make_mpc((mpf_div(re, den, prec, round_nearest), mpf_div(im, den, prec, round_nearest)))
 
     def to_poly(self):
         terms = {((s, 1),): c for s, c in self.coeffs.items()}

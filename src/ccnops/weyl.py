@@ -42,7 +42,7 @@ from operator import mul
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_man_exp, fzero, mpc_add, mpc_mul, mpc_zero, mpf_neg, mpf_sqrt, round_nearest, to_fixed
 
-from .curve import GUARD_BITS, CurveContext, at_context_precision, point_key
+from .curve import GUARD_BITS, CurveContext, at_context_precision, memo, point_key
 
 #: least ratio between the last singular value `spectrum_rank` keeps, above
 #: the floor 2^-(prec//2) for entries of order one (s_max 10^-0.2 to 10^2.6 at
@@ -524,11 +524,11 @@ def theta_basis_values(Q, points, ctx):
 
         e(m^T Q m tau/2 + m^T Q z) = w(c, m) * prod_j e(z_j)^(k_j),
 
-    with z-free weights w(c, m) = e(m^T Q m tau/2), one e call per term per
-    call.  Along a row, m_1..m_(n-1) fixed and m_n rising by 1, k rises by
-    Q e_n, so consecutive terms differ by the factor y = prod_j e(z_j)^(Q_jn)
-    besides their weights.  Per point, a row of weights w_0..w_(L-1) from
-    its first point m is
+    with z-free weights w(c, m) = e(m^T Q m tau/2), one e call per distinct
+    (d m^T Q m, d), memoized on the context.  Along a row, m_1..m_(n-1)
+    fixed and m_n rising by 1, k rises by Q e_n, so consecutive terms differ
+    by the factor y = prod_j e(z_j)^(Q_jn) besides their weights.  Per
+    point, a row of weights w_0..w_(L-1) from its first point m is
 
         prod_j e(z_j)^(k_j(m)) * (w_0 + y (w_1 + y (w_2 + ...))),
 
@@ -555,7 +555,7 @@ def theta_basis_values(Q, points, ctx):
             k = [sum(Q[i][j] * M[j] for j in range(n)) // d for i in range(n)]
             mk, kn, ws = sum(Mi * ki for Mi, ki in zip(M, k)), k[-1], []  # mk = d m^T Q m
             for _ in range(L):
-                ws.append(ctx.e(mk * half_tau / d)._mpc_)
+                ws.append(memo(ctx._lattice_weight_cache, (mk, d), lambda: ctx.e(mk * half_tau / d)._mpc_))
                 # m_n -> m_n + 1: d m^T Q m grows by d (2 k_n + Q_nn), k_n by Q_nn
                 mk += d * (2 * kn + col[-1])
                 kn += col[-1]

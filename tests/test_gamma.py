@@ -1,7 +1,9 @@
 import random
 
+import pytest
 from mpmath import mp, mpc, mpf
 
+from ccnops.curve import CurveContext, PoleProximityError
 from conftest import TAU, TOL, rel
 
 
@@ -50,3 +52,26 @@ def test_multiplication_principle(ctx):
             for j in range(k):
                 rhs *= ctx.gamma(z + j * q, k * q)
             assert rel(ctx.gamma(z, q) * corr, rhs) < TOL
+
+
+@pytest.mark.parametrize("prec", [96, 256])
+def test_gamma_against_a_high_precision_double_product(prec):
+    # with Im q = 0.35 the shift k = nint((Im z - (Im tau + Im q)/2) / Im q)
+    # into the series' strip is -3, -2, 0 and 1 at these Im z
+    ctx, ref = CurveContext(TAU, prec), CurveContext(TAU, prec + 128)
+    q = mpc("0.1", "0.35")
+    shifts = set()
+    for im in ("-0.35", "0", "0.6", "1.0"):
+        shifts.add(int(mp.nint((mpf(im) - (TAU.imag + q.imag) / 2) / q.imag)))
+        for re in ("-0.27", "0.23", "0.41"):
+            z = mpc(re, im)
+            assert abs(ctx.gamma(z, q) / ref.gamma_double_product(z, q) - 1) < mpf(2) ** (4 - prec)
+    assert min(shifts) < 0 < max(shifts) and 0 in shifts
+
+
+def test_gamma_at_a_pole_raises_a_typed_error(ctx):
+    # the divisor theta of the shift to the series' strip is exactly 0 there
+    q = mpc("0.21", "0.39")
+    for z in (0, -q, -TAU):
+        with pytest.raises(PoleProximityError):
+            ctx.gamma(z, q)

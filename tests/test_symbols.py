@@ -1,6 +1,7 @@
+import random
 from fractions import Fraction
 
-from mpmath import mpc, mpf
+from mpmath import mp, mpc, mpf
 
 from ccnops.symbols import (
     AffineForm,
@@ -106,3 +107,33 @@ def test_affine_substitution():
     g = f.substitute({"z1": zvar(2) + qf})
     assert g.coeff("z2") == 2 and g.coeff("q") == 2 and g.coeff("t") == 1
     assert g.const == Fraction(-1, 2)
+
+
+def _exact(x):
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+def _round_once(r, prec):
+    """The rational r rounded to nearest (ties to even) at prec bits."""
+    if not r:
+        return r
+    e = abs(r.numerator).bit_length() - r.denominator.bit_length() - prec
+    while abs(r) >= Fraction(2) ** (e + prec):
+        e += 1
+    while abs(r) < Fraction(2) ** (e + prec - 1):
+        e -= 1
+    return round(r / Fraction(2) ** e) * Fraction(2) ** e
+
+
+def test_affine_form_eval_rounds_once():
+    form = AffineForm({"a": 1, "b": -2, "c": Fraction(1, 2), "d": Fraction(1, 3)}, Fraction(3, 4))
+    rng = random.Random(11)
+    for prec in (53, 64, 113):
+        with mp.workprec(prec):
+            for _ in range(20):
+                bind = {s: mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)) for s in "abcd"}  # exact
+                got = form.eval(bind)
+                for part, const in (("real", form.const), ("imag", 0)):
+                    total = const + sum(c * _exact(getattr(bind[s], part)) for s, c in form.coeffs.items())
+                    assert _exact(getattr(got, part)) == _round_once(total, prec)
