@@ -109,10 +109,9 @@ class AffineForm:
         self.coeffs = {}
         if coeffs:
             for s, c in coeffs.items():
-                c = Fraction(c)
                 if c:
-                    self.coeffs[s] = c
-        self.const = Fraction(const)
+                    self.coeffs[s] = c if isinstance(c, Fraction) else Fraction(c)
+        self.const = const if isinstance(const, Fraction) else Fraction(const)
 
     @staticmethod
     def var(sym, c=1):
@@ -394,27 +393,29 @@ class GammaProduct:
         return total
 
     def _classes(self):
-        """Group terms by argument modulo integer multiples of the step."""
-        classes = []  # list of [rep AffineForm, dict k -> exponent]
+        """[rep, {k: exponent}] per class of terms a = rep + k*step.
+
+        A term's class is its `_step_class` key (floor of the step multiple
+        taken out), k = n_term - n_rep; classes, reps and k are first-seen.
+        """
+        classes = {}  # key -> [rep, {k: exponent}, n_rep]
         for form, m in self.terms:
-            placed = False
-            for cls in classes:
-                rep = cls[0]
-                diff = form - rep
-                r = _integer_step_multiple(diff, self.step)
-                if r is not None:
-                    cls[1][r] = cls[1].get(r, 0) + m
-                    placed = True
-                    break
-            if not placed:
-                classes.append([form, {0: m}])
-        return classes
+            key, n = _step_class(form, self.step)
+            cls = classes.get(key)
+            if cls is None:
+                classes[key] = [form, {0: m}, n]
+            else:
+                k = n - cls[2]
+                cls[1][k] = cls[1].get(k, 0) + m
+        return [cls[:2] for cls in classes.values()]
 
     def reduce(self, arity=0):
         """Resolve a balanced product into a ThetaExpr; else return Unbalanced.
 
         gamma(a + k*step) = theta(a; step)_k * gamma(a), so within each class
         the Gamma symbols cancel and the theta shifted factorials remain.
+        Classes are `_classes`' (class key, floor, first-seen order), so
+        factors and residuals come in a fixed order.
         """
         classes = self._classes()
         residual = []
@@ -441,23 +442,18 @@ class GammaProduct:
         return " * ".join("Gamma(%s)^%d" % (f, m) for f, m in self.terms) or "Gamma()"
 
 
-def _integer_step_multiple(diff, step):
-    """If diff == n*step with n an integer, return n, else None."""
-    if not diff.coeffs and not diff.const:
-        return 0
-    # match against n*step: pick any anchor coefficient of step
+def _step_class(form, step):
+    """(key, n), n = floor(form / step) on the step's anchor, key = (form - n step).key().
+
+    The anchor is the step's first coefficient, else its constant.  Forms
+    differ by an integer multiple of the step iff their keys agree.
+    """
     if step.coeffs:
         sym, c = next(iter(step.coeffs.items()))
-        n = diff.coeff(sym) / c
-    elif step.const:
-        n = diff.const / step.const
+        n = math.floor(form.coeff(sym) / c)
     else:
-        return None
-    if n.denominator != 1:
-        return None
-    if (step * n).key() == diff.key():
-        return int(n)
-    return None
+        n = math.floor(form.const / step.const)
+    return (form - step * n if n else form).key(), n
 
 
 def _poly_div_form(poly, form):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from mpmath import mp, mpc, mpf
 
 from ccnops.symbols import (
@@ -137,3 +138,83 @@ def test_affine_form_eval_rounds_once():
                 for part, const in (("real", form.const), ("imag", 0)):
                     total = const + sum(c * _exact(getattr(bind[s], part)) for s, c in form.coeffs.items())
                     assert _exact(getattr(got, part)) == _round_once(total, prec)
+
+
+def _pairwise_reduce(gp, arity):
+    """`GammaProduct.reduce` as a pairwise search over class representatives (the oracle)."""
+    sym, c = next(iter(gp.step.coeffs.items()))
+    classes = []  # [rep, {k: exponent}]
+    for form, m in gp.terms:
+        for rep, ks in classes:
+            diff = form - rep
+            k = diff.coeff(sym) / c
+            if k.denominator == 1 and (gp.step * k).key() == diff.key():
+                ks[int(k)] = ks.get(int(k), 0) + m
+                break
+        else:
+            classes.append([form, {0: m}])
+    residual = tuple((rep, sum(ks.values())) for rep, ks in classes if sum(ks.values()))
+    if residual:
+        return Unbalanced(residual)
+    factors = []
+    for rep, ks in classes:
+        for k, m in ks.items():
+            if m and k >= 0:
+                factors += [(rep + gp.step * i, m) for i in range(k)]
+            elif m:
+                factors += [(rep - gp.step * i, -m) for i in range(1, -k + 1)]
+    return ThetaExpr(tuple(factors), arity)
+
+
+def _layout(pairs):
+    """Forms with their coefficient order, and exponents: equal only for identical output."""
+    return [(tuple(f.coeffs.items()), f.const, m) for f, m in pairs]
+
+
+def _random_base(rng):
+    symbols = rng.sample(("z1", "z2", "z3", "t", "eta"), rng.randint(1, 3))
+    coeffs = {s: rng.choice((-2, -1, 1, 1, 2, Fraction(1, 2))) for s in symbols}
+    coeffs["q"] = rng.choice((Fraction(-3, 2), -1, Fraction(-1, 3), 0, 0, Fraction(1, 2), Fraction(2, 3), 1, Fraction(5, 2)))
+    return AffineForm(coeffs, rng.choice((0, 0, Fraction(1, 2), -1)))
+
+
+@pytest.mark.parametrize("step", [qf, qf * 2, qf * Fraction(1, 3), -qf], ids=["q", "2q", "q/3", "-q"])
+def test_reduce_matches_the_pairwise_search(step):
+    rng = random.Random(15)
+    kinds = set()
+    for trial in range(60):
+        terms = []
+        for base in (_random_base(rng) for _ in range(rng.randint(1, 4))):
+            for _ in range(rng.randint(1, 3)):
+                m = rng.choice((-2, -1, 1, 2))
+                ks = rng.sample(range(-3, 4), 2)
+                terms += [(base + step * ks[0], m), (base + step * ks[1], -m)]
+        if trial % 3 == 0:
+            terms.append((_random_base(rng), rng.choice((-1, 1))))
+        for _ in range(3):
+            rng.shuffle(terms)
+            gp = GammaProduct(step, terms)
+            got, want = gp.reduce(arity=3), _pairwise_reduce(gp, 3)
+            assert type(got) is type(want)
+            kinds.add(type(got))
+            if isinstance(want, Unbalanced):
+                assert _layout(got.residual) == _layout(want.residual)
+            else:
+                assert _layout(got.factors) == _layout(want.factors) and got.arity == 3
+    assert kinds == {ThetaExpr, Unbalanced}
+
+
+def test_reduce_floors_negative_fractional_multiples():
+    half = Fraction(1, 2)
+    te = GammaProduct(terms=((z1 - qf * Fraction(3, 2), 1), (z1 + qf * half, -1))).reduce(arity=1)
+    assert isinstance(te, ThetaExpr)
+    assert _layout(te.factors) == _layout(((z1 - qf * Fraction(3, 2), -1), (z1 - qf * half, -1)))
+    out = GammaProduct(terms=((z1 + qf * half, 1), (z1, -1))).reduce(arity=1)
+    assert isinstance(out, Unbalanced) and len(out.residual) == 2
+    # a step of 2q: 4q and -4q are exact multiples of it, q is not
+    q2 = qf * 2
+    te = GammaProduct(q2, ((z1 + qf * 4, 1), (z1, -1), (z1 - qf * 4, 1), (z1 - qf * 4, -1))).reduce(arity=1)
+    assert _layout(te.factors) == _layout(((z1 + q2, 1), (z1, 1)))
+    te = GammaProduct(q2, ((z1 - qf * 4, 1), (z1, -1))).reduce(arity=1)
+    assert _layout(te.factors) == _layout(((z1 - qf * 4, -1), (z1 - q2, -1)))
+    assert isinstance(GammaProduct(q2, ((z1 + qf, 1), (z1, -1))).reduce(arity=1), Unbalanced)
