@@ -389,8 +389,9 @@ def _suite_van_diejen(S):
     from .diffop import SelbergDensity, op_defect
     from .symbols import AffineForm
 
-    ctx, q, t = S["ctx"], S["q"], S["t"]
-    n = min(S["n"], 2)
+    ctx, q, t, n = S["ctx"], S["q"], S["t"], S["n"]
+    if n > 2:
+        raise ConfigError("van-diejen is implemented for n <= 2, not n = %d" % n)
     xs = S["xs"]
     if xs and len(xs) != 8:
         raise ConfigError("van-diejen requires exactly eight x parameters")

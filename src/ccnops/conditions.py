@@ -13,19 +13,20 @@ t-divisor.  A single sampling pipeline feeds both of its consumers:
 
 Every point is put on its root divisor by the one rule `_place_on_root`.
 Residues and values of structured coefficients (`ExprCoefficient`) are read
-through a factor table, `_Factors`, that holds each distinct theta argument
-once and evaluates it once per sample point: the pole test, the search for
-the unique vanishing factor and the numerator product all read those
-values, so holomorphy along a divisor is never a limit extraction.
+through a factor table, `factors.FactorTable`, that holds each distinct
+theta argument once and evaluates it once per sample point: the pole test,
+the search for the unique vanishing factor and the numerator product all
+read those values, so holomorphy along a divisor is never a limit
+extraction.
 `check_residue` builds a table over the two coefficients under test and
 uses three components and two u-probes; `SectionModel.condition_rows`
 builds one table over every basis coefficient and uses four components and
 one probe; `check_vanishing` builds one per coefficient.
 
-The table path runs on Python integers (see `curve`).  Each argument is
-compiled once per table into a parameter constant c and integer
-z-coefficients k_j (+-1 or +-2 in every model), with e(+-c/2) formed there;
-a point forms e(+-z_j/2) once per coordinate.  An argument's F-bit
+The table path runs on Python integers (see `curve` and `factors`).  Each
+argument is compiled once per context into a parameter constant c and
+integer z-coefficients k_j (+-1 or +-2 in every model), with e(+-c/2)
+formed once; a point forms e(+-z_j/2) once per coordinate.  An argument's F-bit
 fixed-point value c + sum_j k_j z_j serves the pole tests and the lattice
 reduction, and its theta comes from `CurveContext.theta_fixed` as a
 Gaussian float, F = `ctx._wp` + GUARD_BITS.  A part, scale times a product
@@ -50,8 +51,6 @@ from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
-from mpmath.libmp import to_fixed
-
 from .curve import (
     GAUSS_ONE,
     GUARD_BITS,
@@ -62,8 +61,6 @@ from .curve import (
     gauss_div,
     gauss_exact,
     gauss_mul,
-    memo,
-    point_key,
 )
 from .diffop import (
     DegreeVector,
@@ -72,6 +69,7 @@ from .diffop import (
     identity_operator,
     rel_defect,
 )
+from .factors import FactorTable, TablePoint
 from .families import van_diejen_leading_expr
 from .symbols import AffineForm, ThetaExpr, zvar
 from .weyl import (
@@ -231,140 +229,6 @@ def enumerate_conditions(degree, lam, params, n):
 # the factor table and residue extraction
 
 
-class _Factors:
-    """The distinct theta arguments of a set of structured coefficients.
-
-    `add` encodes a coefficient as parts (scale, ((argument, exponent), ...))
-    in factor order.  An argument is a (form, bindings of the parameters it
-    reads) pair, keyed on the form's coefficients in their stored order plus
-    the exact values it reads, so equal keys are one argument.  `poles`
-    keeps one argument per distinct denominator pole (`form.key()` plus
-    those values), in first-seen order.
-
-    `compiled(ctx)` splits each argument once per table into its parameter
-    constant c and its integer z-coefficients k_j: the argument at z is
-    c + sum_j k_j z_j, and e(+-c/2) are formed once here, so a sample point
-    needs only e(+-z_j/2) (see `_Point`).
-    """
-
-    def __init__(self):
-        self.args = []
-        self.poles = {}
-        self._index = {}
-        self._ctx = None
-        self._compiled = []
-
-    def add(self, coeff):
-        """The encoded parts of a coefficient; () for an absent one."""
-        if coeff is None:
-            return ()
-        if not isinstance(coeff, ExprCoefficient):
-            raise ValueError("condition checks need structured coefficients")
-        return tuple(
-            (scale, tuple((self._arg(form, params, m < 0), m) for form, m in expr.factors))
-            for scale, expr, params in coeff.parts
-        )
-
-    def _arg(self, form, params, pole):
-        reads = {s: params[s] for s in form.coeffs if s in params}
-        values = tuple((s, point_key(v)) for s, v in reads.items())
-        i = self._index.setdefault((tuple(form.coeffs.items()), form.const, values), len(self.args))
-        if i == len(self.args):
-            self.args.append((form, reads))
-        if pole:
-            self.poles.setdefault((form.key(), tuple(sorted(values))), i)
-        return i
-
-    def compiled(self, ctx):
-        """Per argument: (c as F-bit fixed-point integers, ((j, k_j), ...), e(c/2), e(-c/2))."""
-        if ctx is not self._ctx:
-            self._ctx, self._compiled = ctx, []
-        for form, reads in self.args[len(self._compiled):]:
-            self._compiled.append(_compile_argument(ctx, form, reads))
-        return self._compiled
-
-
-def _compile_argument(ctx, form, reads):
-    """A table argument as (c in F-bit fixed point, ((j, k_j), ...), e(c/2), e(-c/2))."""
-    F = ctx._fix
-    zk = []
-    with mp.workprec(F + GUARD_BITS):
-        c = mpc(form.const.numerator) / form.const.denominator
-        for s, k in form.coeffs.items():
-            if s[0] == "z" and s[1:].isdigit():
-                if k.denominator != 1:
-                    raise ValueError("factor tables need integer z-coefficients, got %s in %s" % (k, form))
-                zk.append((int(s[1:]) - 1, int(k)))
-            else:
-                c += exact_mpc(reads[s]) * mpc(k.numerator) / k.denominator
-    re, im = c._mpc_
-    return (to_fixed(re, F), to_fixed(im, F)), tuple(zk), *ctx.half_e(c)
-
-
-class _Point:
-    """A factor table at the point z: each argument's reduction and theta, computed once on first use.
-
-    Everything is on integers.  The argument c + sum_j k_j z_j is summed in
-    F-bit fixed point and reduced by `CurveContext.reduce_fixed`; e(+-arg/2)
-    is e(+-c/2) from the table times e(+-z_j/2)^k_j, formed once per point
-    and coordinate, and `CurveContext.theta_fixed` turns them into theta as
-    a Gaussian float.
-    """
-
-    def __init__(self, ctx, table, z):
-        self.ctx = ctx
-        self.table = table
-        self.z = z
-        self._args = table.compiled(ctx)
-        F = ctx._fix
-        self._fixed = [tuple(to_fixed(x, F) for x in point_key(w)) for w in z]
-        self._halves = {}
-        self._powers = {}
-        self._reduced = {}
-        self._factors = {}
-
-    def reduced(self, i):
-        """(w0r, w0i, m, n) of argument i: its `reduce_fixed` lattice reduction."""
-
-        def compute():
-            (ar, ai), zk, _, _ = self._args[i]
-            for j, k in zk:
-                ar += k * self._fixed[j][0]
-                ai += k * self._fixed[j][1]
-            return self.ctx.reduce_fixed(ar, ai)
-
-        return memo(self._reduced, i, compute)
-
-    def dist2(self, i):
-        """Squared distance of argument i to the lattice, scaled by 2^(2F)."""
-        w0r, w0i, _, _ = self.reduced(i)
-        return self.ctx.fixed_dist2(w0r, w0i)
-
-    def factor(self, i):
-        """theta(argument i) as a Gaussian float."""
-
-        def compute():
-            F = self.ctx._fix
-            _, zk, half, inv_half = self._args[i]
-            for j, k in zk:
-                half = gauss_mul(half, self._power(j, k), F)
-                inv_half = gauss_mul(inv_half, self._power(j, -k), F)
-            return self.ctx.theta_fixed(self.reduced(i), half, inv_half)
-
-        return memo(self._factors, i, compute)
-
-    def _power(self, j, k):
-        """e(k z_j / 2) as a Gaussian float."""
-
-        def compute():
-            if abs(k) == 1:
-                return memo(self._halves, j, lambda: self.ctx.half_e(self.z[j]))[k < 0]
-            step = 1 if k > 0 else -1
-            return gauss_mul(self._power(j, step), self._power(j, k - step), self.ctx._fix)
-
-        return memo(self._powers, (j, k), compute)
-
-
 def _fixed_square(ctx, bound):
     """(bound 2^F)^2 for a rational bound: a squared distance threshold of the fixed point."""
     return ((bound.numerator << ctx._fix) // bound.denominator) ** 2
@@ -490,7 +354,7 @@ def _place_on_root(z, beta, target):
 def _divisor_sample(ctx, rng, n, beta, target, table):
     """A random point of {beta(z) = target} at least 5e-3 from the table's poles.
 
-    Returns the table's values at the point (a `_Point`).  Poles parallel to
+    Returns the table's values at the point (a `TablePoint`).  Poles parallel to
     the divisor are excluded from the rejection test (their vanishing is the
     pole under examination).
     """
@@ -502,7 +366,7 @@ def _divisor_sample(ctx, rng, n, beta, target, table):
     for _ in range(MAX_RETRIES):
         z = [mpc(rng.uniform(-0.4, 0.4), rng.uniform(-0.35, 0.35)) for _ in range(n)]
         _place_on_root(z, beta, target)
-        point = _Point(ctx, table, tuple(z))
+        point = TablePoint(ctx, table, tuple(z))
         if all(point.dist2(i) >= margin for i in effective):
             return point
     raise PoleProximityError("could not sample the divisor away from other poles")
@@ -521,7 +385,7 @@ def _residue_samples(ctx, rng, spec, n, env, components, samples, probes, table)
     """Sample points for a residue-pair condition, away from the poles of `table`.
 
     Yields (component, sample number, point, brackets): `samples` points on
-    each component {beta(z) + m q = lambda} of the divisor, each a `_Point`
+    each component {beta(z) + m q = lambda} of the divisor, each a `TablePoint`
     of the table, with the correction bracket, raised to the pair exponent,
     at `probes` u-probes.  The RNG draws the point first, then the probes.
     """
@@ -572,7 +436,7 @@ def check_residue(ctx, op, specs, env, samples=2, seed=11, tol=mpf("1e-25")):
     for spec in specs:
         if spec.kind != "residue-pair":
             continue
-        table = _Factors()
+        table = FactorTable()
         parts_a = table.add(op.coefficient(spec.k))
         parts_b = table.add(op.coefficient(spec.k2))
         beta_coeffs = _beta_form(spec.beta, n)
@@ -607,7 +471,7 @@ def check_vanishing(ctx, op, specs, env, samples=2, seed=13, tol=mpf("1e-25")):
         c = op.coefficient(spec.k)
         if c is None:
             continue
-        table = _Factors()
+        table = FactorTable()
         parts = table.add(c)
         for snum, z, zref in _vanishing_samples(rng, spec, op.n, env, samples):
             if spec.kind == "x-vanish":
@@ -619,8 +483,8 @@ def check_vanishing(ctx, op, specs, env, samples=2, seed=13, tol=mpf("1e-25")):
                 )
             else:
                 label = "t-vanish[k=%s;%s;m=%d;#%d]" % (spec.k, spec.beta, spec.level, snum)
-            val = _value_of_parts(ctx, parts, _Point(ctx, table, z))
-            ref = abs(_value_of_parts(ctx, parts, _Point(ctx, table, zref))) + mpf("1e-30")
+            val = _value_of_parts(ctx, parts, TablePoint(ctx, table, z))
+            ref = abs(_value_of_parts(ctx, parts, TablePoint(ctx, table, zref))) + mpf("1e-30")
             report.add(label, abs(val) / ref)
     return report
 
@@ -776,7 +640,7 @@ class SectionModel:
             rng = random.Random(seed)
             ctx, n = self.ctx, self.n
             rows = []
-            table = _Factors()
+            table = FactorTable()
             columns = [
                 {k: table.add(op.coefficient(k)) for k in op.support()} for _, op in self.basis_ops
             ]

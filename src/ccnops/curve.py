@@ -17,8 +17,9 @@ normalized by an explicit exponential prefactor whose branch is the principal
 logarithm, fixed once per tau.
 
 Theta has one kernel, on Python integers, and one zero rule (`theta_at_x0`);
-`CurveContext.theta` and the factor tables of the condition checkers and the
-section solver (through `theta_fixed`) all read it.  Values are Gaussian
+`CurveContext.theta`, coefficient values (through `theta_of_fixed`) and the
+factor tables of the condition checkers and the section solver (through
+`theta_fixed`) all read it.  Values are Gaussian
 floats: (re + i im) 2^e with integer re, im cut back to F = `ctx._wp` +
 GUARD_BITS bits after each product (`gauss_mul`).  An argument z arrives as
 F-bit fixed-point integers and is reduced to z = w0 + m + n tau by integer
@@ -40,6 +41,23 @@ its mantissas once, a relative error of at most 2^(2-F).  `CurveContext.theta`
 rounds one value once to `ctx._wp` bits, and a table's quotient of products of
 k theta values is good to about k (that error + 2^(2-F)) relative and is
 rounded once, to `ctx._wp` bits (both by `gauss_div`).
+
+Coefficient values run on the same integers (`factors`).  Each theta
+argument of a coefficient, an affine form in z and parameter symbols, is
+compiled once per context and per (form, values of the parameters it reads)
+into a constant c, cut to F-bit fixed point, and integer z-coefficients k_j
+(`factors.compile_argument`).  At a point, z_j in fixed point (moved by
+q s_j for a shift z -> z + q s), the argument a = c + sum_j k_j z_j is an
+integer sum, and its theta is `theta_of_fixed`(a): `reduce_fixed`, x0 =
+`half_e`(w0) at the exact fixed-point w0, then `theta_at_x0`, memoized on
+exactly the key a, so a memo hit returns the very value a miss would
+compute.  A part's thetas multiply as Gaussian floats into a numerator and
+a denominator, each part is one quotient of F bits (`gauss_quotient`), the
+parts (and the terms of a composite) add exactly (`gauss_add`), and the sum
+is rounded once, to `ctx._wp` bits (`gauss_round`).  The argument carries
+an absolute error of a few units of 2^-F, so near a zero of theta the
+relative error is about 2^-F / |w0|: with F = prec + 32 it stays under
+2^(4-prec) down to |w0| ~ 1e-9.
 
 Gamma runs on the same integers.  Per step q a table (`_gamma_table`) holds
 c_m = 1/(m (1-p^m)(1-Q^m)), p = e(tau), Q = e(q), in F-bit fixed point, and
@@ -176,6 +194,7 @@ def memo(cache, key, compute):
 # -- Gaussian floats: (re, im, e) is the value (re + i im) 2^e, re and im integers
 
 GAUSS_ONE = (1, 0, 0)
+GAUSS_ZERO = (0, 0, 0)
 
 
 def gauss_exact(z):
@@ -212,8 +231,19 @@ def gauss_fixed(a, F):
     return (a[0] << s, a[1] << s) if s >= 0 else (a[0] >> -s, a[1] >> -s)
 
 
-def gauss_div(a, b, prec):
-    """a / b as an mpc at prec bits, rounded from a quotient of prec + GUARD_BITS bits.
+def gauss_add(a, b):
+    """a + b, exactly."""
+    if not (a[0] or a[1]):
+        return b
+    if not (b[0] or b[1]):
+        return a
+    e = min(a[2], b[2])
+    sa, sb = a[2] - e, b[2] - e
+    return (a[0] << sa) + (b[0] << sb), (a[1] << sa) + (b[1] << sb), e
+
+
+def gauss_quotient(a, b, bits):
+    """a / b with mantissas of about `bits` bits, each rounded toward -infinity.
 
     ZeroDivisionError when b is 0.
     """
@@ -221,15 +251,25 @@ def gauss_div(a, b, prec):
     d = br * br + bi * bi
     nr = a[0] * br + a[1] * bi
     ni = a[1] * br - a[0] * bi
-    k = prec + GUARD_BITS + d.bit_length() - (abs(nr) | abs(ni)).bit_length()
+    k = bits + d.bit_length() - (abs(nr) | abs(ni)).bit_length()
     if k >= 0:
         nr, ni = nr << k, ni << k
     else:
         d <<= -k
-    e = a[2] - b[2] - k
-    return mp.make_mpc(
-        (from_man_exp(nr // d, e, prec, round_nearest), from_man_exp(ni // d, e, prec, round_nearest))
-    )
+    return nr // d, ni // d, a[2] - b[2] - k
+
+
+def gauss_round(a, prec):
+    """a as an mpc, each part rounded once, to nearest at prec bits."""
+    return mp.make_mpc((from_man_exp(a[0], a[2], prec, round_nearest), from_man_exp(a[1], a[2], prec, round_nearest)))
+
+
+def gauss_div(a, b, prec):
+    """a / b as an mpc at prec bits, rounded from a quotient of prec + GUARD_BITS bits.
+
+    ZeroDivisionError when b is 0.
+    """
+    return gauss_round(gauss_quotient(a, b, prec + GUARD_BITS), prec)
 
 
 class CurveContext:
@@ -276,6 +316,8 @@ class CurveContext:
         self._fix_zero = 1 << 2 * (F - self._wp)
         self._half_tau_cache = {}
         self._theta_cache = {}
+        self._fixed_theta_cache = {}
+        self._argument_cache = {}  # factors.compile_argument, per (form, values read)
         self._gamma_cache = {}
         self._gamma_table_cache = {}
         self._c_pair_cache = {}
@@ -459,6 +501,24 @@ class CurveContext:
         if m % 2:
             x, y = (-x[0], -x[1], x[2]), (-y[0], -y[1], y[2])
         return self.theta_at_x0(reduced, x, y)
+
+    def theta_of_fixed(self, ar, ai):
+        """theta(a) as a Gaussian float for an F-bit fixed-point argument a = ar + i ai.
+
+        A pure function of its key (ar, ai), memoized on it: `reduce_fixed`,
+        then x0 = `half_e`(w0) at the exact fixed-point w0, then
+        `theta_at_x0`; a w0 under the zero rule gives exactly 0.
+        """
+
+        def compute():
+            reduced = self.reduce_fixed(ar, ai)
+            w0r, w0i, _, _ = reduced
+            if w0r * w0r + w0i * w0i < self._fix_zero:
+                return GAUSS_ZERO
+            w0 = mp.make_mpc((from_man_exp(w0r, -self._fix), from_man_exp(w0i, -self._fix)))
+            return self.theta_at_x0(reduced, *self.half_e(w0))
+
+        return memo(self._fixed_theta_cache, (ar, ai), compute)
 
     def theta_at_x0(self, reduced, x, y):
         """theta(z) as a Gaussian float, from `reduce_fixed`(z), x0 = e(w0/2) and y = 1/x0.

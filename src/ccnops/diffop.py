@@ -8,8 +8,10 @@ half-integer parity class) to coefficient evaluators:
 so T_i pulls a function back through z_i -> z_i + q.  A coefficient is either
 structured, an `ExprCoefficient` (a sum of scaled ThetaExprs, so its
 denominator theta factors are explicit and the condition checkers evaluate
-residues on divisors instead of extracting limits), or an opaque
-`FnCoefficient` (compositions, formal tails).
+residues on divisors instead of extracting limits), a `CompositeCoefficient`
+(a coefficient of `DifferenceOperator.compose`: a sum of products of shifted
+structured coefficients), or an opaque `FnCoefficient` (formal tails).  The
+first two are evaluated on the fixed-point factor table of `factors`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,19 @@ from fractions import Fraction
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import mpc_mul
 
-from .curve import at_context_precision, exact_mpc, memo, point_key
+from .curve import (
+    GAUSS_ONE,
+    GAUSS_ZERO,
+    at_context_precision,
+    exact_mpc,
+    gauss_add,
+    gauss_cut,
+    gauss_mul,
+    gauss_round,
+    memo,
+    point_key,
+)
+from .factors import CompiledParts, compile_parts, fixed_point, fixed_shift
 from .symbols import AffineForm, GammaProduct, ThetaExpr, Unbalanced, zvar
 
 
@@ -45,9 +59,8 @@ def bindings_for(params, z):
 def shift_point(z, q, k):
     """z + q k, the point that the shift k of an operator over q reads; q is taken exactly.
 
-    `apply`, `compose` and the formal tails all form their shifted points
-    here, at the caller's (the context's) precision, so equal points get
-    equal memo keys.
+    `apply` and the formal tails form their shifted points here, at the
+    caller's (the context's) precision, so equal points get equal memo keys.
     """
     q = exact_mpc(q)
     return tuple(w + q * mpc(x.numerator) / x.denominator for w, x in zip(z, k))
@@ -79,21 +92,23 @@ class ExprCoefficient:
 
     def __init__(self, expr, params, scale=1):
         self.parts = ((scale, expr, dict(params)),)
+        self._compiled = {}
 
     @staticmethod
     def sum(coeffs):
         """One coefficient holding the parts of every coefficient in coeffs, in order."""
         out = object.__new__(ExprCoefficient)
         out.parts = tuple(part for c in coeffs for part in c.parts)
+        out._compiled = {}
         return out
 
+    def compiled(self, ctx):
+        """The parts compiled under ctx (`factors.compile_parts`); memoized per context."""
+        return memo(self._compiled, ctx, lambda: CompiledParts(ctx, compile_parts(ctx, self.parts)))
+
     def eval(self, ctx, z):
-        with mp.workprec(ctx._wp):
-            total = mpc(0)
-            for scale, expr, params in self.parts:
-                v = expr.eval(ctx, bindings_for(params, z))
-                total += v if scale == 1 else mpc(scale) * v
-        return total
+        """The sum of the parts at z, rounded once to `ctx._wp` bits."""
+        return gauss_round(self.compiled(ctx).value(fixed_point(ctx, z)), ctx._wp)
 
     def transformed(self, assignments, params=None):
         """Precompose with an affine substitution of z symbols."""
@@ -114,8 +129,73 @@ class ExprCoefficient:
         )
 
 
+class CompositeCoefficient:
+    """A coefficient of a composed operator: sum over terms of prod_i c_i(z + q s_i).
+
+    terms: tuple of terms, each a tuple of (shift s_i, ExprCoefficient c_i).
+    A value forms z's fixed point once and reads each c_i at it moved by
+    q s_i (`factors.fixed_shift`, one integer sum per coordinate).  The
+    factors' Gaussian-float values multiply, the terms add exactly, and the
+    sum is rounded once.
+    """
+
+    def __init__(self, n, q, terms):
+        self.n = n
+        self.q = q
+        self.terms = tuple(tuple(term) for term in terms)
+        self._compiled = {}
+
+    def eval(self, ctx, z):
+        terms, shifts = memo(self._compiled, ctx, lambda: self._compile(ctx))
+        F = ctx._fix
+        zf = fixed_point(ctx, z)
+        points = [tuple((r + dr, i + di) for (r, i), (dr, di) in zip(zf, offsets)) for offsets in shifts]
+        total = GAUSS_ZERO
+        for term in terms:
+            v = GAUSS_ONE
+            for i, parts in term:
+                v = gauss_mul(v, gauss_cut(*parts.value(points[i]), F), F)
+            total = gauss_add(total, v)
+        return gauss_round(total, ctx._wp)
+
+    def _compile(self, ctx):
+        """Per term, (index of its shift, compiled parts) per factor, and the distinct shifts in fixed point."""
+        index, shifts = {}, []
+        for term in self.terms:
+            for s, _ in term:
+                if s not in index:
+                    index[s] = len(shifts)
+                    shifts.append(fixed_shift(ctx, self.q, s))
+        return [[(index[s], c.compiled(ctx)) for s, c in term] for term in self.terms], shifts
+
+    def transformed(self, assignments, params=None):
+        """Precompose with an affine substitution of z symbols.
+
+        c_i(w + q s_i) at w = assignments(z) is c_i precomposed with
+        z_j -> assignments_j + q s_ij, q read from each part's own "q" as
+        `DifferenceOperator.selberg_adjoint` reads it.
+        """
+        qform = AffineForm.var("q")
+        names = ["z%d" % (j + 1) for j in range(self.n)]
+        zero = (Fraction(0),) * self.n
+        done = {}
+
+        def moved(s, c):
+            assign = {z: assignments.get(z, AffineForm.var(z)) + qform * x for z, x in zip(names, s)}
+            return zero, c.transformed(assign)
+
+        return CompositeCoefficient(
+            self.n, self.q, [[memo(done, (s, c), lambda: moved(s, c)) for s, c in term] for term in self.terms]
+        )
+
+    def scaled_expr(self, expr, params):
+        zero = (Fraction(0),) * self.n
+        factor = (zero, ExprCoefficient(expr, params))
+        return CompositeCoefficient(self.n, self.q, [term + (factor,) for term in self.terms])
+
+
 class FnCoefficient:
-    """Opaque evaluator (operator products, formal tails); memoized per (context, exact point)."""
+    """Opaque evaluator (formal tails); memoized per (context, exact point)."""
 
     def __init__(self, fn):
         self.fn = fn
@@ -127,21 +207,6 @@ class FnCoefficient:
                 return self.fn(ctx, z)
 
         return memo(self._cache, (ctx, tuple(map(point_key, z))), compute)
-
-    def transformed(self, assignments, params=None):
-        def fn(ctx, z, assignments=assignments, inner=self, params=params):
-            bind = bindings_for(params or {}, z)
-            w = tuple(assignments["z%d" % (i + 1)].eval(bind) if "z%d" % (i + 1) in assignments
-                      else z[i] for i in range(len(z)))
-            return inner.eval(ctx, w)
-
-        return FnCoefficient(fn)
-
-    def scaled_expr(self, expr, params):
-        def fn(ctx, z, inner=self, expr=expr, params=params):
-            return inner.eval(ctx, z) * expr.eval(ctx, bindings_for(params, z))
-
-        return FnCoefficient(fn)
 
 
 def mul_scales(a, b):
@@ -191,25 +256,32 @@ class DifferenceOperator:
         return total
 
     def compose(self, other):
-        """self after other: (A B) f = A (B f)."""
+        """self after other: (A B) f = A (B f), with `CompositeCoefficient`s; nested composites flatten."""
         if self.n != other.n:
             raise ValueError("arity mismatch")
         if point_key(self.q) != point_key(other.q):
             raise ValueError("operators built over different q")
-        new = {}
+        zero = (Fraction(0),) * self.n
+        sums = {}  # (s, ka) -> s + ka, one tuple per distinct sum
+
+        def terms(c):
+            if isinstance(c, ExprCoefficient):
+                return (((zero, c),),)
+            if isinstance(c, CompositeCoefficient):
+                return c.terms
+            raise ValueError("only operators with structured or composite coefficients compose")
+
+        def moved(s, ka):
+            return memo(sums, (s, ka), lambda: tuple(x + y for x, y in zip(s, ka)))
+
+        by_shift = {}
         for ka, ca in self.coeffs.items():
             for kb, cb in other.coeffs.items():
-                k = tuple(a + b for a, b in zip(ka, kb))
-                new.setdefault(k, []).append((ka, ca, cb))
-        coeffs = {}
-        for k, terms in new.items():
-            def fn(ctx, z, terms=terms, q=self.q):
-                total = mpc(0)
-                for ka, ca, cb in terms:
-                    total += ca.eval(ctx, z) * cb.eval(ctx, shift_point(z, q, ka))
-                return total
-
-            coeffs[k] = FnCoefficient(fn)
+                # ca(z) cb(z + q ka): every factor of cb's terms moves by ka
+                by_shift.setdefault(tuple(a + b for a, b in zip(ka, kb)), []).extend(
+                    ta + tuple((moved(s, ka), c) for s, c in tb) for ta in terms(ca) for tb in terms(cb)
+                )
+        coeffs = {k: CompositeCoefficient(self.n, self.q, ts) for k, ts in by_shift.items()}
         degree = None
         if self.degree and other.degree:
             degree = (other.degree[0], self.degree[1])

@@ -9,6 +9,7 @@ trigonometric lowering-operator degenerations.
 from __future__ import annotations
 
 import itertools
+import weakref
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
@@ -196,14 +197,75 @@ def kernel_head(n, c, t):
     return GammaProduct(terms=tuple(terms))
 
 
+class _TailSolver:
+    """The defining relation that a FourierKernel's tail entries solve.
+
+    Each entry holds this solver, and the solver holds the tail only through
+    a weak reference: an entry that held the kernel, which holds the tail,
+    made a reference cycle that kept the kernel's context and every memo on
+    it alive until a full garbage collection.  An entry runs from its own
+    tail's `eval`, or from a `rebased` copy, which keeps the tail; so the
+    tail is alive whenever the solver reads it.
+    """
+
+    def __init__(self, ctx, q, c, t, n):
+        self.ctx, self.q, self.c, self.t, self.n = ctx, q, c, t, n
+        self.tail = None  # weakref.ref to the tail, set once it exists
+
+    def A(self, sigma, y, u):
+        """Coefficient of D(c +- u; t) at T^{sigma/2}, evaluated at y."""
+        ctx, c, t = self.ctx, self.c, self.t
+        val = mpc(1)
+        for i in range(self.n):
+            yi = sigma[i] * y[i]
+            val *= ctx.theta(c + u + yi) * ctx.theta(c - u + yi) / ctx.theta(2 * yi)
+        for i in range(self.n):
+            for j in range(i + 1, self.n):
+                arg = sigma[i] * y[i] + sigma[j] * y[j]
+                val *= ctx.theta(t + arg) / ctx.theta(arg)
+        return val
+
+    def solve(self, ctx, m, w):
+        """e_m(w) from the defining relation at the pivot coordinate (m != 0).
+
+        The tail is solved from the kernel's own thetas, so a tail entry asked
+        for under another context raises instead of returning this one's value.
+        """
+        if ctx is not self.ctx:
+            raise ValueError("a FourierKernel tail evaluates only under the kernel's own context")
+        q, c, n, tail = self.q, self.c, self.n, self.tail()
+        # pivot: coordinate with m_j >= 1 maximizing |theta(-m_j q)|
+        best, best_j = None, None
+        for j in range(n):
+            if m[j] >= 1:
+                mag = abs(ctx.theta(-m[j] * q))
+                if best is None or mag > best:
+                    best, best_j = mag, j
+        j = best_j
+        u = w[j] - c
+        total = mpc(0)
+        pivot = None
+        for sigma in itertools.product((1, -1), repeat=n):
+            mprime = tuple(m[i] - (1 + sigma[i]) // 2 for i in range(n))
+            if any(x < 0 for x in mprime):
+                continue
+            a = self.A(sigma, shift_point(w, q, mprime), u)
+            if all(s == -1 for s in sigma):
+                pivot = a
+            else:
+                total += tail.eval(ctx, mprime, w) * a
+        return -total / pivot
+
+
 class FourierKernel(FormalGaugedOperator):
     """The unique formal gauging operator annihilated by D(c +- u)|_{u=z_j}.
 
     Tail coefficients are solved triangularly in the componentwise order,
-    pivoting on the coordinate j maximizing |theta(-m_j q)|.  `c` and `t`
-    may be given as numbers (a fresh parameter symbol is allocated) or as
-    AffineForms over symbols supplied through `extra_params`, which lets
-    related kernels share symbols so that composite heads stay balanced.
+    pivoting on the coordinate j maximizing |theta(-m_j q)| (`_TailSolver`).
+    `c` and `t` may be given as numbers (a fresh parameter symbol is
+    allocated) or as AffineForms over symbols supplied through
+    `extra_params`, which lets related kernels share symbols so that
+    composite heads stay balanced.
     """
 
     @at_context_precision
@@ -221,6 +283,7 @@ class FourierKernel(FormalGaugedOperator):
         if order and margin < TORSION_MARGIN:
             raise TorsionError("q is numerically torsion up to the truncation order")
 
+        self._solver = solver = _TailSolver(ctx, exact_mpc(q), c_form.eval(params), t_form.eval(params), n)
         entries = {}
         for m in itertools.product(range(order + 1), repeat=n):
             if sum(m) > order:
@@ -228,68 +291,20 @@ class FourierKernel(FormalGaugedOperator):
             if all(x == 0 for x in m):
                 entries[m] = 1
             else:
-                entries[m] = (lambda ctx2, z, m=m: self._solve_tail(ctx2, m, z))
-        super().__init__(
-            n, kernel_head(n, c_form, t_form), c_form, Tail(n, entries, order), params
-        )
-        self._c = c_form.eval(params)
-        self._q = exact_mpc(q)
-        self._t = t_form.eval(params)
-
-    def _A(self, sigma, y, u):
-        """Coefficient of D(c +- u; t) at T^{sigma/2}, evaluated at y."""
-        ctx, c, t = self.ctx, self._c, self._t
-        val = mpc(1)
-        for i in range(self.n):
-            yi = sigma[i] * y[i]
-            val *= ctx.theta(c + u + yi) * ctx.theta(c - u + yi) / ctx.theta(2 * yi)
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                arg = sigma[i] * y[i] + sigma[j] * y[j]
-                val *= ctx.theta(t + arg) / ctx.theta(arg)
-        return val
+                entries[m] = (lambda ctx2, z, m=m: solver.solve(ctx2, m, z))
+        tail = Tail(n, entries, order)
+        solver.tail = weakref.ref(tail)
+        super().__init__(n, kernel_head(n, c_form, t_form), c_form, tail, params)
 
     def tail_value(self, m, w):
         """e_m(w), read through the tail's memo."""
         return self.tail.eval(self.ctx, m, w)
 
-    def _solve_tail(self, ctx, m, w):
-        """e_m(w) from the defining relation at the pivot coordinate (m != 0).
-
-        The tail is solved from the kernel's own thetas, so a tail entry asked
-        for under another context raises instead of returning this one's value.
-        """
-        if ctx is not self.ctx:
-            raise ValueError("a FourierKernel tail evaluates only under the kernel's own context")
-        q, c = self._q, self._c
-        n = self.n
-        # pivot: coordinate with m_j >= 1 maximizing |theta(-m_j q)|
-        best, best_j = None, None
-        for j in range(n):
-            if m[j] >= 1:
-                mag = abs(ctx.theta(-m[j] * q))
-                if best is None or mag > best:
-                    best, best_j = mag, j
-        j = best_j
-        u = w[j] - c
-        total = mpc(0)
-        pivot = None
-        for sigma in itertools.product((1, -1), repeat=n):
-            mprime = tuple(m[i] - (1 + sigma[i]) // 2 for i in range(n))
-            if any(x < 0 for x in mprime):
-                continue
-            a = self._A(sigma, shift_point(w, q, mprime), u)
-            if all(s == -1 for s in sigma):
-                pivot = a
-            else:
-                total += self.tail_value(mprime, w) * a
-        return -total / pivot
-
     def defining_residual(self, z, order=None):
         """Max |coefficient| of D(c) D(c +- u)|_{u=z_j} over tail orders <= order."""
         order = self.order if order is None else order
         with mp.workprec(self.ctx._wp):
-            q, c = self._q, self._c
+            q, c = self._solver.q, self._solver.c
             n = self.n
             worst = mpf(0)
             for j in range(n):
@@ -305,7 +320,7 @@ class FourierKernel(FormalGaugedOperator):
                         mprime = tuple(s_off[i] + (1 - sigma[i]) // 2 for i in range(n))
                         if any(x < 0 for x in mprime):
                             continue
-                        term = self.tail_value(mprime, z) * self._A(sigma, shift_point(z, q, mprime), u)
+                        term = self.tail_value(mprime, z) * self._solver.A(sigma, shift_point(z, q, mprime), u)
                         total += term
                         scale = max(scale, abs(term))
                     if scale > 0:

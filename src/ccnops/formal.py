@@ -210,7 +210,8 @@ class FormalGaugedOperator:
                 def fn2(ctx, z):
                     return mpc(1)
             else:
-                def fn2(ctx, z, fn=fn):
+                # the source tail stays alive while its entries run (see `families._TailSolver`)
+                def fn2(ctx, z, fn=fn, source=self.tail):
                     return fn(ctx, shift_point(z, q, (r,) * n))
             entries[key] = fn2
         c_form = self.c_form - AffineForm.var("q") * r

@@ -17,10 +17,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp, mpc
+from mpmath import mp
 from mpmath.libmp import from_int, fzero, mpf_add, mpf_div, mpf_mul, round_nearest
 
-from .curve import memo, point_key
+from .curve import gauss_round, memo, point_key
+from .factors import CompiledParts, compile_parts, fixed_point
 
 
 # ---------------------------------------------------------------------------
@@ -159,18 +160,39 @@ class AffineForm:
     def key(self):
         return (tuple(sorted(self.coeffs.items())), self.const)
 
+    def layout(self):
+        """(s, numerator, denominator) of each coefficient in stored order, then the constant's, as one flat tuple.
+
+        Equal only for identical forms, coefficient order included.
+        """
+        out = [x for s, c in self.coeffs.items() for x in (s, c.numerator, c.denominator)]
+        return (*out, self.const.numerator, self.const.denominator)
+
     def coeff(self, sym):
         return self.coeffs.get(sym, Fraction(0))
 
     def substitute(self, assignments):
-        """Replace symbols by affine forms; assignments: sym -> AffineForm."""
-        out = AffineForm({}, self.const)
+        """Replace symbols by affine forms; assignments: sym -> AffineForm.
+
+        One dict accumulates the terms in order; a symbol that cancels is
+        removed, so that if it comes back it comes last, as in the sum
+        of the substituted terms taken one at a time.
+        """
+        coeffs, const = {}, self.const
         for s, c in self.coeffs.items():
             if s in assignments:
-                out = out + assignments[s] * c
+                sub = assignments[s]
+                terms = [(t, a * c) for t, a in sub.coeffs.items()]
+                const += sub.const * c
             else:
-                out = out + AffineForm({s: c})
-        return out
+                terms = ((s, c),)
+            for t, a in terms:
+                v = coeffs.get(t, 0) + a
+                if v:
+                    coeffs[t] = v
+                else:
+                    del coeffs[t]
+        return AffineForm(coeffs, const)
 
     def eval(self, bind):
         """The form at the bindings, an mpc summed exactly and rounded once to mp.prec.
@@ -310,14 +332,17 @@ class ThetaExpr:
         return ThetaExpr(tuple((f.substitute(assignments), m) for f, m in self.factors), self.arity)
 
     def eval(self, ctx, bind):
-        """The product at the bindings, memoized per (context, exact bindings)."""
+        """The product at the bindings, rounded once; memoized per (context, exact bindings).
+
+        The factors are compiled on the context's argument table and read at
+        the fixed point of the bound z_j (`factors.CompiledParts`).
+        """
 
         def compute():
-            with mp.workprec(ctx._wp):
-                val = mpc(1)
-                for form, m in self.factors:
-                    val *= ctx.theta(form.eval(bind)) ** m
-            return val
+            parts = compile_parts(ctx, ((1, self, bind),))
+            n = max((j + 1 for _, factors in parts for _, _, zk, _ in factors for j, _ in zk), default=0)
+            zf = fixed_point(ctx, [bind["z%d" % (j + 1)] for j in range(n)])
+            return gauss_round(CompiledParts(ctx, parts).value(zf), ctx._wp)
 
         key = (ctx, tuple(sorted((s, point_key(v)) for s, v in bind.items())))
         return memo(self._cache, key, compute)

@@ -3,6 +3,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from ccnops.cli import ConfigError, load_config, run_suite
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -32,6 +36,12 @@ def test_exit_two_on_bad_constraint(tmp_path):
     cfg.write_text("\n".join(lines) + "\n")
     out = run_cli("--config", str(cfg), "suite", "van-diejen")
     assert out.returncode == 2
+
+
+def test_van_diejen_above_n2_is_a_config_error():
+    # the van Diejen model is built for n <= 2; a larger n must not run n = 2 and pass
+    with pytest.raises(ConfigError, match="n <= 2"):
+        run_suite("van-diejen", load_config(overrides={"n": 3}))
 
 
 def test_threads_flag_rejected():

@@ -9,8 +9,6 @@ from mpmath import matrix, mp, mpc, mpf
 from ccnops.conditions import (
     ConditionSpec,
     _beta_form,
-    _Factors,
-    _Point,
     _residue_of_parts,
     _residue_samples,
     _value_of_parts,
@@ -31,6 +29,7 @@ from ccnops.conditions import (
 )
 from ccnops.curve import GAUSS_ONE, PoleProximityError, gauss_div, point_key
 from ccnops.diffop import DegreeVector, DifferenceOperator, ExprCoefficient, bindings_for
+from ccnops.factors import FactorTable, TablePoint
 from ccnops.families import first_order, van_diejen_leading_expr
 from ccnops.symbols import AffineForm, PolarizationRecord, ThetaExpr, zvar
 from ccnops.weyl import numeric_rank
@@ -268,7 +267,7 @@ def test_shared_sampler_on_divisor_and_off_poles(ctx, beta):
     # the divisor's own form is parallel and must not be avoided
     parallel = sum((f * c for f, c in zip(zf, _beta_form(beta, 2))), AffineForm.var("q") * m)
     others = [zf[0] - zf[1] + AffineForm.var("a"), zf[1] * 2 + AffineForm.var("b"), zf[0] + zf[1]]
-    table = _Factors()
+    table = FactorTable()
     table.add(ExprCoefficient(ThetaExpr(tuple((f, -1) for f in others + [parallel]), 2), params))
     offsets = {"0": mpc(0), "1": mpc(1), "tau": ctx.tau, "1+tau": 1 + ctx.tau}
     eps = mpf(2) ** -(ctx.prec - 8)
@@ -283,7 +282,7 @@ def test_shared_sampler_on_divisor_and_off_poles(ctx, beta):
             for f in others:
                 assert ctx.dist_to_lattice(f.eval(bindings_for(params, z))) >= mpf("5e-3")
     # a pole that no point of the divisor avoids
-    stuck = _Factors()
+    stuck = FactorTable()
     stuck.add(ExprCoefficient(ThetaExpr(((AffineForm.var("p"), -1),), 2), {"p": 1 + ctx.tau}))
     with pytest.raises(PoleProximityError):
         next(_residue_samples(ctx, random.Random(7), spec, 2, env, ("0",), 1, 1, stuck))
@@ -334,7 +333,7 @@ def test_check_residue_rejects_two_vanishing_factors(ctx):
 def test_factor_table_shares_arguments_and_poles():
     a = mpc("0.1", "0.05")
     expr = ThetaExpr(((AffineForm.var("a") - zvar(1), -1), (zvar(1), 1)), 1)
-    table = _Factors()
+    table = FactorTable()
     # parts are (scale, ((argument, exponent), ...)) in factor order
     assert table.add(ExprCoefficient(expr, {"q": Q, "a": a})) == ((1, ((0, -1), (1, 1))),)
     # no factor reads q, so a different q shares every argument
@@ -351,9 +350,9 @@ def test_factor_table_shares_arguments_and_poles():
 
 def _table_point(ctx, forms, params, z):
     """A factor table over one theta factor per form, at the point z."""
-    table = _Factors()
+    table = FactorTable()
     table.add(ExprCoefficient(ThetaExpr(tuple((f, 1) for f in forms), len(z)), params))
-    return _Point(ctx, table, z)
+    return TablePoint(ctx, table, z)
 
 
 def test_table_theta_against_the_product_formula(ctx):
@@ -396,12 +395,12 @@ def test_residue_of_parts_against_the_mpc_path(ctx):
     coeff = ExprCoefficient.sum(
         [ExprCoefficient(first, params), ExprCoefficient(second, params, mpc("0.3", "-1.7"))]
     )
-    table = _Factors()
+    table = FactorTable()
     parts = table.add(coeff)
     beta = _beta_form(("double", 0), 1)
     with mp.workprec(600):
         z = (mp.make_mpc(point_key(ctx.tau)) / 2,)
-    got = _residue_of_parts(ctx, parts, _Point(ctx, table, z), beta)
+    got = _residue_of_parts(ctx, parts, TablePoint(ctx, table, z), beta)
     eps = mpf("1e-30")
     with mp.workprec(600):
         off = (z[0] + eps / 2,)  # s = 2 z1 - tau moves by eps
@@ -410,7 +409,7 @@ def test_residue_of_parts_against_the_mpc_path(ctx):
     assert rel(got, want) < mpf("1e-25")
     # the value path of check_vanishing, at a point away from every pole
     away = (z[0] + mpc("0.1", "0.05"),)
-    value = _value_of_parts(ctx, parts, _Point(ctx, table, away))
+    value = _value_of_parts(ctx, parts, TablePoint(ctx, table, away))
     assert rel(value, coeff.eval(ctx, away)) < mpf("1e-70")
 
 

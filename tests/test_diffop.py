@@ -6,20 +6,23 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from ccnops.conditions import section_solve_first_order
-from ccnops.curve import CurveContext
+from ccnops.curve import CurveContext, point_key
 from ccnops.diffop import (
+    CompositeCoefficient,
     DifferenceOperator,
     ExprCoefficient,
     FnCoefficient,
     SelbergDensity,
+    bindings_for,
     identity_operator,
     monomial_operator,
     multiplication_operator,
+    shift_point,
 )
 from ccnops.families import first_order, theta_pm_multiplier
 from ccnops.formal import gauged_from_operator
 from ccnops.symbols import AffineForm, GammaProduct, ThetaExpr, zvar
-from conftest import ETA, Q, T, TOL, op_defect, rel, sample_points
+from conftest import ETA, Q, TAU, T, TOL, op_defect, rel, sample_points
 
 PARAMS = {"q": Q, "t": T}
 US = [mpc("0.12", "0.05"), mpc("-0.07", "0.11")]
@@ -274,18 +277,23 @@ def test_parity_enforced():
 
 
 def _memoized_evaluators(z):
-    """One ExprCoefficient, one FnCoefficient and one Tail entry of a new operator, as f(ctx)."""
+    """One structured, one composite and one formal-tail coefficient and one Tail entry of new operators, as f(ctx)."""
     D = first_order(US, T, Q, 1)
     k = D.support()[-1]
     DD = D.compose(D)
     kk = DD.support()[-1]
-    tail = gauged_from_operator(D).tail
+    gauged = gauged_from_operator(D)
+    tail = gauged.tail
     m = max(tail.entries)
+    DF = gauged.to_difference_operator()
+    kf = DF.support()[-1]
     assert isinstance(D.coefficient(k), ExprCoefficient)
-    assert isinstance(DD.coefficient(kk), FnCoefficient)
+    assert isinstance(DD.coefficient(kk), CompositeCoefficient)
+    assert isinstance(DF.coefficient(kf), FnCoefficient)
     return {
         "expr": lambda c: D.coefficient(k).eval(c, z),
-        "fn": lambda c: DD.coefficient(kk).eval(c, z),
+        "composite": lambda c: DD.coefficient(kk).eval(c, z),
+        "fn": lambda c: DF.coefficient(kf).eval(c, z),
         "tail": lambda c: tail.eval(c, m, z),
     }
 
@@ -329,3 +337,105 @@ def test_scaling_an_opaque_operator_raises():
     assert D.scaled(2).support() == D.support()
     with pytest.raises(ValueError):
         D.compose(D).scaled(2)
+
+
+def _three_part_coefficient(params):
+    """A sum of three parts with unit and non-unit scales and exponents +-1 and +-2.
+
+    Every part has the factor theta(z1 + a), to the power -1 in the second.
+    """
+    a, b, q = AffineForm.var("a"), AffineForm.var("b"), AffineForm.var("q")
+    z1, z2 = zvar(1), zvar(2)
+    exprs = [
+        ThetaExpr(((z1 + a, 1), (z2 - z1 + b, 2), (z1 * 2, -1)), 2),
+        ThetaExpr(((z1 + a, -1), (z1 + z2 - q, -2), (q - z2, 1)), 2),
+        ThetaExpr(((z1 + a, 1), (z2 * -2 + b, -1), (z1 - z2 + q, 1)), 2),
+    ]
+    scales = [1, mpc("0.3", "-1.7"), mpc("-2.5", "0.25")]
+    return ExprCoefficient.sum([ExprCoefficient(e, params, s) for e, s in zip(exprs, scales)])
+
+
+def _mpc_value(ref, coeff, z):
+    """The coefficient as the mpc sum of products of ref.theta, at ref's precision."""
+    with mp.workprec(ref._wp):
+        total = mpc(0)
+        for scale, expr, params in coeff.parts:
+            bind = bindings_for(params, z)
+            val = mpc(scale)
+            for form, m in expr.factors:
+                val *= ref.theta(form.eval(bind)) ** m
+            total += val
+        return total
+
+
+@pytest.mark.parametrize("prec", [96, 256])
+def test_expr_coefficient_against_the_mpc_product(prec):
+    # the fixed-point value against the mpc product at prec + 128 bits, at
+    # points where theta(z1 + a) is near a zero (|w0| down to 1e-9, on
+    # lattice points m + n tau of both signs) and at points moved by +-3 tau
+    ctx, ref = CurveContext(TAU, prec), CurveContext(TAU, prec + 128)
+    rng = random.Random(prec)
+    params = {"q": Q, "a": mpc("0.11", "0.07"), "b": mpc("-0.23", "0.13")}
+    coeff = _three_part_coefficient(params)
+    with mp.workprec(prec + 200):
+        tau = mp.make_mpc(point_key(TAU))
+        points = list(sample_points(2, 4, seed=prec))
+        for m, n in ((0, 0), (1, -1), (-2, 1), (0, 2)):
+            for size in ("1e-3", "1e-6", "1e-9"):
+                w0 = mpf(size) * mp.expjpi(mpf(rng.uniform(-1, 1)))
+                points.append((m + n * tau - params["a"] + w0, mpc(rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2))))
+        for z in sample_points(2, 3, seed=prec + 1):
+            points += [(z[0] + 3 * tau, z[1]), (z[0], z[1] - 3 * tau), (z[0] - 3 * tau, z[1] + 3 * tau)]
+    bound = mpf(2) ** (4 - prec)
+    for z in points:
+        assert rel(coeff.eval(ctx, z), _mpc_value(ref, coeff, z)) < bound, z
+
+
+def _closure_compose(A, B, q):
+    """k -> fn(ctx, z) of A after B, by closures over mpc shifted points (the old `compose`, the oracle).
+
+    A and B map shifts to fn(ctx, z) as well.
+    """
+    terms = {}
+    for ka, fa in A.items():
+        for kb, fb in B.items():
+            terms.setdefault(tuple(a + b for a, b in zip(ka, kb)), []).append((ka, fa, fb))
+
+    def make(ts):
+        def fn(ctx, z):
+            with mp.workprec(ctx._wp):
+                return sum((fa(ctx, z) * fb(ctx, shift_point(z, q, ka)) for ka, fa, fb in ts), mpc(0))
+
+        return fn
+
+    return {k: make(ts) for k, ts in terms.items()}
+
+
+def test_nested_composites_against_the_closure_oracle(ctx):
+    # both nestings flatten into structured terms; each coefficient must
+    # match the closures over shifted points, with leaves evaluated as mpc
+    # products of ctx.theta, independently of the fixed-point path
+    A = first_order([mpc("0.1", "0.05"), mpc("0.2", "-0.1")], T, Q, 2)
+    B = first_order([mpc("0.23", "-0.11"), mpc("-0.04", "0.16")], T, Q, 2)
+    C1 = first_order([mpc("-0.15", "0.12"), mpc("0.07", "0.21")], T, Q, 2)
+    C2 = first_order([mpc("0.31", "-0.02"), mpc("-0.12", "0.17")], T, Q, 2)
+    C = DifferenceOperator(
+        2, {k: ExprCoefficient.sum([c, C2.coefficient(k).scaled(mpc("0.4", "-1.3"))]) for k, c in C1.coeffs.items()}, PARAMS
+    )
+    leaves = [{k: (lambda ctx, z, c=c: _mpc_value(ctx, c, z)) for k, c in op.coeffs.items()} for op in (A, B, C)]
+    left = _closure_compose(_closure_compose(leaves[0], leaves[1], Q), leaves[2], Q)
+    right = _closure_compose(leaves[0], _closure_compose(leaves[1], leaves[2], Q), Q)
+    pts = sample_points(2, 2, seed=53)
+    for got, want in ((A.compose(B).compose(C), left), (A.compose(B.compose(C)), right)):
+        assert set(got.support()) == set(want)
+        for k in got.support():
+            assert isinstance(got.coefficient(k), CompositeCoefficient)
+            for z in pts:
+                assert rel(got.eval_coeff(ctx, k, z), want[k](ctx, z)) < mpf("1e-70"), k
+
+
+def test_non_integer_z_coefficients_raise(ctx):
+    # the fixed-point table sums integer multiples of z_j; theta(z1/2) has no such form
+    coeff = ExprCoefficient(ThetaExpr(((zvar(1) * F(1, 2), 1),), 1), PARAMS)
+    with pytest.raises(ValueError, match="integer z-coefficients"):
+        coeff.eval(ctx, sample_points(1, 1)[0])

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -166,3 +168,30 @@ def test_curious_identities_collapse_case(ctx):
         ctx, u1v, u23, u23, Q, T, mpc("0.09", "0.12"), 2, sample_points(2, 1)
     )
     assert dt < TOL
+
+
+def test_kernel_is_freed_without_the_cycle_collector(ctx):
+    # tail entries hold the tail weakly, so a kernel and its tail go with
+    # their last reference; a tail kept past its kernel, or the tail of a
+    # rebased copy, still solves new points
+    z1, z2, z3 = sample_points(1, 3, seed=61)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        K = FourierKernel(ctx, mpc("0.123", "0.221"), Q, T, 1, 3)
+        want = K.tail_value((2,), z1)
+        kernel, tail = weakref.ref(K), K.tail
+        R = K.rebased(1)
+        del K
+        assert kernel() is None
+        assert tail.eval(ctx, (2,), z1) == want
+        assert rel(tail.eval(ctx, (2,), z2), FourierKernel(ctx, mpc("0.123", "0.221"), Q, T, 1, 3).tail_value((2,), z2)) < TOL
+        source = weakref.ref(tail)
+        del tail
+        assert source() is not None  # the rebased copy keeps its source tail
+        R.tail.eval(ctx, (3,), z3)
+        del R
+        assert source() is None
+    finally:
+        if was_enabled:
+            gc.enable()

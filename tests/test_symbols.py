@@ -218,3 +218,42 @@ def test_reduce_floors_negative_fractional_multiples():
     te = GammaProduct(q2, ((z1 - qf * 4, 1), (z1, -1))).reduce(arity=1)
     assert _layout(te.factors) == _layout(((z1 - qf * 4, -1), (z1 - q2, -1)))
     assert isinstance(GammaProduct(q2, ((z1 + qf, 1), (z1, -1))).reduce(arity=1), Unbalanced)
+
+
+def _substitute_by_sums(form, assignments):
+    """`AffineForm.substitute` as a running sum of one form per symbol (the oracle).
+
+    Also says whether a symbol cancelled in the running sum and came back.
+    """
+    out, gone, returned = AffineForm({}, form.const), set(), False
+    for s, c in form.coeffs.items():
+        before = set(out.coeffs)
+        out = out + (assignments[s] * c if s in assignments else AffineForm({s: c}))
+        returned |= bool(gone & set(out.coeffs))
+        gone |= before - set(out.coeffs)
+    return out, returned
+
+
+def test_substitute_matches_the_running_sum():
+    # coefficients, their insertion order and the constant all agree, also
+    # when a symbol cancels part-way and comes back later
+    rng = random.Random(16)
+    syms = ("z1", "z2", "z3", "q")
+
+    def rng_form(k):
+        coeffs = {s: rng.choice((-2, -1, 1, 1, Fraction(1, 2))) for s in rng.sample(syms, k)}
+        return AffineForm(coeffs, rng.choice((0, Fraction(1, 3), -1)))
+
+    returned = 0
+    for _ in range(600):
+        form = rng_form(rng.randint(2, 4))
+        assignments = {s: rng_form(rng.randint(1, 3)) for s in rng.sample(syms, rng.randint(1, 3))}
+        got = form.substitute(assignments)
+        want, came_back = _substitute_by_sums(form, assignments)
+        assert list(got.coeffs.items()) == list(want.coeffs.items()) and got.const == want.const
+        returned += came_back
+    assert returned >= 10
+    # a symbol that cancels and returns goes last
+    form = AffineForm({"z1": 1, "z2": 1, "z3": 1})
+    got = form.substitute({"z2": AffineForm({"z1": -1, "q": 1}), "z3": AffineForm({"z1": 2})})
+    assert list(got.coeffs.items()) == [("q", 1), ("z1", 2)]
