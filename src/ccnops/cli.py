@@ -168,11 +168,18 @@ def _suite_kernel_identities(S):
     return checks
 
 
+def _n_at_most_2(S, suite):
+    """The session's n for a suite built for n <= 2; a larger n is a ConfigError, never a silent n = 2."""
+    if S["n"] > 2:
+        raise ConfigError("%s is implemented for n <= 2, not n = %d" % (suite, S["n"]))
+    return S["n"]
+
+
 def _suite_operator_algebra(S):
     from .diffop import SelbergDensity, op_defect, rel_defect
     from .families import first_order
 
-    ctx, q, t, n = S["ctx"], S["q"], S["t"], min(S["n"], 2)
+    ctx, q, t, n = S["ctx"], S["q"], S["t"], _n_at_most_2(S, "operator-algebra")
     zpts = _sample_points(S, n, 2)
 
     def assoc():
@@ -236,7 +243,7 @@ def _suite_cascade(S):
     )
 
     ctx, q, t = S["ctx"], S["q"], S["t"]
-    n = min(S["n"], 2)
+    n = _n_at_most_2(S, "cascade")
     zpts = _sample_points(S, n, 2)
     dmax = min(S["trunc"], 4)
 
@@ -320,7 +327,7 @@ def _suite_fourier(S):
     from .symbols import AffineForm
 
     ctx, q, t = S["ctx"], S["q"], S["t"]
-    n = min(S["n"], 2)
+    n = _n_at_most_2(S, "fourier")
     N = S["trunc"] if n == 1 else min(S["trunc"], 3)
     zpts = _sample_points(S, n, 2)
 
@@ -389,9 +396,7 @@ def _suite_van_diejen(S):
     from .diffop import SelbergDensity, op_defect
     from .symbols import AffineForm
 
-    ctx, q, t, n = S["ctx"], S["q"], S["t"], S["n"]
-    if n > 2:
-        raise ConfigError("van-diejen is implemented for n <= 2, not n = %d" % n)
+    ctx, q, t, n = S["ctx"], S["q"], S["t"], _n_at_most_2(S, "van-diejen")
     xs = S["xs"]
     if xs and len(xs) != 8:
         raise ConfigError("van-diejen requires exactly eight x parameters")

@@ -29,11 +29,19 @@ integer z-coefficients k_j (+-1 or +-2 in every model), with e(+-c/2)
 formed once; a point forms e(+-z_j/2) once per coordinate.  An argument's F-bit
 fixed-point value c + sum_j k_j z_j serves the pole tests and the lattice
 reduction, and its theta comes from `CurveContext.theta_fixed` as a
-Gaussian float, F = `ctx._wp` + GUARD_BITS.  A part, scale times a product
-of theta powers, is a numerator and a denominator of Gaussian-float
-products, divided once (`_quotient`): its relative error is the theta
+Gaussian float, F = `ctx._wp` + GUARD_BITS.  One sweep per sample point
+(`_sweep`) reads the values or residues of many columns: for a residue each
+part's unique vanishing denominator factor is found and left out, the parts
+of all columns are sorted by the factors left in them, and each part
+multiplies only the factors after the prefix it shares with the part before
+it (`factors.prefix_products`); its scale, slope and theta' multiply in
+after that.  A part is a numerator and a denominator of Gaussian-float
+products, divided once (`gauss_quotient`): its relative error is the theta
 values' own (a few units of 2^-F each, more only near a theta zero) plus
-2^(2-F) per product, and one rounding to `ctx._wp` bits.
+2^(2-F) per product.  A column's parts add exactly, and each column is
+rounded once, to `ctx._wp` bits.  `condition_rows` runs the sweep once per
+point for the shift k and once for k2, over every column; `check_residue`
+and `check_vanishing` run it with one column.
 
 Dimensions are decided by the one rank rule of `weyl.spectrum_rank`: the
 solver's `nullspace_basis` and `operator_span_contains` scale their matrices
@@ -52,15 +60,17 @@ from fractions import Fraction
 from mpmath import mp, mpc, mpf
 
 from .curve import (
-    GAUSS_ONE,
+    GAUSS_ZERO,
     GUARD_BITS,
     MAX_RETRIES,
     PoleProximityError,
     at_context_precision,
     exact_mpc,
-    gauss_div,
-    gauss_exact,
+    gauss_add,
     gauss_mul,
+    gauss_quotient,
+    gauss_round,
+    memo,
 )
 from .diffop import (
     DegreeVector,
@@ -69,7 +79,7 @@ from .diffop import (
     identity_operator,
     rel_defect,
 )
-from .factors import FactorTable, TablePoint
+from .factors import FactorTable, TablePoint, prefix_products
 from .families import van_diejen_leading_expr
 from .symbols import AffineForm, ThetaExpr, zvar
 from .weyl import (
@@ -241,63 +251,71 @@ _ON_DIVISOR = Fraction(1, 10**9)
 _POLE_MARGIN = Fraction(5, 1000)
 
 
-def _quotient(ctx, point, factors, skip, num, den):
-    """num prod theta^m / (den prod theta^-m) over the factors but `skip`, rounded once to `ctx._wp` bits."""
-    F = ctx._fix
-    for j, (arg, m) in enumerate(factors):
-        if j == skip:
-            continue
-        v = point.factor(arg)
-        for _ in range(abs(m)):
-            if m > 0:
-                num = gauss_mul(num, v, F)
-            else:
-                den = gauss_mul(den, v, F)
-    return gauss_div(num, den, ctx._wp)
+def _sweep(ctx, point, columns, beta_coeffs=None):
+    """One value per column at a `TablePoint`: the sum of its encoded parts, or with beta_coeffs its residue.
 
+    columns: the encoded parts (`FactorTable.add`) of each column.  Residue
+    mode (beta_coeffs, the divisor's beta form): the residue along the
+    divisor through the point, in the local coordinate s = beta(z) + m q -
+    lambda, traversed by varying the first coordinate beta involves.  Each
+    part contributes through its unique vanishing denominator factor, which
+    is left out of its product and stands in as the exact lattice
+    derivative of theta times the factor's slope in s; a part with none
+    contributes 0, and two vanishing factors or a vanishing one of higher
+    order raise PoleProximityError.  Value mode: every factor counts.
 
-def _value_of_parts(ctx, parts, point):
-    """The encoded parts' sum at the point."""
-    total = mpc(0)
-    for scale, factors in parts:
-        total += _quotient(ctx, point, factors, None, gauss_exact(scale), GAUSS_ONE)
-    return total
-
-
-def _residue_of_parts(ctx, parts, point, beta_coeffs):
-    """Residue of the encoded parts' sum along the divisor through the point.
-
-    The local coordinate is s = beta(z) + m q - lambda, traversed by varying
-    the first coordinate beta involves; each part contributes through its
-    unique vanishing denominator factor, scaled by the exact lattice
-    derivative of theta.  A part's numerator and denominator are
-    Gaussian-float products divided once (`_quotient`).
+    The parts of all columns are sorted by the factors left in them, and
+    each multiplies only the factors after the prefix it shares with the
+    part before it (`factors.prefix_products`).  The scale, the slope and
+    theta' multiply in after that shared product; each part is one quotient
+    of F bits (`gauss_quotient`), a column's parts add exactly, and each
+    column is rounded once, to `ctx._wp` bits.
     """
-    total = mpc(0)
-    svar = next(i for i, c in enumerate(beta_coeffs) if c)
-    bslope = beta_coeffs[svar]
     F = ctx._fix
-    on_divisor = _fixed_square(ctx, _ON_DIVISOR)
-    for scale, factors in parts:
-        vanishing = None
-        for idx, (arg, mexp) in enumerate(factors):
-            if mexp >= 0:
+    seqs, heads = [], []  # per part: its factors left; (column, numerator head, denominator head)
+    if beta_coeffs is not None:
+        svar = next(i for i, c in enumerate(beta_coeffs) if c)
+        zsym, bslope = "z%d" % (svar + 1), beta_coeffs[svar]
+        on_divisor = _fixed_square(ctx, _ON_DIVISOR)
+        slopes, derivs = {}, {}
+    for col, parts in enumerate(columns):
+        for scale, factors in parts:
+            if beta_coeffs is None:
+                seqs.append(factors)
+                heads.append((col, scale, None))
                 continue
-            w0r, w0i, a, b = point.reduced(arg)
-            if w0r * w0r + w0i * w0i < on_divisor:
-                if vanishing is not None:
-                    raise PoleProximityError("two denominator factors vanish at the sample")
-                if mexp != -1:
-                    raise PoleProximityError("higher-order pole along the divisor")
-                vanishing = (idx, arg, a, b)
-        if vanishing is None:
-            continue
-        idx, arg, a, b = vanishing
-        slope = point.table.args[arg][0].coeff("z%d" % (svar + 1)) / bslope
-        num = gauss_mul(gauss_exact(scale), (slope.denominator, 0, 0), F)
-        den = gauss_mul(ctx.theta_deriv_fixed(a, b), (slope.numerator, 0, 0), F)
-        total += _quotient(ctx, point, factors, idx, num, den)
-    return total
+            vanishing = None
+            for idx, (arg, m) in enumerate(factors):
+                if m >= 0:
+                    continue
+                w0r, w0i, a, b = point.reduced(arg)
+                if w0r * w0r + w0i * w0i < on_divisor:
+                    if vanishing is not None:
+                        raise PoleProximityError("two denominator factors vanish at the sample")
+                    if m != -1:
+                        raise PoleProximityError("higher-order pole along the divisor")
+                    vanishing = (idx, arg, a, b)
+            if vanishing is None:
+                continue
+            idx, arg, a, b = vanishing
+            slope = memo(slopes, arg, lambda: point.table.args[arg][0].coeff(zsym) / bslope)
+            dr, di, de = memo(derivs, (a, b), lambda: ctx.theta_deriv_fixed(a, b))
+            seqs.append(factors[:idx] + factors[idx + 1:])
+            heads.append((
+                col,
+                (scale[0] * slope.denominator, scale[1] * slope.denominator, scale[2]),
+                (dr * slope.numerator, di * slope.numerator, de),
+            ))
+    order = sorted(range(len(seqs)), key=seqs.__getitem__)
+    seqs = [seqs[i] for i in order]
+    totals = [GAUSS_ZERO] * len(columns)
+    products = prefix_products(seqs, lambda factor: point.factor(factor[0]), F)
+    for i, (num, den) in zip(order, products):
+        col, head, tail = heads[i]
+        if tail is not None:
+            den = gauss_mul(den, tail, F)
+        totals[col] = gauss_add(totals[col], gauss_quotient(gauss_mul(num, head, F), den, F))
+    return [gauss_round(total, ctx._wp) for total in totals]
 
 
 def _parallel(form, beta_coeffs, n):
@@ -443,8 +461,8 @@ def check_residue(ctx, op, specs, env, samples=2, seed=11, tol=mpf("1e-25")):
         for comp, snum, point, (b1, b2) in _residue_samples(
             ctx, rng, spec, n, env, _CHECK_COMPONENTS, samples, 2, table
         ):
-            res_a = _residue_of_parts(ctx, parts_a, point, beta_coeffs)
-            res_b = _residue_of_parts(ctx, parts_b, point, beta_coeffs)
+            (res_a,) = _sweep(ctx, point, [parts_a], beta_coeffs)
+            (res_b,) = _sweep(ctx, point, [parts_b], beta_coeffs)
             probe_defect = rel_defect(b1, b2)
             combo = res_b + b1 * res_a
             scale = abs(res_b) + abs(b1 * res_a) + mpf("1e-30")
@@ -483,8 +501,9 @@ def check_vanishing(ctx, op, specs, env, samples=2, seed=13, tol=mpf("1e-25")):
                 )
             else:
                 label = "t-vanish[k=%s;%s;m=%d;#%d]" % (spec.k, spec.beta, spec.level, snum)
-            val = _value_of_parts(ctx, parts, TablePoint(ctx, table, z))
-            ref = abs(_value_of_parts(ctx, parts, TablePoint(ctx, table, zref))) + mpf("1e-30")
+            (val,) = _sweep(ctx, TablePoint(ctx, table, z), [parts])
+            (ref,) = _sweep(ctx, TablePoint(ctx, table, zref), [parts])
+            ref = abs(ref) + mpf("1e-30")
             report.add(label, abs(val) / ref)
     return report
 
@@ -648,17 +667,19 @@ class SectionModel:
                 if spec.kind != "residue-pair":
                     raise ValueError("condition rows are built from residue-pair specs only")
                 beta_coeffs = _beta_form(spec.beta, n)
-                parts = [(col.get(spec.k, ()), col.get(spec.k2, ())) for col in columns]
+                parts_a = [col.get(spec.k, ()) for col in columns]
+                parts_b = [col.get(spec.k2, ()) for col in columns]
                 for _, _, point, (b1,) in _residue_samples(
                     ctx, rng, spec, n, self.env, _SOLVE_COMPONENTS, 2, 1, table
                 ):
                     row = []
                     scale = mpf(0)
-                    for parts_a, parts_b in parts:
-                        ra = _residue_of_parts(ctx, parts_a, point, beta_coeffs)
-                        rb = _residue_of_parts(ctx, parts_b, point, beta_coeffs)
-                        row.append(rb + b1 * ra)
-                        scale = max(scale, abs(rb) + abs(b1 * ra))
+                    ras = _sweep(ctx, point, parts_a, beta_coeffs)
+                    rbs = _sweep(ctx, point, parts_b, beta_coeffs)
+                    for ra, rb in zip(ras, rbs):
+                        bra = b1 * ra
+                        row.append(rb + bra)
+                        scale = max(scale, abs(rb) + abs(bra))
                     if scale > mpf("1e-60"):
                         rows.append([v / scale for v in row])
             return rows

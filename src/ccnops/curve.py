@@ -28,17 +28,19 @@ floats from per-table and per-point exponentials, and x0 = e(w0/2) = (-1)^m
 e(-n tau/2) e(z/2) (`theta_fixed`); `CurveContext.theta` forms w0 exactly and
 reads x0 = `half_e`(w0), so that x0 - 1/x0 keeps its relative precision near a
 zero of theta.  x0 feeds the lacunary sum, run in F-bit fixed point (Brent &
-Zimmermann, Modern Computer Arithmetic, 2010, section 4.4), and
+Zimmermann, Modern Computer Arithmetic, 2010, section 4.4) as s times a
+polynomial in t = x0^2 + x0^-2 by Horner's rule, s = x0 - 1/x0
+(`_theta_sum`), and
 
     theta(z) = (-1)^(m+n) x0^(-2n) e(-n^2 tau/2) theta(w0),
 
 with e(k tau/2) memoized per context.  Zero rule: |w0| < 2^-`ctx._wp` gives
 exactly 0.  Beyond `half_e` and that exact w0, no exponential, cos/sin,
-`lattice_reduce` or mpc operation runs per theta.  Error: every term of the
-sum, of size at most |x0|^(2j+1), carries an absolute error of a few units of
-2^-F (relative to |theta|, so more near a zero of theta); each product cuts
-its mantissas once, a relative error of at most 2^(2-F).  `CurveContext.theta`
-rounds one value once to `ctx._wp` bits, and a table's quotient of products of
+`lattice_reduce` or mpc operation runs per theta.  Error: each Horner step
+carries an absolute error of a unit of 2^-F relative to its own coefficient
+(relative to |theta|, so more near a zero of theta, where s cancels); each
+product cuts its mantissas once, a relative error of at most 2^(2-F).
+`CurveContext.theta` rounds one value once to `ctx._wp` bits, and a table's quotient of products of
 k theta values is good to about k (that error + 2^(2-F)) relative and is
 rounded once, to `ctx._wp` bits (both by `gauss_div`).
 
@@ -64,10 +66,11 @@ c_m = 1/(m (1-p^m)(1-Q^m)), p = e(tau), Q = e(q), in F-bit fixed point, and
 pQ.  Per call z is shifted along q to z0 = z - k q, where x = e(z0) and
 y = pQ/x are at most e^(-pi Im tau) in modulus, and sum_m c_m (x^m - y^m),
 the log of the standard double product (Felder & Varchenko, Adv. Math.
-2000), runs in fixed point with forward powers: an absolute error of a few
-units of 2^-F.  That sum, the prefactor and the shift's e(+-arg/2) add into
-one exponent formed at F + GUARD_BITS bits, and one `exp` of it, times the
-factors (-(p;p)^2 theta(arg))^(+-1) from the theta kernel, is rounded once to
+2000), runs in fixed point as x H(x) - y H(y), H(u) = sum_m c_m u^(m-1) by
+Horner's rule: an absolute error of a few units of 2^-F.  That sum, the
+prefactor and the shift's e(+-arg/2) add into one exponent formed at
+F + GUARD_BITS bits, and one `exp` of it, times the factors
+(-(p;p)^2 theta(arg))^(+-1) from the theta kernel, is rounded once to
 `ctx._wp` bits: a relative error of a few units of 2^-F before that rounding.
 
 Precision rule: a CurveContext owns its working precision, `ctx._wp` = prec +
@@ -259,6 +262,19 @@ def gauss_quotient(a, b, bits):
     return nr // d, ni // d, a[2] - b[2] - k
 
 
+def _horner(coeffs, ur, ui):
+    """sum_k c_k u^k by Horner's rule on integers, for u = ur + i ui scaled by 2^F.
+
+    coeffs: (re c_k, im c_k, shift_k) from the top degree down.  Each step
+    multiplies the partial sum by u and shifts the product right by shift_k,
+    which brings it to the scale of c_k; the sum comes at the scale of c_0.
+    """
+    ar = ai = 0
+    for cr, ci, shift in coeffs:
+        ar, ai = ((ar * ur - ai * ui) >> shift) + cr, ((ar * ui + ai * ur) >> shift) + ci
+    return ar, ai
+
+
 def gauss_round(a, prec):
     """a as an mpc, each part rounded once, to nearest at prec bits."""
     return mp.make_mpc((from_man_exp(a[0], a[2], prec, round_nearest), from_man_exp(a[1], a[2], prec, round_nearest)))
@@ -299,12 +315,7 @@ class CurveContext:
             self._theta_denom = self._build_denominator()
             # the fixed-point kernel's constants, as integers scaled by 2^F
             self._fix = F = self._wp + GUARD_BITS
-            # each weight keeps all its bits: w_j scaled by 2^(F + s_j), 2^-s_j ~ |w_j|
-            self._fix_weights = []
-            for w in self._sum_weights:
-                re, im = w._mpc_
-                s = max(0, -max(re[2] + re[3], im[2] + im[3]))
-                self._fix_weights.append((to_fixed(re, F + s), to_fixed(im, F + s), s))
+            self._theta_horner, self._theta_scale = self._build_horner()
             inv = (1 / self._theta_denom)._mpc_
             self._fix_inv_denom = (to_fixed(inv[0], F), to_fixed(inv[1], F))
             self._fix_pi = mpf_pi(F)
@@ -349,6 +360,36 @@ class CurveContext:
         for j, w in enumerate(self._sum_weights):
             total += (2 * j + 1) * w
         return total
+
+    def _build_horner(self):
+        """(`_horner` table of `_theta_sum`, s_0): c_k = sum_(j>=k) w_j [t^k] P_j, top degree first.
+
+        Each c_k is an exact integer combination of the weights, kept with
+        its whole mantissa at scale 2^(F + s_k), 2^-s_k ~ |c_k|; entry k
+        carries the shift F + s_(k+1) - s_k that brings t times the partial
+        sum of degree k + 1 to that scale.
+        """
+        F = self._fix
+        polys, prev = [[1]], [-1]  # coefficient lists of P_0 and P_-1
+        for _ in range(1, len(self._sum_weights)):
+            nxt = [0] + polys[-1]
+            for i, a in enumerate(prev):
+                nxt[i] -= a
+            prev = polys[-1]
+            polys.append(nxt)
+        weights = [gauss_exact(w) for w in self._sum_weights]
+        coeffs = []
+        for k in range(len(polys)):
+            c = GAUSS_ZERO
+            for P, (re, im, e) in zip(polys[k:], weights[k:]):
+                c = gauss_add(c, (P[k] * re, P[k] * im, e))
+            coeffs.append(c)
+        scales = [max(0, -((abs(re) | abs(im)).bit_length() + e)) for re, im, e in coeffs]
+        table = []
+        for k in reversed(range(len(coeffs))):
+            shift = F + scales[k + 1] - scales[k] if k + 1 < len(coeffs) else F
+            table.append((*gauss_fixed(coeffs[k], F + scales[k]), shift))
+        return table, scales[0]
 
     # -- lattice ----------------------------------------------------------
 
@@ -423,42 +464,39 @@ class CurveContext:
         )
 
     def _theta_sum(self, pr, pi, qr, qi):
-        """The lacunary sum at x = e(z0/2)^2, from e(+-z0/2) in F-bit fixed point.
+        """theta(z0) as a Gaussian float, from e(+-z0/2) in F-bit fixed point, by Horner in t = x + 1/x.
 
         With x = e(z0), theta(z0) = sum_j w_j (x^(j+1/2) - x^-(j+1/2)) / D for
-        the weights w_j and D = sum_j (2j+1) w_j of `_build_sum_weights`.
-        Returns theta(z0) as integers scaled by 2^(3F).
+        the N weights w_j and D = sum_j (2j+1) w_j of `_build_sum_weights`.
+        Write s = x^(1/2) - x^(-1/2) and t = s^2 + 2 = x + 1/x.  Then
+        x^(j+1/2) - x^-(j+1/2) = s P_j(t) with P_-1 = -1, P_0 = 1 and
+        P_(j+1) = t P_j - P_(j-1), so
 
-        Error: the powers are integers scaled by 2^F and every product
-        truncates, so x^(+-(j+1/2)) is off by O(j) units of 2^-F on a term
-        of size at most |e(z0/2)|^(2j+1).  Each weight keeps its whole
-        mantissa (scaled by 2^(F + s_j), 2^-s_j ~ |w_j|), so the weights add
-        no error of that kind.
+            theta(z0) = s sum_k c_k t^k / D,   c_k = sum_(j>=k) w_j [t^k] P_j,
+
+        the same finite sum of N terms, run by Horner's rule (`_horner`,
+        table from `_build_horner`): one complex product per term where the
+        power recurrences took three.
+
+        Error: in the reduced domain |Im z0| <= Im tau/2, so |x| and |1/x|
+        are at most e^(pi Im tau) and |t| <= 2 e^(pi Im tau), while
+        |c_(k+1)/c_k| ~ |e(tau/2)|^(2k+2) (c_k ~ w_k).  So |c_(k+1) t| <
+        |c_k|: every partial sum of the Horner recurrence has the size of its
+        own c_k, and cutting it to c_k's scale costs a unit of 2^-F relative
+        to it.  Each c_k is stored with its whole mantissa, at scale
+        2^(F + s_k) with 2^-s_k ~ |c_k|; stored at plain F bits, c_k t^k
+        would carry an absolute 2^-F |t|^k, up to 2^44 units of 2^-F at
+        tau = 0.2 + 1.95i, 256 bits.  t is off by a few units of 2^-F, which
+        the decaying c_k damp.  The cancellation near z0 = 0 stays in s alone:
+        s is good to 2^-F absolute if x0 and 1/x0 are (`theta_at_x0`).
         """
         F = self._fix
-        xr, xi = (pr * pr - pi * pi) >> F, (pr * pi) >> (F - 1)
-        yr, yi = (qr * qr - qi * qi) >> F, (qr * qi) >> (F - 1)
-        nr, ni = self._fixed_series(self._fix_weights, pr, pi, xr, xi, qr, qi, yr, yi)
+        sr, si = pr - qr, pi - qi
+        tr, ti = ((sr * sr - si * si) >> F) + (2 << F), (sr * si) >> (F - 1)
+        ar, ai = _horner(self._theta_horner, tr, ti)
+        nr, ni = sr * ar - si * ai, sr * ai + si * ar
         dr, di = self._fix_inv_denom
-        return nr * dr - ni * di, nr * di + ni * dr
-
-    def _fixed_series(self, weights, pr, pi, xr, xi, qr, qi, yr, yi):
-        """sum_j w_j (p x^j - q y^j) for weights (re, im, s) scaled by 2^(F + s) and p, x, q, y by 2^F.
-
-        The sum comes scaled by 2^(2F); it stops once both powers have fallen
-        to 0 in that fixed point.
-        """
-        F = self._fix
-        nr = ni = 0
-        for wr, wi, s in weights:
-            if not (pr or pi or qr or qi):
-                break
-            dr, di = pr - qr, pi - qi
-            nr += (wr * dr - wi * di) >> s
-            ni += (wr * di + wi * dr) >> s
-            pr, pi = (pr * xr - pi * xi) >> F, (pr * xi + pi * xr) >> F
-            qr, qi = (qr * yr - qi * yi) >> F, (qr * yi + qi * yr) >> F
-        return nr, ni
+        return nr * dr - ni * di, nr * di + ni * dr, -3 * F - self._theta_scale
 
     def reduce_fixed(self, ar, ai):
         """(w0r, w0i, m, n): z = ar + i ai (scaled by 2^F) as w0 + m + n tau, w0 scaled by 2^F.
@@ -523,13 +561,15 @@ class CurveContext:
     def theta_at_x0(self, reduced, x, y):
         """theta(z) as a Gaussian float, from `reduce_fixed`(z), x0 = e(w0/2) and y = 1/x0.
 
-        x0 and 1/x0 feed `_theta_sum`, then
+        x0 and 1/x0 feed `_theta_sum`, which sums theta(w0) =
+        s sum_k c_k t^k / D by Horner's rule in t = x0^2 + x0^-2, with
+        s = x0 - 1/x0, then
         theta(z) = (-1)^(m+n) x0^(-2n) e(-n^2 tau/2) theta(w0).  Near w0 = 0
-        the sum's differences cancel to about (2j+1) pi i w0, which costs
-        log2(1/|w0|) bits: the GUARD_BITS of F over `ctx._wp` cover that
-        down to |w0| ~ 2^-16, if x0 - 1/x0 is good to 2^-F relative, as
-        `half_e` at w0 gives it.  An x0 formed as a product carries an
-        absolute error of 2^-F instead.
+        s cancels to about 2 pi i w0 (the polynomial in t is about D there
+        and does not cancel), which costs log2(1/|w0|) bits: the GUARD_BITS
+        of F over `ctx._wp` cover that down to |w0| ~ 2^-16, if x0 - 1/x0 is
+        good to 2^-F relative, as `half_e` at w0 gives it.  An x0 formed as
+        a product carries an absolute error of 2^-F instead.
 
         Zero rule: |w0| < 2^-`ctx._wp` gives exactly 0.  Such a w0 is a
         lattice point up to rounding (`FourierKernel` evaluates theta at
@@ -539,8 +579,7 @@ class CurveContext:
         if w0r * w0r + w0i * w0i < self._fix_zero:
             return (0, 0, 0)
         F = self._fix
-        nr, ni = self._theta_sum(*gauss_fixed(x, F), *gauss_fixed(y, F))
-        val = gauss_cut(nr, ni, -3 * F, F)
+        val = gauss_cut(*self._theta_sum(*gauss_fixed(x, F), *gauss_fixed(y, F)), F)
         if n:
             val = gauss_mul(val, self.half_tau_power(-n * n), F)
             step = y if n > 0 else x
@@ -631,11 +670,11 @@ class CurveContext:
         return memo(self._gamma_cache, (point_key(z), point_key(q)), lambda: self._gamma_at(z, q))
 
     def _gamma_table(self, q):
-        """(weights c_m for `_fixed_series`, pQ and C as Gaussian floats) for the step q, memoized per q.
+        """(`_horner` table of H, pQ and C as Gaussian floats) for the step q, memoized per q.
 
-        c_m = 1/(m (1-p^m)(1-Q^m)), |c_m| < 1.4/m, is formed on F-bit
-        fixed-point integers to a unit of 2^-F; the table ends once
-        e^(-pi Im tau m) < 2^-(F+4).
+        H(u) = sum_m c_m u^(m-1), c_m = 1/(m (1-p^m)(1-Q^m)), |c_m| < 1.4/m,
+        each c_m formed on F-bit fixed-point integers to a unit of 2^-F; the
+        table ends once e^(-pi Im tau m) < 2^-(F+4).
         """
 
         def compute():
@@ -649,10 +688,10 @@ class CurveContext:
                 # m (1-p^m)(1-Q^m) scaled by 2^(2F); c_m = 2^(3F) conj(d) / |d|^2 scaled by 2^F
                 dr, di = m * ((one - ar) * (one - br) - ai * bi), -m * ((one - ar) * bi + ai * (one - br))
                 d2 = dr * dr + di * di
-                weights.append(((dr << 3 * F) // d2, (-di << 3 * F) // d2, 0))
+                weights.append(((dr << 3 * F) // d2, (-di << 3 * F) // d2, F))
                 ar, ai = (ar * pr - ai * pi) >> F, (ar * pi + ai * pr) >> F
                 br, bi = (br * Qr - bi * Qi) >> F, (br * Qi + bi * Qr) >> F
-            return weights, gauss_mul(p, Q, F), gauss_cut(*gauss_exact(self._c_pair()[1]), F)
+            return weights[::-1], gauss_mul(p, Q, F), gauss_cut(*gauss_exact(self._c_pair()[1]), F)
 
         qk = point_key(q)
         return memo(self._gamma_table_cache, qk, compute)
@@ -663,7 +702,9 @@ class CurveContext:
         With k = nint((Im z - (Im tau + Im q)/2) / Im q), z0 = z - k q has
         Im tau/2 <= Im z0 <= Im tau/2 + Im q, so x = e(z0) and y = pQ/x (both
         from one `half_e`(2 z0)) are at most e^(-pi Im tau) in modulus, and
-        S = sum_m c_m (x^m - y^m) is the log of the standard product at z0.
+        S = sum_m c_m (x^m - y^m) is the log of the standard product at z0,
+        summed as x H(x) - y H(y) by Horner's rule (`_gamma_table`): two
+        complex products per term, an absolute error of a few units of 2^-F.
         The shifts gamma(q+w) = -e(w/2) (p;p)^2 theta(w) gamma(w) then give
 
             gamma_q(z) = exp(E) prod_j (-(p;p)^2 theta(z0 + j q))^sign(k),
@@ -687,8 +728,9 @@ class CurveContext:
 
         z0 = shifted(-k)
         x, inv_x = self.half_e(mp.make_mpc(tuple(mpf_shift(a, 1) for a in z0)))
-        x, y = gauss_fixed(x, F), gauss_fixed(gauss_mul(pq, inv_x, F), F)
-        sr, si = self._fixed_series(weights, *x, *x, *y, *y)
+        (xr, xi), (yr, yi) = gauss_fixed(x, F), gauss_fixed(gauss_mul(pq, inv_x, F), F)
+        (ar, ai), (br, bi) = _horner(weights, xr, xi), _horner(weights, yr, yi)
+        sr, si = xr * ar - xi * ai - yr * br + yi * bi, xr * ai + xi * ar - yr * bi - yi * br
         with mp.workprec(F + GUARD_BITS):
             z, q, w0 = mp.make_mpc(zk), mp.make_mpc(qk), mp.make_mpc(z0)
             w = z / q

@@ -19,6 +19,14 @@ sum.  Two readers share that rule:
   compile each argument once per table, form e(+-c/2) once per argument and
   e(+-z_j/2) once per point and coordinate, and read theta through
   `CurveContext.theta_fixed`.
+
+Both multiply their parts through one prefix loop (`prefix_products`): the
+parts are sorted by their factors, and each multiplies only the factors
+after the prefix it shares with the part before it.  A coefficient's parts
+share it in `CompiledParts`; the condition checkers' sweep
+(`conditions._sweep`) sorts the parts of every column at once, so the
+columns of a solver's ansatz, which share their leading blocks, multiply
+each shared block once per sample point.
 """
 
 from __future__ import annotations
@@ -120,26 +128,50 @@ def fixed_shift(ctx, q, shift):
     )
 
 
+def prefix_products(seqs, theta, F):
+    """(numerator, denominator) of each factor sequence, a prefix shared with the sequence before it multiplied once.
+
+    A factor is a tuple whose last entry is its exponent m, and theta(factor)
+    its theta value as a Gaussian float; a factor with m > 0 multiplies the
+    numerator m times and one with m < 0 the denominator -m times, each
+    product cut to F bits (`gauss_mul`).  The products of the first i
+    factors of a sequence are kept on a stack, and the next sequence starts
+    from the entry of the prefix it shares with this one.  Sorting the
+    sequences first makes the shared prefixes long.
+    """
+    prefix, prev = [(GAUSS_ONE, GAUSS_ONE)], ()  # (numerator, denominator) of the first i factors of prev
+    for factors in seqs:
+        n, top = 0, min(len(prev), len(factors))
+        while n < top and prev[n] == factors[n]:
+            n += 1
+        del prefix[n + 1:]
+        num, den = prefix[-1]
+        for factor in factors[n:]:
+            v, m = theta(factor), factor[-1]
+            if m > 0:
+                for _ in range(m):
+                    num = gauss_mul(num, v, F)
+            else:
+                for _ in range(-m):
+                    den = gauss_mul(den, v, F)
+            prefix.append((num, den))
+        prev = factors
+        yield num, den
+
+
 class CompiledParts:
     """A coefficient's parts compiled under one context; values memoized per fixed point.
 
-    The parts are sorted by their factors, and each keeps the length of the
-    prefix it shares with the part before it, so the parts of a solved
+    The parts are sorted by their factors, so the parts of a solved
     operator, which share their leading blocks, multiply each shared prefix
-    once.
+    once (`prefix_products`).
     """
 
-    __slots__ = ("ctx", "parts", "_shared", "_values")
+    __slots__ = ("ctx", "parts", "_values")
 
     def __init__(self, ctx, parts):
         self.ctx = ctx
         self.parts = tuple(sorted(parts, key=lambda part: part[1]))
-        self._shared = [0]
-        for (_, a), (_, b) in zip(self.parts, self.parts[1:]):
-            n = 0
-            while n < min(len(a), len(b)) and a[n] == b[n]:
-                n += 1
-            self._shared.append(n)
         self._values = {}
 
     def value(self, zf):
@@ -155,23 +187,17 @@ class CompiledParts:
     def _value(self, zf):
         ctx = self.ctx
         F = ctx._fix
+
+        def theta(factor):
+            cr, ci, zk, _ = factor
+            for j, k in zk:
+                cr += k * zf[j][0]
+                ci += k * zf[j][1]
+            return ctx.theta_of_fixed(cr, ci)
+
         total = GAUSS_ZERO
-        prefix = [(GAUSS_ONE, GAUSS_ONE)]  # (numerator, denominator) of the first i factors
-        for (scale, factors), shared in zip(self.parts, self._shared):
-            del prefix[shared + 1:]
-            num, den = prefix[-1]
-            for cr, ci, zk, m in factors[shared:]:
-                for j, k in zk:
-                    cr += k * zf[j][0]
-                    ci += k * zf[j][1]
-                v = ctx.theta_of_fixed(cr, ci)
-                if m > 0:
-                    for _ in range(m):
-                        num = gauss_mul(num, v, F)
-                else:
-                    for _ in range(-m):
-                        den = gauss_mul(den, v, F)
-                prefix.append((num, den))
+        products = prefix_products([factors for _, factors in self.parts], theta, F)
+        for (scale, _), (num, den) in zip(self.parts, products):
             total = gauss_add(total, gauss_quotient(gauss_mul(scale, num, F), den, F))
         return total
 
@@ -184,9 +210,9 @@ class FactorTable:
     """The distinct theta arguments of a set of structured coefficients.
 
     `add` encodes a coefficient as parts (scale, ((argument, exponent), ...))
-    in factor order.  An argument is a (form, bindings of the parameters it
-    reads) pair, keyed as `compile_argument` keys it, so equal keys are one
-    argument.  `poles` keeps one argument per distinct denominator pole
+    in factor order, the scale an exact Gaussian float.  An argument is a
+    (form, bindings of the parameters it reads) pair, keyed as
+    `compile_argument` keys it, so equal keys are one argument.  `poles` keeps one argument per distinct denominator pole
     (`form.key()` plus those values), in first-seen order.
 
     `compiled(ctx)` compiles each argument once per table, as
@@ -211,7 +237,7 @@ class FactorTable:
         if not isinstance(coeff, ExprCoefficient):
             raise ValueError("condition checks need structured coefficients")
         return tuple(
-            (scale, tuple((self._arg(form, params, m < 0), m) for form, m in expr.factors))
+            (gauss_exact(scale), tuple((self._arg(form, params, m < 0), m) for form, m in expr.factors))
             for scale, expr, params in coeff.parts
         )
 

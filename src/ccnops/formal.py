@@ -9,6 +9,7 @@ with total degree <= order above the support corner.
 from __future__ import annotations
 
 import itertools
+import weakref
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
@@ -51,6 +52,46 @@ class Tail:
                 return fn(ctx, z)
 
         return memo(self._memo, (ctx, tuple(k), tuple(map(point_key, z))), compute)
+
+
+class _InverseSolver:
+    """The recursion that the tail entries of `FormalGaugedOperator.invert` solve.
+
+    With G = Gamma(z-c)^{-1} T(-c) D', F*G has tail U * D' where
+    U_m(z) = e_m(z + c) rho_m(z + c), rho from the inverse head; the inverse
+    tail's entry m is -sum_l U_l(z) D'_(m-l)(z + q l) over the nonzero keys
+    l <= m, read through the inverse tail's own memo.  The solver holds the
+    source tail and the operator's global shift, not the operator, and the
+    inverse tail only through a weak reference (as `families._TailSolver`
+    does): entries that read their own tail made a reference cycle that kept
+    the tail, the inverted operator and, for a `FourierKernel`, its context
+    with every memo alive until a full garbage collection.  An entry runs
+    from its own tail's `eval`, or from a `rebased` copy, which keeps the
+    tail; so the tail is alive whenever the solver reads it.
+    """
+
+    def __init__(self, source, rho, c_form, params, q):
+        self.source, self.rho, self.c_form, self.params, self.q = source, rho, c_form, params, q
+        self.inverse = None  # weakref.ref to the inverse tail, set once it exists
+
+    def _u(self, ctx, m, z):
+        c = self.c_form.eval(self.params)
+        zc = tuple(w + c for w in z)
+        v = self.source.eval(ctx, m, zc)
+        if v == 0:
+            return v
+        return v * self.rho[m].eval(ctx, bindings_for(self.params, zc))
+
+    def solve(self, ctx, m, z):
+        """D'_m(z) for a nonzero key m."""
+        inverse = self.inverse()
+        total = mpc(0)
+        for l in self.source.entries:
+            if all(x == 0 for x in l) or any(a > b for a, b in zip(l, m)):
+                continue
+            rest = tuple(a - b for a, b in zip(m, l))
+            total += self._u(ctx, l, z) * inverse.eval(ctx, rest, shift_point(z, self.q, l))
+        return -total
 
 
 def unit_tail(n, order):
@@ -160,31 +201,10 @@ class FormalGaugedOperator:
             if isinstance(rho[m], Unbalanced):
                 raise ValueError("inversion head ratio unbalanced")
 
-        tail = self.tail
-
         if self.tail.entries.get((0,) * n) != 1:
             raise ValueError("inversion requires tail constant term exactly 1")
 
-        # with G = Gamma(z-c)^{-1} T(-c) D', F*G has tail U * D' where
-        # U_m(z) = e_m(z + c) rho_m(z + c), rho from the inverse head
-        def u_val(ctx, m, z):
-            c = self.c_value
-            zc = tuple(w + c for w in z)
-            v = tail.eval(ctx, m, zc)
-            if v == 0:
-                return v
-            return v * rho[m].eval(ctx, bindings_for(params, zc))
-
-        # the recursion reads lower keys through the inverse tail's own memo
-        def v_val(ctx, m, z):
-            total = mpc(0)
-            for l in tail.entries:
-                if all(x == 0 for x in l) or any(a > b for a, b in zip(l, m)):
-                    continue
-                rest = tuple(a - b for a, b in zip(m, l))
-                total += u_val(ctx, l, z) * inverse.eval(ctx, rest, shift_point(z, q, l))
-            return -total
-
+        solver = _InverseSolver(self.tail, rho, self.c_form, params, q)
         entries = {}
         for m in itertools.product(range(order + 1), repeat=n):
             if sum(m) > order:
@@ -192,8 +212,9 @@ class FormalGaugedOperator:
             if all(x == 0 for x in m):
                 entries[m] = 1
             else:
-                entries[m] = (lambda ctx, z, m=m: v_val(ctx, m, z))
+                entries[m] = (lambda ctx, z, m=m: solver.solve(ctx, m, z))
         inverse = Tail(n, entries, order)
+        solver.inverse = weakref.ref(inverse)
         return FormalGaugedOperator(n, gamma_inv, self.c_form * -1, inverse, params)
 
     def rebased(self, r):

@@ -44,6 +44,19 @@ def test_van_diejen_above_n2_is_a_config_error():
         run_suite("van-diejen", load_config(overrides={"n": 3}))
 
 
+@pytest.mark.parametrize("suite", ["operator-algebra", "cascade", "fourier"])
+def test_suites_above_n2_are_config_errors(suite):
+    # these suites are built for n <= 2; a larger n must not run n = 2 and pass
+    with pytest.raises(ConfigError, match="n <= 2"):
+        run_suite(suite, load_config(overrides={"n": 3}))
+
+
+def test_cli_exits_two_above_n2():
+    out = run_cli("--n", "3", "suite", "operator-algebra")
+    assert out.returncode == 2
+    assert "n <= 2" in out.stderr
+
+
 def test_threads_flag_rejected():
     # checks run in one thread; the removed --threads flag is a usage error
     out = run_cli("--threads", "2", "suite", "degenerations")

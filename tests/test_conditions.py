@@ -3,15 +3,15 @@ from fractions import Fraction as F
 
 import pytest
 
+import ccnops.conditions as conditions
 import ccnops.weyl as weyl
 from mpmath import matrix, mp, mpc, mpf
 
 from ccnops.conditions import (
     ConditionSpec,
     _beta_form,
-    _residue_of_parts,
     _residue_samples,
-    _value_of_parts,
+    _sweep,
     _vanishing_samples,
     check_polarization,
     check_residue,
@@ -24,10 +24,11 @@ from ccnops.conditions import (
     section_solve,
     section_solve_first_order,
     sections_by_weight,
+    vandiejen_model,
     vandiejen_nullspace,
     vandiejen_sections,
 )
-from ccnops.curve import GAUSS_ONE, PoleProximityError, gauss_div, point_key
+from ccnops.curve import GAUSS_ONE, PoleProximityError, gauss_div, gauss_mul, point_key
 from ccnops.diffop import DegreeVector, DifferenceOperator, ExprCoefficient, bindings_for
 from ccnops.factors import FactorTable, TablePoint
 from ccnops.families import first_order, van_diejen_leading_expr
@@ -335,12 +336,12 @@ def test_factor_table_shares_arguments_and_poles():
     expr = ThetaExpr(((AffineForm.var("a") - zvar(1), -1), (zvar(1), 1)), 1)
     table = FactorTable()
     # parts are (scale, ((argument, exponent), ...)) in factor order
-    assert table.add(ExprCoefficient(expr, {"q": Q, "a": a})) == ((1, ((0, -1), (1, 1))),)
+    assert table.add(ExprCoefficient(expr, {"q": Q, "a": a})) == ((GAUSS_ONE, ((0, -1), (1, 1))),)
     # no factor reads q, so a different q shares every argument
-    assert table.add(ExprCoefficient(expr, {"q": T, "a": a})) == ((1, ((0, -1), (1, 1))),)
+    assert table.add(ExprCoefficient(expr, {"q": T, "a": a})) == ((GAUSS_ONE, ((0, -1), (1, 1))),)
     assert (len(table.args), len(table.poles)) == (2, 1)
     # a different value of a is a second argument and a second pole
-    assert table.add(ExprCoefficient(expr, {"a": a + 1})) == ((1, ((2, -1), (1, 1))),)
+    assert table.add(ExprCoefficient(expr, {"a": a + 1})) == ((GAUSS_ONE, ((2, -1), (1, 1))),)
     assert (len(table.args), len(table.poles)) == (3, 2)
     # the same form stored in another order is its own argument but the same pole
     table.add(ExprCoefficient(ThetaExpr(((AffineForm({"z1": -1, "a": 1}), -1),), 1), {"a": a}))
@@ -400,7 +401,7 @@ def test_residue_of_parts_against_the_mpc_path(ctx):
     beta = _beta_form(("double", 0), 1)
     with mp.workprec(600):
         z = (mp.make_mpc(point_key(ctx.tau)) / 2,)
-    got = _residue_of_parts(ctx, parts, TablePoint(ctx, table, z), beta)
+    (got,) = _sweep(ctx, TablePoint(ctx, table, z), [parts], beta)
     eps = mpf("1e-30")
     with mp.workprec(600):
         off = (z[0] + eps / 2,)  # s = 2 z1 - tau moves by eps
@@ -409,8 +410,133 @@ def test_residue_of_parts_against_the_mpc_path(ctx):
     assert rel(got, want) < mpf("1e-25")
     # the value path of check_vanishing, at a point away from every pole
     away = (z[0] + mpc("0.1", "0.05"),)
-    value = _value_of_parts(ctx, parts, TablePoint(ctx, table, away))
+    (value,) = _sweep(ctx, TablePoint(ctx, table, away), [parts])
     assert rel(value, coeff.eval(ctx, away)) < mpf("1e-70")
+
+
+def _per_part_oracle(ctx, point, columns, beta_coeffs=None):
+    """The per-part path that `conditions._sweep` replaced, kept as its oracle.
+
+    Each part is seeded with its scale (and, for a residue, the slope and
+    theta'), multiplied factor by factor with nothing shared, divided and
+    rounded to `ctx._wp` bits; a column's parts add as mpc numbers.
+    """
+    bits = ctx._fix
+    on_divisor = conditions._fixed_square(ctx, conditions._ON_DIVISOR)
+    out = []
+    for parts in columns:
+        total = mpc(0)
+        for scale, factors in parts:
+            num, den, skip = scale, GAUSS_ONE, None
+            if beta_coeffs is not None:
+                svar = next(i for i, c in enumerate(beta_coeffs) if c)
+                for idx, (arg, m) in enumerate(factors):
+                    w0r, w0i, a, b = point.reduced(arg)
+                    if m < 0 and w0r * w0r + w0i * w0i < on_divisor:
+                        skip, lattice, form = idx, (a, b), point.table.args[arg][0]
+                if skip is None:
+                    continue
+                slope = form.coeff("z%d" % (svar + 1)) / beta_coeffs[svar]
+                num = gauss_mul(scale, (slope.denominator, 0, 0), bits)
+                den = gauss_mul(ctx.theta_deriv_fixed(*lattice), (slope.numerator, 0, 0), bits)
+            for j, (arg, m) in enumerate(factors):
+                if j == skip:
+                    continue
+                v = point.factor(arg)
+                for _ in range(abs(m)):
+                    if m > 0:
+                        num = gauss_mul(num, v, bits)
+                    else:
+                        den = gauss_mul(den, v, bits)
+            total += gauss_div(num, den, ctx._wp)
+        out.append(total)
+    return out
+
+
+def test_sweep_on_shared_prefixes_against_the_per_part_oracle(ctx):
+    # parts of several columns that share prefixes of several lengths once
+    # sorted, parts whose vanishing factor is not their first denominator
+    # (the second, and the last), a part with no vanishing factor and an
+    # absent column, in residue mode along 2 z1 = tau and in value mode
+    params = {"q": Q, "a": mpc("0.12", "0.05"), "b": mpc("-0.21", "0.08")}
+    a, b, q, z = AffineForm.var("a"), AffineForm.var("b"), AffineForm.var("q"), zvar(1)
+    pole, head = (z * 2, -1), [(z + a, 1), (z - q, -1)]
+    columns = [
+        [head + [pole, (b - z, 2)], head + [(z + b, -1), pole, (a - z, 1)], head + [(b - z, 1)]],
+        [head + [pole], head + [pole, (b - z, 1), (z + a + b, -1)], [(z - b, 1), pole]],
+        [],
+        [head + [(z + b, -1), (a - z, 2), pole], [(a + b - z, 1), pole, (z + q, 1)]],
+    ]
+    scales = (1, mpc("0.3", "-1.7"), mpc("-2.5", "0.25"))
+    table = FactorTable()
+    encoded = [
+        table.add(ExprCoefficient.sum(
+            [ExprCoefficient(ThetaExpr(p, 1), params, s) for p, s in zip(col, scales)]
+        )) if col else table.add(None)
+        for col in columns
+    ]
+    beta = _beta_form(("double", 0), 1)
+    with mp.workprec(600):
+        on = (mp.make_mpc(point_key(ctx.tau)) / 2 + mpc("0.5"),)
+        away = (on[0] + mpc("0.1", "0.05"),)
+    cases = ((TablePoint(ctx, table, on), beta), (TablePoint(ctx, table, away), None))
+    for point, mode in cases:
+        got = _sweep(ctx, point, encoded, mode)
+        want = _per_part_oracle(ctx, point, encoded, mode)
+        assert got[2] == want[2] == 0
+        for x, y in zip(got, want):
+            assert abs(x - y) <= abs(y) * mpf(2) ** (8 - ctx.prec)
+        assert all(abs(x) > mpf("1e-3") for i, x in enumerate(got) if i != 2)
+
+
+def _row_model(ctx, xs8, name):
+    if name == "van-diejen-n1":
+        return vandiejen_model(ctx, xs8, Q, T, 1), 1
+    if name == "van-diejen-n2":
+        return vandiejen_model(ctx, xs8, Q, T, 2), 2
+    return first_order_model(ctx, 2, 1, ETA, Q, T), 2
+
+
+@pytest.mark.parametrize("name", ["van-diejen-n1", "van-diejen-n2", "first-order-n2-d1"])
+def test_condition_rows_match_the_per_part_oracle(ctx, xs8, name, monkeypatch):
+    # one sweep per sample point and shift gives the rows of one residue per
+    # part and column, to 2^(8-prec) relative to each row's scale (the rows
+    # come divided by it)
+    model, n = _row_model(ctx, xs8, name)
+    specs = [s for s in enumerate_conditions(model.degree, model.lam, model.params, n) if s.kind == "residue-pair"]
+    rows = model.condition_rows(specs)
+    monkeypatch.setattr(conditions, "_sweep", _per_part_oracle)
+    want = model.condition_rows(specs)
+    assert len(rows) == len(want) > 0
+    for row, ref in zip(rows, want):
+        assert max(abs(x - y) for x, y in zip(row, ref)) <= mpf(2) ** (8 - ctx.prec)
+
+
+def test_checker_records_match_the_per_part_oracle(ctx, xs8, monkeypatch):
+    # check_residue and check_vanishing give the same records, pass or fail,
+    # with defects equal to 2^(8-prec), on a solved van Diejen section and a
+    # first-order operator in two variables
+    _, (_, H) = vandiejen_sections(ctx, xs8, Q, T, 1)
+    D = first_order([Q / 2 + mpc("0.1", "0.06"), Q / 2 - mpc("0.1", "0.06") + ETA], T, Q, 2)
+    cases = (
+        (H, enumerate_conditions((DegreeVector(), DegreeVector(0, 2, 2, (1,) * 8)), (F(1),), H.params, 1)),
+        (D, enumerate_conditions((DegreeVector(), DegreeVector(0, 1, 0)), (F(1, 2), F(1, 2)), D.params, 2)),
+    )
+    env = {**H.params, "eta_prime": sum(xs8) / 2}
+
+    def records():
+        out = []
+        for op, specs in cases:
+            out += check_residue(ctx, op, specs, env, samples=1).records
+            out += check_vanishing(ctx, op, specs, env, samples=1).records
+        return out
+
+    got = records()
+    monkeypatch.setattr(conditions, "_sweep", _per_part_oracle)
+    want = records()
+    assert len(got) == len(want) > 0
+    assert [(r.spec_id, r.passed) for r in got] == [(r.spec_id, r.passed) for r in want]
+    assert all(abs(r.defect - s.defect) <= mpf(2) ** (8 - ctx.prec) for r, s in zip(got, want))
 
 
 def test_condition_rows_reject_vanishing_specs(ctx):

@@ -195,3 +195,26 @@ def test_kernel_is_freed_without_the_cycle_collector(ctx):
     finally:
         if was_enabled:
             gc.enable()
+
+
+def test_inverse_is_freed_without_the_cycle_collector(ctx):
+    # the inverse tail's entries hold their tail weakly and the source tail,
+    # not the inverted operator, so both go with their last reference; an
+    # inverse tail kept past its operator still solves new points
+    z1, z2 = sample_points(1, 2, seed=67)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        K = FourierKernel(ctx, mpc("0.123", "0.221"), Q, T, 1, 3)
+        inv = K.invert()
+        want = inv.tail.eval(ctx, (2,), z1)
+        kernel, inverse = weakref.ref(K), weakref.ref(inv)
+        del inv, K
+        assert kernel() is None and inverse() is None
+        K = FourierKernel(ctx, mpc("0.123", "0.221"), Q, T, 1, 3)
+        tail = K.invert().tail
+        assert tail.eval(ctx, (2,), z1) == want
+        assert rel(tail.eval(ctx, (3,), z2), K.invert().tail.eval(ctx, (3,), z2)) < TOL
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -186,3 +186,24 @@ def test_theta_reads_the_integer_kernel(monkeypatch):
     exact = (*(to_fixed(x, F) for x in point_key(w0)), -2, 3)
     want = gauss_div(ctx.theta_at_x0(exact, *ctx.half_e(w0)), GAUSS_ONE, ctx._wp)
     assert got._mpc_ == want._mpc_ and got != 0
+
+
+@pytest.mark.parametrize("prec", [96, 256])
+def test_theta_at_the_edge_of_the_reduced_domain(prec):
+    # |Im w0| -> Im tau/2, where |t| = |x + 1/x| is largest: the Horner
+    # coefficients c_k keep their whole mantissas, so c_k t^k stays good to
+    # 2^-F relative to theta there (stored at plain F bits, the top c_k
+    # times t^k would lose up to 44 bits at 256 bits)
+    tau = mpc("0.2", "1.95")
+    c, ref = CurveContext(tau, prec), CurveContext(tau, 800)
+    rng = random.Random(12)
+    points = [
+        mpc(rng.uniform(-0.5, 0.5), sign * (1 - mpf(10) ** -k) * tau.imag / 2)
+        for k in (2, 4, 8)
+        for sign in (1, -1)
+        for _ in range(3)
+    ]
+    for z in points:
+        want = ref.theta_product(z)
+        with mp.workprec(820):
+            assert abs(c.theta(z) - want) <= abs(want) * mpf(2) ** (4 - prec), z
