@@ -12,16 +12,16 @@ t-divisor.  A single sampling pipeline feeds both of its consumers:
   nearby reference point that sets the scale.
 
 Every point is put on its root divisor by the one rule `_place_on_root`.
-Residues and values of structured coefficients (`ExprCoefficient`) are read
-through a factor table, `factors.FactorTable`, that holds each distinct
-theta argument once and evaluates it once per sample point: the pole test,
-the search for the unique vanishing factor and the numerator product all
-read those values, so holomorphy along a divisor is never a limit
-extraction.
+Residues of structured coefficients (`ExprCoefficient`) are read through a
+factor table, `factors.FactorTable`, that holds each distinct theta argument
+once and evaluates it once per sample point: the pole test, the search for
+the unique vanishing factor and the numerator product all read those
+values, so holomorphy along a divisor is never a limit extraction.
 `check_residue` builds a table over the two coefficients under test and
 uses three components and two u-probes; `SectionModel.condition_rows`
 builds one table over every basis coefficient and uses four components and
-one probe; `check_vanishing` builds one per coefficient.
+one probe.  `check_vanishing` reads coefficient values through `eval`, the
+path of every other coefficient value (`factors.CompiledParts`).
 
 The table path runs on Python integers (see `curve` and `factors`).  Each
 argument is compiled once per context into a parameter constant c and
@@ -30,18 +30,18 @@ formed once; a point forms e(+-z_j/2) once per coordinate.  An argument's F-bit
 fixed-point value c + sum_j k_j z_j serves the pole tests and the lattice
 reduction, and its theta comes from `CurveContext.theta_fixed` as a
 Gaussian float, F = `ctx._wp` + GUARD_BITS.  One sweep per sample point
-(`_sweep`) reads the values or residues of many columns: for a residue each
-part's unique vanishing denominator factor is found and left out, the parts
-of all columns are sorted by the factors left in them, and each part
-multiplies only the factors after the prefix it shares with the part before
-it (`factors.prefix_products`); its scale, slope and theta' multiply in
-after that.  A part is a numerator and a denominator of Gaussian-float
-products, divided once (`gauss_quotient`): its relative error is the theta
-values' own (a few units of 2^-F each, more only near a theta zero) plus
-2^(2-F) per product.  A column's parts add exactly, and each column is
-rounded once, to `ctx._wp` bits.  `condition_rows` runs the sweep once per
-point for the shift k and once for k2, over every column; `check_residue`
-and `check_vanishing` run it with one column.
+(`_sweep`) reads the residues of many columns: each part's unique vanishing
+denominator factor is found and left out, the parts of all columns are
+sorted by the factors left in them, and each part multiplies only the
+factors after the prefix it shares with the part before it
+(`factors.prefix_products`); its scale, slope and theta' multiply in after
+that.  A part is a numerator and a denominator of Gaussian-float products,
+divided once (`gauss_quotient`): its relative error is the theta values'
+own (a few units of 2^-F each, more only near a theta zero) plus 2^(2-F)
+per product.  A column's parts add exactly, and each column is rounded
+once, to `ctx._wp` bits.  `condition_rows` runs the sweep once per point,
+over the parts of every column at the shift k and then at k2;
+`check_residue` runs it with the two coefficients as two columns.
 
 Dimensions are decided by the one rank rule of `weyl.spectrum_rank`: the
 solver's `nullspace_basis` and `operator_span_contains` scale their matrices
@@ -251,18 +251,17 @@ _ON_DIVISOR = Fraction(1, 10**9)
 _POLE_MARGIN = Fraction(5, 1000)
 
 
-def _sweep(ctx, point, columns, beta_coeffs=None):
-    """One value per column at a `TablePoint`: the sum of its encoded parts, or with beta_coeffs its residue.
+def _sweep(ctx, point, columns, beta_coeffs):
+    """The residue of each column at a `TablePoint`, along the divisor with beta form beta_coeffs.
 
-    columns: the encoded parts (`FactorTable.add`) of each column.  Residue
-    mode (beta_coeffs, the divisor's beta form): the residue along the
-    divisor through the point, in the local coordinate s = beta(z) + m q -
-    lambda, traversed by varying the first coordinate beta involves.  Each
-    part contributes through its unique vanishing denominator factor, which
-    is left out of its product and stands in as the exact lattice
-    derivative of theta times the factor's slope in s; a part with none
-    contributes 0, and two vanishing factors or a vanishing one of higher
-    order raise PoleProximityError.  Value mode: every factor counts.
+    columns: the encoded parts (`FactorTable.add`) of each column.  The
+    residue is taken along the divisor through the point, in the local
+    coordinate s = beta(z) + m q - lambda, traversed by varying the first
+    coordinate beta involves.  Each part contributes through its unique
+    vanishing denominator factor, which is left out of its product and
+    stands in as the exact lattice derivative of theta times the factor's
+    slope in s; a part with none contributes 0, and two vanishing factors or
+    a vanishing one of higher order raise PoleProximityError.
 
     The parts of all columns are sorted by the factors left in them, and
     each multiplies only the factors after the prefix it shares with the
@@ -273,17 +272,12 @@ def _sweep(ctx, point, columns, beta_coeffs=None):
     """
     F = ctx._fix
     seqs, heads = [], []  # per part: its factors left; (column, numerator head, denominator head)
-    if beta_coeffs is not None:
-        svar = next(i for i, c in enumerate(beta_coeffs) if c)
-        zsym, bslope = "z%d" % (svar + 1), beta_coeffs[svar]
-        on_divisor = _fixed_square(ctx, _ON_DIVISOR)
-        slopes, derivs = {}, {}
+    svar = next(i for i, c in enumerate(beta_coeffs) if c)
+    zsym, bslope = "z%d" % (svar + 1), beta_coeffs[svar]
+    on_divisor = _fixed_square(ctx, _ON_DIVISOR)
+    slopes, derivs = {}, {}
     for col, parts in enumerate(columns):
         for scale, factors in parts:
-            if beta_coeffs is None:
-                seqs.append(factors)
-                heads.append((col, scale, None))
-                continue
             vanishing = None
             for idx, (arg, m) in enumerate(factors):
                 if m >= 0:
@@ -312,8 +306,7 @@ def _sweep(ctx, point, columns, beta_coeffs=None):
     products = prefix_products(seqs, lambda factor: point.factor(factor[0]), F)
     for i, (num, den) in zip(order, products):
         col, head, tail = heads[i]
-        if tail is not None:
-            den = gauss_mul(den, tail, F)
+        den = gauss_mul(den, tail, F)
         totals[col] = gauss_add(totals[col], gauss_quotient(gauss_mul(num, head, F), den, F))
     return [gauss_round(total, ctx._wp) for total in totals]
 
@@ -455,14 +448,12 @@ def check_residue(ctx, op, specs, env, samples=2, seed=11, tol=mpf("1e-25")):
         if spec.kind != "residue-pair":
             continue
         table = FactorTable()
-        parts_a = table.add(op.coefficient(spec.k))
-        parts_b = table.add(op.coefficient(spec.k2))
+        parts = [table.add(op.coefficient(spec.k)), table.add(op.coefficient(spec.k2))]
         beta_coeffs = _beta_form(spec.beta, n)
         for comp, snum, point, (b1, b2) in _residue_samples(
             ctx, rng, spec, n, env, _CHECK_COMPONENTS, samples, 2, table
         ):
-            (res_a,) = _sweep(ctx, point, [parts_a], beta_coeffs)
-            (res_b,) = _sweep(ctx, point, [parts_b], beta_coeffs)
+            res_a, res_b = _sweep(ctx, point, parts, beta_coeffs)
             probe_defect = rel_defect(b1, b2)
             combo = res_b + b1 * res_a
             scale = abs(res_b) + abs(b1 * res_a) + mpf("1e-30")
@@ -489,8 +480,6 @@ def check_vanishing(ctx, op, specs, env, samples=2, seed=13, tol=mpf("1e-25")):
         c = op.coefficient(spec.k)
         if c is None:
             continue
-        table = FactorTable()
-        parts = table.add(c)
         for snum, z, zref in _vanishing_samples(rng, spec, op.n, env, samples):
             if spec.kind == "x-vanish":
                 label = "x-vanish[k=%s;i=%d;l=%d;#%d]" % (
@@ -501,10 +490,7 @@ def check_vanishing(ctx, op, specs, env, samples=2, seed=13, tol=mpf("1e-25")):
                 )
             else:
                 label = "t-vanish[k=%s;%s;m=%d;#%d]" % (spec.k, spec.beta, spec.level, snum)
-            (val,) = _sweep(ctx, TablePoint(ctx, table, z), [parts])
-            (ref,) = _sweep(ctx, TablePoint(ctx, table, zref), [parts])
-            ref = abs(ref) + mpf("1e-30")
-            report.add(label, abs(val) / ref)
+            report.add(label, abs(c.eval(ctx, z)) / (abs(c.eval(ctx, zref)) + mpf("1e-30")))
     return report
 
 
@@ -667,16 +653,14 @@ class SectionModel:
                 if spec.kind != "residue-pair":
                     raise ValueError("condition rows are built from residue-pair specs only")
                 beta_coeffs = _beta_form(spec.beta, n)
-                parts_a = [col.get(spec.k, ()) for col in columns]
-                parts_b = [col.get(spec.k2, ()) for col in columns]
+                parts = [col.get(k, ()) for k in (spec.k, spec.k2) for col in columns]
                 for _, _, point, (b1,) in _residue_samples(
                     ctx, rng, spec, n, self.env, _SOLVE_COMPONENTS, 2, 1, table
                 ):
                     row = []
                     scale = mpf(0)
-                    ras = _sweep(ctx, point, parts_a, beta_coeffs)
-                    rbs = _sweep(ctx, point, parts_b, beta_coeffs)
-                    for ra, rb in zip(ras, rbs):
+                    residues = _sweep(ctx, point, parts, beta_coeffs)
+                    for ra, rb in zip(residues[:len(columns)], residues[len(columns):]):
                         bra = b1 * ra
                         row.append(rb + bra)
                         scale = max(scale, abs(rb) + abs(bra))

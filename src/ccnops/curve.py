@@ -1,4 +1,4 @@
-"""Multiprecision kernel: theta functions, theta factorials, elliptic Gamma symbols.
+"""Multiprecision kernel: theta functions and elliptic Gamma symbols.
 
 Everything is built on the exponential e(x) = exp(2*pi*i*x).  The odd theta
 function is defined by its product formula
@@ -127,9 +127,6 @@ class TorsionError(ValueError):
 
 #: minimal imaginary part of tau (and of q for Gamma symbols)
 MIN_IM = mpf("0.3")
-
-#: lattice-reduced distance below which a point counts as sitting on a divisor
-POLE_THRESHOLD = mpf("1e-3")
 
 #: retries for rejection sampling away from poles
 MAX_RETRIES = 64
@@ -312,12 +309,9 @@ class CurveContext:
             self._e_tau8 = self.e(self.tau / 8)
             self._p_half = self.e(self.tau / 2)
             self._sum_weights = self._build_sum_weights()
-            self._theta_denom = self._build_denominator()
             # the fixed-point kernel's constants, as integers scaled by 2^F
             self._fix = F = self._wp + GUARD_BITS
-            self._theta_horner, self._theta_scale = self._build_horner()
-            inv = (1 / self._theta_denom)._mpc_
-            self._fix_inv_denom = (to_fixed(inv[0], F), to_fixed(inv[1], F))
+            self._theta_horner, self._theta_scale, self._fix_inv_denom = self._build_horner()
             self._fix_pi = mpf_pi(F)
         # the kernel's fixed-point lattice: tau as given, its 9 nearest
         # translates of 0, and the zero rule's |w0|^2 < 2^-2wp at scale 2^2F
@@ -355,19 +349,15 @@ class CurveContext:
                 raise PrecisionError("theta series did not converge")
         return weights
 
-    def _build_denominator(self):
-        total = mpc(0)
-        for j, w in enumerate(self._sum_weights):
-            total += (2 * j + 1) * w
-        return total
-
     def _build_horner(self):
-        """(`_horner` table of `_theta_sum`, s_0): c_k = sum_(j>=k) w_j [t^k] P_j, top degree first.
+        """(`_horner` table of `_theta_sum`, s_0, 1/D): c_k = sum_(j>=k) w_j [t^k] P_j, top degree first.
 
         Each c_k is an exact integer combination of the weights, kept with
         its whole mantissa at scale 2^(F + s_k), 2^-s_k ~ |c_k|; entry k
         carries the shift F + s_(k+1) - s_k that brings t times the partial
-        sum of degree k + 1 to that scale.
+        sum of degree k + 1 to that scale.  D = sum_j (2j+1) w_j is summed
+        exactly from the same weights, and 1/D is taken at F + GUARD_BITS
+        bits and kept in F-bit fixed point.
         """
         F = self._fix
         polys, prev = [[1]], [-1]  # coefficient lists of P_0 and P_-1
@@ -389,7 +379,10 @@ class CurveContext:
         for k in reversed(range(len(coeffs))):
             shift = F + scales[k + 1] - scales[k] if k + 1 < len(coeffs) else F
             table.append((*gauss_fixed(coeffs[k], F + scales[k]), shift))
-        return table, scales[0]
+        denom = GAUSS_ZERO
+        for j, (re, im, e) in enumerate(weights):
+            denom = gauss_add(denom, ((2 * j + 1) * re, (2 * j + 1) * im, e))
+        return table, scales[0], gauss_fixed(gauss_quotient(GAUSS_ONE, denom, F + GUARD_BITS), F)
 
     # -- lattice ----------------------------------------------------------
 
@@ -467,7 +460,8 @@ class CurveContext:
         """theta(z0) as a Gaussian float, from e(+-z0/2) in F-bit fixed point, by Horner in t = x + 1/x.
 
         With x = e(z0), theta(z0) = sum_j w_j (x^(j+1/2) - x^-(j+1/2)) / D for
-        the N weights w_j and D = sum_j (2j+1) w_j of `_build_sum_weights`.
+        the N weights w_j of `_build_sum_weights` and D = sum_j (2j+1) w_j,
+        summed exactly from them (1/D to 2^-F relative, `_build_horner`).
         Write s = x^(1/2) - x^(-1/2) and t = s^2 + 2 = x + 1/x.  Then
         x^(j+1/2) - x^-(j+1/2) = s P_j(t) with P_-1 = -1, P_0 = 1 and
         P_(j+1) = t P_j - P_(j-1), so
@@ -622,25 +616,6 @@ class CurveContext:
                 if j > 20000:
                     raise PrecisionError("theta product did not converge")
             return mult * val / denom
-
-    # -- theta shifted factorial -------------------------------------------
-
-    def theta_pochhammer(self, z, k, q):
-        """theta(z; q)_k: prod_{0<=i<k} theta(i*q+z), reciprocal product for k<0."""
-        with mp.workprec(self._wp):
-            z = mpc(z)
-            q = mpc(q)
-            val = mpc(1)
-            if k >= 0:
-                for i in range(k):
-                    val *= self.theta(i * q + z)
-            else:
-                for i in range(1, -k + 1):
-                    f = self.theta(-i * q + z)
-                    if self.dist_to_lattice(-i * q + z) < POLE_THRESHOLD:
-                        raise PoleProximityError("theta factorial hit a pole at step %d" % i)
-                    val /= f
-            return val
 
     # -- elliptic Gamma -----------------------------------------------------
 

@@ -8,25 +8,26 @@ raises ValueError.  At a point the argument c + sum_j k_j z_j is an integer
 sum.  Two readers share that rule:
 
 * coefficient values (`compile_parts`, `CompiledParts`), behind
-  `ThetaExpr.eval`, `ExprCoefficient.eval` and the composites of
-  `DifferenceOperator.compose`.  Each argument compiles once per context
-  and per (form, values of the parameters it reads) (`compile_argument`),
-  each theta is `CurveContext.theta_of_fixed` of the fixed-point argument,
-  each part a quotient of Gaussian-float products, and the parts are summed
-  exactly; a shift z -> z + q s moves the fixed-point coordinates by q s_j
-  (`fixed_shift`), so no shifted point is formed;
-* condition rows and residue checks (`FactorTable`, `TablePoint`), which
-  compile each argument once per table, form e(+-c/2) once per argument and
-  e(+-z_j/2) once per point and coordinate, and read theta through
-  `CurveContext.theta_fixed`.
+  `ThetaExpr.eval`, `ExprCoefficient.eval` (which `conditions.check_vanishing`
+  reads) and the composites of `DifferenceOperator.compose`.  Each argument
+  compiles once per context and per (form, values of the parameters it
+  reads) (`compile_argument`), each theta is `CurveContext.theta_of_fixed`
+  of the fixed-point argument, each part a quotient of Gaussian-float
+  products, and the parts are summed exactly; a shift z -> z + q s moves
+  the fixed-point coordinates by q s_j (`fixed_shift`), so no shifted point
+  is formed;
+* residues, for condition rows and residue checks (`FactorTable`,
+  `TablePoint`), which compile each argument once per table, form e(+-c/2)
+  once per argument and e(+-z_j/2) once per point and coordinate, and read
+  theta through `CurveContext.theta_fixed`.
 
 Both multiply their parts through one prefix loop (`prefix_products`): the
 parts are sorted by their factors, and each multiplies only the factors
 after the prefix it shares with the part before it.  A coefficient's parts
-share it in `CompiledParts`; the condition checkers' sweep
-(`conditions._sweep`) sorts the parts of every column at once, so the
-columns of a solver's ansatz, which share their leading blocks, multiply
-each shared block once per sample point.
+share it in `CompiledParts`; the residue sweep (`conditions._sweep`) sorts
+the parts of every column at once, so the columns of a solver's ansatz,
+which share their leading blocks, multiply each shared block once per
+sample point.
 """
 
 from __future__ import annotations
@@ -203,7 +204,7 @@ class CompiledParts:
 
 
 # ---------------------------------------------------------------------------
-# the condition checkers' factor table
+# the residue checkers' factor table
 
 
 class FactorTable:

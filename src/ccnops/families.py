@@ -9,7 +9,6 @@ trigonometric lowering-operator degenerations.
 from __future__ import annotations
 
 import itertools
-import weakref
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
@@ -26,10 +25,10 @@ from .diffop import (
 )
 from .formal import (
     FormalGaugedOperator,
-    Tail,
     compare_gauged,
     gamma_multiplier,
     gauged_from_operator,
+    solved_tail,
     unit_tail,
 )
 from .symbols import AffineForm, GammaProduct, ThetaExpr, zvar
@@ -201,16 +200,12 @@ class _TailSolver:
     """The defining relation that a FourierKernel's tail entries solve.
 
     Each entry holds this solver, and the solver holds the tail only through
-    a weak reference: an entry that held the kernel, which holds the tail,
-    made a reference cycle that kept the kernel's context and every memo on
-    it alive until a full garbage collection.  An entry runs from its own
-    tail's `eval`, or from a `rebased` copy, which keeps the tail; so the
-    tail is alive whenever the solver reads it.
+    the weak reference of `formal.solved_tail`.
     """
 
     def __init__(self, ctx, q, c, t, n):
         self.ctx, self.q, self.c, self.t, self.n = ctx, q, c, t, n
-        self.tail = None  # weakref.ref to the tail, set once it exists
+        self.tail = None  # weakref.ref to the tail (`formal.solved_tail`)
 
     def A(self, sigma, y, u):
         """Coefficient of D(c +- u; t) at T^{sigma/2}, evaluated at y."""
@@ -283,17 +278,8 @@ class FourierKernel(FormalGaugedOperator):
         if order and margin < TORSION_MARGIN:
             raise TorsionError("q is numerically torsion up to the truncation order")
 
-        self._solver = solver = _TailSolver(ctx, exact_mpc(q), c_form.eval(params), t_form.eval(params), n)
-        entries = {}
-        for m in itertools.product(range(order + 1), repeat=n):
-            if sum(m) > order:
-                continue
-            if all(x == 0 for x in m):
-                entries[m] = 1
-            else:
-                entries[m] = (lambda ctx2, z, m=m: solver.solve(ctx2, m, z))
-        tail = Tail(n, entries, order)
-        solver.tail = weakref.ref(tail)
+        self._solver = _TailSolver(ctx, exact_mpc(q), c_form.eval(params), t_form.eval(params), n)
+        tail = solved_tail(n, order, self._solver)
         super().__init__(n, kernel_head(n, c_form, t_form), c_form, tail, params)
 
     def tail_value(self, m, w):

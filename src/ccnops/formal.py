@@ -62,17 +62,12 @@ class _InverseSolver:
     tail's entry m is -sum_l U_l(z) D'_(m-l)(z + q l) over the nonzero keys
     l <= m, read through the inverse tail's own memo.  The solver holds the
     source tail and the operator's global shift, not the operator, and the
-    inverse tail only through a weak reference (as `families._TailSolver`
-    does): entries that read their own tail made a reference cycle that kept
-    the tail, the inverted operator and, for a `FourierKernel`, its context
-    with every memo alive until a full garbage collection.  An entry runs
-    from its own tail's `eval`, or from a `rebased` copy, which keeps the
-    tail; so the tail is alive whenever the solver reads it.
+    inverse tail only through the weak reference of `solved_tail`.
     """
 
     def __init__(self, source, rho, c_form, params, q):
         self.source, self.rho, self.c_form, self.params, self.q = source, rho, c_form, params, q
-        self.inverse = None  # weakref.ref to the inverse tail, set once it exists
+        self.tail = None  # weakref.ref to the inverse tail (`solved_tail`)
 
     def _u(self, ctx, m, z):
         c = self.c_form.eval(self.params)
@@ -84,7 +79,7 @@ class _InverseSolver:
 
     def solve(self, ctx, m, z):
         """D'_m(z) for a nonzero key m."""
-        inverse = self.inverse()
+        inverse = self.tail()
         total = mpc(0)
         for l in self.source.entries:
             if all(x == 0 for x in l) or any(a > b for a, b in zip(l, m)):
@@ -96,6 +91,25 @@ class _InverseSolver:
 
 def unit_tail(n, order):
     return Tail(n, {(0,) * n: 1}, order)
+
+
+def solved_tail(n, order, solver):
+    """The tail of total degree <= order with 1 at key 0 and solver.solve(ctx, m, z) at every other key m.
+
+    The solver gets the tail only as a weak reference, `solver.tail`: its
+    entries hold the solver, so a strong reference made a reference cycle
+    that kept the tail, its operator and, for a `families.FourierKernel`,
+    its context with every memo alive until a full garbage collection.  An
+    entry runs from its own tail's `eval`, or from a `rebased` copy, which
+    keeps the tail; so the tail is alive whenever the solver reads it.
+    """
+    entries = {}
+    for m in itertools.product(range(order + 1), repeat=n):
+        if sum(m) <= order:
+            entries[m] = (lambda ctx, z, m=m: solver.solve(ctx, m, z)) if any(m) else 1
+    tail = Tail(n, entries, order)
+    solver.tail = weakref.ref(tail)
+    return tail
 
 
 class FormalGaugedOperator:
@@ -204,17 +218,7 @@ class FormalGaugedOperator:
         if self.tail.entries.get((0,) * n) != 1:
             raise ValueError("inversion requires tail constant term exactly 1")
 
-        solver = _InverseSolver(self.tail, rho, self.c_form, params, q)
-        entries = {}
-        for m in itertools.product(range(order + 1), repeat=n):
-            if sum(m) > order:
-                continue
-            if all(x == 0 for x in m):
-                entries[m] = 1
-            else:
-                entries[m] = (lambda ctx, z, m=m: solver.solve(ctx, m, z))
-        inverse = Tail(n, entries, order)
-        solver.inverse = weakref.ref(inverse)
+        inverse = solved_tail(n, order, _InverseSolver(self.tail, rho, self.c_form, params, q))
         return FormalGaugedOperator(n, gamma_inv, self.c_form * -1, inverse, params)
 
     def rebased(self, r):
@@ -231,7 +235,7 @@ class FormalGaugedOperator:
                 def fn2(ctx, z):
                     return mpc(1)
             else:
-                # the source tail stays alive while its entries run (see `families._TailSolver`)
+                # the source tail stays alive while its entries run (see `solved_tail`)
                 def fn2(ctx, z, fn=fn, source=self.tail):
                     return fn(ctx, shift_point(z, q, (r,) * n))
             entries[key] = fn2

@@ -1,14 +1,10 @@
-"""Formal layer: affine forms, theta-product expressions, Gamma-symbol ledgers.
+"""Formal layer: affine forms, theta-product expressions, Gamma products.
 
 All coefficients are exact rationals.  A ThetaExpr is a finite product of
 theta factors with affine-linear arguments, an integer exponent each; a
 GammaProduct is a formal product of elliptic Gamma symbols with a fixed step,
-tracked by the polarization/weight ledger
-
-    pol(gamma_q(a)) = a(a-q)(2a-q) / 12q,      wt(gamma_q(a)) = -a/q,
-
-and resolved into a ThetaExpr through the functional equation whenever its
-class in Z[Hom/q] is trivial.
+resolved into a ThetaExpr through the functional equation whenever its class
+in Z[Hom/q] is trivial.
 """
 
 from __future__ import annotations
@@ -22,78 +18,6 @@ from mpmath.libmp import from_int, fzero, mpf_add, mpf_div, mpf_mul, round_neare
 
 from .curve import gauss_round, memo, point_key
 from .factors import CompiledParts, compile_parts, fixed_point
-
-
-# ---------------------------------------------------------------------------
-# polynomials over Q in named symbols, with negative powers of q permitted
-
-
-class Poly:
-    """Sparse polynomial over Q; monomials may carry negative exponents of 'q'."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for mono, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[mono] = self.terms.get(mono, Fraction(0)) + c
-            self.terms = {m: c for m, c in self.terms.items() if c}
-
-    @staticmethod
-    def const(c):
-        c = Fraction(c)
-        return Poly({(): c} if c else {})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return Poly(out)
-
-    def __sub__(self, other):
-        return self + other * Fraction(-1)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Poly({m: c * Fraction(other) for m, c in self.terms.items()})
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * Fraction(-1)
-
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for m, c in sorted(self.terms.items()):
-            mono = "*".join("%s^%d" % (s, e) if e != 1 else s for s, e in m) or "1"
-            bits.append("%s*%s" % (c, mono))
-        return " + ".join(bits)
-
-
-def _mono_mul(m1, m2):
-    d = {}
-    for s, e in m1:
-        d[s] = d.get(s, 0) + e
-    for s, e in m2:
-        d[s] = d.get(s, 0) + e
-    return tuple(sorted((s, e) for s, e in d.items() if e))
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +137,6 @@ class AffineForm:
         den, prec = from_int(den), mp.prec
         return mp.make_mpc((mpf_div(re, den, prec, round_nearest), mpf_div(im, den, prec, round_nearest)))
 
-    def to_poly(self):
-        terms = {((s, 1),): c for s, c in self.coeffs.items()}
-        if self.const:
-            terms[()] = self.const
-        return Poly(terms)
-
     def __repr__(self):
         bits = []
         for s, c in sorted(self.coeffs.items()):
@@ -297,17 +215,6 @@ class ThetaExpr:
     def __mul__(self, other):
         return ThetaExpr(self.factors + other.factors, max(self.arity, other.arity))
 
-    def weight(self):
-        return -sum(m for _, m in self.factors)
-
-    def polarization_poly(self):
-        """sum_i m_i * l_i^2 / 2 as a polynomial (all symbols included)."""
-        total = Poly()
-        for form, m in self.factors:
-            p = form.to_poly()
-            total = total + p * p * Fraction(m, 2)
-        return total
-
     def zpart_quadratic(self, n):
         """The z-variable quadratic form of the polarization as a matrix."""
         Q = [[Fraction(0)] * n for _ in range(n)]
@@ -320,13 +227,6 @@ class ThetaExpr:
                     cj = form.coeff("z%d" % (j + 1))
                     Q[i][j] += Fraction(m) * ci * cj
         return tuple(tuple(row) for row in Q)
-
-    def is_function_on_curve_power(self, n):
-        """Whether the well-definedness constraints hold (weight 0, trivial form)."""
-        if self.weight() != 0:
-            return False
-        Q = self.zpart_quadratic(n)
-        return all(not Q[i][j] for i in range(n) for j in range(n))
 
     def substitute(self, assignments):
         return ThetaExpr(tuple((f.substitute(assignments), m) for f, m in self.factors), self.arity)
@@ -357,7 +257,7 @@ class ThetaExpr:
 
 @dataclass(frozen=True)
 class Unbalanced:
-    """Non-trivial class of a Gamma product; carries the residual ledger."""
+    """Non-trivial class of a Gamma product; carries each unbalanced class and its net exponent."""
 
     residual: tuple  # tuple of (class representative AffineForm, net exponent)
 
@@ -399,23 +299,6 @@ class GammaProduct:
         qform = AffineForm.var("q")
         shift = {"z%d" % (i + 1): zvar(i + 1) + qform * k[i] for i in range(arity)}
         return (self.substitute(shift) * self.inverse()).reduce(arity=arity)
-
-    def polarization_poly(self):
-        """Ledger polarization sum m * a(a-q)(2a-q)/12q, q = the step."""
-        q = self.step.to_poly()
-        total = Poly()
-        for form, m in self.terms:
-            a = form.to_poly()
-            p = a * (a - q) * (a * 2 - q) * Fraction(m, 12)
-            total = total + _poly_div_form(p, self.step)
-        return total
-
-    def weight_poly(self):
-        """Ledger weight sum m * (-a/q)."""
-        total = Poly()
-        for form, m in self.terms:
-            total = total + _poly_div_form(form.to_poly() * Fraction(-m), self.step)
-        return total
 
     def _classes(self):
         """[rep, {k: exponent}] per class of terms a = rep + k*step.
@@ -480,14 +363,3 @@ def _step_class(form, step):
         n = math.floor(form.const / step.const)
     return (form - step * n if n else form).key(), n
 
-
-def _poly_div_form(poly, form):
-    """Divide a polynomial by an affine form c*q (single-symbol) exactly."""
-    syms = list(form.coeffs.items())
-    if form.const or len(syms) != 1:
-        raise ValueError("step must be a rational multiple of a single symbol")
-    sym, c = syms[0]
-    out = {}
-    for mono, coeff in poly.terms.items():
-        out[_mono_mul(mono, ((sym, -1),))] = coeff / c
-    return Poly(out)

@@ -8,11 +8,17 @@ import pytest
 from ccnops.cli import ConfigError, load_config, run_suite
 
 
-def run_cli(*args):
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_cli(*args, **env):
+    """`python -m ccnops.cli args` on this checkout's src, with env added to the environment."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "ccnops.cli", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path, **env},
         timeout=560,
     )
 
@@ -84,16 +90,8 @@ def test_determinism(tmp_path):
     assert strip(a) == strip(b)
 
 
-def test_env_override(tmp_path):
-    env = dict(os.environ)
-    env["CCNOPS_PREC"] = "32"
-    out = subprocess.run(
-        [sys.executable, "-m", "ccnops.cli", "suite", "degenerations"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
+def test_env_override():
+    out = run_cli("suite", "degenerations", CCNOPS_PREC="32")
     assert out.returncode == 2
 
 

@@ -408,10 +408,11 @@ def test_residue_of_parts_against_the_mpc_path(ctx):
     want = eps * coeff.eval(ctx, off)
     assert abs(got) > mpf("1e-3")
     assert rel(got, want) < mpf("1e-25")
-    # the value path of check_vanishing, at a point away from every pole
+    # the value path of check_vanishing against the table's thetas, at a
+    # point away from every pole
     away = (z[0] + mpc("0.1", "0.05"),)
-    (value,) = _sweep(ctx, TablePoint(ctx, table, away), [parts])
-    assert rel(value, coeff.eval(ctx, away)) < mpf("1e-70")
+    (value,) = _per_part_oracle(ctx, TablePoint(ctx, table, away), [parts])
+    assert rel(coeff.eval(ctx, away), value) < mpf("1e-70")
 
 
 def _per_part_oracle(ctx, point, columns, beta_coeffs=None):
@@ -419,7 +420,8 @@ def _per_part_oracle(ctx, point, columns, beta_coeffs=None):
 
     Each part is seeded with its scale (and, for a residue, the slope and
     theta'), multiplied factor by factor with nothing shared, divided and
-    rounded to `ctx._wp` bits; a column's parts add as mpc numbers.
+    rounded to `ctx._wp` bits; a column's parts add as mpc numbers.  With
+    no beta_coeffs it gives each column's value from the table's thetas.
     """
     bits = ctx._fix
     on_divisor = conditions._fixed_square(ctx, conditions._ON_DIVISOR)
@@ -457,7 +459,8 @@ def test_sweep_on_shared_prefixes_against_the_per_part_oracle(ctx):
     # parts of several columns that share prefixes of several lengths once
     # sorted, parts whose vanishing factor is not their first denominator
     # (the second, and the last), a part with no vanishing factor and an
-    # absent column, in residue mode along 2 z1 = tau and in value mode
+    # absent column: residues along 2 z1 = tau from the sweep, and values
+    # off the divisor from each column's `eval`
     params = {"q": Q, "a": mpc("0.12", "0.05"), "b": mpc("-0.21", "0.08")}
     a, b, q, z = AffineForm.var("a"), AffineForm.var("b"), AffineForm.var("q"), zvar(1)
     pole, head = (z * 2, -1), [(z + a, 1), (z - q, -1)]
@@ -468,20 +471,23 @@ def test_sweep_on_shared_prefixes_against_the_per_part_oracle(ctx):
         [head + [(z + b, -1), (a - z, 2), pole], [(a + b - z, 1), pole, (z + q, 1)]],
     ]
     scales = (1, mpc("0.3", "-1.7"), mpc("-2.5", "0.25"))
-    table = FactorTable()
-    encoded = [
-        table.add(ExprCoefficient.sum(
-            [ExprCoefficient(ThetaExpr(p, 1), params, s) for p, s in zip(col, scales)]
-        )) if col else table.add(None)
+    coeffs = [
+        ExprCoefficient.sum([ExprCoefficient(ThetaExpr(p, 1), params, s) for p, s in zip(col, scales)])
+        if col else None
         for col in columns
     ]
+    table = FactorTable()
+    encoded = [table.add(c) for c in coeffs]
     beta = _beta_form(("double", 0), 1)
     with mp.workprec(600):
         on = (mp.make_mpc(point_key(ctx.tau)) / 2 + mpc("0.5"),)
         away = (on[0] + mpc("0.1", "0.05"),)
-    cases = ((TablePoint(ctx, table, on), beta), (TablePoint(ctx, table, away), None))
-    for point, mode in cases:
-        got = _sweep(ctx, point, encoded, mode)
+    on_point, away_point = TablePoint(ctx, table, on), TablePoint(ctx, table, away)
+    cases = (
+        (_sweep(ctx, on_point, encoded, beta), on_point, beta),
+        ([c.eval(ctx, away) if c else mpc(0) for c in coeffs], away_point, None),
+    )
+    for got, point, mode in cases:
         want = _per_part_oracle(ctx, point, encoded, mode)
         assert got[2] == want[2] == 0
         for x, y in zip(got, want):
@@ -513,9 +519,10 @@ def test_condition_rows_match_the_per_part_oracle(ctx, xs8, name, monkeypatch):
 
 
 def test_checker_records_match_the_per_part_oracle(ctx, xs8, monkeypatch):
-    # check_residue and check_vanishing give the same records, pass or fail,
-    # with defects equal to 2^(8-prec), on a solved van Diejen section and a
-    # first-order operator in two variables
+    # check_residue gives the same records, pass or fail, with defects equal
+    # to 2^(8-prec), on a solved van Diejen section and a first-order
+    # operator in two variables; check_vanishing reads `eval`, not the
+    # sweep, so its records only keep the two lists aligned
     _, (_, H) = vandiejen_sections(ctx, xs8, Q, T, 1)
     D = first_order([Q / 2 + mpc("0.1", "0.06"), Q / 2 - mpc("0.1", "0.06") + ETA], T, Q, 2)
     cases = (

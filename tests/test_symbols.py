@@ -8,7 +8,6 @@ from ccnops.symbols import (
     AffineForm,
     GammaProduct,
     PolarizationRecord,
-    Poly,
     ThetaExpr,
     Unbalanced,
     zvar,
@@ -24,11 +23,6 @@ def test_reduce_shift():
     te = gp.reduce(arity=1)
     assert isinstance(te, ThetaExpr)
     assert te.factors == ((z1, 1),)
-    # ledger: polarization z^2/2, weight -1 agree with the resolution
-    assert gp.polarization_poly() == Poly({(("z1", 2),): Fraction(1, 2)})
-    assert gp.weight_poly() == Poly.const(-1)
-    assert te.polarization_poly() == gp.polarization_poly()
-    assert te.weight() == -1
 
 
 def test_reduce_empty():
@@ -42,12 +36,6 @@ def test_reduce_unbalanced():
     out = gp.reduce()
     assert isinstance(out, Unbalanced)
     assert len(out.residual) == 2
-
-
-def test_reflection_ledger():
-    gp = GammaProduct(terms=((z1, 1), (qf - z1, 1)))
-    assert gp.polarization_poly().is_zero()
-    assert gp.weight_poly() == Poly.const(-1)
 
 
 def test_pochhammer_class_resolution(ctx):
@@ -79,16 +67,6 @@ def test_ledger_matches_measured_multiplier(ctx):
     mb = f(zb + ctx.tau) / f(zb)
     pred = ctx.e(-2 * (za - zb))
     assert rel(ma / mb, pred) < TOL
-
-
-def test_well_definedness_flags():
-    # theta(z1-z2)/theta(z1)theta(z2)... weight must vanish and Q must vanish
-    e1 = ThetaExpr(((z1 - zvar(2), 1), (z1 - zvar(2), -1)), arity=2)
-    assert e1.is_function_on_curve_power(2)
-    e2 = ThetaExpr(((z1, 1),), arity=1)
-    assert not e2.is_function_on_curve_power(1)
-    e3 = ThetaExpr(((z1, 1), (zvar(2), -1)), arity=2)
-    assert not e3.is_function_on_curve_power(2)  # weight 0 but Q nontrivial
 
 
 def test_polarization_record_ops():

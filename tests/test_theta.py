@@ -8,7 +8,6 @@ from ccnops.curve import (
     GAUSS_ONE,
     CurveContext,
     ModulusError,
-    PoleProximityError,
     PrecisionError,
     gauss_div,
     point_key,
@@ -51,23 +50,6 @@ def test_quasi_periodicity(ctx):
         v = ctx.theta(z)
         assert rel(ctx.theta(z + 1), -v) < TOL
         assert rel(ctx.theta(z + ctx.tau), -ctx.e(-z - ctx.tau / 2) * v) < TOL
-
-
-def test_pochhammer():
-    ctx = CurveContext(TAU, 192)
-    q = mpc("0.05", "0.41")
-    z = mpc("0.17", "0.23")
-    assert ctx.theta_pochhammer(z, 0, q) == 1
-    want = ctx.theta(z) * ctx.theta(q + z)
-    assert rel(ctx.theta_pochhammer(z, 2, q), want) < TOL
-    assert rel(ctx.theta_pochhammer(z, -1, q), 1 / ctx.theta(-q + z)) < TOL
-
-
-def test_pochhammer_pole_guard():
-    ctx = CurveContext(TAU, 192)
-    q = mpc("0.05", "0.41")
-    with pytest.raises(PoleProximityError):
-        ctx.theta_pochhammer(q, -1, q)  # hits theta(0)
 
 
 def test_threshold_errors():
@@ -207,3 +189,31 @@ def test_theta_at_the_edge_of_the_reduced_domain(prec):
         want = ref.theta_product(z)
         with mp.workprec(820):
             assert abs(c.theta(z) - want) <= abs(want) * mpf(2) ** (4 - prec), z
+
+
+def test_theta_kernel_against_its_own_sum_at_f_plus_400_bits():
+    # theta_at_x0, unrounded, against the same N-term sum over the same
+    # weights w_j, from the same x0 and 1/x0, at F + 400 bits: the
+    # denominator D = sum_j (2j+1) w_j is summed exactly from the weights,
+    # so no systematic error is left (1/D rounded to ctx._wp bits put about
+    # 5e-6 units of 2^-prec into every theta)
+    ctx = CurveContext(TAU, 256)
+    F = ctx._fix
+    rng = random.Random(18)
+    worst = mpf(0)
+
+    def exact(g):  # a Gaussian float (re, im, e) as an mpc
+        return mpc(mp.ldexp(g[0], g[2]), mp.ldexp(g[1], g[2]))
+
+    with mp.workprec(F + 400):
+        weights = [mp.make_mpc(point_key(w)) for w in ctx._sum_weights]
+        denom = sum((2 * j + 1) * w for j, w in enumerate(weights))
+        for _ in range(200):
+            w0 = mpc(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5) * ctx.tau.imag)
+            reduced = (*(to_fixed(x, F) for x in point_key(w0)), 0, 0)
+            w0 = mpc(mp.ldexp(reduced[0], -F), mp.ldexp(reduced[1], -F))  # the kernel's fixed point, exactly
+            x, y = ctx.half_e(w0)
+            got, x0, y0 = exact(ctx.theta_at_x0(reduced, x, y)), exact(x), exact(y)
+            want = sum(w * (x0 ** (2 * j + 1) - y0 ** (2 * j + 1)) for j, w in enumerate(weights)) / denom
+            worst = max(worst, abs(got - want) / abs(want))
+    assert worst * mpf(2) ** ctx.prec <= mpf("1e-8"), worst * mpf(2) ** ctx.prec
