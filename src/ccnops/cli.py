@@ -617,21 +617,32 @@ def _eval_kv(tokens):
     return out
 
 
+def _int_binding(kv, key, default, least):
+    """The binding key=... as an integer (default if absent); a ConfigError unless an integer >= least."""
+    try:
+        value = int(kv.get(key, default))
+    except ValueError:
+        raise ConfigError("%s=%s is not an integer" % (key, kv[key])) from None
+    if value < least:
+        raise ConfigError("%s=%d is below %d" % (key, value, least))
+    return value
+
+
 def _registry_build(name, tokens, S):
     """Named-family registry addressable by string id plus parameter bindings."""
     from .families import d_cascade, d_torsion_closed_form, first_order, theta_pm_multiplier
 
     kv = _eval_kv(tokens)
-    n = int(kv.get("n", S["n"]))
+    n = _int_binding(kv, "n", S["n"], 1)
     q, t = S["q"], S["t"]
     if name == "first-order":
         us = [parse_complex(x) for x in kv.get("u", "").split(";") if x]
         return first_order(us, t, q, n)
     if name == "cascade":
-        d = int(kv.get("d", 1))
+        d = _int_binding(kv, "d", 1, 0)
         return d_cascade(d, q, t, n, parse_complex(kv.get("probe", "0.111+0.077j")))
     if name == "torsion":
-        d = int(kv.get("d", 2))
+        d = _int_binding(kv, "d", 2, 1)
         return d_torsion_closed_form(d, mpf(1) / d, t, n, S["ctx"])
     if name == "theta-multiplier":
         return theta_pm_multiplier(parse_complex(kv.get("u", "0.1+0.05j")), n, {"q": mpc(q), "t": mpc(t)})
@@ -642,9 +653,10 @@ def cmd_solve_section(args, cfg):
     from .conditions import section_solve_first_order, vandiejen_nullspace
 
     S = session_from_config(cfg)
+    n = _n_at_most_2(S, "solve-section " + args.family)
     if args.family == "first-order":
         model, null, ops = section_solve_first_order(
-            S["ctx"], S["n"], args.dprime, S["eta_prime"], S["q"], S["t"], seed=S["seed"]
+            S["ctx"], n, args.dprime, S["eta_prime"], S["q"], S["t"], seed=S["seed"]
         )
         print("dimension %d" % len(null))
         if args.out and ops:
@@ -655,7 +667,7 @@ def cmd_solve_section(args, cfg):
         xs = S["xs"]
         if len(xs) != 8:
             raise ConfigError("van-diejen solve needs x1..x8 in the config")
-        _, null = vandiejen_nullspace(S["ctx"], xs, S["q"], S["t"], S["n"], seed=S["seed"])
+        _, null = vandiejen_nullspace(S["ctx"], xs, S["q"], S["t"], n, seed=S["seed"])
         print("dimension %d" % len(null))
         return 0
     raise ConfigError("unknown section family %r" % args.family)

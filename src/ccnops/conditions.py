@@ -6,42 +6,43 @@ t-divisor.  A single sampling pipeline feeds both of its consumers:
 
 * `_residue_samples` draws points on components of a root divisor
   {beta(z) + m q = lambda}, lambda in 0, 1, tau (and 1+tau), away from the
-  poles of a factor table, and evaluates the displayed theta correction
-  bracket there at one or more u-probes;
+  poles of the coefficients under test, and evaluates the displayed theta
+  correction bracket there at one or more u-probes;
 * `_vanishing_samples` draws points on an x- or t-divisor, each with a
   nearby reference point that sets the scale.
 
 Every point is put on its root divisor by the one rule `_place_on_root`.
-Residues of structured coefficients (`ExprCoefficient`) are read through a
-factor table, `factors.FactorTable`, that holds each distinct theta argument
-once and evaluates it once per sample point: the pole test, the search for
-the unique vanishing factor and the numerator product all read those
-values, so holomorphy along a divisor is never a limit extraction.
-`check_residue` builds a table over the two coefficients under test and
-uses three components and two u-probes; `SectionModel.condition_rows`
-builds one table over every basis coefficient and uses four components and
-one probe.  `check_vanishing` reads coefficient values through `eval`, the
-path of every other coefficient value (`factors.CompiledParts`).
+Residues of structured coefficients (`ExprCoefficient`) read the compiled
+parts of their values (`ExprCoefficient.compiled`), whose factors are ids in
+the context's one argument table, and the poles a sample point avoids are
+ids too (`factors.pole_arguments`).  At a point each argument is evaluated
+once (`factors.TablePoint`): the pole test, the search for the unique
+vanishing factor and the numerator product all read those values, so
+holomorphy along a divisor is never a limit extraction.  `check_residue`
+reads the two coefficients under test and uses three components and two
+u-probes; `SectionModel.condition_rows` reads every basis coefficient and
+uses four components and one probe.  `check_vanishing` reads coefficient
+values through `eval` (`factors.CompiledParts`).
 
-The table path runs on Python integers (see `curve` and `factors`).  Each
-argument is compiled once per context into a parameter constant c and
-integer z-coefficients k_j (+-1 or +-2 in every model), with e(+-c/2)
-formed once; a point forms e(+-z_j/2) once per coordinate.  An argument's F-bit
-fixed-point value c + sum_j k_j z_j serves the pole tests and the lattice
-reduction, and its theta comes from `CurveContext.theta_fixed` as a
-Gaussian float, F = `ctx._wp` + GUARD_BITS.  One sweep per sample point
-(`_sweep`) reads the residues of many columns: each part's unique vanishing
-denominator factor is found and left out, the parts of all columns are
-sorted by the factors left in them, and each part multiplies only the
-factors after the prefix it shares with the part before it
-(`factors.prefix_products`); its scale, slope and theta' multiply in after
-that.  A part is a numerator and a denominator of Gaussian-float products,
-divided once (`gauss_quotient`): its relative error is the theta values'
-own (a few units of 2^-F each, more only near a theta zero) plus 2^(2-F)
-per product.  A column's parts add exactly, and each column is rounded
-once, to `ctx._wp` bits.  `condition_rows` runs the sweep once per point,
-over the parts of every column at the shift k and then at k2;
-`check_residue` runs it with the two coefficients as two columns.
+The residue path runs on Python integers (see `curve` and `factors`).  An
+argument is a parameter constant c and integer z-coefficients k_j (+-1 or
++-2 in every model); e(+-c/2) is formed once per context, and a point forms
+e(+-z_j/2) once per coordinate.  An argument's F-bit fixed-point value
+c + sum_j k_j z_j serves the pole tests and the lattice reduction, and its
+theta comes from `CurveContext.theta_fixed` as a Gaussian float, F =
+`ctx._wp` + GUARD_BITS.  One sweep per sample point (`_sweep`) reads the
+residues of many columns: each part's unique vanishing denominator factor
+is found and left out, the parts of all columns are sorted by the factors
+left in them, and each part multiplies only the factors after the prefix it
+shares with the part before it (`factors.prefix_products`); its scale,
+slope and theta' multiply in after that.  A part is a numerator and a
+denominator of Gaussian-float products, divided once (`gauss_quotient`):
+its relative error is the theta values' own (a few units of 2^-F each, more
+only near a theta zero) plus 2^(2-F) per product.  A column's parts add
+exactly, and each column is rounded once, to `ctx._wp` bits.
+`condition_rows` runs the sweep once per point, over the parts of every
+column at the shift k and then at k2; `check_residue` runs it with the two
+coefficients as two columns.
 
 Dimensions are decided by the one rank rule of `weyl.spectrum_rank`: the
 solver's `nullspace_basis` and `operator_span_contains` scale their matrices
@@ -79,7 +80,7 @@ from .diffop import (
     identity_operator,
     rel_defect,
 )
-from .factors import FactorTable, TablePoint, prefix_products
+from .factors import TablePoint, pole_arguments, prefix_products, z_coefficients
 from .families import van_diejen_leading_expr
 from .symbols import AffineForm, ThetaExpr, zvar
 from .weyl import (
@@ -229,14 +230,14 @@ def enumerate_conditions(degree, lam, params, n):
     # t-vanishing at the corner of each interval weight
     for mu in interval:
         corner = tuple(-x for x in mu)
-        for root in inversion_set(mu, filter="D"):
+        for root in inversion_set(mu):
             beta = (root.kind, root.i, root.j)
             specs.append(ConditionSpec("t-vanish", beta, root.level, corner, (), 0))
     return specs
 
 
 # ---------------------------------------------------------------------------
-# the factor table and residue extraction
+# residue extraction
 
 
 def _fixed_square(ctx, bound):
@@ -247,14 +248,14 @@ def _fixed_square(ctx, bound):
 #: |reduced argument| below which a denominator factor vanishes at a sample
 _ON_DIVISOR = Fraction(1, 10**9)
 
-#: least distance of a sample point from the table's poles
+#: least distance of a sample point from the poles
 _POLE_MARGIN = Fraction(5, 1000)
 
 
 def _sweep(ctx, point, columns, beta_coeffs):
     """The residue of each column at a `TablePoint`, along the divisor with beta form beta_coeffs.
 
-    columns: the encoded parts (`FactorTable.add`) of each column.  The
+    columns: the compiled parts (`_residue_parts`) of each column.  The
     residue is taken along the divisor through the point, in the local
     coordinate s = beta(z) + m q - lambda, traversed by varying the first
     coordinate beta involves.  Each part contributes through its unique
@@ -273,7 +274,7 @@ def _sweep(ctx, point, columns, beta_coeffs):
     F = ctx._fix
     seqs, heads = [], []  # per part: its factors left; (column, numerator head, denominator head)
     svar = next(i for i, c in enumerate(beta_coeffs) if c)
-    zsym, bslope = "z%d" % (svar + 1), beta_coeffs[svar]
+    bslope = beta_coeffs[svar]
     on_divisor = _fixed_square(ctx, _ON_DIVISOR)
     slopes, derivs = {}, {}
     for col, parts in enumerate(columns):
@@ -292,7 +293,7 @@ def _sweep(ctx, point, columns, beta_coeffs):
             if vanishing is None:
                 continue
             idx, arg, a, b = vanishing
-            slope = memo(slopes, arg, lambda: point.table.args[arg][0].coeff(zsym) / bslope)
+            slope = memo(slopes, arg, lambda: z_coefficients(ctx, arg).get(svar, 0) / bslope)
             dr, di, de = memo(derivs, (a, b), lambda: ctx.theta_deriv_fixed(a, b))
             seqs.append(factors[:idx] + factors[idx + 1:])
             heads.append((
@@ -311,23 +312,19 @@ def _sweep(ctx, point, columns, beta_coeffs):
     return [gauss_round(total, ctx._wp) for total in totals]
 
 
-def _parallel(form, beta_coeffs, n):
-    """Whether the z-part of `form` is proportional to the divisor's."""
-    zc = [form.coeff("z%d" % (i + 1)) for i in range(n)]
-    if all(not c for c in zc):
-        return False
-    ratio = None
-    for a, b in zip(zc, beta_coeffs):
-        if not a and not b:
-            continue
-        if (not a) != (not b):
-            return False
-        r = a / b
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            return False
-    return True
+def _residue_parts(ctx, coeff):
+    """A coefficient's compiled parts (`ExprCoefficient.compiled`) for `_sweep`; () for an absent one."""
+    if coeff is None:
+        return ()
+    if not isinstance(coeff, ExprCoefficient):
+        raise ValueError("condition checks need structured coefficients")
+    return coeff.compiled(ctx).parts
+
+
+def _parallel(zk, beta_coeffs):
+    """Whether the z-part {j: k_j} of an argument is a nonzero multiple of the divisor's."""
+    zc = [zk.get(i, 0) for i in range(len(beta_coeffs))]
+    return any(zc) and all(a * d == b * c for a, b in zip(zc, beta_coeffs) for c, d in zip(zc, beta_coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -362,23 +359,17 @@ def _place_on_root(z, beta, target):
         z[i] = target / 2
 
 
-def _divisor_sample(ctx, rng, n, beta, target, table):
-    """A random point of {beta(z) = target} at least 5e-3 from the table's poles.
+def _divisor_sample(ctx, rng, n, beta, target, poles):
+    """A random point of {beta(z) = target} at least 5e-3 from each of `poles` (argument ids).
 
-    Returns the table's values at the point (a `TablePoint`).  Poles parallel to
-    the divisor are excluded from the rejection test (their vanishing is the
-    pole under examination).
+    Returns the arguments' values at the point (a `TablePoint`).
     """
-    beta_coeffs = _beta_form(beta, n)
-    effective = [
-        i for i in table.poles.values() if not _parallel(table.args[i][0], beta_coeffs, n)
-    ]
     margin = _fixed_square(ctx, _POLE_MARGIN)
     for _ in range(MAX_RETRIES):
         z = [mpc(rng.uniform(-0.4, 0.4), rng.uniform(-0.35, 0.35)) for _ in range(n)]
         _place_on_root(z, beta, target)
-        point = TablePoint(ctx, table, tuple(z))
-        if all(point.dist2(i) >= margin for i in effective):
+        point = TablePoint(ctx, tuple(z))
+        if all(point.dist2(i) >= margin for i in poles):
             return point
     raise PoleProximityError("could not sample the divisor away from other poles")
 
@@ -392,20 +383,24 @@ def _bracket(ctx, spec, zstar, u, X, q, n):
     return ctx.theta(u) * ctx.theta(X + u + sval) / (ctx.theta(u + sval) * ctx.theta(X + u))
 
 
-def _residue_samples(ctx, rng, spec, n, env, components, samples, probes, table):
-    """Sample points for a residue-pair condition, away from the poles of `table`.
+def _residue_samples(ctx, rng, spec, n, env, components, samples, probes, poles):
+    """Sample points for a residue-pair condition, away from `poles` (argument ids, `factors.pole_arguments`).
 
     Yields (component, sample number, point, brackets): `samples` points on
-    each component {beta(z) + m q = lambda} of the divisor, each a `TablePoint`
-    of the table, with the correction bracket, raised to the pair exponent,
+    each component {beta(z) + m q = lambda} of the divisor, each a
+    `TablePoint`, with the correction bracket, raised to the pair exponent,
     at `probes` u-probes.  The RNG draws the point first, then the probes.
+    Poles parallel to the divisor are not avoided: their vanishing is the
+    pole under examination.
     """
+    beta_coeffs = _beta_form(spec.beta, n)
+    poles = [i for i in poles if not _parallel(z_coefficients(ctx, i), beta_coeffs)]
     q, _, X = _env_values(env, n)
     offsets = {"0": mpc(0), "1": mpc(1), "tau": ctx.tau, "1+tau": 1 + ctx.tau}
     for comp in components:
         target = offsets[comp] - spec.level * q
         for snum in range(samples):
-            point = _divisor_sample(ctx, rng, n, spec.beta, target, table)
+            point = _divisor_sample(ctx, rng, n, spec.beta, target, poles)
             brackets = []
             for re_box, im_box in _PROBE_BOXES[:probes]:
                 u = mpc(rng.uniform(*re_box), rng.uniform(*im_box))
@@ -447,11 +442,11 @@ def check_residue(ctx, op, specs, env, samples=2, seed=11, tol=mpf("1e-25")):
     for spec in specs:
         if spec.kind != "residue-pair":
             continue
-        table = FactorTable()
-        parts = [table.add(op.coefficient(spec.k)), table.add(op.coefficient(spec.k2))]
+        coeffs = [op.coefficient(spec.k), op.coefficient(spec.k2)]
+        parts = [_residue_parts(ctx, c) for c in coeffs]
         beta_coeffs = _beta_form(spec.beta, n)
         for comp, snum, point, (b1, b2) in _residue_samples(
-            ctx, rng, spec, n, env, _CHECK_COMPONENTS, samples, 2, table
+            ctx, rng, spec, n, env, _CHECK_COMPONENTS, samples, 2, pole_arguments(ctx, coeffs)
         ):
             res_a, res_b = _sweep(ctx, point, parts, beta_coeffs)
             probe_defect = rel_defect(b1, b2)
@@ -645,17 +640,16 @@ class SectionModel:
             rng = random.Random(seed)
             ctx, n = self.ctx, self.n
             rows = []
-            table = FactorTable()
-            columns = [
-                {k: table.add(op.coefficient(k)) for k in op.support()} for _, op in self.basis_ops
-            ]
+            ops = [op for _, op in self.basis_ops]
+            columns = [{k: _residue_parts(ctx, c) for k, c in op.coeffs.items()} for op in ops]
+            poles = pole_arguments(ctx, [op.coefficient(k) for op in ops for k in op.support()])
             for spec in specs:
                 if spec.kind != "residue-pair":
                     raise ValueError("condition rows are built from residue-pair specs only")
                 beta_coeffs = _beta_form(spec.beta, n)
                 parts = [col.get(k, ()) for k in (spec.k, spec.k2) for col in columns]
                 for _, _, point, (b1,) in _residue_samples(
-                    ctx, rng, spec, n, self.env, _SOLVE_COMPONENTS, 2, 1, table
+                    ctx, rng, spec, n, self.env, _SOLVE_COMPONENTS, 2, 1, poles
                 ):
                     row = []
                     scale = mpf(0)

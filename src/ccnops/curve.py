@@ -17,14 +17,15 @@ normalized by an explicit exponential prefactor whose branch is the principal
 logarithm, fixed once per tau.
 
 Theta has one kernel, on Python integers, and one zero rule (`theta_at_x0`);
-`CurveContext.theta`, coefficient values (through `theta_of_fixed`) and the
-factor tables of the condition checkers and the section solver (through
-`theta_fixed`) all read it.  Values are Gaussian
+`CurveContext.theta` and two readers of the context's one argument table
+(`factors`) all read it: coefficient values through `theta_of_fixed`, and
+the residue sweeps of the condition checkers and the section solver
+through `theta_fixed`.  Values are Gaussian
 floats: (re + i im) 2^e with integer re, im cut back to F = `ctx._wp` +
 GUARD_BITS bits after each product (`gauss_mul`).  An argument z arrives as
 F-bit fixed-point integers and is reduced to z = w0 + m + n tau by integer
-rounding (`reduce_fixed`).  The tables form e(z/2) and e(-z/2) as Gaussian
-floats from per-table and per-point exponentials, and x0 = e(w0/2) = (-1)^m
+rounding (`reduce_fixed`).  A sweep forms e(z/2) and e(-z/2) as Gaussian
+floats from per-argument and per-point exponentials, and x0 = e(w0/2) = (-1)^m
 e(-n tau/2) e(z/2) (`theta_fixed`); `CurveContext.theta` forms w0 exactly and
 reads x0 = `half_e`(w0), so that x0 - 1/x0 keeps its relative precision near a
 zero of theta.  x0 feeds the lacunary sum, run in F-bit fixed point (Brent &
@@ -40,15 +41,17 @@ exactly 0.  Beyond `half_e` and that exact w0, no exponential, cos/sin,
 carries an absolute error of a unit of 2^-F relative to its own coefficient
 (relative to |theta|, so more near a zero of theta, where s cancels); each
 product cuts its mantissas once, a relative error of at most 2^(2-F).
-`CurveContext.theta` rounds one value once to `ctx._wp` bits, and a table's quotient of products of
-k theta values is good to about k (that error + 2^(2-F)) relative and is
-rounded once, to `ctx._wp` bits (both by `gauss_div`).
+`CurveContext.theta` rounds one value once to `ctx._wp` bits, and a
+sweep's quotient of products of k theta values is good to about k (that
+error + 2^(2-F)) relative and is rounded once, to `ctx._wp` bits (both by
+`gauss_div`).
 
 Coefficient values run on the same integers (`factors`).  Each theta
 argument of a coefficient, an affine form in z and parameter symbols, is
 compiled once per context and per (form, values of the parameters it reads)
-into a constant c, cut to F-bit fixed point, and integer z-coefficients k_j
-(`factors.compile_argument`).  At a point, z_j in fixed point (moved by
+into a constant c, cut to F-bit fixed point, and integer z-coefficients k_j,
+one entry of the context's argument table (`factors.compile_argument`),
+which the residue sweeps read as well.  At a point, z_j in fixed point (moved by
 q s_j for a shift z -> z + q s), the argument a = c + sum_j k_j z_j is an
 integer sum, and its theta is `theta_of_fixed`(a): `reduce_fixed`, x0 =
 `half_e`(w0) at the exact fixed-point w0, then `theta_at_x0`, memoized on
@@ -133,6 +136,9 @@ MAX_RETRIES = 64
 
 #: truncation guard bits on top of the working precision
 GUARD_BITS = 16
+
+#: most factors per row, and rows, of `CurveContext.gamma_double_product`
+DOUBLE_PRODUCT_TERMS = 400
 
 
 _MISS = object()
@@ -322,7 +328,9 @@ class CurveContext:
         self._half_tau_cache = {}
         self._theta_cache = {}
         self._fixed_theta_cache = {}
-        self._argument_cache = {}  # factors.compile_argument, per (form, values read)
+        self._argument_cache = {}  # factors.compile_argument: an id per (form, values read)
+        self._arguments = []  # its entry per id: (re c, im c, ((j, k_j), ...), c)
+        self._argument_halves = {}  # e(+-c/2) per id that a residue sweep reads
         self._gamma_cache = {}
         self._gamma_table_cache = {}
         self._c_pair_cache = {}
@@ -722,8 +730,12 @@ class CurveContext:
                 raise PoleProximityError("gamma_q(z) has a pole at z = %s" % mp.make_mpc(zk))
         return gauss_div(num, den, self._wp)
 
-    def gamma_double_product(self, z, q, max_terms=400):
-        """Reference evaluation of the Gamma symbol by its raw double product."""
+    def gamma_double_product(self, z, q):
+        """Reference evaluation of the Gamma symbol by its raw double product.
+
+        p^j Q^k (p = e(tau), Q = e(q)) and its modulus are running products;
+        a row stops once |p^j Q^k| (|x| + 1/|x|) is below the cutoff.
+        """
         with mp.workprec(self._wp):
             z = mpc(z)
             q = mpc(q)
@@ -734,20 +746,23 @@ class CurveContext:
             p = self.e(self.tau)
             Q = self.e(q)
             x = self.e(z)
+            pq_x = p * Q / x
+            size = abs(x) + 1 / abs(x)
+            abs_p, abs_Q = abs(p), abs(Q)
             val = mpc(1)
-            for j in range(max_terms):
-                pj = p ** j
+            pj, abs_pj = mpc(1), mpf(1)
+            for _ in range(DOUBLE_PRODUCT_TERMS):
                 row = mpc(1)
                 done_row = False
-                for kk in range(max_terms):
-                    Qk = Q ** kk
-                    numer = 1 - pj * p * Qk * Q / x
-                    denom = 1 - pj * Qk * x
-                    row *= numer / denom
-                    if abs(pj * Qk) * (abs(x) + 1 / abs(x)) < self._cutoff:
+                pjk, abs_pjk = pj, abs_pj  # p^j Q^k and its modulus
+                for kk in range(DOUBLE_PRODUCT_TERMS):
+                    row *= (1 - pjk * pq_x) / (1 - pjk * x)
+                    if abs_pjk * size < self._cutoff:
                         done_row = kk > 0
                         break
+                    pjk, abs_pjk = pjk * Q, abs_pjk * abs_Q
                 val *= row
-                if done_row and abs(pj) * (abs(x) + 1 / abs(x)) < self._cutoff:
+                if done_row and abs_pj * size < self._cutoff:
                     break
+                pj, abs_pj = pj * p, abs_pj * abs_p
             return pref * val

@@ -11,7 +11,7 @@ denominator theta factors are explicit and the condition checkers evaluate
 residues on divisors instead of extracting limits), a `CompositeCoefficient`
 (a coefficient of `DifferenceOperator.compose`: a sum of products of shifted
 structured coefficients), or an opaque `FnCoefficient` (formal tails).  The
-first two are evaluated on the fixed-point factor table of `factors`.
+first two are evaluated on the context's fixed-point argument table (`factors`).
 """
 
 from __future__ import annotations
@@ -380,13 +380,12 @@ class DifferenceOperator:
             coeffs[k] = c.scaled_expr(resolved, self.params)
         return DifferenceOperator(self.n, coeffs, self.params, self.degree)
 
-    def selberg_adjoint(self, density=None):
+    def selberg_adjoint(self, density):
         """Formal adjoint for the density; involutive anti-homomorphism, 1 -> 1.
 
         Coefficientwise: c~_k(z) = c_k(-z - q k) * [Delta(z + q k)/Delta(z)],
         the bracket resolved through the Gamma functional equation.
         """
-        density = density or SelbergDensity(self.n)
         qform = AffineForm.var("q")
         coeffs = {}
         for k, c in self.coeffs.items():

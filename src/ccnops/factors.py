@@ -1,25 +1,34 @@
-"""Compiled theta arguments: the one fixed-point table behind coefficient values and condition rows.
+"""Compiled theta arguments: one table per context behind coefficient values and residues.
 
 A theta factor's argument is an affine form in the curve coordinates z_j and
 in parameter symbols.  One rule (`_compile`) splits it into a constant c,
 summed at F + GUARD_BITS bits and cut to F-bit fixed point (F = `ctx._fix`),
 and integer z-coefficients k_j; a form with a non-integer z-coefficient
-raises ValueError.  At a point the argument c + sum_j k_j z_j is an integer
-sum.  Two readers share that rule:
+raises ValueError.  Each argument compiles once per context and per (form,
+values of the parameters it reads) into the context's table
+(`compile_argument`), and is named by its id from then on: a compiled factor
+is an (id, exponent) pair, and a pole of the residue checkers is an id
+(`pole_arguments`).  At a point the argument c + sum_j k_j z_j is an integer
+sum.  Two readers share the table, each with the theta kernel its traffic
+suits:
 
 * coefficient values (`compile_parts`, `CompiledParts`), behind
   `ThetaExpr.eval`, `ExprCoefficient.eval` (which `conditions.check_vanishing`
-  reads) and the composites of `DifferenceOperator.compose`.  Each argument
-  compiles once per context and per (form, values of the parameters it
-  reads) (`compile_argument`), each theta is `CurveContext.theta_of_fixed`
-  of the fixed-point argument, each part a quotient of Gaussian-float
-  products, and the parts are summed exactly; a shift z -> z + q s moves
-  the fixed-point coordinates by q s_j (`fixed_shift`), so no shifted point
-  is formed;
-* residues, for condition rows and residue checks (`FactorTable`,
-  `TablePoint`), which compile each argument once per table, form e(+-c/2)
-  once per argument and e(+-z_j/2) once per point and coordinate, and read
-  theta through `CurveContext.theta_fixed`.
+  reads) and the composites of `DifferenceOperator.compose`.  Each theta is
+  `CurveContext.theta_of_fixed`, memoized on the fixed-point argument, each
+  part a quotient of Gaussian-float products, and the parts are summed
+  exactly; a shift z -> z + q s moves the fixed-point coordinates by q s_j
+  (`fixed_shift`), so no shifted point is formed.  Values repeat: the memo
+  answers 8,748 of the 10,116 theta reads of a bench `verify` pass, and
+  reading them through `theta_fixed` with a point memo cost `verify` 5% in
+  wall time and 17% in peak memory;
+* residues, for condition rows and residue checks (`TablePoint`), at random
+  sample points where nothing repeats.  e(+-c/2) is formed once per
+  argument and context, only for the arguments a sweep reads, and
+  e(+-z_j/2) once per point and coordinate, and theta is
+  `CurveContext.theta_fixed`.  Through `theta_of_fixed` each of the 14,234
+  factors of a bench `solve` pass would cost one more `half_e`, about
+  0.57 s on a 1.3 s pass.
 
 Both multiply their parts through one prefix loop (`prefix_products`): the
 parts are sorted by their factors, and each multiplies only the factors
@@ -55,28 +64,31 @@ def z_index(sym):
 
 
 def _reads(form, values):
-    """The parameter values a form reads from `values`, and their exact key (s, point key, ...)."""
+    """The parameter values a form reads from `values`, and their exact key ((s, point key), ...) in name order."""
     reads = {s: values[s] for s in form.coeffs if s in values and z_index(s) is None}
-    return reads, tuple(x for s, v in reads.items() for x in (s, point_key(v)))
+    return reads, tuple(sorted((s, point_key(v)) for s, v in reads.items()))
 
 
 def compile_argument(ctx, form, values):
-    """The form under ctx as (re c, im c, ((j, k_j), ...)), c in F-bit fixed point; memoized per context.
+    """The id of the form's argument in the context's table, compiled on first use.
 
     The key is the form's `layout` (its coefficients in their stored order
-    and its constant) and the exact values of the parameters it reads.
+    and its constant) and the exact values of the parameters it reads.  The
+    entry `ctx._arguments[id]` is (re c, im c, ((j, k_j), ...), c): c in
+    F-bit fixed point, the z-coefficients, and c at F + GUARD_BITS bits, from
+    which a residue sweep forms e(+-c/2) (`TablePoint`).
     """
 
     def compute():
-        (cr, ci), zk, _ = _compile(ctx, form, reads)
-        return cr, ci, zk
+        ctx._arguments.append(_compile(ctx, form, reads))
+        return len(ctx._arguments) - 1
 
     reads, key = _reads(form, values)
     return memo(ctx._argument_cache, (form.layout(), key), compute)
 
 
 def _compile(ctx, form, reads):
-    """((re c, im c) in F-bit fixed point, ((j, k_j), ...), c): c summed at F + GUARD_BITS bits."""
+    """(re c, im c, ((j, k_j), ...), c): c summed at F + GUARD_BITS bits, then cut to F-bit fixed point."""
     F = ctx._fix
     zk = []
     with mp.workprec(F + GUARD_BITS):
@@ -85,12 +97,35 @@ def _compile(ctx, form, reads):
             j = z_index(s)
             if j is not None:
                 if k.denominator != 1:
-                    raise ValueError("factor tables need integer z-coefficients, got %s in %s" % (k, form))
+                    raise ValueError("theta arguments need integer z-coefficients, got %s in %s" % (k, form))
                 zk.append((j, int(k)))
             else:
                 c += exact_mpc(reads[s]) * mpc(k.numerator) / k.denominator
     re, im = c._mpc_
-    return (to_fixed(re, F), to_fixed(im, F)), tuple(zk), c
+    return to_fixed(re, F), to_fixed(im, F), tuple(zk), c
+
+
+def z_coefficients(ctx, i):
+    """{j: k_j}: the integer z-coefficients of argument i."""
+    return dict(ctx._arguments[i][2])
+
+
+def pole_arguments(ctx, coeffs):
+    """The ids of the poles of structured coefficients, one per distinct pole, in first-seen order.
+
+    A pole is a denominator factor's form, up to the order of its
+    coefficients (`form.key()`), and the values it reads; the first argument
+    seen for it stands for it.  An absent (None) coefficient has none.
+    """
+    poles = {}
+    for coeff in coeffs:
+        for _, expr, values in coeff.parts if coeff is not None else ():
+            for form, m in expr.factors:
+                if m < 0:
+                    pole = form.key(), _reads(form, values)[1]
+                    if pole not in poles:
+                        poles[pole] = compile_argument(ctx, form, values)
+    return list(poles.values())
 
 
 def fixed_point(ctx, z):
@@ -104,13 +139,13 @@ def fixed_point(ctx, z):
 
 
 def compile_parts(ctx, parts):
-    """Parts (scale, ThetaExpr, values) as (scale, ((cr, ci, zk, m), ...)) under ctx.
+    """Parts (scale, ThetaExpr, values) as (scale, ((id, m), ...)) under ctx.
 
-    scale is a Gaussian float, (cr, ci) a factor's compiled constant, zk its
-    z-coefficients and m its exponent.
+    scale is a Gaussian float, id a factor's argument in the context's table
+    (`compile_argument`) and m its exponent.
     """
     return tuple(
-        (gauss_exact(scale), tuple((*compile_argument(ctx, form, values), m) for form, m in expr.factors))
+        (gauss_exact(scale), tuple((compile_argument(ctx, form, values), m) for form, m in expr.factors))
         for scale, expr, values in parts
     )
 
@@ -187,10 +222,10 @@ class CompiledParts:
 
     def _value(self, zf):
         ctx = self.ctx
-        F = ctx._fix
+        F, args = ctx._fix, ctx._arguments
 
         def theta(factor):
-            cr, ci, zk, _ = factor
+            cr, ci, zk, _ = args[factor[0]]
             for j, k in zk:
                 cr += k * zf[j][0]
                 ci += k * zf[j][1]
@@ -204,78 +239,22 @@ class CompiledParts:
 
 
 # ---------------------------------------------------------------------------
-# the residue checkers' factor table
-
-
-class FactorTable:
-    """The distinct theta arguments of a set of structured coefficients.
-
-    `add` encodes a coefficient as parts (scale, ((argument, exponent), ...))
-    in factor order, the scale an exact Gaussian float.  An argument is a
-    (form, bindings of the parameters it reads) pair, keyed as
-    `compile_argument` keys it, so equal keys are one argument.  `poles` keeps one argument per distinct denominator pole
-    (`form.key()` plus those values), in first-seen order.
-
-    `compiled(ctx)` compiles each argument once per table, as
-    `compile_argument` does, into its constant c and its integer
-    z-coefficients k_j, and forms e(+-c/2), so a sample point needs only
-    e(+-z_j/2) (see `TablePoint`).
-    """
-
-    def __init__(self):
-        self.args = []
-        self.poles = {}
-        self._index = {}
-        self._ctx = None
-        self._compiled = []
-
-    def add(self, coeff):
-        """The encoded parts of a coefficient; () for an absent one."""
-        from .diffop import ExprCoefficient
-
-        if coeff is None:
-            return ()
-        if not isinstance(coeff, ExprCoefficient):
-            raise ValueError("condition checks need structured coefficients")
-        return tuple(
-            (gauss_exact(scale), tuple((self._arg(form, params, m < 0), m) for form, m in expr.factors))
-            for scale, expr, params in coeff.parts
-        )
-
-    def _arg(self, form, params, pole):
-        reads, values = _reads(form, params)
-        i = self._index.setdefault((form.layout(), values), len(self.args))
-        if i == len(self.args):
-            self.args.append((form, reads))
-        if pole:
-            self.poles.setdefault((form.key(), tuple(sorted((s, point_key(v)) for s, v in reads.items()))), i)
-        return i
-
-    def compiled(self, ctx):
-        """Per argument: (c as F-bit fixed-point integers, ((j, k_j), ...), e(c/2), e(-c/2))."""
-        if ctx is not self._ctx:
-            self._ctx, self._compiled = ctx, []
-        for form, reads in self.args[len(self._compiled):]:
-            fixed, zk, c = _compile(ctx, form, reads)
-            self._compiled.append((fixed, zk, *ctx.half_e(c)))
-        return self._compiled
+# residues at a sample point
 
 
 class TablePoint:
-    """A factor table at the point z: each argument's reduction and theta, computed once on first use.
+    """The context's arguments at the point z: each one's reduction and theta, computed once on first use.
 
     Everything is on integers.  The argument c + sum_j k_j z_j is summed in
     F-bit fixed point and reduced by `CurveContext.reduce_fixed`; e(+-arg/2)
-    is e(+-c/2) from the table times e(+-z_j/2)^k_j, formed once per point
-    and coordinate, and `CurveContext.theta_fixed` turns them into theta as
-    a Gaussian float.
+    is e(+-c/2), formed once per argument and context, times
+    e(+-z_j/2)^k_j, formed once per point and coordinate, and
+    `CurveContext.theta_fixed` turns them into theta as a Gaussian float.
     """
 
-    def __init__(self, ctx, table, z):
+    def __init__(self, ctx, z):
         self.ctx = ctx
-        self.table = table
         self.z = z
-        self._args = table.compiled(ctx)
         self._fixed = fixed_point(ctx, z)
         self._halves = {}
         self._powers = {}
@@ -286,7 +265,7 @@ class TablePoint:
         """(w0r, w0i, m, n) of argument i: its `reduce_fixed` lattice reduction."""
 
         def compute():
-            (ar, ai), zk, _, _ = self._args[i]
+            ar, ai, zk, _ = self.ctx._arguments[i]
             for j, k in zk:
                 ar += k * self._fixed[j][0]
                 ai += k * self._fixed[j][1]
@@ -303,12 +282,13 @@ class TablePoint:
         """theta(argument i) as a Gaussian float."""
 
         def compute():
-            F = self.ctx._fix
-            _, zk, half, inv_half = self._args[i]
+            ctx = self.ctx
+            F, (_, _, zk, c) = ctx._fix, ctx._arguments[i]
+            half, inv_half = memo(ctx._argument_halves, i, lambda: ctx.half_e(c))
             for j, k in zk:
                 half = gauss_mul(half, self._power(j, k), F)
                 inv_half = gauss_mul(inv_half, self._power(j, -k), F)
-            return self.ctx.theta_fixed(self.reduced(i), half, inv_half)
+            return ctx.theta_fixed(self.reduced(i), half, inv_half)
 
         return memo(self._factors, i, compute)
 

@@ -17,7 +17,7 @@ from mpmath import mp
 from mpmath.libmp import from_int, fzero, mpf_add, mpf_div, mpf_mul, round_nearest
 
 from .curve import gauss_round, memo, point_key
-from .factors import CompiledParts, compile_parts, fixed_point
+from .factors import CompiledParts, compile_parts, fixed_point, z_coefficients
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +240,7 @@ class ThetaExpr:
 
         def compute():
             parts = compile_parts(ctx, ((1, self, bind),))
-            n = max((j + 1 for _, factors in parts for _, _, zk, _ in factors for j, _ in zk), default=0)
+            n = max((j + 1 for _, factors in parts for i, _ in factors for j in z_coefficients(ctx, i)), default=0)
             zf = fixed_point(ctx, [bind["z%d" % (j + 1)] for j in range(n)])
             return gauss_round(CompiledParts(ctx, parts).value(zf), ctx._wp)
 

@@ -156,44 +156,32 @@ def bruhat_interval(lam, lattice="root"):
 class AffineRoot:
     """Finite part beta plus level m (the +m*q part).
 
-    kind: "sum" (z_i+z_j), "diff" (z_i-z_j), "double" (2 z_i), "single" (z_i).
+    kind: "sum" (z_i+z_j) or "diff" (z_i-z_j), i < j.
     """
 
     kind: str
     i: int
-    j: int  # unused for double/single
+    j: int
     level: int
 
     def pairing(self, lam):
         if self.kind == "sum":
             return lam[self.i] + lam[self.j]
-        if self.kind == "diff":
-            return lam[self.i] - lam[self.j]
-        if self.kind == "double":
-            return 2 * lam[self.i]
-        return lam[self.i]
+        return lam[self.i] - lam[self.j]
 
 
-def positive_finite_roots(n, filter="D"):
-    """Positive roots of the requested type.
-
-    filter "D": z_i +- z_j (i<j); "C": D plus 2 z_i; "B": D plus z_i;
-    "all": D plus z_i plus 2 z_i.
-    """
+def positive_finite_roots(n):
+    """The positive roots z_i +- z_j (i < j) of type D."""
     roots = []
     for i in range(n):
         for j in range(i + 1, n):
             roots.append(AffineRoot("diff", i, j, 0))
             roots.append(AffineRoot("sum", i, j, 0))
-    if filter in ("C", "all"):
-        roots.extend(AffineRoot("double", i, 0, 0) for i in range(n))
-    if filter in ("B", "all"):
-        roots.extend(AffineRoot("single", i, 0, 0) for i in range(n))
     return roots
 
 
-def inversion_set(lam, filter="D"):
-    """Positive affine roots of the given type sent negative by t_lam.
+def inversion_set(lam):
+    """Positive affine roots of type D sent negative by t_lam.
 
     For each positive finite root beta with c = <beta, lam> > 0, the levels
     0 <= m < c appear.
@@ -201,7 +189,7 @@ def inversion_set(lam, filter="D"):
     lam = as_weight(lam)
     n = len(lam)
     out = []
-    for root in positive_finite_roots(n, filter):
+    for root in positive_finite_roots(n):
         c = root.pairing(lam)
         if c <= 0:
             continue
@@ -212,14 +200,13 @@ def inversion_set(lam, filter="D"):
     return out
 
 
-def inversion_set_bruteforce(lam, filter="D", max_level=None):
-    """Oracle: explicit sign check of t_lam on affine roots of bounded level."""
+def inversion_set_bruteforce(lam):
+    """Oracle: explicit sign check of t_lam on affine roots of type D and bounded level."""
     lam = as_weight(lam)
     n = len(lam)
-    if max_level is None:
-        max_level = int(2 * max([abs(x) for x in lam] + [Fraction(1)])) + 2
+    max_level = int(2 * max([abs(x) for x in lam] + [Fraction(1)])) + 2
     out = []
-    for root in positive_finite_roots(n, filter):
+    for root in positive_finite_roots(n):
         c = root.pairing(lam)
         for m in range(0, max_level + 1):
             # t_lam sends beta + m q to beta + (m - <beta,lam>) q, which is

@@ -63,6 +63,26 @@ def test_cli_exits_two_above_n2():
     assert "n <= 2" in out.stderr
 
 
+@pytest.mark.parametrize("family", ["first-order", "van-diejen"])
+def test_solve_section_above_n2_is_a_config_error(family):
+    # the section models are built for n <= 2; a larger n exits 2, not with a traceback
+    out = run_cli("--n", "3", "solve-section", family)
+    assert out.returncode == 2
+    assert "n <= 2" in out.stderr and "Traceback" not in out.stderr
+
+
+BAD_BINDINGS = [("first-order", "n=0"), ("first-order", "n=-1"), ("first-order", "n=abc"), ("cascade", "d=two"),
+                ("torsion", "d=0")]
+
+
+@pytest.mark.parametrize("family, binding", BAD_BINDINGS)
+def test_eval_family_rejects_bad_integer_bindings(family, binding):
+    # n and d of an eval family are integers, n >= 1; anything else exits 2, not with a traceback
+    out = run_cli("eval", "family", family, binding)
+    assert out.returncode == 2
+    assert "configuration error" in out.stderr and "Traceback" not in out.stderr
+
+
 def test_threads_flag_rejected():
     # checks run in one thread; the removed --threads flag is a usage error
     out = run_cli("--threads", "2", "suite", "degenerations")

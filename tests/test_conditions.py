@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import ccnops.conditions as conditions
+import ccnops.factors as factors
 import ccnops.weyl as weyl
 from mpmath import matrix, mp, mpc, mpf
 
@@ -28,13 +29,13 @@ from ccnops.conditions import (
     vandiejen_nullspace,
     vandiejen_sections,
 )
-from ccnops.curve import GAUSS_ONE, PoleProximityError, gauss_div, gauss_mul, point_key
+from ccnops.curve import GAUSS_ONE, CurveContext, PoleProximityError, gauss_div, gauss_mul, point_key
 from ccnops.diffop import DegreeVector, DifferenceOperator, ExprCoefficient, bindings_for
-from ccnops.factors import FactorTable, TablePoint
+from ccnops.factors import TablePoint, compile_argument, pole_arguments, z_coefficients
 from ccnops.families import first_order, van_diejen_leading_expr
 from ccnops.symbols import AffineForm, PolarizationRecord, ThetaExpr, zvar
 from ccnops.weyl import numeric_rank
-from conftest import ETA, Q, T, TOL, op_defect, rel, sample_points
+from conftest import ETA, Q, T, TAU, TOL, op_defect, rel, sample_points
 
 
 def test_reflect_shift_conventions():
@@ -268,13 +269,12 @@ def test_shared_sampler_on_divisor_and_off_poles(ctx, beta):
     # the divisor's own form is parallel and must not be avoided
     parallel = sum((f * c for f, c in zip(zf, _beta_form(beta, 2))), AffineForm.var("q") * m)
     others = [zf[0] - zf[1] + AffineForm.var("a"), zf[1] * 2 + AffineForm.var("b"), zf[0] + zf[1]]
-    table = FactorTable()
-    table.add(ExprCoefficient(ThetaExpr(tuple((f, -1) for f in others + [parallel]), 2), params))
+    poles = pole_arguments(ctx, [ExprCoefficient(ThetaExpr(tuple((f, -1) for f in others + [parallel]), 2), params)])
     offsets = {"0": mpc(0), "1": mpc(1), "tau": ctx.tau, "1+tau": 1 + ctx.tau}
     eps = mpf(2) ** -(ctx.prec - 8)
     for comp, lam in offsets.items():
         rng = random.Random(7)
-        samples = list(_residue_samples(ctx, rng, spec, 2, env, (comp,), 2, 2, table))
+        samples = list(_residue_samples(ctx, rng, spec, 2, env, (comp,), 2, 2, poles))
         assert [(c, s) for c, s, _, _ in samples] == [(comp, 0), (comp, 1)]
         for _, _, point, brackets in samples:
             z = point.z
@@ -283,8 +283,7 @@ def test_shared_sampler_on_divisor_and_off_poles(ctx, beta):
             for f in others:
                 assert ctx.dist_to_lattice(f.eval(bindings_for(params, z))) >= mpf("5e-3")
     # a pole that no point of the divisor avoids
-    stuck = FactorTable()
-    stuck.add(ExprCoefficient(ThetaExpr(((AffineForm.var("p"), -1),), 2), {"p": 1 + ctx.tau}))
+    stuck = pole_arguments(ctx, [ExprCoefficient(ThetaExpr(((AffineForm.var("p"), -1),), 2), {"p": 1 + ctx.tau})])
     with pytest.raises(PoleProximityError):
         next(_residue_samples(ctx, random.Random(7), spec, 2, env, ("0",), 1, 1, stuck))
     # the t-vanishing sampler puts its points on beta(z) = t + m q
@@ -331,29 +330,70 @@ def test_check_residue_rejects_two_vanishing_factors(ctx):
         check_residue(ctx, op, [SUM_SPEC], {"q": Q, "t": T, "eta_prime": ETA}, samples=1)
 
 
-def test_factor_table_shares_arguments_and_poles():
+def test_context_table_shares_arguments_and_poles():
+    ctx = CurveContext(TAU, 96)  # a fresh table: ids count from 0
     a = mpc("0.1", "0.05")
     expr = ThetaExpr(((AffineForm.var("a") - zvar(1), -1), (zvar(1), 1)), 1)
-    table = FactorTable()
-    # parts are (scale, ((argument, exponent), ...)) in factor order
-    assert table.add(ExprCoefficient(expr, {"q": Q, "a": a})) == ((GAUSS_ONE, ((0, -1), (1, 1))),)
+    coeffs = [ExprCoefficient(expr, {"q": Q, "a": a})]
+    # parts are (scale, ((argument id, exponent), ...)) in factor order
+    assert coeffs[0].compiled(ctx).parts == ((GAUSS_ONE, ((0, -1), (1, 1))),)
     # no factor reads q, so a different q shares every argument
-    assert table.add(ExprCoefficient(expr, {"q": T, "a": a})) == ((GAUSS_ONE, ((0, -1), (1, 1))),)
-    assert (len(table.args), len(table.poles)) == (2, 1)
+    coeffs.append(ExprCoefficient(expr, {"q": T, "a": a}))
+    assert coeffs[1].compiled(ctx).parts == ((GAUSS_ONE, ((0, -1), (1, 1))),)
+    assert (len(ctx._arguments), pole_arguments(ctx, coeffs)) == (2, [0])
     # a different value of a is a second argument and a second pole
-    assert table.add(ExprCoefficient(expr, {"a": a + 1})) == ((GAUSS_ONE, ((2, -1), (1, 1))),)
-    assert (len(table.args), len(table.poles)) == (3, 2)
+    coeffs.append(ExprCoefficient(expr, {"a": a + 1}))
+    assert coeffs[2].compiled(ctx).parts == ((GAUSS_ONE, ((2, -1), (1, 1))),)
+    assert (len(ctx._arguments), pole_arguments(ctx, coeffs)) == (3, [0, 2])
     # the same form stored in another order is its own argument but the same pole
-    table.add(ExprCoefficient(ThetaExpr(((AffineForm({"z1": -1, "a": 1}), -1),), 1), {"a": a}))
-    assert (len(table.args), len(table.poles)) == (4, 2)
-    assert table.add(None) == ()
+    coeffs.append(ExprCoefficient(ThetaExpr(((AffineForm({"z1": -1, "a": 1}), -1),), 1), {"a": a}))
+    assert coeffs[3].compiled(ctx).parts == ((GAUSS_ONE, ((3, -1),)),)
+    assert (len(ctx._arguments), pole_arguments(ctx, coeffs)) == (4, [0, 2])
+    # an absent coefficient has no parts and no poles
+    assert conditions._residue_parts(ctx, None) == ()
+    assert pole_arguments(ctx, [None]) == []
+
+
+def test_one_compile_and_one_half_e_per_argument_and_context(monkeypatch):
+    # residue checks over several specs, condition rows and coefficient
+    # values on one context compile each distinct argument once, and form
+    # e(+-c/2) from an argument's constant c at most once
+    ctx = CurveContext(TAU, 96)
+    keys, constants, halves = [], {}, []  # constants: id of a compiled c -> (its argument's key, c)
+    compile_, half_e = factors._compile, ctx.half_e
+
+    def counted_compile(ctx, form, reads):
+        keys.append((form.layout(), tuple(sorted((s, point_key(v)) for s, v in reads.items()))))
+        out = compile_(ctx, form, reads)
+        constants[id(out[-1])] = keys[-1], out[-1]
+        return out
+
+    def counted_half_e(z):
+        if id(z) in constants:
+            halves.append(constants[id(z)][0])
+        return half_e(z)
+
+    monkeypatch.setattr(factors, "_compile", counted_compile)
+    monkeypatch.setattr(ctx, "half_e", counted_half_e)
+    D = first_order([Q / 2 + mpc("0.1", "0.06"), Q / 2 - mpc("0.1", "0.06") + ETA], T, Q, 2)
+    specs = enumerate_conditions((DegreeVector(), DegreeVector(0, 1, 0)), (F(1, 2), F(1, 2)), D.params, 2)
+    pairs = [s for s in specs if s.kind == "residue-pair"]
+    assert len({s.k for s in pairs} | {s.k2 for s in pairs}) < 2 * len(pairs)  # specs share coefficients
+    env = {"q": Q, "t": T, "eta_prime": ETA}
+    assert check_residue(ctx, D, pairs, env, samples=1).passed
+    model = first_order_model(ctx, 1, 0, ETA, Q, T)
+    model.condition_rows([s for s in enumerate_conditions(model.degree, model.lam, model.params, 1)
+                          if s.kind == "residue-pair"])
+    for k in D.support():
+        D.eval_coeff(ctx, k, sample_points(2, 1)[0])
+    assert check_residue(ctx, D, pairs, env, samples=1).passed
+    assert keys and len(keys) == len(set(keys))
+    assert halves and len(halves) == len(set(halves))
 
 
 def _table_point(ctx, forms, params, z):
-    """A factor table over one theta factor per form, at the point z."""
-    table = FactorTable()
-    table.add(ExprCoefficient(ThetaExpr(tuple((f, 1) for f in forms), len(z)), params))
-    return TablePoint(ctx, table, z)
+    """The point z and the argument ids of the forms."""
+    return TablePoint(ctx, z), [compile_argument(ctx, f, params) for f in forms]
 
 
 def test_table_theta_against_the_product_formula(ctx):
@@ -368,8 +408,8 @@ def test_table_theta_against_the_product_formula(ctx):
                 p = m + n * tau + mpc(rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2))
                 z = (mpc(rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2)),)
                 args = (p + z[0], p - 2 * z[0])
-            point = _table_point(ctx, forms, {"p": p}, z)
-            for i, arg in enumerate(args):
+            point, ids = _table_point(ctx, forms, {"p": p}, z)
+            for i, arg in zip(ids, args):
                 got = gauss_div(point.factor(i), GAUSS_ONE, ctx._wp)
                 want = ctx.theta_product(arg)
                 assert rel(got, want) < mpf("1e-75"), (m, n, i)
@@ -381,9 +421,9 @@ def test_table_theta_zero_rule(ctx):
     with mp.workprec(600):
         lattice = 1 + mp.make_mpc(point_key(ctx.tau))
         z = (lattice + mpc(tiny, -tiny) / 2,)
-    point = _table_point(ctx, [zvar(1) - AffineForm.var("p")], {"p": lattice}, z)
-    assert point.factor(0) == (0, 0, 0)
-    assert point.reduced(0)[2:] == (0, 0)
+    point, (i,) = _table_point(ctx, [zvar(1) - AffineForm.var("p")], {"p": lattice}, z)
+    assert point.factor(i) == (0, 0, 0)
+    assert point.reduced(i)[2:] == (0, 0)
 
 
 def test_residue_of_parts_against_the_mpc_path(ctx):
@@ -396,22 +436,21 @@ def test_residue_of_parts_against_the_mpc_path(ctx):
     coeff = ExprCoefficient.sum(
         [ExprCoefficient(first, params), ExprCoefficient(second, params, mpc("0.3", "-1.7"))]
     )
-    table = FactorTable()
-    parts = table.add(coeff)
+    parts = coeff.compiled(ctx).parts
     beta = _beta_form(("double", 0), 1)
     with mp.workprec(600):
         z = (mp.make_mpc(point_key(ctx.tau)) / 2,)
-    (got,) = _sweep(ctx, TablePoint(ctx, table, z), [parts], beta)
+    (got,) = _sweep(ctx, TablePoint(ctx, z), [parts], beta)
     eps = mpf("1e-30")
     with mp.workprec(600):
         off = (z[0] + eps / 2,)  # s = 2 z1 - tau moves by eps
     want = eps * coeff.eval(ctx, off)
     assert abs(got) > mpf("1e-3")
     assert rel(got, want) < mpf("1e-25")
-    # the value path of check_vanishing against the table's thetas, at a
+    # the value path of check_vanishing against the sweep's thetas, at a
     # point away from every pole
     away = (z[0] + mpc("0.1", "0.05"),)
-    (value,) = _per_part_oracle(ctx, TablePoint(ctx, table, away), [parts])
+    (value,) = _per_part_oracle(ctx, TablePoint(ctx, away), [parts])
     assert rel(coeff.eval(ctx, away), value) < mpf("1e-70")
 
 
@@ -421,7 +460,7 @@ def _per_part_oracle(ctx, point, columns, beta_coeffs=None):
     Each part is seeded with its scale (and, for a residue, the slope and
     theta'), multiplied factor by factor with nothing shared, divided and
     rounded to `ctx._wp` bits; a column's parts add as mpc numbers.  With
-    no beta_coeffs it gives each column's value from the table's thetas.
+    no beta_coeffs it gives each column's value from the point's thetas.
     """
     bits = ctx._fix
     on_divisor = conditions._fixed_square(ctx, conditions._ON_DIVISOR)
@@ -435,10 +474,10 @@ def _per_part_oracle(ctx, point, columns, beta_coeffs=None):
                 for idx, (arg, m) in enumerate(factors):
                     w0r, w0i, a, b = point.reduced(arg)
                     if m < 0 and w0r * w0r + w0i * w0i < on_divisor:
-                        skip, lattice, form = idx, (a, b), point.table.args[arg][0]
+                        skip, lattice, zk = idx, (a, b), z_coefficients(ctx, arg)
                 if skip is None:
                     continue
-                slope = form.coeff("z%d" % (svar + 1)) / beta_coeffs[svar]
+                slope = F(zk.get(svar, 0)) / beta_coeffs[svar]
                 num = gauss_mul(scale, (slope.denominator, 0, 0), bits)
                 den = gauss_mul(ctx.theta_deriv_fixed(*lattice), (slope.numerator, 0, 0), bits)
             for j, (arg, m) in enumerate(factors):
@@ -476,13 +515,12 @@ def test_sweep_on_shared_prefixes_against_the_per_part_oracle(ctx):
         if col else None
         for col in columns
     ]
-    table = FactorTable()
-    encoded = [table.add(c) for c in coeffs]
+    encoded = [conditions._residue_parts(ctx, c) for c in coeffs]
     beta = _beta_form(("double", 0), 1)
     with mp.workprec(600):
         on = (mp.make_mpc(point_key(ctx.tau)) / 2 + mpc("0.5"),)
         away = (on[0] + mpc("0.1", "0.05"),)
-    on_point, away_point = TablePoint(ctx, table, on), TablePoint(ctx, table, away)
+    on_point, away_point = TablePoint(ctx, on), TablePoint(ctx, away)
     cases = (
         (_sweep(ctx, on_point, encoded, beta), on_point, beta),
         ([c.eval(ctx, away) if c else mpc(0) for c in coeffs], away_point, None),

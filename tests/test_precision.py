@@ -63,7 +63,7 @@ def _first_order_nullspace(n, dim):
 
 
 def _vandiejen_rows():
-    # the integer factor-table path: arguments, thetas and residues
+    # the integer residue path: arguments, thetas and residues
     model = vandiejen_model(CurveContext(TAU, 256), XS8, Q, T, 1)
     specs = enumerate_conditions(model.degree, model.lam, model.params, 1)
     rows = model.condition_rows([s for s in specs if s.kind == "residue-pair"])

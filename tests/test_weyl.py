@@ -100,7 +100,7 @@ def test_inversion_against_bruteforce():
 
         want = sum(
             max(int(r.pairing(tuple(F(x) for x in lam))), 0)
-            for r in positive_finite_roots(len(lam), "D")
+            for r in positive_finite_roots(len(lam))
         )
         assert total == want
 
