@@ -68,6 +68,14 @@ def parse_complex(text):
         raise ConfigError("bad complex literal %r" % text) from exc
 
 
+def parse_point(text, n):
+    """The point z_1;...;z_n as a tuple; a ConfigError unless it has exactly n coordinates."""
+    z = tuple(parse_complex(p) for p in text.split(";"))
+    if len(z) != n:
+        raise ConfigError("point %r has %d coordinates, not n = %d" % (text, len(z), n))
+    return z
+
+
 def load_config(path=None, overrides=None):
     cfg = dict(DEFAULTS)
     if path:
@@ -581,13 +589,19 @@ def cmd_eval(args, cfg):
         print(mp.nstr(ctx.theta(z), 30))
         return 0
     if head == "gamma":
+        if len(tokens) < 2:
+            raise ConfigError("eval gamma needs a point")
         z = parse_complex(tokens[1])
         print(mp.nstr(ctx.gamma(z, S["q"]), 30))
         return 0
     if head == "family":
+        if len(tokens) < 2:
+            raise ConfigError("eval family needs a family id")
         op = _registry_build(tokens[1], tokens[2:], S)
         rest = tokens[2:]
     elif head == "compose":
+        if len(tokens) < 3:
+            raise ConfigError("eval compose needs two operands")
         op1 = _registry_build(*_split_spec(tokens[1]), S)
         op2 = _registry_build(*_split_spec(tokens[2]), S)
         op = op1.compose(op2)
@@ -595,7 +609,7 @@ def cmd_eval(args, cfg):
     else:
         raise ConfigError("unknown eval form %r" % head)
     at = _eval_kv(rest).get("at")
-    z = tuple(parse_complex(p) for p in (at.split(";") if at else ["0.11+0.13j"] * op.n))
+    z = parse_point(at, op.n) if at else (parse_complex("0.11+0.13j"),) * op.n
     for k in op.support():
         print("%s  %s" % (tuple(str(x) for x in k), mp.nstr(op.eval_coeff(ctx, k, z), 30)))
     return 0
@@ -679,9 +693,7 @@ def cmd_fourier_kernel(args, cfg):
     S = session_from_config(cfg)
     c = parse_complex(args.c)
     K = FourierKernel(S["ctx"], c, S["q"], S["t"], S["n"], S["trunc"])
-    z = tuple(parse_complex(p) for p in args.at.split(";")) if args.at else tuple(
-        [mpc("0.11", "0.13")] * S["n"]
-    )
+    z = parse_point(args.at, S["n"]) if args.at else (mpc("0.11", "0.13"),) * S["n"]
     for m in sorted(K.tail.entries):
         print("%s  %s" % (m, mp.nstr(K.tail_value(m, z), 30)))
     return 0

@@ -237,6 +237,11 @@ def gauss_fixed(a, F):
     return (a[0] << s, a[1] << s) if s >= 0 else (a[0] >> -s, a[1] >> -s)
 
 
+def gauss_scale(a):
+    """s with 2^-s ~ |a|: the larger part of a lies in [2^(-s-1), 2^-s)."""
+    return -((abs(a[0]) | abs(a[1])).bit_length() + a[2])
+
+
 def gauss_add(a, b):
     """a + b, exactly."""
     if not (a[0] or a[1]):
@@ -334,7 +339,7 @@ class CurveContext:
         self._gamma_cache = {}
         self._gamma_table_cache = {}
         self._c_pair_cache = {}
-        self._lattice_weight_cache = {}  # weyl.theta_basis_values: e(mk tau/2d) per (mk, d)
+        self._lattice_weight_cache = {}  # weyl._theta_basis: e(mk tau/2d) as a Gaussian float per (mk, d)
 
     # -- primitives -------------------------------------------------------
 
@@ -382,7 +387,7 @@ class CurveContext:
             for P, (re, im, e) in zip(polys[k:], weights[k:]):
                 c = gauss_add(c, (P[k] * re, P[k] * im, e))
             coeffs.append(c)
-        scales = [max(0, -((abs(re) | abs(im)).bit_length() + e)) for re, im, e in coeffs]
+        scales = [max(0, gauss_scale(c)) for c in coeffs]
         table = []
         for k in reversed(range(len(coeffs))):
             shift = F + scales[k + 1] - scales[k] if k + 1 < len(coeffs) else F

@@ -31,6 +31,7 @@ finds every pair of columns orthogonal to 2^-(F-16) or at rounding level.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -40,9 +41,25 @@ from fractions import Fraction
 from operator import mul
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_man_exp, fzero, mpc_add, mpc_mul, mpc_zero, mpf_neg, mpf_sqrt, round_nearest, to_fixed
+from mpmath.libmp import from_man_exp, fzero, mpf_neg, mpf_sqrt, round_nearest, to_fixed
 
-from .curve import GUARD_BITS, CurveContext, at_context_precision, memo, point_key
+from .curve import (
+    GAUSS_ONE,
+    GAUSS_ZERO,
+    GUARD_BITS,
+    CurveContext,
+    at_context_precision,
+    gauss_add,
+    gauss_div,
+    gauss_exact,
+    gauss_fixed,
+    gauss_mul,
+    gauss_quotient,
+    gauss_round,
+    gauss_scale,
+    memo,
+    point_key,
+)
 
 #: least ratio between the last singular value `spectrum_rank` keeps, above
 #: the floor 2^-(prec//2) for entries of order one (s_max 10^-0.2 to 10^2.6 at
@@ -430,13 +447,13 @@ def automorphism_group(Q):
     return out
 
 
-def _int_powers(x, K):
-    """[x^0, ..., x^K, x^-K, ..., x^-1], so that x^k sits at index k for -K <= k <= K."""
-    up, down = [mpc(1)], [mpc(1)]
-    xinv = 1 / x
+def _int_powers(x, K, F):
+    """[x^0, ..., x^K, x^-K, ..., x^-1] as Gaussian floats cut to F bits, so that x^k sits at index k."""
+    up, down = [GAUSS_ONE], [GAUSS_ONE]
+    xinv = gauss_quotient(GAUSS_ONE, x, F)
     for _ in range(K):
-        up.append(up[-1] * x)
-        down.append(down[-1] * xinv)
+        up.append(gauss_mul(up[-1], x, F))
+        down.append(gauss_mul(down[-1], xinv, F))
     return up + down[:0:-1]
 
 
@@ -512,19 +529,39 @@ def theta_basis_values(Q, points, ctx):
         e(m^T Q m tau/2 + m^T Q z) = w(c, m) * prod_j e(z_j)^(k_j),
 
     with z-free weights w(c, m) = e(m^T Q m tau/2), one e call per distinct
-    (d m^T Q m, d), memoized on the context.  Along a row, m_1..m_(n-1)
-    fixed and m_n rising by 1, k rises by Q e_n, so consecutive terms differ
-    by the factor y = prod_j e(z_j)^(Q_jn) besides their weights.  Per
-    point, a row of weights w_0..w_(L-1) from its first point m is
+    (d m^T Q m, d), memoized on the context as Gaussian floats.  Along a
+    row, m_1..m_(n-1) fixed and m_n rising by 1, k rises by Q e_n, so
+    consecutive terms differ by the factor y = prod_j e(z_j)^(Q_jn) besides
+    their weights.  Per point, a row of weights w_0..w_(L-1) from its first
+    point m is
 
         prod_j e(z_j)^(k_j(m)) * (w_0 + y (w_1 + y (w_2 + ...))),
 
-    by Horner in y: one multiply and one add per term, and n multiplies per
-    row from the integer-power tables of e(z_j).
+    by Horner in y on integers (Brent & Zimmermann, Modern Computer
+    Arithmetic, 2010, section 4.4; the theta kernel's `curve._horner`), F =
+    `ctx._fix` bits.  Each weight keeps its whole mantissa at scale
+    2^(F + s_t), 2^-s_t ~ |w_t|, and y enters at its own per-point scale,
+    y 2^(F + s_y) with |y| ~ 2^-s_y, so that a small |y| (large |Im z| and
+    Q_nn) keeps all its bits; step t shifts the product of the partial sum
+    and y right by F + s_(t+1) - s_t + s_y, which brings it to the scale of
+    w_t.  Where that shift would be negative (term_t below 2^-F of
+    term_(t+1), at the edge of a row), y of that row is taken at the larger
+    scale that makes every shift of the row nonnegative.  Error: step t
+    truncates one unit of 2^-(F + s_t), about 2^-F |w_t|, and the steps
+    below multiply it by y^t and the start factor, so it reaches the sum as
+    about 2^-F |w_t| |y|^t |start| = 2^-F |term_t|.  The integer powers of
+    e(z_j), y and the start factors are Gaussian floats cut to F bits after
+    each product (`gauss_mul`), each row's sum is multiplied by its start
+    factor, the rows of one c add exactly (`gauss_add`), and their sum is
+    rounded once, to `ctx._wp` bits.
     """
+    return [[gauss_round(v, ctx._wp) for v in row] for row in _theta_basis(Q, discriminant_group(Q), points, ctx)]
+
+
+def _theta_basis(Q, elements, points, ctx):
+    """`theta_basis_values` before its rounding, as Gaussian floats; `elements` is `discriminant_group(Q)`."""
     n = len(Q)
     Q = [[int(x) for x in row] for row in Q]
-    elements = discriminant_group(Q)
     d = math.lcm(*(x.denominator for c in elements for x in c))
     im_tau = ctx.tau.imag
     rho = mp.sqrt((ctx.prec + 32) * mp.ln2 / (mp.pi * im_tau))
@@ -534,37 +571,48 @@ def theta_basis_values(Q, points, ctx):
         S = max(S, mp.sqrt(sum(u[i] * Q[i][j] * u[j] for i in range(n) for j in range(n))))
     bound = int(mp.floor(d * d * (rho + 2 * S) ** 2))
     half_tau = ctx.tau / 2
+    F = ctx._fix
     col = [Q[j][n - 1] for j in range(n)]
-    terms = []  # per c, per row: (k at the row's first point, weights last to first)
+    terms = []  # per c, per row: (k at the row's first point, Horner table, s_0, least shift)
     for ellipsoid in _ellipsoid_rows(Q, d, bound, [[int(d * x) for x in c] for c in elements]):
         rows = []
         for M, L in ellipsoid:
             k = [sum(Q[i][j] * M[j] for j in range(n)) // d for i in range(n)]
             mk, kn, ws = sum(Mi * ki for Mi, ki in zip(M, k)), k[-1], []  # mk = d m^T Q m
             for _ in range(L):
-                ws.append(memo(ctx._lattice_weight_cache, (mk, d), lambda: ctx.e(mk * half_tau / d)._mpc_))
+                ws.append(memo(ctx._lattice_weight_cache, (mk, d), lambda: gauss_exact(ctx.e(mk * half_tau / d))))
                 # m_n -> m_n + 1: d m^T Q m grows by d (2 k_n + Q_nn), k_n by Q_nn
                 mk += d * (2 * kn + col[-1])
                 kn += col[-1]
-            rows.append((k, ws[-1], ws[-2::-1]))
+            scales = [gauss_scale(w) for w in ws]
+            table = [
+                (*gauss_fixed(ws[t], F + scales[t]), F + scales[t + 1] - scales[t] if t + 1 < L else F)
+                for t in reversed(range(L))
+            ]
+            rows.append((k, table, scales[0], min(shift for _, _, shift in table)))
         terms.append(rows)
-    Ks = [max([abs(col[j])] + [abs(k[j]) for rows in terms for k, _, _ in rows]) for j in range(n)]
-    prec = ctx._wp
+    Ks = [max([abs(col[j])] + [abs(k[j]) for rows in terms for k, _, _, _ in rows]) for j in range(n)]
     values = [[] for _ in terms]
     for z in points:
-        powers = [[p._mpc_ for p in _int_powers(ctx.e(zj), K)] for zj, K in zip(z, Ks)]
+        powers = [_int_powers(gauss_exact(ctx.e(zj)), K, F) for zj, K in zip(z, Ks)]
         y = powers[0][col[0]]
         for pj, qj in zip(powers[1:], col[1:]):
-            y = mpc_mul(y, pj[qj], prec, round_nearest)
+            y = gauss_mul(y, pj[qj], F)
+        sy = gauss_scale(y)
+        yr, yi = gauss_fixed(y, F + sy)
         for out, rows in zip(values, terms):
-            total = mpc_zero
-            for k, acc, rest in rows:
-                for w in rest:
-                    acc = mpc_add(mpc_mul(acc, y, prec, round_nearest), w, prec, round_nearest)
-                for pj, kj in zip(powers, k):
-                    acc = mpc_mul(acc, pj[kj], prec, round_nearest)
-                total = mpc_add(total, acc, prec, round_nearest)
-            out.append(mp.make_mpc(total))
+            total = GAUSS_ZERO
+            for k, table, s0, least in rows:
+                s, ur, ui = (sy, yr, yi) if least + sy >= 0 else (-least, *gauss_fixed(y, F - least))
+                ar = ai = 0
+                for cr, ci, shift in table:
+                    shift += s
+                    ar, ai = ((ar * ur - ai * ui) >> shift) + cr, ((ar * ui + ai * ur) >> shift) + ci
+                start = powers[0][k[0]]
+                for pj, kj in zip(powers[1:], k[1:]):
+                    start = gauss_mul(start, pj[kj], F)
+                total = gauss_add(total, gauss_mul((ar, ai, -F - s0), start, F))
+            out.append(total)
     return values
 
 
@@ -572,13 +620,16 @@ def theta_basis_values(Q, points, ctx):
 def theta_symmetrization_rows(Q, gens, ctx):
     """The group average of the theta basis at |Q^-1 Z^n / Z^n| + 3 seeded points.
 
-    One row per c of the discriminant group, one column per point.
+    One row per c of the discriminant group, one column per point.  The
+    basis values of a column's group-translated points add exactly, and
+    their average is rounded once, to `ctx._wp` bits.
     """
     n = len(Q)
     group = [tuple(tuple(int(x) for x in row) for row in g) for g in group_closure(gens)] if gens else [tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))]
+    elements = discriminant_group(Q)
     rng = random.Random(20240601)
     pts = []
-    for _ in range(len(discriminant_group(Q)) + 3):
+    for _ in range(len(elements) + 3):
         pts.append(tuple(mpc(rng.uniform(-0.45, 0.45), rng.uniform(-0.35, 0.35)) for _ in range(n)))
     # evaluate the basis once per distinct group-translated point
     gpts = {}  # exact point key -> (column, point), in first-seen order
@@ -589,8 +640,9 @@ def theta_symmetrization_rows(Q, gens, ctx):
             gz = tuple(sum(g[i][j] * z[j] for j in range(n)) for i in range(n))
             cols.append(gpts.setdefault(tuple(map(point_key, gz)), (len(gpts), gz))[0])
         index.append(cols)
-    vals = theta_basis_values(Q, [gz for _, gz in gpts.values()], ctx)
-    return [[sum((row[col] for col in cols), mpc(0)) / len(group) for cols in index] for row in vals]
+    vals = _theta_basis(Q, elements, [gz for _, gz in gpts.values()], ctx)
+    size = (len(group), 0, 0)
+    return [[gauss_div(functools.reduce(gauss_add, (row[col] for col in cols)), size, ctx._wp) for cols in index] for row in vals]
 
 
 def theta_symmetrization_rank(Q, gens, ctx=None):

@@ -83,6 +83,24 @@ def test_eval_family_rejects_bad_integer_bindings(family, binding):
     assert "configuration error" in out.stderr and "Traceback" not in out.stderr
 
 
+MALFORMED = [
+    ("eval", "gamma"),
+    ("eval", "family"),
+    ("eval", "compose", "first-order"),
+    ("--n", "2", "eval", "family", "first-order", "at=0.11+0.13j"),
+    ("--n", "1", "eval", "family", "first-order", "u=0.3+0.1j;0.2+0.4j", "at=0.11+0.13j;0.5"),
+    ("fourier-kernel", "0.1", "--at", "0.1;0.2;0.3"),
+]
+
+
+@pytest.mark.parametrize("args", MALFORMED, ids=" ".join)
+def test_missing_operands_and_wrong_points_are_config_errors(args):
+    # a missing operand, or a point whose coordinate count is not n, exits 2, not with a traceback
+    out = run_cli(*args)
+    assert out.returncode == 2
+    assert "configuration error" in out.stderr and "Traceback" not in out.stderr
+
+
 def test_threads_flag_rejected():
     # checks run in one thread; the removed --threads flag is a usage error
     out = run_cli("--threads", "2", "suite", "degenerations")

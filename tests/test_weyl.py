@@ -201,6 +201,25 @@ def test_theta_basis_values_match_the_definition(Q, far):
             assert abs(got - want) / abs(want) < mpf("1e-25"), (c, z)
 
 
+@pytest.mark.parametrize("prec", [96, 256])
+def test_theta_basis_values_against_300_more_bits(prec):
+    # the integer Horner rows against the same code 300 bits up, relative to
+    # each column's largest entry; Im z_j up to 0.8 and the far points make
+    # |y| small for Q_nn = 8, where y taken at an absolute scale 2^-F loses bits
+    tau = ORACLE_CTX.tau
+    ctx, ref = CurveContext(tau, prec), CurveContext(tau, prec + 300)
+    for Q in even_positive_definite(8):
+        n = len(Q)
+        rng = random.Random(31 + n)
+        seeded = [tuple(mpc(rng.uniform(-0.45, 0.45), rng.uniform(-0.8, 0.8)) for _ in range(n)) for _ in range(3)]
+        for pts in (seeded, FAR_POINTS[n]):
+            got, want = theta_basis_values(Q, pts, ctx), theta_basis_values(Q, pts, ref)
+            for j in range(len(pts)):
+                top = max(abs(row[j]) for row in want)
+                worst = max(abs(g[j] - w[j]) for g, w in zip(got, want))
+                assert worst <= top * mpf(2) ** (4 - prec), (Q, pts[j], worst / top * mpf(2) ** prec)
+
+
 @pytest.mark.parametrize("Q", BASIS_FORMS, ids=str)
 def test_theta_basis_values_are_periodic(Q):
     n = len(Q)
