@@ -68,6 +68,11 @@ def parse_complex(text):
         raise ConfigError("bad complex literal %r" % text) from exc
 
 
+def default_point(n):
+    """The eval and fourier-kernel point when none is given: 0.11+0.13j, then distinct steps of 0.07-0.05j."""
+    return tuple(mpc(complex(0.11, 0.13) + k * complex(0.07, -0.05)) for k in range(n))
+
+
 def parse_point(text, n):
     """The point z_1;...;z_n as a tuple; a ConfigError unless it has exactly n coordinates."""
     z = tuple(parse_complex(p) for p in text.split(";"))
@@ -578,6 +583,8 @@ def report_schema():
 
 
 def cmd_eval(args, cfg):
+    from .curve import PoleProximityError
+
     S = session_from_config(cfg)
     ctx = S["ctx"]
     tokens = args.expr
@@ -609,9 +616,13 @@ def cmd_eval(args, cfg):
     else:
         raise ConfigError("unknown eval form %r" % head)
     at = _eval_kv(rest).get("at")
-    z = parse_point(at, op.n) if at else (parse_complex("0.11+0.13j"),) * op.n
-    for k in op.support():
-        print("%s  %s" % (tuple(str(x) for x in k), mp.nstr(op.eval_coeff(ctx, k, z), 30)))
+    z = parse_point(at, op.n) if at else default_point(op.n)
+    try:
+        values = [(k, op.eval_coeff(ctx, k, z)) for k in op.support()]
+    except PoleProximityError as exc:
+        raise ConfigError(str(exc)) from exc
+    for k, value in values:
+        print("%s  %s" % (tuple(str(x) for x in k), mp.nstr(value, 30)))
     return 0
 
 
@@ -688,14 +699,19 @@ def cmd_solve_section(args, cfg):
 
 
 def cmd_fourier_kernel(args, cfg):
+    from .curve import PoleProximityError
     from .families import FourierKernel
 
     S = session_from_config(cfg)
     c = parse_complex(args.c)
     K = FourierKernel(S["ctx"], c, S["q"], S["t"], S["n"], S["trunc"])
-    z = parse_point(args.at, S["n"]) if args.at else (mpc("0.11", "0.13"),) * S["n"]
-    for m in sorted(K.tail.entries):
-        print("%s  %s" % (m, mp.nstr(K.tail_value(m, z), 30)))
+    z = parse_point(args.at, S["n"]) if args.at else default_point(S["n"])
+    try:
+        values = [(m, K.tail_value(m, z)) for m in sorted(K.tail.entries)]
+    except PoleProximityError as exc:
+        raise ConfigError(str(exc)) from exc
+    for m, value in values:
+        print("%s  %s" % (m, mp.nstr(value, 30)))
     return 0
 
 

@@ -44,11 +44,12 @@ exactly, and each column is rounded once, to `ctx._wp` bits.
 column at the shift k and then at k2; `check_residue` runs it with the two
 coefficients as two columns.
 
-Dimensions are decided by the one rank rule of `weyl.spectrum_rank`: the
+Dimensions are decided by the one rank rule of `weyl.rank_certificate`: the
 solver's `nullspace_basis` and `operator_span_contains` scale their matrices
 to entries of order one (s_max between 10^-0.2 and 10^2.6 at nonzero rank in
-the tests and the benchmark), the singular values above 2^-(prec//2) count,
-and a cut needs a RANK_GAP ratio; `weyl.svd_spectrum` shows its margin.
+the tests and the benchmark), and a rank stands only with certified bounds
+on either side of the floor 2^-(prec//2), a RANK_GAP ratio apart, from a
+pivoted Cholesky of the exact integer Gram matrix A^H A.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from mpmath import mp, mpc, mpf
 
 from .curve import (
     GAUSS_ZERO,
-    GUARD_BITS,
     MAX_RETRIES,
     PoleProximityError,
     at_context_precision,
@@ -87,11 +87,10 @@ from .weyl import (
     bruhat_interval,
     inversion_set,
     numeric_rank,
+    rank_certificate,
     signed_permutations,
     sp_apply,
     sp_inverse,
-    spectrum_rank,
-    svd_spectrum,
     weight_orbit,
 )
 
@@ -683,15 +682,12 @@ def nullspace_basis(rows, ncols, prec=256):
 
     The rows are normalized to entries of order one (`condition_rows`
     divides each by the size of its largest ingredients), so the absolute
-    floor of `spectrum_rank` decides the dimension: the right singular
-    vectors of the values at or below 2^-(prec//2) span the nullspace.
+    floor of `weyl.rank_certificate` decides the dimension; its orthonormal
+    basis spans the nullspace, and at rank 0 it is the identity.
     """
     if not rows:
         return [[mpc(1) if i == j else mpc(0) for j in range(ncols)] for i in range(ncols)]
-    V = mp.zeros(ncols, ncols)
-    rank = spectrum_rank(svd_spectrum(rows, prec, V), prec)
-    with mp.workprec(prec + GUARD_BITS):
-        return [[mp.conj(V[j, i]) for i in range(ncols)] for j in range(rank, ncols)]
+    return rank_certificate(rows, prec, want_null=True).null
 
 
 # ---------------------------------------------------------------------------

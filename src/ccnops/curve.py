@@ -124,6 +124,17 @@ class PoleProximityError(ArithmeticError):
     """Evaluation point too close to a zero divisor of a denominator."""
 
 
+def pole_text(zk, c=0):
+    """The divisor sum_j k_j z_(j+1) + c = 0 as text, e.g. "z1 - z2 = 0 (mod 1, tau)", for a PoleProximityError."""
+    text = ""
+    for j, k in zk:
+        if k:
+            text += " %s %s" % ("-" if k < 0 else "+", "z%d" % (j + 1) if abs(k) == 1 else "%d z%d" % (abs(k), j + 1))
+    if c:
+        text += " + (%s)" % mp.nstr(mpc(c), 8)
+    return "%s%s = 0 (mod 1, tau)" % ("-" if text.startswith(" -") else "", text[3:])
+
+
 class TorsionError(ValueError):
     """q is (numerically) torsion where a non-torsion q is required."""
 

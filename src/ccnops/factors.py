@@ -48,6 +48,7 @@ from .curve import (
     GAUSS_ONE,
     GAUSS_ZERO,
     GUARD_BITS,
+    PoleProximityError,
     exact_mpc,
     gauss_add,
     gauss_exact,
@@ -55,6 +56,7 @@ from .curve import (
     gauss_quotient,
     memo,
     point_key,
+    pole_text,
 )
 
 
@@ -216,7 +218,8 @@ class CompiledParts:
         Each part is its scale times the product of its numerator thetas
         over the product of its denominator thetas (`gauss_mul`, cut to F
         bits each), one quotient of F bits (`gauss_quotient`); the parts
-        add exactly.  Memoized per zf.
+        add exactly.  Memoized per zf.  A denominator theta that vanishes at
+        zf raises PoleProximityError naming its divisor.
         """
         return memo(self._values, zf, lambda: self._value(zf))
 
@@ -225,11 +228,14 @@ class CompiledParts:
         F, args = ctx._fix, ctx._arguments
 
         def theta(factor):
-            cr, ci, zk, _ = args[factor[0]]
+            cr, ci, zk, c = args[factor[0]]
             for j, k in zk:
                 cr += k * zf[j][0]
                 ci += k * zf[j][1]
-            return ctx.theta_of_fixed(cr, ci)
+            value = ctx.theta_of_fixed(cr, ci)
+            if factor[-1] < 0 and value == GAUSS_ZERO:
+                raise PoleProximityError("the point lies on the pole %s" % pole_text(zk, c))
+            return value
 
         total = GAUSS_ZERO
         products = prefix_products([factors for _, factors in self.parts], theta, F)

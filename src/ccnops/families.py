@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
-from .curve import TorsionError, at_context_precision, exact_mpc
+from .curve import PoleProximityError, TorsionError, at_context_precision, exact_mpc, pole_text
 from .diffop import (
     DegreeVector,
     DifferenceOperator,
@@ -207,17 +207,32 @@ class _TailSolver:
         self.ctx, self.q, self.c, self.t, self.n = ctx, q, c, t, n
         self.tail = None  # weakref.ref to the tail (`formal.solved_tail`)
 
-    def A(self, sigma, y, u):
-        """Coefficient of D(c +- u; t) at T^{sigma/2}, evaluated at y."""
+    def A(self, sigma, z, mprime, u):
+        """Coefficient of D(c +- u; t) at T^{sigma/2}, evaluated at y = z + q mprime.
+
+        A denominator theta that vanishes at y raises PoleProximityError
+        naming its divisor.
+        """
         ctx, c, t = self.ctx, self.c, self.t
+        y = shift_point(z, self.q, mprime)
         val = mpc(1)
-        for i in range(self.n):
-            yi = sigma[i] * y[i]
-            val *= ctx.theta(c + u + yi) * ctx.theta(c - u + yi) / ctx.theta(2 * yi)
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                arg = sigma[i] * y[i] + sigma[j] * y[j]
-                val *= ctx.theta(t + arg) / ctx.theta(arg)
+        try:
+            for i in range(self.n):
+                yi = sigma[i] * y[i]
+                val *= ctx.theta(c + u + yi) * ctx.theta(c - u + yi) / ctx.theta(2 * yi)
+            for i in range(self.n):
+                for j in range(i + 1, self.n):
+                    arg = sigma[i] * y[i] + sigma[j] * y[j]
+                    val *= ctx.theta(t + arg) / ctx.theta(arg)
+        except ZeroDivisionError:
+            pairs = itertools.combinations(range(self.n), 2)
+            for zk in [((i, 2 * sigma[i]),) for i in range(self.n)] + [((i, sigma[i]), (j, sigma[j])) for i, j in pairs]:
+                arg = sum(k * y[j] for j, k in zk)
+                if not ctx.theta(arg):
+                    raise PoleProximityError(
+                        "the point lies on the pole %s" % pole_text(zk, arg - sum(k * z[j] for j, k in zk))
+                    ) from None
+            raise
         return val
 
     def solve(self, ctx, m, w):
@@ -244,7 +259,7 @@ class _TailSolver:
             mprime = tuple(m[i] - (1 + sigma[i]) // 2 for i in range(n))
             if any(x < 0 for x in mprime):
                 continue
-            a = self.A(sigma, shift_point(w, q, mprime), u)
+            a = self.A(sigma, w, mprime, u)
             if all(s == -1 for s in sigma):
                 pivot = a
             else:
@@ -290,8 +305,7 @@ class FourierKernel(FormalGaugedOperator):
         """Max |coefficient| of D(c) D(c +- u)|_{u=z_j} over tail orders <= order."""
         order = self.order if order is None else order
         with mp.workprec(self.ctx._wp):
-            q, c = self._solver.q, self._solver.c
-            n = self.n
+            c, n = self._solver.c, self.n
             worst = mpf(0)
             for j in range(n):
                 u = z[j] - c
@@ -306,7 +320,7 @@ class FourierKernel(FormalGaugedOperator):
                         mprime = tuple(s_off[i] + (1 - sigma[i]) // 2 for i in range(n))
                         if any(x < 0 for x in mprime):
                             continue
-                        term = self.tail_value(mprime, z) * self._solver.A(sigma, shift_point(z, q, mprime), u)
+                        term = self.tail_value(mprime, z) * self._solver.A(sigma, z, mprime, u)
                         total += term
                         scale = max(scale, abs(term))
                     if scale > 0:

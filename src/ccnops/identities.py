@@ -38,7 +38,9 @@ def _draw(rng, re=0.45, im=0.35):
 
 
 def _draw_q(rng, ctx):
-    return mpc(rng.uniform(-0.3, 0.3), rng.uniform(0.35, float(ctx.tau.imag) * 0.7))
+    """A q with |Re q| <= 0.3 and Im q in [0.35, 0.7 Im tau], or in [0.31, 0.35] where Im tau < 0.5 empties that."""
+    top = float(ctx.tau.imag) * 0.7
+    return mpc(rng.uniform(-0.3, 0.3), rng.uniform(0.35, top) if top >= 0.35 else rng.uniform(0.31, 0.35))
 
 
 @at_context_precision

@@ -11,22 +11,20 @@ half-integral).  Two partial orders are exposed:
 Bruhat intervals can be taken in either lattice; the section solver uses the
 coroot one, which is the order in which single coordinates may drop by 1.
 
-Every rank and nullspace dimension of the package is decided by one SVD
-(`svd_spectrum`) and one rule (`spectrum_rank`): the singular values above
-2^-(prec//2) count.  That absolute floor assumes entries of order one (s_max
-between 10^-0.2 and 10^2.6 at nonzero rank in the tests and the benchmark);
-the margin of a decision is read from `svd_spectrum`.  The SVD runs on Python
-integers at F = prec + 32 bits.  A matrix (a wide one as its conjugate
-transpose, or padded to square with zero rows when its right singular vectors
-are asked for) is reduced to the R of an integer Householder QR: A = QR gives
-A^H A = R^H R, so the singular values and right singular vectors are those of
-A (the R-SVD of Chan, ACM TOMS 1982), and Householder QR is backward stable
-(Higham, Accuracy and Stability of Numerical Algorithms, ch. 19).  R's SVD is
-a cyclic one-sided complex Jacobi (Hestenes; Demmel & Veselic, "Jacobi's
-method is more accurate than QR", SIAM J. Matrix Anal. Appl. 1992), seeded by
-the same Jacobi in Python floats.  Its rotations come from exact integer Gram
-entries, with each phase read at 2F bits, and the sweeps stop after one that
-finds every pair of columns orthogonal to 2^-(F-16) or at rounding level.
+Every rank and nullspace dimension of the package is decided by one function,
+`rank_certificate`, and one rule: the singular values above 2^-(prec//2)
+count.  That absolute floor assumes entries of order one (s_max between
+10^-0.2 and 10^2.6 at nonzero rank in the tests and the benchmark).  The
+entries are cut to F = prec + 32 bits, so the Gram matrix A^H A is exact on
+Python integers, summed only where two columns share nonzero rows.  A
+diagonally pivoted LDL^H of it at 2F bits (Higham, "Analysis of the Cholesky
+decomposition of a semi-definite matrix", 1990) stops at the floor squared,
+and its exact residual gives a certified lower bound on the last kept
+singular value and a certified upper bound on the first dropped one.  A rank
+stands only with the lower bound above the floor, the upper one at or below
+it, and a RANK_GAP ratio between them; otherwise ArithmeticError is raised,
+never a rank the bounds do not prove.  The nullspace is the free part of the
+factorization, orthonormalized on integers.  No Python float is involved.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from fractions import Fraction
 from operator import mul
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_man_exp, fzero, mpf_neg, mpf_sqrt, round_nearest, to_fixed
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .curve import (
     GAUSS_ONE,
@@ -61,13 +59,10 @@ from .curve import (
     point_key,
 )
 
-#: least ratio between the last singular value `spectrum_rank` keeps, above
-#: the floor 2^-(prec//2) for entries of order one (s_max 10^-0.2 to 10^2.6 at
-#: nonzero rank in the tests and the benchmark), and the first it drops; a
-#: smaller one raises ArithmeticError.  The least ratio at a cut there is
-#: 10^31.2 (96 bits) and 10^74.8 (256 bits).  Margins are read from
-#: `svd_spectrum`.
-RANK_GAP = mpf("1e6")
+#: least ratio between the certified lower bound on the last singular value
+#: `rank_certificate` keeps and the certified upper bound on the first it
+#: drops; a smaller one raises ArithmeticError.
+RANK_GAP = 10**6
 
 
 def as_weight(entries):
@@ -678,47 +673,6 @@ def _fixed_columns(keys, F):
     return cols, top - F
 
 
-def _householder_r(cols, F):
-    """The R of a complex Householder QR of F-bit fixed-point columns, no more than rows, on integers.
-
-    The rest x of column k is reflected onto alpha e_k,
-    alpha = -phase(x0) ||x||, by H = I - 2 v v^H / (v^H v) with
-    v = x - alpha e_k.  A column that is dependent up to rounding leaves an
-    x of rounding noise, with a pivot x0 of only a few significant bits, yet
-    its H acts on the columns after it at full size.  So v^H v is summed
-    exactly, which keeps H a reflection whatever v is, and x0's phase is
-    read at 2F bits, which makes H x = alpha e_k to 2^-F.  With x0's own
-    rounded phase and the textbook v^H v = 2 ||x|| (||x|| + |x0|) instead,
-    the later columns of a van Diejen n=2 solve came out off by 1e-5.  Each
-    operation truncates once at 2^-F.  `cols`, as `_fixed_columns` gives
-    them, is overwritten; returns the ncols x ncols R as rows of (re, im)
-    integer pairs at the same scale.
-    """
-    ncols = len(cols)
-    R = [[(0, 0)] * ncols for _ in range(ncols)]
-    for k, (colr, coli) in enumerate(cols):
-        vr, vi = colr[k:], coli[k:]  # x, then v = x - alpha e_k
-        norm2 = sum(map(mul, vr, vr)) + sum(map(mul, vi, vi))
-        alpha = (0, 0)
-        if norm2:
-            norm = math.isqrt(norm2)
-            x0r, x0i = vr[0], vi[0]
-            a0 = math.isqrt((x0r * x0r + x0i * x0i) << (2 * F))  # |x0| 2^F, at 2F bits
-            pr, pi = ((x0r << (2 * F)) // a0, (x0i << (2 * F)) // a0) if a0 else (1 << F, 0)
-            alpha = (-((pr * norm) >> F), -((pi * norm) >> F))
-            vr[0], vi[0] = x0r - alpha[0], x0i - alpha[1]
-            vv = norm2 - x0r * x0r - x0i * x0i + vr[0] * vr[0] + vi[0] * vi[0]  # v^H v, exactly
-            for ar, ai in cols[k + 1 :]:
-                wr, wi = _dot(vr, vi, ar[k:], ai[k:])  # v^H a
-                fr, fi = (wr << (F + 1)) // vv, (wi << (F + 1)) // vv
-                ar[k:] = [a - ((x * fr - y * fi) >> F) for a, x, y in zip(ar[k:], vr, vi)]
-                ai[k:] = [a - ((x * fi + y * fr) >> F) for a, x, y in zip(ai[k:], vr, vi)]
-        R[k][k] = alpha
-        for j in range(k + 1, ncols):
-            R[k][j] = (cols[j][0][k], cols[j][1][k])
-    return R
-
-
 def _dot(ar, ai, br, bi):
     """a^H b for Gaussian vectors held as real and imaginary parts, exactly."""
     return (
@@ -727,202 +681,195 @@ def _dot(ar, ai, br, bi):
     )
 
 
-def _float_seed(R, F):
-    """Right singular vectors of the integer R (scaled by 2^F) by a one-sided Jacobi in floats.
+def _gram_upper(cols):
+    """The upper triangle of G = A^H A for `_fixed_columns` output, exactly: row j holds G_jk for k >= j.
 
-    Returns the columns of V0 as lists of Python complex, orthonormal to
-    about 1e-15.  It only seeds the integer sweeps of `_jacobi_svd`, which
-    take the same rotations, so it stops after 30 sweeps whether converged
-    or not.
+    Rows of A are grouped by the columns where they are nonzero, and each
+    group adds the products of its own columns only, so zero rows and zero
+    blocks cost nothing.
     """
-    n, scale = len(R), 1 << F
-    B = [[complex(R[i][j][0] / scale, R[i][j][1] / scale) for i in range(n)] for j in range(n)]
-    W = [[complex(i == j) for i in range(n)] for j in range(n)]
-    norms = [sum(map(mul, map(complex.conjugate, b), b)).real for b in B]
-    for _ in range(30):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                a, b = norms[p], norms[q]
-                g = sum(map(mul, map(complex.conjugate, B[p]), B[q]))
-                if abs(g) <= 1e-15 * math.sqrt(a) * math.sqrt(b):
-                    continue
-                rotated = True
-                zeta = (b - a) / (2 * abs(g))
-                t = math.copysign(1, zeta) / (abs(zeta) + math.hypot(1, zeta))
-                c = 1 / math.hypot(1, t)
-                sw = c * t * g.conjugate() / abs(g)
-                for M in (B, W):
-                    x, y = M[p], M[q]
-                    M[p] = [c * u - sw * v for u, v in zip(x, y)]
-                    M[q] = [sw.conjugate() * u + c * v for u, v in zip(x, y)]
-                norms[p], norms[q] = (sum(map(mul, map(complex.conjugate, x), x)).real for x in (B[p], B[q]))
-        if not rotated:
+    n = len(cols)
+    groups = {}
+    for i, row in enumerate(zip(*(zip(re, im) for re, im in cols))):
+        support = tuple(j for j, (x, y) in enumerate(row) if x or y)
+        if support:
+            groups.setdefault(support, []).append(i)
+    upper = [([0] * (n - j), [0] * (n - j)) for j in range(n)]
+    for support, idx in groups.items():
+        sub = {j: ([cols[j][0][i] for i in idx], [cols[j][1][i] for i in idx]) for j in support}
+        for a, j in enumerate(support):
+            gr, gi = upper[j]
+            for k in support[a:]:
+                xr, xi = _dot(*sub[j], *sub[k])
+                gr[k - j] += xr
+                gi[k - j] += xi
+    return upper
+
+
+def _frobenius_sq(upper):
+    """The squared Frobenius norm of a Hermitian matrix held as its upper triangle, rows as in `_gram_upper`."""
+    return sum(r[0] * r[0] + 2 * (sum(map(mul, r[1:], r[1:])) + sum(map(mul, i[1:], i[1:]))) for r, i in upper)
+
+
+def _isqrt_up(x):
+    s = math.isqrt(x)
+    return s if s * s == x else s + 1
+
+
+def _above(x, t):
+    """x > 2^t for an integer x, on integers."""
+    return x << max(-t, 0) > 1 << max(t, 0)
+
+
+@dataclass(frozen=True)
+class RankCertificate:
+    """A rank and certified bounds on the singular values on either side of it.
+
+    sigma_rank >= lower (+inf at rank 0) and sigma_(rank+1) <= upper (0 at
+    full column rank), for the matrix exactly as given.  `null` is an
+    orthonormal basis of the nullspace, one vector per entry, if it was
+    asked for.
+    """
+
+    rank: int
+    lower: object
+    upper: object
+    null: list | None = None
+
+
+def rank_certificate(rows, prec, want_null=False):
+    """The package's one rank decision: the rank of the matrix `rows` at the floor 2^-(prec//2).
+
+    The entries are cut to F = prec + 32 bits: A + dA = a 2^e, a Gaussian
+    integer, ||dA||_F < sqrt(p) 2^e with p the nonzero real and imaginary
+    parts.  G = a^H a is exact (`_gram_upper`).  The LDL^H runs on
+    S = G 2^(2W), W = 2F: each pivot d is the largest diagonal S_pp cut to
+    an integer, l_i = S_ip / (d 2^W) is cut to W bits, and S -= l d l^H is
+    exact, so at the end S holds H = G 2^(2W) - L D L^H exactly.  It stops
+    once S_pp is at or below floor^2 (or one unit of G).  With r pivots and
+    L11 the pivot rows of L:
+
+    * sigma_(r+1)(a)^2 <= lambda_1(H) <= ||H||_F (Weyl; L D L^H has rank
+      r), for the PSD Schur complement at most its trace;
+    * sigma_r(a)^2 >= lambda_r(L D L^H) - ||H||_F, and lambda_r(L D L^H) >=
+      1 / ||D^(-1/2) L11^-1||_F^2, i.e. 1/||R11^-1||_F^2 for the Cholesky
+      factor R11 = D^(1/2) L11^H; with X from `_unit_lower_inverse`,
+      L11^-1 = X (I + Y)^-1 and ||Y||_F < r 2^-W.
+
+    Both bounds are rounded in their safe direction on integers and widened
+    by sqrt(p) 2^e.  The rank r stands when lower > 2^-(prec//2) >= upper
+    and lower >= RANK_GAP upper; otherwise ArithmeticError is raised, which
+    is also what a Kahan matrix, whose pivots hide a small sigma_r, gets.
+    The nullspace is spanned by (-L11^-H L21^H y, y) over the unit vectors
+    y of the free columns, orthonormalized on integers (modified
+    Gram-Schmidt, twice) at F bits; at rank 0 it is exactly the identity.
+    Without `want_null` a wide matrix goes in transposed (same values).
+    """
+    F = prec + 32
+    W, h = 2 * F, prec // 2
+    keys = [[point_key(x) for x in row] for row in rows]
+    if not want_null and len(keys) < len(keys[0]):
+        keys = [list(col) for col in zip(*keys)]
+    cols, e = _fixed_columns(keys, F)
+    n = len(cols)
+    parts = sum(1 for row in keys for key in row for p in key if p[1])
+    S = [([x << 2 * W for x in gr], [x << 2 * W for x in gi]) for gr, gi in _gram_upper(cols)]
+    # S_pp at or below this is at or below floor^2, or below one unit of G
+    limit = max(1 << max(2 * (W - e - h), 0), (1 << 2 * W) - 1)
+    free, pivots, ls, ds, hsq = list(range(n)), [], [], [], 0
+    while free:
+        p = max(range(len(free)), key=lambda a: S[a][0][0])
+        if S[p][0][0] <= limit:
             break
-    return W
-
-
-def _rotate(x, y, cp, sr, si, F):
-    """The columns x, y as (re, im) integer lists, rotated to c x - s y and conj(s) x + c y.
-
-    c = 1 - cp 2^-F is real and s = (sr + i si) 2^-F; cp and s are small
-    once the sweeps converge, so every product is of a short integer.
-    """
-    (ur, ui), (xr, xi) = x, y
-    return (
-        [u + ((si * b - cp * u - sr * a) >> F) for u, a, b in zip(ur, xr, xi)],
-        [u + ((-cp * u - sr * b - si * a) >> F) for u, a, b in zip(ui, xr, xi)],
-    ), (
-        [a + ((sr * u + si * v - cp * a) >> F) for a, u, v in zip(xr, ur, ui)],
-        [b + ((sr * v - si * u - cp * b) >> F) for b, u, v in zip(xi, ur, ui)],
-    )
-
-
-def _jacobi_svd(R, F, want_v):
-    """The one-sided Jacobi SVD of an upper-triangular integer R: (squared column norms, V).
-
-    R is n x n, rows of (re, im) integer pairs scaled by 2^F.  The columns
-    of W, F-bit fixed point, start from the float seed orthonormalized on
-    integers (modified Gram-Schmidt, twice) and B = R W.  Then cyclic sweeps
-    rotate pairs of B's columns to orthogonality (Hestenes), each rotation
-    taken from the exact Gram entries alpha = ||b_p||^2, beta = ||b_q||^2,
-    gamma = b_p^H b_q, with gamma's phase read at 2F bits: read from
-    gamma cut to F bits, it leaves rotations that are not unitary once
-    gamma is small, and V of a seeded rank-9 30 x 12 matrix came out
-    orthonormal only to 0.3.  A pair is left alone when |gamma|^2 <= 2^-2(F-16) alpha beta (orthogonal
-    to working precision) or |gamma|^2 <= 2^20 (alpha + beta) (rounding
-    level), and the sweeps stop after one that rotates no pair.  Returns
-    the squared column norms of B = R W, the squared singular values scaled
-    by 2^2F, and W's columns as (re, im) lists, or None without `want_v`;
-    W is only carried through the sweeps if it is wanted.
-    """
-    n = len(R)
-
-    def fixed(x):
-        return round(math.ldexp(x, 62)) << (F - 62)
-
-    W = [([fixed(x.real) for x in w], [fixed(x.imag) for x in w]) for w in _float_seed(R, F)]
+        d = S[p][0][0] >> 2 * W
+        dw = d << W
+        col = [(S[a][0][p - a], S[a][1][p - a]) if a <= p else (S[p][0][a - p], -S[p][1][a - p]) for a in range(len(free))]
+        lr, li = [x // dw for x, _ in col], [y // dw for _, y in col]
+        lr[p], li[p] = 1 << W, 0
+        for a, (sr, si) in enumerate(S):
+            mr, mi, ur, ui = lr[a] * d, li[a] * d, lr[a:], li[a:]
+            S[a] = (
+                [x - (mr * u + mi * v) for x, u, v in zip(sr, ur, ui)],
+                [y - (mi * u - mr * v) for y, u, v in zip(si, ur, ui)],
+            )
+        # the pivot's row and column are final: they hold its part of H
+        hsq += _frobenius_sq([S[p]]) + 2 * sum(S[a][0][p - a] ** 2 + S[a][1][p - a] ** 2 for a in range(p))
+        for a in range(p):
+            del S[a][0][p - a], S[a][1][p - a]
+        del S[p]
+        ls.append(dict(zip(free, zip(lr, li))))
+        ds.append(d)
+        pivots.append(free.pop(p))
+    r = len(pivots)
+    hF = _isqrt_up(hsq + _frobenius_sq(S))  # ||H||_F 2^(2W), rounded up
+    X = _unit_lower_inverse([[ls[m][pivots[k]] for m in range(k)] for k in range(r)], W)
+    inv = sum(-((sum(map(mul, xr, xr)) + sum(map(mul, xi, xi)) << 2 * W) // -d) for (xr, xi), d in zip(X, ds))
+    # sigma_r(a)^2 2^(2W) >= (1 - r 2^-W)^2 / ||D^(-1/2) X||_F^2 - ||H||_F, and sigma_(r+1)(a)^2 2^(2W) <= hF
+    lam = ((((1 << W) - r) ** 2 << 4 * W) // inv - hF) if r else 0
+    cut = _isqrt_up(parts << 2 * W)
+    lo = math.isqrt(max(lam, 0)) - cut
+    up = _isqrt_up(hF) + cut if r < n else 0
+    t = W - h - e  # the floor 2^-h as a singular value of a, scaled by 2^W, is 2^t
+    lower = mp.make_mpf(from_man_exp(lo, e - W)) if r else mp.inf
+    upper = mp.make_mpf(from_man_exp(up, e - W))
+    if (r and not (_above(lo, t) and lo >= RANK_GAP * up)) or _above(up, t):
+        raise ArithmeticError(
+            "singular value gap ambiguous at the floor 2^-%d: sigma_%d >= %s, sigma_%d <= %s"
+            % (h, r, mp.nstr(lower, 5), r + 1, mp.nstr(upper, 5))
+        )
+    if not want_null:
+        return RankCertificate(r, lower, upper)
+    basis = []
+    for j in free:
+        # t_c = sum_m X_mc l_jm, and the vector has -conj(t_c) at pivot c and 1 at j
+        tr, ti = _row_combination(X, [ls[m][j] for m in range(r)])
+        vr, vi = [0] * n, [0] * n
+        for c, k in enumerate(pivots):
+            vr[k], vi[k] = -tr[c] >> (2 * W - F), ti[c] >> (2 * W - F)
+        vr[j] = 1 << F
+        basis.append((vr, vi))
     for _ in range(2):
-        for j in range(n):
-            wr, wi = W[j]
-            for kr, ki in W[:j]:
+        for j in range(len(basis)):
+            wr, wi = basis[j]
+            for kr, ki in basis[:j]:
                 cr, ci = (x >> F for x in _dot(kr, ki, wr, wi))
                 wr = [a - ((x * cr - y * ci) >> F) for a, x, y in zip(wr, kr, ki)]
                 wi = [a - ((x * ci + y * cr) >> F) for a, x, y in zip(wi, kr, ki)]
             norm = math.isqrt(sum(map(mul, wr, wr)) + sum(map(mul, wi, wi)))
-            W[j] = [(x << F) // norm for x in wr], [(x << F) // norm for x in wi]
-    Rr = [[x for x, _ in row[i:]] for i, row in enumerate(R)]
-    Ri = [[-y for _, y in row[i:]] for i, row in enumerate(R)]  # conjugated, for _dot
-    B = []
-    for wr, wi in W:
-        col = [_dot(ar, ai, wr[i:], wi[i:]) for i, (ar, ai) in enumerate(zip(Rr, Ri))]
-        B.append(([x >> F for x, _ in col], [y >> F for _, y in col]))
-    norms = [sum(map(mul, br, br)) + sum(map(mul, bi, bi)) for br, bi in B]
-    tiny, noise, one = 2 * (F - 16), 1 << 20, 1 << F
-    for _ in range(64):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                a, b = norms[p], norms[q]
-                gr, gi = _dot(*B[p], *B[q])
-                g2 = gr * gr + gi * gi
-                if (g2 << tiny) <= a * b or g2 <= noise * (a + b):
-                    continue
-                rotated = True
-                g = math.isqrt(g2 << (2 * F))  # |gamma| 2^F, at 2F bits
-                d = (b - a) << F
-                t = (2 * g << F) // (abs(d) + math.isqrt(d * d + 4 * g * g))  # tan 2^F
-                if d < 0:
-                    t = -t
-                h = math.isqrt((1 << 2 * F) + t * t)  # sec 2^F
-                cp, s = one - (1 << 2 * F) // h, (t << F) // h
-                # s conj(phase(gamma)) 2^F, the phase read at 2F bits
-                sr, si = (s * gr << F) // g, -((s * gi << F) // g)
-                B[p], B[q] = _rotate(B[p], B[q], cp, sr, si, F)
-                if want_v:
-                    W[p], W[q] = _rotate(W[p], W[q], cp, sr, si, F)
-                norms[p], norms[q] = (sum(map(mul, x, x)) + sum(map(mul, y, y)) for x, y in (B[p], B[q]))
-        if not rotated:
-            return norms, W if want_v else None
-    raise ArithmeticError("Jacobi SVD: no convergence in 64 sweeps")
-
-
-def svd_spectrum(rows, prec, V=False):
-    """Singular values of the matrix `rows` at prec + GUARD_BITS bits, largest first.
-
-    The package's one SVD, on Python integers at F = prec + 32 bits.  If V
-    is an ncols x ncols matrix it receives the conjugated right singular
-    vectors as its rows, A = U S V, in the order of the values.  S has
-    min(nrows, ncols) values, or ncols if V is asked for.
-
-    The matrix is reduced to the n x n R of a Householder QR on integers
-    (`_householder_r`).  A = QR with Q unitary gives A^H A = R^H R, so S
-    and V are those of A in exact arithmetic (the R-SVD of Chan, "An
-    improved algorithm for computing the singular value decomposition", ACM
-    TOMS 1982), and the QR is backward stable (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., ch. 19): it is the SVD of
-    A + dA with ||dA|| a small multiple of 2^-F ||A||.  A wide matrix goes
-    in as its conjugate transpose (same nonzero singular values), or, if V
-    is asked for, with zero rows added to make it square (same V).
-
-    The SVD of R is a cyclic one-sided (Hestenes) complex Jacobi
-    (`_jacobi_svd`), the method that Demmel and Veselic ("Jacobi's method
-    is more accurate than QR", SIAM J. Matrix Anal. Appl. 13, 1992) show
-    to be accurate to the scaled condition of R.  A Jacobi in Python floats
-    on R seeds V; its columns, orthonormalized on integers, turn R into
-    B = R V0 with nearly orthogonal columns (to about 1e-13 for the 34
-    columns of a van Diejen n=2 solve), and the integer sweeps converge
-    quadratically from there: on that R of 561 pairs they rotate 561, 561,
-    506, 29, 1 and 0 pairs.  From V0 = I they rotate all 561 pairs for
-    ten sweeps, and that SVD takes 3.9-4.4 s instead of 1.4 s (2-core VM).
-    Each rotation reads its angle from the exact integer Gram entries and
-    the phase of gamma at 2F bits, and the sweeps stop after one that finds
-    every pair orthogonal to 2^-(F-16) or at rounding level.
-    """
-    F = prec + 32
-    keys = [[point_key(x) for x in row] for row in rows]
-    ncols = len(rows[0])
-    if len(rows) < ncols and V is not False:
-        keys += [[(fzero, fzero)] * ncols] * (ncols - len(rows))
-    elif len(rows) < ncols:
-        keys = [[(re, mpf_neg(im)) for re, im in col] for col in zip(*keys)]
-    cols, exp = _fixed_columns(keys, F)
-    norms, W = _jacobi_svd(_householder_r(cols, F), F, V is not False)
-    order = sorted(range(len(norms)), key=norms.__getitem__, reverse=True)
+            basis[j] = [(x << F) // norm for x in wr], [(x << F) // norm for x in wi]
     wp = prec + GUARD_BITS
-    if W is not None:
-        for i, j in enumerate(order):
-            for k, (re, im) in enumerate(zip(*W[j])):
-                V[i, k] = mp.make_mpc(
-                    (from_man_exp(re, -F, wp, round_nearest), from_man_exp(-im, -F, wp, round_nearest))
-                )
-    return [mp.make_mpf(mpf_sqrt(from_man_exp(norms[j], 2 * exp), wp, round_nearest)) for j in order]
+    null = [
+        [mp.make_mpc((from_man_exp(x, -F, wp, round_nearest), from_man_exp(y, -F, wp, round_nearest))) for x, y in zip(*v)]
+        for v in basis
+    ]
+    return RankCertificate(r, lower, upper, null)
 
 
-def spectrum_rank(svals, prec):
-    """The package's one rank rule: the number of singular values above 2^-(prec//2).
+def _row_combination(X, coeffs):
+    """sum_m coeffs[m] X[m] at scale 2^(2W), X's rows as (re, im) lists of growing length m + 1."""
+    tr, ti = [0] * len(X), [0] * len(X)
+    for (xr, xi), (cr, ci) in zip(X, coeffs):
+        k = len(xr)
+        tr[:k] = [a + cr * u - ci * v for a, u, v in zip(tr, xr, xi)]
+        ti[:k] = [b + cr * v + ci * u for b, u, v in zip(ti, xr, xi)]
+    return tr, ti
 
-    `svals`, largest first, is the spectrum of a matrix with entries of order
-    one, which every caller scales to.  A cut with the last kept value less
-    than RANK_GAP times the first dropped one raises ArithmeticError.  In the
-    tests and the benchmark, s_max lies between 10^-0.2 and 10^2.6 at nonzero
-    rank, and a rank-zero spectrum (conditions that cancel identically) is
-    rounding noise, at most 10^-80.2 at 256 bits (10^-79.2 for a test's
-    1e-80 noise).  Kept values sit at least 11.9 (96 bits) and 34.8 (256
-    bits) decades above the floor, but 33.1 and 31.1 for the van Diejen n=1
-    sections that a test breaks by moving x1 by 1e-6 and 1e-8; dropped ones
-    sit at least 16.9 and 40.7 below it.  `svd_spectrum` shows a decision's
-    margin.
+
+def _unit_lower_inverse(L, W):
+    """X ~ L^-1 for a unit lower triangular L at scale 2^W, given by its rows below the diagonal.
+
+    L[k] lists L_km for m < k as (re, im) integer pairs.  Row k of X is
+    floor(-sum_(m<k) L_km X_m / 2^W) below the diagonal and 2^W on it, so
+    L X = I + Y with Y strictly lower triangular and each part of it in
+    (-2^-W, 0].
     """
-    floor = mpf(2) ** -(prec // 2)
-    rank = sum(1 for s in svals if s > floor)
-    if 0 < rank < len(svals) and svals[rank - 1] < mp.fmul(RANK_GAP, svals[rank], exact=True):
-        raise ArithmeticError(
-            "singular value gap ambiguous at the floor %s: %s vs %s" % (floor, svals[rank - 1], svals[rank])
-        )
-    return rank
+    X = []
+    for row in L:
+        tr, ti = _row_combination(X, row)
+        X.append(([-x >> W for x in tr] + [1 << W], [-y >> W for y in ti] + [0]))
+    return X
 
 
 def numeric_rank(rows, prec):
-    """Rank of the matrix `rows` by `spectrum_rank` of its singular values."""
-    return spectrum_rank(svd_spectrum(rows, prec), prec)
+    """Rank of the matrix `rows` by `rank_certificate`."""
+    return rank_certificate(rows, prec).rank

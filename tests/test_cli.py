@@ -101,6 +101,27 @@ def test_missing_operands_and_wrong_points_are_config_errors(args):
     assert "configuration error" in out.stderr and "Traceback" not in out.stderr
 
 
+N2_POINT_COMMANDS = [("eval", "family", "first-order"), ("fourier-kernel", "0.1")]
+
+
+@pytest.mark.parametrize("command", N2_POINT_COMMANDS, ids=" ".join)
+def test_default_point_at_n2_is_off_the_poles(command):
+    # the default point has distinct coordinates, so it is not on z1 = z2
+    out = run_cli("--n", "2", "--trunc", "2", *command)
+    assert out.returncode == 0, out.stderr
+    assert len([l for l in out.stdout.splitlines() if l.strip()]) >= 3
+
+
+@pytest.mark.parametrize("command", N2_POINT_COMMANDS, ids=" ".join)
+def test_explicit_point_on_a_pole_is_a_config_error(command):
+    # an explicit point on the pole z1 = z2 exits 2 with the pole named, not with a traceback
+    point = "0.11+0.13j;0.11+0.13j"
+    at = ("at=" + point,) if command[0] == "eval" else ("--at", point)
+    out = run_cli("--n", "2", "--trunc", "2", *command, *at)
+    assert out.returncode == 2
+    assert "-z1 + z2 = 0" in out.stderr and "Traceback" not in out.stderr
+
+
 def test_threads_flag_rejected():
     # checks run in one thread; the removed --threads flag is a usage error
     out = run_cli("--threads", "2", "suite", "degenerations")
@@ -131,6 +152,13 @@ def test_determinism(tmp_path):
 def test_env_override():
     out = run_cli("suite", "degenerations", CCNOPS_PREC="32")
     assert out.returncode == 2
+
+
+@pytest.mark.parametrize("tau", ["0.31j", "0.5+0.32j"])
+def test_kernel_identities_at_small_im_tau(tau):
+    # with Im tau < 0.5 the Gamma identities still draw q with Im q above MIN_IM
+    status, report = run_suite("kernel-identities", load_config(None, {"tau": tau}))
+    assert status == 0, [c["id"] for c in report["checks"] if not c["pass"]]
 
 
 def test_report_schema_versioned():

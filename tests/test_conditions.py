@@ -603,12 +603,11 @@ def _rank_nine_rows():
 
 
 def _few_bit_pivot_rows():
-    """A seeded 40 x 12 complex matrix of rank 9 whose QR pivots have few significant bits.
+    """A seeded 40 x 12 complex matrix of rank 9 whose pivots have few significant bits.
 
     Entry (0, 0) is about 1e-60 in a column of order one, and columns 3, 7
     and 11 are exact sums of two others, so after the columns before them
-    are reflected their rest is rounding noise.  A pivot's phase must be
-    read to the full fixed point and v^H v summed exactly (`_householder_r`).
+    are eliminated their rest is rounding noise.
     """
     rng = random.Random(43)
     free = [[mpc(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(40)] for _ in range(9)]
@@ -620,50 +619,41 @@ def _few_bit_pivot_rows():
     return [list(row) for row in zip(*cols)]
 
 
-def _assert_svd_contract(rows, rank, prec=256):
-    """The R-SVD against mp.svd_c of the whole matrix.
+def _reference_svd(rows, prec):
+    """mp.svd_c of the whole matrix, 128 bits above `prec`: ncols values (zeros past min(m, n)) and V."""
+    ncols = len(rows[0])
+    with mp.workprec(prec + 128):
+        _, S, V = mp.svd_c(matrix(rows), full_matrices=True)
+    return list(S) + [mpf(0)] * (ncols - len(S)), V
 
-    Kept values agree to 1e-70 relative, dropped ones stay at or below
-    2^-(prec//2) 1e-30, and the nullspace projectors agree to 1e-70.
+
+def _assert_certificate_contract(rows, rank, prec=256):
+    """The rank certificate against mp.svd_c of the whole matrix.
+
+    The rank is mp.svd_c's count above the floor 2^-(prec//2), the certified
+    bounds bracket mp.svd_c's sigma_r and sigma_(r+1), the nullspace
+    projectors agree to 1e-70, and the nullspace basis is orthonormal to
+    2^-prec.
     """
     ncols = len(rows[0])
-    with mp.workprec(prec + 16):
-        _, S_ref, V_ref = mp.svd_c(matrix(rows), full_matrices=True)
-    S = weyl.svd_spectrum(rows, prec)
-    null = nullspace_basis(rows, ncols, prec=prec)
+    S_ref, V_ref = _reference_svd(rows, prec)
+    cert = weyl.rank_certificate(rows, prec, want_null=True)
+    null = cert.null
+    assert cert.rank == rank == sum(1 for s in S_ref if s > mpf(2) ** -(prec // 2))
+    assert numeric_rank(rows, prec=prec) == rank and nullspace_basis(rows, ncols, prec=prec) == null
     assert len(null) == ncols - rank
-    with mp.workprec(prec + 16):
-        for i in range(rank):
-            assert abs(S[i] - S_ref[i]) <= S_ref[i] * mpf("1e-70")
-        assert all(s <= mpf(2) ** -(prec // 2) * mpf("1e-30") for s in S[rank:])
+    with mp.workprec(prec + 128):
+        assert cert.lower <= (S_ref[rank - 1] if rank else mp.inf)
+        assert (S_ref[rank] if rank < ncols else 0) <= cert.upper
         want = [[mp.conj(V_ref[j, i]) for i in range(ncols)] for j in range(rank, ncols)]
         for a in range(ncols):
             for b in range(ncols):
                 got = sum(v[a] * mp.conj(v[b]) for v in null)
                 ref = sum(v[a] * mp.conj(v[b]) for v in want)
                 assert abs(got - ref) < mpf("1e-70")
-
-
-def test_nullspace_svd_runs_on_the_householder_r(monkeypatch):
-    # a tall matrix reaches the Jacobi kernel once, as the upper-triangular
-    # 12 x 12 integer R of its QR
-    rows = _rank_nine_rows()
-    seen = []
-    kernel = weyl._jacobi_svd
-
-    def spy(R, F, want_v):
-        seen.append((R, want_v))
-        return kernel(R, F, want_v)
-
-    monkeypatch.setattr(weyl, "_jacobi_svd", spy)
-    null = nullspace_basis(rows, 12, prec=256)
-    ((R, want_v),) = seen
-    assert want_v and len(null) == 3
-    assert len(R) == 12 and all(len(row) == 12 for row in R)
-    assert all(type(x) is int for row in R for entry in row for x in entry)
-    assert all(R[i][j] == (0, 0) for i in range(12) for j in range(i))
-    monkeypatch.undo()
-    _assert_svd_contract(rows, 9)
+        for i, u in enumerate(null):
+            for j, v in enumerate(null):
+                assert abs(sum(x * mp.conj(y) for x, y in zip(u, v)) - (i == j)) <= mpf(2) ** -prec, (i, j)
 
 
 def _unitary(rng, n):
@@ -690,25 +680,11 @@ def _low_rank_rows(rng, r, c, rank):
         return (matrix(_gauss_rows(rng, r, rank)) * matrix(_gauss_rows(rng, rank, c))).tolist()
 
 
-def _assert_v_contract(rows, prec=256):
-    """V is orthonormal to 2^-prec, and A v_i^H has length s_i for each row v_i of V."""
-    ncols = len(rows[0])
-    V = mp.zeros(ncols, ncols)
-    S = weyl.svd_spectrum(rows, prec, V)
-    assert len(S) == ncols
-    with mp.workprec(prec + 16):
-        for i in range(ncols):
-            for j in range(ncols):
-                dot = sum(V[i, k] * mp.conj(V[j, k]) for k in range(ncols))
-                assert abs(dot - (i == j)) <= mpf(2) ** -prec, (i, j)
-            image = mp.sqrt(sum(abs(sum(a * mp.conj(V[i, k]) for k, a in enumerate(row))) ** 2 for row in rows))
-            assert abs(image - S[i]) <= mpf("1e-70") * max(S[0], 1), i
-
-
 SVD_INPUTS = {
     # name: (rows from a seeded generator, rank)
     "wide-8x11": (lambda rng: _gauss_rows(rng, 8, 11), 8),
     "square-rank-7": (lambda rng: _low_rank_rows(rng, 10, 10, 7), 7),
+    "tall-rank-9": (lambda rng: _rank_nine_rows(), 9),
     # the scale of a first-order solve's condition rows: rounding noise
     "noise-1e-81": (lambda rng: _gauss_rows(rng, 20, 6, mpf("1e-81")), 0),
     "zero": (lambda rng: [[mpc(0)] * 5 for _ in range(9)], 0),
@@ -719,13 +695,11 @@ SVD_INPUTS = {
 @pytest.mark.parametrize("name", sorted(SVD_INPUTS))
 def test_svd_contract_on_more_shapes(name):
     make, rank = SVD_INPUTS[name]
-    rows = make(random.Random(47))
-    _assert_svd_contract(rows, rank)
-    _assert_v_contract(rows)
+    _assert_certificate_contract(make(random.Random(47)), rank)
 
 
-def test_householder_r_on_few_bit_pivots():
-    _assert_svd_contract(_few_bit_pivot_rows(), 9)
+def test_rank_certificate_on_few_bit_pivots():
+    _assert_certificate_contract(_few_bit_pivot_rows(), 9)
 
 
 def test_rank_and_nullspace_dimension_add_up():
@@ -743,3 +717,66 @@ def test_rank_cut_without_a_gap_raises():
     with pytest.raises(ArithmeticError, match="ambiguous"):
         nullspace_basis(rows, 3, prec=256)
 
+
+def _kahan_rows(n, c, prec):
+    """Kahan's upper-triangular matrix, rows scaled by s^i (s^2 + c^2 = 1), its column j scaled by (1 - 1e-6)^j.
+
+    The column scaling keeps a diagonally pivoted Cholesky of A^H A in the
+    natural order, where its last pivot, s^(n-1) squared, hides a far
+    smaller sigma_n (Kahan, 1966; Higham, Accuracy and Stability of
+    Numerical Algorithms, section 20.1).
+    """
+    with mp.workprec(prec + 64):
+        c = mpf(c)
+        s = mp.sqrt(1 - c * c)
+        return [[mpc(0) if j < i else s**i * (1 if i == j else -c) * (1 - mpf("1e-6")) ** j for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("prec", [64, 96])
+def test_rank_certificate_on_a_kahan_matrix(prec):
+    # sigma_30 = 2.6e-14 and sigma_29 = 8.2e-7, while every pivot stays at or
+    # above (3.7e-7)^2: at 64 bits the floor 2.3e-10 falls between the two
+    # values, every pivot passes it, and only the certified lower bound shows
+    # that sigma_30 does not; at 96 bits (floor 3.6e-15) the rank is full
+    rows = _kahan_rows(30, "0.8", prec)
+    S_ref, _ = _reference_svd(rows, prec)
+    rank = sum(1 for s in S_ref if s > mpf(2) ** -(prec // 2))
+    try:
+        cert = weyl.rank_certificate(rows, prec)
+    except ArithmeticError as exc:
+        assert prec == 64 and rank == 29 and "ambiguous" in str(exc)
+    else:
+        assert prec == 96 and cert.rank == rank == 30
+        assert cert.lower <= S_ref[29]
+
+
+def _certified_solve(model, seed):
+    """The rank certificate of a model's residue-pair condition rows, and its nullity."""
+    specs = [s for s in enumerate_conditions(model.degree, model.lam, model.params, model.n) if s.kind == "residue-pair"]
+    cert = weyl.rank_certificate(model.condition_rows(specs, seed=seed), model.ctx.prec)
+    return cert, len(model.basis_ops) - cert.rank
+
+
+def test_solved_dimensions_hold_across_seeds_and_moduli(xs8):
+    # every dimension is the expected one at 5 seeds and 2 moduli, and at
+    # nonzero rank the certified bounds stand at least 60 decades apart; the
+    # first-order rows are rounding noise of rank 0
+    for tau in (mpc("0.13", "1.09"), mpc("-0.21", "1.13")):
+        ctx = CurveContext(tau, 256)
+        for seed in (1, 2, 3, 4, 5):
+            for model, dim in (
+                (first_order_model(ctx, 1, 1, ETA, Q, T, seed=seed), 4),
+                (first_order_model(ctx, 2, 1, ETA, Q, T, seed=seed), 10),
+                (vandiejen_model(ctx, xs8, Q, T, 1, seed=seed), 2),
+            ):
+                cert, nullity = _certified_solve(model, seed)
+                assert nullity == dim, (tau, seed, model.n, dim)
+                assert cert.rank == 0 or cert.lower >= mpf("1e60") * cert.upper, (tau, seed, model.n, dim)
+
+
+def test_vandiejen_n2_certified_gap(ctx, xs8):
+    # three sections of the n=2 van Diejen degree, the rank cut certified
+    # with a gap of about 1e78
+    cert, nullity = _certified_solve(vandiejen_model(ctx, xs8, Q, T, 2), 37)
+    assert nullity == 3
+    assert cert.lower >= mpf("1e60") * cert.upper

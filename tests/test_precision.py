@@ -27,8 +27,7 @@ from ccnops.symbols import AffineForm
 from ccnops.weyl import (
     automorphism_group,
     invariant_dimension,
-    numeric_rank,
-    svd_spectrum,
+    rank_certificate,
     theta_symmetrization_rows,
 )
 from conftest import ETA, Q, T, TAU, TOL, rel, sample_points
@@ -122,11 +121,10 @@ def _theta_symmetrization_rows():
     ctx = CurveContext(ORACLE_TAU, 96)
     gens = automorphism_group(LATTICE_Q)
     rows = theta_symmetrization_rows(LATTICE_Q, gens, ctx)
-    rank = numeric_rank(rows, prec=ctx.prec)
-    assert rank == invariant_dimension(LATTICE_Q, gens)
-    svals = svd_spectrum(rows, ctx.prec)
-    assert svals[rank - 1] / svals[rank] > mpf("1e30")
-    return rows
+    cert = rank_certificate(rows, ctx.prec)
+    assert cert.rank == invariant_dimension(LATTICE_Q, gens)
+    assert cert.lower / cert.upper > mpf("1e30")
+    return [rows, cert.lower, cert.upper]
 
 
 CASES = {

@@ -18,12 +18,12 @@ from ccnops.weyl import (
     inversion_set,
     inversion_set_bruteforce,
     numeric_rank,
+    rank_certificate,
     sp_apply,
     sp_compose,
     sp_inverse,
     sp_matrix,
     signed_permutations,
-    svd_spectrum,
     theta_basis_values,
     theta_symmetrization_rank,
     theta_symmetrization_rows,
@@ -231,16 +231,16 @@ def test_theta_basis_values_are_periodic(Q):
 
 
 def _assert_rank_gap(Q, ctx):
-    # the rank is read from a gap far above the 1e6 threshold; at full rank the
-    # gap is measured against the rounding floor of the largest singular value
+    # the rank is read from a certified gap far above the 1e6 threshold; at
+    # full rank the gap is measured against the rounding floor of the
+    # Frobenius norm, which bounds the largest singular value
     prec = ctx.prec
     for gens in ([], automorphism_group(Q)):
         rows = theta_symmetrization_rows(Q, gens, ctx)
-        svals = svd_spectrum(rows, prec)
-        r = numeric_rank(rows, prec=prec)
-        assert r == invariant_dimension(Q, gens), (Q, len(gens))
-        below = svals[r] if r < len(svals) else svals[0] * mpf(2) ** -prec
-        assert svals[r - 1] / below >= mpf("1e20"), (Q, len(gens), r)
+        cert = rank_certificate(rows, prec)
+        assert cert.rank == numeric_rank(rows, prec=prec) == invariant_dimension(Q, gens), (Q, len(gens))
+        below = cert.upper or mp.sqrt(sum(abs(x) ** 2 for row in rows for x in row)) * mpf(2) ** -prec
+        assert cert.lower / below >= mpf("1e20"), (Q, len(gens), cert.rank)
 
 
 @pytest.mark.parametrize("Q", BASIS_FORMS + ([[2, 0], [0, 2]], [[2, 1], [1, 2]]), ids=str)
