@@ -590,8 +590,10 @@ class CurveContext:
         a product carries an absolute error of 2^-F instead.
 
         Zero rule: |w0| < 2^-`ctx._wp` gives exactly 0.  Such a w0 is a
-        lattice point up to rounding (`FourierKernel` evaluates theta at
-        c + (z_j - c) - z_j), and callers read the exact zero.
+        lattice point up to rounding, and callers read the exact zero.  An
+        argument that is a lattice point as a form, such as the z_j - z_j of
+        a Fourier kernel's tail relation (`families._TailSolver.A`),
+        compiles to an exact 0 and arrives here as one.
         """
         w0r, w0i, m, n = reduced
         if w0r * w0r + w0i * w0i < self._fix_zero:

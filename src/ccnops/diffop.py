@@ -8,10 +8,11 @@ half-integer parity class) to coefficient evaluators:
 so T_i pulls a function back through z_i -> z_i + q.  A coefficient is either
 structured, an `ExprCoefficient` (a sum of scaled ThetaExprs, so its
 denominator theta factors are explicit and the condition checkers evaluate
-residues on divisors instead of extracting limits), a `CompositeCoefficient`
-(a coefficient of `DifferenceOperator.compose`: a sum of products of shifted
-structured coefficients), or an opaque `FnCoefficient` (formal tails).  The
-first two are evaluated on the context's fixed-point argument table (`factors`).
+residues on divisors instead of extracting limits), or a
+`CompositeCoefficient` (a coefficient of `DifferenceOperator.compose`: a sum
+of products of shifted structured coefficients).  Both are evaluated on the
+context's fixed-point argument table (`factors`), as are the formal layer's
+head ratios and Fourier-kernel tail relations, which are `ExprCoefficient`s.
 """
 
 from __future__ import annotations
@@ -192,21 +193,6 @@ class CompositeCoefficient:
         zero = (Fraction(0),) * self.n
         factor = (zero, ExprCoefficient(expr, params))
         return CompositeCoefficient(self.n, self.q, [term + (factor,) for term in self.terms])
-
-
-class FnCoefficient:
-    """Opaque evaluator (formal tails); memoized per (context, exact point)."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self._cache = {}
-
-    def eval(self, ctx, z):
-        def compute():
-            with mp.workprec(ctx._wp):
-                return self.fn(ctx, z)
-
-        return memo(self._cache, (ctx, tuple(map(point_key, z))), compute)
 
 
 def mul_scales(a, b):

@@ -14,12 +14,15 @@ suits:
 
 * coefficient values (`compile_parts`, `CompiledParts`), behind
   `ThetaExpr.eval`, `ExprCoefficient.eval` (which `conditions.check_vanishing`
-  reads) and the composites of `DifferenceOperator.compose`.  Each theta is
+  reads), the composites of `DifferenceOperator.compose`, and the formal
+  layer: the head ratios of `formal` (`FormalGaugedOperator.compose`,
+  `invert` and `compare_gauged`) and the Fourier kernel's tail relation
+  (`families._TailSolver.A`).  Each theta is
   `CurveContext.theta_of_fixed`, memoized on the fixed-point argument, each
   part a quotient of Gaussian-float products, and the parts are summed
   exactly; a shift z -> z + q s moves the fixed-point coordinates by q s_j
   (`fixed_shift`), so no shifted point is formed.  Values repeat: the memo
-  answers 8,748 of the 10,116 theta reads of a bench `verify` pass, and
+  answers 13,503 of the 15,204 theta reads of a bench `verify` pass, and
   reading them through `theta_fixed` with a point memo cost `verify` 5% in
   wall time and 17% in peak memory;
 * residues, for condition rows and residue checks (`TablePoint`), at random

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
-from .curve import PoleProximityError, TorsionError, at_context_precision, exact_mpc, pole_text
+from .curve import TorsionError, at_context_precision, exact_mpc, memo
 from .diffop import (
     DegreeVector,
     DifferenceOperator,
@@ -21,7 +21,6 @@ from .diffop import (
     identity_operator,
     mul_scales,
     multiplication_operator,
-    shift_point,
 )
 from .formal import (
     FormalGaugedOperator,
@@ -203,37 +202,32 @@ class _TailSolver:
     the weak reference of `formal.solved_tail`.
     """
 
-    def __init__(self, ctx, q, c, t, n):
-        self.ctx, self.q, self.c, self.t, self.n = ctx, q, c, t, n
+    def __init__(self, ctx, c_form, t_form, params, n):
+        self.ctx, self.c_form, self.t_form, self.params, self.n = ctx, c_form, t_form, params, n
         self.tail = None  # weakref.ref to the tail (`formal.solved_tail`)
+        self._coeffs = {}
 
-    def A(self, sigma, z, mprime, u):
-        """Coefficient of D(c +- u; t) at T^{sigma/2}, evaluated at y = z + q mprime.
+    def A(self, sigma, z, mprime, j):
+        """Coefficient of D(c +- u; t)|_{u=z_j} at T^{sigma/2}, read at y = z + q mprime.
 
-        A denominator theta that vanishes at y raises PoleProximityError
-        naming its divisor.
+        An `ExprCoefficient` over the forms c + u = z_j, c - u = 2c - z_j and
+        y_i = z_i + m'_i q, memoized per (sigma, mprime, j) and evaluated at z
+        on the context's argument table; a denominator theta that vanishes
+        raises PoleProximityError naming its divisor.
         """
-        ctx, c, t = self.ctx, self.c, self.t
-        y = shift_point(z, self.q, mprime)
-        val = mpc(1)
-        try:
-            for i in range(self.n):
-                yi = sigma[i] * y[i]
-                val *= ctx.theta(c + u + yi) * ctx.theta(c - u + yi) / ctx.theta(2 * yi)
-            for i in range(self.n):
-                for j in range(i + 1, self.n):
-                    arg = sigma[i] * y[i] + sigma[j] * y[j]
-                    val *= ctx.theta(t + arg) / ctx.theta(arg)
-        except ZeroDivisionError:
-            pairs = itertools.combinations(range(self.n), 2)
-            for zk in [((i, 2 * sigma[i]),) for i in range(self.n)] + [((i, sigma[i]), (j, sigma[j])) for i, j in pairs]:
-                arg = sum(k * y[j] for j, k in zk)
-                if not ctx.theta(arg):
-                    raise PoleProximityError(
-                        "the point lies on the pole %s" % pole_text(zk, arg - sum(k * z[j] for j, k in zk))
-                    ) from None
-            raise
-        return val
+        coeff = memo(self._coeffs, (sigma, mprime, j), lambda: self._coefficient(sigma, mprime, j))
+        return coeff.eval(self.ctx, z)
+
+    def _coefficient(self, sigma, mprime, j):
+        """The factors of `first_order` with u-list [z_j, 2c - z_j] at the shift sigma/2, written at y."""
+        qf, uj = AffineForm.var("q"), zvar(j + 1)
+        ys = [(zvar(i + 1) + qf * mprime[i]) * sigma[i] for i in range(self.n)]
+        factors = []
+        for y in ys:
+            factors += [(uj + y, 1), (self.c_form * 2 - uj + y, 1), (y * 2, -1)]
+        for a, b in itertools.combinations(ys, 2):
+            factors += [(self.t_form + a + b, 1), (a + b, -1)]
+        return ExprCoefficient(ThetaExpr(tuple(factors), self.n), self.params)
 
     def solve(self, ctx, m, w):
         """e_m(w) from the defining relation at the pivot coordinate (m != 0).
@@ -243,23 +237,21 @@ class _TailSolver:
         """
         if ctx is not self.ctx:
             raise ValueError("a FourierKernel tail evaluates only under the kernel's own context")
-        q, c, n, tail = self.q, self.c, self.n, self.tail()
+        q, n, tail = self.params["q"], self.n, self.tail()
         # pivot: coordinate with m_j >= 1 maximizing |theta(-m_j q)|
-        best, best_j = None, None
-        for j in range(n):
-            if m[j] >= 1:
-                mag = abs(ctx.theta(-m[j] * q))
+        best, j = None, None
+        for i in range(n):
+            if m[i] >= 1:
+                mag = abs(ctx.theta(-m[i] * q))
                 if best is None or mag > best:
-                    best, best_j = mag, j
-        j = best_j
-        u = w[j] - c
+                    best, j = mag, i
         total = mpc(0)
         pivot = None
         for sigma in itertools.product((1, -1), repeat=n):
             mprime = tuple(m[i] - (1 + sigma[i]) // 2 for i in range(n))
             if any(x < 0 for x in mprime):
                 continue
-            a = self.A(sigma, w, mprime, u)
+            a = self.A(sigma, w, mprime, j)
             if all(s == -1 for s in sigma):
                 pivot = a
             else:
@@ -293,7 +285,7 @@ class FourierKernel(FormalGaugedOperator):
         if order and margin < TORSION_MARGIN:
             raise TorsionError("q is numerically torsion up to the truncation order")
 
-        self._solver = _TailSolver(ctx, exact_mpc(q), c_form.eval(params), t_form.eval(params), n)
+        self._solver = _TailSolver(ctx, c_form, t_form, params, n)
         tail = solved_tail(n, order, self._solver)
         super().__init__(n, kernel_head(n, c_form, t_form), c_form, tail, params)
 
@@ -305,10 +297,9 @@ class FourierKernel(FormalGaugedOperator):
         """Max |coefficient| of D(c) D(c +- u)|_{u=z_j} over tail orders <= order."""
         order = self.order if order is None else order
         with mp.workprec(self.ctx._wp):
-            c, n = self._solver.c, self.n
+            n = self.n
             worst = mpf(0)
             for j in range(n):
-                u = z[j] - c
                 for s_off in itertools.product(range(-1, order + 1), repeat=n):
                     # only test equations whose every contribution is within the
                     # solved truncation (the sigma = -1 vector needs s_off + 1)
@@ -320,7 +311,7 @@ class FourierKernel(FormalGaugedOperator):
                         mprime = tuple(s_off[i] + (1 - sigma[i]) // 2 for i in range(n))
                         if any(x < 0 for x in mprime):
                             continue
-                        term = self.tail_value(mprime, z) * self._solver.A(sigma, z, mprime, u)
+                        term = self.tail_value(mprime, z) * self._solver.A(sigma, z, mprime, j)
                         total += term
                         scale = max(scale, abs(term))
                     if scale > 0:

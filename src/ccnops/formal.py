@@ -4,6 +4,12 @@ An element is  Gamma(z) * T_w(c) * sum_m e_m(z) T^m  with integer tail keys,
 where T_w(c) translates every variable by c.  The tail lives in the
 completion where |sum c_k T^k| = max exp(-sum k_i); truncation keeps offsets
 with total degree <= order above the support corner.
+
+A Gamma head commutes through a tail key m as the ratio
+rho_m(z) = Gamma(z + q m) / Gamma(z), resolved to a ThetaExpr.  The ratios of
+`compose` and `invert`, and the ratio of two heads in `compare_gauged`, are
+`diffop.ExprCoefficient`s, so they are read on the context's compiled
+argument table (`factors`) like every finite coefficient.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from fractions import Fraction
 from mpmath import mp, mpc, mpf
 
 from .curve import at_context_precision, memo, point_key
-from .diffop import DifferenceOperator, FnCoefficient, bindings_for, rel_defect, shift_point
+from .diffop import ExprCoefficient, shift_point
 from .symbols import AffineForm, GammaProduct, Unbalanced, zvar
 
 
@@ -58,9 +64,10 @@ class _InverseSolver:
     """The recursion that the tail entries of `FormalGaugedOperator.invert` solve.
 
     With G = Gamma(z-c)^{-1} T(-c) D', F*G has tail U * D' where
-    U_m(z) = e_m(z + c) rho_m(z + c), rho from the inverse head; the inverse
-    tail's entry m is -sum_l U_l(z) D'_(m-l)(z + q l) over the nonzero keys
-    l <= m, read through the inverse tail's own memo.  The solver holds the
+    U_m(z) = e_m(z + c) rho_m(z + c), rho the inverse head's ratios as
+    `ExprCoefficient`s; the inverse tail's entry m is
+    -sum_l U_l(z) D'_(m-l)(z + q l) over the nonzero keys l <= m, read
+    through the inverse tail's own memo.  The solver holds the
     source tail and the operator's global shift, not the operator, and the
     inverse tail only through the weak reference of `solved_tail`.
     """
@@ -75,7 +82,7 @@ class _InverseSolver:
         v = self.source.eval(ctx, m, zc)
         if v == 0:
             return v
-        return v * self.rho[m].eval(ctx, bindings_for(self.params, zc))
+        return v * self.rho[m].eval(ctx, zc)
 
     def solve(self, ctx, m, z):
         """D'_m(z) for a nonzero key m."""
@@ -147,9 +154,10 @@ class FormalGaugedOperator:
         # rho_m(z) = resolve(Gamma2(z + q m) / Gamma2(z)) for the keys of our tail
         rho = {}
         for m in self.tail.entries:
-            rho[m] = other.gamma.shift_ratio(m, n)
-            if isinstance(rho[m], Unbalanced):
+            ratio = other.gamma.shift_ratio(m, n)
+            if isinstance(ratio, Unbalanced):
                 raise ValueError("head does not commute through the tail at %s" % (m,))
+            rho[m] = ExprCoefficient(ratio, params)
         # new tail: [self.tail * rho], shifted by other's c, times other.tail
         entries = {}
         base1 = self.tail.corner()
@@ -163,7 +171,6 @@ class FormalGaugedOperator:
                 entries.setdefault(k, []).append((m1, m2))
 
         tail1, tail2 = self.tail, other.tail
-        gslf = params
 
         def make(pairs):
             # F1 F2 = Gamma1 Gamma2^{(c1)} T(c1+c2) D1'' D2 with
@@ -177,7 +184,7 @@ class FormalGaugedOperator:
                     v = tail1.eval(ctx, m1, zc)
                     if v == 0:
                         continue
-                    v *= rho[m1].eval(ctx, bindings_for(gslf, zc))
+                    v *= rho[m1].eval(ctx, zc)
                     v *= tail2.eval(ctx, m2, shift_point(z, q, m1))
                     total += v
                 return total
@@ -211,9 +218,10 @@ class FormalGaugedOperator:
         gamma_inv = self.gamma.substitute(shift_minus_c).inverse()
         rho = {}
         for m in self.tail.entries:
-            rho[m] = gamma_inv.shift_ratio(m, n)
-            if isinstance(rho[m], Unbalanced):
+            ratio = gamma_inv.shift_ratio(m, n)
+            if isinstance(ratio, Unbalanced):
                 raise ValueError("inversion head ratio unbalanced")
+            rho[m] = ExprCoefficient(ratio, params)
 
         if self.tail.entries.get((0,) * n) != 1:
             raise ValueError("inversion requires tail constant term exactly 1")
@@ -241,35 +249,6 @@ class FormalGaugedOperator:
             entries[key] = fn2
         c_form = self.c_form - AffineForm.var("q") * r
         return FormalGaugedOperator(n, self.gamma, c_form, Tail(n, entries, self.tail.order), self.params)
-
-    # -- conversions ---------------------------------------------------------
-
-    def resolved_head(self):
-        """The head Gamma product as a ThetaExpr, if balanced."""
-        res = self.gamma.reduce(arity=self.n)
-        if isinstance(res, Unbalanced):
-            raise ValueError("head is not balanced: %s" % (res,))
-        return res
-
-    def to_difference_operator(self, order=None):
-        """Render as a finite operator when the head resolves and c in (q/2)Z."""
-        n = self.n
-        head = self.resolved_head()
-        params = self.params
-        half = self.c_form.coeff("q")
-        if self.c_form != AffineForm.var("q", half) or half.denominator > 2:
-            raise ValueError("global shift is not a half-integer multiple of q")
-        order = self.tail.order if order is None else min(order, self.tail.order)
-        coeffs = {}
-        for m in self.tail.keys_within(order):
-            shift = tuple(half + x for x in m)
-
-            def fn(ctx, z, m=m):
-                v = head.eval(ctx, bindings_for(params, z))
-                return v * self.tail.eval(ctx, m, shift_point(z, params["q"], (half,) * n))
-
-            coeffs[shift] = FnCoefficient(fn)
-        return DifferenceOperator(n, coeffs, params)
 
 
 def gauged_from_operator(op):
@@ -300,10 +279,15 @@ def gamma_multiplier(n, gamma, params):
 
 @at_context_precision
 def compare_gauged(ctx, F1, F2, points, order=None):
-    """Max relative coefficient defect between two gauged operators.
+    """Max over the points of the largest coefficient difference over the largest |coefficient|.
 
-    The heads' ratio must be balanced; it is resolved and folded into the
-    comparison, so the two operators may carry different-looking heads.
+    At each point the tail coefficients of F1 (times the heads' ratio) and
+    of F2 are compared over the keys within the order, and the largest
+    |difference| is measured against the largest |coefficient| compared
+    there, so a coefficient that is 0 in one operator reads its rounding
+    against the operator's scale.  The heads' ratio must be balanced; it is
+    resolved and folded into the comparison, so the two operators may carry
+    different-looking heads.
     """
     if abs(F1.c_value - F2.c_value) > mpf("1e-20"):
         q = mpc(F1.params["q"])
@@ -312,17 +296,19 @@ def compare_gauged(ctx, F1, F2, points, order=None):
         if abs(r - rint) > mpf("1e-20"):
             raise ValueError("gauged operators with different global shifts")
         F1 = F1.rebased(int(rint))
-    ratio = F1.gamma * F2.gamma.inverse()
-    res = ratio.reduce(arity=F1.n)
+    res = (F1.gamma * F2.gamma.inverse()).reduce(arity=F1.n)
     if isinstance(res, Unbalanced):
         raise ValueError("heads differ by an unbalanced Gamma product")
+    ratio = ExprCoefficient(res, {**F1.params, **F2.params})
     order = min(F1.order, F2.order) if order is None else order
     keys = set(F1.tail.keys_within(order)) | set(F2.tail.keys_within(order))
     c = F1.c_value
     worst = mpf(0)
     for z in points:
-        r = res.eval(ctx, bindings_for({**F1.params, **F2.params}, z))
+        r = ratio.eval(ctx, z)
         zc = tuple(w + c for w in z)
-        for k in keys:
-            worst = max(worst, rel_defect(r * F1.tail.eval(ctx, k, zc), F2.tail.eval(ctx, k, zc)))
+        pairs = [(r * F1.tail.eval(ctx, k, zc), F2.tail.eval(ctx, k, zc)) for k in keys]
+        scale = max((max(abs(a), abs(b)) for a, b in pairs), default=0)
+        if scale:
+            worst = max(worst, max(abs(a - b) for a, b in pairs) / scale)
     return worst

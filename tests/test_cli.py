@@ -203,3 +203,13 @@ def test_fourier_kernel_command():
     out = run_cli("--n", "1", "--trunc", "2", "fourier-kernel", "0.1+0.2j")
     assert out.returncode == 0
     assert out.stdout.count("(") >= 3
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("prec", [96, 128])
+def test_fourier_suite_passes_at_low_precision(prec, n):
+    # the kernel comparisons measure each point against the largest coefficient
+    # compared there: zero targets such as K(c) K(-c) - 1 read their rounding
+    # against that scale, so the suite passes at 96 and 128 bits
+    out = run_cli("--seed", "4", "--n", str(n), "--prec", str(prec), "suite", "fourier")
+    assert out.returncode == 0, out.stdout + out.stderr

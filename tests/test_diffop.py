@@ -11,7 +11,6 @@ from ccnops.diffop import (
     CompositeCoefficient,
     DifferenceOperator,
     ExprCoefficient,
-    FnCoefficient,
     SelbergDensity,
     bindings_for,
     identity_operator,
@@ -278,7 +277,7 @@ def test_parity_enforced():
 
 
 def _memoized_evaluators(z):
-    """One structured, one composite and one formal-tail coefficient and one Tail entry of new operators, as f(ctx)."""
+    """One structured and one composite coefficient and one Tail entry of new operators, as f(ctx)."""
     D = first_order(US, T, Q, 1)
     k = D.support()[-1]
     DD = D.compose(D)
@@ -286,15 +285,11 @@ def _memoized_evaluators(z):
     gauged = gauged_from_operator(D)
     tail = gauged.tail
     m = max(tail.entries)
-    DF = gauged.to_difference_operator()
-    kf = DF.support()[-1]
     assert isinstance(D.coefficient(k), ExprCoefficient)
     assert isinstance(DD.coefficient(kk), CompositeCoefficient)
-    assert isinstance(DF.coefficient(kf), FnCoefficient)
     return {
         "expr": lambda c: D.coefficient(k).eval(c, z),
         "composite": lambda c: DD.coefficient(kk).eval(c, z),
-        "fn": lambda c: DF.coefficient(kf).eval(c, z),
         "tail": lambda c: tail.eval(c, m, z),
     }
 
@@ -311,14 +306,14 @@ def test_memos_are_scoped_to_the_context(ctx):
         assert rel(f(other), fresh[name](other)) < mpf("1e-70"), name
 
 
-def test_fn_coefficient_runs_at_the_context_precision(ctx):
-    # an opaque coefficient first evaluated under a 53-bit global precision
+def test_tail_entry_runs_at_the_context_precision(ctx):
+    # a formal-tail entry first evaluated under a 53-bit global precision
     # must still carry the context's precision when read back at 320 bits
     z = sample_points(1, 1)[0]
-    used = _memoized_evaluators(z)["fn"]
+    used = _memoized_evaluators(z)["tail"]
     with mp.workprec(53):
         used(ctx)
-    assert rel(used(ctx), _memoized_evaluators(z)["fn"](ctx)) < mpf("1e-70")
+    assert rel(used(ctx), _memoized_evaluators(z)["tail"](ctx)) < mpf("1e-70")
 
 
 def test_op_defect_measures_a_leading_perturbation(ctx):

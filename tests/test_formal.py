@@ -98,10 +98,19 @@ def test_rebase(ctx):
     assert compare_gauged(ctx, K, R, sample_points(1, 2), order=2) < TOL
 
 
-def test_to_difference_operator(ctx):
-    Km = FourierKernel(ctx, AffineForm.var("q") * F(-1, 2), Q, T, 1, 3)
-    D = Km.to_difference_operator(order=1)
-    target = first_order([], T, Q, 1)
-    from conftest import op_defect
+def _with_tail(F1, tail):
+    return FormalGaugedOperator(F1.n, F1.gamma, F1.c_form, tail, F1.params)
 
-    assert op_defect(ctx, D, target, sample_points(1, 2)) < TOL
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_compare_gauged_measures_against_the_largest_coefficient(ctx, n):
+    # a tail scaled by 1 + 1e-6 reads 1e-6; the tail of K(c + 1e-6) under the
+    # head of K(c) reads the kernel's change, which grows with the tail order
+    K = FourierKernel(ctx, mpc("0.123", "0.221"), Q, T, n, 3)
+    pts = sample_points(n, 2)
+    assert compare_gauged(ctx, K, K, pts) == 0
+    eps = mpf("1e-6")
+    scaled = Tail(n, {k: (lambda c, z, k=k: (1 + eps) * K.tail.eval(c, k, z)) for k in K.tail.entries}, K.order)
+    assert mpf("1e-7") < compare_gauged(ctx, K, _with_tail(K, scaled), pts) < mpf("1e-5")
+    moved = FourierKernel(ctx, mpc("0.123", "0.221") + eps, Q, T, n, 3)
+    assert mpf("1e-6") < compare_gauged(ctx, K, _with_tail(K, moved.tail), pts) < mpf("1e-3")

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import weakref
 from fractions import Fraction as F
 
@@ -6,6 +7,7 @@ import pytest
 from mpmath import mpc, mpf
 
 from ccnops.curve import CurveContext, TorsionError
+from ccnops.diffop import shift_point
 from ccnops.families import (
     FourierKernel,
     braid_check,
@@ -60,6 +62,23 @@ def test_defining_residual(ctx):
         K = FourierKernel(ctx, mpc("0.123", "0.221"), Q, T, n, order)
         z = sample_points(n, 1)[0]
         assert K.defining_residual(z, order=order - 1) < TOL
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_tail_relation_matches_the_first_order_coefficient(ctx, n):
+    # the solver's A(sigma, z, m', j) is the coefficient of D(c +- u; t) at
+    # u = z_j, that is of first_order([z_j, 2c - z_j]) at T^(sigma/2), read at
+    # z + q m', for every m' within the order
+    c, order = mpc("0.123", "0.221"), 3
+    K = FourierKernel(ctx, c, Q, T, n, order)
+    z = sample_points(n, 1)[0]
+    for j in range(n):
+        D = first_order([z[j], 2 * c - z[j]], T, Q, n)
+        for sigma in itertools.product((1, -1), repeat=n):
+            for mprime in itertools.product(range(order + 1), repeat=n):
+                if sum(mprime) <= order:
+                    want = D.eval_coeff(ctx, tuple(F(s, 2) for s in sigma), shift_point(z, Q, mprime))
+                    assert rel(K._solver.A(sigma, z, mprime, j), want) < mpf("1e-70")
 
 
 def test_kernel_torsion_guard(ctx):
