@@ -11,7 +11,14 @@ t-divisor.  A single sampling pipeline feeds both of its consumers:
 * `_vanishing_samples` draws points on an x- or t-divisor, each with a
   nearby reference point that sets the scale.
 
-Every point is put on its root divisor by the one rule `_place_on_root`.
+Each residue pair and each t-vanishing condition is carried by a
+`weyl.AffineRoot` beta + m q: beta's integer coefficient vector (e_i +- e_j
+or 2 e_i) and the level m.  A pair's second shift is k under the reflection
+s_(beta + m q), its exponent is 4 (m - <beta, k>)/(beta, beta), and the
+sweep's local coordinate and the pole test's parallel forms read the same
+vector.  Every point is put on its root divisor by the one rule
+`_place_on_root`: the first coordinate z_i the root involves becomes
+(target - sum_(j > i) c_j z_j) / c_i.
 Residues of structured coefficients (`ExprCoefficient`) read the compiled
 parts of their values (`ExprCoefficient.compiled`), whose factors are ids in
 the context's one argument table, and the poles a sample point avoids are
@@ -84,9 +91,11 @@ from .factors import TablePoint, pole_arguments, prefix_products, z_coefficients
 from .families import van_diejen_leading_expr
 from .symbols import AffineForm, ThetaExpr, zvar
 from .weyl import (
+    AffineRoot,
     bruhat_interval,
     inversion_set,
     numeric_rank,
+    positive_roots,
     rank_certificate,
     signed_permutations,
     sp_apply,
@@ -102,13 +111,20 @@ from .weyl import (
 @dataclass(frozen=True)
 class ConditionSpec:
     kind: str  # "residue-pair" | "x-vanish" | "t-vanish"
-    beta: tuple = ()  # ("sum", i, j) | ("diff", i, j) | ("double", i)
-    level: int = 0
     k: tuple = ()
-    k2: tuple = ()
-    exponent: int = 0
-    divisor_var: int = 0  # x-vanish / t-vanish: which z_i
+    root: AffineRoot = None  # residue-pair / t-vanish: the divisor beta(z) + m q = 0
+    divisor_var: int = 0  # x-vanish: which z_i
     divisor_point: object = None  # x-vanish: affine form for the point
+
+    @property
+    def k2(self):
+        """residue-pair: the shift paired with k, its image under the root's reflection."""
+        return self.root.reflect(self.k)
+
+    @property
+    def exponent(self):
+        """residue-pair: the power of the correction bracket."""
+        return self.root.exponent(self.k)
 
 
 @dataclass
@@ -135,43 +151,6 @@ class ConditionReport:
         self.records.append(ConditionRecord(spec_id, defect, bool(abs(defect) < self.tolerance)))
 
 
-def _beta_form(beta, n):
-    kind = beta[0]
-    v = [Fraction(0)] * n
-    if kind == "sum":
-        v[beta[1]] += 1
-        v[beta[2]] += 1
-    elif kind == "diff":
-        v[beta[1]] += 1
-        v[beta[2]] -= 1
-    else:  # double
-        v[beta[1]] += 2
-    return tuple(v)
-
-
-def reflect_shift(beta, m, k):
-    """Image of the shift vector k under the affine reflection for beta + m q."""
-    k = list(k)
-    if beta[0] == "sum":
-        i, j = beta[1], beta[2]
-        k[i], k[j] = m - k[j], m - k[i]
-    elif beta[0] == "diff":
-        i, j = beta[1], beta[2]
-        k[i], k[j] = k[j] + m, k[i] - m
-    else:
-        i = beta[1]
-        k[i] = m - k[i]
-    return tuple(k)
-
-
-def pair_exponent(beta, m, k):
-    if beta[0] == "sum":
-        return int(2 * (m - k[beta[1]] - k[beta[2]]))
-    if beta[0] == "diff":
-        return int(2 * (m - k[beta[1]] + k[beta[2]]))
-    return int(m - 2 * k[beta[1]])
-
-
 def enumerate_conditions(degree, lam, params, n):
     """Complete condition list for the Hom space of the given degree.
 
@@ -187,27 +166,21 @@ def enumerate_conditions(degree, lam, params, n):
         support |= weight_orbit(mu)
     specs = []
     # residue pairs
-    betas = []
-    for i in range(n):
-        betas.append(("double", i))
-        for j in range(i + 1, n):
-            betas.append(("sum", i, j))
-            betas.append(("diff", i, j))
     seen = set()
     top = max((sum(abs(x) for x in k) for k in support), default=0)
+    roots = positive_roots(n)
     for k in sorted(support):
-        for beta in betas:
+        for beta in roots:
             for m in range(-2 * int(top) - 2, 2 * int(top) + 3):
-                k2 = reflect_shift(beta, m, k)
+                root = beta.at_level(m)
+                k2 = root.reflect(k)
                 if k2 == k or k2 not in support:
                     continue
-                key = (beta, m, tuple(sorted((k, k2))))
+                key = (root, tuple(sorted((k, k2))))
                 if key in seen:
                     continue
                 seen.add(key)
-                specs.append(
-                    ConditionSpec("residue-pair", beta, m, k, k2, pair_exponent(beta, m, k))
-                )
+                specs.append(ConditionSpec("residue-pair", k, root))
     # x-vanishing from the blowup data
     r1 = d1.e or ()
     r2 = d2.e or ()
@@ -218,20 +191,15 @@ def enumerate_conditions(degree, lam, params, n):
     for k in sorted(support):
         for i in range(n):
             for jx in range(nx):
-                lo = k[i] + Fraction(d2.s - d1.s, 2) + r1[jx]
-                for l in range(math.ceil(lo), r2[jx]):
-                    point = AffineForm.var("x%d" % (jx + 1)) - qf * Fraction(2 * l - d2.s + 1, 2)
-                    specs.append(ConditionSpec("x-vanish", (), l, k, (), 0, i, point))
-                lo = -k[i] + Fraction(d2.s - d1.s, 2) + r1[jx]
-                for l in range(math.ceil(lo), r2[jx]):
-                    point = AffineForm.var("x%d" % (jx + 1)) * -1 + qf * Fraction(2 * l - d2.s + 1, 2)
-                    specs.append(ConditionSpec("x-vanish", (), l, k, (), 0, i, point))
+                for sign in (1, -1):
+                    lo = sign * k[i] + Fraction(d2.s - d1.s, 2) + r1[jx]
+                    for l in range(math.ceil(lo), r2[jx]):
+                        point = (AffineForm.var("x%d" % (jx + 1)) - qf * Fraction(2 * l - d2.s + 1, 2)) * sign
+                        specs.append(ConditionSpec("x-vanish", k, divisor_var=i, divisor_point=point))
     # t-vanishing at the corner of each interval weight
     for mu in interval:
         corner = tuple(-x for x in mu)
-        for root in inversion_set(mu):
-            beta = (root.kind, root.i, root.j)
-            specs.append(ConditionSpec("t-vanish", beta, root.level, corner, (), 0))
+        specs += [ConditionSpec("t-vanish", corner, root) for root in inversion_set(mu)]
     return specs
 
 
@@ -251,8 +219,8 @@ _ON_DIVISOR = Fraction(1, 10**9)
 _POLE_MARGIN = Fraction(5, 1000)
 
 
-def _sweep(ctx, point, columns, beta_coeffs):
-    """The residue of each column at a `TablePoint`, along the divisor with beta form beta_coeffs.
+def _sweep(ctx, point, columns, root):
+    """The residue of each column at a `TablePoint`, along the divisor of the `weyl.AffineRoot` root.
 
     columns: the compiled parts (`_residue_parts`) of each column.  The
     residue is taken along the divisor through the point, in the local
@@ -272,8 +240,8 @@ def _sweep(ctx, point, columns, beta_coeffs):
     """
     F = ctx._fix
     seqs, heads = [], []  # per part: its factors left; (column, numerator head, denominator head)
-    svar = next(i for i, c in enumerate(beta_coeffs) if c)
-    bslope = beta_coeffs[svar]
+    svar = next(i for i, c in enumerate(root.coeffs) if c)
+    bslope = root.coeffs[svar]
     on_divisor = _fixed_square(ctx, _ON_DIVISOR)
     slopes, derivs = {}, {}
     for col, parts in enumerate(columns):
@@ -292,7 +260,7 @@ def _sweep(ctx, point, columns, beta_coeffs):
             if vanishing is None:
                 continue
             idx, arg, a, b = vanishing
-            slope = memo(slopes, arg, lambda: z_coefficients(ctx, arg).get(svar, 0) / bslope)
+            slope = memo(slopes, arg, lambda: Fraction(z_coefficients(ctx, arg).get(svar, 0), bslope))
             dr, di, de = memo(derivs, (a, b), lambda: ctx.theta_deriv_fixed(a, b))
             seqs.append(factors[:idx] + factors[idx + 1:])
             heads.append((
@@ -320,10 +288,10 @@ def _residue_parts(ctx, coeff):
     return coeff.compiled(ctx).parts
 
 
-def _parallel(zk, beta_coeffs):
-    """Whether the z-part {j: k_j} of an argument is a nonzero multiple of the divisor's."""
-    zc = [zk.get(i, 0) for i in range(len(beta_coeffs))]
-    return any(zc) and all(a * d == b * c for a, b in zip(zc, beta_coeffs) for c, d in zip(zc, beta_coeffs))
+def _parallel(zk, root):
+    """Whether the z-part {j: k_j} of an argument is a nonzero multiple of the root's."""
+    zc = [zk.get(i, 0) for i in range(len(root.coeffs))]
+    return any(zc) and all(a * d == b * c for a, b in zip(zc, root.coeffs) for c, d in zip(zc, root.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -347,18 +315,21 @@ def _env_values(env, n):
     return q, t, q + (n - 1) * t + x
 
 
-def _place_on_root(z, beta, target):
-    """Move the first coordinate beta involves so that beta(z) = target."""
-    i = beta[1]
-    if beta[0] == "sum":
-        z[i] = target - z[beta[2]]
-    elif beta[0] == "diff":
-        z[i] = target + z[beta[2]]
-    else:
-        z[i] = target / 2
+def _place_on_root(z, root, target):
+    """Move the first coordinate z_i the root involves so that beta(z) = target.
+
+    z_i = (target - sum_(j > i) c_j z_j) / c_i.  Each c_j is +-1 and c_i is
+    1 or 2, so for coordinates at the working precision z_i is rounded once,
+    as target - z_j, target + z_j or target / 2 would be.
+    """
+    i = next(i for i, c in enumerate(root.coeffs) if c)
+    for j in range(i + 1, len(z)):
+        if root.coeffs[j]:
+            target = target - root.coeffs[j] * z[j]
+    z[i] = target / root.coeffs[i]
 
 
-def _divisor_sample(ctx, rng, n, beta, target, poles):
+def _divisor_sample(ctx, rng, n, root, target, poles):
     """A random point of {beta(z) = target} at least 5e-3 from each of `poles` (argument ids).
 
     Returns the arguments' values at the point (a `TablePoint`).
@@ -366,19 +337,16 @@ def _divisor_sample(ctx, rng, n, beta, target, poles):
     margin = _fixed_square(ctx, _POLE_MARGIN)
     for _ in range(MAX_RETRIES):
         z = [mpc(rng.uniform(-0.4, 0.4), rng.uniform(-0.35, 0.35)) for _ in range(n)]
-        _place_on_root(z, beta, target)
+        _place_on_root(z, root, target)
         point = TablePoint(ctx, tuple(z))
         if all(point.dist2(i) >= margin for i in poles):
             return point
     raise PoleProximityError("could not sample the divisor away from other poles")
 
 
-def _bracket(ctx, spec, zstar, u, X, q, n):
+def _bracket(ctx, root, zstar, u, X, q):
     """The displayed correction factor at a point of the divisor."""
-    beta_coeffs = _beta_form(spec.beta, n)
-    sval = sum(
-        mpc(beta_coeffs[i].numerator) / beta_coeffs[i].denominator * zstar[i] for i in range(n)
-    ) + spec.level * q
+    sval = sum(mpc(c) * w for c, w in zip(root.coeffs, zstar)) + root.level * q
     return ctx.theta(u) * ctx.theta(X + u + sval) / (ctx.theta(u + sval) * ctx.theta(X + u))
 
 
@@ -392,18 +360,18 @@ def _residue_samples(ctx, rng, spec, n, env, components, samples, probes, poles)
     Poles parallel to the divisor are not avoided: their vanishing is the
     pole under examination.
     """
-    beta_coeffs = _beta_form(spec.beta, n)
-    poles = [i for i in poles if not _parallel(z_coefficients(ctx, i), beta_coeffs)]
+    root, exponent = spec.root, spec.exponent
+    poles = [i for i in poles if not _parallel(z_coefficients(ctx, i), root)]
     q, _, X = _env_values(env, n)
     offsets = {"0": mpc(0), "1": mpc(1), "tau": ctx.tau, "1+tau": 1 + ctx.tau}
     for comp in components:
-        target = offsets[comp] - spec.level * q
+        target = offsets[comp] - root.level * q
         for snum in range(samples):
-            point = _divisor_sample(ctx, rng, n, spec.beta, target, poles)
+            point = _divisor_sample(ctx, rng, n, root, target, poles)
             brackets = []
             for re_box, im_box in _PROBE_BOXES[:probes]:
                 u = mpc(rng.uniform(*re_box), rng.uniform(*im_box))
-                brackets.append(_bracket(ctx, spec, point.z, u, X, q, n) ** spec.exponent)
+                brackets.append(_bracket(ctx, root, point.z, u, X, q) ** exponent)
             yield comp, snum, point, brackets
 
 
@@ -419,7 +387,7 @@ def _vanishing_samples(rng, spec, n, env, samples):
         if spec.kind == "x-vanish":
             z[spec.divisor_var] = spec.divisor_point.eval(env)
         else:
-            _place_on_root(z, spec.beta, t + spec.level * q)
+            _place_on_root(z, spec.root, t + spec.root.level * q)
         z = tuple(z)
         zref = tuple(w + mpc(rng.uniform(0.05, 0.15), rng.uniform(0.02, 0.1)) for w in z)
         yield snum, z, zref
@@ -441,23 +409,23 @@ def check_residue(ctx, op, specs, env, samples=2, seed=11, tol=mpf("1e-25")):
     for spec in specs:
         if spec.kind != "residue-pair":
             continue
-        coeffs = [op.coefficient(spec.k), op.coefficient(spec.k2)]
+        k2 = spec.k2
+        coeffs = [op.coefficient(spec.k), op.coefficient(k2)]
         parts = [_residue_parts(ctx, c) for c in coeffs]
-        beta_coeffs = _beta_form(spec.beta, n)
         for comp, snum, point, (b1, b2) in _residue_samples(
             ctx, rng, spec, n, env, _CHECK_COMPONENTS, samples, 2, pole_arguments(ctx, coeffs)
         ):
-            res_a, res_b = _sweep(ctx, point, parts, beta_coeffs)
+            res_a, res_b = _sweep(ctx, point, parts, spec.root)
             probe_defect = rel_defect(b1, b2)
             combo = res_b + b1 * res_a
             scale = abs(res_b) + abs(b1 * res_a) + mpf("1e-30")
             report.add(
                 "residue[%s;m=%d;%s<->%s;comp=%s;#%d]"
-                % (spec.beta, spec.level, spec.k, spec.k2, comp, snum),
+                % (spec.root.coeffs, spec.root.level, spec.k, k2, comp, snum),
                 abs(combo) / scale,
             )
             report.add(
-                "residue-probe[%s;m=%d;comp=%s;#%d]" % (spec.beta, spec.level, comp, snum),
+                "residue-probe[%s;m=%d;comp=%s;#%d]" % (spec.root.coeffs, spec.root.level, comp, snum),
                 probe_defect,
             )
     return report
@@ -476,14 +444,9 @@ def check_vanishing(ctx, op, specs, env, samples=2, seed=13, tol=mpf("1e-25")):
             continue
         for snum, z, zref in _vanishing_samples(rng, spec, op.n, env, samples):
             if spec.kind == "x-vanish":
-                label = "x-vanish[k=%s;i=%d;l=%d;#%d]" % (
-                    spec.k,
-                    spec.divisor_var,
-                    spec.level,
-                    snum,
-                )
+                label = "x-vanish[k=%s;z%d=%s;#%d]" % (spec.k, spec.divisor_var + 1, spec.divisor_point, snum)
             else:
-                label = "t-vanish[k=%s;%s;m=%d;#%d]" % (spec.k, spec.beta, spec.level, snum)
+                label = "t-vanish[k=%s;%s;m=%d;#%d]" % (spec.k, spec.root.coeffs, spec.root.level, snum)
             report.add(label, abs(c.eval(ctx, z)) / (abs(c.eval(ctx, zref)) + mpf("1e-30")))
     return report
 
@@ -645,14 +608,13 @@ class SectionModel:
             for spec in specs:
                 if spec.kind != "residue-pair":
                     raise ValueError("condition rows are built from residue-pair specs only")
-                beta_coeffs = _beta_form(spec.beta, n)
                 parts = [col.get(k, ()) for k in (spec.k, spec.k2) for col in columns]
                 for _, _, point, (b1,) in _residue_samples(
                     ctx, rng, spec, n, self.env, _SOLVE_COMPONENTS, 2, 1, poles
                 ):
                     row = []
                     scale = mpf(0)
-                    residues = _sweep(ctx, point, parts, beta_coeffs)
+                    residues = _sweep(ctx, point, parts, spec.root)
                     for ra, rb in zip(residues[:len(columns)], residues[len(columns):]):
                         bra = b1 * ra
                         row.append(rb + bra)

@@ -413,16 +413,15 @@ class CurveContext:
     def lattice_reduce(self, z):
         """Reduce z modulo <1, tau>; returns (z0, m, n) with z = z0 + m + n*tau.
 
-        m and n are read from z and tau rounded to `ctx._wp` bits.  Then
-        z0 = z - m - n*tau is formed exactly, from z as given and the exact
-        tau the context was built on, and rounded once to `ctx._wp` bits, so
-        a small z0 keeps its relative precision however large m and n are.
+        m and n are read by `reduce_fixed` from z's F-bit fixed point, as
+        every theta value and pole test reads them.  Then z0 = z - m - n*tau
+        is formed exactly, from z as given and the exact tau the context was
+        built on, and rounded once to `ctx._wp` bits, so a small z0 keeps its
+        relative precision however large m and n are.
         """
-        with mp.workprec(self._wp):
-            w = mpc(z)
-            n = int(mp.nint(w.imag / self.tau.imag))
-            m = int(mp.nint((w - n * self.tau).real))
-        re, im = self._exact_w0(point_key(z), m, n)
+        key = point_key(z)
+        _, _, m, n = self.reduce_fixed(*(to_fixed(x, self._fix) for x in key))
+        re, im = self._exact_w0(key, m, n)
         return mp.make_mpc((mpf_pos(re, self._wp, round_nearest), mpf_pos(im, self._wp, round_nearest))), m, n
 
     def _exact_w0(self, key, m, n):

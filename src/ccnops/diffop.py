@@ -111,7 +111,7 @@ class ExprCoefficient:
         """The sum of the parts at z, rounded once to `ctx._wp` bits."""
         return gauss_round(self.compiled(ctx).value(fixed_point(ctx, z)), ctx._wp)
 
-    def transformed(self, assignments, params=None):
+    def transformed(self, assignments):
         """Precompose with an affine substitution of z symbols."""
         return ExprCoefficient.sum(
             ExprCoefficient(expr.substitute(assignments), prms, scale)
@@ -169,7 +169,7 @@ class CompositeCoefficient:
                     shifts.append(fixed_shift(ctx, self.q, s))
         return [[(index[s], c.compiled(ctx)) for s, c in term] for term in self.terms], shifts
 
-    def transformed(self, assignments, params=None):
+    def transformed(self, assignments):
         """Precompose with an affine substitution of z symbols.
 
         c_i(w + q s_i) at w = assignments(z) is c_i precomposed with
@@ -377,7 +377,7 @@ class DifferenceOperator:
         for k, c in self.coeffs.items():
             ratio = density.shift_ratio(k)
             neg = {"z%d" % (i + 1): zvar(i + 1) * -1 - qform * k[i] for i in range(self.n)}
-            moved = c.transformed(neg, self.params)
+            moved = c.transformed(neg)
             coeffs[k] = moved.scaled_expr(ratio, self.params)
         return DifferenceOperator(self.n, coeffs, self.params, self.degree)
 

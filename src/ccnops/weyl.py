@@ -11,6 +11,14 @@ half-integral).  Two partial orders are exposed:
 Bruhat intervals can be taken in either lattice; the section solver uses the
 coroot one, which is the order in which single coordinates may drop by 1.
 
+An affine root beta + m q (`AffineRoot`) is beta's integer coefficient
+vector on e_1..e_n (e_i +- e_j, or 2 e_i) and the level m, for any n.  Its
+pairing, its reflection k -> k - (<beta, k> - m) beta^v (Macdonald, "Affine
+Hecke Algebras and Orthogonal Polynomials", 2003, 1.2) and the exponent of
+a residue pair are formulas in that vector, with no case per kind of root.
+`positive_roots` lists the type-C roots, `positive_finite_roots` the type-D
+ones that the inversion sets run over.
+
 Every rank and nullspace dimension of the package is decided by one function,
 `rank_certificate`, and one rule: the singular values above 2^-(prec//2)
 count.  That absolute floor assumes entries of order one (s_max between
@@ -166,30 +174,59 @@ def bruhat_interval(lam, lattice="root"):
 
 @dataclass(frozen=True)
 class AffineRoot:
-    """Finite part beta plus level m (the +m*q part).
+    """The affine root beta + m q: beta's integer coefficients on e_1..e_n, and the level m.
 
-    kind: "sum" (z_i+z_j) or "diff" (z_i-z_j), i < j.
+    beta is e_i + e_j, e_i - e_j or 2 e_i.  Its reflection, its pair
+    exponent and its divisor read the coefficient vector, with no case per
+    kind of root.
     """
 
-    kind: str
-    i: int
-    j: int
-    level: int
+    coeffs: tuple
+    level: int = 0
 
     def pairing(self, lam):
-        if self.kind == "sum":
-            return lam[self.i] + lam[self.j]
-        return lam[self.i] - lam[self.j]
+        """<beta, lam>."""
+        return sum(c * x for c, x in zip(self.coeffs, lam) if c)
+
+    def at_level(self, m):
+        return AffineRoot(self.coeffs, m)
+
+    @property
+    def norm2(self):
+        """(beta, beta): 2 for e_i +- e_j, 4 for 2 e_i."""
+        return sum(c * c for c in self.coeffs)
+
+    def reflect(self, k):
+        """The image of the shift k under s_(beta + m q): k - (<beta, k> - m) beta^v, beta^v = 2 beta/(beta, beta)."""
+        h = Fraction(2 * (self.pairing(k) - self.level), self.norm2)
+        return tuple(x - h * c if c else x for x, c in zip(k, self.coeffs))
+
+    def exponent(self, k):
+        """4 (m - <beta, k>)/(beta, beta): 2 (m - k_i -+ k_j) for e_i +- e_j, m - 2 k_i for 2 e_i."""
+        return int(Fraction(4 * (self.level - self.pairing(k)), self.norm2))
+
+
+def _root(n, *terms):
+    """The level-0 root sum_i c_i e_i from (i, c_i) pairs."""
+    v = [0] * n
+    for i, c in terms:
+        v[i] = c
+    return AffineRoot(tuple(v))
+
+
+def positive_roots(n):
+    """The positive roots of type C at level 0: for each i, 2 e_i, then e_i + e_j and e_i - e_j for each j > i."""
+    out = []
+    for i in range(n):
+        out.append(_root(n, (i, 2)))
+        for j in range(i + 1, n):
+            out += [_root(n, (i, 1), (j, 1)), _root(n, (i, 1), (j, -1))]
+    return out
 
 
 def positive_finite_roots(n):
-    """The positive roots z_i +- z_j (i < j) of type D."""
-    roots = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            roots.append(AffineRoot("diff", i, j, 0))
-            roots.append(AffineRoot("sum", i, j, 0))
-    return roots
+    """The positive roots of type D at level 0: e_i - e_j, then e_i + e_j, for each i < j."""
+    return [_root(n, (i, 1), (j, s)) for i in range(n) for j in range(i + 1, n) for s in (-1, 1)]
 
 
 def inversion_set(lam):
@@ -203,11 +240,9 @@ def inversion_set(lam):
     out = []
     for root in positive_finite_roots(n):
         c = root.pairing(lam)
-        if c <= 0:
-            continue
         m = 0
         while m < c:
-            out.append(AffineRoot(root.kind, root.i, root.j, m))
+            out.append(root.at_level(m))
             m += 1
     return out
 
@@ -225,7 +260,7 @@ def inversion_set_bruteforce(lam):
             # negative iff its level is below 0 (at level 0, beta stays positive)
             m2 = Fraction(m) - c
             if m2 < 0:
-                out.append(AffineRoot(root.kind, root.i, root.j, m))
+                out.append(root.at_level(m))
     return out
 
 

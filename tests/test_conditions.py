@@ -10,7 +10,7 @@ from mpmath import matrix, mp, mpc, mpf
 
 from ccnops.conditions import (
     ConditionSpec,
-    _beta_form,
+    _place_on_root,
     _residue_samples,
     _sweep,
     _vanishing_samples,
@@ -21,7 +21,6 @@ from ccnops.conditions import (
     first_order_model,
     nullspace_basis,
     operator_span_contains,
-    reflect_shift,
     section_solve,
     section_solve_first_order,
     sections_by_weight,
@@ -34,14 +33,39 @@ from ccnops.diffop import DegreeVector, DifferenceOperator, ExprCoefficient, bin
 from ccnops.factors import TablePoint, compile_argument, pole_arguments, z_coefficients
 from ccnops.families import first_order, van_diejen_leading_expr
 from ccnops.symbols import AffineForm, PolarizationRecord, ThetaExpr, zvar
-from ccnops.weyl import numeric_rank
+from ccnops.weyl import AffineRoot, numeric_rank, positive_roots
 from conftest import ETA, Q, T, TAU, TOL, op_defect, rel, sample_points
 
 
 def test_reflect_shift_conventions():
-    assert reflect_shift(("sum", 0, 1), 1, (F(0), F(0))) == (F(1), F(1))
-    assert reflect_shift(("double", 0), -1, (F(-1), F(0))) == (F(0), F(0))
-    assert reflect_shift(("diff", 0, 1), 0, (F(-1), F(1))) == (F(1), F(-1))
+    assert AffineRoot((1, 1), 1).reflect((F(0), F(0))) == (F(1), F(1))
+    assert AffineRoot((2, 0), -1).reflect((F(-1), F(0))) == (F(0), F(0))
+    assert AffineRoot((1, -1), 0).reflect((F(-1), F(1))) == (F(1), F(-1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_place_on_root_matches_the_per_kind_formulas(n):
+    # z_i = target - z_j on e_i + e_j, target + z_j on e_i - e_j and
+    # target / 2 on 2 e_i, bit for bit, at points with full mantissas
+    rng = random.Random(43 + n)
+    with mp.workprec(272):
+
+        def rand():
+            return mpc(*(mpf(rng.getrandbits(272) - 2**271) / 2**271 for _ in range(2)))
+
+        for root in positive_roots(n):
+            i, *rest = [j for j, c in enumerate(root.coeffs) if c]
+            for _ in range(20):
+                z, target = [rand() for _ in range(n)], rand()
+                want = list(z)
+                if not rest:
+                    want[i] = target / 2
+                elif root.coeffs[rest[0]] == 1:
+                    want[i] = target - z[rest[0]]
+                else:
+                    want[i] = target + z[rest[0]]
+                _place_on_root(z, root, target)
+                assert [w._mpc_ for w in z] == [w._mpc_ for w in want]
 
 
 def test_enumerate_scalar_degree_is_empty():
@@ -57,7 +81,7 @@ def test_enumerate_first_order_n1():
     pairs = [s for s in specs if s.kind == "residue-pair"]
     assert len(pairs) == 1
     (s,) = pairs
-    assert s.beta == ("double", 0) and s.level == 0
+    assert s.root == AffineRoot((2,), 0)
     assert sorted((s.k, s.k2)) == [(F(-1, 2),), (F(1, 2),)]
     assert s.exponent == 1  # m - 2 k_1 at k = -1/2
 
@@ -108,19 +132,8 @@ def test_check_vanishing_detects_generic_failure(ctx, xs8):
     # a generic first-order operator does not vanish at the blowup points
     D = first_order([Q / 2 + mpc("0.1", "0.06"), Q / 2 - mpc("0.1", "0.06") + ETA], T, Q, 1)
     degree = (DegreeVector(), DegreeVector(0, 1, 0, (1,)))
-    specs = [
-        ConditionSpec(
-            "x-vanish",
-            (),
-            0,
-            (F(-1, 2),),
-            (),
-            0,
-            0,
-            __import__("ccnops.symbols", fromlist=["AffineForm"]).AffineForm.var("x1")
-            + __import__("ccnops.symbols", fromlist=["AffineForm"]).AffineForm.var("q") * F(1, 2),
-        )
-    ]
+    point = AffineForm.var("x1") + AffineForm.var("q") * F(1, 2)
+    specs = [ConditionSpec("x-vanish", (F(-1, 2),), divisor_var=0, divisor_point=point)]
     env = {"q": Q, "t": T, "eta_prime": ETA, "x1": xs8[0]}
     rep = check_vanishing(ctx, D, specs, env, samples=1)
     assert not rep.passed
@@ -252,22 +265,22 @@ def test_vandiejen_t_zero_and_wedge(ctx, xs8):
     assert not operator_span_contains(ctx, ops, W, pts)
 
 
-BETAS = (("double", 0), ("sum", 0, 1), ("diff", 0, 1))
+BETAS = (AffineRoot((2, 0)), AffineRoot((1, 1)), AffineRoot((1, -1)))
 
 
 def _beta_value(beta, z):
-    return sum(mpc(c.numerator) / c.denominator * w for c, w in zip(_beta_form(beta, 2), z))
+    return sum(c * w for c, w in zip(beta.coeffs, z))
 
 
-@pytest.mark.parametrize("beta", BETAS, ids=[b[0] for b in BETAS])
+@pytest.mark.parametrize("beta", BETAS, ids=["double", "sum", "diff"])
 def test_shared_sampler_on_divisor_and_off_poles(ctx, beta):
     m = 1
-    spec = ConditionSpec("residue-pair", beta, m, (F(1, 2), F(1, 2)), (), 1)
+    spec = ConditionSpec("residue-pair", (F(1, 2), F(1, 2)), beta.at_level(m))
     env = {"q": Q, "t": T, "eta_prime": ETA}
     params = {"q": Q, "a": mpc("0.1", "0.05"), "b": mpc("-0.2", "0.1")}
     zf = [AffineForm.var("z1"), AffineForm.var("z2")]
     # the divisor's own form is parallel and must not be avoided
-    parallel = sum((f * c for f, c in zip(zf, _beta_form(beta, 2))), AffineForm.var("q") * m)
+    parallel = sum((f * c for f, c in zip(zf, beta.coeffs)), AffineForm.var("q") * m)
     others = [zf[0] - zf[1] + AffineForm.var("a"), zf[1] * 2 + AffineForm.var("b"), zf[0] + zf[1]]
     poles = pole_arguments(ctx, [ExprCoefficient(ThetaExpr(tuple((f, -1) for f in others + [parallel]), 2), params)])
     offsets = {"0": mpc(0), "1": mpc(1), "tau": ctx.tau, "1+tau": 1 + ctx.tau}
@@ -287,7 +300,7 @@ def test_shared_sampler_on_divisor_and_off_poles(ctx, beta):
     with pytest.raises(PoleProximityError):
         next(_residue_samples(ctx, random.Random(7), spec, 2, env, ("0",), 1, 1, stuck))
     # the t-vanishing sampler puts its points on beta(z) = t + m q
-    tspec = ConditionSpec("t-vanish", beta, m, (F(-1), F(0)))
+    tspec = ConditionSpec("t-vanish", (F(-1), F(0)), beta.at_level(m))
     for _, z, zref in _vanishing_samples(random.Random(7), tspec, 2, env, 2):
         assert abs(_beta_value(beta, z) - T - m * Q) < eps
         assert all(0 < (r - w).real < 0.15 and 0 < (r - w).imag < 0.1 for r, w in zip(zref, z))
@@ -303,7 +316,7 @@ def test_vandiejen_corner_matches_leading_expr(ctx, xs8):
         assert rel(corner.eval(ctx, z), expr.eval(ctx, bindings_for(model.params, z))) < TOL
 
 
-SUM_SPEC = ConditionSpec("residue-pair", ("sum", 0, 1), 0, (F(1, 2), F(1, 2)), (F(-1, 2), F(-1, 2)), 1)
+SUM_SPEC = ConditionSpec("residue-pair", (F(1, 2), F(1, 2)), AffineRoot((1, 1), 0))
 
 
 def _one_coefficient_operator(factors):
@@ -313,7 +326,7 @@ def _one_coefficient_operator(factors):
 
 def test_check_residue_rejects_opaque_coefficients(ctx):
     D = first_order([], T, Q, 1)
-    spec = ConditionSpec("residue-pair", ("double", 0), 0, (F(-1),), (F(1),), 2)
+    spec = ConditionSpec("residue-pair", (F(-1),), AffineRoot((2,), 0))
     with pytest.raises(ValueError, match="structured coefficients"):
         check_residue(ctx, D.compose(D), [spec], {"q": Q, "t": T, "eta_prime": ETA}, samples=1)
 
@@ -437,7 +450,7 @@ def test_residue_of_parts_against_the_mpc_path(ctx):
         [ExprCoefficient(first, params), ExprCoefficient(second, params, mpc("0.3", "-1.7"))]
     )
     parts = coeff.compiled(ctx).parts
-    beta = _beta_form(("double", 0), 1)
+    beta = AffineRoot((2,))
     with mp.workprec(600):
         z = (mp.make_mpc(point_key(ctx.tau)) / 2,)
     (got,) = _sweep(ctx, TablePoint(ctx, z), [parts], beta)
@@ -454,13 +467,13 @@ def test_residue_of_parts_against_the_mpc_path(ctx):
     assert rel(coeff.eval(ctx, away), value) < mpf("1e-70")
 
 
-def _per_part_oracle(ctx, point, columns, beta_coeffs=None):
+def _per_part_oracle(ctx, point, columns, root=None):
     """The per-part path that `conditions._sweep` replaced, kept as its oracle.
 
     Each part is seeded with its scale (and, for a residue, the slope and
     theta'), multiplied factor by factor with nothing shared, divided and
     rounded to `ctx._wp` bits; a column's parts add as mpc numbers.  With
-    no beta_coeffs it gives each column's value from the point's thetas.
+    no root it gives each column's value from the point's thetas.
     """
     bits = ctx._fix
     on_divisor = conditions._fixed_square(ctx, conditions._ON_DIVISOR)
@@ -469,15 +482,15 @@ def _per_part_oracle(ctx, point, columns, beta_coeffs=None):
         total = mpc(0)
         for scale, factors in parts:
             num, den, skip = scale, GAUSS_ONE, None
-            if beta_coeffs is not None:
-                svar = next(i for i, c in enumerate(beta_coeffs) if c)
+            if root is not None:
+                svar = next(i for i, c in enumerate(root.coeffs) if c)
                 for idx, (arg, m) in enumerate(factors):
                     w0r, w0i, a, b = point.reduced(arg)
                     if m < 0 and w0r * w0r + w0i * w0i < on_divisor:
                         skip, lattice, zk = idx, (a, b), z_coefficients(ctx, arg)
                 if skip is None:
                     continue
-                slope = F(zk.get(svar, 0)) / beta_coeffs[svar]
+                slope = F(zk.get(svar, 0), root.coeffs[svar])
                 num = gauss_mul(scale, (slope.denominator, 0, 0), bits)
                 den = gauss_mul(ctx.theta_deriv_fixed(*lattice), (slope.numerator, 0, 0), bits)
             for j, (arg, m) in enumerate(factors):
@@ -516,7 +529,7 @@ def test_sweep_on_shared_prefixes_against_the_per_part_oracle(ctx):
         for col in columns
     ]
     encoded = [conditions._residue_parts(ctx, c) for c in coeffs]
-    beta = _beta_form(("double", 0), 1)
+    beta = AffineRoot((2,))
     with mp.workprec(600):
         on = (mp.make_mpc(point_key(ctx.tau)) / 2 + mpc("0.5"),)
         away = (on[0] + mpc("0.1", "0.05"),)
@@ -586,7 +599,7 @@ def test_checker_records_match_the_per_part_oracle(ctx, xs8, monkeypatch):
 
 def test_condition_rows_reject_vanishing_specs(ctx):
     model = first_order_model(ctx, 1, 0, ETA, Q, T)
-    tspec = ConditionSpec("t-vanish", ("double", 0), 0, (F(-1, 2),))
+    tspec = ConditionSpec("t-vanish", (F(-1, 2),), AffineRoot((2,), 0))
     with pytest.raises(ValueError, match="residue-pair"):
         model.condition_rows([tspec])
 

@@ -66,6 +66,22 @@ def test_curve_point_reduction(ctx):
     assert ctx.lattice_reduce(z0) == (z0, 0, 0)
 
 
+def test_lattice_reduce_rounds_as_the_fixed_point_kernel(ctx):
+    # at the half-periods, where half up and half to even disagree, and at
+    # 300 random points, lattice_reduce reads the lattice point that every
+    # theta value and pole test reads
+    def kernel(z):
+        return ctx.reduce_fixed(*(to_fixed(x, ctx._fix) for x in point_key(z)))[2:]
+
+    tau = TAU
+    assert ctx.lattice_reduce(mpc("0.5"))[1:] == (1, 0)
+    rng = random.Random(19)
+    points = [mpc("0.5"), mpc("-0.5"), tau / 2, -tau / 2, (1 + tau) / 2, (1 - tau) / 2, 2.5 + 3 * tau / 2]
+    points += [mpc(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(300)]
+    for z in points:
+        assert ctx.lattice_reduce(z)[1:] == kernel(z)
+
+
 def test_theta_memo_key_is_exact_below_global_precision():
     # two points that differ past bit 53 keep separate memo entries even when
     # the global mp.prec is lower than the context's precision

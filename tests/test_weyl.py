@@ -18,6 +18,7 @@ from ccnops.weyl import (
     inversion_set,
     inversion_set_bruteforce,
     numeric_rank,
+    positive_roots,
     rank_certificate,
     sp_apply,
     sp_compose,
@@ -79,17 +80,50 @@ def test_bruhat_intervals():
 
 
 def test_inversion_sets():
-    got = {(r.kind, r.i, r.j, r.level) for r in inversion_set((1, 0))}
-    assert got == {("diff", 0, 1, 0), ("sum", 0, 1, 0)}
-    got = {(r.kind, r.i, r.j, r.level) for r in inversion_set((1, 1))}
-    assert got == {("sum", 0, 1, 0), ("sum", 0, 1, 1)}
+    assert inversion_set((1, 0)) == [AffineRoot((1, -1), 0), AffineRoot((1, 1), 0)]
+    assert inversion_set((1, 1)) == [AffineRoot((1, 1), 0), AffineRoot((1, 1), 1)]
     assert inversion_set((0, 0)) == []
+
+
+SHIFTS = (F(-1), F(-1, 2), F(0), F(1, 2), F(1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_affine_root_reflection_and_exponent(n):
+    # every positive root of type C at levels -3..3, on every shift with
+    # entries in {-1, -1/2, 0, 1/2, 1}: s_(beta + m q) is an involution that
+    # sends <beta, k> to 2m - <beta, k>, and agrees with the per-kind
+    # formulas, as does the pair exponent
+    roots = positive_roots(n)
+    assert len(roots) == n * n
+    for beta in roots:
+        i, *rest = [j for j, c in enumerate(beta.coeffs) if c]
+        for m in range(-3, 4):
+            root = beta.at_level(m)
+            for k in itertools.product(SHIFTS, repeat=n):
+                k2 = root.reflect(k)
+                assert all(isinstance(x, F) for x in k2)
+                assert root.reflect(k2) == k
+                assert root.pairing(k2) == 2 * m - root.pairing(k)
+                want = list(k)
+                if not rest:
+                    want[i] = m - k[i]
+                    exponent = m - 2 * k[i]
+                else:
+                    j = rest[0]
+                    if beta.coeffs[j] == 1:
+                        want[i], want[j] = m - k[j], m - k[i]
+                    else:
+                        want[i], want[j] = k[j] + m, k[i] - m
+                    exponent = 2 * (m - k[i] - beta.coeffs[j] * k[j])
+                assert k2 == tuple(want)
+                assert root.exponent(k) == int(exponent)
 
 
 def test_inversion_against_bruteforce():
     for lam in ((1, 0), (1, 1), (2, 1), (3, 1), (F(3, 2), F(1, 2))):
-        a = sorted((r.kind, r.i, r.j, r.level) for r in inversion_set(lam))
-        b = sorted((r.kind, r.i, r.j, r.level) for r in inversion_set_bruteforce(lam))
+        a = sorted((r.coeffs, r.level) for r in inversion_set(lam))
+        b = sorted((r.coeffs, r.level) for r in inversion_set_bruteforce(lam))
         assert a == b
         # cardinality = sum of positive pairings, levels within [0, pairing)
         total = 0
