@@ -1,9 +1,13 @@
 """Command-line front end: suites, ad-hoc evaluation, solver access, reports.
 
 Commands: suite, eval, solve-section, fourier-kernel, report-schema.
-Configuration is a flat key=value file (keys as in DEFAULTS, plus x1..x8 for
-the van Diejen parameters); the flags --seed, --prec, --tol, --n and --trunc
-override environment variables (CCNOPS_<KEY>), which override the file.
+Configuration is a flat key=value file; the flags --seed, --prec, --tol, --n
+and --trunc override environment variables (CCNOPS_<KEY>), which override
+the file.  The accepted keys are those of DEFAULTS (prec, tol, seed, n, trunc,
+tau, q, t, eta_prime, samples) and x1..x8, the van Diejen parameters.  These
+are rejected with a ConfigError naming the key: any other key, n, trunc or
+samples below 1 (a suite would pass without a sample or a truncation order
+to test), and prec below 64.
 Checks run one after another in the calling thread.  Reports are versioned
 JSON with one record per check; exit status 0 means every check passed, 1
 means some check failed, 2 means the configuration or the command line was
@@ -57,6 +61,10 @@ DEFAULTS = {
 }
 
 
+#: the keys a configuration may hold besides those of DEFAULTS: the van Diejen parameters
+X_KEYS = tuple("x%d" % j for j in range(1, 9))
+
+
 class ConfigError(ValueError):
     pass
 
@@ -102,6 +110,10 @@ def load_config(path=None, overrides=None):
     for key, val in (overrides or {}).items():
         if val is not None:
             cfg[key] = str(val)
+    unknown = sorted(set(cfg) - set(DEFAULTS) - set(X_KEYS))
+    if unknown:
+        known = ", ".join(DEFAULTS)
+        raise ConfigError("unknown config key(s) %s; known: %s and x1..x8" % (", ".join(unknown), known))
     return cfg
 
 
@@ -120,8 +132,9 @@ def session_from_config(cfg):
         raise ConfigError("bad session values: %s" % exc) from exc
     if prec < 64:
         raise ConfigError("precision below the supported minimum (64 bits)")
-    if n < 1 or trunc < 0:
-        raise ConfigError("n must be positive and trunc non-negative")
+    for key, value in (("n", n), ("trunc", trunc), ("samples", samples)):
+        if value < 1:
+            raise ConfigError("%s must be at least 1, got %d" % (key, value))
     tau = parse_complex(cfg["tau"])
     q = parse_complex(cfg["q"])
     t = parse_complex(cfg["t"])
@@ -134,11 +147,7 @@ def session_from_config(cfg):
         ctx = CurveContext(tau, prec)
     except (ModulusError, PrecisionError) as exc:
         raise ConfigError(str(exc)) from exc
-    xs = []
-    for j in range(1, 9):
-        key = "x%d" % j
-        if key in cfg:
-            xs.append(parse_complex(cfg[key]))
+    xs = [parse_complex(cfg[key]) for key in X_KEYS if key in cfg]
     return {
         "ctx": ctx,
         "prec": prec,

@@ -88,7 +88,7 @@ from .diffop import (
     rel_defect,
 )
 from .factors import TablePoint, pole_arguments, prefix_products, z_coefficients
-from .families import van_diejen_leading_expr
+from .families import van_diejen_leading_expr, weyl_denominator
 from .symbols import AffineForm, ThetaExpr, zvar
 from .weyl import (
     AffineRoot,
@@ -664,16 +664,9 @@ def first_order_model(ctx, n, dprime, eta_prime, q, t, seed=31):
     K = 2 * dprime + 2
     zero_sum = mpc(q) + mpc(eta_prime)
     uni = _univariate_basis(params, "z1", K, zero_sum, rng)
-    # shared pair factor and 1/theta(-2 z_i)
-    tf = AffineForm.var("t")
-    shared = []
-    for i in range(1, n + 1):
-        shared.append((zvar(i) * -2, -1))
-        for j in range(i + 1, n + 1):
-            arg = zvar(i) * -1 - zvar(j)
-            shared.append((tf + arg, 1))
-            shared.append((arg, -1))
-    shared_expr = ThetaExpr(tuple(shared), n)
+    # the shared block: the Weyl denominator at -z
+    zs = [zvar(i) * -1 for i in range(1, n + 1)]
+    shared_expr = ThetaExpr(tuple(weyl_denominator(zs, AffineForm.var("t"))), n)
     lam = tuple(Fraction(1, 2) for _ in range(n))
     env = {"q": params["q"], "t": params["t"], "eta_prime": exact_mpc(eta_prime)}
     degree = (DegreeVector(), DegreeVector(0, 1, dprime))

@@ -4,6 +4,14 @@ Covers the first-order spanning family, the degree cascade and its torsion-q
 closed form, the formal Fourier kernel and transform, braid-relation checks,
 the commuting van Diejen family, the t=0 wedge construction, and the two
 trigonometric lowering-operator degenerations.
+
+One builder writes the C_n root factors of every theta coefficient family,
+`weyl_denominator`: 1/theta(2 z_i; q)_d for each long root and
+theta(t + z_i + z_j; q)_d / theta(z_i + z_j; q)_d for each pair.  Its six
+readers are `first_order` (after the u-factors), `d_torsion_closed_form`,
+`cascade_leading_expr`, `van_diejen_leading_expr` (between the x-block and
+the cross factors), `conditions.first_order_model` (its shared block) and
+`_TailSolver._coefficient` (at the moved coordinates y).
 """
 
 from __future__ import annotations
@@ -54,6 +62,21 @@ def _as_form(x, name, params):
     return AffineForm.var(name)
 
 
+def weyl_denominator(zs, t, d=1):
+    """The factors of prod_i 1/theta(2 z_i; q)_d prod_{i<j} theta(t + z_i + z_j; q)_d / theta(z_i + z_j; q)_d.
+
+    zs are coordinate forms, signed (s_i z_i) or moved (y_i), t is an affine
+    form, and theta(x; q)_d = prod_{l<d} theta(x + l q).  The order is each
+    long root, then each pair i < j, with l innermost.
+    """
+    q = AffineForm.var("q")
+    factors = [(z * 2 + q * l, -1) for z in zs for l in range(d)]
+    for a, b in itertools.combinations(zs, 2):
+        for l in range(d):
+            factors += [(t + a + b + q * l, 1), (a + b + q * l, -1)]
+    return factors
+
+
 # ---------------------------------------------------------------------------
 # first-order family
 
@@ -76,17 +99,8 @@ def first_order(ulist, t, q, n, params=None):
     usyms = [_as_form(uv, _fresh("u"), params) for uv in ulist]
     coeffs = {}
     for sigma in itertools.product((1, -1), repeat=n):
-        factors = []
-        for i in range(n):
-            zi = zvar(i + 1) * sigma[i]
-            for u in usyms:
-                factors.append((u + zi, 1))
-            factors.append((zi * 2, -1))
-        for i in range(n):
-            for j in range(i + 1, n):
-                arg = zvar(i + 1) * sigma[i] + zvar(j + 1) * sigma[j]
-                factors.append((tsym + arg, 1))
-                factors.append((arg, -1))
+        zs = [zvar(i + 1) * s for i, s in enumerate(sigma)]
+        factors = [(u + z, 1) for z in zs for u in usyms] + weyl_denominator(zs, tsym)
         expr = ThetaExpr(tuple(factors), n)
         key = tuple(Fraction(s, 2) for s in sigma)
         coeffs[key] = ExprCoefficient(expr, params)
@@ -132,18 +146,8 @@ def d_cascade(d, q, t, n, u_probe):
 
 def cascade_leading_expr(d, n):
     """prod_{i<j} theta(t-z_i-z_j;q)_d / prod_{i<=j} theta(-z_i-z_j;q)_d."""
-    q = AffineForm.var("q")
-    t = AffineForm.var("t")
-    factors = []
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            arg = zvar(i) * -1 - zvar(j)
-            for l in range(d):
-                factors.append((arg + q * l, -1))
-            if j > i:
-                for l in range(d):
-                    factors.append((t + arg + q * l, 1))
-    return ThetaExpr(tuple(factors), n)
+    zs = [zvar(i) * -1 for i in range(1, n + 1)]
+    return ThetaExpr(tuple(weyl_denominator(zs, AffineForm.var("t"), d)), n)
 
 
 @at_context_precision
@@ -155,22 +159,11 @@ def d_torsion_closed_form(d, q, t, n, ctx):
         if ctx.dist_to_lattice(k * mpc(q)) < TORSION_TOL:
             raise TorsionError("q has order smaller than d")
     params = {"q": exact_mpc(q), "t": exact_mpc(t)}
-    qf = AffineForm.var("q")
     tf = AffineForm.var("t")
     coeffs = {}
     for sigma in itertools.product((1, -1), repeat=n):
-        factors = []
-        for i in range(n):
-            zi = zvar(i + 1) * sigma[i]
-            for l in range(d):
-                factors.append((zi * 2 + qf * l, -1))
-        for i in range(n):
-            for j in range(i + 1, n):
-                arg = zvar(i + 1) * sigma[i] + zvar(j + 1) * sigma[j]
-                for l in range(d):
-                    factors.append((tf + arg + qf * l, 1))
-                    factors.append((arg + qf * l, -1))
-        expr = ThetaExpr(tuple(factors), n)
+        zs = [zvar(i + 1) * s for i, s in enumerate(sigma)]
+        expr = ThetaExpr(tuple(weyl_denominator(zs, tf, d)), n)
         key = tuple(Fraction(s * d, 2) for s in sigma)
         coeffs[key] = ExprCoefficient(expr, params)
     degree = (DegreeVector(0, 0, d), DegreeVector(0, d, 0))
@@ -221,12 +214,9 @@ class _TailSolver:
     def _coefficient(self, sigma, mprime, j):
         """The factors of `first_order` with u-list [z_j, 2c - z_j] at the shift sigma/2, written at y."""
         qf, uj = AffineForm.var("q"), zvar(j + 1)
+        us = (uj, self.c_form * 2 - uj)
         ys = [(zvar(i + 1) + qf * mprime[i]) * sigma[i] for i in range(self.n)]
-        factors = []
-        for y in ys:
-            factors += [(uj + y, 1), (self.c_form * 2 - uj + y, 1), (y * 2, -1)]
-        for a, b in itertools.combinations(ys, 2):
-            factors += [(self.t_form + a + b, 1), (a + b, -1)]
+        factors = [(u + y, 1) for y in ys for u in us] + weyl_denominator(ys, self.t_form)
         return ExprCoefficient(ThetaExpr(tuple(factors), self.n), self.params)
 
     def solve(self, ctx, m, w):
@@ -394,8 +384,9 @@ def braid_check(ctx, c, d, t0, q, t, n, order, points):
 def van_diejen_leading_expr(m, n):
     """Corner coefficient of the section with leading weight (1^m, 0^{n-m}).
 
-    Factor order: the x-block of each i <= m, then the pair factors of
-    i < j <= m, then the cross factors of i <= m < j.
+    Factor order: the x-block of each i <= m, then `weyl_denominator` of
+    -z_1..-z_m at d = 2 (the long roots of i <= m, then the pairs
+    i < j <= m), then the cross factors of i <= m < j.
     """
     q = AffineForm.var("q")
     t = AffineForm.var("t")
@@ -403,15 +394,7 @@ def van_diejen_leading_expr(m, n):
     for i in range(1, m + 1):
         for jx in range(1, 9):  # the eight blowup parameters x1..x8
             factors.append((q * Fraction(1, 2) + AffineForm.var("x%d" % jx) - zvar(i), 1))
-        factors.append((zvar(i) * -2, -1))
-        factors.append((q - zvar(i) * 2, -1))
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            arg = zvar(i) * -1 - zvar(j)
-            factors.append((t + arg, 1))
-            factors.append((arg, -1))
-            factors.append((q + t + arg, 1))
-            factors.append((q + arg, -1))
+    factors += weyl_denominator([zvar(i) * -1 for i in range(1, m + 1)], t, 2)
     for i in range(1, m + 1):
         for j in range(m + 1, n + 1):
             for sz in (1, -1):

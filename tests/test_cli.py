@@ -44,6 +44,29 @@ def test_exit_two_on_bad_constraint(tmp_path):
     assert out.returncode == 2
 
 
+def test_unknown_config_key_is_a_config_error(tmp_path):
+    # a misspelt key (pec for prec) must not run at the default precision and pass
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("pec=64\n")
+    out = run_cli("--config", str(cfg), "suite", "degenerations")
+    assert out.returncode == 2
+    assert "pec" in out.stderr and "Traceback" not in out.stderr
+
+
+NO_SAMPLE_RUNS = [
+    ("samples", ("--seed", "4", "suite", "kernel-identities"), {"CCNOPS_SAMPLES": "0"}),
+    ("trunc", ("--seed", "4", "--trunc", "0", "suite", "fourier"), {}),
+]
+
+
+@pytest.mark.parametrize("key, args, env", NO_SAMPLE_RUNS, ids=[run[0] for run in NO_SAMPLE_RUNS])
+def test_samples_and_trunc_below_one_are_config_errors(key, args, env):
+    # with no samples or no truncation order a check reads defect 0 and passes without testing anything
+    out = run_cli(*args, **env)
+    assert out.returncode == 2
+    assert key in out.stderr and "Traceback" not in out.stderr
+
+
 def test_van_diejen_above_n2_is_a_config_error():
     # the van Diejen model is built for n <= 2; a larger n must not run n = 2 and pass
     with pytest.raises(ConfigError, match="n <= 2"):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -12,7 +13,9 @@ from ccnops.families import (
     first_order,
     theta_pm_multiplier,
     wedge_section,
+    weyl_denominator,
 )
+from ccnops.symbols import AffineForm, ThetaExpr, zvar
 from conftest import ETA, Q, T, TOL, TAU, op_defect, rel, sample_points
 
 PARAMS = {"q": Q, "t": T}
@@ -35,6 +38,25 @@ def test_first_order_degree():
     D = first_order([mpc(1, 1)] * 4, T, Q, 2)
     assert D.degree[1] == DegreeVector(0, 1, 1)
     assert D.parity == F(1, 2)
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for n in (1, 2, 3) for d in (1, 2, 3)])
+def test_weyl_denominator_against_theta_products(ctx, n, d):
+    # prod_i 1/theta(2 y_i; q)_d prod_{i<j} theta(t + y_i + y_j; q)_d / theta(y_i + y_j; q)_d at y = sigma z,
+    # with theta(x; q)_d = prod_{l<d} theta(x + l q), written from ctx.theta at every sigma
+    def pochhammer(x):
+        return mp.fprod(ctx.theta(x + l * Q) for l in range(d))
+
+    for z in sample_points(n, 2, seed=211):
+        bind = {"q": Q, "t": T, **{"z%d" % (i + 1): zi for i, zi in enumerate(z)}}
+        for sigma in itertools.product((1, -1), repeat=n):
+            forms = [zvar(i + 1) * s for i, s in enumerate(sigma)]
+            got = ThetaExpr(tuple(weyl_denominator(forms, AffineForm.var("t"), d)), n).eval(ctx, bind)
+            y = [s * zi for s, zi in zip(sigma, z)]
+            want = 1 / mp.fprod(pochhammer(2 * yi) for yi in y)
+            for a, b in itertools.combinations(y, 2):
+                want *= pochhammer(T + a + b) / pochhammer(a + b)
+            assert rel(got, want) < mpf("1e-70")
 
 
 def test_cascade_d1_is_first_order(ctx):
