@@ -36,20 +36,22 @@ argument is a parameter constant c and integer z-coefficients k_j (+-1 or
 +-2 in every model); e(+-c/2) is formed once per context, and a point forms
 e(+-z_j/2) once per coordinate.  An argument's F-bit fixed-point value
 c + sum_j k_j z_j serves the pole tests and the lattice reduction, and its
-theta comes from `CurveContext.theta_fixed` as a Gaussian float, F =
-`ctx._wp` + GUARD_BITS.  One sweep per sample point (`_sweep`) reads the
-residues of many columns: each part's unique vanishing denominator factor
-is found and left out, the parts of all columns are sorted by the factors
-left in them, and each part multiplies only the factors after the prefix it
-shares with the part before it (`factors.prefix_products`); its scale,
-slope and theta' multiply in after that.  A part is a numerator and a
-denominator of Gaussian-float products, divided once (`gauss_quotient`):
-its relative error is the theta values' own (a few units of 2^-F each, more
-only near a theta zero) plus 2^(2-F) per product.  A column's parts add
-exactly, and each column is rounded once, to `ctx._wp` bits.
+theta comes from its lattice class at the point (`factors.TablePoint`) as
+a Gaussian float, F = `ctx._wp` + GUARD_BITS.  One sweep per sample point
+(`_sweep`) reads the residues of many columns: each part's unique vanishing
+denominator factor is found and left out, the parts of all columns are
+sorted by the factors left in them, and each part multiplies only the
+factors after the prefix it shares with the part before it
+(`factors.prefix_products`); its scale, slope and theta' multiply in after
+that.  A part is a numerator and a denominator of Gaussian-float products,
+divided once (`gauss_quotient`): its relative error is the theta values'
+own (a few units of 2^-F each, more only near a theta zero) plus 2^(2-F)
+per product.  A column's parts add exactly, and the sweep returns each
+column's sum unrounded.
 `condition_rows` runs the sweep once per point, over the parts of every
-column at the shift k and then at k2; `check_residue` runs it with the two
-coefficients as two columns.
+column at the shift k and then at k2, and forms each row on Gaussian floats,
+scaled by a power of two and rounded once per entry; `check_residue` runs it
+with the two coefficients as two columns and rounds the two residues once.
 
 Dimensions are decided by the one rank rule of `weyl.rank_certificate`: the
 solver's `nullspace_basis` and `operator_span_contains` scale their matrices
@@ -75,6 +77,7 @@ from .curve import (
     at_context_precision,
     exact_mpc,
     gauss_add,
+    gauss_exact,
     gauss_mul,
     gauss_quotient,
     gauss_round,
@@ -169,12 +172,11 @@ def enumerate_conditions(degree, lam, params, n):
     seen = set()
     top = max((sum(abs(x) for x in k) for k in support), default=0)
     roots = positive_roots(n)
+    levels = range(-2 * int(top) - 2, 2 * int(top) + 3)
     for k in sorted(support):
         for beta in roots:
-            for m in range(-2 * int(top) - 2, 2 * int(top) + 3):
-                root = beta.at_level(m)
-                k2 = root.reflect(k)
-                if k2 == k or k2 not in support:
+            for root, k2 in beta.reflections(k, levels):
+                if k2 not in support:
                     continue
                 key = (root, tuple(sorted((k, k2))))
                 if key in seen:
@@ -235,8 +237,10 @@ def _sweep(ctx, point, columns, root):
     each multiplies only the factors after the prefix it shares with the
     part before it (`factors.prefix_products`).  The scale, the slope and
     theta' multiply in after that shared product; each part is one quotient
-    of F bits (`gauss_quotient`), a column's parts add exactly, and each
-    column is rounded once, to `ctx._wp` bits.
+    of F bits (`gauss_quotient`), and a column's parts add exactly.  The
+    column sums are returned unrounded, as Gaussian floats: `check_residue`
+    rounds its two residues once, to `ctx._wp` bits, and
+    `SectionModel.condition_rows` combines them into row entries first.
     """
     F = ctx._fix
     seqs, heads = [], []  # per part: its factors left; (column, numerator head, denominator head)
@@ -276,7 +280,7 @@ def _sweep(ctx, point, columns, root):
         col, head, tail = heads[i]
         den = gauss_mul(den, tail, F)
         totals[col] = gauss_add(totals[col], gauss_quotient(gauss_mul(num, head, F), den, F))
-    return [gauss_round(total, ctx._wp) for total in totals]
+    return totals
 
 
 def _residue_parts(ctx, coeff):
@@ -415,7 +419,7 @@ def check_residue(ctx, op, specs, env, samples=2, seed=11, tol=mpf("1e-25")):
         for comp, snum, point, (b1, b2) in _residue_samples(
             ctx, rng, spec, n, env, _CHECK_COMPONENTS, samples, 2, pole_arguments(ctx, coeffs)
         ):
-            res_a, res_b = _sweep(ctx, point, parts, spec.root)
+            res_a, res_b = (gauss_round(r, ctx._wp) for r in _sweep(ctx, point, parts, spec.root))
             probe_defect = rel_defect(b1, b2)
             combo = res_b + b1 * res_a
             scale = abs(res_b) + abs(b1 * res_a) + mpf("1e-30")
@@ -594,13 +598,21 @@ class SectionModel:
     def condition_rows(self, specs, seed=29):
         """Linear condition matrix over the ansatz basis, one row per sample.
 
-        Each entry combines two residues, rb + b1 ra, and each row is divided
-        by the largest |rb| + |b1 ra| of its entries, so the matrix has
-        entries of order one.
+        Each entry combines two residues of the sweep (`_sweep`, unrounded
+        Gaussian floats) as rb + b1 ra: b1 ra is cut to F bits and the sum
+        is exact.  A row is scaled by 2^-E, E the exponent of its largest
+        |rb| or |b1 ra| (the larger part of that one lies in
+        [2^(E-1), 2^E)), which leaves its nullspace unchanged and puts its
+        entries below 2^(3/2) in modulus, so the matrix has entries of order
+        one; then each entry is rounded once, to `ctx._wp` bits.  A row whose
+        ingredients are all 0, or all below the rank floor 2^-(prec//2) of
+        `weyl.rank_certificate` (E <= -(prec//2)), is dropped: scaled up, its
+        rounding would count as rank.
         """
         with mp.workprec(self.ctx._wp):
             rng = random.Random(seed)
             ctx, n = self.ctx, self.n
+            F, floor = ctx._fix, -(ctx.prec // 2)
             rows = []
             ops = [op for _, op in self.basis_ops]
             columns = [{k: _residue_parts(ctx, c) for k, c in op.coeffs.items()} for op in ops]
@@ -612,15 +624,17 @@ class SectionModel:
                 for _, _, point, (b1,) in _residue_samples(
                     ctx, rng, spec, n, self.env, _SOLVE_COMPONENTS, 2, 1, poles
                 ):
-                    row = []
-                    scale = mpf(0)
                     residues = _sweep(ctx, point, parts, spec.root)
+                    b1 = gauss_exact(b1)
+                    row, top = [], floor
                     for ra, rb in zip(residues[:len(columns)], residues[len(columns):]):
-                        bra = b1 * ra
-                        row.append(rb + bra)
-                        scale = max(scale, abs(rb) + abs(bra))
-                    if scale > mpf("1e-60"):
-                        rows.append([v / scale for v in row])
+                        bra = gauss_mul(b1, ra, F)
+                        row.append(gauss_add(rb, bra))
+                        for re, im, e in (rb, bra):
+                            if re or im:
+                                top = max(top, (abs(re) | abs(im)).bit_length() + e)
+                    if top > floor:
+                        rows.append([gauss_round((re, im, e - top), ctx._wp) for re, im, e in row])
             return rows
 
     def nullspace(self, specs, seed=29):
@@ -643,7 +657,7 @@ def nullspace_basis(rows, ncols, prec=256):
     """Nullspace of a complex matrix with `ncols` columns, one vector per row of the result.
 
     The rows are normalized to entries of order one (`condition_rows`
-    divides each by the size of its largest ingredients), so the absolute
+    scales each by the power of two at its largest ingredient), so the absolute
     floor of `weyl.rank_certificate` decides the dimension; its orthonormal
     basis spans the nullspace, and at rank 0 it is the identity.
     """

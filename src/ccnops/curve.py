@@ -16,35 +16,36 @@ meromorphic solution
 normalized by an explicit exponential prefactor whose branch is the principal
 logarithm, fixed once per tau.
 
-Theta has one kernel, on Python integers, and one zero rule (`theta_at_x0`);
-`CurveContext.theta` and two readers of the context's one argument table
-(`factors`) all read it: coefficient values through `theta_of_fixed`, and
-the residue sweeps of the condition checkers and the section solver
-through `theta_fixed`.  Values are Gaussian
+Theta has one kernel, on Python integers, and one zero rule
+(`theta_reduced`); `CurveContext.theta` and two readers of the context's one
+argument table (`factors`) all read it: coefficient values through
+`theta_of_fixed`, and the residue sweeps of the condition checkers and the
+section solver through `factors.TablePoint`.  Values are Gaussian
 floats: (re + i im) 2^e with integer re, im cut back to F = `ctx._wp` +
 GUARD_BITS bits after each product (`gauss_mul`).  An argument z arrives as
 F-bit fixed-point integers and is reduced to z = w0 + m + n tau by integer
 rounding (`reduce_fixed`).  A sweep forms e(z/2) and e(-z/2) as Gaussian
 floats from per-argument and per-point exponentials, and x0 = e(w0/2) = (-1)^m
-e(-n tau/2) e(z/2) (`theta_fixed`); `CurveContext.theta` forms w0 exactly and
-reads x0 = `half_e`(w0), so that x0 - 1/x0 keeps its relative precision near a
+e(-n tau/2) e(z/2), once per lattice class of arguments
+(`factors.TablePoint`); `CurveContext.theta` forms w0 exactly and reads
+x0 = `half_e`(w0), so that x0 - 1/x0 keeps its relative precision near a
 zero of theta.  x0 feeds the lacunary sum, run in F-bit fixed point (Brent &
 Zimmermann, Modern Computer Arithmetic, 2010, section 4.4) as s times a
 polynomial in t = x0^2 + x0^-2 by Horner's rule, s = x0 - 1/x0
 (`_theta_sum`), and
 
-    theta(z) = (-1)^(m+n) x0^(-2n) e(-n^2 tau/2) theta(w0),
+    theta(z) = (-1)^(m+n) x0^(-2n) e(-n^2 tau/2) theta(w0)
 
-with e(k tau/2) memoized per context.  Zero rule: |w0| < 2^-`ctx._wp` gives
-exactly 0.  Beyond `half_e` and that exact w0, no exponential, cos/sin,
-`lattice_reduce` or mpc operation runs per theta.  Error: each Horner step
+(`theta_translate`, the one translate factor), with e(k tau/2) memoized per
+context.  Zero rule: |w0| < 2^-`ctx._wp` gives exactly 0.  Beyond `half_e`
+and that exact w0, no exponential, cos/sin, `lattice_reduce` or mpc
+operation runs per theta.  Error: each Horner step
 carries an absolute error of a unit of 2^-F relative to its own coefficient
 (relative to |theta|, so more near a zero of theta, where s cancels); each
 product cuts its mantissas once, a relative error of at most 2^(2-F).
-`CurveContext.theta` rounds one value once to `ctx._wp` bits, and a
-sweep's quotient of products of k theta values is good to about k (that
-error + 2^(2-F)) relative and is rounded once, to `ctx._wp` bits (both by
-`gauss_div`).
+`CurveContext.theta` rounds one value once to `ctx._wp` bits (`gauss_div`),
+and a sweep's quotient of products of k theta values is good to about k
+(that error + 2^(2-F)) relative; its reader rounds it once.
 
 Coefficient values run on the same integers (`factors`).  Each theta
 argument of a coefficient, an affine form in z and parameter symbols, is
@@ -541,22 +542,6 @@ class CurveContext:
 
         return memo(self._half_tau_cache, k, compute)
 
-    def theta_fixed(self, reduced, half, inv_half):
-        """theta(z) as a Gaussian float, from `reduce_fixed`(z) and e(+-z/2) as Gaussian floats.
-
-        x0 = e(w0/2) = (-1)^m e(-n tau/2) e(z/2) and 1/x0, each a product
-        cut to F bits, feed `theta_at_x0`.
-        """
-        _, _, m, n = reduced
-        F = self._fix
-        x, y = half, inv_half
-        if n:
-            x = gauss_mul(x, self.half_tau_power(-n), F)
-            y = gauss_mul(y, self.half_tau_power(n), F)
-        if m % 2:
-            x, y = (-x[0], -x[1], x[2]), (-y[0], -y[1], y[2])
-        return self.theta_at_x0(reduced, x, y)
-
     def theta_of_fixed(self, ar, ai):
         """theta(a) as a Gaussian float for an F-bit fixed-point argument a = ar + i ai.
 
@@ -578,10 +563,12 @@ class CurveContext:
     def theta_at_x0(self, reduced, x, y):
         """theta(z) as a Gaussian float, from `reduce_fixed`(z), x0 = e(w0/2) and y = 1/x0.
 
-        x0 and 1/x0 feed `_theta_sum`, which sums theta(w0) =
-        s sum_k c_k t^k / D by Horner's rule in t = x0^2 + x0^-2, with
-        s = x0 - 1/x0, then
-        theta(z) = (-1)^(m+n) x0^(-2n) e(-n^2 tau/2) theta(w0).  Near w0 = 0
+        x0 and 1/x0 feed `_theta_sum` (`theta_reduced`), which sums
+        theta(w0) = s sum_k c_k t^k / D by Horner's rule in t = x0^2 + x0^-2,
+        with s = x0 - 1/x0, then
+        theta(z) = (-1)^(m+n) x0^(-2n) e(-n^2 tau/2) theta(w0)
+        (`theta_translate`, which a residue sweep applies to every argument
+        of a lattice class, `factors.TablePoint`).  Near w0 = 0
         s cancels to about 2 pi i w0 (the polynomial in t is about D there
         and does not cancel), which costs log2(1/|w0|) bits: the GUARD_BITS
         of F over `ctx._wp` cover that down to |w0| ~ 2^-16, if x0 - 1/x0 is
@@ -595,10 +582,24 @@ class CurveContext:
         compiles to an exact 0 and arrives here as one.
         """
         w0r, w0i, m, n = reduced
+        return self.theta_translate(self.theta_reduced(w0r, w0i, x, y), x, y, m, n)
+
+    def theta_reduced(self, w0r, w0i, x, y):
+        """theta(w0) as a Gaussian float, from w0 scaled by 2^F (for the zero rule) and x0 = e(w0/2), y = 1/x0."""
         if w0r * w0r + w0i * w0i < self._fix_zero:
-            return (0, 0, 0)
+            return GAUSS_ZERO
         F = self._fix
-        val = gauss_cut(*self._theta_sum(*gauss_fixed(x, F), *gauss_fixed(y, F)), F)
+        return gauss_cut(*self._theta_sum(*gauss_fixed(x, F), *gauss_fixed(y, F)), F)
+
+    def theta_translate(self, val, x, y, m, n):
+        """theta(w0 + m + n tau) = (-1)^(m+n) e(-n^2 tau/2) x0^(-2n) theta(w0) from val = theta(w0), x0 and y = 1/x0.
+
+        Each product is cut to F bits; x0^(-2n) is 2|n| products by y (n > 0)
+        or by x (n < 0).  An exact zero stays the exact GAUSS_ZERO.
+        """
+        if val == GAUSS_ZERO:
+            return val
+        F = self._fix
         if n:
             val = gauss_mul(val, self.half_tau_power(-n * n), F)
             step = y if n > 0 else x

@@ -124,7 +124,8 @@ class ExprCoefficient:
             for scale, expr, prms in self.parts
         )
 
-    def scaled_expr(self, expr, params=None):
+    def scaled_expr(self, expr):
+        """Each part's expression times expr, read under the part's own parameters."""
         return ExprCoefficient.sum(
             ExprCoefficient(e * expr, prms, scale) for scale, e, prms in self.parts
         )
@@ -133,16 +134,17 @@ class ExprCoefficient:
 class CompositeCoefficient:
     """A coefficient of a composed operator: sum over terms of prod_i c_i(z + q s_i).
 
-    terms: tuple of terms, each a tuple of (shift s_i, ExprCoefficient c_i).
+    terms: tuple of terms, each a tuple of (shift s_i, ExprCoefficient c_i);
+    params: the composed operator's parameters, q among them.
     A value forms z's fixed point once and reads each c_i at it moved by
     q s_i (`factors.fixed_shift`, one integer sum per coordinate).  The
     factors' Gaussian-float values multiply, the terms add exactly, and the
     sum is rounded once.
     """
 
-    def __init__(self, n, q, terms):
+    def __init__(self, n, params, terms):
         self.n = n
-        self.q = q
+        self.params = params
         self.terms = tuple(tuple(term) for term in terms)
         self._compiled = {}
 
@@ -166,7 +168,7 @@ class CompositeCoefficient:
             for s, _ in term:
                 if s not in index:
                     index[s] = len(shifts)
-                    shifts.append(fixed_shift(ctx, self.q, s))
+                    shifts.append(fixed_shift(ctx, self.params["q"], s))
         return [[(index[s], c.compiled(ctx)) for s, c in term] for term in self.terms], shifts
 
     def transformed(self, assignments):
@@ -186,13 +188,14 @@ class CompositeCoefficient:
             return zero, c.transformed(assign)
 
         return CompositeCoefficient(
-            self.n, self.q, [[memo(done, (s, c), lambda: moved(s, c)) for s, c in term] for term in self.terms]
+            self.n, self.params, [[memo(done, (s, c), lambda: moved(s, c)) for s, c in term] for term in self.terms]
         )
 
-    def scaled_expr(self, expr, params):
+    def scaled_expr(self, expr):
+        """One more unshifted factor in every term: expr, read under the operator's parameters."""
         zero = (Fraction(0),) * self.n
-        factor = (zero, ExprCoefficient(expr, params))
-        return CompositeCoefficient(self.n, self.q, [term + (factor,) for term in self.terms])
+        factor = (zero, ExprCoefficient(expr, self.params))
+        return CompositeCoefficient(self.n, self.params, [term + (factor,) for term in self.terms])
 
 
 def mul_scales(a, b):
@@ -267,7 +270,7 @@ class DifferenceOperator:
                 by_shift.setdefault(tuple(a + b for a, b in zip(ka, kb)), []).extend(
                     ta + tuple((moved(s, ka), c) for s, c in tb) for ta in terms(ca) for tb in terms(cb)
                 )
-        coeffs = {k: CompositeCoefficient(self.n, self.q, ts) for k, ts in by_shift.items()}
+        coeffs = {k: CompositeCoefficient(self.n, self.params, ts) for k, ts in by_shift.items()}
         degree = None
         if self.degree and other.degree:
             degree = (other.degree[0], self.degree[1])
@@ -363,7 +366,7 @@ class DifferenceOperator:
             resolved = ratio.reduce(arity=self.n)
             if isinstance(resolved, Unbalanced):
                 raise ValueError("unbalanced gauge at shift %s: %s" % (k, resolved))
-            coeffs[k] = c.scaled_expr(resolved, self.params)
+            coeffs[k] = c.scaled_expr(resolved)
         return DifferenceOperator(self.n, coeffs, self.params, self.degree)
 
     def selberg_adjoint(self, density):
@@ -378,7 +381,7 @@ class DifferenceOperator:
             ratio = density.shift_ratio(k)
             neg = {"z%d" % (i + 1): zvar(i + 1) * -1 - qform * k[i] for i in range(self.n)}
             moved = c.transformed(neg)
-            coeffs[k] = moved.scaled_expr(ratio, self.params)
+            coeffs[k] = moved.scaled_expr(ratio)
         return DifferenceOperator(self.n, coeffs, self.params, self.degree)
 
     # -- serialization -----------------------------------------------------

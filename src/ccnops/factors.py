@@ -23,15 +23,24 @@ suits:
   exactly; a shift z -> z + q s moves the fixed-point coordinates by q s_j
   (`fixed_shift`), so no shifted point is formed.  Values repeat: the memo
   answers 13,503 of the 15,204 theta reads of a bench `verify` pass, and
-  reading them through `theta_fixed` with a point memo cost `verify` 5% in
-  wall time and 17% in peak memory;
+  reading them through a per-point table with a point memo cost `verify` 5%
+  in wall time and 17% in peak memory;
 * residues, for condition rows and residue checks (`TablePoint`), at random
-  sample points where nothing repeats.  e(+-c/2) is formed once per
+  sample points where no point repeats.  e(+-c/2) is formed once per
   argument and context, only for the arguments a sweep reads, and
-  e(+-z_j/2) once per point and coordinate, and theta is
-  `CurveContext.theta_fixed`.  Through `theta_of_fixed` each of the 14,234
-  factors of a bench `solve` pass would cost one more `half_e`, about
-  0.57 s on a 1.3 s pass.
+  e(+-z_j/2) once per point and coordinate.  At a point the arguments fall
+  into lattice classes, one per reduced w0 (`CurveContext.reduce_fixed`):
+  on the divisor component beta(z) + m q = lambda, lambda in
+  {0, 1, tau, 1 + tau}, an argument a(z) and its image a(s z) under the
+  affine reflection s = s_(beta + m q) differ by <k, beta^v> lambda, a
+  lattice point (k the argument's z-coefficients).  A class runs one theta
+  series, formed from the first argument that reaches it, and each
+  argument of the class is that theta(w0) times its translate factor
+  (`CurveContext.theta_translate`).
+  The classes serve 4,281 of the 11,486 theta reads of a bench `solve` pass
+  (seed 1, 37%) and 972 of the 3,104 of a `verify` pass (31%) without a
+  series.  Through `theta_of_fixed` each factor would cost one more
+  `half_e`, about 0.57 s on a 1.3 s pass.
 
 Both multiply their parts through one prefix loop (`prefix_products`): the
 parts are sorted by their factors, and each multiplies only the factors
@@ -255,10 +264,14 @@ class TablePoint:
     """The context's arguments at the point z: each one's reduction and theta, computed once on first use.
 
     Everything is on integers.  The argument c + sum_j k_j z_j is summed in
-    F-bit fixed point and reduced by `CurveContext.reduce_fixed`; e(+-arg/2)
-    is e(+-c/2), formed once per argument and context, times
-    e(+-z_j/2)^k_j, formed once per point and coordinate, and
-    `CurveContext.theta_fixed` turns them into theta as a Gaussian float.
+    F-bit fixed point and reduced by `CurveContext.reduce_fixed` to
+    w0 + m + n tau.  Arguments with the same w0 form one lattice class,
+    which runs one theta series: the first argument to reach it forms
+    e(+-arg/2) as e(+-c/2), formed once per argument and context, times
+    e(+-z_j/2)^k_j, formed once per point and coordinate, then
+    x0 = e(w0/2) = (-1)^m e(-n tau/2) e(arg/2) and 1/x0, and theta(w0)
+    (`CurveContext.theta_reduced`); every argument of the class is theta(w0)
+    times its own translate factor (`CurveContext.theta_translate`).
     """
 
     def __init__(self, ctx, z):
@@ -268,6 +281,7 @@ class TablePoint:
         self._halves = {}
         self._powers = {}
         self._reduced = {}
+        self._classes = {}
         self._factors = {}
 
     def reduced(self, i):
@@ -288,18 +302,30 @@ class TablePoint:
         return self.ctx.fixed_dist2(w0r, w0i)
 
     def factor(self, i):
-        """theta(argument i) as a Gaussian float."""
+        """theta(argument i) as a Gaussian float: its lattice class's theta(w0) times its translate factor."""
 
         def compute():
-            ctx = self.ctx
-            F, (_, _, zk, c) = ctx._fix, ctx._arguments[i]
-            half, inv_half = memo(ctx._argument_halves, i, lambda: ctx.half_e(c))
-            for j, k in zk:
-                half = gauss_mul(half, self._power(j, k), F)
-                inv_half = gauss_mul(inv_half, self._power(j, -k), F)
-            return ctx.theta_fixed(self.reduced(i), half, inv_half)
+            w0r, w0i, m, n = self.reduced(i)
+            val, x, y = memo(self._classes, (w0r, w0i), lambda: self._class_entry(i))
+            return self.ctx.theta_translate(val, x, y, m, n)
 
         return memo(self._factors, i, compute)
+
+    def _class_entry(self, i):
+        """(theta(w0), x0, 1/x0) for the lattice class of argument i, formed from argument i."""
+        ctx = self.ctx
+        F, (_, _, zk, c) = ctx._fix, ctx._arguments[i]
+        w0r, w0i, m, n = self.reduced(i)
+        x, y = memo(ctx._argument_halves, i, lambda: ctx.half_e(c))
+        for j, k in zk:
+            x = gauss_mul(x, self._power(j, k), F)
+            y = gauss_mul(y, self._power(j, -k), F)
+        if n:
+            x = gauss_mul(x, ctx.half_tau_power(-n), F)
+            y = gauss_mul(y, ctx.half_tau_power(n), F)
+        if m % 2:
+            x, y = (-x[0], -x[1], x[2]), (-y[0], -y[1], y[2])
+        return ctx.theta_reduced(w0r, w0i, x, y), x, y
 
     def _power(self, j, k):
         """e(k z_j / 2) as a Gaussian float."""

@@ -15,7 +15,9 @@ An affine root beta + m q (`AffineRoot`) is beta's integer coefficient
 vector on e_1..e_n (e_i +- e_j, or 2 e_i) and the level m, for any n.  Its
 pairing, its reflection k -> k - (<beta, k> - m) beta^v (Macdonald, "Affine
 Hecke Algebras and Orthogonal Polynomials", 2003, 1.2) and the exponent of
-a residue pair are formulas in that vector, with no case per kind of root.
+a residue pair are formulas in that vector, with no case per kind of root;
+the coroot beta^v = 2 beta/(beta, beta) is an integer vector in type C, and
+the pairing of a weight of one parity class with beta is an integer.
 `positive_roots` lists the type-C roots, `positive_finite_roots` the type-D
 ones that the inversion sets run over.
 
@@ -185,8 +187,9 @@ class AffineRoot:
     level: int = 0
 
     def pairing(self, lam):
-        """<beta, lam>."""
-        return sum(c * x for c, x in zip(self.coeffs, lam) if c)
+        """<beta, lam>, as an int when it is one (always, for a weight in one parity class)."""
+        p = sum(c * x for c, x in zip(self.coeffs, lam) if c)
+        return p.numerator if p.denominator == 1 else p
 
     def at_level(self, m):
         return AffineRoot(self.coeffs, m)
@@ -196,14 +199,33 @@ class AffineRoot:
         """(beta, beta): 2 for e_i +- e_j, 4 for 2 e_i."""
         return sum(c * c for c in self.coeffs)
 
+    @functools.cached_property
+    def coroot(self):
+        """beta^v = 2 beta/(beta, beta), integral in type C: beta for e_i +- e_j, e_i for 2 e_i."""
+        return tuple(2 * c // self.norm2 for c in self.coeffs)
+
     def reflect(self, k):
-        """The image of the shift k under s_(beta + m q): k - (<beta, k> - m) beta^v, beta^v = 2 beta/(beta, beta)."""
-        h = Fraction(2 * (self.pairing(k) - self.level), self.norm2)
-        return tuple(x - h * c if c else x for x, c in zip(k, self.coeffs))
+        """The image of the shift k under s_(beta + m q): k - (<beta, k> - m) beta^v."""
+        return self._translate(k, self.pairing(k) - self.level)
+
+    def reflections(self, k, levels):
+        """(beta + m q, the image of k under its reflection) for each level m whose image is not k.
+
+        One pairing <beta, k> serves every level; the image is k exactly
+        when m = <beta, k>.
+        """
+        p = self.pairing(k)
+        for m in levels:
+            if m != p:
+                yield self.at_level(m), self._translate(k, p - m)
+
+    def _translate(self, k, h):
+        """k - h beta^v."""
+        return tuple(x - h * c if c else x for x, c in zip(k, self.coroot))
 
     def exponent(self, k):
         """4 (m - <beta, k>)/(beta, beta): 2 (m - k_i -+ k_j) for e_i +- e_j, m - 2 k_i for 2 e_i."""
-        return int(Fraction(4 * (self.level - self.pairing(k)), self.norm2))
+        return int((self.level - self.pairing(k)) * (4 // self.norm2))
 
 
 def _root(n, *terms):

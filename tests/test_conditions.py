@@ -7,6 +7,7 @@ import ccnops.conditions as conditions
 import ccnops.factors as factors
 import ccnops.weyl as weyl
 from mpmath import matrix, mp, mpc, mpf
+from mpmath.libmp import from_man_exp
 
 from ccnops.conditions import (
     ConditionSpec,
@@ -28,7 +29,17 @@ from ccnops.conditions import (
     vandiejen_nullspace,
     vandiejen_sections,
 )
-from ccnops.curve import GAUSS_ONE, CurveContext, PoleProximityError, gauss_div, gauss_mul, point_key
+from ccnops.curve import (
+    GAUSS_ONE,
+    GAUSS_ZERO,
+    CurveContext,
+    PoleProximityError,
+    gauss_add,
+    gauss_div,
+    gauss_mul,
+    gauss_quotient,
+    point_key,
+)
 from ccnops.diffop import DegreeVector, DifferenceOperator, ExprCoefficient, bindings_for
 from ccnops.factors import TablePoint, compile_argument, pole_arguments, z_coefficients
 from ccnops.families import first_order, van_diejen_leading_expr
@@ -439,6 +450,36 @@ def test_table_theta_zero_rule(ctx):
     assert point.reduced(i)[2:] == (0, 0)
 
 
+@pytest.mark.parametrize("prec", [96, 256])
+def test_table_factor_on_lattice_translates(prec):
+    # the arguments p + z1, p = m + n tau for m, n in -3..3, share one
+    # lattice class (tau and the point are dyadic, so every translate is
+    # exact in fixed point), entered first by the translate (3, -2): each is
+    # the class's theta(w0) times its own translate factor, against
+    # ctx.theta and the product formula to 2^(8-prec) relative; two
+    # arguments on the lattice, under the zero rule, give exactly 0
+    tau = mpc("0.125", "1.09375")
+    ctx = CurveContext(tau, prec)
+    w = mpc("0.2109375", "0.0703125")
+    shifts = [(3, -2)] + [(m, n) for m in range(-3, 4) for n in range(-3, 4) if (m, n) != (3, -2)]
+    with mp.workprec(600):
+        values = {"p%d" % i: m + n * tau for i, (m, n) in enumerate(shifts)}
+        values["zero0"], values["zero1"] = 2 + tau - w, -1 - 3 * tau - w
+        args = [values[name] + w for name in values]
+    point, ids = _table_point(ctx, [zvar(1) + AffineForm.var(name) for name in values], values, (w,))
+    bound = mpf(2) ** (8 - prec)
+    for i, arg, name in zip(ids, args, values):
+        got = point.factor(i)
+        if name.startswith("zero"):
+            assert got == GAUSS_ZERO
+            continue
+        got = gauss_div(got, GAUSS_ONE, ctx._wp)
+        assert rel(got, ctx.theta(arg)) < bound, name
+        assert rel(got, ctx.theta_product(arg)) < bound, name
+    assert len(point._classes) == 2
+    assert {point.reduced(i)[:2] for i in ids[:-2]} == {point.reduced(ids[0])[:2]}
+
+
 def test_residue_of_parts_against_the_mpc_path(ctx):
     # residue along 2 z1 = tau (lattice point (0, 1)) against eps * c(z) a
     # distance eps off the divisor, evaluated through ThetaExpr.eval
@@ -453,7 +494,7 @@ def test_residue_of_parts_against_the_mpc_path(ctx):
     beta = AffineRoot((2,))
     with mp.workprec(600):
         z = (mp.make_mpc(point_key(ctx.tau)) / 2,)
-    (got,) = _sweep(ctx, TablePoint(ctx, z), [parts], beta)
+    (got,) = map(_exact, _sweep(ctx, TablePoint(ctx, z), [parts], beta))
     eps = mpf("1e-30")
     with mp.workprec(600):
         off = (z[0] + eps / 2,)  # s = 2 z1 - tau moves by eps
@@ -463,23 +504,29 @@ def test_residue_of_parts_against_the_mpc_path(ctx):
     # the value path of check_vanishing against the sweep's thetas, at a
     # point away from every pole
     away = (z[0] + mpc("0.1", "0.05"),)
-    (value,) = _per_part_oracle(ctx, TablePoint(ctx, away), [parts])
+    (value,) = map(_exact, _per_part_oracle(ctx, TablePoint(ctx, away), [parts]))
     assert rel(coeff.eval(ctx, away), value) < mpf("1e-70")
+
+
+def _exact(a):
+    """A Gaussian float as an mpc, exactly."""
+    return mp.make_mpc((from_man_exp(a[0], a[2]), from_man_exp(a[1], a[2])))
 
 
 def _per_part_oracle(ctx, point, columns, root=None):
     """The per-part path that `conditions._sweep` replaced, kept as its oracle.
 
     Each part is seeded with its scale (and, for a residue, the slope and
-    theta'), multiplied factor by factor with nothing shared, divided and
-    rounded to `ctx._wp` bits; a column's parts add as mpc numbers.  With
-    no root it gives each column's value from the point's thetas.
+    theta'), multiplied factor by factor with nothing shared and divided at
+    F bits; a column's parts add exactly, into an unrounded Gaussian float
+    as the sweep returns it.  With no root it gives each column's value from
+    the point's thetas.
     """
     bits = ctx._fix
     on_divisor = conditions._fixed_square(ctx, conditions._ON_DIVISOR)
     out = []
     for parts in columns:
-        total = mpc(0)
+        total = GAUSS_ZERO
         for scale, factors in parts:
             num, den, skip = scale, GAUSS_ONE, None
             if root is not None:
@@ -502,7 +549,7 @@ def _per_part_oracle(ctx, point, columns, root=None):
                         num = gauss_mul(num, v, bits)
                     else:
                         den = gauss_mul(den, v, bits)
-            total += gauss_div(num, den, ctx._wp)
+            total = gauss_add(total, gauss_quotient(num, den, bits))
         out.append(total)
     return out
 
@@ -535,11 +582,11 @@ def test_sweep_on_shared_prefixes_against_the_per_part_oracle(ctx):
         away = (on[0] + mpc("0.1", "0.05"),)
     on_point, away_point = TablePoint(ctx, on), TablePoint(ctx, away)
     cases = (
-        (_sweep(ctx, on_point, encoded, beta), on_point, beta),
+        ([_exact(r) for r in _sweep(ctx, on_point, encoded, beta)], on_point, beta),
         ([c.eval(ctx, away) if c else mpc(0) for c in coeffs], away_point, None),
     )
     for got, point, mode in cases:
-        want = _per_part_oracle(ctx, point, encoded, mode)
+        want = [_exact(r) for r in _per_part_oracle(ctx, point, encoded, mode)]
         assert got[2] == want[2] == 0
         for x, y in zip(got, want):
             assert abs(x - y) <= abs(y) * mpf(2) ** (8 - ctx.prec)
@@ -558,13 +605,14 @@ def _row_model(ctx, xs8, name):
 def test_condition_rows_match_the_per_part_oracle(ctx, xs8, name, monkeypatch):
     # one sweep per sample point and shift gives the rows of one residue per
     # part and column, to 2^(8-prec) relative to each row's scale (the rows
-    # come divided by it)
+    # come scaled by its power of two); every sampled row is kept
     model, n = _row_model(ctx, xs8, name)
     specs = [s for s in enumerate_conditions(model.degree, model.lam, model.params, n) if s.kind == "residue-pair"]
     rows = model.condition_rows(specs)
     monkeypatch.setattr(conditions, "_sweep", _per_part_oracle)
     want = model.condition_rows(specs)
-    assert len(rows) == len(want) > 0
+    kept = {"van-diejen-n1": 24, "van-diejen-n2": 224, "first-order-n2-d1": 48}[name]
+    assert len(rows) == len(want) == kept == 8 * len(specs)
     for row, ref in zip(rows, want):
         assert max(abs(x - y) for x, y in zip(row, ref)) <= mpf(2) ** (8 - ctx.prec)
 
