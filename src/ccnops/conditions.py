@@ -379,7 +379,7 @@ def _residue_samples(ctx, rng, spec, n, env, components, samples, probes, poles)
             yield comp, snum, point, brackets
 
 
-def _vanishing_samples(rng, spec, n, env, samples):
+def _vanishing_samples(ctx, rng, spec, n, env, samples):
     """Sample points for an x- or t-vanishing condition.
 
     Yields (sample number, point, reference point): the point lies on the
@@ -389,7 +389,7 @@ def _vanishing_samples(rng, spec, n, env, samples):
     for snum in range(samples):
         z = [mpc(rng.uniform(-0.4, 0.4), rng.uniform(-0.3, 0.3)) for _ in range(n)]
         if spec.kind == "x-vanish":
-            z[spec.divisor_var] = spec.divisor_point.eval(env)
+            z[spec.divisor_var] = spec.divisor_point.eval(env, ctx._wp)
         else:
             _place_on_root(z, spec.root, t + spec.root.level * q)
         z = tuple(z)
@@ -446,7 +446,7 @@ def check_vanishing(ctx, op, specs, env, samples=2, seed=13, tol=mpf("1e-25")):
         c = op.coefficient(spec.k)
         if c is None:
             continue
-        for snum, z, zref in _vanishing_samples(rng, spec, op.n, env, samples):
+        for snum, z, zref in _vanishing_samples(ctx, rng, spec, op.n, env, samples):
             if spec.kind == "x-vanish":
                 label = "x-vanish[k=%s;z%d=%s;#%d]" % (spec.k, spec.divisor_var + 1, spec.divisor_point, snum)
             else:

@@ -163,13 +163,9 @@ class CompositeCoefficient:
 
     def _compile(self, ctx):
         """Per term, (index of its shift, compiled parts) per factor, and the distinct shifts in fixed point."""
-        index, shifts = {}, []
-        for term in self.terms:
-            for s, _ in term:
-                if s not in index:
-                    index[s] = len(shifts)
-                    shifts.append(fixed_shift(ctx, self.params["q"], s))
-        return [[(index[s], c.compiled(ctx)) for s, c in term] for term in self.terms], shifts
+        index = {}  # shift -> its index, in first-seen order
+        terms = [[(index.setdefault(s, len(index)), c.compiled(ctx)) for s, c in term] for term in self.terms]
+        return terms, [fixed_shift(ctx, self.params["q"], s) for s in index]
 
     def transformed(self, assignments):
         """Precompose with an affine substitution of z symbols.

@@ -53,6 +53,9 @@ sample point.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 from mpmath import mp, mpc
 from mpmath.libmp import to_fixed
 
@@ -79,17 +82,18 @@ def z_index(sym):
 
 def _reads(form, values):
     """The parameter values a form reads from `values`, and their exact key ((s, point key), ...) in name order."""
-    reads = {s: values[s] for s in form.coeffs if s in values and z_index(s) is None}
+    reads = {s: values[s] for s in form.nums if s in values and z_index(s) is None}
     return reads, tuple(sorted((s, point_key(v)) for s, v in reads.items()))
 
 
 def compile_argument(ctx, form, values):
     """The id of the form's argument in the context's table, compiled on first use.
 
-    The key is the form's `layout` (its coefficients in their stored order
-    and its constant) and the exact values of the parameters it reads.  The
-    entry `ctx._arguments[id]` is (re c, im c, ((j, k_j), ...), c): c in
-    F-bit fixed point, the z-coefficients, and c at F + GUARD_BITS bits, from
+    The key is the form's `layout` (its integer numerators in their stored
+    order, its constant's numerator and its common denominator) and the
+    exact values of the parameters it reads.  The entry
+    `ctx._arguments[id]` is (re c, im c, ((j, k_j), ...), c): c in F-bit
+    fixed point, the z-coefficients, and c at F + GUARD_BITS bits, from
     which a residue sweep forms e(+-c/2) (`TablePoint`).
     """
 
@@ -102,21 +106,31 @@ def compile_argument(ctx, form, values):
 
 
 def _compile(ctx, form, reads):
-    """(re c, im c, ((j, k_j), ...), c): c summed at F + GUARD_BITS bits, then cut to F-bit fixed point."""
-    F = ctx._fix
+    """(re c, im c, ((j, k_j), ...), c): c summed at F + GUARD_BITS bits, then cut to F-bit fixed point.
+
+    The constant and each parameter coefficient enter c as their own
+    reduced fractions, in stored order.
+    """
+    F, den = ctx._fix, form.den
     zk = []
     with mp.workprec(F + GUARD_BITS):
-        c = mpc(form.const.numerator) / form.const.denominator
-        for s, k in form.coeffs.items():
+        c = _fraction_mpc(form.num, den)
+        for s, n in form.nums.items():
             j = z_index(s)
             if j is not None:
-                if k.denominator != 1:
-                    raise ValueError("theta arguments need integer z-coefficients, got %s in %s" % (k, form))
-                zk.append((j, int(k)))
+                if n % den:
+                    raise ValueError("theta arguments need integer z-coefficients, got %s in %s" % (Fraction(n, den), form))
+                zk.append((j, n // den))
             else:
-                c += exact_mpc(reads[s]) * mpc(k.numerator) / k.denominator
+                c += exact_mpc(reads[s]) * _fraction_mpc(n, den)
     re, im = c._mpc_
     return to_fixed(re, F), to_fixed(im, F), tuple(zk), c
+
+
+def _fraction_mpc(n, d):
+    """n/d at the working precision: the reduced numerator as an mpc over the reduced denominator."""
+    g = math.gcd(n, d)
+    return mpc(n // g) / (d // g)
 
 
 def z_coefficients(ctx, i):

@@ -77,7 +77,7 @@ class _InverseSolver:
         self.tail = None  # weakref.ref to the inverse tail (`solved_tail`)
 
     def _u(self, ctx, m, z):
-        c = self.c_form.eval(self.params)
+        c = self.c_form.eval(self.params, ctx._wp)
         zc = tuple(w + c for w in z)
         v = self.source.eval(ctx, m, zc)
         if v == 0:
@@ -129,9 +129,9 @@ class FormalGaugedOperator:
         self.tail = tail
         self.params = dict(params)
 
-    @property
-    def c_value(self):
-        return self.c_form.eval(self.params)
+    def c_value(self, ctx):
+        """The global shift c at the parameter values, rounded to the context's working precision."""
+        return self.c_form.eval(self.params, ctx._wp)
 
     @property
     def order(self):
@@ -177,7 +177,7 @@ class FormalGaugedOperator:
             # D1''_m(z) = e1_m(z - c2) rho_m(z - c2) and
             # (D1'' D2)_k(z) = sum d1''_{m1}(z) d2_{m2}(z + q m1).
             def fn(ctx, z, pairs=pairs):
-                c2 = other.c_value
+                c2 = other.c_value(ctx)
                 total = mpc(0)
                 for m1, m2 in pairs:
                     zc = tuple(w - c2 for w in z)
@@ -289,9 +289,10 @@ def compare_gauged(ctx, F1, F2, points, order=None):
     resolved and folded into the comparison, so the two operators may carry
     different-looking heads.
     """
-    if abs(F1.c_value - F2.c_value) > mpf("1e-20"):
+    c1, c2 = F1.c_value(ctx), F2.c_value(ctx)
+    if abs(c1 - c2) > mpf("1e-20"):
         q = mpc(F1.params["q"])
-        r = (F1.c_value - F2.c_value) / q
+        r = (c1 - c2) / q
         rint = mp.nint(r.real)
         if abs(r - rint) > mpf("1e-20"):
             raise ValueError("gauged operators with different global shifts")
@@ -302,7 +303,7 @@ def compare_gauged(ctx, F1, F2, points, order=None):
     ratio = ExprCoefficient(res, {**F1.params, **F2.params})
     order = min(F1.order, F2.order) if order is None else order
     keys = set(F1.tail.keys_within(order)) | set(F2.tail.keys_within(order))
-    c = F1.c_value
+    c = F1.c_value(ctx)
     worst = mpf(0)
     for z in points:
         r = ratio.eval(ctx, z)

@@ -1,10 +1,15 @@
 """Formal layer: affine forms, theta-product expressions, Gamma products.
 
-All coefficients are exact rationals.  A ThetaExpr is a finite product of
-theta factors with affine-linear arguments, an integer exponent each; a
-GammaProduct is a formal product of elliptic Gamma symbols with a fixed step,
-resolved into a ThetaExpr through the functional equation whenever its class
-in Z[Hom/q] is trivial.
+An AffineForm is held on integers: a numerator per symbol, in stored order,
+a constant numerator and one positive common denominator, normalized so that
+the gcd of the denominator and every numerator is 1.  Equal forms are then
+equal field by field, so `key`, `layout`, hashing and equality read ints, and
++, -, scalar * and `substitute` cost one lcm and one gcd each; the Fraction
+views `coeffs` and `const` are for tests and serialization.  A ThetaExpr is
+a finite product of theta factors with affine-linear arguments, an integer
+exponent each; a GammaProduct is a formal product of elliptic Gamma symbols
+with a fixed step, resolved into a ThetaExpr through the functional equation
+whenever its class in Z[Hom/q] is trivial.
 """
 
 from __future__ import annotations
@@ -24,124 +29,176 @@ from .factors import CompiledParts, compile_parts, fixed_point, z_coefficients
 # affine forms
 
 
-class AffineForm:
-    """Affine-linear form sum_i c_i * sym_i + const with rational coefficients."""
+def _ratio(x):
+    """(numerator, denominator) of the rational x, reduced, the denominator positive; ints and Fractions are read as they are."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator, x.denominator
 
-    __slots__ = ("coeffs", "const", "_scaled")
+
+def _form(nums, num, den):
+    """The form (sum_s nums[s] s + num) / den, the common factor taken out; nums holds no zeros and den > 0."""
+    g = math.gcd(den, num, *nums.values())
+    if g != 1:
+        nums = {s: a // g for s, a in nums.items()}
+        num //= g
+        den //= g
+    form = object.__new__(AffineForm)
+    form.nums, form.num, form.den = nums, num, den
+    return form
+
+
+def _as_form(x):
+    """x as a form: a form as it is, a rational as a constant form."""
+    return x if isinstance(x, AffineForm) else AffineForm({}, x)
+
+
+class AffineForm:
+    """Affine-linear form (sum_s nums[s] * s + num) / den over one denominator.
+
+    nums maps each symbol to a nonzero int numerator, in stored order; num
+    is the constant's numerator and den > 0 the common denominator, with
+    gcd(den, num, *nums) = 1.  `coeffs` and `const` are Fraction views.
+    """
+
+    __slots__ = ("nums", "num", "den")
 
     def __init__(self, coeffs=None, const=0):
-        self._scaled = None
-        self.coeffs = {}
-        if coeffs:
-            for s, c in coeffs.items():
-                if c:
-                    self.coeffs[s] = c if isinstance(c, Fraction) else Fraction(c)
-        self.const = const if isinstance(const, Fraction) else Fraction(const)
+        """sum_s coeffs[s] * s + const, from ints or rationals; zero coefficients are dropped.
+
+        den is the lcm of the reduced denominators, so the gcd is already 1.
+        """
+        pairs = {s: _ratio(c) for s, c in coeffs.items() if c} if coeffs else {}
+        cn, cd = _ratio(const)
+        den = math.lcm(cd, *(d for _, d in pairs.values()))
+        self.nums = {s: n * (den // d) for s, (n, d) in pairs.items()}
+        self.num, self.den = cn * (den // cd), den
 
     @staticmethod
     def var(sym, c=1):
-        return AffineForm({sym: Fraction(c)})
+        return _form({sym: c}, 0, 1) if isinstance(c, int) and c else AffineForm({sym: c})
 
     @staticmethod
     def const_form(c):
         return AffineForm({}, c)
 
+    @property
+    def coeffs(self):
+        """{sym: Fraction coefficient} in stored order (a copy)."""
+        return {s: Fraction(n, self.den) for s, n in self.nums.items()}
+
+    @property
+    def const(self):
+        return Fraction(self.num, self.den)
+
+    def _plus(self, other, k):
+        """self + k * other for a form other and an int k != 0; a symbol that cancels is removed."""
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, k * den // other.den
+        nums = {s: n * a for s, n in self.nums.items()}
+        for s, n in other.nums.items():
+            v = nums.get(s, 0) + n * b
+            if v:
+                nums[s] = v
+            else:
+                del nums[s]
+        return _form(nums, self.num * a + other.num * b, den)
+
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return AffineForm(self.coeffs, self.const + Fraction(other))
-        out = dict(self.coeffs)
-        for s, c in other.coeffs.items():
-            out[s] = out.get(s, Fraction(0)) + c
-        return AffineForm(out, self.const + other.const)
+        return self._plus(_as_form(other), 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(_as_form(other), -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return _as_form(other)._plus(self, -1)
 
     def __neg__(self):
-        return AffineForm({s: -c for s, c in self.coeffs.items()}, -self.const)
+        return _form({s: -n for s, n in self.nums.items()}, -self.num, self.den)
 
     def __mul__(self, k):
-        k = Fraction(k)
-        return AffineForm({s: c * k for s, c in self.coeffs.items()}, self.const * k)
+        n, d = _ratio(k)
+        if not n:
+            return _form({}, 0, 1)
+        return _form({s: a * n for s, a in self.nums.items()}, self.num * n, self.den * d)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         return (
             isinstance(other, AffineForm)
-            and self.coeffs == other.coeffs
-            and self.const == other.const
+            and self.den == other.den
+            and self.num == other.num
+            and self.nums == other.nums
         )
 
     def __hash__(self):
-        return hash((tuple(sorted(self.coeffs.items())), self.const))
+        return hash(self.key())
 
     def key(self):
-        return (tuple(sorted(self.coeffs.items())), self.const)
+        """The form up to the order of its coefficients: equal exactly for equal forms."""
+        return tuple(sorted(self.nums.items())), self.num, self.den
 
     def layout(self):
-        """(s, numerator, denominator) of each coefficient in stored order, then the constant's, as one flat tuple.
+        """((sym, numerator), ...) in stored order, the constant's numerator and the denominator.
 
-        Equal only for identical forms, coefficient order included.
+        Equal only for identical forms, coefficient order included: the
+        fields are normalized, so equal forms have equal numerators.
         """
-        out = [x for s, c in self.coeffs.items() for x in (s, c.numerator, c.denominator)]
-        return (*out, self.const.numerator, self.const.denominator)
+        return tuple(self.nums.items()), self.num, self.den
 
     def coeff(self, sym):
-        return self.coeffs.get(sym, Fraction(0))
+        return Fraction(self.nums.get(sym, 0), self.den)
 
     def substitute(self, assignments):
         """Replace symbols by affine forms; assignments: sym -> AffineForm.
 
-        One dict accumulates the terms in order; a symbol that cancels is
-        removed, so that if it comes back it comes last, as in the sum
-        of the substituted terms taken one at a time.
+        The terms are summed as numerators over den * L, L the lcm of the
+        substituted forms' denominators, in one dict in order; a symbol that
+        cancels is removed, so that if it comes back it comes last, as in
+        the sum of the substituted terms taken one at a time.
         """
-        coeffs, const = {}, self.const
-        for s, c in self.coeffs.items():
-            if s in assignments:
-                sub = assignments[s]
-                terms = [(t, a * c) for t, a in sub.coeffs.items()]
-                const += sub.const * c
+        subs = {s: assignments[s] for s in self.nums if s in assignments}
+        L = math.lcm(*(f.den for f in subs.values()))
+        nums, num = {}, self.num * L
+        for s, c in self.nums.items():
+            sub = subs.get(s)
+            if sub is None:
+                terms = ((s, c * L),)
             else:
-                terms = ((s, c),)
+                k = c * (L // sub.den)
+                terms = [(t, a * k) for t, a in sub.nums.items()]
+                num += sub.num * k
             for t, a in terms:
-                v = coeffs.get(t, 0) + a
+                v = nums.get(t, 0) + a
                 if v:
-                    coeffs[t] = v
+                    nums[t] = v
                 else:
-                    del coeffs[t]
-        return AffineForm(coeffs, const)
+                    del nums[t]
+        return _form(nums, num, self.den * L)
 
-    def eval(self, bind):
-        """The form at the bindings, an mpc summed exactly and rounded once to mp.prec.
+    def eval(self, bind, prec):
+        """The form at the bindings, an mpc summed exactly and rounded once to prec bits.
 
-        With D the common denominator of the coefficients and the constant,
-        D const + sum_i (D c_i) sym_i has integer coefficients and is summed
+        num + sum_s nums[s] sym_s has integer coefficients and is summed
         exactly from the bound values' point keys (libmp at prec 0); the one
-        division by D rounds it, to nearest at mp.prec bits.
+        division by den rounds it, to nearest at prec bits.
         """
-        if self._scaled is None:
-            den = math.lcm(self.const.denominator, *(c.denominator for c in self.coeffs.values()))
-            self._scaled = den, int(self.const * den), [(s, from_int(int(c * den))) for s, c in self.coeffs.items()]
-        den, const, terms = self._scaled
-        re, im = from_int(const), fzero
-        for s, k in terms:
+        re, im = from_int(self.num), fzero
+        for s, n in self.nums.items():
             r, i = point_key(bind[s])
+            k = from_int(n)
             re, im = mpf_add(re, mpf_mul(r, k)), mpf_add(im, mpf_mul(i, k))
-        den, prec = from_int(den), mp.prec
+        den = from_int(self.den)
         return mp.make_mpc((mpf_div(re, den, prec, round_nearest), mpf_div(im, den, prec, round_nearest)))
 
     def __repr__(self):
         bits = []
         for s, c in sorted(self.coeffs.items()):
             bits.append("%s*%s" % (c, s))
-        if self.const or not bits:
+        if self.num or not bits:
             bits.append(str(self.const))
         return " + ".join(bits)
 
@@ -353,13 +410,13 @@ class GammaProduct:
 def _step_class(form, step):
     """(key, n), n = floor(form / step) on the step's anchor, key = (form - n step).key().
 
-    The anchor is the step's first coefficient, else its constant.  Forms
-    differ by an integer multiple of the step iff their keys agree.
+    The anchor is the step's first coefficient, else its constant; the
+    floor is an int floor of the cross-multiplied numerators.  Forms differ
+    by an integer multiple of the step iff their keys agree.
     """
-    if step.coeffs:
-        sym, c = next(iter(step.coeffs.items()))
-        n = math.floor(form.coeff(sym) / c)
+    if step.nums:
+        sym, c = next(iter(step.nums.items()))
+        n = form.nums.get(sym, 0) * step.den // (form.den * c)
     else:
-        n = math.floor(form.const / step.const)
-    return (form - step * n if n else form).key(), n
-
+        n = form.num * step.den // (form.den * step.num)
+    return (form._plus(step, -n) if n else form).key(), n

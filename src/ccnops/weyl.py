@@ -269,23 +269,6 @@ def inversion_set(lam):
     return out
 
 
-def inversion_set_bruteforce(lam):
-    """Oracle: explicit sign check of t_lam on affine roots of type D and bounded level."""
-    lam = as_weight(lam)
-    n = len(lam)
-    max_level = int(2 * max([abs(x) for x in lam] + [Fraction(1)])) + 2
-    out = []
-    for root in positive_finite_roots(n):
-        c = root.pairing(lam)
-        for m in range(0, max_level + 1):
-            # t_lam sends beta + m q to beta + (m - <beta,lam>) q, which is
-            # negative iff its level is below 0 (at level 0, beta stays positive)
-            m2 = Fraction(m) - c
-            if m2 < 0:
-                out.append(root.at_level(m))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # signed permutations
 

@@ -305,14 +305,14 @@ def test_shared_sampler_on_divisor_and_off_poles(ctx, beta):
             assert len(brackets) == 2
             assert abs(_beta_value(beta, z) + m * Q - lam) < eps
             for f in others:
-                assert ctx.dist_to_lattice(f.eval(bindings_for(params, z))) >= mpf("5e-3")
+                assert ctx.dist_to_lattice(f.eval(bindings_for(params, z), ctx._wp)) >= mpf("5e-3")
     # a pole that no point of the divisor avoids
     stuck = pole_arguments(ctx, [ExprCoefficient(ThetaExpr(((AffineForm.var("p"), -1),), 2), {"p": 1 + ctx.tau})])
     with pytest.raises(PoleProximityError):
         next(_residue_samples(ctx, random.Random(7), spec, 2, env, ("0",), 1, 1, stuck))
     # the t-vanishing sampler puts its points on beta(z) = t + m q
     tspec = ConditionSpec("t-vanish", (F(-1), F(0)), beta.at_level(m))
-    for _, z, zref in _vanishing_samples(random.Random(7), tspec, 2, env, 2):
+    for _, z, zref in _vanishing_samples(ctx, random.Random(7), tspec, 2, env, 2):
         assert abs(_beta_value(beta, z) - T - m * Q) < eps
         assert all(0 < (r - w).real < 0.15 and 0 < (r - w).imag < 0.1 for r, w in zip(zref, z))
 

@@ -359,7 +359,7 @@ def _mpc_value(ref, coeff, z):
             bind = bindings_for(params, z)
             val = mpc(scale)
             for form, m in expr.factors:
-                val *= ref.theta(form.eval(bind)) ** m
+                val *= ref.theta(form.eval(bind, ref._wp)) ** m
             total += val
         return total
 

@@ -86,7 +86,7 @@ def test_gauged_from_operator_halfinteger(ctx):
     G = gauged_from_operator(D)
     z = sample_points(1, 1)[0]
     # honest coefficient at shift +1/2: head trivial, c = q/2, key (1,)
-    got = G.tail.eval(ctx, (1,), (z[0] + G.c_value,))
+    got = G.tail.eval(ctx, (1,), (z[0] + G.c_value(ctx),))
     want = D.eval_coeff(ctx, (F(1, 2),), z)
     assert rel(got, want) < TOL
 
@@ -94,7 +94,7 @@ def test_gauged_from_operator_halfinteger(ctx):
 def test_rebase(ctx):
     K = FourierKernel(ctx, mpc("0.123", "0.221"), Q, T, 1, 3)
     R = K.rebased(1)
-    assert rel(R.c_value, K.c_value - Q) < TOL
+    assert rel(R.c_value(ctx), K.c_value(ctx) - Q) < TOL
     assert compare_gauged(ctx, K, R, sample_points(1, 2), order=2) < TOL
 
 

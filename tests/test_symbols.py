@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from ccnops.symbols import (
     PolarizationRecord,
     ThetaExpr,
     Unbalanced,
+    _step_class,
     zvar,
 )
 from conftest import TOL, rel
@@ -112,7 +114,7 @@ def test_affine_form_eval_rounds_once():
         with mp.workprec(prec):
             for _ in range(20):
                 bind = {s: mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)) for s in "abcd"}  # exact
-                got = form.eval(bind)
+                got = form.eval(bind, prec)
                 for part, const in (("real", form.const), ("imag", 0)):
                     total = const + sum(c * _exact(getattr(bind[s], part)) for s, c in form.coeffs.items())
                     assert _exact(getattr(got, part)) == _round_once(total, prec)
@@ -235,3 +237,138 @@ def test_substitute_matches_the_running_sum():
     form = AffineForm({"z1": 1, "z2": 1, "z3": 1})
     got = form.substitute({"z2": AffineForm({"z1": -1, "q": 1}), "z3": AffineForm({"z1": 2})})
     assert list(got.coeffs.items()) == [("q", 1), ("z1", 2)]
+
+
+def test_affine_form_eval_reads_no_global_precision():
+    # the precision is the argument's: the same bits under a global 53 bits
+    # as under a working precision of 272
+    form = AffineForm({"a": 3, "q": Fraction(-5, 6), "t": Fraction(1, 7)}, Fraction(2, 9))
+    rng = random.Random(17)
+    with mp.workprec(300):
+        binds = [{s: mpc(rng.random(), rng.random()) / 3 for s in ("a", "q", "t")} for _ in range(10)]
+    for bind in binds:
+        with mp.workprec(272):
+            want = form.eval(bind, 272)
+        with mp.workprec(53):
+            got = form.eval(bind, 272)
+        assert got._mpc_ == want._mpc_ and mp.mpf(got.real)._mpf_[3] > 53
+
+
+class _RefForm:
+    """The Fraction-dict affine form (the reference): {sym: Fraction} in stored order and a Fraction constant."""
+
+    def __init__(self, coeffs=None, const=0):
+        self.coeffs = {s: Fraction(c) for s, c in (coeffs or {}).items() if c}
+        self.const = Fraction(const)
+
+    def __add__(self, other):
+        if not isinstance(other, _RefForm):
+            return _RefForm(self.coeffs, self.const + Fraction(other))
+        out = dict(self.coeffs)
+        for s, c in other.coeffs.items():
+            out[s] = out.get(s, Fraction(0)) + c
+        return _RefForm(out, self.const + other.const)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return _RefForm({s: -c for s, c in self.coeffs.items()}, -self.const)
+
+    def __mul__(self, k):
+        k = Fraction(k)
+        return _RefForm({s: c * k for s, c in self.coeffs.items()}, self.const * k)
+
+    def key(self):
+        return tuple(sorted(self.coeffs.items())), self.const
+
+    def identical(self, other):
+        return list(self.coeffs.items()) == list(other.coeffs.items()) and self.const == other.const
+
+    def substitute(self, assignments):
+        coeffs, const = {}, self.const
+        for s, c in self.coeffs.items():
+            if s in assignments:
+                sub = assignments[s]
+                terms = [(t, a * c) for t, a in sub.coeffs.items()]
+                const += sub.const * c
+            else:
+                terms = ((s, c),)
+            for t, a in terms:
+                v = coeffs.get(t, 0) + a
+                if v:
+                    coeffs[t] = v
+                else:
+                    del coeffs[t]
+        return _RefForm(coeffs, const)
+
+
+def _ref_step_class(form, step):
+    """(key, n) of the Fraction form: n = floor(form / step) on the step's anchor."""
+    if step.coeffs:
+        sym, c = next(iter(step.coeffs.items()))
+        n = math.floor(form.coeffs.get(sym, Fraction(0)) / c)
+    else:
+        n = math.floor(form.const / step.const)
+    return (form - step * n if n else form).key(), n
+
+
+def _ref_random_form(rng):
+    syms = rng.sample(("z1", "z2", "q", "t"), rng.randint(0, 3))
+    values = (-2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4), Fraction(5, 6))
+    return _RefForm({s: rng.choice(values) for s in syms}, rng.choice((0, 1, -1, Fraction(1, 2), Fraction(-7, 3))))
+
+
+_STEPS = [_RefForm({"q": 1}), _RefForm({"q": 2}), _RefForm({"q": Fraction(1, 3)}), _RefForm({"q": -1})]
+
+
+def test_integer_form_against_the_fraction_reference():
+    # seeded chains of +, -, scalar * (0 included) and substitute on both
+    # forms: coefficients in order, constant, key and hash, layout (equal
+    # exactly when identical) and the step class at q, 2q, q/3 and -q agree
+    rng = random.Random(26)
+    scalars = (0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5), Fraction(6, 4))
+    steps = [(AffineForm(s.coeffs, s.const), s) for s in _STEPS]
+    seen = {"equal": 0, "identical": 0, "reordered": 0}
+    for chain in range(2000):
+        pool = []
+        for _ in range(3):
+            ref = _ref_random_form(rng)
+            pool.append((AffineForm(ref.coeffs, ref.const), ref))
+        for _ in range(4):
+            (a, ra), (b, rb) = rng.choice(pool), rng.choice(pool)
+            op = rng.randrange(6)
+            if op == 0:
+                new, ref = a + b, ra + rb
+            elif op == 1:
+                new, ref = a - b, ra - rb
+            elif op == 2:
+                k = rng.choice(scalars)
+                new, ref = a * k, ra * k
+            elif op == 3:
+                k = rng.choice(scalars)
+                new, ref = a + k, ra + k
+            elif op == 4:
+                new, ref = b + (a * 2) * Fraction(1, 2) - b, rb + ra - rb
+            else:
+                names = rng.sample(("z1", "z2", "q", "t"), rng.randint(1, 3))
+                picks = [rng.choice(pool) for _ in names]
+                new = a.substitute({s: f for s, (f, _) in zip(names, picks)})
+                ref = ra.substitute({s: r for s, (_, r) in zip(names, picks)})
+            assert list(new.coeffs.items()) == list(ref.coeffs.items()), chain
+            assert new.const == ref.const, chain
+            for other, rother in pool:
+                equal = ref.key() == rother.key()
+                assert (new.key() == other.key()) == equal and (new == other) == equal, chain
+                assert not equal or hash(new) == hash(other), chain
+                identical = ref.identical(rother)
+                assert (new.layout() == other.layout()) == identical, chain
+                seen["equal"] += equal
+                seen["identical"] += identical
+                seen["reordered"] += equal and not identical
+            for step, rstep in steps:
+                key, n = _step_class(new, step)
+                rkey, rn = _ref_step_class(ref, rstep)
+                assert n == rn and key == AffineForm(dict(rkey[0]), rkey[1]).key(), chain
+            pool.append((new, ref))
+    assert min(seen.values()) >= 100, seen

@@ -8,6 +8,7 @@ from mpmath import mp, mpc, mpf
 from ccnops.curve import CurveContext
 from ccnops.weyl import (
     AffineRoot,
+    as_weight,
     automorphism_group,
     bruhat_interval,
     coroot_leq,
@@ -16,8 +17,8 @@ from ccnops.weyl import (
     hyperoctahedral_generators,
     invariant_dimension,
     inversion_set,
-    inversion_set_bruteforce,
     numeric_rank,
+    positive_finite_roots,
     positive_roots,
     rank_certificate,
     sp_apply,
@@ -120,10 +121,27 @@ def test_affine_root_reflection_and_exponent(n):
                 assert root.exponent(k) == int(exponent)
 
 
+def _inversion_set_bruteforce(lam):
+    """Oracle: explicit sign check of t_lam on affine roots of type D and bounded level."""
+    lam = as_weight(lam)
+    n = len(lam)
+    max_level = int(2 * max([abs(x) for x in lam] + [F(1)])) + 2
+    out = []
+    for root in positive_finite_roots(n):
+        c = root.pairing(lam)
+        for m in range(0, max_level + 1):
+            # t_lam sends beta + m q to beta + (m - <beta,lam>) q, which is
+            # negative iff its level is below 0 (at level 0, beta stays positive)
+            m2 = F(m) - c
+            if m2 < 0:
+                out.append(root.at_level(m))
+    return out
+
+
 def test_inversion_against_bruteforce():
     for lam in ((1, 0), (1, 1), (2, 1), (3, 1), (F(3, 2), F(1, 2))):
         a = sorted((r.coeffs, r.level) for r in inversion_set(lam))
-        b = sorted((r.coeffs, r.level) for r in inversion_set_bruteforce(lam))
+        b = sorted((r.coeffs, r.level) for r in _inversion_set_bruteforce(lam))
         assert a == b
         # cardinality = sum of positive pairings, levels within [0, pairing)
         total = 0
