@@ -191,9 +191,14 @@ def _suite_kernel_identities(S):
 
 
 def _n_at_most_2(S, suite):
-    """The session's n for a suite built for n <= 2; a larger n is a ConfigError, never a silent n = 2."""
+    """The session's n for a command that solves a section model; a larger n is a ConfigError.
+
+    The models build at any n, but their solve is established for n <= 2
+    only (`conditions.SectionModel.nullspace`), so the van Diejen suite and
+    `solve-section` stop here rather than in the middle of a run.
+    """
     if S["n"] > 2:
-        raise ConfigError("%s is implemented for n <= 2, not n = %d" % (suite, S["n"]))
+        raise ConfigError("%s solves a section model, established for n <= 2 only, not n = %d" % (suite, S["n"]))
     return S["n"]
 
 
@@ -201,7 +206,7 @@ def _suite_operator_algebra(S):
     from .diffop import SelbergDensity, op_defect, rel_defect
     from .families import first_order
 
-    ctx, q, t, n = S["ctx"], S["q"], S["t"], _n_at_most_2(S, "operator-algebra")
+    ctx, q, t, n = S["ctx"], S["q"], S["t"], S["n"]
     zpts = _sample_points(S, n, 2)
 
     def assoc():
@@ -264,8 +269,7 @@ def _suite_cascade(S):
         theta_pm_multiplier,
     )
 
-    ctx, q, t = S["ctx"], S["q"], S["t"]
-    n = _n_at_most_2(S, "cascade")
+    ctx, q, t, n = S["ctx"], S["q"], S["t"], S["n"]
     zpts = _sample_points(S, n, 2)
     dmax = min(S["trunc"], 4)
 
@@ -307,6 +311,7 @@ def _suite_cascade(S):
         return max(w1, w2, w3)
 
     def torsion():
+        # written for n = 1: it runs at n = 1 whatever the session's n is
         qtor = mpf(1) / 2
         z = (_c(S, 17),)
         Ce = d_torsion_closed_form(2, qtor, t, 1, ctx)
@@ -348,8 +353,7 @@ def _suite_fourier(S):
     from .formal import compare_gauged, gauged_from_operator
     from .symbols import AffineForm
 
-    ctx, q, t = S["ctx"], S["q"], S["t"]
-    n = _n_at_most_2(S, "fourier")
+    ctx, q, t, n = S["ctx"], S["q"], S["t"], S["n"]
     N = S["trunc"] if n == 1 else min(S["trunc"], 3)
     zpts = _sample_points(S, n, 2)
 

@@ -59,10 +59,22 @@ to entries of order one (s_max between 10^-0.2 and 10^2.6 at nonzero rank in
 the tests and the benchmark), and a rank stands only with certified bounds
 on either side of the floor 2^-(prec//2), a RANK_GAP ratio apart, from a
 pivoted Cholesky of the exact integer Gram matrix A^H A.
+
+Both section models follow one ansatz rule for every n.  A weight mu's
+columns are a shared theta block times Sym^k of a univariate theta basis in
+k of the coordinates (`_symmetric_power`), spread over the orbit of the
+corner -mu by invariance: the first-order model takes the Weyl denominator
+and all n coordinates, and the van Diejen model takes, at each weight
+(1^m, 0^(n-m)), the block named in `vandiejen_model` and the n - m zero
+coordinates.  Models and condition rows build at any n.  Solving is limited
+to n <= 2, where the fixed 2 samples on each of 4 components per spec are
+known to reach the full rank; that limit lives only in
+`SectionModel.nullspace` (and, for the CLI, in `cli._n_at_most_2`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -532,21 +544,25 @@ def _even_univariate_basis(params, zsym, degree, rng, tag):
 
 def _shift_var(expr, i):
     """Rename z1 -> z_i in a univariate ThetaExpr."""
-    return expr.substitute({"z1": AffineForm.var("z%d" % i)})
+    return expr if i == 1 else expr.substitute({"z1": AffineForm.var("z%d" % i)})
 
 
-def _symmetric_square(shared, uni):
-    """Corner parts of shared * Sym^2(uni) in (z1, z2), one list per column.
+def _symmetric_power(shared, uni, coords):
+    """Corner parts of shared * Sym^k(uni) in the k coordinates `coords`, one list per column.
 
-    The column for a < b is the symmetrized pair u_a(z1) u_b(z2) + u_b(z1) u_a(z2).
+    The column of a multiset a_1 <= ... <= a_k of basis indices sums
+    u_(b_1)(z_(c_1)) ... u_(b_k)(z_(c_k)) over the distinct orderings b of
+    the multiset, in lexicographic order; at k = 0 the one column is shared.
     """
     out = []
-    for a in range(len(uni)):
-        for b in range(a, len(uni)):
-            parts = [shared * (uni[a] * _shift_var(uni[b], 2))]
-            if a != b:
-                parts.append(shared * (uni[b] * _shift_var(uni[a], 2)))
-            out.append(parts)
+    for multiset in itertools.combinations_with_replacement(range(len(uni)), len(coords)):
+        parts = []
+        for order in sorted(set(itertools.permutations(multiset))):
+            product = ThetaExpr.one()
+            for b, c in zip(order, coords):
+                product = product * _shift_var(uni[b], c)
+            parts.append(shared * product)
+        out.append(parts)
     return out
 
 
@@ -638,6 +654,12 @@ class SectionModel:
             return rows
 
     def nullspace(self, specs, seed=29):
+        """Nullspace of the condition rows; n <= 2 only (see the module docstring)."""
+        if self.n > 2:
+            raise NotImplementedError(
+                "section solving is established for n <= 2 only: 2 samples on each of 4 components "
+                "per spec are not shown to reach the full rank at n = %d" % self.n
+            )
         rows = self.condition_rows(specs, seed=seed)
         return nullspace_basis(rows, len(self.basis_ops), prec=self.ctx.prec)
 
@@ -685,13 +707,7 @@ def first_order_model(ctx, n, dprime, eta_prime, q, t, seed=31):
     env = {"q": params["q"], "t": params["t"], "eta_prime": exact_mpc(eta_prime)}
     degree = (DegreeVector(), DegreeVector(0, 1, dprime))
     model = SectionModel(ctx, n, params, env, degree, lam)
-    if n == 1:
-        columns = [[shared_expr * b] for b in uni]
-    elif n == 2:
-        columns = _symmetric_square(shared_expr, uni)
-    else:
-        raise NotImplementedError("first-order solve implemented for n <= 2")
-    model.add_weight_basis(lam, columns)
+    model.add_weight_basis(lam, _symmetric_power(shared_expr, uni, range(1, n + 1)))
     return model
 
 
@@ -709,9 +725,15 @@ def section_solve_first_order(ctx, n, dprime, eta_prime, q, t, seed=31):
 
 @at_context_precision
 def vandiejen_model(ctx, xs, q, t, n, eta_prime=None, seed=37):
-    """Ansatz for degree (0, 2s+2f-e_1-...-e_8) over the coroot interval of (1^n)."""
-    if n not in (1, 2):
-        raise NotImplementedError("van Diejen solve implemented for n <= 2")
+    """Ansatz for degree (0, 2s+2f-e_1-...-e_8) over the coroot interval of (1^n).
+
+    The weights (1^m, 0^(n-m)) come from m = n down to 0.  A weight's columns
+    are its shared block, `van_diejen_leading_expr(m, n)` times `gblock(j)`
+    for each zero coordinate j and `cross_block(i, j)` for each pair of them,
+    times Sym^(n-m) of an even univariate basis of degree 4 + 4(n-m) in the
+    zero coordinates (`_symmetric_power`); the top weight is the prescribed
+    corner alone and draws no basis.
+    """
     rng = random.Random(seed)
     params = {"q": exact_mpc(q), "t": exact_mpc(t)}
     for j, xv in enumerate(xs):
@@ -736,19 +758,17 @@ def vandiejen_model(ctx, xs, q, t, n, eta_prime=None, seed=37):
             fs.append((arg - qf, -1))
         return ThetaExpr(tuple(fs), n)
 
-    # top weight (1^n): the prescribed 1-dimensional corner
-    model.add_weight_basis(lam, [[van_diejen_leading_expr(n, n)]])
-
-    # even univariate numerators (one basis, shifted into each variable)
-    v8 = _even_univariate_basis(params, "z1", 8, rng, "g8")
-    if n == 1:
-        model.add_weight_basis((Fraction(0),), [[gblock(1) * b] for b in v8])
-    else:
-        mid = van_diejen_leading_expr(1, 2) * gblock(2)
-        model.add_weight_basis((Fraction(1), Fraction(0)), [[mid * _shift_var(b, 2)] for b in v8])
-        v12 = _even_univariate_basis(params, "z1", 12, rng, "g12")
-        shared00 = gblock(1) * gblock(2) * cross_block(1, 2)
-        model.add_weight_basis((Fraction(0), Fraction(0)), _symmetric_square(shared00, v12))
+    for m in range(n, -1, -1):
+        zeros = range(m + 1, n + 1)
+        shared = van_diejen_leading_expr(m, n)
+        for j in zeros:
+            shared = shared * gblock(j)
+        for i, j in itertools.combinations(zeros, 2):
+            shared = shared * cross_block(i, j)
+        d = 4 + 4 * len(zeros)
+        uni = _even_univariate_basis(params, "z1", d, rng, "g%d" % d) if zeros else []
+        mu = tuple([Fraction(1)] * m + [Fraction(0)] * len(zeros))
+        model.add_weight_basis(mu, _symmetric_power(shared, uni, zeros))
     return model
 
 
@@ -817,10 +837,12 @@ def sections_by_weight(model, null):
 def section_solve(ctx, degree, lam, leading, params, seed=31):
     """Numeric basis of the section space for a supported degree family.
 
-    degree: pair of DegreeVectors.  Supported families: (0,0) (constants),
-    (0, s+d'f) for n <= 2, and (0, 2s+2f-e_1-...-e_8) for n <= 2.  `leading`
-    is "free" (full nullspace) or "prescribed" (van Diejen normalization).
-    Returns (dimension, list of operators).
+    degree: pair of DegreeVectors.  Supported families: (0,0) (constants)
+    at any n, and (0, s+d'f) and (0, 2s+2f-e_1-...-e_8), whose models build
+    at any n but whose solve (`SectionModel.nullspace`) raises
+    NotImplementedError above n = 2.  `leading` is "free" (full nullspace)
+    or "prescribed" (van Diejen normalization).  Returns (dimension, list of
+    operators).
     """
     d1, d2 = degree
     n = len(lam)

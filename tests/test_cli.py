@@ -68,27 +68,35 @@ def test_samples_and_trunc_below_one_are_config_errors(key, args, env):
 
 
 def test_van_diejen_above_n2_is_a_config_error():
-    # the van Diejen model is built for n <= 2; a larger n must not run n = 2 and pass
+    # the van Diejen solve is established for n <= 2; a larger n must not run n = 2 and pass
     with pytest.raises(ConfigError, match="n <= 2"):
         run_suite("van-diejen", load_config(overrides={"n": 3}))
 
 
 @pytest.mark.parametrize("suite", ["operator-algebra", "cascade", "fourier"])
-def test_suites_above_n2_are_config_errors(suite):
-    # these suites are built for n <= 2; a larger n must not run n = 2 and pass
-    with pytest.raises(ConfigError, match="n <= 2"):
-        run_suite(suite, load_config(overrides={"n": 3}))
+def test_suites_generic_in_n_pass_at_n3(suite):
+    # these suites read n throughout; at n = 3 every check runs at n = 3 and passes
+    status, report = run_suite(suite, load_config(overrides={"n": 3, "seed": 4}))
+    assert status == 0 and report["config"]["n"] == "3"
+    assert [r["pass"] for r in report["checks"]] == [True] * {"operator-algebra": 6, "cascade": 4, "fourier": 4}[suite]
 
 
 def test_cli_exits_two_above_n2():
-    out = run_cli("--n", "3", "suite", "operator-algebra")
+    out = run_cli("--n", "3", "suite", "van-diejen")
     assert out.returncode == 2
-    assert "n <= 2" in out.stderr
+    assert "van-diejen" in out.stderr and "n <= 2" in out.stderr and "Traceback" not in out.stderr
+
+
+def test_suite_all_exits_two_above_n2():
+    # `all` stops at the van Diejen suite rather than skip it and pass the rest
+    out = run_cli("--n", "3", "suite", "all")
+    assert out.returncode == 2
+    assert "van-diejen" in out.stderr and "n <= 2" in out.stderr and "Traceback" not in out.stderr
 
 
 @pytest.mark.parametrize("family", ["first-order", "van-diejen"])
 def test_solve_section_above_n2_is_a_config_error(family):
-    # the section models are built for n <= 2; a larger n exits 2, not with a traceback
+    # the section solve is established for n <= 2; a larger n exits 2, not with a traceback
     out = run_cli("--n", "3", "solve-section", family)
     assert out.returncode == 2
     assert "n <= 2" in out.stderr and "Traceback" not in out.stderr

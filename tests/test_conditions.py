@@ -841,3 +841,42 @@ def test_vandiejen_n2_certified_gap(ctx, xs8):
     cert, nullity = _certified_solve(vandiejen_model(ctx, xs8, Q, T, 2), 37)
     assert nullity == 3
     assert cert.lower >= mpf("1e60") * cert.upper
+
+
+def test_vandiejen_model_at_n3_follows_the_ansatz_rule(ctx, xs8):
+    # the weight (1^m, 0^(3-m)) has Sym^(3-m) of an even basis of 2(3-m)+3
+    # functions, 1/5/28/165 columns, and every part at its corner starts
+    # with the factors of the leading expression of m
+    model = vandiejen_model(ctx, xs8, Q, T, 3)
+    for m, count in zip((3, 2, 1, 0), (1, 5, 28, 165)):
+        mu = (F(1),) * m + (F(0),) * (3 - m)
+        ops = [op for nu, op in model.basis_ops if nu == mu]
+        assert len(ops) == count
+        lead = van_diejen_leading_expr(m, 3).factors
+        for op in ops:
+            parts = op.coefficient(tuple(-x for x in mu)).parts
+            assert parts and all(expr.factors[:len(lead)] == lead for _, expr, _ in parts)
+    assert len(model.basis_ops) == 199
+
+
+@pytest.mark.parametrize("dprime", [0, 1, 2])
+def test_first_order_model_at_n3_is_a_symmetric_cube(ctx, dprime):
+    # K = 2d'+2 univariate functions in three coordinates: C(K+2, 3) columns
+    K = 2 * dprime + 2
+    model = first_order_model(ctx, 3, dprime, ETA, Q, T)
+    assert len(model.basis_ops) == (K + 2) * (K + 1) * K // 6
+
+
+def test_nullspace_refuses_n3_before_building_rows(ctx, xs8, monkeypatch):
+    # solving is established for n <= 2 only; the n = 3 model still gives rows
+    model = first_order_model(ctx, 3, 0, ETA, Q, T)
+    specs = [s for s in enumerate_conditions(model.degree, model.lam, model.params, 3) if s.kind == "residue-pair"]
+    rows = model.condition_rows(specs[:1])
+    assert len(rows) == 8 and all(len(row) == 4 for row in rows)
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("rows built")
+
+    monkeypatch.setattr(model, "condition_rows", no_rows)
+    with pytest.raises(NotImplementedError, match="n <= 2"):
+        model.nullspace(specs)
