@@ -190,16 +190,20 @@ def _suite_kernel_identities(S):
     return checks
 
 
-def _n_at_most_2(S, suite):
+def _solvable_n(S, suite):
     """The session's n for a command that solves a section model; a larger n is a ConfigError.
 
-    The models build at any n, but their solve is established for n <= 2
-    only (`conditions.SectionModel.nullspace`), so the van Diejen suite and
-    `solve-section` stop here rather than in the middle of a run.
+    The models build at any n, but their solve is established for n <=
+    `conditions.MAX_SOLVE_N` only (`conditions.SectionModel.nullspace`), so
+    the van Diejen suite and `solve-section` stop here rather than in the
+    middle of a run.
     """
-    if S["n"] > 2:
-        raise ConfigError("%s solves a section model, established for n <= 2 only, not n = %d" % (suite, S["n"]))
-    return S["n"]
+    from .conditions import MAX_SOLVE_N
+
+    n = S["n"]
+    if n > MAX_SOLVE_N:
+        raise ConfigError("%s solves a section model, established for n <= %d only, not n = %d" % (suite, MAX_SOLVE_N, n))
+    return n
 
 
 def _suite_operator_algebra(S):
@@ -422,7 +426,7 @@ def _suite_van_diejen(S):
     from .diffop import SelbergDensity, op_defect
     from .symbols import AffineForm
 
-    ctx, q, t, n = S["ctx"], S["q"], S["t"], _n_at_most_2(S, "van-diejen")
+    ctx, q, t, n = S["ctx"], S["q"], S["t"], _solvable_n(S, "van-diejen")
     xs = S["xs"]
     if xs and len(xs) != 8:
         raise ConfigError("van-diejen requires exactly eight x parameters")
@@ -691,7 +695,7 @@ def cmd_solve_section(args, cfg):
     from .conditions import section_solve_first_order, vandiejen_nullspace
 
     S = session_from_config(cfg)
-    n = _n_at_most_2(S, "solve-section " + args.family)
+    n = _solvable_n(S, "solve-section " + args.family)
     if args.family == "first-order":
         model, null, ops = section_solve_first_order(
             S["ctx"], n, args.dprime, S["eta_prime"], S["q"], S["t"], seed=S["seed"]

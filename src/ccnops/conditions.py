@@ -6,8 +6,7 @@ t-divisor.  A single sampling pipeline feeds both of its consumers:
 
 * `_residue_samples` draws points on components of a root divisor
   {beta(z) + m q = lambda}, lambda in 0, 1, tau (and 1+tau), away from the
-  poles of the coefficients under test, and evaluates the displayed theta
-  correction bracket there at one or more u-probes;
+  poles of the coefficients under test;
 * `_vanishing_samples` draws points on an x- or t-divisor, each with a
   nearby reference point that sets the scale.
 
@@ -26,10 +25,16 @@ ids too (`factors.pole_arguments`).  At a point each argument is evaluated
 once (`factors.TablePoint`): the pole test, the search for the unique
 vanishing factor and the numerator product all read those values, so
 holomorphy along a divisor is never a limit extraction.  `check_residue`
-reads the two coefficients under test and uses three components and two
-u-probes; `SectionModel.condition_rows` reads every basis coefficient and
-uses four components and one probe.  `check_vanishing` reads coefficient
-values through `eval` (`factors.CompiledParts`).
+reads the two coefficients under test on three components, and
+`SectionModel.condition_rows` every basis coefficient on four.
+`check_vanishing` reads values through `eval` (`factors.CompiledParts`).
+
+A pair's two residues are related by the displayed correction bracket
+theta(u) theta(X + u + s) / (theta(u + s) theta(X + u)) to the pair
+exponent, s = beta(z) + m q, X = q + (n-1) t + eta'.  On the component
+lambda = a + b tau, s = lambda, and theta(w + a + b tau) = (-1)^(a+b)
+e(-b w - b^2 tau/2) theta(w) at w = X + u and at w = u leaves e(-b X) for
+every u: one constant e(-b exponent X) per spec and component (`_correction`).
 
 The residue path runs on Python integers (see `curve` and `factors`).  An
 argument is a parameter constant c and integer z-coefficients k_j (+-1 or
@@ -67,9 +72,9 @@ corner -mu by invariance: the first-order model takes the Weyl denominator
 and all n coordinates, and the van Diejen model takes, at each weight
 (1^m, 0^(n-m)), the block named in `vandiejen_model` and the n - m zero
 coordinates.  Models and condition rows build at any n.  Solving is limited
-to n <= 2, where the fixed 2 samples on each of 4 components per spec are
-known to reach the full rank; that limit lives only in
-`SectionModel.nullspace` (and, for the CLI, in `cli._n_at_most_2`).
+to n <= `MAX_SOLVE_N` = 2, where the fixed 2 samples on each of 4 components
+per spec are known to reach the full rank; `SectionModel.nullspace` and, for
+the CLI, `cli._solvable_n` read that one constant.
 """
 
 from __future__ import annotations
@@ -100,7 +105,6 @@ from .diffop import (
     DifferenceOperator,
     ExprCoefficient,
     identity_operator,
-    rel_defect,
 )
 from .factors import TablePoint, pole_arguments, prefix_products, z_coefficients
 from .families import van_diejen_leading_expr, weyl_denominator
@@ -317,8 +321,11 @@ def _parallel(zk, root):
 _CHECK_COMPONENTS = ("0", "1", "tau")
 _SOLVE_COMPONENTS = ("0", "1", "tau", "1+tau")
 
-#: boxes (real range, imaginary range) of the successive u-probes
-_PROBE_BOXES = (((0.1, 0.5), (0.05, 0.4)), ((-0.5, -0.1), (0.05, 0.4)))
+#: each divisor component lambda = a + b tau as (a, b)
+_LATTICE_POINTS = {"0": (0, 0), "1": (1, 0), "tau": (0, 1), "1+tau": (1, 1)}
+
+#: the largest n whose section solve is established (see the module docstring)
+MAX_SOLVE_N = 2
 
 _VANISHING = ("x-vanish", "t-vanish")
 
@@ -360,35 +367,29 @@ def _divisor_sample(ctx, rng, n, root, target, poles):
     raise PoleProximityError("could not sample the divisor away from other poles")
 
 
-def _bracket(ctx, root, zstar, u, X, q):
-    """The displayed correction factor at a point of the divisor."""
-    sval = sum(mpc(c) * w for c, w in zip(root.coeffs, zstar)) + root.level * q
-    return ctx.theta(u) * ctx.theta(X + u + sval) / (ctx.theta(u + sval) * ctx.theta(X + u))
+def _correction(ctx, spec, n, env, comp):
+    """A pair's correction bracket to its exponent on the component a + b tau: e(-b exponent X), for every u."""
+    X = _env_values(env, n)[2]
+    return ctx.e(-_LATTICE_POINTS[comp][1] * spec.exponent * X)
 
 
-def _residue_samples(ctx, rng, spec, n, env, components, samples, probes, poles):
+def _residue_samples(ctx, rng, spec, n, env, components, samples, poles):
     """Sample points for a residue-pair condition, away from `poles` (argument ids, `factors.pole_arguments`).
 
-    Yields (component, sample number, point, brackets): `samples` points on
-    each component {beta(z) + m q = lambda} of the divisor, each a
-    `TablePoint`, with the correction bracket, raised to the pair exponent,
-    at `probes` u-probes.  The RNG draws the point first, then the probes.
-    Poles parallel to the divisor are not avoided: their vanishing is the
-    pole under examination.
+    Yields (component, sample number, point): `samples` points on each
+    component {beta(z) + m q = lambda} of the divisor, each a `TablePoint`;
+    the RNG draws nothing but the points.  The correction bracket there
+    depends on the component alone (`_correction`).  Poles parallel to the
+    divisor are not avoided: their vanishing is the pole under examination.
     """
-    root, exponent = spec.root, spec.exponent
+    root = spec.root
     poles = [i for i in poles if not _parallel(z_coefficients(ctx, i), root)]
-    q, _, X = _env_values(env, n)
-    offsets = {"0": mpc(0), "1": mpc(1), "tau": ctx.tau, "1+tau": 1 + ctx.tau}
+    q = _env_values(env, n)[0]
     for comp in components:
-        target = offsets[comp] - root.level * q
+        a, b = _LATTICE_POINTS[comp]
+        target = a + b * ctx.tau - root.level * q
         for snum in range(samples):
-            point = _divisor_sample(ctx, rng, n, root, target, poles)
-            brackets = []
-            for re_box, im_box in _PROBE_BOXES[:probes]:
-                u = mpc(rng.uniform(*re_box), rng.uniform(*im_box))
-                brackets.append(_bracket(ctx, root, point.z, u, X, q) ** exponent)
-            yield comp, snum, point, brackets
+            yield comp, snum, _divisor_sample(ctx, rng, n, root, target, poles)
 
 
 def _vanishing_samples(ctx, rng, spec, n, env, samples):
@@ -428,21 +429,18 @@ def check_residue(ctx, op, specs, env, samples=2, seed=11, tol=mpf("1e-25")):
         k2 = spec.k2
         coeffs = [op.coefficient(spec.k), op.coefficient(k2)]
         parts = [_residue_parts(ctx, c) for c in coeffs]
-        for comp, snum, point, (b1, b2) in _residue_samples(
-            ctx, rng, spec, n, env, _CHECK_COMPONENTS, samples, 2, pole_arguments(ctx, coeffs)
+        factors = {comp: _correction(ctx, spec, n, env, comp) for comp in _CHECK_COMPONENTS}
+        for comp, snum, point in _residue_samples(
+            ctx, rng, spec, n, env, _CHECK_COMPONENTS, samples, pole_arguments(ctx, coeffs)
         ):
             res_a, res_b = (gauss_round(r, ctx._wp) for r in _sweep(ctx, point, parts, spec.root))
-            probe_defect = rel_defect(b1, b2)
+            b1 = factors[comp]
             combo = res_b + b1 * res_a
             scale = abs(res_b) + abs(b1 * res_a) + mpf("1e-30")
             report.add(
                 "residue[%s;m=%d;%s<->%s;comp=%s;#%d]"
                 % (spec.root.coeffs, spec.root.level, spec.k, k2, comp, snum),
                 abs(combo) / scale,
-            )
-            report.add(
-                "residue-probe[%s;m=%d;comp=%s;#%d]" % (spec.root.coeffs, spec.root.level, comp, snum),
-                probe_defect,
             )
     return report
 
@@ -637,11 +635,10 @@ class SectionModel:
                 if spec.kind != "residue-pair":
                     raise ValueError("condition rows are built from residue-pair specs only")
                 parts = [col.get(k, ()) for k in (spec.k, spec.k2) for col in columns]
-                for _, _, point, (b1,) in _residue_samples(
-                    ctx, rng, spec, n, self.env, _SOLVE_COMPONENTS, 2, 1, poles
-                ):
+                factors = {c: gauss_exact(_correction(ctx, spec, n, self.env, c)) for c in _SOLVE_COMPONENTS}
+                for comp, _, point in _residue_samples(ctx, rng, spec, n, self.env, _SOLVE_COMPONENTS, 2, poles):
                     residues = _sweep(ctx, point, parts, spec.root)
-                    b1 = gauss_exact(b1)
+                    b1 = factors[comp]
                     row, top = [], floor
                     for ra, rb in zip(residues[:len(columns)], residues[len(columns):]):
                         bra = gauss_mul(b1, ra, F)
@@ -654,11 +651,11 @@ class SectionModel:
             return rows
 
     def nullspace(self, specs, seed=29):
-        """Nullspace of the condition rows; n <= 2 only (see the module docstring)."""
-        if self.n > 2:
+        """Nullspace of the condition rows; n <= `MAX_SOLVE_N` only (see the module docstring)."""
+        if self.n > MAX_SOLVE_N:
             raise NotImplementedError(
-                "section solving is established for n <= 2 only: 2 samples on each of 4 components "
-                "per spec are not shown to reach the full rank at n = %d" % self.n
+                "section solving is established for n <= %d only: 2 samples on each of 4 components "
+                "per spec are not shown to reach the full rank at n = %d" % (MAX_SOLVE_N, self.n)
             )
         rows = self.condition_rows(specs, seed=seed)
         return nullspace_basis(rows, len(self.basis_ops), prec=self.ctx.prec)

@@ -100,16 +100,8 @@ def _check_dominant_pair(lam, mu):
 
 
 def dominance_leq(lam, mu):
-    """lam <= mu in the root-lattice dominance order (even difference sum)."""
-    d = _check_dominant_pair(lam, mu)
-    if sum(d) % 2 != 0:
-        return False
-    run = Fraction(0)
-    for x in d:
-        run += x
-        if run < 0:
-            return False
-    return True
+    """lam <= mu in the root-lattice dominance order: `coroot_leq` with an even difference sum."""
+    return sum(_check_dominant_pair(lam, mu)) % 2 == 0 and coroot_leq(lam, mu)
 
 
 def coroot_leq(lam, mu):

@@ -298,23 +298,71 @@ def test_shared_sampler_on_divisor_and_off_poles(ctx, beta):
     eps = mpf(2) ** -(ctx.prec - 8)
     for comp, lam in offsets.items():
         rng = random.Random(7)
-        samples = list(_residue_samples(ctx, rng, spec, 2, env, (comp,), 2, 2, poles))
-        assert [(c, s) for c, s, _, _ in samples] == [(comp, 0), (comp, 1)]
-        for _, _, point, brackets in samples:
+        samples = list(_residue_samples(ctx, rng, spec, 2, env, (comp,), 2, poles))
+        assert [(c, s) for c, s, _ in samples] == [(comp, 0), (comp, 1)]
+        for _, _, point in samples:
             z = point.z
-            assert len(brackets) == 2
             assert abs(_beta_value(beta, z) + m * Q - lam) < eps
             for f in others:
                 assert ctx.dist_to_lattice(f.eval(bindings_for(params, z), ctx._wp)) >= mpf("5e-3")
     # a pole that no point of the divisor avoids
     stuck = pole_arguments(ctx, [ExprCoefficient(ThetaExpr(((AffineForm.var("p"), -1),), 2), {"p": 1 + ctx.tau})])
     with pytest.raises(PoleProximityError):
-        next(_residue_samples(ctx, random.Random(7), spec, 2, env, ("0",), 1, 1, stuck))
+        next(_residue_samples(ctx, random.Random(7), spec, 2, env, ("0",), 1, stuck))
     # the t-vanishing sampler puts its points on beta(z) = t + m q
     tspec = ConditionSpec("t-vanish", (F(-1), F(0)), beta.at_level(m))
     for _, z, zref in _vanishing_samples(ctx, random.Random(7), tspec, 2, env, 2):
         assert abs(_beta_value(beta, z) - T - m * Q) < eps
         assert all(0 < (r - w).real < 0.15 and 0 < (r - w).imag < 0.1 for r, w in zip(zref, z))
+
+
+def _bracket_oracle(ctx, root, z, u, X, q):
+    """The four-theta correction bracket that `conditions._correction` replaced, kept as its oracle."""
+    s = sum(mpc(c) * w for c, w in zip(root.coeffs, z)) + root.level * q
+    return ctx.theta(u) * ctx.theta(X + u + s) / (ctx.theta(u + s) * ctx.theta(X + u))
+
+
+@pytest.mark.parametrize("prec", [96, 256])
+def test_correction_against_the_four_theta_oracle(prec):
+    # on every component lambda = a + b tau the bracket, raised to the pair
+    # exponent, is e(-b exponent X) whatever u is: for every positive root at
+    # n = 1..3 and levels -2..2, at two random u per sample point; the shift
+    # k = 3/2 beta^v puts <beta, k> = 3, so no exponent is 0
+    ctx = CurveContext(TAU, prec)
+    env = {"q": Q, "t": T, "eta_prime": ETA}
+    rng = random.Random(19)
+    boxes = (((0.1, 0.5), (0.05, 0.4)), ((-0.5, -0.1), (0.05, 0.4)))
+    checked = 0
+    with mp.workprec(ctx._wp):
+        for n in (1, 2, 3):
+            X = Q + (n - 1) * T + ETA
+            for beta in positive_roots(n):
+                for m in range(-2, 3):
+                    spec = ConditionSpec("residue-pair", tuple(F(3, 2) * c for c in beta.coroot), beta.at_level(m))
+                    assert spec.exponent != 0
+                    for comp, _, point in _residue_samples(ctx, rng, spec, n, env, conditions._SOLVE_COMPONENTS, 1, []):
+                        got = conditions._correction(ctx, spec, n, env, comp)
+                        for re_box, im_box in boxes:
+                            u = mpc(rng.uniform(*re_box), rng.uniform(*im_box))
+                            want = _bracket_oracle(ctx, spec.root, point.z, u, X, Q) ** spec.exponent
+                            assert abs(got - want) <= abs(want) * mpf(2) ** (8 - prec), (n, beta, m, comp)
+                            checked += 1
+    assert checked == 2 * 4 * 5 * (1 + 4 + 9)
+
+
+def test_inverted_correction_is_rejected(ctx, xs8, monkeypatch):
+    # the factor carries weight: with e(+b exponent X) in place of
+    # e(-b exponent X) a solved van Diejen n=1 section fails its residue
+    # check, and the n=1 solve no longer finds its two sections
+    _, (_, H) = vandiejen_sections(ctx, xs8, Q, T, 1)
+    specs = enumerate_conditions((DegreeVector(), DegreeVector(0, 2, 2, (1,) * 8)), (F(1),), H.params, 1)
+    env = {**H.params, "eta_prime": sum(xs8) / 2}
+    assert check_residue(ctx, H, specs, env, samples=1).passed
+    correction = conditions._correction
+    monkeypatch.setattr(conditions, "_correction", lambda *args: 1 / correction(*args))
+    assert not check_residue(ctx, H, specs, env, samples=1).passed
+    _, null = vandiejen_nullspace(ctx, xs8, Q, T, 1)
+    assert len(null) != 2
 
 
 def test_vandiejen_corner_matches_leading_expr(ctx, xs8):
