@@ -73,8 +73,27 @@ and all n coordinates, and the van Diejen model takes, at each weight
 (1^m, 0^(n-m)), the block named in `vandiejen_model` and the n - m zero
 coordinates.  Models and condition rows build at any n.  Solving is limited
 to n <= `MAX_SOLVE_N` = 2, where the fixed 2 samples on each of 4 components
-per spec are known to reach the full rank; `SectionModel.nullspace` and, for
-the CLI, `cli._solvable_n` read that one constant.
+per orbit representative (below) are known to reach the full rank;
+`SectionModel.nullspace` and, for the CLI, `cli._solvable_n` read that one
+constant.
+
+The solver reads one residue-pair spec per W-orbit (`orbit_representatives`),
+W = `weyl.signed_permutations(n)`.  Every column is W-invariant,
+c_(w k)(w z) = c_k(z) for every w (`_orbit_coefficients` spreads each corner
+so), and for an invariant operator the condition at (w k, w beta + m q) is
+the image under w of the one at (k, beta + m q) (Macdonald 2003, ch. 1): the
+representative's rows stand for its orbit.  A spec of level 0 pairs k with
+s_beta k on a divisor fixed by s_beta, which lies in W, and an invariant
+operator meets it identically (its rows have certified rank 0 in the tests);
+the solver drops it, so a first-order model, whose specs are all of level 0,
+builds no rows and keeps every column.  The key reads w beta as a vector, not
+up to sign, so it keeps the sign of the level: the image of (k, beta + m q)
+under a w with w beta negative is, with a positive root, (w k, beta' - m q),
+the same divisor and reflection, but merging the two is wrong (at van Diejen
+n=2 its 3 representatives give 24 rows of nullity 14, not 3).  The
+level-signed key leaves van Diejen 2, 6 and 10 representatives of 3, 28 and
+171 specs at n = 1, 2 and 3.  `check_residue` reads every spec: the operator
+it checks need not be invariant.
 """
 
 from __future__ import annotations
@@ -219,6 +238,31 @@ def enumerate_conditions(degree, lam, params, n):
         corner = tuple(-x for x in mu)
         specs += [ConditionSpec("t-vanish", corner, root) for root in inversion_set(mu)]
     return specs
+
+
+def orbit_representatives(specs, n):
+    """One residue-pair spec per W-orbit of nonzero level, the first of each in enumeration order.
+
+    W is `weyl.signed_permutations(n)`.  A spec (k, beta + m q) is keyed on
+    the least (sorted(w k, w k2), w beta, m) over w in W, with w beta not
+    sign-normalized, so the sign of the level is kept.  Specs of level 0 are
+    dropped.  The module docstring says why the representatives carry the
+    solver's conditions.
+    """
+    group = signed_permutations(n)
+    reps = {}
+    for spec in specs:
+        if spec.kind != "residue-pair":
+            raise ValueError("condition rows are built from residue-pair specs only")
+        if spec.root.level == 0:
+            continue
+        pair = (spec.k, spec.k2)
+        key = min(
+            (tuple(sorted(sp_apply(w, k) for k in pair)), sp_apply(w, spec.root.coeffs), spec.root.level)
+            for w in group
+        )
+        reps.setdefault(key, spec)
+    return list(reps.values())
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +635,13 @@ def _orbit_coefficients(n, mu, corner_parts, params):
 
 
 class SectionModel:
-    """Ansatz for one Hom-space solve: per-weight corner bases plus conditions."""
+    """Ansatz for one Hom-space solve: per-weight corner bases plus conditions.
+
+    Every column must be W-invariant, c_(w k)(w z) = c_k(z) for each signed
+    permutation w, as `add_weight_basis` builds it: `nullspace` reads the
+    orbit representatives of the conditions only (`orbit_representatives`),
+    which stand for their orbits on invariant columns alone.
+    """
 
     def __init__(self, ctx, n, params, env, degree, lam):
         self.ctx = ctx
@@ -621,8 +671,11 @@ class SectionModel:
         one; then each entry is rounded once, to `ctx._wp` bits.  A row whose
         ingredients are all 0, or all below the rank floor 2^-(prec//2) of
         `weyl.rank_certificate` (E <= -(prec//2)), is dropped: scaled up, its
-        rounding would count as rank.
+        rounding would count as rank.  No specs give no rows, with nothing
+        compiled.
         """
+        if not specs:
+            return []
         with mp.workprec(self.ctx._wp):
             rng = random.Random(seed)
             ctx, n = self.ctx, self.n
@@ -651,13 +704,13 @@ class SectionModel:
             return rows
 
     def nullspace(self, specs, seed=29):
-        """Nullspace of the condition rows; n <= `MAX_SOLVE_N` only (see the module docstring)."""
+        """Nullspace of the rows of the specs' orbit representatives; n <= `MAX_SOLVE_N` only (see the module docstring)."""
         if self.n > MAX_SOLVE_N:
             raise NotImplementedError(
                 "section solving is established for n <= %d only: 2 samples on each of 4 components "
-                "per spec are not shown to reach the full rank at n = %d" % (MAX_SOLVE_N, self.n)
+                "per orbit representative are not shown to reach the full rank at n = %d" % (MAX_SOLVE_N, self.n)
             )
-        rows = self.condition_rows(specs, seed=seed)
+        rows = self.condition_rows(orbit_representatives(specs, self.n), seed=seed)
         return nullspace_basis(rows, len(self.basis_ops), prec=self.ctx.prec)
 
     def operator_from_vector(self, vec):

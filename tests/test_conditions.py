@@ -22,6 +22,7 @@ from ccnops.conditions import (
     first_order_model,
     nullspace_basis,
     operator_span_contains,
+    orbit_representatives,
     section_solve,
     section_solve_first_order,
     sections_by_weight,
@@ -698,6 +699,8 @@ def test_condition_rows_reject_vanishing_specs(ctx):
     tspec = ConditionSpec("t-vanish", (F(-1, 2),), AffineRoot((2,), 0))
     with pytest.raises(ValueError, match="residue-pair"):
         model.condition_rows([tspec])
+    with pytest.raises(ValueError, match="residue-pair"):
+        model.nullspace([tspec])
 
 
 def _rank_nine_rows():
@@ -794,7 +797,8 @@ SVD_INPUTS = {
     "wide-8x11": (lambda rng: _gauss_rows(rng, 8, 11), 8),
     "square-rank-7": (lambda rng: _low_rank_rows(rng, 10, 10, 7), 7),
     "tall-rank-9": (lambda rng: _rank_nine_rows(), 9),
-    # the scale of a first-order solve's condition rows: rounding noise
+    # the scale of the rows of a level-0 spec, such as all of a first-order
+    # model's, which invariant columns meet identically: rounding noise
     "noise-1e-81": (lambda rng: _gauss_rows(rng, 20, 6, mpf("1e-81")), 0),
     "zero": (lambda rng: [[mpc(0)] * 5 for _ in range(9)], 0),
     "threefold-value": (lambda rng: _with_singular_values(rng, 14, [2, 1, 1, 1, mpf("0.5"), 0, 0, 0]), 5),
@@ -859,17 +863,31 @@ def test_rank_certificate_on_a_kahan_matrix(prec):
         assert cert.lower <= S_ref[29]
 
 
-def _certified_solve(model, seed):
-    """The rank certificate of a model's residue-pair condition rows, and its nullity."""
-    specs = [s for s in enumerate_conditions(model.degree, model.lam, model.params, model.n) if s.kind == "residue-pair"]
-    cert = weyl.rank_certificate(model.condition_rows(specs, seed=seed), model.ctx.prec)
-    return cert, len(model.basis_ops) - cert.rank
+def _pair_specs(model):
+    return [s for s in enumerate_conditions(model.degree, model.lam, model.params, model.n) if s.kind == "residue-pair"]
+
+
+def _certified_solves(model, seed):
+    """(rank certificate, nullity) of a model's residue-pair rows: all specs, then the solver's orbit representatives.
+
+    No rows (a first-order model has no representatives) give the
+    certificate None and the column count as nullity.
+    """
+    specs = _pair_specs(model)
+    out = []
+    for chosen in (specs, orbit_representatives(specs, model.n)):
+        rows = model.condition_rows(chosen, seed=seed)
+        cert = weyl.rank_certificate(rows, model.ctx.prec) if rows else None
+        out.append((cert, len(model.basis_ops) - (cert.rank if cert else 0)))
+    return out
 
 
 def test_solved_dimensions_hold_across_seeds_and_moduli(xs8):
-    # every dimension is the expected one at 5 seeds and 2 moduli, and at
-    # nonzero rank the certified bounds stand at least 60 decades apart; the
-    # first-order rows are rounding noise of rank 0
+    # every dimension is the expected one at 5 seeds and 2 moduli, on the
+    # rows of all specs and on the solver's rows of orbit representatives,
+    # and at nonzero rank the certified bounds stand at least 60 decades
+    # apart; a first-order model's specs are all of level 0, so its rows of
+    # all specs are rounding noise of rank 0 and the solver builds none
     for tau in (mpc("0.13", "1.09"), mpc("-0.21", "1.13")):
         ctx = CurveContext(tau, 256)
         for seed in (1, 2, 3, 4, 5):
@@ -878,17 +896,101 @@ def test_solved_dimensions_hold_across_seeds_and_moduli(xs8):
                 (first_order_model(ctx, 2, 1, ETA, Q, T, seed=seed), 10),
                 (vandiejen_model(ctx, xs8, Q, T, 1, seed=seed), 2),
             ):
-                cert, nullity = _certified_solve(model, seed)
-                assert nullity == dim, (tau, seed, model.n, dim)
+                (cert, nullity), (rep_cert, rep_nullity) = _certified_solves(model, seed)
+                assert nullity == rep_nullity == dim, (tau, seed, model.n, dim)
                 assert cert.rank == 0 or cert.lower >= mpf("1e60") * cert.upper, (tau, seed, model.n, dim)
+                if rep_cert is None:
+                    assert cert.rank == 0, (tau, seed, model.n, dim)
+                else:
+                    assert rep_cert.lower >= mpf("1e60") * rep_cert.upper, (tau, seed, model.n, dim)
 
 
 def test_vandiejen_n2_certified_gap(ctx, xs8):
     # three sections of the n=2 van Diejen degree, the rank cut certified
-    # with a gap of about 1e78
-    cert, nullity = _certified_solve(vandiejen_model(ctx, xs8, Q, T, 2), 37)
-    assert nullity == 3
-    assert cert.lower >= mpf("1e60") * cert.upper
+    # with a gap of about 1e78, on the rows of all 28 specs and on the
+    # solver's rows of their 6 orbit representatives
+    for cert, nullity in _certified_solves(vandiejen_model(ctx, xs8, Q, T, 2), 37):
+        assert nullity == 3
+        assert cert.lower >= mpf("1e60") * cert.upper
+
+
+def _projector(null):
+    return matrix([[sum(v[a] * mp.conj(v[b]) for v in null) for b in range(len(null[0]))] for a in range(len(null[0]))])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_orbit_representatives_give_the_all_spec_nullspace(xs8, n):
+    # at two moduli the solver's nullspace, from the rows of the orbit
+    # representatives (2 of 3 specs at n=1, 6 of 28 at n=2), has the
+    # projector of the nullspace of all specs' rows to 1e-70, and its rank
+    # cut is certified with a gap of at least 1e60
+    for tau in (mpc("0.13", "1.09"), mpc("-0.21", "1.13")):
+        model = vandiejen_model(CurveContext(tau, 256), xs8, Q, T, n)
+        specs = _pair_specs(model)
+        reps = orbit_representatives(specs, n)
+        assert len(reps) == {1: 2, 2: 6}[n] and all(s.root.level for s in reps)
+        full = weyl.rank_certificate(model.condition_rows(specs, seed=37), 256, want_null=True)
+        cert = weyl.rank_certificate(model.condition_rows(reps, seed=37), 256, want_null=True)
+        assert cert.null == model.nullspace(specs, seed=37)
+        assert len(cert.null) == len(full.null) == n + 1
+        assert cert.lower >= mpf("1e60") * cert.upper
+        with mp.workprec(256):
+            assert mp.mnorm(_projector(cert.null) - _projector(full.null), 1) < mpf("1e-70"), tau
+
+
+@pytest.mark.parametrize("family,n,dprime", [
+    ("van-diejen", 1, None), ("van-diejen", 2, None),
+    *(("first-order", n, dprime) for n in (1, 2) for dprime in (0, 1, 2)),
+])
+def test_level_zero_conditions_hold_identically(ctx, xs8, family, n, dprime):
+    # a level-0 spec pairs k with s_beta k on a divisor s_beta fixes, so the
+    # invariant columns meet it identically: its 8 rows are all kept and
+    # their certified rank is 0 (the solver drops these specs)
+    if family == "van-diejen":
+        model = vandiejen_model(ctx, xs8, Q, T, n)
+    else:
+        model = first_order_model(ctx, n, dprime, ETA, Q, T)
+    level0 = [s for s in _pair_specs(model) if s.root.level == 0]
+    assert level0 and orbit_representatives(level0, n) == []
+    rows = model.condition_rows(level0)
+    assert len(rows) == 8 * len(level0)
+    assert weyl.rank_certificate(rows, ctx.prec).rank == 0
+
+
+def _invariance_defect(ctx, model, points):
+    """The largest |c_(w k)(w z) - c_k(z)| / |c_k(z)| over the columns, their shifts k, the signed permutations w and the points."""
+    worst = mpf(0)
+    group = weyl.signed_permutations(model.n)
+    for _, op in model.basis_ops:
+        for k in op.support():
+            for z in points:
+                ref = op.eval_coeff(ctx, k, z)
+                for w in group:
+                    got = op.eval_coeff(ctx, weyl.sp_apply(w, k), weyl.sp_apply(w, z))
+                    worst = max(worst, abs(got - ref) / abs(ref))
+    return worst
+
+
+@pytest.mark.parametrize("family,n", [("van-diejen", 1), ("van-diejen", 2), ("first-order", 1), ("first-order", 2)])
+def test_columns_are_weyl_invariant(ctx, xs8, family, n):
+    # the orbit argument of `orbit_representatives` needs W-invariant
+    # columns: c_(w k)(w z) = c_k(z) to rounding at two seeded points; a
+    # copy with one non-corner coefficient of one column scaled by 1 + 1e-6
+    # must fail the same test
+    if family == "van-diejen":
+        model = vandiejen_model(ctx, xs8, Q, T, n)
+    else:
+        model = first_order_model(ctx, n, 1, ETA, Q, T)
+    points = sample_points(n, seed=53)
+    assert _invariance_defect(ctx, model, points) <= mpf(2) ** (16 - ctx.prec)
+    i = next(i for i, (_, op) in enumerate(model.basis_ops) if len(op.coeffs) > 1)
+    mu, op = model.basis_ops[i]
+    corner = tuple(-x for x in mu)
+    k = next(k for k in op.support() if k != corner)
+    coeffs = dict(op.coeffs)
+    coeffs[k] = coeffs[k].scaled(1 + mpf("1e-6"))
+    model.basis_ops[i] = (mu, DifferenceOperator(n, coeffs, op.params, op.degree))
+    assert _invariance_defect(ctx, model, points) > mpf("1e-7")
 
 
 def test_vandiejen_model_at_n3_follows_the_ansatz_rule(ctx, xs8):
