@@ -103,8 +103,8 @@ def load_config(path=None, overrides=None):
                     raise ConfigError("bad config line %r" % line)
                 key, val = line.split("=", 1)
                 cfg[key.strip()] = val.strip()
-    for key in list(cfg):
-        env = os.environ.get("CCNOPS_" + key.upper().replace("-", "_"))
+    for key in (*DEFAULTS, *X_KEYS):
+        env = os.environ.get("CCNOPS_" + key.upper())
         if env is not None:
             cfg[key] = env
     for key, val in (overrides or {}).items():

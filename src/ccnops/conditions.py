@@ -2,13 +2,15 @@
 
 Residue conditions relate coefficients at shift vectors linked by an affine
 reflection; vanishing conditions ask one coefficient to vanish along an x- or
-t-divisor.  A single sampling pipeline feeds both of its consumers:
-
-* `_residue_samples` draws points on components of a root divisor
-  {beta(z) + m q = lambda}, lambda in 0, 1, tau (and 1+tau), away from the
-  poles of the coefficients under test;
-* `_vanishing_samples` draws points on an x- or t-divisor, each with a
-  nearby reference point that sets the scale.
+t-divisor.  The checker (`check_residue`) and the solver
+(`SectionModel.condition_rows`) read one residue-pair path, from spec to
+entry (`_residue_entries`): it draws points on the components of a root
+divisor {beta(z) + m q = lambda}, lambda in 0, 1, tau (and 1+tau)
+(`_residue_samples`), runs one sweep per point (`_sweep`) and yields the
+pair (rb, b1 ra) of each column.  The checker reads one column, the
+operator's coefficients at k and k2, on three components; the solver reads
+every basis column on four.  `_vanishing_samples` draws points on an x- or
+t-divisor, each with a nearby reference point that sets the scale.
 
 Each residue pair and each t-vanishing condition is carried by a
 `weyl.AffineRoot` beta + m q: beta's integer coefficient vector (e_i +- e_j
@@ -20,13 +22,12 @@ vector.  Every point is put on its root divisor by the one rule
 (target - sum_(j > i) c_j z_j) / c_i.
 Residues of structured coefficients (`ExprCoefficient`) read the compiled
 parts of their values (`ExprCoefficient.compiled`), whose factors are ids in
-the context's one argument table, and the poles a sample point avoids are
-ids too (`factors.pole_arguments`).  At a point each argument is evaluated
-once (`factors.TablePoint`): the pole test, the search for the unique
-vanishing factor and the numerator product all read those values, so
-holomorphy along a divisor is never a limit extraction.  `check_residue`
-reads the two coefficients under test on three components, and
-`SectionModel.condition_rows` every basis coefficient on four.
+the context's one argument table.  A sample point avoids the ids of the
+denominator factors of the parts it reads, less those parallel to the
+divisor, whose vanishing is the pole under examination.  At a point each
+argument is evaluated once (`factors.TablePoint`): the pole test, the search
+for the unique vanishing factor and the numerator product all read those
+values, so holomorphy along a divisor is never a limit extraction.
 `check_vanishing` reads values through `eval` (`factors.CompiledParts`).
 
 A pair's two residues are related by the displayed correction bracket
@@ -53,10 +54,11 @@ divided once (`gauss_quotient`): its relative error is the theta values'
 own (a few units of 2^-F each, more only near a theta zero) plus 2^(2-F)
 per product.  A column's parts add exactly, and the sweep returns each
 column's sum unrounded.
-`condition_rows` runs the sweep once per point, over the parts of every
-column at the shift k and then at k2, and forms each row on Gaussian floats,
-scaled by a power of two and rounded once per entry; `check_residue` runs it
-with the two coefficients as two columns and rounds the two residues once.
+`_residue_entries` runs the sweep once per point, over the parts of every
+column at the shift k and then at k2, and cuts b1 ra to F bits, so that
+rb + b1 ra adds exactly: `condition_rows` scales each row by a power of two
+and rounds each entry once, and `check_residue` rounds the entry and its two
+terms once each.
 
 Dimensions are decided by the one rank rule of `weyl.rank_certificate`: the
 solver's `nullspace_basis` and `operator_span_contains` scale their matrices
@@ -125,7 +127,7 @@ from .diffop import (
     ExprCoefficient,
     identity_operator,
 )
-from .factors import TablePoint, pole_arguments, prefix_products, z_coefficients
+from .factors import TablePoint, prefix_products, z_coefficients
 from .families import van_diejen_leading_expr, weyl_denominator
 from .symbols import AffineForm, ThetaExpr, zvar
 from .weyl import (
@@ -298,9 +300,8 @@ def _sweep(ctx, point, columns, root):
     part before it (`factors.prefix_products`).  The scale, the slope and
     theta' multiply in after that shared product; each part is one quotient
     of F bits (`gauss_quotient`), and a column's parts add exactly.  The
-    column sums are returned unrounded, as Gaussian floats: `check_residue`
-    rounds its two residues once, to `ctx._wp` bits, and
-    `SectionModel.condition_rows` combines them into row entries first.
+    column sums are returned unrounded, as Gaussian floats, for
+    `_residue_entries` to combine.
     """
     F = ctx._fix
     seqs, heads = [], []  # per part: its factors left; (column, numerator head, denominator head)
@@ -359,7 +360,7 @@ def _parallel(zk, root):
 
 
 # ---------------------------------------------------------------------------
-# the sampling pipeline shared by the checkers and the solver
+# the residue-pair path shared by the checker and the solver
 
 #: divisor components checked by check_residue and used by the solver
 _CHECK_COMPONENTS = ("0", "1", "tau")
@@ -418,7 +419,7 @@ def _correction(ctx, spec, n, env, comp):
 
 
 def _residue_samples(ctx, rng, spec, n, env, components, samples, poles):
-    """Sample points for a residue-pair condition, away from `poles` (argument ids, `factors.pole_arguments`).
+    """Sample points for a residue-pair condition, away from `poles` (argument ids).
 
     Yields (component, sample number, point): `samples` points on each
     component {beta(z) + m q = lambda} of the divisor, each a `TablePoint`;
@@ -434,6 +435,30 @@ def _residue_samples(ctx, rng, spec, n, env, components, samples, poles):
         target = a + b * ctx.tau - root.level * q
         for snum in range(samples):
             yield comp, snum, _divisor_sample(ctx, rng, n, root, target, poles)
+
+
+def _residue_entries(ctx, rng, spec, n, env, columns, components, samples):
+    """The pair (rb, b1 ra) of each column at each sample point of a residue-pair spec.
+
+    columns: one mapping shift -> compiled parts (`_residue_parts`) per
+    column.  ra and rb are a column's residues (`_sweep`, unrounded) at the
+    shifts k and k2, and b1 the correction factor on the point's component
+    (`_correction`); b1 ra is cut to F bits, so a reader's rb + b1 ra
+    (`gauss_add`) is exact.  A point avoids the denominator factors of the
+    parts it reads (`_residue_samples`).  Yields (component, sample number,
+    [(rb, b1 ra) per column]).
+    """
+    if spec.kind != "residue-pair":
+        raise ValueError("condition rows are built from residue-pair specs only")
+    parts = [col.get(k, ()) for k in (spec.k, spec.k2) for col in columns]
+    poles = dict.fromkeys(arg for p in parts for _, factors in p for arg, m in factors if m < 0)
+    factors = {c: gauss_exact(_correction(ctx, spec, n, env, c)) for c in components}
+    for comp, snum, point in _residue_samples(ctx, rng, spec, n, env, components, samples, poles):
+        residues = _sweep(ctx, point, parts, spec.root)
+        b1 = factors[comp]
+        yield comp, snum, [
+            (rb, gauss_mul(b1, ra, ctx._fix)) for ra, rb in zip(residues[:len(columns)], residues[len(columns):])
+        ]
 
 
 def _vanishing_samples(ctx, rng, spec, n, env, samples):
@@ -462,29 +487,25 @@ def _vanishing_samples(ctx, rng, spec, n, env, samples):
 def check_residue(ctx, op, specs, env, samples=2, seed=11, tol=mpf("1e-25")):
     """Residue-pair conditions for an operator; returns a ConditionReport.
 
-    env: dict with at least q, t and eta'.
+    env: dict with at least q, t and eta'.  A point's defect is
+    |rb + b1 ra| / (|rb| + |b1 ra| + 1e-30) (`_residue_entries`), each term
+    rounded once; the floor passes a pair whose residues are both noise.
     """
     rng = random.Random(seed)
-    n = op.n
     report = ConditionReport(tolerance=tol)
     for spec in specs:
         if spec.kind != "residue-pair":
             continue
         k2 = spec.k2
-        coeffs = [op.coefficient(spec.k), op.coefficient(k2)]
-        parts = [_residue_parts(ctx, c) for c in coeffs]
-        factors = {comp: _correction(ctx, spec, n, env, comp) for comp in _CHECK_COMPONENTS}
-        for comp, snum, point in _residue_samples(
-            ctx, rng, spec, n, env, _CHECK_COMPONENTS, samples, pole_arguments(ctx, coeffs)
+        column = {k: _residue_parts(ctx, op.coefficient(k)) for k in (spec.k, k2)}
+        for comp, snum, ((rb, bra),) in _residue_entries(
+            ctx, rng, spec, op.n, env, [column], _CHECK_COMPONENTS, samples
         ):
-            res_a, res_b = (gauss_round(r, ctx._wp) for r in _sweep(ctx, point, parts, spec.root))
-            b1 = factors[comp]
-            combo = res_b + b1 * res_a
-            scale = abs(res_b) + abs(b1 * res_a) + mpf("1e-30")
+            combo, rb, bra = (gauss_round(x, ctx._wp) for x in (gauss_add(rb, bra), rb, bra))
             report.add(
                 "residue[%s;m=%d;%s<->%s;comp=%s;#%d]"
                 % (spec.root.coeffs, spec.root.level, spec.k, k2, comp, snum),
-                abs(combo) / scale,
+                abs(combo) / (abs(rb) + abs(bra) + mpf("1e-30")),
             )
     return report
 
@@ -662,9 +683,8 @@ class SectionModel:
     def condition_rows(self, specs, seed=29):
         """Linear condition matrix over the ansatz basis, one row per sample.
 
-        Each entry combines two residues of the sweep (`_sweep`, unrounded
-        Gaussian floats) as rb + b1 ra: b1 ra is cut to F bits and the sum
-        is exact.  A row is scaled by 2^-E, E the exponent of its largest
+        Each entry is a column's rb + b1 ra (`_residue_entries`), summed
+        exactly.  A row is scaled by 2^-E, E the exponent of its largest
         |rb| or |b1 ra| (the larger part of that one lies in
         [2^(E-1), 2^E)), which leaves its nullspace unchanged and puts its
         entries below 2^(3/2) in modulus, so the matrix has entries of order
@@ -678,39 +698,30 @@ class SectionModel:
             return []
         with mp.workprec(self.ctx._wp):
             rng = random.Random(seed)
-            ctx, n = self.ctx, self.n
-            F, floor = ctx._fix, -(ctx.prec // 2)
+            ctx, floor = self.ctx, -(self.ctx.prec // 2)
+            columns = [{k: _residue_parts(ctx, c) for k, c in op.coeffs.items()} for _, op in self.basis_ops]
             rows = []
-            ops = [op for _, op in self.basis_ops]
-            columns = [{k: _residue_parts(ctx, c) for k, c in op.coeffs.items()} for op in ops]
-            poles = pole_arguments(ctx, [op.coefficient(k) for op in ops for k in op.support()])
             for spec in specs:
-                if spec.kind != "residue-pair":
-                    raise ValueError("condition rows are built from residue-pair specs only")
-                parts = [col.get(k, ()) for k in (spec.k, spec.k2) for col in columns]
-                factors = {c: gauss_exact(_correction(ctx, spec, n, self.env, c)) for c in _SOLVE_COMPONENTS}
-                for comp, _, point in _residue_samples(ctx, rng, spec, n, self.env, _SOLVE_COMPONENTS, 2, poles):
-                    residues = _sweep(ctx, point, parts, spec.root)
-                    b1 = factors[comp]
-                    row, top = [], floor
-                    for ra, rb in zip(residues[:len(columns)], residues[len(columns):]):
-                        bra = gauss_mul(b1, ra, F)
-                        row.append(gauss_add(rb, bra))
-                        for re, im, e in (rb, bra):
-                            if re or im:
-                                top = max(top, (abs(re) | abs(im)).bit_length() + e)
+                for _, _, pairs in _residue_entries(ctx, rng, spec, self.n, self.env, columns, _SOLVE_COMPONENTS, 2):
+                    top = max(
+                        ((abs(re) | abs(im)).bit_length() + e for pair in pairs for re, im, e in pair if re or im),
+                        default=floor,
+                    )
                     if top > floor:
+                        row = (gauss_add(rb, bra) for rb, bra in pairs)
                         rows.append([gauss_round((re, im, e - top), ctx._wp) for re, im, e in row])
             return rows
 
-    def nullspace(self, specs, seed=29):
-        """Nullspace of the rows of the specs' orbit representatives; n <= `MAX_SOLVE_N` only (see the module docstring)."""
+    def nullspace(self, seed=29):
+        """Nullspace of the rows of the orbit representatives of the model's residue specs; n <= `MAX_SOLVE_N` only."""
         if self.n > MAX_SOLVE_N:
             raise NotImplementedError(
                 "section solving is established for n <= %d only: 2 samples on each of 4 components "
                 "per orbit representative are not shown to reach the full rank at n = %d" % (MAX_SOLVE_N, self.n)
             )
-        rows = self.condition_rows(orbit_representatives(specs, self.n), seed=seed)
+        specs = enumerate_conditions(self.degree, self.lam, self.params, self.n)
+        reps = orbit_representatives([s for s in specs if s.kind == "residue-pair"], self.n)
+        rows = self.condition_rows(reps, seed=seed)
         return nullspace_basis(rows, len(self.basis_ops), prec=self.ctx.prec)
 
     def operator_from_vector(self, vec):
@@ -764,8 +775,7 @@ def first_order_model(ctx, n, dprime, eta_prime, q, t, seed=31):
 def section_solve_first_order(ctx, n, dprime, eta_prime, q, t, seed=31):
     """Nullspace basis for degree (0, s+d'f); expected dimension 2d'+2."""
     model = first_order_model(ctx, n, dprime, eta_prime, q, t, seed=seed)
-    specs = enumerate_conditions(model.degree, model.lam, model.params, n)
-    null = model.nullspace([s for s in specs if s.kind == "residue-pair"], seed=seed)
+    null = model.nullspace(seed=seed)
     ops = [model.operator_from_vector(v) for v in null]
     return model, null, ops
 
@@ -825,10 +835,7 @@ def vandiejen_model(ctx, xs, q, t, n, eta_prime=None, seed=37):
 def vandiejen_nullspace(ctx, xs, q, t, n, eta_prime=None, seed=37):
     """(model, nullspace vectors) for the van Diejen degree."""
     model = vandiejen_model(ctx, xs, q, t, n, eta_prime=eta_prime, seed=seed)
-    specs = enumerate_conditions(model.degree, model.lam, model.params, n)
-    pair_specs = [s for s in specs if s.kind == "residue-pair"]
-    null = model.nullspace(pair_specs, seed=seed)
-    return model, null
+    return model, model.nullspace(seed=seed)
 
 
 def vandiejen_sections(ctx, xs, q, t, n, eta_prime=None, seed=37):

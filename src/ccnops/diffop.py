@@ -297,22 +297,20 @@ class DifferenceOperator:
         return DifferenceOperator(self.n, coeffs, self.params, self.degree)
 
     @at_context_precision
-    def is_invariant(self, ctx, samples, tol=None):
-        """Max relative defect of D - w D w^{-1} over group generators at samples."""
+    def is_invariant(self, ctx, samples):
+        """Max relative defect of D - w D w^{-1} over group generators at samples; mp.inf if the supports differ."""
         from .weyl import hyperoctahedral_generators
 
         worst = mpf(0)
         for w in hyperoctahedral_generators(self.n):
             Dw = self.group_act(w)
             if set(Dw.coeffs) != set(self.coeffs):
-                return False if tol is not None else mp.inf
+                return mp.inf
             for z in samples:
                 for k in self.coeffs:
                     a = self.eval_coeff(ctx, k, z)
                     worst = max(worst, rel_defect(a, Dw.eval_coeff(ctx, k, z)))
-        if tol is None:
-            return worst
-        return worst < tol
+        return worst
 
     # -- structure --------------------------------------------------------
 

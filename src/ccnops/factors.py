@@ -7,10 +7,10 @@ and integer z-coefficients k_j; a form with a non-integer z-coefficient
 raises ValueError.  Each argument compiles once per context and per (form,
 values of the parameters it reads) into the context's table
 (`compile_argument`), and is named by its id from then on: a compiled factor
-is an (id, exponent) pair, and a pole of the residue checkers is an id
-(`pole_arguments`).  At a point the argument c + sum_j k_j z_j is an integer
-sum.  Two readers share the table, each with the theta kernel its traffic
-suits:
+is an (id, exponent) pair, and a residue sample point avoids the ids of the
+denominator factors it reads (`conditions._residue_entries`).  At a point
+the argument c + sum_j k_j z_j is an integer sum.  Two readers share the
+table, each with the theta kernel its traffic suits:
 
 * coefficient values (`compile_parts`, `CompiledParts`), behind
   `ThetaExpr.eval`, `ExprCoefficient.eval` (which `conditions.check_vanishing`
@@ -80,12 +80,6 @@ def z_index(sym):
     return int(sym[1:]) - 1 if sym[0] == "z" and sym[1:].isdigit() else None
 
 
-def _reads(form, values):
-    """The parameter values a form reads from `values`, and their exact key ((s, point key), ...) in name order."""
-    reads = {s: values[s] for s in form.nums if s in values and z_index(s) is None}
-    return reads, tuple(sorted((s, point_key(v)) for s, v in reads.items()))
-
-
 def compile_argument(ctx, form, values):
     """The id of the form's argument in the context's table, compiled on first use.
 
@@ -101,7 +95,8 @@ def compile_argument(ctx, form, values):
         ctx._arguments.append(_compile(ctx, form, reads))
         return len(ctx._arguments) - 1
 
-    reads, key = _reads(form, values)
+    reads = {s: values[s] for s in form.nums if s in values and z_index(s) is None}
+    key = tuple(sorted((s, point_key(v)) for s, v in reads.items()))
     return memo(ctx._argument_cache, (form.layout(), key), compute)
 
 
@@ -136,24 +131,6 @@ def _fraction_mpc(n, d):
 def z_coefficients(ctx, i):
     """{j: k_j}: the integer z-coefficients of argument i."""
     return dict(ctx._arguments[i][2])
-
-
-def pole_arguments(ctx, coeffs):
-    """The ids of the poles of structured coefficients, one per distinct pole, in first-seen order.
-
-    A pole is a denominator factor's form, up to the order of its
-    coefficients (`form.key()`), and the values it reads; the first argument
-    seen for it stands for it.  An absent (None) coefficient has none.
-    """
-    poles = {}
-    for coeff in coeffs:
-        for _, expr, values in coeff.parts if coeff is not None else ():
-            for form, m in expr.factors:
-                if m < 0:
-                    pole = form.key(), _reads(form, values)[1]
-                    if pole not in poles:
-                        poles[pole] = compile_argument(ctx, form, values)
-    return list(poles.values())
 
 
 def fixed_point(ctx, z):

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from ccnops.cli import ConfigError, load_config, run_suite
+from ccnops.cli import ConfigError, load_config, parse_complex, run_suite, session_from_config
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -183,6 +183,20 @@ def test_determinism(tmp_path):
 def test_env_override():
     out = run_cli("suite", "degenerations", CCNOPS_PREC="32")
     assert out.returncode == 2
+
+
+def test_x_keys_from_the_environment_reach_the_session(tmp_path, monkeypatch):
+    # x1..x8 set in the environment alone reach the session's xs, and a key
+    # set at every level takes the flag over the environment over the file
+    xs = ["0.0%d+0.01j" % j for j in range(1, 9)]
+    for j, x in enumerate(xs, 1):
+        monkeypatch.setenv("CCNOPS_X%d" % j, x)
+    assert session_from_config(load_config())["xs"] == [parse_complex(x) for x in xs]
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text("x1=0.5+0.5j\nx2=0.6+0.6j\n")
+    monkeypatch.delenv("CCNOPS_X2")
+    assert [load_config(str(cfg))[k] for k in ("x1", "x2")] == [xs[0], "0.6+0.6j"]
+    assert load_config(str(cfg), {"x1": "0.7+0.7j"})["x1"] == "0.7+0.7j"
 
 
 @pytest.mark.parametrize("tau", ["0.31j", "0.5+0.32j"])

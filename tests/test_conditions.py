@@ -42,7 +42,7 @@ from ccnops.curve import (
     point_key,
 )
 from ccnops.diffop import DegreeVector, DifferenceOperator, ExprCoefficient, bindings_for
-from ccnops.factors import TablePoint, compile_argument, pole_arguments, z_coefficients
+from ccnops.factors import TablePoint, compile_argument, z_coefficients
 from ccnops.families import first_order, van_diejen_leading_expr
 from ccnops.symbols import AffineForm, PolarizationRecord, ThetaExpr, zvar
 from ccnops.weyl import AffineRoot, numeric_rank, positive_roots
@@ -280,6 +280,11 @@ def test_vandiejen_t_zero_and_wedge(ctx, xs8):
 BETAS = (AffineRoot((2, 0)), AffineRoot((1, 1)), AffineRoot((1, -1)))
 
 
+def _denominator_ids(ctx, coeff):
+    """The argument ids of a coefficient's denominator factors, the poles a residue point reading it avoids."""
+    return [arg for _, factors in conditions._residue_parts(ctx, coeff) for arg, m in factors if m < 0]
+
+
 def _beta_value(beta, z):
     return sum(c * w for c, w in zip(beta.coeffs, z))
 
@@ -294,7 +299,7 @@ def test_shared_sampler_on_divisor_and_off_poles(ctx, beta):
     # the divisor's own form is parallel and must not be avoided
     parallel = sum((f * c for f, c in zip(zf, beta.coeffs)), AffineForm.var("q") * m)
     others = [zf[0] - zf[1] + AffineForm.var("a"), zf[1] * 2 + AffineForm.var("b"), zf[0] + zf[1]]
-    poles = pole_arguments(ctx, [ExprCoefficient(ThetaExpr(tuple((f, -1) for f in others + [parallel]), 2), params)])
+    poles = _denominator_ids(ctx, ExprCoefficient(ThetaExpr(tuple((f, -1) for f in others + [parallel]), 2), params))
     offsets = {"0": mpc(0), "1": mpc(1), "tau": ctx.tau, "1+tau": 1 + ctx.tau}
     eps = mpf(2) ** -(ctx.prec - 8)
     for comp, lam in offsets.items():
@@ -307,7 +312,7 @@ def test_shared_sampler_on_divisor_and_off_poles(ctx, beta):
             for f in others:
                 assert ctx.dist_to_lattice(f.eval(bindings_for(params, z), ctx._wp)) >= mpf("5e-3")
     # a pole that no point of the divisor avoids
-    stuck = pole_arguments(ctx, [ExprCoefficient(ThetaExpr(((AffineForm.var("p"), -1),), 2), {"p": 1 + ctx.tau})])
+    stuck = _denominator_ids(ctx, ExprCoefficient(ThetaExpr(((AffineForm.var("p"), -1),), 2), {"p": 1 + ctx.tau}))
     with pytest.raises(PoleProximityError):
         next(_residue_samples(ctx, random.Random(7), spec, 2, env, ("0",), 1, stuck))
     # the t-vanishing sampler puts its points on beta(z) = t + m q
@@ -403,28 +408,72 @@ def test_check_residue_rejects_two_vanishing_factors(ctx):
         check_residue(ctx, op, [SUM_SPEC], {"q": Q, "t": T, "eta_prime": ETA}, samples=1)
 
 
-def test_context_table_shares_arguments_and_poles():
+def _poles_read(ctx, spec, n, columns, monkeypatch):
+    """The pole ids `_residue_entries` hands its sampler for the spec on the columns."""
+    seen = []
+    monkeypatch.setattr(conditions, "_residue_samples", lambda *args: seen.append(list(args[-1])) or iter(()))
+    env = {"q": Q, "t": T, "eta_prime": ETA}
+    list(conditions._residue_entries(ctx, random.Random(1), spec, n, env, columns, ("0",), 1))
+    return seen[0]
+
+
+def test_context_table_shares_arguments_and_poles(monkeypatch):
     ctx = CurveContext(TAU, 96)  # a fresh table: ids count from 0
     a = mpc("0.1", "0.05")
     expr = ThetaExpr(((AffineForm.var("a") - zvar(1), -1), (zvar(1), 1)), 1)
     coeffs = [ExprCoefficient(expr, {"q": Q, "a": a})]
+    spec = ConditionSpec("residue-pair", (F(1),), AffineRoot((2,), 1))
+
+    def poles():
+        columns = [{spec.k: conditions._residue_parts(ctx, c)} for c in coeffs]
+        return len(ctx._arguments), _poles_read(ctx, spec, 1, columns, monkeypatch)
+
     # parts are (scale, ((argument id, exponent), ...)) in factor order
     assert coeffs[0].compiled(ctx).parts == ((GAUSS_ONE, ((0, -1), (1, 1))),)
-    # no factor reads q, so a different q shares every argument
+    # no factor reads q, so a different q shares every argument and its pole
     coeffs.append(ExprCoefficient(expr, {"q": T, "a": a}))
     assert coeffs[1].compiled(ctx).parts == ((GAUSS_ONE, ((0, -1), (1, 1))),)
-    assert (len(ctx._arguments), pole_arguments(ctx, coeffs)) == (2, [0])
+    assert poles() == (2, [0])
     # a different value of a is a second argument and a second pole
     coeffs.append(ExprCoefficient(expr, {"a": a + 1}))
     assert coeffs[2].compiled(ctx).parts == ((GAUSS_ONE, ((2, -1), (1, 1))),)
-    assert (len(ctx._arguments), pole_arguments(ctx, coeffs)) == (3, [0, 2])
-    # the same form stored in another order is its own argument but the same pole
+    assert poles() == (3, [0, 2])
+    # the same form stored in another order is its own argument, and a
+    # point tests its pole once more
     coeffs.append(ExprCoefficient(ThetaExpr(((AffineForm({"z1": -1, "a": 1}), -1),), 1), {"a": a}))
     assert coeffs[3].compiled(ctx).parts == ((GAUSS_ONE, ((3, -1),)),)
-    assert (len(ctx._arguments), pole_arguments(ctx, coeffs)) == (4, [0, 2])
+    assert poles() == (4, [0, 2, 3])
     # an absent coefficient has no parts and no poles
     assert conditions._residue_parts(ctx, None) == ()
-    assert pole_arguments(ctx, [None]) == []
+    assert _poles_read(ctx, spec, 1, [{}], monkeypatch) == []
+
+
+@pytest.mark.parametrize("where", ["k", "k2", "unread"])
+def test_a_point_avoids_the_poles_of_the_parts_it_reads_only(ctx, where):
+    # a pole that no point of the divisor avoids (theta(p), p = 1 + tau)
+    # stops both readers when it sits in a coefficient at k or k2, and
+    # rejects no point when it sits at a shift the spec does not read
+    spec = ConditionSpec("residue-pair", (F(1, 2), F(1, 2)), AffineRoot((1, 1), 1))
+    unread = (F(-1, 2), F(1, 2))
+    assert unread not in (spec.k, spec.k2)
+    params = {"q": Q, "t": T, "p": 1 + ctx.tau}
+    shift = {"k": spec.k, "k2": spec.k2, "unread": unread}[where]
+    coeffs = {
+        spec.k: ExprCoefficient(ThetaExpr(((zvar(1) + zvar(2), 1),), 2), params),
+        shift: ExprCoefficient(ThetaExpr(((AffineForm.var("p"), -1), (zvar(1), 1)), 2), params),
+    }
+    op = DifferenceOperator(2, coeffs, params)
+    env = {"q": Q, "t": T, "eta_prime": ETA}
+    model = conditions.SectionModel(ctx, 2, params, env, None, None)
+    model.basis_ops.append(((F(0), F(0)), op))
+    if where == "unread":
+        assert check_residue(ctx, op, [spec], env, samples=1).passed
+        assert model.condition_rows([spec]) == []  # every residue is 0
+    else:
+        with pytest.raises(PoleProximityError, match="away from other poles"):
+            check_residue(ctx, op, [spec], env, samples=1)
+        with pytest.raises(PoleProximityError, match="away from other poles"):
+            model.condition_rows([spec])
 
 
 def test_one_compile_and_one_half_e_per_argument_and_context(monkeypatch):
@@ -699,8 +748,6 @@ def test_condition_rows_reject_vanishing_specs(ctx):
     tspec = ConditionSpec("t-vanish", (F(-1, 2),), AffineRoot((2,), 0))
     with pytest.raises(ValueError, match="residue-pair"):
         model.condition_rows([tspec])
-    with pytest.raises(ValueError, match="residue-pair"):
-        model.nullspace([tspec])
 
 
 def _rank_nine_rows():
@@ -931,7 +978,7 @@ def test_orbit_representatives_give_the_all_spec_nullspace(xs8, n):
         assert len(reps) == {1: 2, 2: 6}[n] and all(s.root.level for s in reps)
         full = weyl.rank_certificate(model.condition_rows(specs, seed=37), 256, want_null=True)
         cert = weyl.rank_certificate(model.condition_rows(reps, seed=37), 256, want_null=True)
-        assert cert.null == model.nullspace(specs, seed=37)
+        assert cert.null == model.nullspace(seed=37)
         assert len(cert.null) == len(full.null) == n + 1
         assert cert.lower >= mpf("1e60") * cert.upper
         with mp.workprec(256):
@@ -1029,4 +1076,4 @@ def test_nullspace_refuses_n3_before_building_rows(ctx, xs8, monkeypatch):
 
     monkeypatch.setattr(model, "condition_rows", no_rows)
     with pytest.raises(NotImplementedError, match="n <= 2"):
-        model.nullspace(specs)
+        model.nullspace(seed=29)

@@ -117,7 +117,7 @@ def test_is_invariant(ctx):
     D = first_order([mpc("0.1", "0.05"), mpc("0.2", "-0.1")], T, Q, 2)
     assert D.is_invariant(ctx, sample_points(2, 2)) < TOL
     single = monomial_operator(2, (F(1), F(0)), ThetaExpr(((zvar(1), 1),), arity=2), PARAMS)
-    assert single.is_invariant(ctx, sample_points(2, 1), tol=TOL) is False
+    assert single.is_invariant(ctx, sample_points(2, 1)) >= TOL
 
 
 def test_leading_terms(ctx):
