@@ -24,10 +24,12 @@ section solver through `factors.TablePoint`.  Values are Gaussian
 floats: (re + i im) 2^e with integer re, im cut back to F = `ctx._wp` +
 GUARD_BITS bits after each product (`gauss_mul`).  An argument z arrives as
 F-bit fixed-point integers and is reduced to z = w0 + m + n tau by integer
-rounding (`reduce_fixed`).  A sweep forms e(z/2) and e(-z/2) as Gaussian
-floats from per-argument and per-point exponentials, and x0 = e(w0/2) = (-1)^m
-e(-n tau/2) e(z/2), once per lattice class of arguments
-(`factors.TablePoint`); `CurveContext.theta` forms w0 exactly and reads
+rounding (`reduce_fixed`).  Both readers of the argument table form
+e(+-z/2) by multiplication, from the context's half-exponentials
+(`half_power`: one `half_e` per base value, integer powers by products),
+and x0 = e(w0/2) = (-1)^m e(-n tau/2) e(z/2) (`reduced_halves`), an
+absolute error of a few units of 2^-F, the order of the error of the
+fixed-point argument itself; `CurveContext.theta` forms w0 exactly and reads
 x0 = `half_e`(w0), so that x0 - 1/x0 keeps its relative precision near a
 zero of theta.  x0 feeds the lacunary sum, run in F-bit fixed point (Brent &
 Zimmermann, Modern Computer Arithmetic, 2010, section 4.4) as s times a
@@ -37,9 +39,10 @@ polynomial in t = x0^2 + x0^-2 by Horner's rule, s = x0 - 1/x0
     theta(z) = (-1)^(m+n) x0^(-2n) e(-n^2 tau/2) theta(w0)
 
 (`theta_translate`, the one translate factor), with e(k tau/2) memoized per
-context.  Zero rule: |w0| < 2^-`ctx._wp` gives exactly 0.  Beyond `half_e`
-and that exact w0, no exponential, cos/sin, `lattice_reduce` or mpc
-operation runs per theta.  Error: each Horner step
+context.  Zero rule: |w0| < 2^-`ctx._wp` gives exactly 0.  No exponential,
+cos/sin, `lattice_reduce` or mpc operation runs per theta of a table
+argument, and per theta of `CurveContext.theta` only `half_e` at that exact
+w0.  Error: each Horner step
 carries an absolute error of a unit of 2^-F relative to its own coefficient
 (relative to |theta|, so more near a zero of theta, where s cancels); each
 product cuts its mantissas once, a relative error of at most 2^(2-F).
@@ -50,20 +53,24 @@ and a sweep's quotient of products of k theta values is good to about k
 Coefficient values run on the same integers (`factors`).  Each theta
 argument of a coefficient, an affine form in z and parameter symbols, is
 compiled once per context and per (form, values of the parameters it reads)
-into a constant c, cut to F-bit fixed point, and integer z-coefficients k_j,
-one entry of the context's argument table (`factors.compile_argument`),
-which the residue sweeps read as well.  At a point, z_j in fixed point (moved by
-q s_j for a shift z -> z + q s), the argument a = c + sum_j k_j z_j is an
-integer sum, and its theta is `theta_of_fixed`(a): `reduce_fixed`, x0 =
-`half_e`(w0) at the exact fixed-point w0, then `theta_at_x0`, memoized on
-exactly the key a, so a memo hit returns the very value a miss would
-compute.  A part's thetas multiply as Gaussian floats into a numerator and
-a denominator, each part is one quotient of F bits (`gauss_quotient`), the
-parts (and the terms of a composite) add exactly (`gauss_add`), and the sum
-is rounded once, to `ctx._wp` bits (`gauss_round`).  The argument carries
-an absolute error of a few units of 2^-F, so near a zero of theta the
-relative error is about 2^-F / |w0|: with F = prec + 32 it stays under
-2^(4-prec) down to |w0| ~ 1e-9.
+into a constant c, cut to F-bit fixed point on integers, and integer
+z-coefficients k_j, one entry of the context's argument table
+(`factors.compile_argument`), which the residue sweeps read as well.  At a
+point, z_j in fixed point (moved by q s_j for a shift z -> z + q s), the
+argument a = c + sum_j k_j z_j is an integer sum, and its theta is
+`theta_of_fixed`(a), memoized on exactly the key a: the first argument to
+reach a key forms its value, from x0 = (-1)^m e(-n tau/2) e(c/2)
+prod_j e(z_j/2)^k_j, a product of the context's half-exponentials
+(`factors.argument_halves`), then `theta_at_x0`; another argument that
+reaches the key later reads that value, which may differ from the one it
+would form in the last bits of F.  A part's thetas multiply as Gaussian
+floats into a numerator and a denominator, each part is one quotient of F
+bits (`gauss_quotient`), the parts (and the terms of a composite) add
+exactly (`gauss_add`), and the sum is rounded once, to `ctx._wp` bits
+(`gauss_round`).  The argument and x0 each carry an absolute error of a few
+units of 2^-F, so near a zero of theta the relative error is a few units
+of 2^-F / |w0|: with F = prec + 32 it stays under 2^(4-prec) down to
+|w0| ~ 1e-9.
 
 Gamma runs on the same integers.  Per step q a table (`_gamma_table`) holds
 c_m = 1/(m (1-p^m)(1-Q^m)), p = e(tau), Q = e(q), in F-bit fixed point, and
@@ -346,8 +353,10 @@ class CurveContext:
         self._theta_cache = {}
         self._fixed_theta_cache = {}
         self._argument_cache = {}  # factors.compile_argument: an id per (form, values read)
-        self._arguments = []  # its entry per id: (re c, im c, ((j, k_j), ...), c)
-        self._argument_halves = {}  # e(+-c/2) per id that a residue sweep reads
+        self._arguments = []  # its entry per id: (re c, im c, ((j, k_j), ...), (num, den, ((value key, n), ...)))
+        self._argument_halves = {}  # e(+-c/2) per id, a product of `_half_powers` entries (factors)
+        self._half_powers = {}  # `half_power`: e(+-k b/2) per base key and integer k
+        self._product_cache = {}  # `theta_product`: the powers p^j and prod (1-p^j)^2
         self._gamma_cache = {}
         self._gamma_table_cache = {}
         self._c_pair_cache = {}
@@ -533,6 +542,27 @@ class CurveContext:
         """The squared distance of a reduced w0 (scaled by 2^F) to the lattice, scaled by 2^(2F)."""
         return min((w0r + a) ** 2 + (w0i + b) ** 2 for a, b in self._fix_near)
 
+    def half_power(self, key, k, base):
+        """(e(k b/2), e(-k b/2)) for an integer k != 0, memoized per (key, k).
+
+        key names the number b exactly, and base() gives b as an mpc: b
+        meets `half_e` once per key and context, at k = 1.  k = -1 swaps
+        that pair, and every other k is one product of F bits (`gauss_mul`)
+        of the powers k -+ 1 and +-1, so e(k b/2) carries a relative error
+        of about |k| 2^(2-F).
+        """
+
+        def compute():
+            if k == 1:
+                return self.half_e(base())
+            if k == -1:
+                return self.half_power(key, 1, base)[::-1]
+            step = 1 if k > 0 else -1
+            (x, y), (xs, ys) = self.half_power(key, k - step, base), self.half_power(key, step, base)
+            return gauss_mul(x, xs, self._fix), gauss_mul(y, ys, self._fix)
+
+        return memo(self._half_powers, (key, k), compute)
+
     def half_tau_power(self, k):
         """e(k tau/2) for an integer k, as a Gaussian float with F-bit mantissas, memoized per k."""
 
@@ -542,23 +572,29 @@ class CurveContext:
 
         return memo(self._half_tau_cache, k, compute)
 
-    def theta_of_fixed(self, ar, ai):
-        """theta(a) as a Gaussian float for an F-bit fixed-point argument a = ar + i ai.
+    def theta_of_fixed(self, ar, ai, halves):
+        """theta(a) as a Gaussian float for an F-bit fixed-point argument a = ar + i ai, memoized on (ar, ai).
 
-        A pure function of its key (ar, ai), memoized on it: `reduce_fixed`,
-        then x0 = `half_e`(w0) at the exact fixed-point w0, then
-        `theta_at_x0`; a w0 under the zero rule gives exactly 0.
+        halves() gives (e(a/2), e(-a/2)) as Gaussian floats; the first
+        argument to reach a key forms its value, from `reduce_fixed`(a) and
+        x0 = (-1)^m e(-n tau/2) e(a/2) (`reduced_halves`), then
+        `theta_at_x0`.  A w0 under the zero rule gives exactly 0.
         """
 
         def compute():
             reduced = self.reduce_fixed(ar, ai)
-            w0r, w0i, _, _ = reduced
-            if w0r * w0r + w0i * w0i < self._fix_zero:
-                return GAUSS_ZERO
-            w0 = mp.make_mpc((from_man_exp(w0r, -self._fix), from_man_exp(w0i, -self._fix)))
-            return self.theta_at_x0(reduced, *self.half_e(w0))
+            return self.theta_at_x0(reduced, *self.reduced_halves(*halves(), reduced[2], reduced[3]))
 
         return memo(self._fixed_theta_cache, (ar, ai), compute)
+
+    def reduced_halves(self, x, y, m, n):
+        """(x0, 1/x0) = (-1)^m (e(-n tau/2) x, e(n tau/2) y) for x = e(a/2), y = e(-a/2) and a = w0 + m + n tau."""
+        if n:
+            x = gauss_mul(x, self.half_tau_power(-n), self._fix)
+            y = gauss_mul(y, self.half_tau_power(n), self._fix)
+        if m % 2:
+            x, y = (-x[0], -x[1], x[2]), (-y[0], -y[1], y[2])
+        return x, y
 
     def theta_at_x0(self, reduced, x, y):
         """theta(z) as a Gaussian float, from `reduce_fixed`(z), x0 = e(w0/2) and y = 1/x0.
@@ -573,7 +609,9 @@ class CurveContext:
         and does not cancel), which costs log2(1/|w0|) bits: the GUARD_BITS
         of F over `ctx._wp` cover that down to |w0| ~ 2^-16, if x0 - 1/x0 is
         good to 2^-F relative, as `half_e` at w0 gives it.  An x0 formed as
-        a product carries an absolute error of 2^-F instead.
+        a product, as both readers of the argument table form it
+        (`factors.argument_halves`), carries an absolute error of a few
+        units of 2^-F instead.
 
         Zero rule: |w0| < 2^-`ctx._wp` gives exactly 0.  Such a w0 is a
         lattice point up to rounding, and callers read the exact zero.  An
@@ -616,7 +654,12 @@ class CurveContext:
         return gauss_mul(self.half_tau_power(-n * n), (0, sign * to_fixed(self._fix_pi, F + 1), -F), F)
 
     def theta_product(self, z):
-        """theta(z; tau) via the defining product formula at the reduced argument (reference path)."""
+        """theta(z; tau) via the defining product formula at the reduced argument (reference path).
+
+        The mpc product formula, independent of the sum kernel.  The powers
+        p^j, p = e(tau), and prod_j (1-p^j)^2 come from a per-context memo
+        (`_product_table`); 1/x is formed once per call.
+        """
         with mp.workprec(self._wp):
             z, m, n = self.lattice_reduce(z)
             mult = mpc(1)
@@ -625,23 +668,37 @@ class CurveContext:
                 if (m + n) % 2:
                     mult = -mult
             xh = self.e(z / 2)
-            x = xh * xh
-            val = xh - 1 / xh
-            denom = mpc(1)
-            p = self.e(self.tau)
-            pj = p
-            j = 1
-            while True:
-                f = (1 - pj * x) * (1 - pj / x)
-                val *= f
-                denom *= (1 - pj) ** 2
-                if abs(pj) * (abs(x) + 1 / abs(x) + 2) < self._cutoff:
-                    break
-                pj *= p
-                j += 1
-                if j > 20000:
-                    raise PrecisionError("theta product did not converge")
+            inv_xh = 1 / xh
+            x, inv_x = xh * xh, inv_xh * inv_xh
+            val = xh - inv_xh
+            powers, denom = self._product_table()
+            for pj in powers:
+                val *= (1 - pj * x) * (1 - pj * inv_x)
             return mult * val / denom
+
+    def _product_table(self):
+        """([p, p^2, ..., p^J], prod_(j<=J) (1-p^j)^2) at `ctx._wp` bits, memoized per context.
+
+        J is fixed for the reduced domain |Im z| <= Im tau/2, where
+        |x| + 1/|x| <= e^(pi Im tau) + e^(-pi Im tau) for x = e(z): the
+        first j with |p^j| (e^(pi Im tau) + e^(-pi Im tau) + 2) < 2^-wp.
+        """
+
+        def compute():
+            p = self.e(self.tau)
+            s = mp.exp(mp.pi * self.tau.imag)
+            bound = s + 1 / s + 2
+            powers, denom, pj = [], mpc(1), p
+            while True:
+                powers.append(pj)
+                denom *= (1 - pj) ** 2
+                if abs(pj) * bound < self._cutoff:
+                    return powers, denom
+                if len(powers) >= 20000:
+                    raise PrecisionError("theta product did not converge")
+                pj *= p
+
+        return memo(self._product_cache, (), compute)
 
     # -- elliptic Gamma -----------------------------------------------------
 

@@ -1,16 +1,26 @@
 """Compiled theta arguments: one table per context behind coefficient values and residues.
 
 A theta factor's argument is an affine form in the curve coordinates z_j and
-in parameter symbols.  One rule (`_compile`) splits it into a constant c,
-summed at F + GUARD_BITS bits and cut to F-bit fixed point (F = `ctx._fix`),
+in parameter symbols.  One rule (`_compile`) splits it into a constant c
 and integer z-coefficients k_j; a form with a non-integer z-coefficient
-raises ValueError.  Each argument compiles once per context and per (form,
+raises ValueError.  c = (num + sum_s n_s v_s) / den is summed exactly on
+integers from the exact mantissas of the parameter values v_s and floored
+once to F-bit fixed point (F = `ctx._fix`), and the entry keeps that
+decomposition.  Each argument compiles once per context and per (form,
 values of the parameters it reads) into the context's table
 (`compile_argument`), and is named by its id from then on: a compiled factor
 is an (id, exponent) pair, and a residue sample point avoids the ids of the
 denominator factors it reads (`conditions._residue_entries`).  At a point
-the argument c + sum_j k_j z_j is an integer sum.  Two readers share the
-table, each with the theta kernel its traffic suits:
+the argument a = c + sum_j k_j z_j is an integer sum.
+
+Both readers form e(+-a/2) by multiplication (`argument_halves`): e(c/2) is
+the root of unity e(1/2den)^r times e(v_s/2den)^(n_s), formed once per
+argument, and e(z_j/2)^(k_j) comes per fixed coordinate value, all integer
+powers of the context's half-exponentials (`CurveContext.half_power`), so
+`half_e` runs once per (parameter value, den), per den and per coordinate
+value, never per argument.  Then x0 = e(w0/2) = (-1)^m e(-n tau/2) e(a/2)
+(`CurveContext.reduced_halves`) feeds the theta kernel.  The two readers
+share the table, each with the memo its traffic suits:
 
 * coefficient values (`compile_parts`, `CompiledParts`), behind
   `ThetaExpr.eval`, `ExprCoefficient.eval` (which `conditions.check_vanishing`
@@ -18,17 +28,17 @@ table, each with the theta kernel its traffic suits:
   layer: the head ratios of `formal` (`FormalGaugedOperator.compose`,
   `invert` and `compare_gauged`) and the Fourier kernel's tail relation
   (`families._TailSolver.A`).  Each theta is
-  `CurveContext.theta_of_fixed`, memoized on the fixed-point argument, each
-  part a quotient of Gaussian-float products, and the parts are summed
-  exactly; a shift z -> z + q s moves the fixed-point coordinates by q s_j
-  (`fixed_shift`), so no shifted point is formed.  Values repeat: the memo
-  answers 13,503 of the 15,204 theta reads of a bench `verify` pass, and
+  `CurveContext.theta_of_fixed`, memoized on the fixed-point argument: the
+  first argument to reach a key forms its value, and a later one reads it.
+  Each part is a quotient of Gaussian-float products, and the parts are
+  summed exactly; a shift z -> z + q s moves the fixed-point coordinates by
+  q s_j (`fixed_shift`), so no shifted point is formed.  Values repeat: the
+  memo answers 13,503 of the 15,204 theta reads of a bench `verify` pass
+  (seed 3), and its 1,701 misses read 129 distinct coordinate values;
   reading them through a per-point table with a point memo cost `verify` 5%
   in wall time and 17% in peak memory;
 * residues, for condition rows and residue checks (`TablePoint`), at random
-  sample points where no point repeats.  e(+-c/2) is formed once per
-  argument and context, only for the arguments a sweep reads, and
-  e(+-z_j/2) once per point and coordinate.  At a point the arguments fall
+  sample points where no point repeats.  At a point the arguments fall
   into lattice classes, one per reduced w0 (`CurveContext.reduce_fixed`):
   on the divisor component beta(z) + m q = lambda, lambda in
   {0, 1, tau, 1 + tau}, an argument a(z) and its image a(s z) under the
@@ -36,11 +46,9 @@ table, each with the theta kernel its traffic suits:
   lattice point (k the argument's z-coefficients).  A class runs one theta
   series, formed from the first argument that reaches it, and each
   argument of the class is that theta(w0) times its translate factor
-  (`CurveContext.theta_translate`).
-  The classes serve 4,281 of the 11,486 theta reads of a bench `solve` pass
-  (seed 1, 37%) and 972 of the 3,104 of a `verify` pass (31%) without a
-  series.  Through `theta_of_fixed` each factor would cost one more
-  `half_e`, about 0.57 s on a 1.3 s pass.
+  (`CurveContext.theta_translate`).  The classes serve 369 of the 1,934
+  theta reads of a bench `solve` pass (seed 1, 19%) and 900 of the 2,960
+  of a `verify` pass (seed 3, 30%) without a series.
 
 Both multiply their parts through one prefix loop (`prefix_products`): the
 parts are sorted by their factors, and each multiplies only the factors
@@ -53,18 +61,16 @@ sample point.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from mpmath import mp, mpc
-from mpmath.libmp import to_fixed
+from mpmath import mp
+from mpmath.libmp import from_man_exp, to_fixed
 
 from .curve import (
     GAUSS_ONE,
     GAUSS_ZERO,
     GUARD_BITS,
     PoleProximityError,
-    exact_mpc,
     gauss_add,
     gauss_exact,
     gauss_mul,
@@ -73,6 +79,8 @@ from .curve import (
     point_key,
     pole_text,
 )
+
+_ONE = point_key(1)  # the base of a constant's root of unity e(1/2den)^r
 
 
 def z_index(sym):
@@ -86,9 +94,10 @@ def compile_argument(ctx, form, values):
     The key is the form's `layout` (its integer numerators in their stored
     order, its constant's numerator and its common denominator) and the
     exact values of the parameters it reads.  The entry
-    `ctx._arguments[id]` is (re c, im c, ((j, k_j), ...), c): c in F-bit
-    fixed point, the z-coefficients, and c at F + GUARD_BITS bits, from
-    which a residue sweep forms e(+-c/2) (`TablePoint`).
+    `ctx._arguments[id]` is (re c, im c, ((j, k_j), ...), (num, den, terms)):
+    c in F-bit fixed point, the z-coefficients, and c's decomposition
+    c = (num + sum n v) / den over the terms (point key of v, n), from which
+    both readers form e(+-c/2) by products (`_constant_halves`).
     """
 
     def compute():
@@ -101,31 +110,93 @@ def compile_argument(ctx, form, values):
 
 
 def _compile(ctx, form, reads):
-    """(re c, im c, ((j, k_j), ...), c): c summed at F + GUARD_BITS bits, then cut to F-bit fixed point.
+    """(re c, im c, ((j, k_j), ...), (num, den, ((point key of v, n), ...))): c = floor(2^F c) on integers.
 
-    The constant and each parameter coefficient enter c as their own
-    reduced fractions, in stored order.
+    Each parameter value v is an exact mantissa and exponent, so
+    2^F (num + sum n v) is summed exactly and divided by den once, with the
+    floor (`_fixed_sum`).
     """
-    F, den = ctx._fix, form.den
-    zk = []
-    with mp.workprec(F + GUARD_BITS):
-        c = _fraction_mpc(form.num, den)
-        for s, n in form.nums.items():
-            j = z_index(s)
-            if j is not None:
-                if n % den:
-                    raise ValueError("theta arguments need integer z-coefficients, got %s in %s" % (Fraction(n, den), form))
-                zk.append((j, n // den))
-            else:
-                c += exact_mpc(reads[s]) * _fraction_mpc(n, den)
-    re, im = c._mpc_
-    return to_fixed(re, F), to_fixed(im, F), tuple(zk), c
+    den, zk, terms = form.den, [], []
+    for s, n in form.nums.items():
+        j = z_index(s)
+        if j is not None:
+            if n % den:
+                raise ValueError("theta arguments need integer z-coefficients, got %s in %s" % (Fraction(n, den), form))
+            zk.append((j, n // den))
+        else:
+            terms.append((point_key(reads[s]), n))
+    re = _fixed_sum(ctx._fix, form.num, den, [(key[0], n) for key, n in terms])
+    im = _fixed_sum(ctx._fix, 0, den, [(key[1], n) for key, n in terms])
+    return re, im, tuple(zk), (form.num, den, tuple(terms))
 
 
-def _fraction_mpc(n, d):
-    """n/d at the working precision: the reduced numerator as an mpc over the reduced denominator."""
-    g = math.gcd(n, d)
-    return mpc(n // g) / (d // g)
+def _fixed_sum(F, num, den, terms):
+    """floor(2^F (num + sum n v) / den) for terms (v, n), v an mpf tuple (sign, man, exp, bc), on integers."""
+    e = min([0] + [v[2] for v, _ in terms if v[1]])
+    total = num << -e
+    for (sign, man, exp, _), n in terms:
+        total += (-n if sign else n) * man << (exp - e)
+    s = F + e
+    return (total << s) // den if s >= 0 else total // (den << -s)
+
+
+def _constant(ctx, i):
+    """The constant c of argument i as an mpc at `ctx._wp` bits, from its decomposition (for messages)."""
+    num, den, terms = ctx._arguments[i][3]
+    with mp.workprec(ctx._wp):
+        return (num + mp.fsum(n * mp.make_mpc(key) for key, n in terms)) / den
+
+
+def _constant_halves(ctx, i):
+    """(e(c/2), e(-c/2)) for the constant c of argument i, memoized per id.
+
+    c/2 = num/2den + sum n v/2den, so e(c/2) is the root of unity
+    e(1/2den)^r, r = num mod 2den taken in (-den, den], times
+    e(v/2den)^n per term: powers of the context's half-exponentials
+    (`CurveContext.half_power`), one `half_e` per (value, den) and per
+    den, multiplied at F bits.
+    """
+
+    def compute():
+        num, den, terms = ctx._arguments[i][3]
+        F, x, y = ctx._fix, GAUSS_ONE, GAUSS_ONE
+        r = num % (2 * den)
+        if r > den:
+            r -= 2 * den
+        if r:
+            terms = terms + ((_ONE, r),)
+        for key, n in terms:
+            px, py = ctx.half_power((key, den), n, lambda: _over(ctx, key, den))
+            x, y = gauss_mul(x, px, F), gauss_mul(y, py, F)
+        return x, y
+
+    return memo(ctx._argument_halves, i, compute)
+
+
+def _over(ctx, key, den):
+    """v/den as an mpc for the point key of v, exact for den = 1, else at F + GUARD_BITS bits."""
+    v = mp.make_mpc(key)
+    if den == 1:
+        return v
+    with mp.workprec(ctx._fix + GUARD_BITS):
+        return v / den
+
+
+def argument_halves(ctx, i, zf):
+    """(e(a/2), e(-a/2)) for argument i at the fixed point zf: e(+-c/2) times e(+-zf_j/2)^k_j.
+
+    Every factor is a power of the context's half-exponentials
+    (`CurveContext.half_power`, one `half_e` per fixed coordinate value),
+    each product cut to F bits: e(a/2) carries an absolute error of a few
+    units of 2^-F, the order of the error of a itself.
+    """
+    F = ctx._fix
+    x, y = _constant_halves(ctx, i)
+    for j, k in ctx._arguments[i][2]:
+        zr, zi = zf[j]
+        px, py = ctx.half_power((zr, zi), k, lambda: mp.make_mpc((from_man_exp(zr, -F), from_man_exp(zi, -F))))
+        x, y = gauss_mul(x, px, F), gauss_mul(y, py, F)
+    return x, y
 
 
 def z_coefficients(ctx, i):
@@ -231,13 +302,14 @@ class CompiledParts:
         F, args = ctx._fix, ctx._arguments
 
         def theta(factor):
-            cr, ci, zk, c = args[factor[0]]
+            i = factor[0]
+            cr, ci, zk, _ = args[i]
             for j, k in zk:
                 cr += k * zf[j][0]
                 ci += k * zf[j][1]
-            value = ctx.theta_of_fixed(cr, ci)
+            value = ctx.theta_of_fixed(cr, ci, lambda: argument_halves(ctx, i, zf))
             if factor[-1] < 0 and value == GAUSS_ZERO:
-                raise PoleProximityError("the point lies on the pole %s" % pole_text(zk, c))
+                raise PoleProximityError("the point lies on the pole %s" % pole_text(zk, _constant(ctx, i)))
             return value
 
         total = GAUSS_ZERO
@@ -258,8 +330,8 @@ class TablePoint:
     F-bit fixed point and reduced by `CurveContext.reduce_fixed` to
     w0 + m + n tau.  Arguments with the same w0 form one lattice class,
     which runs one theta series: the first argument to reach it forms
-    e(+-arg/2) as e(+-c/2), formed once per argument and context, times
-    e(+-z_j/2)^k_j, formed once per point and coordinate, then
+    e(+-arg/2) by products (`argument_halves`: e(+-c/2) once per argument
+    and context, e(+-z_j/2)^k_j once per coordinate value and power), then
     x0 = e(w0/2) = (-1)^m e(-n tau/2) e(arg/2) and 1/x0, and theta(w0)
     (`CurveContext.theta_reduced`); every argument of the class is theta(w0)
     times its own translate factor (`CurveContext.theta_translate`).
@@ -269,8 +341,6 @@ class TablePoint:
         self.ctx = ctx
         self.z = z
         self._fixed = fixed_point(ctx, z)
-        self._halves = {}
-        self._powers = {}
         self._reduced = {}
         self._classes = {}
         self._factors = {}
@@ -305,26 +375,6 @@ class TablePoint:
     def _class_entry(self, i):
         """(theta(w0), x0, 1/x0) for the lattice class of argument i, formed from argument i."""
         ctx = self.ctx
-        F, (_, _, zk, c) = ctx._fix, ctx._arguments[i]
         w0r, w0i, m, n = self.reduced(i)
-        x, y = memo(ctx._argument_halves, i, lambda: ctx.half_e(c))
-        for j, k in zk:
-            x = gauss_mul(x, self._power(j, k), F)
-            y = gauss_mul(y, self._power(j, -k), F)
-        if n:
-            x = gauss_mul(x, ctx.half_tau_power(-n), F)
-            y = gauss_mul(y, ctx.half_tau_power(n), F)
-        if m % 2:
-            x, y = (-x[0], -x[1], x[2]), (-y[0], -y[1], y[2])
+        x, y = ctx.reduced_halves(*argument_halves(ctx, i, self._fixed), m, n)
         return ctx.theta_reduced(w0r, w0i, x, y), x, y
-
-    def _power(self, j, k):
-        """e(k z_j / 2) as a Gaussian float."""
-
-        def compute():
-            if abs(k) == 1:
-                return memo(self._halves, j, lambda: self.ctx.half_e(self.z[j]))[k < 0]
-            step = 1 if k > 0 else -1
-            return gauss_mul(self._power(j, step), self._power(j, k - step), self.ctx._fix)
-
-        return memo(self._powers, (j, k), compute)

@@ -476,23 +476,23 @@ def test_a_point_avoids_the_poles_of_the_parts_it_reads_only(ctx, where):
             model.condition_rows([spec])
 
 
-def test_one_compile_and_one_half_e_per_argument_and_context(monkeypatch):
+def test_one_compile_per_argument_and_one_half_e_per_base_value(monkeypatch):
     # residue checks over several specs, condition rows and coefficient
-    # values on one context compile each distinct argument once, and form
-    # e(+-c/2) from an argument's constant c at most once
+    # values on one context compile each distinct argument once, and run
+    # half_e never per argument: once per base of the context's
+    # half-exponentials, a (parameter value, den) pair that an argument
+    # reads, the root of unity e(1/2den) of a constant num/den, a fixed
+    # coordinate value, and once per power of e(tau/2)
     ctx = CurveContext(TAU, 96)
-    keys, constants, halves = [], {}, []  # constants: id of a compiled c -> (its argument's key, c)
+    keys, calls = [], []
     compile_, half_e = factors._compile, ctx.half_e
 
     def counted_compile(ctx, form, reads):
         keys.append((form.layout(), tuple(sorted((s, point_key(v)) for s, v in reads.items()))))
-        out = compile_(ctx, form, reads)
-        constants[id(out[-1])] = keys[-1], out[-1]
-        return out
+        return compile_(ctx, form, reads)
 
     def counted_half_e(z):
-        if id(z) in constants:
-            halves.append(constants[id(z)][0])
+        calls.append(point_key(z))
         return half_e(z)
 
     monkeypatch.setattr(factors, "_compile", counted_compile)
@@ -510,7 +510,15 @@ def test_one_compile_and_one_half_e_per_argument_and_context(monkeypatch):
         D.eval_coeff(ctx, k, sample_points(2, 1)[0])
     assert check_residue(ctx, D, pairs, env, samples=1).passed
     assert keys and len(keys) == len(set(keys))
-    assert halves and len(halves) == len(set(halves))
+    # the parameter bases the arguments read: (value, den) per term, and
+    # (1, den) for a constant num/den that is not an even integer
+    values = {(key, den) for _, _, _, (num, den, terms) in ctx._arguments for key, _ in terms}
+    roots = {(point_key(1), den) for _, _, _, (num, den, _) in ctx._arguments if num % (2 * den)}
+    bases = {key for key, k in ctx._half_powers if k == 1}
+    coordinates = {key for key in bases if isinstance(key[0], int)}  # (re, im) of a fixed coordinate
+    assert coordinates and bases - coordinates <= values | roots
+    assert len(calls) == len(bases) + len(ctx._half_tau_cache)  # one call per base and per power of e(tau/2)
+    assert len(calls) <= len(values | roots) + len(coordinates) + len(ctx._half_tau_cache)
 
 
 def _table_point(ctx, forms, params, z):

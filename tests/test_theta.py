@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction as F
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -10,9 +11,12 @@ from ccnops.curve import (
     ModulusError,
     PrecisionError,
     gauss_div,
+    gauss_round,
     point_key,
 )
-from conftest import TAU, TOL, rel
+from ccnops.factors import CompiledParts, compile_parts, fixed_point, fixed_shift
+from ccnops.symbols import AffineForm, ThetaExpr
+from conftest import Q, TAU, TOL, rel
 
 
 def test_theta_vanishes_at_zero(ctx):
@@ -233,3 +237,137 @@ def test_theta_kernel_against_its_own_sum_at_f_plus_400_bits():
             want = sum(w * (x0 ** (2 * j + 1) - y0 ** (2 * j + 1)) for j, w in enumerate(weights)) / denom
             worst = max(worst, abs(got - want) / abs(want))
     assert worst * mpf(2) ** ctx.prec <= mpf("1e-8"), worst * mpf(2) ** ctx.prec
+
+
+def _per_call_product(ctx, z):
+    """theta(z) by the product formula with every power of p and every factor formed per call.
+
+    The loop `CurveContext.theta_product` ran before it read a per-context
+    table, kept as its oracle: it stops once |p^j| (|x| + 1/|x| + 2) is
+    below 2^-wp for this z's own x, and divides by x per term.
+    """
+    with mp.workprec(ctx._wp):
+        z, m, n = ctx.lattice_reduce(z)
+        mult = mpc(1)
+        if m or n:
+            mult = ctx.e(-n * z - n * n * ctx.tau / 2)
+            if (m + n) % 2:
+                mult = -mult
+        xh = ctx.e(z / 2)
+        x = xh * xh
+        val = xh - 1 / xh
+        denom = mpc(1)
+        p = ctx.e(ctx.tau)
+        pj = p
+        while True:
+            val *= (1 - pj * x) * (1 - pj / x)
+            denom *= (1 - pj) ** 2
+            if abs(pj) * (abs(x) + 1 / abs(x) + 2) < ctx._cutoff:
+                break
+            pj *= p
+        return mult * val / denom
+
+
+@pytest.mark.parametrize("prec", [96, 256, 800])
+def test_theta_product_against_the_per_call_loop(prec):
+    # the per-context table of p^j and prod (1-p^j)^2, with its term count
+    # fixed from |Im z0| <= Im tau/2, against the per-call loop: at the edge
+    # of the reduced domain (where the fixed count is just enough), inside
+    # it, and at lattice translates of both; the two differ by the rounding
+    # of ctx._wp = prec + 16 bits
+    tau = mpc("0.13", "1.09")
+    ctx = CurveContext(tau, prec)
+    rng = random.Random(31)
+    with mp.workprec(prec + 64):
+        edge = [mpc(rng.uniform(-0.5, 0.5), sign * tau.imag / 2) for sign in (1, -1) for _ in range(3)]
+        inner = [mpc(rng.uniform(-0.5, 0.5), rng.uniform(-0.4, 0.4) * tau.imag) for _ in range(4)]
+        points = [z + m + n * tau for z in edge + inner for m, n in ((0, 0), (3, -2), (-1, 1))]
+    with mp.workprec(prec + 64):
+        worst = max(rel(ctx.theta_product(z), _per_call_product(ctx, z)) for z in points)
+    assert worst < mpf(2) ** (-8 - prec)
+
+
+def _compiled_theta(ctx, form, values, zf, rounded=True):
+    """theta of one compiled argument at the fixed point zf (`factors.CompiledParts`), rounded once or as its Gaussian float."""
+    parts = compile_parts(ctx, ((1, ThetaExpr(((form, 1),), len(zf)), values),))
+    value = CompiledParts(ctx, parts).value(zf)
+    return gauss_round(value, ctx._wp) if rounded else value
+
+
+def _shifted_fixed_point(ctx, z, shift):
+    """The fixed point of z moved by q s, as a coefficient value at z + q s reads it."""
+    return tuple((r + dr, i + di) for (r, i), (dr, di) in zip(fixed_point(ctx, z), fixed_shift(ctx, Q, shift)))
+
+
+@pytest.mark.parametrize("prec", [96, 256])
+def test_product_formed_theta_values(prec):
+    # theta of compiled arguments (n_a a + n_b b + num)/den + k_1 z_1 + k_2 z_2,
+    # |n| <= 4 over den 1, 2 and 3, |k_j| <= 3, at points z and z + q s; each
+    # value is formed from x0 = (-1)^m e(-n tau/2) e(c/2) prod_j e(z_j/2)^k_j,
+    # products of the context's half-exponentials, and is checked against
+    # ctx.theta at the exact argument
+    ctx = CurveContext(TAU, prec)
+    rng = random.Random(41 + prec)
+    bound = mpf(2) ** (8 - prec)
+    tau = mp.make_mpc(point_key(TAU))
+    shifts = [(0, 0), (F(1, 2), F(-1, 2)), (1, 0), (F(-1, 2), F(3, 2))]
+    nums = [n for n in range(-4, 5) if n]
+    covered = set()
+    for case in range(90):
+        den, (na, nb), num = 1 + case % 3, rng.sample(nums, 2), rng.randint(-5, 5)
+        k = (rng.randint(-3, 3), rng.randint(-3, 3))
+        shift = shifts[case % 4]
+        form = AffineForm({"a": F(na, den), "b": F(nb, den), "z1": k[0], "z2": k[1]}, F(num, den))
+        with mp.workprec(600):
+            a, b, *z = (mpc(rng.uniform(-0.5, 0.5), rng.uniform(-0.4, 0.4)) for _ in range(4))
+            a += rng.randint(-3, 3) + rng.randint(-2, 2) * tau
+            arg = (na * a + nb * b + num) / den + sum(kj * (zj + Q * sj) for kj, zj, sj in zip(k, z, shift))
+        got = _compiled_theta(ctx, form, {"a": a, "b": b}, _shifted_fixed_point(ctx, z, shift))
+        assert rel(got, ctx.theta(arg)) < bound, (case, form)
+        _, m, n = ctx.lattice_reduce(arg)
+        covered.add((m % 2, n != 0, num % (2 * den) != 0 and den > 1))
+    assert covered == {(m, n, r) for m in (0, 1) for n in (False, True) for r in (False, True)}
+
+
+@pytest.mark.parametrize("prec", [96, 256])
+def test_product_formed_theta_near_a_zero(prec):
+    # an argument (3 a + 1)/2 - 2 z1 at a distance |w0| of the lattice
+    # point m + n tau, down to |w0| = 1e-9: the argument's fixed point and
+    # x0 each carry an absolute error of a few units of 2^-F, so the
+    # relative error is a few units of 2^-F/|w0|, and under 2^(8-prec)
+    # where |w0| >= 1e-3
+    ctx = CurveContext(TAU, prec)
+    form = AffineForm({"a": F(3, 2), "z1": -2}, F(1, 2))
+    tau = mp.make_mpc(point_key(TAU))
+    for eps in ("1e-3", "1e-6", "1e-9"):
+        for m, n, phase in ((1, 1, "0.1"), (-2, -1, "0.6"), (3, 2, "-0.3"), (0, 0, "0.35")):
+            with mp.workprec(600):
+                w0 = mpf(eps) * mp.expjpi(mpf(phase))
+                z = (mpc("0.1234", "-0.0567"),)
+                target = m + n * tau + w0
+                a = (2 * (target + 2 * z[0]) - 1) / 3
+            got = _compiled_theta(ctx, form, {"a": a}, fixed_point(ctx, z))
+            err = rel(got, ctx.theta(target))
+            assert err * abs(w0) < 16 * mpf(2) ** -ctx._fix, (eps, m, n)
+            if abs(w0) >= mpf("1e-3"):
+                assert err < mpf(2) ** (8 - prec), (eps, m, n)
+
+
+@pytest.mark.parametrize("prec", [96, 256])
+def test_product_formed_theta_is_the_first_comers_value(prec):
+    # a + z1 at z and (2 b + 1)/2 + 2 z1 at z/2, b = a - 1/2, reach one
+    # fixed-point key (every value is dyadic, so exact in fixed point): the
+    # second reads the value the first formed, which agrees with the value
+    # the second forms on a fresh context to 2^(8-prec)
+    a, z = mpc("1.2109375", "2.0703125"), mpc("0.140625", "-0.046875")
+    first_form, second_form = AffineForm({"a": 1, "z1": 1}), AffineForm({"b": 1, "z1": 2}, F(1, 2))
+    second_at = ({"b": a - F(1, 2)}, (z / 2,))
+    ctx, fresh = CurveContext(TAU, prec), CurveContext(TAU, prec)
+    first = _compiled_theta(ctx, first_form, {"a": a}, fixed_point(ctx, (z,)), rounded=False)
+    second = _compiled_theta(ctx, second_form, second_at[0], fixed_point(ctx, second_at[1]), rounded=False)
+    own = _compiled_theta(fresh, second_form, second_at[0], fixed_point(fresh, second_at[1]), rounded=False)
+    assert second == first
+    assert own != first  # the two paths differ in their last bits
+    own, first = gauss_round(own, ctx._wp), gauss_round(first, ctx._wp)
+    assert rel(own, first) < mpf(2) ** (8 - prec)
+    assert rel(first, ctx.theta(a + z)) < mpf(2) ** (8 - prec)
