@@ -7,7 +7,9 @@ the file.  The accepted keys are those of DEFAULTS (prec, tol, seed, n, trunc,
 tau, q, t, eta_prime, samples) and x1..x8, the van Diejen parameters.  These
 are rejected with a ConfigError naming the key: any other key, n, trunc or
 samples below 1 (a suite would pass without a sample or a truncation order
-to test), and prec below 64.
+to test), prec below 64, a tol that is not finite and greater than 0, and a
+non-finite tau, q, t, eta_prime or x_j.  Both van Diejen commands need
+exactly eight x's with sum(x_j) = 2 eta_prime (`_van_diejen_xs`).
 Checks run one after another in the calling thread.  Reports are versioned
 JSON with one record per check; exit status 0 means every check passed, 1
 means some check failed, 2 means the configuration or the command line was
@@ -135,10 +137,13 @@ def session_from_config(cfg):
     for key, value in (("n", n), ("trunc", trunc), ("samples", samples)):
         if value < 1:
             raise ConfigError("%s must be at least 1, got %d" % (key, value))
-    tau = parse_complex(cfg["tau"])
-    q = parse_complex(cfg["q"])
-    t = parse_complex(cfg["t"])
-    eta = parse_complex(cfg["eta_prime"])
+    if not (mp.isfinite(tol) and tol > 0):
+        raise ConfigError("tol must be finite and greater than 0, got %s" % cfg["tol"])
+    values = {key: parse_complex(cfg[key]) for key in ("tau", "q", "t", "eta_prime", *X_KEYS) if key in cfg}
+    for key, value in values.items():
+        if not mp.isfinite(value):
+            raise ConfigError("%s must be finite, got %s" % (key, cfg[key]))
+    tau, q, t, eta = (values[key] for key in ("tau", "q", "t", "eta_prime"))
     if tau.imag < MIN_IM or q.imag < MIN_IM:
         raise ConfigError("Im(tau) and Im(q) must be at least %s" % MIN_IM)
     # the process's precision for its own input arithmetic (module docstring)
@@ -147,7 +152,7 @@ def session_from_config(cfg):
         ctx = CurveContext(tau, prec)
     except (ModulusError, PrecisionError) as exc:
         raise ConfigError(str(exc)) from exc
-    xs = [parse_complex(cfg[key]) for key in X_KEYS if key in cfg]
+    xs = [values[key] for key in X_KEYS if key in values]
     return {
         "ctx": ctx,
         "prec": prec,
@@ -204,6 +209,16 @@ def _solvable_n(S, suite):
     if n > MAX_SOLVE_N:
         raise ConfigError("%s solves a section model, established for n <= %d only, not n = %d" % (suite, MAX_SOLVE_N, n))
     return n
+
+
+def _van_diejen_xs(S, command):
+    """The session's x1..x8 for a van Diejen command; a ConfigError unless there are eight with sum(x_j) = 2 eta_prime."""
+    xs = S["xs"]
+    if len(xs) != 8:
+        raise ConfigError("%s needs exactly eight x parameters, got %d" % (command, len(xs)))
+    if abs(sum(xs) - 2 * S["eta_prime"]) > mpf("1e-12"):
+        raise ConfigError("%s needs sum(x_j) = 2*eta_prime" % command)
+    return xs
 
 
 def _suite_operator_algebra(S):
@@ -427,13 +442,8 @@ def _suite_van_diejen(S):
     from .symbols import AffineForm
 
     ctx, q, t, n = S["ctx"], S["q"], S["t"], _solvable_n(S, "van-diejen")
-    xs = S["xs"]
-    if xs and len(xs) != 8:
-        raise ConfigError("van-diejen requires exactly eight x parameters")
-    if xs:
-        # configured parameters must satisfy the balancing constraint
-        if abs(sum(xs) - 2 * S["eta_prime"]) > mpf("1e-12"):
-            raise ConfigError("van-diejen needs sum(x_j) = 2*eta_prime")
+    if S["xs"]:
+        xs = _van_diejen_xs(S, "van-diejen")
     else:
         rng = random.Random(S["seed"] + 1000)
         xs = [mpc(rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2)) for _ in range(8)]
@@ -706,9 +716,7 @@ def cmd_solve_section(args, cfg):
                 fh.write(ops[0].to_text())
         return 0
     if args.family == "van-diejen":
-        xs = S["xs"]
-        if len(xs) != 8:
-            raise ConfigError("van-diejen solve needs x1..x8 in the config")
+        xs = _van_diejen_xs(S, "solve-section van-diejen")
         _, null = vandiejen_nullspace(S["ctx"], xs, S["q"], S["t"], n, seed=S["seed"])
         print("dimension %d" % len(null))
         return 0

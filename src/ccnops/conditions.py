@@ -2,33 +2,39 @@
 
 Residue conditions relate coefficients at shift vectors linked by an affine
 reflection; vanishing conditions ask one coefficient to vanish along an x- or
-t-divisor.  The checker (`check_residue`) and the solver
+t-divisor.  Every condition point comes from one generator
+(`_divisor_points`), which reads a spec's divisor {c . z = target} as an
+integer vector c and its targets: c = beta and lambda - m q on the
+components lambda in 0, 1, tau (and 1+tau) for a residue pair, c = beta and
+t + m q for a t-vanishing spec, and c = e_i and the blowup point for an
+x-vanishing spec.  The checker (`check_residue`) and the solver
 (`SectionModel.condition_rows`) read one residue-pair path, from spec to
-entry (`_residue_entries`): it draws points on the components of a root
-divisor {beta(z) + m q = lambda}, lambda in 0, 1, tau (and 1+tau)
-(`_residue_samples`), runs one sweep per point (`_sweep`) and yields the
-pair (rb, b1 ra) of each column.  The checker reads one column, the
-operator's coefficients at k and k2, on three components; the solver reads
-every basis column on four.  `_vanishing_samples` draws points on an x- or
-t-divisor, each with a nearby reference point that sets the scale.
+entry (`_residue_entries`): it runs one sweep per point (`_sweep`) and
+yields the pair (rb, b1 ra) of each column.  The checker reads one column,
+the operator's coefficients at k and k2, on three components; the solver
+reads every basis column on four.  `check_vanishing` reads a coefficient's
+value at each point through `eval` (`factors.CompiledParts`), against a
+reference point a small random step off it that sets the scale.
 
 Each residue pair and each t-vanishing condition is carried by a
 `weyl.AffineRoot` beta + m q: beta's integer coefficient vector (e_i +- e_j
 or 2 e_i) and the level m.  A pair's second shift is k under the reflection
 s_(beta + m q), its exponent is 4 (m - <beta, k>)/(beta, beta), and the
-sweep's local coordinate and the pole test's parallel forms read the same
-vector.  Every point is put on its root divisor by the one rule
-`_place_on_root`: the first coordinate z_i the root involves becomes
-(target - sum_(j > i) c_j z_j) / c_i.
-Residues of structured coefficients (`ExprCoefficient`) read the compiled
-parts of their values (`ExprCoefficient.compiled`), whose factors are ids in
-the context's one argument table.  A sample point avoids the ids of the
-denominator factors of the parts it reads, less those parallel to the
-divisor, whose vanishing is the pole under examination.  At a point each
-argument is evaluated once (`factors.TablePoint`): the pole test, the search
-for the unique vanishing factor and the numerator product all read those
-values, so holomorphy along a divisor is never a limit extraction.
-`check_vanishing` reads values through `eval` (`factors.CompiledParts`).
+sweep's local coordinate reads the same vector.  Every point is drawn by
+the one sampler `_divisor_sample` and put on its divisor by the one rule
+`_place_on_root`: the first coordinate z_i that c involves becomes
+(target - sum_(j > i) c_j z_j) / c_i.  Targets, points and correction
+factors are formed at the context's precision, whatever the global mp.prec.
+Conditions read structured coefficients (`ExprCoefficient`) only, through
+the compiled parts of their values (`ExprCoefficient.compiled`), whose
+factors are ids in the context's one argument table.  One pole rule serves
+every kind: a sample point avoids the ids of the denominator factors of the
+parts it reads, less those parallel to the divisor, which no point of the
+divisor avoids (for a residue their vanishing is the pole under
+examination).  At a residue point each argument is evaluated once
+(`factors.TablePoint`): the pole test, the search for the unique vanishing
+factor and the numerator product all read those values, so holomorphy
+along a divisor is never a limit extraction.
 
 A pair's two residues are related by the displayed correction bracket
 theta(u) theta(X + u + s) / (theta(u + s) theta(X + u)) to the pair
@@ -286,7 +292,7 @@ _POLE_MARGIN = Fraction(5, 1000)
 def _sweep(ctx, point, columns, root):
     """The residue of each column at a `TablePoint`, along the divisor of the `weyl.AffineRoot` root.
 
-    columns: the compiled parts (`_residue_parts`) of each column.  The
+    columns: the compiled parts (`_compiled_parts`) of each column.  The
     residue is taken along the divisor through the point, in the local
     coordinate s = beta(z) + m q - lambda, traversed by varying the first
     coordinate beta involves.  Each part contributes through its unique
@@ -344,8 +350,8 @@ def _sweep(ctx, point, columns, root):
     return totals
 
 
-def _residue_parts(ctx, coeff):
-    """A coefficient's compiled parts (`ExprCoefficient.compiled`) for `_sweep`; () for an absent one."""
+def _compiled_parts(ctx, coeff):
+    """A coefficient's compiled parts (`ExprCoefficient.compiled`) for the pole rule and `_sweep`; () if absent."""
     if coeff is None:
         return ()
     if not isinstance(coeff, ExprCoefficient):
@@ -353,10 +359,10 @@ def _residue_parts(ctx, coeff):
     return coeff.compiled(ctx).parts
 
 
-def _parallel(zk, root):
-    """Whether the z-part {j: k_j} of an argument is a nonzero multiple of the root's."""
-    zc = [zk.get(i, 0) for i in range(len(root.coeffs))]
-    return any(zc) and all(a * d == b * c for a, b in zip(zc, root.coeffs) for c, d in zip(zc, root.coeffs))
+def _parallel(zk, vector):
+    """Whether the z-part {j: k_j} of an argument is a nonzero multiple of the integer vector."""
+    zc = [zk.get(i, 0) for i in range(len(vector))]
+    return any(zc) and all(a * d == b * c for a, b in zip(zc, vector) for c, d in zip(zc, vector))
 
 
 # ---------------------------------------------------------------------------
@@ -372,40 +378,38 @@ _LATTICE_POINTS = {"0": (0, 0), "1": (1, 0), "tau": (0, 1), "1+tau": (1, 1)}
 #: the largest n whose section solve is established (see the module docstring)
 MAX_SOLVE_N = 2
 
-_VANISHING = ("x-vanish", "t-vanish")
+
+def _env_values(ctx, env, n):
+    """(q, t, X) from a condition environment at the context's precision; X = q + (n-1) t + eta'."""
+    with mp.workprec(ctx._wp):
+        q, t, x = mpc(env["q"]), mpc(env.get("t", 0)), mpc(env.get("eta_prime", 0))
+        return q, t, q + (n - 1) * t + x
 
 
-def _env_values(env, n):
-    """(q, t, X) from a condition environment; X = q + (n-1) t + eta'."""
-    q = mpc(env["q"])
-    t = mpc(env.get("t", 0))
-    x = mpc(env.get("eta_prime", 0))
-    return q, t, q + (n - 1) * t + x
-
-
-def _place_on_root(z, root, target):
-    """Move the first coordinate z_i the root involves so that beta(z) = target.
+def _place_on_root(z, vector, target):
+    """Move the first coordinate z_i the integer vector c involves so that c . z = target.
 
     z_i = (target - sum_(j > i) c_j z_j) / c_i.  Each c_j is +-1 and c_i is
     1 or 2, so for coordinates at the working precision z_i is rounded once,
     as target - z_j, target + z_j or target / 2 would be.
     """
-    i = next(i for i, c in enumerate(root.coeffs) if c)
+    i = next(i for i, c in enumerate(vector) if c)
     for j in range(i + 1, len(z)):
-        if root.coeffs[j]:
-            target = target - root.coeffs[j] * z[j]
-    z[i] = target / root.coeffs[i]
+        if vector[j]:
+            target = target - vector[j] * z[j]
+    z[i] = target / vector[i]
 
 
-def _divisor_sample(ctx, rng, n, root, target, poles):
-    """A random point of {beta(z) = target} at least 5e-3 from each of `poles` (argument ids).
+def _divisor_sample(ctx, rng, vector, target, poles):
+    """A random point of {vector . z = target} at least 5e-3 from each of `poles` (argument ids).
 
     Returns the arguments' values at the point (a `TablePoint`).
     """
     margin = _fixed_square(ctx, _POLE_MARGIN)
     for _ in range(MAX_RETRIES):
-        z = [mpc(rng.uniform(-0.4, 0.4), rng.uniform(-0.35, 0.35)) for _ in range(n)]
-        _place_on_root(z, root, target)
+        z = [mpc(rng.uniform(-0.4, 0.4), rng.uniform(-0.35, 0.35)) for _ in vector]
+        with mp.workprec(ctx._wp):
+            _place_on_root(z, vector, target)
         point = TablePoint(ctx, tuple(z))
         if all(point.dist2(i) >= margin for i in poles):
             return point
@@ -414,69 +418,63 @@ def _divisor_sample(ctx, rng, n, root, target, poles):
 
 def _correction(ctx, spec, n, env, comp):
     """A pair's correction bracket to its exponent on the component a + b tau: e(-b exponent X), for every u."""
-    X = _env_values(env, n)[2]
-    return ctx.e(-_LATTICE_POINTS[comp][1] * spec.exponent * X)
+    X = _env_values(ctx, env, n)[2]
+    with mp.workprec(ctx._wp):
+        return ctx.e(-_LATTICE_POINTS[comp][1] * spec.exponent * X)
 
 
-def _residue_samples(ctx, rng, spec, n, env, components, samples, poles):
-    """Sample points for a residue-pair condition, away from `poles` (argument ids).
+def _divisor_points(ctx, rng, spec, n, env, parts, components, samples):
+    """Sample points on a spec's divisor {c . z = target}, away from the poles of `parts`.
 
-    Yields (component, sample number, point): `samples` points on each
-    component {beta(z) + m q = lambda} of the divisor, each a `TablePoint`;
-    the RNG draws nothing but the points.  The correction bracket there
-    depends on the component alone (`_correction`).  Poles parallel to the
-    divisor are not avoided: their vanishing is the pole under examination.
+    The divisor is an integer vector c and its targets: c = beta and
+    lambda - m q on each component lambda of `components` for a residue
+    pair, c = beta and t + m q for a t-vanishing spec, and c = e_i and the
+    evaluated point for an x-vanishing spec, whose one target is yielded as
+    component None.  Yields (component, sample number, point), `samples`
+    points per target, each a `TablePoint` (`_divisor_sample`); the RNG
+    draws nothing but the points.  A point avoids the denominator factors of
+    the compiled parts `parts` (one tuple per coefficient read) less those
+    parallel to the divisor: no point of the divisor avoids them, and for a
+    residue their vanishing is the pole under examination.
     """
-    root = spec.root
-    poles = [i for i in poles if not _parallel(z_coefficients(ctx, i), root)]
-    q = _env_values(env, n)[0]
-    for comp in components:
-        a, b = _LATTICE_POINTS[comp]
-        target = a + b * ctx.tau - root.level * q
+    q, t, _ = _env_values(ctx, env, n)
+    with mp.workprec(ctx._wp):
+        if spec.kind == "x-vanish":
+            vector = tuple(int(j == spec.divisor_var) for j in range(n))
+            targets = {None: spec.divisor_point.eval(env, ctx._wp)}
+        elif spec.kind == "t-vanish":
+            vector, targets = spec.root.coeffs, {None: t + spec.root.level * q}
+        else:
+            vector, level = spec.root.coeffs, spec.root.level
+            targets = {c: _LATTICE_POINTS[c][0] + _LATTICE_POINTS[c][1] * ctx.tau - level * q for c in components}
+    poles = dict.fromkeys(arg for p in parts for _, factors in p for arg, m in factors if m < 0)
+    poles = [i for i in poles if not _parallel(z_coefficients(ctx, i), vector)]
+    for comp, target in targets.items():
         for snum in range(samples):
-            yield comp, snum, _divisor_sample(ctx, rng, n, root, target, poles)
+            yield comp, snum, _divisor_sample(ctx, rng, vector, target, poles)
 
 
 def _residue_entries(ctx, rng, spec, n, env, columns, components, samples):
     """The pair (rb, b1 ra) of each column at each sample point of a residue-pair spec.
 
-    columns: one mapping shift -> compiled parts (`_residue_parts`) per
+    columns: one mapping shift -> compiled parts (`_compiled_parts`) per
     column.  ra and rb are a column's residues (`_sweep`, unrounded) at the
     shifts k and k2, and b1 the correction factor on the point's component
     (`_correction`); b1 ra is cut to F bits, so a reader's rb + b1 ra
     (`gauss_add`) is exact.  A point avoids the denominator factors of the
-    parts it reads (`_residue_samples`).  Yields (component, sample number,
+    parts it reads (`_divisor_points`).  Yields (component, sample number,
     [(rb, b1 ra) per column]).
     """
     if spec.kind != "residue-pair":
         raise ValueError("condition rows are built from residue-pair specs only")
     parts = [col.get(k, ()) for k in (spec.k, spec.k2) for col in columns]
-    poles = dict.fromkeys(arg for p in parts for _, factors in p for arg, m in factors if m < 0)
     factors = {c: gauss_exact(_correction(ctx, spec, n, env, c)) for c in components}
-    for comp, snum, point in _residue_samples(ctx, rng, spec, n, env, components, samples, poles):
+    for comp, snum, point in _divisor_points(ctx, rng, spec, n, env, parts, components, samples):
         residues = _sweep(ctx, point, parts, spec.root)
         b1 = factors[comp]
         yield comp, snum, [
             (rb, gauss_mul(b1, ra, ctx._fix)) for ra, rb in zip(residues[:len(columns)], residues[len(columns):])
         ]
-
-
-def _vanishing_samples(ctx, rng, spec, n, env, samples):
-    """Sample points for an x- or t-vanishing condition.
-
-    Yields (sample number, point, reference point): the point lies on the
-    condition's divisor, the reference point a small random step off it.
-    """
-    q, t, _ = _env_values(env, n)
-    for snum in range(samples):
-        z = [mpc(rng.uniform(-0.4, 0.4), rng.uniform(-0.3, 0.3)) for _ in range(n)]
-        if spec.kind == "x-vanish":
-            z[spec.divisor_var] = spec.divisor_point.eval(env, ctx._wp)
-        else:
-            _place_on_root(z, spec.root, t + spec.root.level * q)
-        z = tuple(z)
-        zref = tuple(w + mpc(rng.uniform(0.05, 0.15), rng.uniform(0.02, 0.1)) for w in z)
-        yield snum, z, zref
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +495,7 @@ def check_residue(ctx, op, specs, env, samples=2, seed=11, tol=mpf("1e-25")):
         if spec.kind != "residue-pair":
             continue
         k2 = spec.k2
-        column = {k: _residue_parts(ctx, op.coefficient(k)) for k in (spec.k, k2)}
+        column = {k: _compiled_parts(ctx, op.coefficient(k)) for k in (spec.k, k2)}
         for comp, snum, ((rb, bra),) in _residue_entries(
             ctx, rng, spec, op.n, env, [column], _CHECK_COMPONENTS, samples
         ):
@@ -512,16 +510,22 @@ def check_residue(ctx, op, specs, env, samples=2, seed=11, tol=mpf("1e-25")):
 
 @at_context_precision
 def check_vanishing(ctx, op, specs, env, samples=2, seed=13, tol=mpf("1e-25")):
-    """x-vanishing and t-vanishing conditions (zeros of coefficients on divisors)."""
+    """x-vanishing and t-vanishing conditions (zeros of coefficients on divisors).
+
+    Each point lies on the condition's divisor, off the poles of the
+    coefficient it reads (`_divisor_points`), and its defect is
+    |c(z)| / (|c(z_ref)| + 1e-30), z_ref a small random step off the point.
+    """
     rng = random.Random(seed)
     report = ConditionReport(tolerance=tol)
     for spec in specs:
-        if spec.kind not in _VANISHING:
+        if spec.kind == "residue-pair":
             continue
         c = op.coefficient(spec.k)
         if c is None:
             continue
-        for snum, z, zref in _vanishing_samples(ctx, rng, spec, op.n, env, samples):
+        for _, snum, point in _divisor_points(ctx, rng, spec, op.n, env, [_compiled_parts(ctx, c)], (), samples):
+            z, zref = point.z, tuple(w + mpc(rng.uniform(0.05, 0.15), rng.uniform(0.02, 0.1)) for w in point.z)
             if spec.kind == "x-vanish":
                 label = "x-vanish[k=%s;z%d=%s;#%d]" % (spec.k, spec.divisor_var + 1, spec.divisor_point, snum)
             else:
@@ -699,7 +703,7 @@ class SectionModel:
         with mp.workprec(self.ctx._wp):
             rng = random.Random(seed)
             ctx, floor = self.ctx, -(self.ctx.prec // 2)
-            columns = [{k: _residue_parts(ctx, c) for k, c in op.coeffs.items()} for _, op in self.basis_ops]
+            columns = [{k: _compiled_parts(ctx, c) for k, c in op.coeffs.items()} for _, op in self.basis_ops]
             rows = []
             for spec in specs:
                 for _, _, pairs in _residue_entries(ctx, rng, spec, self.n, self.env, columns, _SOLVE_COMPONENTS, 2):

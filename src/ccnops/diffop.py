@@ -36,7 +36,7 @@ from .curve import (
     point_key,
 )
 from .factors import CompiledParts, compile_parts, fixed_point, fixed_shift
-from .symbols import AffineForm, GammaProduct, ThetaExpr, Unbalanced, zvar
+from .symbols import AffineForm, GammaProduct, ThetaExpr, zvar
 
 
 @dataclass(frozen=True)
@@ -351,16 +351,13 @@ class DifferenceOperator:
     # -- gauges and adjoints -----------------------------------------------
 
     def gauge_conjugate(self, gamma_out, gamma_in):
-        """Gamma_out . D . Gamma_in^{-1}; each shift's ratio must be balanced."""
+        """Gamma_out . D . Gamma_in^{-1}; each shift's ratio must be balanced (`symbols.UnbalancedError` otherwise)."""
         qform = AffineForm.var("q")
         coeffs = {}
         for k, c in self.coeffs.items():
             shift = {"z%d" % (i + 1): zvar(i + 1) + qform * k[i] for i in range(self.n)}
             ratio = gamma_out * gamma_in.substitute(shift).inverse()
-            resolved = ratio.reduce(arity=self.n)
-            if isinstance(resolved, Unbalanced):
-                raise ValueError("unbalanced gauge at shift %s: %s" % (k, resolved))
-            coeffs[k] = c.scaled_expr(resolved)
+            coeffs[k] = c.scaled_expr(ratio.reduce(arity=self.n))
         return DifferenceOperator(self.n, coeffs, self.params, self.degree)
 
     def selberg_adjoint(self, density):
@@ -425,13 +422,7 @@ class SelbergDensity:
     def shift_ratio(self, k):
         """Delta(z + q k) / Delta(z) resolved to a ThetaExpr, memoized per shift."""
         k = tuple(Fraction(x) for x in k)
-        return memo(self._ratio_cache, k, lambda: self._resolve_ratio(k))
-
-    def _resolve_ratio(self, k):
-        resolved = self.product.shift_ratio(k, self.n)
-        if isinstance(resolved, Unbalanced):
-            raise ValueError("density ratio unbalanced at shift %s" % (k,))
-        return resolved
+        return memo(self._ratio_cache, k, lambda: self.product.shift_ratio(k, self.n))
 
 
 def identity_operator(n, params):

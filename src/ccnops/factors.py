@@ -9,8 +9,8 @@ once to F-bit fixed point (F = `ctx._fix`), and the entry keeps that
 decomposition.  Each argument compiles once per context and per (form,
 values of the parameters it reads) into the context's table
 (`compile_argument`), and is named by its id from then on: a compiled factor
-is an (id, exponent) pair, and a residue sample point avoids the ids of the
-denominator factors it reads (`conditions._residue_entries`).  At a point
+is an (id, exponent) pair, and a condition's sample point avoids the ids of
+the denominator factors it reads (`conditions._divisor_points`).  At a point
 the argument a = c + sum_j k_j z_j is an integer sum.
 
 Both readers form e(+-a/2) by multiplication (`argument_halves`): e(c/2) is

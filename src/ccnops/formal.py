@@ -6,7 +6,8 @@ completion where |sum c_k T^k| = max exp(-sum k_i); truncation keeps offsets
 with total degree <= order above the support corner.
 
 A Gamma head commutes through a tail key m as the ratio
-rho_m(z) = Gamma(z + q m) / Gamma(z), resolved to a ThetaExpr.  The ratios of
+rho_m(z) = Gamma(z + q m) / Gamma(z), resolved to a ThetaExpr; a ratio that
+does not resolve raises `symbols.UnbalancedError`.  The ratios of
 `compose` and `invert`, and the ratio of two heads in `compare_gauged`, are
 `diffop.ExprCoefficient`s, so they are read on the context's compiled
 argument table (`factors`) like every finite coefficient.
@@ -22,7 +23,7 @@ from mpmath import mp, mpc, mpf
 
 from .curve import at_context_precision, memo, point_key
 from .diffop import ExprCoefficient, shift_point
-from .symbols import AffineForm, GammaProduct, Unbalanced, zvar
+from .symbols import AffineForm, GammaProduct, zvar
 
 
 class Tail:
@@ -152,12 +153,7 @@ class FormalGaugedOperator:
             other.tail.order,
         ) if order is None else order
         # rho_m(z) = resolve(Gamma2(z + q m) / Gamma2(z)) for the keys of our tail
-        rho = {}
-        for m in self.tail.entries:
-            ratio = other.gamma.shift_ratio(m, n)
-            if isinstance(ratio, Unbalanced):
-                raise ValueError("head does not commute through the tail at %s" % (m,))
-            rho[m] = ExprCoefficient(ratio, params)
+        rho = {m: ExprCoefficient(other.gamma.shift_ratio(m, n), params) for m in self.tail.entries}
         # new tail: [self.tail * rho], shifted by other's c, times other.tail
         entries = {}
         base1 = self.tail.corner()
@@ -216,12 +212,7 @@ class FormalGaugedOperator:
         # Gamma'(z+qm)/Gamma'(z) for Gamma' = Gamma(z - c)^{-1}.
         shift_minus_c = {"z%d" % (i + 1): zvar(i + 1) - self.c_form for i in range(n)}
         gamma_inv = self.gamma.substitute(shift_minus_c).inverse()
-        rho = {}
-        for m in self.tail.entries:
-            ratio = gamma_inv.shift_ratio(m, n)
-            if isinstance(ratio, Unbalanced):
-                raise ValueError("inversion head ratio unbalanced")
-            rho[m] = ExprCoefficient(ratio, params)
+        rho = {m: ExprCoefficient(gamma_inv.shift_ratio(m, n), params) for m in self.tail.entries}
 
         if self.tail.entries.get((0,) * n) != 1:
             raise ValueError("inversion requires tail constant term exactly 1")
@@ -285,9 +276,9 @@ def compare_gauged(ctx, F1, F2, points, order=None):
     of F2 are compared over the keys within the order, and the largest
     |difference| is measured against the largest |coefficient| compared
     there, so a coefficient that is 0 in one operator reads its rounding
-    against the operator's scale.  The heads' ratio must be balanced; it is
-    resolved and folded into the comparison, so the two operators may carry
-    different-looking heads.
+    against the operator's scale.  The heads' ratio must be balanced
+    (`symbols.UnbalancedError` otherwise); it is resolved and folded into
+    the comparison, so the two operators may carry different-looking heads.
     """
     c1, c2 = F1.c_value(ctx), F2.c_value(ctx)
     if abs(c1 - c2) > mpf("1e-20"):
@@ -297,10 +288,7 @@ def compare_gauged(ctx, F1, F2, points, order=None):
         if abs(r - rint) > mpf("1e-20"):
             raise ValueError("gauged operators with different global shifts")
         F1 = F1.rebased(int(rint))
-    res = (F1.gamma * F2.gamma.inverse()).reduce(arity=F1.n)
-    if isinstance(res, Unbalanced):
-        raise ValueError("heads differ by an unbalanced Gamma product")
-    ratio = ExprCoefficient(res, {**F1.params, **F2.params})
+    ratio = ExprCoefficient((F1.gamma * F2.gamma.inverse()).reduce(arity=F1.n), {**F1.params, **F2.params})
     order = min(F1.order, F2.order) if order is None else order
     keys = set(F1.tail.keys_within(order)) | set(F2.tail.keys_within(order))
     c = F1.c_value(ctx)

@@ -9,7 +9,9 @@ views `coeffs` and `const` are for tests and serialization.  A ThetaExpr is
 a finite product of theta factors with affine-linear arguments, an integer
 exponent each; a GammaProduct is a formal product of elliptic Gamma symbols
 with a fixed step, resolved into a ThetaExpr through the functional equation
-whenever its class in Z[Hom/q] is trivial.
+(`GammaProduct.reduce`, and `shift_ratio` through it) when its class in
+Z[Hom/q] is trivial, and raising `UnbalancedError`, which carries the
+unbalanced classes, when it is not.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 from mpmath import mp
 from mpmath.libmp import from_int, fzero, mpf_add, mpf_div, mpf_mul, round_nearest
 
-from .curve import gauss_round, memo, point_key
+from .curve import gauss_round, point_key
 from .factors import CompiledParts, compile_parts, fixed_point, z_coefficients
 
 
@@ -254,16 +256,14 @@ class PolarizationRecord:
 class ThetaExpr:
     """Product of theta factors over `arity` curve coordinates; immutable.
 
-    factors: tuple of (AffineForm, int exponent).  Evaluations are memoized
-    per (context, exact bindings).
+    factors: tuple of (AffineForm, int exponent).
     """
 
-    __slots__ = ("factors", "arity", "_cache")
+    __slots__ = ("factors", "arity")
 
     def __init__(self, factors=(), arity=0):
         self.factors = tuple((form, int(m)) for form, m in factors if int(m))
         self.arity = arity
-        self._cache = {}
 
     @staticmethod
     def one(arity=0):
@@ -289,20 +289,15 @@ class ThetaExpr:
         return ThetaExpr(tuple((f.substitute(assignments), m) for f, m in self.factors), self.arity)
 
     def eval(self, ctx, bind):
-        """The product at the bindings, rounded once; memoized per (context, exact bindings).
+        """The product at the bindings, rounded once.
 
         The factors are compiled on the context's argument table and read at
         the fixed point of the bound z_j (`factors.CompiledParts`).
         """
-
-        def compute():
-            parts = compile_parts(ctx, ((1, self, bind),))
-            n = max((j + 1 for _, factors in parts for i, _ in factors for j in z_coefficients(ctx, i)), default=0)
-            zf = fixed_point(ctx, [bind["z%d" % (j + 1)] for j in range(n)])
-            return gauss_round(CompiledParts(ctx, parts).value(zf), ctx._wp)
-
-        key = (ctx, tuple(sorted((s, point_key(v)) for s, v in bind.items())))
-        return memo(self._cache, key, compute)
+        parts = compile_parts(ctx, ((1, self, bind),))
+        n = max((j + 1 for _, factors in parts for i, _ in factors for j in z_coefficients(ctx, i)), default=0)
+        zf = fixed_point(ctx, [bind["z%d" % (j + 1)] for j in range(n)])
+        return gauss_round(CompiledParts(ctx, parts).value(zf), ctx._wp)
 
     def __repr__(self):
         return " * ".join("theta(%s)^%d" % (f, m) for f, m in self.factors) or "1"
@@ -312,11 +307,12 @@ class ThetaExpr:
 # Gamma products
 
 
-@dataclass(frozen=True)
-class Unbalanced:
-    """Non-trivial class of a Gamma product; carries each unbalanced class and its net exponent."""
+class UnbalancedError(ValueError):
+    """A Gamma product whose class is not trivial; `residual` holds ((class representative, net exponent), ...)."""
 
-    residual: tuple  # tuple of (class representative AffineForm, net exponent)
+    def __init__(self, residual):
+        super().__init__("unbalanced Gamma product: " + " * ".join("Gamma(%s)^%d" % r for r in residual))
+        self.residual = residual
 
 
 class GammaProduct:
@@ -352,7 +348,7 @@ class GammaProduct:
         )
 
     def shift_ratio(self, k, arity):
-        """self(z + q k) / self(z) resolved by reduce(arity): a ThetaExpr, or Unbalanced."""
+        """self(z + q k) / self(z) resolved by reduce(arity) to a ThetaExpr; UnbalancedError if it does not resolve."""
         qform = AffineForm.var("q")
         shift = {"z%d" % (i + 1): zvar(i + 1) + qform * k[i] for i in range(arity)}
         return (self.substitute(shift) * self.inverse()).reduce(arity=arity)
@@ -375,7 +371,7 @@ class GammaProduct:
         return [cls[:2] for cls in classes.values()]
 
     def reduce(self, arity=0):
-        """Resolve a balanced product into a ThetaExpr; else return Unbalanced.
+        """Resolve a balanced product into a ThetaExpr; else raise UnbalancedError.
 
         gamma(a + k*step) = theta(a; step)_k * gamma(a), so within each class
         the Gamma symbols cancel and the theta shifted factorials remain.
@@ -389,7 +385,7 @@ class GammaProduct:
             if net:
                 residual.append((rep, net))
         if residual:
-            return Unbalanced(tuple(residual))
+            raise UnbalancedError(tuple(residual))
         factors = []
         for rep, ks in classes:
             for k, m in ks.items():

@@ -35,13 +35,30 @@ def test_exit_two_on_low_precision():
     assert "configuration error" in out.stderr
 
 
-def test_exit_two_on_bad_constraint(tmp_path):
+@pytest.mark.parametrize("command", [("suite", "van-diejen"), ("solve-section", "van-diejen")], ids=" ".join)
+def test_exit_two_on_bad_constraint(tmp_path, command):
+    # both van Diejen commands read the configured eta' and x's through one check
     cfg = tmp_path / "bad.cfg"
     lines = ["x%d=0.0%d+0.01j" % (j, j) for j in range(1, 9)]
     lines.append("eta_prime=0.9+0.9j")  # violates sum(x) = 2 eta'
     cfg.write_text("\n".join(lines) + "\n")
-    out = run_cli("--config", str(cfg), "suite", "van-diejen")
+    out = run_cli("--config", str(cfg), *command)
     assert out.returncode == 2
+    assert "2*eta_prime" in out.stderr and "Traceback" not in out.stderr
+    assert "dimension" not in out.stdout
+
+
+NON_FINITE = [("tau", "nan+1j"), ("q", "0.21+infj"), ("t", "nan+0.1j"), ("eta_prime", "nan"), ("x3", "nan+0.1j"),
+              ("tol", "nan"), ("tol", "-1"), ("tol", "0"), ("tol", "inf")]
+
+
+@pytest.mark.parametrize("key, value", NON_FINITE, ids=["%s=%s" % kv for kv in NON_FINITE])
+def test_non_finite_inputs_are_config_errors(key, value):
+    # a NaN modulus ended in a traceback, a NaN t let every check pass (max(worst, nan) keeps worst),
+    # and a NaN or negative tol failed every check: each exits 2 with the key named
+    out = run_cli("--seed", "4", "suite", "operator-algebra", **{"CCNOPS_" + key.upper(): value})
+    assert out.returncode == 2
+    assert "configuration error" in out.stderr and key in out.stderr and "Traceback" not in out.stderr
 
 
 def test_unknown_config_key_is_a_config_error(tmp_path):

@@ -11,10 +11,9 @@ from mpmath.libmp import from_man_exp
 
 from ccnops.conditions import (
     ConditionSpec,
+    _divisor_points,
     _place_on_root,
-    _residue_samples,
     _sweep,
-    _vanishing_samples,
     check_polarization,
     check_residue,
     check_vanishing,
@@ -57,26 +56,28 @@ def test_reflect_shift_conventions():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_place_on_root_matches_the_per_kind_formulas(n):
-    # z_i = target - z_j on e_i + e_j, target + z_j on e_i - e_j and
-    # target / 2 on 2 e_i, bit for bit, at points with full mantissas
+    # z_i = target - z_j on e_i + e_j, target + z_j on e_i - e_j, target / 2
+    # on 2 e_i and target on the x-divisor vector e_i, bit for bit, at
+    # points with full mantissas
     rng = random.Random(43 + n)
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     with mp.workprec(272):
 
         def rand():
             return mpc(*(mpf(rng.getrandbits(272) - 2**271) / 2**271 for _ in range(2)))
 
-        for root in positive_roots(n):
-            i, *rest = [j for j, c in enumerate(root.coeffs) if c]
+        for vector in [root.coeffs for root in positive_roots(n)] + units:
+            i, *rest = [j for j, c in enumerate(vector) if c]
             for _ in range(20):
                 z, target = [rand() for _ in range(n)], rand()
                 want = list(z)
                 if not rest:
-                    want[i] = target / 2
-                elif root.coeffs[rest[0]] == 1:
+                    want[i] = target / vector[i]
+                elif vector[rest[0]] == 1:
                     want[i] = target - z[rest[0]]
                 else:
                     want[i] = target + z[rest[0]]
-                _place_on_root(z, root, target)
+                _place_on_root(z, vector, target)
                 assert [w._mpc_ for w in z] == [w._mpc_ for w in want]
 
 
@@ -280,46 +281,90 @@ def test_vandiejen_t_zero_and_wedge(ctx, xs8):
 BETAS = (AffineRoot((2, 0)), AffineRoot((1, 1)), AffineRoot((1, -1)))
 
 
-def _denominator_ids(ctx, coeff):
-    """The argument ids of a coefficient's denominator factors, the poles a residue point reading it avoids."""
-    return [arg for _, factors in conditions._residue_parts(ctx, coeff) for arg, m in factors if m < 0]
+def _parts(ctx, forms, params):
+    """The compiled parts of the coefficient 1 / prod theta(form), one tuple in a list, as `_divisor_points` reads them."""
+    return [conditions._compiled_parts(ctx, ExprCoefficient(ThetaExpr(tuple((f, -1) for f in forms), 2), params))]
 
 
-def _beta_value(beta, z):
-    return sum(c * w for c, w in zip(beta.coeffs, z))
+def _z_parallel(form, vector):
+    """Whether the z-part of a form in z1, z2 is a nonzero multiple of the vector."""
+    a, b = form.coeff("z1"), form.coeff("z2")
+    return bool(a or b) and a * vector[1] == b * vector[0]
 
 
 @pytest.mark.parametrize("beta", BETAS, ids=["double", "sum", "diff"])
 def test_shared_sampler_on_divisor_and_off_poles(ctx, beta):
+    # the one generator puts the points of a residue pair (on each
+    # component), of a t-vanishing spec and of an x-vanishing spec on their
+    # divisors and away from every pole not parallel to the divisor; each
+    # divisor's own vanishing form is parallel and must not be avoided
     m = 1
-    spec = ConditionSpec("residue-pair", (F(1, 2), F(1, 2)), beta.at_level(m))
-    env = {"q": Q, "t": T, "eta_prime": ETA}
-    params = {"q": Q, "a": mpc("0.1", "0.05"), "b": mpc("-0.2", "0.1")}
+    env = {"q": Q, "t": T, "eta_prime": ETA, "x1": mpc("0.05", "0.03")}
+    params = {"q": Q, "t": T, "x1": env["x1"], "a": mpc("0.1", "0.05"), "b": mpc("-0.2", "0.1")}
     zf = [AffineForm.var("z1"), AffineForm.var("z2")]
-    # the divisor's own form is parallel and must not be avoided
-    parallel = sum((f * c for f, c in zip(zf, beta.coeffs)), AffineForm.var("q") * m)
-    others = [zf[0] - zf[1] + AffineForm.var("a"), zf[1] * 2 + AffineForm.var("b"), zf[0] + zf[1]]
-    poles = _denominator_ids(ctx, ExprCoefficient(ThetaExpr(tuple((f, -1) for f in others + [parallel]), 2), params))
-    offsets = {"0": mpc(0), "1": mpc(1), "tau": ctx.tau, "1+tau": 1 + ctx.tau}
-    eps = mpf(2) ** -(ctx.prec - 8)
-    for comp, lam in offsets.items():
-        rng = random.Random(7)
-        samples = list(_residue_samples(ctx, rng, spec, 2, env, (comp,), 2, poles))
-        assert [(c, s) for c, s, _ in samples] == [(comp, 0), (comp, 1)]
-        for _, _, point in samples:
-            z = point.z
-            assert abs(_beta_value(beta, z) + m * Q - lam) < eps
+    qf, tf, x1 = AffineForm.var("q"), AffineForm.var("t"), AffineForm.var("x1")
+    others = [zf[0] - zf[1] + AffineForm.var("a"), zf[1] * 2 + AffineForm.var("b"), zf[0] + zf[1], zf[0] * 2 - qf]
+    beta_form = sum((f * c for f, c in zip(zf, beta.coeffs)), AffineForm())
+    point = x1 + qf * F(1, 2)
+    lams = {"0": mpc(0), "1": mpc(1), "tau": ctx.tau, "1+tau": 1 + ctx.tau}
+    with mp.workprec(ctx._wp):
+        cases = [  # (spec, components, divisor vector, its form vanishing on the divisor, {component: target})
+            (ConditionSpec("residue-pair", (F(1, 2), F(1, 2)), beta.at_level(m)), tuple(lams), beta.coeffs,
+             beta_form + qf * m, {c: lam - m * Q for c, lam in lams.items()}),
+            (ConditionSpec("t-vanish", (F(-1), F(0)), beta.at_level(m)), (), beta.coeffs,
+             beta_form - tf - qf * m, {None: T + m * Q}),
+            (ConditionSpec("x-vanish", (F(-1), F(0)), divisor_var=0, divisor_point=point), (), (1, 0),
+             zf[0] - point, {None: env["x1"] + Q / 2}),
+        ]
+    eps = mpf(2) ** (8 - ctx.prec)
+    for spec, components, vector, own, targets in cases:
+        got = list(_divisor_points(ctx, random.Random(7), spec, 2, env, _parts(ctx, others + [own], params), components, 2))
+        assert [(c, s) for c, s, _ in got] == [(c, s) for c in targets for s in (0, 1)], spec.kind
+        for comp, _, p in got:
+            assert abs(sum(c * w for c, w in zip(vector, p.z)) - targets[comp]) < eps, spec.kind
             for f in others:
-                assert ctx.dist_to_lattice(f.eval(bindings_for(params, z), ctx._wp)) >= mpf("5e-3")
-    # a pole that no point of the divisor avoids
-    stuck = _denominator_ids(ctx, ExprCoefficient(ThetaExpr(((AffineForm.var("p"), -1),), 2), {"p": 1 + ctx.tau}))
-    with pytest.raises(PoleProximityError):
-        next(_residue_samples(ctx, random.Random(7), spec, 2, env, ("0",), 1, stuck))
-    # the t-vanishing sampler puts its points on beta(z) = t + m q
-    tspec = ConditionSpec("t-vanish", (F(-1), F(0)), beta.at_level(m))
-    for _, z, zref in _vanishing_samples(ctx, random.Random(7), tspec, 2, env, 2):
-        assert abs(_beta_value(beta, z) - T - m * Q) < eps
-        assert all(0 < (r - w).real < 0.15 and 0 < (r - w).imag < 0.1 for r, w in zip(zref, z))
+                if not _z_parallel(f, vector):
+                    assert ctx.dist_to_lattice(f.eval(bindings_for(params, p.z), ctx._wp)) >= mpf("5e-3"), (spec.kind, f)
+        # a pole that no point of the divisor avoids stops the generator
+        stuck = _parts(ctx, [AffineForm.var("p")], {"p": 1 + ctx.tau})
+        with pytest.raises(PoleProximityError, match="away from other poles"):
+            next(_divisor_points(ctx, random.Random(7), spec, 2, env, stuck, components, 1))
+    # and so stops a vanishing check of a coefficient that carries it
+    vanishing = [spec for spec, *_ in cases[1:]]
+    coeff = ExprCoefficient(ThetaExpr(((AffineForm.var("p"), -1), (zf[0], 1)), 2), {"q": Q, "p": 1 + ctx.tau})
+    op = DifferenceOperator(2, {vanishing[0].k: coeff}, {"q": Q, "t": T})
+    for spec in vanishing:
+        with pytest.raises(PoleProximityError, match="away from other poles"):
+            check_vanishing(ctx, op, [spec], env, samples=1)
+
+
+@pytest.mark.parametrize("prec", [53, 320])
+def test_points_and_entries_do_not_read_the_global_precision(ctx, xs8, prec):
+    # targets, points and correction factors are formed at the context's
+    # precision: under a global mp.prec of 53 or 320 bits the generator's
+    # points for every spec kind, and the entries of `_residue_entries`, are
+    # those of a call under mp.workprec(ctx._wp), bit for bit
+    model = vandiejen_model(ctx, xs8, Q, T, 2)
+    specs = enumerate_conditions(model.degree, model.lam, model.params, 2)
+    kinds = ("residue-pair", "t-vanish", "x-vanish")
+    specs = [next(s for s in specs if s.kind == kind and (s.root is None or s.root.level)) for kind in kinds]
+    columns = [{k: conditions._compiled_parts(ctx, c) for k, c in op.coeffs.items()} for _, op in model.basis_ops]
+
+    def run():
+        out = []
+        for spec in specs:
+            parts = [col.get(spec.k, ()) for col in columns]
+            comps = conditions._SOLVE_COMPONENTS if spec.kind == "residue-pair" else ()
+            points = _divisor_points(ctx, random.Random(3), spec, 2, model.env, parts, comps, 2)
+            out += [(c, s, [w._mpc_ for w in p.z]) for c, s, p in points]
+            if spec.kind == "residue-pair":
+                out += list(conditions._residue_entries(ctx, random.Random(3), spec, 2, model.env, columns, comps, 2))
+        return out
+
+    with mp.workprec(ctx._wp):
+        want = run()
+    with mp.workprec(prec):
+        assert run() == want
 
 
 def _bracket_oracle(ctx, root, z, u, X, q):
@@ -346,7 +391,7 @@ def test_correction_against_the_four_theta_oracle(prec):
                 for m in range(-2, 3):
                     spec = ConditionSpec("residue-pair", tuple(F(3, 2) * c for c in beta.coroot), beta.at_level(m))
                     assert spec.exponent != 0
-                    for comp, _, point in _residue_samples(ctx, rng, spec, n, env, conditions._SOLVE_COMPONENTS, 1, []):
+                    for comp, _, point in _divisor_points(ctx, rng, spec, n, env, [], conditions._SOLVE_COMPONENTS, 1):
                         got = conditions._correction(ctx, spec, n, env, comp)
                         for re_box, im_box in boxes:
                             u = mpc(rng.uniform(*re_box), rng.uniform(*im_box))
@@ -390,10 +435,15 @@ def _one_coefficient_operator(factors):
 
 
 def test_check_residue_rejects_opaque_coefficients(ctx):
+    # both checkers read compiled parts, so neither takes a composite coefficient
     D = first_order([], T, Q, 1)
+    env = {"q": Q, "t": T, "eta_prime": ETA}
     spec = ConditionSpec("residue-pair", (F(-1),), AffineRoot((2,), 0))
     with pytest.raises(ValueError, match="structured coefficients"):
-        check_residue(ctx, D.compose(D), [spec], {"q": Q, "t": T, "eta_prime": ETA}, samples=1)
+        check_residue(ctx, D.compose(D), [spec], env, samples=1)
+    tspec = ConditionSpec("t-vanish", (F(-1),), AffineRoot((2,), 0))
+    with pytest.raises(ValueError, match="structured coefficients"):
+        check_vanishing(ctx, D.compose(D), [tspec], env, samples=1)
 
 
 def test_check_residue_rejects_a_double_pole(ctx):
@@ -409,12 +459,12 @@ def test_check_residue_rejects_two_vanishing_factors(ctx):
 
 
 def _poles_read(ctx, spec, n, columns, monkeypatch):
-    """The pole ids `_residue_entries` hands its sampler for the spec on the columns."""
+    """The denominator ids, first seen first, of the parts `_residue_entries` hands the generator for the spec on the columns."""
     seen = []
-    monkeypatch.setattr(conditions, "_residue_samples", lambda *args: seen.append(list(args[-1])) or iter(()))
+    monkeypatch.setattr(conditions, "_divisor_points", lambda *args: seen.append(args[5]) or iter(()))
     env = {"q": Q, "t": T, "eta_prime": ETA}
     list(conditions._residue_entries(ctx, random.Random(1), spec, n, env, columns, ("0",), 1))
-    return seen[0]
+    return list(dict.fromkeys(arg for parts in seen[0] for _, factors in parts for arg, m in factors if m < 0))
 
 
 def test_context_table_shares_arguments_and_poles(monkeypatch):
@@ -425,7 +475,7 @@ def test_context_table_shares_arguments_and_poles(monkeypatch):
     spec = ConditionSpec("residue-pair", (F(1),), AffineRoot((2,), 1))
 
     def poles():
-        columns = [{spec.k: conditions._residue_parts(ctx, c)} for c in coeffs]
+        columns = [{spec.k: conditions._compiled_parts(ctx, c)} for c in coeffs]
         return len(ctx._arguments), _poles_read(ctx, spec, 1, columns, monkeypatch)
 
     # parts are (scale, ((argument id, exponent), ...)) in factor order
@@ -444,7 +494,7 @@ def test_context_table_shares_arguments_and_poles(monkeypatch):
     assert coeffs[3].compiled(ctx).parts == ((GAUSS_ONE, ((3, -1),)),)
     assert poles() == (4, [0, 2, 3])
     # an absent coefficient has no parts and no poles
-    assert conditions._residue_parts(ctx, None) == ()
+    assert conditions._compiled_parts(ctx, None) == ()
     assert _poles_read(ctx, spec, 1, [{}], monkeypatch) == []
 
 
@@ -681,7 +731,7 @@ def test_sweep_on_shared_prefixes_against_the_per_part_oracle(ctx):
         if col else None
         for col in columns
     ]
-    encoded = [conditions._residue_parts(ctx, c) for c in coeffs]
+    encoded = [conditions._compiled_parts(ctx, c) for c in coeffs]
     beta = AffineRoot((2,))
     with mp.workprec(600):
         on = (mp.make_mpc(point_key(ctx.tau)) / 2 + mpc("0.5"),)

@@ -10,7 +10,7 @@ from ccnops.symbols import (
     GammaProduct,
     PolarizationRecord,
     ThetaExpr,
-    Unbalanced,
+    UnbalancedError,
     _step_class,
     zvar,
 )
@@ -35,9 +35,12 @@ def test_reduce_empty():
 
 def test_reduce_unbalanced():
     gp = GammaProduct(terms=((z1, 1), (zvar(2), -1)))
-    out = gp.reduce()
-    assert isinstance(out, Unbalanced)
-    assert len(out.residual) == 2
+    with pytest.raises(UnbalancedError) as info:
+        gp.reduce()
+    assert isinstance(info.value, ValueError)
+    assert info.value.residual == ((z1, 1), (zvar(2), -1))
+    with pytest.raises(UnbalancedError):
+        GammaProduct(terms=((z1, 1),)).shift_ratio((Fraction(1, 2),), 1)  # a half step does not resolve
 
 
 def test_pochhammer_class_resolution(ctx):
@@ -135,7 +138,7 @@ def _pairwise_reduce(gp, arity):
             classes.append([form, {0: m}])
     residual = tuple((rep, sum(ks.values())) for rep, ks in classes if sum(ks.values()))
     if residual:
-        return Unbalanced(residual)
+        raise UnbalancedError(residual)
     factors = []
     for rep, ks in classes:
         for k, m in ks.items():
@@ -144,6 +147,14 @@ def _pairwise_reduce(gp, arity):
             elif m:
                 factors += [(rep - gp.step * i, -m) for i in range(1, -k + 1)]
     return ThetaExpr(tuple(factors), arity)
+
+
+def _outcome(reduce, *args):
+    """reduce(*args), or the UnbalancedError it raises."""
+    try:
+        return reduce(*args)
+    except UnbalancedError as exc:
+        return exc
 
 
 def _layout(pairs):
@@ -174,14 +185,14 @@ def test_reduce_matches_the_pairwise_search(step):
         for _ in range(3):
             rng.shuffle(terms)
             gp = GammaProduct(step, terms)
-            got, want = gp.reduce(arity=3), _pairwise_reduce(gp, 3)
+            got, want = _outcome(gp.reduce, 3), _outcome(_pairwise_reduce, gp, 3)
             assert type(got) is type(want)
             kinds.add(type(got))
-            if isinstance(want, Unbalanced):
+            if isinstance(want, UnbalancedError):
                 assert _layout(got.residual) == _layout(want.residual)
             else:
                 assert _layout(got.factors) == _layout(want.factors) and got.arity == 3
-    assert kinds == {ThetaExpr, Unbalanced}
+    assert kinds == {ThetaExpr, UnbalancedError}
 
 
 def test_reduce_floors_negative_fractional_multiples():
@@ -189,15 +200,17 @@ def test_reduce_floors_negative_fractional_multiples():
     te = GammaProduct(terms=((z1 - qf * Fraction(3, 2), 1), (z1 + qf * half, -1))).reduce(arity=1)
     assert isinstance(te, ThetaExpr)
     assert _layout(te.factors) == _layout(((z1 - qf * Fraction(3, 2), -1), (z1 - qf * half, -1)))
-    out = GammaProduct(terms=((z1 + qf * half, 1), (z1, -1))).reduce(arity=1)
-    assert isinstance(out, Unbalanced) and len(out.residual) == 2
+    with pytest.raises(UnbalancedError) as info:
+        GammaProduct(terms=((z1 + qf * half, 1), (z1, -1))).reduce(arity=1)
+    assert len(info.value.residual) == 2
     # a step of 2q: 4q and -4q are exact multiples of it, q is not
     q2 = qf * 2
     te = GammaProduct(q2, ((z1 + qf * 4, 1), (z1, -1), (z1 - qf * 4, 1), (z1 - qf * 4, -1))).reduce(arity=1)
     assert _layout(te.factors) == _layout(((z1 + q2, 1), (z1, 1)))
     te = GammaProduct(q2, ((z1 - qf * 4, 1), (z1, -1))).reduce(arity=1)
     assert _layout(te.factors) == _layout(((z1 - qf * 4, -1), (z1 - q2, -1)))
-    assert isinstance(GammaProduct(q2, ((z1 + qf, 1), (z1, -1))).reduce(arity=1), Unbalanced)
+    with pytest.raises(UnbalancedError):
+        GammaProduct(q2, ((z1 + qf, 1), (z1, -1))).reduce(arity=1)
 
 
 def _substitute_by_sums(form, assignments):
