@@ -191,7 +191,9 @@ class ConditionReport:
 
     @property
     def max_defect(self):
-        return max((mpf(abs(r.defect)) for r in self.records), default=mpf(0))
+        """The largest record defect; inf if any is NaN, which `max` would otherwise drop."""
+        defects = [mpf(abs(r.defect)) for r in self.records]
+        return mp.inf if any(mp.isnan(x) for x in defects) else max(defects, default=mpf(0))
 
     def add(self, spec_id, defect):
         self.records.append(ConditionRecord(spec_id, defect, bool(abs(defect) < self.tolerance)))

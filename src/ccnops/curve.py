@@ -360,7 +360,9 @@ class CurveContext:
         self._gamma_cache = {}
         self._gamma_table_cache = {}
         self._c_pair_cache = {}
-        self._lattice_weight_cache = {}  # weyl._theta_basis: e(mk tau/2d) as a Gaussian float per (mk, d)
+        # weyl._lattice_weight: e(N tau/2d) as a Gaussian float per (N, d), the power
+        # x^N of x = e(tau/2d), which meets half_e once per d
+        self._lattice_weight_cache = {}
 
     # -- primitives -------------------------------------------------------
 

@@ -68,8 +68,13 @@ def shift_point(z, q, k):
 
 
 def rel_defect(a, b):
-    """Symmetric relative defect |a - b| / max(|a|, |b|, 1e-30)."""
-    return abs(a - b) / max(abs(a), abs(b), mpf("1e-30"))
+    """Symmetric relative defect |a - b| / max(|a|, |b|, 1e-30); inf where that is NaN.
+
+    A NaN would compare False with everything, so `max(worst, nan)` would
+    drop it and a check folding defects by max would pass; inf fails it.
+    """
+    d = abs(a - b) / max(abs(a), abs(b), mpf("1e-30"))
+    return d if d == d else mp.inf
 
 
 @at_context_precision

@@ -339,11 +339,18 @@ def _mat_T(a):
     return tuple(tuple(a[j][i] for j in range(len(a))) for i in range(len(a[0])))
 
 
+def _identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _mat_vec(a, v):
+    return [sum(x * y for x, y in zip(row, v)) for row in a]
+
+
 def group_closure(gens):
     """Close a set of integer matrices under multiplication."""
     gens = [tuple(tuple(int(x) for x in row) for row in g) for g in gens]
-    n = len(gens[0])
-    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    ident = _identity(len(gens[0]))
     seen = {ident}
     frontier = [ident]
     while frontier:
@@ -396,19 +403,27 @@ def _det_int(Q):
 
 
 def discriminant_group(Q):
-    """Representatives of Q^{-1} Z^n / Z^n as tuples of Fractions in [0,1)."""
+    """Representatives of Q^{-1} Z^n / Z^n as tuples of Fractions in [0,1), sorted.
+
+    With D = |det Q|, D Q^{-1} = +-adj(Q) is an integer matrix A, and
+    Q^{-1} k = (A k mod D)/D (mod 1); A k mod D is enumerated on integers
+    over k in [0, D)^n, and only the D distinct residues become Fractions.
+    """
     n = len(Q)
-    det = abs(_det_int(Q))
-    qinv = _q_inverse(Q)
-    seen = set()
-    for k in itertools.product(range(det), repeat=n):
-        c = tuple(
-            sum(qinv[i][j] * k[j] for j in range(n)) % 1 for i in range(n)
-        )
-        seen.add(c)
-    if len(seen) != det:
+    D = abs(_det_int(Q))
+    A = [[int(x * D) for x in row] for row in _q_inverse(Q)]
+    seen = {tuple(sum(a * kj for a, kj in zip(row, k)) % D for row in A) for k in itertools.product(range(D), repeat=n)}
+    if len(seen) != D:
         raise ValueError("discriminant enumeration mismatch")
-    return sorted(seen)
+    return [tuple(Fraction(r, D) for r in c) for c in sorted(seen)]
+
+
+def _check_isometries(Q, gens):
+    """ValueError naming the first generator g with g^T Q g != Q."""
+    Q = tuple(tuple(int(x) for x in row) for row in Q)
+    for g in gens:
+        if _mat_mul(_mat_T(g), _mat_mul(Q, g)) != Q:
+            raise ValueError("generator %s does not preserve Q (g^T Q g != Q)" % ([list(row) for row in g],))
 
 
 def invariant_dimension(Q, gens):
@@ -425,9 +440,7 @@ def invariant_dimension(Q, gens):
         raise ValueError("Q must have even diagonal")
     if _det_int(Q) <= 0 or any(_det_int([row[: k + 1] for row in Q[: k + 1]]) <= 0 for k in range(n)):
         raise ValueError("Q must be positive definite")
-    for g in gens:
-        if _mat_mul(_mat_T(g), _mat_mul(Q, g)) != tuple(tuple(int(x) for x in r) for r in Q):
-            raise ValueError("generator does not preserve Q")
+    _check_isometries(Q, gens)
     elements = discriminant_group(Q)
     group = group_closure(gens) if gens else []
     index = {c: i for i, c in enumerate(elements)}
@@ -474,14 +487,25 @@ def automorphism_group(Q):
     return out
 
 
-def _int_powers(x, K, F):
-    """[x^0, ..., x^K, x^-K, ..., x^-1] as Gaussian floats cut to F bits, so that x^k sits at index k."""
-    up, down = [GAUSS_ONE], [GAUSS_ONE]
-    xinv = gauss_quotient(GAUSS_ONE, x, F)
-    for _ in range(K):
-        up.append(gauss_mul(up[-1], x, F))
-        down.append(gauss_mul(down[-1], xinv, F))
-    return up + down[:0:-1]
+def _lattice_weight(ctx, N, d):
+    """e(N tau/2d) for an integer N >= 0 as a Gaussian float, memoized per (N, d) on the context.
+
+    x = e(tau/2d) meets `half_e` once per d and context, at tau/d formed
+    from the exact tau at F + GUARD_BITS bits; x^N is x^(N//2) squared,
+    times x for odd N, each product cut to F bits (`gauss_mul`).  So x^N
+    carries a relative error of about (N + 8 log2 N) 2^-F: N times the
+    2^-F of x itself, and two products of 2^(2-F) per bit of N.
+    """
+
+    def compute():
+        if N == 1:
+            with mp.workprec(ctx._fix + GUARD_BITS):
+                return ctx.half_e(mp.make_mpc(ctx._tau_exact) / d)[0]
+        half = _lattice_weight(ctx, N // 2, d)
+        w = gauss_mul(half, half, ctx._fix)
+        return gauss_mul(w, _lattice_weight(ctx, 1, d), ctx._fix) if N % 2 else w
+
+    return memo(ctx._lattice_weight_cache, (N, d), compute) if N else GAUSS_ONE
 
 
 def _ellipsoid_rows(Q, d, bound, residues):
@@ -555,8 +579,9 @@ def theta_basis_values(Q, points, ctx):
 
         e(m^T Q m tau/2 + m^T Q z) = w(c, m) * prod_j e(z_j)^(k_j),
 
-    with z-free weights w(c, m) = e(m^T Q m tau/2), one e call per distinct
-    (d m^T Q m, d), memoized on the context as Gaussian floats.  Along a
+    with z-free weights w(c, m) = e(N tau/2d), N = d m^T Q m: the powers x^N
+    of the one x = e(tau/2d) per denominator d, memoized on the context as
+    Gaussian floats (`_lattice_weight`).  Along a
     row, m_1..m_(n-1) fixed and m_n rising by 1, k rises by Q e_n, so
     consecutive terms differ by the factor y = prod_j e(z_j)^(Q_jn) besides
     their weights.  Per point, a row of weights w_0..w_(L-1) from its first
@@ -576,17 +601,33 @@ def theta_basis_values(Q, points, ctx):
     scale that makes every shift of the row nonnegative.  Error: step t
     truncates one unit of 2^-(F + s_t), about 2^-F |w_t|, and the steps
     below multiply it by y^t and the start factor, so it reaches the sum as
-    about 2^-F |w_t| |y|^t |start| = 2^-F |term_t|.  The integer powers of
-    e(z_j), y and the start factors are Gaussian floats cut to F bits after
-    each product (`gauss_mul`), each row's sum is multiplied by its start
-    factor, the rows of one c add exactly (`gauss_add`), and their sum is
-    rounded once, to `ctx._wp` bits.
+    about 2^-F |w_t| |y|^t |start| = 2^-F |term_t|.  The weight x^N is good
+    to about (N + 8 log2 N) 2^-F relative, N under 2^10 at 256 bits.  The
+    integer powers of e(z_j), y and the start factors are Gaussian floats
+    cut to F bits after each product (`gauss_mul`), each row's sum is
+    multiplied by its start factor, the rows of one c add exactly
+    (`gauss_add`), and their sum is rounded once, to `ctx._wp` bits.
+
+    The same rows evaluate `theta_symmetrization_rows` at pairs (z, g) of a
+    base point z and an integer g with g^T Q g = Q, without forming g z.
+    Since e((g z)_i) = prod_j e(z_j)^(g_ij), the factor prod_i e((g z)_i)^(k_i)
+    of a term is prod_j e(z_j)^((g^T k)_j): a row's start factor at (z, g)
+    is prod_j e(z_j)^((g^T k)_j) and its y is prod_j e(z_j)^((g^T Q e_n)_j),
+    both read from one table of integer powers of e(z_j) per coordinate of
+    the base point.  S is taken over the base points alone: Im (g z) / Im tau
+    = g u and ||g u||_Q^2 = u^T g^T Q g u = ||u||_Q^2, so the ellipsoid that
+    bounds the tail at z bounds it at every g z.
     """
-    return [[gauss_round(v, ctx._wp) for v in row] for row in _theta_basis(Q, discriminant_group(Q), points, ctx)]
+    return [[gauss_round(v, ctx._wp) for v in row] for row in _theta_basis(Q, discriminant_group(Q), points, [_identity(len(Q))], ctx)]
 
 
-def _theta_basis(Q, elements, points, ctx):
-    """`theta_basis_values` before its rounding, as Gaussian floats; `elements` is `discriminant_group(Q)`."""
+def _theta_basis(Q, elements, points, group, ctx):
+    """Per c of `elements` (`discriminant_group(Q)`) and per base point z, sum over g in `group` of f_c(g z).
+
+    The sums are exact and unrounded, as Gaussian floats; the pairs (z, g)
+    are evaluated as `theta_basis_values` sets out, on the powers of the
+    base point's e(z_j).
+    """
     n = len(Q)
     Q = [[int(x) for x in row] for row in Q]
     d = math.lcm(*(x.denominator for c in elements for x in c))
@@ -597,7 +638,6 @@ def _theta_basis(Q, elements, points, ctx):
         u = [mp.im(zj) / im_tau for zj in z]
         S = max(S, mp.sqrt(sum(u[i] * Q[i][j] * u[j] for i in range(n) for j in range(n))))
     bound = int(mp.floor(d * d * (rho + 2 * S) ** 2))
-    half_tau = ctx.tau / 2
     F = ctx._fix
     col = [Q[j][n - 1] for j in range(n)]
     terms = []  # per c, per row: (k at the row's first point, Horner table, s_0, least shift)
@@ -607,7 +647,7 @@ def _theta_basis(Q, elements, points, ctx):
             k = [sum(Q[i][j] * M[j] for j in range(n)) // d for i in range(n)]
             mk, kn, ws = sum(Mi * ki for Mi, ki in zip(M, k)), k[-1], []  # mk = d m^T Q m
             for _ in range(L):
-                ws.append(memo(ctx._lattice_weight_cache, (mk, d), lambda: gauss_exact(ctx.e(mk * half_tau / d))))
+                ws.append(_lattice_weight(ctx, mk, d))
                 # m_n -> m_n + 1: d m^T Q m grows by d (2 k_n + Q_nn), k_n by Q_nn
                 mk += d * (2 * kn + col[-1])
                 kn += col[-1]
@@ -618,58 +658,80 @@ def _theta_basis(Q, elements, points, ctx):
             ]
             rows.append((k, table, scales[0], min(shift for _, _, shift in table)))
         terms.append(rows)
-    Ks = [max([abs(col[j])] + [abs(k[j]) for rows in terms for k, _, _, _ in rows]) for j in range(n)]
+    # per g, the exponents on e(z_1)..e(z_n): g^T Q e_n for y, g^T k for each row's start factor
+    translates = []
+    for g in group:
+        gT = _mat_T(g)
+        translates.append((_mat_vec(gT, col), [[(_mat_vec(gT, k), *rest) for k, *rest in rows] for rows in terms]))
+    exponents = [v for ye, per_c in translates for v in [ye, *(row[0] for rows in per_c for row in rows)]]
+    Ks = [max(abs(v[j]) for v in exponents) for j in range(n)]
     values = [[] for _ in terms]
     for z in points:
-        powers = [_int_powers(gauss_exact(ctx.e(zj)), K, F) for zj, K in zip(z, Ks)]
-        y = powers[0][col[0]]
-        for pj, qj in zip(powers[1:], col[1:]):
-            y = gauss_mul(y, pj[qj], F)
-        sy = gauss_scale(y)
-        yr, yi = gauss_fixed(y, F + sy)
-        for out, rows in zip(values, terms):
-            total = GAUSS_ZERO
-            for k, table, s0, least in rows:
-                s, ur, ui = (sy, yr, yi) if least + sy >= 0 else (-least, *gauss_fixed(y, F - least))
-                ar = ai = 0
-                for cr, ci, shift in table:
-                    shift += s
-                    ar, ai = ((ar * ur - ai * ui) >> shift) + cr, ((ar * ui + ai * ur) >> shift) + ci
-                start = powers[0][k[0]]
-                for pj, kj in zip(powers[1:], k[1:]):
-                    start = gauss_mul(start, pj[kj], F)
-                total = gauss_add(total, gauss_mul((ar, ai, -F - s0), start, F))
+        powers = []  # per coordinate, [x^0, ..., x^K, x^-K, ..., x^-1] for x = e(z_j): x^k at index k
+        for zj, K in zip(z, Ks):
+            x = gauss_exact(ctx.e(zj))
+            xinv = gauss_quotient(GAUSS_ONE, x, F)
+            up, down = [GAUSS_ONE], [GAUSS_ONE]
+            for _ in range(K):
+                up.append(gauss_mul(up[-1], x, F))
+                down.append(gauss_mul(down[-1], xinv, F))
+            powers.append(up + down[:0:-1])
+        sums = [GAUSS_ZERO] * len(terms)
+        for ye, per_c in translates:
+            y = powers[0][ye[0]]
+            for pj, ej in zip(powers[1:], ye[1:]):
+                y = gauss_mul(y, pj[ej], F)
+            sy = gauss_scale(y)
+            yr, yi = gauss_fixed(y, F + sy)
+            for i, rows in enumerate(per_c):
+                total = sums[i]
+                for v, table, s0, least in rows:
+                    s, ur, ui = (sy, yr, yi) if least + sy >= 0 else (-least, *gauss_fixed(y, F - least))
+                    ar = ai = 0
+                    for cr, ci, shift in table:
+                        shift += s
+                        ar, ai = ((ar * ur - ai * ui) >> shift) + cr, ((ar * ui + ai * ur) >> shift) + ci
+                    start = powers[0][v[0]]
+                    for pj, vj in zip(powers[1:], v[1:]):
+                        start = gauss_mul(start, pj[vj], F)
+                    total = gauss_add(total, gauss_mul((ar, ai, -F - s0), start, F))
+                sums[i] = total
+        for out, total in zip(values, sums):
             out.append(total)
     return values
+
+
+def _seeded_base_points(n, count):
+    """The rank oracle's seeded base points: count points of C^n, Re in [-0.45, 0.45], Im in [-0.35, 0.35]."""
+    rng = random.Random(20240601)
+    return [tuple(mpc(rng.uniform(-0.45, 0.45), rng.uniform(-0.35, 0.35)) for _ in range(n)) for _ in range(count)]
 
 
 @at_context_precision
 def theta_symmetrization_rows(Q, gens, ctx):
     """The group average of the theta basis at |Q^-1 Z^n / Z^n| + 3 seeded points.
 
-    One row per c of the discriminant group, one column per point.  The
-    basis values of a column's group-translated points add exactly, and
+    One row per c of the discriminant group, one column per base point z:
+    (1/|G|) sum_g f_c(g z) over the group G that gens generate.  Each pair
+    (z, g) is evaluated without forming g z (`theta_basis_values`): a row's
+    start factor is prod_j e(z_j)^((g^T k)_j) and its y is
+    prod_j e(z_j)^((g^T Q e_n)_j), integer powers of the base point's one
+    e(z_j) per coordinate; the truncation S is taken over the base points
+    alone, since ||g u||_Q = ||u||_Q bounds every translate by its base
+    point; and the z-free weights e(N tau/2d) are powers of one e(tau/2d)
+    per denominator d.  The values at the pairs (z, g) add exactly, and
     their average is rounded once, to `ctx._wp` bits.
+
+    Both the exponent rule and the bound rest on g^T Q g = Q: a generator
+    without it raises ValueError naming it.
     """
     n = len(Q)
-    group = [tuple(tuple(int(x) for x in row) for row in g) for g in group_closure(gens)] if gens else [tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))]
+    _check_isometries(Q, gens)
+    group = group_closure(gens or [_identity(n)])
     elements = discriminant_group(Q)
-    rng = random.Random(20240601)
-    pts = []
-    for _ in range(len(elements) + 3):
-        pts.append(tuple(mpc(rng.uniform(-0.45, 0.45), rng.uniform(-0.35, 0.35)) for _ in range(n)))
-    # evaluate the basis once per distinct group-translated point
-    gpts = {}  # exact point key -> (column, point), in first-seen order
-    index = []
-    for z in pts:
-        cols = []
-        for g in group:
-            gz = tuple(sum(g[i][j] * z[j] for j in range(n)) for i in range(n))
-            cols.append(gpts.setdefault(tuple(map(point_key, gz)), (len(gpts), gz))[0])
-        index.append(cols)
-    vals = _theta_basis(Q, elements, [gz for _, gz in gpts.values()], ctx)
+    sums = _theta_basis(Q, elements, _seeded_base_points(n, len(elements) + 3), group, ctx)
     size = (len(group), 0, 0)
-    return [[gauss_div(functools.reduce(gauss_add, (row[col] for col in cols)), size, ctx._wp) for cols in index] for row in vals]
+    return [[gauss_div(v, size, ctx._wp) for v in row] for row in sums]
 
 
 def theta_symmetrization_rank(Q, gens, ctx=None):
@@ -679,13 +741,17 @@ def theta_symmetrization_rank(Q, gens, ctx=None):
     `theta_basis_values`, indexed by the discriminant group Q^{-1} Z^n / Z^n.
     Each c lies in Q^{-1} Z^n, so Qc is an integer vector and so is k = Qm for
     every m in Z^n + c; hence e(m^T Q z) = prod_j e(z_j)^(k_j), and every term
-    of f_c(z) is a z-free weight e(m^T Q m tau/2) times integer powers of
-    e(z_j).  The sums run over the ellipsoid m^T Q m <= (rho + 2S)^2 that
-    the tail bound sizes from the precision and the points' imaginary parts,
-    row by row in the last coordinate, each row by Horner in
-    y = prod_j e(z_j)^(Q_jn).  The basis is averaged over the group at
-    seeded points and the rank of that value matrix is read from its
-    singular value gap.
+    of f_c(z) is a z-free weight e(m^T Q m tau/2), a power of one
+    e(tau/2d) per denominator d, times integer powers of e(z_j).  The sums
+    run over the ellipsoid m^T Q m <= (rho + 2S)^2 that the tail bound sizes
+    from the precision and the base points' imaginary parts, row by row in
+    the last coordinate, each row by Horner in y = prod_j e(z_j)^(Q_jn).
+    The basis is averaged over the group at seeded points
+    (`theta_symmetrization_rows`): at a translate g z, k becomes g^T k on
+    the base point's e(z_j), and ||g u||_Q = ||u||_Q, so S over the base
+    points bounds every translate.  The rank of that value matrix is read
+    from its singular value gap.  A generator g with g^T Q g != Q raises
+    ValueError.
     """
     ctx = ctx or CurveContext(0.06 + 1.13j, 96)
     return numeric_rank(theta_symmetrization_rows(Q, gens, ctx), prec=ctx.prec)

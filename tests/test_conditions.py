@@ -10,6 +10,7 @@ from mpmath import matrix, mp, mpc, mpf
 from mpmath.libmp import from_man_exp
 
 from ccnops.conditions import (
+    ConditionReport,
     ConditionSpec,
     _divisor_points,
     _place_on_root,
@@ -139,6 +140,15 @@ def test_check_residue_soundness(ctx):
     rep = check_residue(ctx, Dp, specs, env, samples=1)
     assert not rep.passed
     assert eps / 10 < rep.max_defect < eps * 10
+
+
+def test_nan_defect_record_reads_inf():
+    # a NaN record fails the report; max would drop it and read 1e-40
+    report = ConditionReport()
+    report.add("small", mpf("1e-40"))
+    report.add("nan", mpf("nan"))
+    assert not report.passed
+    assert report.max_defect == mp.inf
 
 
 def test_check_vanishing_detects_generic_failure(ctx, xs8):

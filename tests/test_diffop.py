@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from mpmath import mp, mpc, mpf
 
+from ccnops.cli import load_config, run_suite
 from ccnops.conditions import section_solve_first_order
 from ccnops.curve import CurveContext, point_key
 from ccnops.diffop import (
@@ -326,6 +327,19 @@ def test_op_defect_measures_a_leading_perturbation(ctx):
     coeffs = {k: (c.scaled(1 + mpf("1e-6")) if k == corner else c) for k, c in D.coeffs.items()}
     perturbed = DifferenceOperator(D.n, coeffs, D.params, D.degree)
     assert mpf("1e-7") < op_defect(ctx, D, perturbed, pts) < mpf("1e-5")
+
+
+def test_nan_defect_reads_inf_and_fails_the_check(ctx, monkeypatch):
+    # max(mpf(0), nan) is 0, so a NaN coefficient value would drop out of the
+    # fold and every check built on op_defect would pass
+    D = first_order(US, T, Q, 1)
+    monkeypatch.setattr(DifferenceOperator, "eval_coeff", lambda self, ctx, k, z: mpc("nan"))
+    assert op_defect(ctx, D, D, sample_points(1, 2)) == mp.inf
+    status, report = run_suite("operator-algebra", load_config(overrides={"n": 1, "seed": 4}))
+    checks = {r["id"]: r for r in report["checks"]}
+    assert status == 1
+    for name in ("associativity", "adjoint-swap", "adjoint-antihom", "serialize"):
+        assert not checks["algebra/" + name]["pass"] and checks["algebra/" + name]["defect"] is None, name
 
 
 def test_scaling_an_opaque_operator_raises():

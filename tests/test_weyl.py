@@ -5,8 +5,12 @@ from fractions import Fraction as F
 import pytest
 from mpmath import mp, mpc, mpf
 
+from ccnops import weyl
 from ccnops.curve import CurveContext
 from ccnops.weyl import (
+    _det_int,
+    _seeded_base_points,
+    _q_inverse,
     AffineRoot,
     as_weight,
     automorphism_group,
@@ -189,6 +193,40 @@ def test_theta_rank_oracle_basic():
     assert theta_symmetrization_rank([[2, 0], [0, 2]], gens) == 3
 
 
+def test_rank_oracle_rejects_a_generator_that_does_not_preserve_q():
+    # the translate rule g^T k and the bound ||g u||_Q = ||u||_Q both need g^T Q g = Q
+    for oracle in (theta_symmetrization_rows, theta_symmetrization_rank):
+        with pytest.raises(ValueError, match=r"generator \[\[1, 1\], \[0, 1\]\] does not preserve Q"):
+            oracle([[2, 0], [0, 2]], [[[1, 1], [0, 1]]], ORACLE_CTX)
+
+
+def _discriminant_by_fractions(Q):
+    """Q^-1 Z^n / Z^n enumerated in Fractions, Q^-1 k mod 1 over k in [0, |det Q|)^n, sorted."""
+    n = len(Q)
+    qinv = _q_inverse(Q)
+    seen = {
+        tuple(sum(qinv[i][j] * k[j] for j in range(n)) % 1 for i in range(n))
+        for k in itertools.product(range(abs(_det_int(Q))), repeat=n)
+    }
+    return sorted(seen)
+
+
+A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+
+
+@pytest.mark.parametrize("Q", even_positive_definite(8) + [A3], ids=str)
+def test_integer_discriminant_group_matches_the_fraction_enumeration(Q, monkeypatch):
+    # the same Fractions in the same order, and the same invariant dimension
+    # under the full automorphism group with either enumeration
+    got = discriminant_group(Q)
+    assert got == _discriminant_by_fractions(Q)
+    assert all(type(x) is F for c in got for x in c)
+    auts = automorphism_group(Q)
+    dim = invariant_dimension(Q, auts)
+    monkeypatch.setattr(weyl, "discriminant_group", _discriminant_by_fractions)
+    assert invariant_dimension(Q, auts) == dim
+
+
 def test_automorphism_group_preserves():
     Q = [[2, 1], [1, 2]]
     auts = automorphism_group(Q)
@@ -280,6 +318,25 @@ def test_theta_basis_values_are_periodic(Q):
     for row in theta_basis_values(Q, [z] + shifted, ORACLE_CTX):
         for val in row[1:]:
             assert abs(val - row[0]) / abs(row[0]) < mpf("1e-25")
+
+
+@pytest.mark.parametrize("prec", [96, 256])
+def test_translated_columns_match_direct_evaluation(prec):
+    # the oracle evaluates f_c(g z) at pairs (z, g), with exponents g^T k on
+    # the base point's e(z_j); here the points g z are formed explicitly and
+    # the basis there is averaged over the full automorphism group
+    ctx = CurveContext(ORACLE_CTX.tau, prec)
+    for Q in even_positive_definite(8):
+        n, group = len(Q), automorphism_group(Q)
+        got = theta_symmetrization_rows(Q, group, ctx)
+        bases = _seeded_base_points(n, len(got) + 3)
+        translated = [tuple(sum(g[i][j] * z[j] for j in range(n)) for i in range(n)) for z in bases for g in group]
+        direct = theta_basis_values(Q, translated, ctx)
+        for j in range(len(bases)):
+            want = [sum(row[j * len(group) : (j + 1) * len(group)]) / len(group) for row in direct]
+            top = max(abs(w) for w in want)
+            worst = max(abs(row[j] - w) for row, w in zip(got, want))
+            assert worst <= top * mpf(2) ** (8 - prec), (Q, j, worst / top * mpf(2) ** prec)
 
 
 def _assert_rank_gap(Q, ctx):
