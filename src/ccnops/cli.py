@@ -8,8 +8,11 @@ tau, q, t, eta_prime, samples) and x1..x8, the van Diejen parameters.  These
 are rejected with a ConfigError naming the key: any other key, n, trunc or
 samples below 1 (a suite would pass without a sample or a truncation order
 to test), prec below 64, a tol that is not finite and greater than 0, and a
-non-finite tau, q, t, eta_prime or x_j.  Both van Diejen commands need
-exactly eight x's with sum(x_j) = 2 eta_prime (`_van_diejen_xs`).
+non-finite tau, q, t, eta_prime or x_j.  Every complex value, configured or
+given on the command line (an eval or fourier-kernel point, u, probe, c),
+is read by `parse_complex`, which rejects a non-finite one the same way.
+Both van Diejen commands need exactly eight x's with sum(x_j) = 2 eta_prime
+(`_van_diejen_xs`).
 Checks run one after another in the calling thread.  Reports are versioned
 JSON with one record per check; exit status 0 means every check passed, 1
 means some check failed, 2 means the configuration or the command line was
@@ -71,11 +74,15 @@ class ConfigError(ValueError):
     pass
 
 
-def parse_complex(text):
+def parse_complex(text, name):
+    """text as an mpc; a ConfigError naming `name` unless it is a finite complex literal."""
     try:
-        return mpc(complex(text.replace(" ", "")))
+        z = mpc(complex(text.replace(" ", "")))
     except ValueError as exc:
         raise ConfigError("bad complex literal %r" % text) from exc
+    if not mp.isfinite(z):
+        raise ConfigError("%s must be finite, got %s" % (name, text))
+    return z
 
 
 def default_point(n):
@@ -85,7 +92,7 @@ def default_point(n):
 
 def parse_point(text, n):
     """The point z_1;...;z_n as a tuple; a ConfigError unless it has exactly n coordinates."""
-    z = tuple(parse_complex(p) for p in text.split(";"))
+    z = tuple(parse_complex(p, "point") for p in text.split(";"))
     if len(z) != n:
         raise ConfigError("point %r has %d coordinates, not n = %d" % (text, len(z), n))
     return z
@@ -139,10 +146,7 @@ def session_from_config(cfg):
             raise ConfigError("%s must be at least 1, got %d" % (key, value))
     if not (mp.isfinite(tol) and tol > 0):
         raise ConfigError("tol must be finite and greater than 0, got %s" % cfg["tol"])
-    values = {key: parse_complex(cfg[key]) for key in ("tau", "q", "t", "eta_prime", *X_KEYS) if key in cfg}
-    for key, value in values.items():
-        if not mp.isfinite(value):
-            raise ConfigError("%s must be finite, got %s" % (key, cfg[key]))
+    values = {key: parse_complex(cfg[key], key) for key in ("tau", "q", "t", "eta_prime", *X_KEYS) if key in cfg}
     tau, q, t, eta = (values[key] for key in ("tau", "q", "t", "eta_prime"))
     if tau.imag < MIN_IM or q.imag < MIN_IM:
         raise ConfigError("Im(tau) and Im(q) must be at least %s" % MIN_IM)
@@ -619,13 +623,13 @@ def cmd_eval(args, cfg):
         raise ConfigError("eval needs an expression")
     head = tokens[0]
     if head == "theta":
-        z = parse_complex(tokens[1]) if len(tokens) > 1 else mpc(0)
+        z = parse_complex(tokens[1], "point") if len(tokens) > 1 else mpc(0)
         print(mp.nstr(ctx.theta(z), 30))
         return 0
     if head == "gamma":
         if len(tokens) < 2:
             raise ConfigError("eval gamma needs a point")
-        z = parse_complex(tokens[1])
+        z = parse_complex(tokens[1], "point")
         print(mp.nstr(ctx.gamma(z, S["q"]), 30))
         return 0
     if head == "family":
@@ -688,16 +692,16 @@ def _registry_build(name, tokens, S):
     n = _int_binding(kv, "n", S["n"], 1)
     q, t = S["q"], S["t"]
     if name == "first-order":
-        us = [parse_complex(x) for x in kv.get("u", "").split(";") if x]
+        us = [parse_complex(x, "u") for x in kv.get("u", "").split(";") if x]
         return first_order(us, t, q, n)
     if name == "cascade":
         d = _int_binding(kv, "d", 1, 0)
-        return d_cascade(d, q, t, n, parse_complex(kv.get("probe", "0.111+0.077j")))
+        return d_cascade(d, q, t, n, parse_complex(kv.get("probe", "0.111+0.077j"), "probe"))
     if name == "torsion":
         d = _int_binding(kv, "d", 2, 1)
         return d_torsion_closed_form(d, mpf(1) / d, t, n, S["ctx"])
     if name == "theta-multiplier":
-        return theta_pm_multiplier(parse_complex(kv.get("u", "0.1+0.05j")), n, {"q": mpc(q), "t": mpc(t)})
+        return theta_pm_multiplier(parse_complex(kv.get("u", "0.1+0.05j"), "u"), n, {"q": mpc(q), "t": mpc(t)})
     raise ConfigError("unknown family id %r" % name)
 
 
@@ -728,7 +732,7 @@ def cmd_fourier_kernel(args, cfg):
     from .families import FourierKernel
 
     S = session_from_config(cfg)
-    c = parse_complex(args.c)
+    c = parse_complex(args.c, "c")
     K = FourierKernel(S["ctx"], c, S["q"], S["t"], S["n"], S["trunc"])
     z = parse_point(args.at, S["n"]) if args.at else default_point(S["n"])
     try:

@@ -208,7 +208,7 @@ def enumerate_conditions(degree, lam, params, n):
     the blowup data of the degree, and t-vanishing from inversion sets.
     """
     d1, d2 = degree
-    interval = bruhat_interval(lam, lattice="coroot")
+    interval = bruhat_interval(lam)
     support = set()
     for mu in interval:
         support |= weight_orbit(mu)

@@ -26,29 +26,44 @@ GUARD_BITS bits after each product (`gauss_mul`).  An argument z arrives as
 F-bit fixed-point integers and is reduced to z = w0 + m + n tau by integer
 rounding (`reduce_fixed`).  Both readers of the argument table form
 e(+-z/2) by multiplication, from the context's half-exponentials
-(`half_power`: one `half_e` per base value, integer powers by products),
-and x0 = e(w0/2) = (-1)^m e(-n tau/2) e(z/2) (`reduced_halves`), an
-absolute error of a few units of 2^-F, the order of the error of the
-fixed-point argument itself; `CurveContext.theta` forms w0 exactly and reads
-x0 = `half_e`(w0), so that x0 - 1/x0 keeps its relative precision near a
-zero of theta.  x0 feeds the lacunary sum, run in F-bit fixed point (Brent &
+(`half_power`, below), and x0 = e(w0/2) = (-1)^m e(-n tau/2) e(z/2)
+(`reduced_halves`), an absolute error of a few units of 2^-F, the order of
+the error of the fixed-point argument itself; `CurveContext.theta` forms w0
+exactly and reads x0 = `half_e`(w0), so that x0 - 1/x0 keeps its relative
+precision near a zero of theta.  x0 feeds the lacunary sum, run in F-bit fixed point (Brent &
 Zimmermann, Modern Computer Arithmetic, 2010, section 4.4) as s times a
 polynomial in t = x0^2 + x0^-2 by Horner's rule, s = x0 - 1/x0
 (`_theta_sum`), and
 
     theta(z) = (-1)^(m+n) x0^(-2n) e(-n^2 tau/2) theta(w0)
 
-(`theta_translate`, the one translate factor), with e(k tau/2) memoized per
-context.  Zero rule: |w0| < 2^-`ctx._wp` gives exactly 0.  No exponential,
-cos/sin, `lattice_reduce` or mpc operation runs per theta of a table
-argument, and per theta of `CurveContext.theta` only `half_e` at that exact
-w0.  Error: each Horner step
-carries an absolute error of a unit of 2^-F relative to its own coefficient
-(relative to |theta|, so more near a zero of theta, where s cancels); each
-product cuts its mantissas once, a relative error of at most 2^(2-F).
+(`theta_translate`, the one translate factor), with e(k tau/2) =
+`tau_power`(k).  Zero rule: |w0| < 2^-`ctx._wp` gives exactly 0.  No
+exponential, cos/sin, `lattice_reduce` or mpc operation runs per theta of a
+table argument, and per theta of `CurveContext.theta` only `half_e` at that
+exact w0.  Error: each Horner step carries an absolute error of a unit of
+2^-F relative to its own coefficient (relative to |theta|, so more near a
+zero of theta, where s cancels); each product cuts its mantissas once, a
+relative error of at most 2^(2-F).
 `CurveContext.theta` rounds one value once to `ctx._wp` bits (`gauss_div`),
 and a sweep's quotient of products of k theta values is good to about k
 (that error + 2^(2-F)) relative; its reader rounds it once.
+
+Every exponential e(x) on the context is one call of `e`, its argument
+taken exactly and reduced exactly, at F bits; `half_e`(b) reads e(b/2)
+there and forms e(-b/2) as its reciprocal.  Every exponential power comes
+from one rule, `half_power`(key, k, base) = (e(k b/2), e(-k b/2)) for an
+integer k and a base b named exactly by its key.  b meets `half_e` once
+per key and context; k = 0 gives 1, -k swaps the pair of k, and k > 1
+squares the pair of k // 2 (times the pair of 1 for odd k): a recursion
+log2 |k| deep and a relative error of about |k| 2^(2-F).  A base v/den is
+formed by one rule (`over`: exact for den = 1, else at F + GUARD_BITS
+bits), for the parameter values and the roots of unity e(1/2den) of
+compiled arguments (`factors`) and for tau/d: `tau_power`(k, d) =
+e(k tau/2d) gives the translate factors, p = e(tau) of the Gamma table,
+the theta weights (d = 4) and the weights of the rank oracle (`weyl`).
+The fixed coordinate values of `factors` and the rank oracle's base
+points are bases too.
 
 Coefficient values run on the same integers (`factors`).  Each theta
 argument of a coefficient, an affine form in z and parameter symbols, is
@@ -335,75 +350,72 @@ class CurveContext:
                 raise ModulusError("Im(tau) = %s below threshold %s" % (self.tau.imag, MIN_IM))
             self.two_pi_i = mpc(0, 2) * mp.pi
             self._cutoff = mpf(2) ** (-self.prec - GUARD_BITS)
-            # theta sum formula tables: k = j+1/2, weight (-1)^j e(k^2 tau/2)
-            self._e_tau8 = self.e(self.tau / 8)
-            self._p_half = self.e(self.tau / 2)
-            self._sum_weights = self._build_sum_weights()
-            # the fixed-point kernel's constants, as integers scaled by 2^F
-            self._fix = F = self._wp + GUARD_BITS
-            self._theta_horner, self._theta_scale, self._fix_inv_denom = self._build_horner()
-            self._fix_pi = mpf_pi(F)
-        # the kernel's fixed-point lattice: tau as given, its 9 nearest
-        # translates of 0, and the zero rule's |w0|^2 < 2^-2wp at scale 2^2F
+        # the fixed-point kernel's constants, as integers scaled by 2^F, and
+        # its lattice: tau as given, its 9 nearest translates of 0, and the
+        # zero rule's |w0|^2 < 2^-2wp at scale 2^2F
+        self._fix = F = self._wp + GUARD_BITS
+        self._fix_pi = mpf_pi(F)
         tre, tim = self._tau_exact
         self._fix_tau = tr, ti = to_fixed(tre, F), to_fixed(tim, F)
         self._fix_near = [(dm * (1 << F) + dn * tr, dn * ti) for dm in (-1, 0, 1) for dn in (-1, 0, 1)]
         self._fix_zero = 1 << 2 * (F - self._wp)
-        self._half_tau_cache = {}
+        self._half_powers = {}  # `half_power`: e(+-k b/2) per base key and integer k
+        self._theta_horner, self._theta_scale, self._fix_inv_denom = self._build_horner()
         self._theta_cache = {}
         self._fixed_theta_cache = {}
         self._argument_cache = {}  # factors.compile_argument: an id per (form, values read)
         self._arguments = []  # its entry per id: (re c, im c, ((j, k_j), ...), (num, den, ((value key, n), ...)))
         self._argument_halves = {}  # e(+-c/2) per id, a product of `_half_powers` entries (factors)
-        self._half_powers = {}  # `half_power`: e(+-k b/2) per base key and integer k
         self._product_cache = {}  # `theta_product`: the powers p^j and prod (1-p^j)^2
         self._gamma_cache = {}
         self._gamma_table_cache = {}
         self._c_pair_cache = {}
-        # weyl._lattice_weight: e(N tau/2d) as a Gaussian float per (N, d), the power
-        # x^N of x = e(tau/2d), which meets half_e once per d
-        self._lattice_weight_cache = {}
 
     # -- primitives -------------------------------------------------------
 
     def e(self, x):
-        """The exponential primitive e(x) = exp(2*pi*i*x)."""
-        with mp.workprec(self._wp):
-            return mp.exp(self.two_pi_i * mpc(x))
+        """e(x) = exp(2*pi*i*x), x taken exactly: the context's one exponential, good to 2^(2-F) relative.
 
-    def _build_sum_weights(self):
-        # w_j = (-1)^j e((j+1/2)^2 tau/2) = (-1)^j e(tau/8) p_half^(j^2+j)
-        weights = []
-        w = self._e_tau8
-        j = 0
-        # |p_half| < 1 strictly; terms decay like |p_half|^(j^2)
-        while abs(w) > self._cutoff * mpf("1e-10") or j < 4:
-            weights.append(w if j % 2 == 0 else -w)
-            j += 1
-            w = self._e_tau8 * self._p_half ** (j * j + j)
-            if j > 4000:
-                raise PrecisionError("theta series did not converge")
-        return weights
+        exp(-2 pi Im x) (cos 2 pi Re x + i sin 2 pi Re x) comes from one real
+        exponential and one cos/sin pair at F bits, the cos/sin argument
+        reduced exactly (`mpf_cos_sin_pi`), so a large Re x costs no bits.
+        The value is returned unrounded, an mpc of F-bit parts; `half_e`, and
+        through it every power of `half_power`, reads its exponential here.
+        x is any number `point_key` keys exactly.
+        """
+        F = self._fix
+        re, im = point_key(x)
+        cos, sin = mpf_cos_sin_pi(mpf_shift(re, 1), F)
+        _, man, exp, _ = mpf_exp(mpf_neg(mpf_shift(mpf_mul(self._fix_pi, im, F), 1)), F)  # man * 2^exp
+        re, im, exp = gauss_cut(man * to_fixed(cos, F), man * to_fixed(sin, F), exp - F, F)
+        return mp.make_mpc((from_man_exp(re, exp), from_man_exp(im, exp)))
 
     def _build_horner(self):
         """(`_horner` table of `_theta_sum`, s_0, 1/D): c_k = sum_(j>=k) w_j [t^k] P_j, top degree first.
 
-        Each c_k is an exact integer combination of the weights, kept with
-        its whole mantissa at scale 2^(F + s_k), 2^-s_k ~ |c_k|; entry k
-        carries the shift F + s_(k+1) - s_k that brings t times the partial
-        sum of degree k + 1 to that scale.  D = sum_j (2j+1) w_j is summed
-        exactly from the same weights, and 1/D is taken at F + GUARD_BITS
-        bits and kept in F-bit fixed point.
+        The weights are w_j = (-1)^j e((j+1/2)^2 tau/2) = (-1)^j
+        `tau_power`((2j+1)^2, 4), F-bit Gaussian floats, for j up to the
+        first j >= 4 whose |w_j| is below 2^-(wp + 34).  Each c_k is an
+        exact integer combination of the weights, kept with its whole
+        mantissa at scale 2^(F + s_k), 2^-s_k ~ |c_k|; entry k carries the
+        shift F + s_(k+1) - s_k that brings t times the partial sum of
+        degree k + 1 to that scale.  D = sum_j (2j+1) w_j is summed exactly
+        from the same weights, and 1/D is taken at F + GUARD_BITS bits and
+        kept in F-bit fixed point.
         """
-        F = self._fix
+        F, weights = self._fix, []
+        while True:
+            w = self.tau_power((2 * len(weights) + 1) ** 2, 4)
+            if len(weights) >= 4 and gauss_scale(w) > self._wp + 34:
+                break
+            weights.append((-w[0], -w[1], w[2]) if len(weights) % 2 else w)
         polys, prev = [[1]], [-1]  # coefficient lists of P_0 and P_-1
-        for _ in range(1, len(self._sum_weights)):
+        for _ in range(1, len(weights)):
             nxt = [0] + polys[-1]
             for i, a in enumerate(prev):
                 nxt[i] -= a
             prev = polys[-1]
             polys.append(nxt)
-        weights = [gauss_exact(w) for w in self._sum_weights]
         coeffs = []
         for k in range(len(polys)):
             c = GAUSS_ZERO
@@ -476,26 +488,19 @@ class CurveContext:
     def half_e(self, z):
         """(e(z/2), e(-z/2)) as Gaussian floats with F-bit mantissas, z taken exactly.
 
-        e(z/2) = exp(-pi Im z) (cos pi Re z + i sin pi Re z) comes from one
-        real exponential and one cos/sin pair at F bits, and e(-z/2) from an
-        integer reciprocal of the exponential's mantissa.
+        e(z/2) is `e` at z/2 (z halved exactly), and e(-z/2) is its
+        reciprocal to F bits (`gauss_quotient`), so each carries a relative
+        error of about 2^(2-F).
         """
-        F = self._fix
         re, im = point_key(z)
-        cos, sin = mpf_cos_sin_pi(re, F)
-        cos, sin = to_fixed(cos, F), to_fixed(sin, F)
-        _, man, exp, bc = mpf_exp(mpf_neg(mpf_mul(self._fix_pi, im, F)), F)  # man * 2^exp
-        inv = (1 << (F + bc)) // man  # 2^(F + bc) / man to F significant bits
-        return (
-            gauss_cut(man * cos, man * sin, exp - F, F),
-            gauss_cut(inv * cos, -inv * sin, -2 * F - bc - exp, F),
-        )
+        x = gauss_exact(self.e(mp.make_mpc((mpf_shift(re, -1), mpf_shift(im, -1)))))
+        return x, gauss_quotient(GAUSS_ONE, x, self._fix)
 
     def _theta_sum(self, pr, pi, qr, qi):
         """theta(z0) as a Gaussian float, from e(+-z0/2) in F-bit fixed point, by Horner in t = x + 1/x.
 
         With x = e(z0), theta(z0) = sum_j w_j (x^(j+1/2) - x^-(j+1/2)) / D for
-        the N weights w_j of `_build_sum_weights` and D = sum_j (2j+1) w_j,
+        the N weights w_j = (-1)^j e((j+1/2)^2 tau/2) and D = sum_j (2j+1) w_j,
         summed exactly from them (1/D to 2^-F relative, `_build_horner`).
         Write s = x^(1/2) - x^(-1/2) and t = s^2 + 2 = x + 1/x.  Then
         x^(j+1/2) - x^-(j+1/2) = s P_j(t) with P_-1 = -1, P_0 = 1 and
@@ -545,34 +550,47 @@ class CurveContext:
         return min((w0r + a) ** 2 + (w0i + b) ** 2 for a, b in self._fix_near)
 
     def half_power(self, key, k, base):
-        """(e(k b/2), e(-k b/2)) for an integer k != 0, memoized per (key, k).
+        """(e(k b/2), e(-k b/2)) for an integer k, memoized per (key, k): the context's one powering rule.
 
         key names the number b exactly, and base() gives b as an mpc: b
-        meets `half_e` once per key and context, at k = 1.  k = -1 swaps
-        that pair, and every other k is one product of F bits (`gauss_mul`)
-        of the powers k -+ 1 and +-1, so e(k b/2) carries a relative error
-        of about |k| 2^(2-F).
+        meets `half_e` once per key and context, at k = 1.  k = 0 gives
+        (1, 1), -k swaps the pair of k, and k > 1 squares the pair of k // 2
+        and, for odd k, multiplies it by the pair of 1, each product cut to
+        F bits (`gauss_mul`).  The recursion is log2 |k| deep, and e(k b/2)
+        carries a relative error of about |k| 2^(2-F).
         """
+        if not k:
+            return GAUSS_ONE, GAUSS_ONE
 
         def compute():
+            if k < 0:
+                return self.half_power(key, -k, base)[::-1]
             if k == 1:
                 return self.half_e(base())
-            if k == -1:
-                return self.half_power(key, 1, base)[::-1]
-            step = 1 if k > 0 else -1
-            (x, y), (xs, ys) = self.half_power(key, k - step, base), self.half_power(key, step, base)
-            return gauss_mul(x, xs, self._fix), gauss_mul(y, ys, self._fix)
+            F, (x, y) = self._fix, self.half_power(key, k // 2, base)
+            x, y = gauss_mul(x, x, F), gauss_mul(y, y, F)
+            if k % 2:
+                xs, ys = self.half_power(key, 1, base)
+                x, y = gauss_mul(x, xs, F), gauss_mul(y, ys, F)
+            return x, y
 
         return memo(self._half_powers, (key, k), compute)
 
-    def half_tau_power(self, k):
-        """e(k tau/2) for an integer k, as a Gaussian float with F-bit mantissas, memoized per k."""
+    def over(self, key, den):
+        """v/den as an mpc for the point key of v: exact for den = 1, else at F + GUARD_BITS bits.
 
-        def compute():
-            k_tau = tuple(mpf_mul(from_int(k), x) for x in self._tau_exact)  # exact
-            return self.half_e(mp.make_mpc(k_tau))[0]
+        The one rule by which a base of `half_power` is formed, for parameter
+        values, roots of unity and tau alike.
+        """
+        v = mp.make_mpc(key)
+        if den == 1:
+            return v
+        with mp.workprec(self._fix + GUARD_BITS):
+            return v / den
 
-        return memo(self._half_tau_cache, k, compute)
+    def tau_power(self, k, d=1):
+        """e(k tau/2d) for an integer k, a Gaussian float with F-bit mantissas: a `half_power` of tau/d."""
+        return self.half_power((self._tau_exact, d), k, lambda: self.over(self._tau_exact, d))[0]
 
     def theta_of_fixed(self, ar, ai, halves):
         """theta(a) as a Gaussian float for an F-bit fixed-point argument a = ar + i ai, memoized on (ar, ai).
@@ -592,8 +610,8 @@ class CurveContext:
     def reduced_halves(self, x, y, m, n):
         """(x0, 1/x0) = (-1)^m (e(-n tau/2) x, e(n tau/2) y) for x = e(a/2), y = e(-a/2) and a = w0 + m + n tau."""
         if n:
-            x = gauss_mul(x, self.half_tau_power(-n), self._fix)
-            y = gauss_mul(y, self.half_tau_power(n), self._fix)
+            x = gauss_mul(x, self.tau_power(-n), self._fix)
+            y = gauss_mul(y, self.tau_power(n), self._fix)
         if m % 2:
             x, y = (-x[0], -x[1], x[2]), (-y[0], -y[1], y[2])
         return x, y
@@ -635,13 +653,15 @@ class CurveContext:
         """theta(w0 + m + n tau) = (-1)^(m+n) e(-n^2 tau/2) x0^(-2n) theta(w0) from val = theta(w0), x0 and y = 1/x0.
 
         Each product is cut to F bits; x0^(-2n) is 2|n| products by y (n > 0)
-        or by x (n < 0).  An exact zero stays the exact GAUSS_ZERO.
+        or by x (n < 0).  e(-n^2 tau/2) = `tau_power`(-n^2) carries about
+        n^2 2^(2-F) relative (`half_power`), so the factor costs about
+        log2(n^2) bits.  An exact zero stays the exact GAUSS_ZERO.
         """
         if val == GAUSS_ZERO:
             return val
         F = self._fix
         if n:
-            val = gauss_mul(val, self.half_tau_power(-n * n), F)
+            val = gauss_mul(val, self.tau_power(-n * n), F)
             step = y if n > 0 else x
             for _ in range(2 * abs(n)):
                 val = gauss_mul(val, step, F)
@@ -653,7 +673,7 @@ class CurveContext:
         """theta'(m + n tau) = (-1)^(m+n) e(-n^2 tau/2) 2 pi i as a Gaussian float."""
         F = self._fix
         sign = -1 if (m + n) % 2 else 1
-        return gauss_mul(self.half_tau_power(-n * n), (0, sign * to_fixed(self._fix_pi, F + 1), -F), F)
+        return gauss_mul(self.tau_power(-n * n), (0, sign * to_fixed(self._fix_pi, F + 1), -F), F)
 
     def theta_product(self, z):
         """theta(z; tau) via the defining product formula at the reduced argument (reference path).
@@ -741,7 +761,7 @@ class CurveContext:
             if mp.make_mpf(qk[1]) < MIN_IM:
                 raise ModulusError("Im(q) = %s below threshold %s" % (mp.make_mpf(qk[1]), MIN_IM))
             F, one = self._fix, 1 << self._fix
-            p, Q = self.half_tau_power(2), self.half_e(mp.make_mpc(tuple(mpf_shift(a, 1) for a in qk)))[0]
+            p, Q = self.tau_power(2), gauss_exact(self.e(mp.make_mpc(qk)))
             (pr, pi), (Qr, Qi) = gauss_fixed(p, F), gauss_fixed(Q, F)
             weights, ar, ai, br, bi = [], pr, pi, Qr, Qi
             for m in range(1, int((F + 4) * math.log(2) / (math.pi * float(self.tau.imag))) + 2):

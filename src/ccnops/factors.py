@@ -16,10 +16,12 @@ the argument a = c + sum_j k_j z_j is an integer sum.
 Both readers form e(+-a/2) by multiplication (`argument_halves`): e(c/2) is
 the root of unity e(1/2den)^r times e(v_s/2den)^(n_s), formed once per
 argument, and e(z_j/2)^(k_j) comes per fixed coordinate value, all integer
-powers of the context's half-exponentials (`CurveContext.half_power`), so
-`half_e` runs once per (parameter value, den), per den and per coordinate
-value, never per argument.  Then x0 = e(w0/2) = (-1)^m e(-n tau/2) e(a/2)
-(`CurveContext.reduced_halves`) feeds the theta kernel.  The two readers
+powers by the context's one powering rule (`CurveContext.half_power`, on
+bases v/den formed by `CurveContext.over`), so `half_e` runs once per
+(parameter value, den), per den and per coordinate value, never per
+argument, and a power |k| deep costs about log2 |k| products.  Then
+x0 = e(w0/2) = (-1)^m e(-n tau/2) e(a/2) (`CurveContext.reduced_halves`)
+feeds the theta kernel.  The two readers
 share the table, each with the memo its traffic suits:
 
 * coefficient values (`compile_parts`, `CompiledParts`), behind
@@ -153,8 +155,9 @@ def _constant_halves(ctx, i):
     c/2 = num/2den + sum n v/2den, so e(c/2) is the root of unity
     e(1/2den)^r, r = num mod 2den taken in (-den, den], times
     e(v/2den)^n per term: powers of the context's half-exponentials
-    (`CurveContext.half_power`), one `half_e` per (value, den) and per
-    den, multiplied at F bits.
+    (`CurveContext.half_power`, each base v/den formed by
+    `CurveContext.over`), one `half_e` per (value, den) and per den,
+    multiplied at F bits.
     """
 
     def compute():
@@ -166,20 +169,11 @@ def _constant_halves(ctx, i):
         if r:
             terms = terms + ((_ONE, r),)
         for key, n in terms:
-            px, py = ctx.half_power((key, den), n, lambda: _over(ctx, key, den))
+            px, py = ctx.half_power((key, den), n, lambda: ctx.over(key, den))
             x, y = gauss_mul(x, px, F), gauss_mul(y, py, F)
         return x, y
 
     return memo(ctx._argument_halves, i, compute)
-
-
-def _over(ctx, key, den):
-    """v/den as an mpc for the point key of v, exact for den = 1, else at F + GUARD_BITS bits."""
-    v = mp.make_mpc(key)
-    if den == 1:
-        return v
-    with mp.workprec(ctx._fix + GUARD_BITS):
-        return v / den
 
 
 def argument_halves(ctx, i, zf):

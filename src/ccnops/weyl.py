@@ -8,8 +8,9 @@ half-integral).  Two partial orders are exposed:
 * the coroot order (`coroot_leq`): integral difference with nonnegative
   partial sums only.
 
-Bruhat intervals can be taken in either lattice; the section solver uses the
-coroot one, which is the order in which single coordinates may drop by 1.
+Bruhat intervals (`bruhat_interval`) are taken in the coroot order, the order
+in which single coordinates may drop by 1, which the section solver reads;
+the dominance order serves `leading_terms`.
 
 An affine root beta + m q (`AffineRoot`) is beta's integer coefficient
 vector on e_1..e_n (e_i +- e_j, or 2 e_i) and the level m, for any n.  Its
@@ -52,20 +53,16 @@ from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .curve import (
-    GAUSS_ONE,
     GAUSS_ZERO,
     GUARD_BITS,
     CurveContext,
     at_context_precision,
     gauss_add,
     gauss_div,
-    gauss_exact,
     gauss_fixed,
     gauss_mul,
-    gauss_quotient,
     gauss_round,
     gauss_scale,
-    memo,
     point_key,
 )
 
@@ -131,35 +128,19 @@ def weight_orbit(lam):
     return out
 
 
-def bruhat_interval(lam, lattice="root"):
-    """All dominant mu <= lam, topologically sorted by the chosen order.
+def bruhat_interval(lam):
+    """All dominant mu <= lam in the coroot order (`coroot_leq`), sorted by (sum, mu).
 
-    lattice="root" uses `dominance_leq`, lattice="coroot" uses `coroot_leq`.
+    The candidates are the non-increasing tuples of lam's parity class with
+    entries from 0 or 1/2 up to lam_1, all dominant.
     """
     lam = as_weight(lam)
     if not is_dominant(lam):
         raise ValueError("leading weight must be dominant")
-    leq = dominance_leq if lattice == "root" else coroot_leq
-    n = len(lam)
-    par = lam[0] - int(lam[0]) if n else Fraction(0)
-    top = lam[0]
-    values = []
-    v = par if par else Fraction(0)
-    while v <= top:
-        values.append(v)
-        v += 1
-    found = []
-    for combo in itertools.combinations_with_replacement(sorted(values, reverse=True), n):
-        mu = tuple(combo)
-        if not is_dominant(mu):
-            continue
-        try:
-            if leq(mu, lam):
-                found.append(mu)
-        except ValueError:
-            continue
-    found.sort(key=lambda m: (sum(m), m))
-    return found
+    par = lam[0] - int(lam[0])
+    values = [par + i for i in reversed(range(int(lam[0] - par) + 1))]
+    found = [mu for mu in itertools.combinations_with_replacement(values, len(lam)) if coroot_leq(mu, lam)]
+    return sorted(found, key=lambda m: (sum(m), m))
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +407,12 @@ def _check_isometries(Q, gens):
             raise ValueError("generator %s does not preserve Q (g^T Q g != Q)" % ([list(row) for row in g],))
 
 
+def _check_positive_definite(Q):
+    """ValueError unless every leading principal minor of Q is positive (Sylvester's criterion)."""
+    if any(_det_int([row[: k + 1] for row in Q[: k + 1]]) <= 0 for k in range(len(Q))):
+        raise ValueError("Q must be positive definite")
+
+
 def invariant_dimension(Q, gens):
     """Number of orbits of the group generated by gens on Q^{-1}Z^n / Z^n.
 
@@ -438,8 +425,7 @@ def invariant_dimension(Q, gens):
         raise ValueError("Q must be symmetric")
     if any(Q[i][i] % 2 for i in range(n)):
         raise ValueError("Q must have even diagonal")
-    if _det_int(Q) <= 0 or any(_det_int([row[: k + 1] for row in Q[: k + 1]]) <= 0 for k in range(n)):
-        raise ValueError("Q must be positive definite")
+    _check_positive_definite(Q)
     _check_isometries(Q, gens)
     elements = discriminant_group(Q)
     group = group_closure(gens) if gens else []
@@ -467,14 +453,20 @@ def invariant_dimension(Q, gens):
 
 
 def automorphism_group(Q):
-    """All integer matrices with g^T Q g = Q (finite for positive definite Q)."""
+    """All integer matrices with g^T Q g = Q, for a positive definite Q (else ValueError).
+
+    Column j of g is a v with v^T Q v = Q_jj, and by Cauchy-Schwarz
+    v_i^2 <= (v^T Q v) (Q^-1)_ii, so the search box bounds each coordinate
+    by isqrt(floor(max_j Q_jj (Q^-1)_ii)), exactly.
+    """
     n = len(Q)
     Q = [[int(x) for x in row] for row in Q]
+    _check_positive_definite(Q)
     bound = max(Q[i][i] for i in range(n))
-    # columns v must satisfy v^T Q v = Q[j][j]; search a box
-    box = math.isqrt(bound * n) + 2
+    qinv = _q_inverse(Q)
+    boxes = [math.isqrt(math.floor(bound * qinv[i][i])) for i in range(n)]
     cols = {j: [] for j in range(n)}
-    for v in itertools.product(range(-box, box + 1), repeat=n):
+    for v in itertools.product(*(range(-b, b + 1) for b in boxes)):
         nrm = sum(v[i] * Q[i][j] * v[j] for i in range(n) for j in range(n))
         for j in range(n):
             if nrm == Q[j][j]:
@@ -485,27 +477,6 @@ def automorphism_group(Q):
         if _mat_mul(_mat_T(g), _mat_mul(Q, g)) == tuple(tuple(r) for r in Q):
             out.append(g)
     return out
-
-
-def _lattice_weight(ctx, N, d):
-    """e(N tau/2d) for an integer N >= 0 as a Gaussian float, memoized per (N, d) on the context.
-
-    x = e(tau/2d) meets `half_e` once per d and context, at tau/d formed
-    from the exact tau at F + GUARD_BITS bits; x^N is x^(N//2) squared,
-    times x for odd N, each product cut to F bits (`gauss_mul`).  So x^N
-    carries a relative error of about (N + 8 log2 N) 2^-F: N times the
-    2^-F of x itself, and two products of 2^(2-F) per bit of N.
-    """
-
-    def compute():
-        if N == 1:
-            with mp.workprec(ctx._fix + GUARD_BITS):
-                return ctx.half_e(mp.make_mpc(ctx._tau_exact) / d)[0]
-        half = _lattice_weight(ctx, N // 2, d)
-        w = gauss_mul(half, half, ctx._fix)
-        return gauss_mul(w, _lattice_weight(ctx, 1, d), ctx._fix) if N % 2 else w
-
-    return memo(ctx._lattice_weight_cache, (N, d), compute) if N else GAUSS_ONE
 
 
 def _ellipsoid_rows(Q, d, bound, residues):
@@ -579,10 +550,10 @@ def theta_basis_values(Q, points, ctx):
 
         e(m^T Q m tau/2 + m^T Q z) = w(c, m) * prod_j e(z_j)^(k_j),
 
-    with z-free weights w(c, m) = e(N tau/2d), N = d m^T Q m: the powers x^N
-    of the one x = e(tau/2d) per denominator d, memoized on the context as
-    Gaussian floats (`_lattice_weight`).  Along a
-    row, m_1..m_(n-1) fixed and m_n rising by 1, k rises by Q e_n, so
+    with z-free weights w(c, m) = e(N tau/2d) = `ctx.tau_power`(N, d),
+    N = d m^T Q m: powers of the one e(tau/2d) per denominator d by the
+    context's one powering rule (`CurveContext.half_power`).  Along a row,
+    m_1..m_(n-1) fixed and m_n rising by 1, k rises by Q e_n, so
     consecutive terms differ by the factor y = prod_j e(z_j)^(Q_jn) besides
     their weights.  Per point, a row of weights w_0..w_(L-1) from its first
     point m is
@@ -601,10 +572,16 @@ def theta_basis_values(Q, points, ctx):
     scale that makes every shift of the row nonnegative.  Error: step t
     truncates one unit of 2^-(F + s_t), about 2^-F |w_t|, and the steps
     below multiply it by y^t and the start factor, so it reaches the sum as
-    about 2^-F |w_t| |y|^t |start| = 2^-F |term_t|.  The weight x^N is good
-    to about (N + 8 log2 N) 2^-F relative, N under 2^10 at 256 bits.  The
-    integer powers of e(z_j), y and the start factors are Gaussian floats
-    cut to F bits after each product (`gauss_mul`), each row's sum is
+    about 2^-F |w_t| |y|^t |start| = 2^-F |term_t|.  The weight e(N tau/2d)
+    is good to about N 2^(2-F) relative, N under 2^10 at 256 bits.  The
+    integer powers e(z_j)^k = `ctx.half_power`(z_j, 2k) (one `half_e` per
+    coordinate of a base point) are memoized on the context like every
+    `half_power`: each new point adds at most 4K + 1 entries per coordinate
+    (the powers 2k for |k| <= K and the halvings they recurse through), and
+    a repeated point (the seeded points of `theta_symmetrization_rows`, for
+    one form and every group) reads them back.  They, y and the start
+    factors are Gaussian floats cut to F bits after each product
+    (`gauss_mul`), each row's sum is
     multiplied by its start factor, the rows of one c add exactly
     (`gauss_add`), and their sum is rounded once, to `ctx._wp` bits.
 
@@ -647,7 +624,7 @@ def _theta_basis(Q, elements, points, group, ctx):
             k = [sum(Q[i][j] * M[j] for j in range(n)) // d for i in range(n)]
             mk, kn, ws = sum(Mi * ki for Mi, ki in zip(M, k)), k[-1], []  # mk = d m^T Q m
             for _ in range(L):
-                ws.append(_lattice_weight(ctx, mk, d))
+                ws.append(ctx.tau_power(mk, d))
                 # m_n -> m_n + 1: d m^T Q m grows by d (2 k_n + Q_nn), k_n by Q_nn
                 mk += d * (2 * kn + col[-1])
                 kn += col[-1]
@@ -667,15 +644,11 @@ def _theta_basis(Q, elements, points, group, ctx):
     Ks = [max(abs(v[j]) for v in exponents) for j in range(n)]
     values = [[] for _ in terms]
     for z in points:
-        powers = []  # per coordinate, [x^0, ..., x^K, x^-K, ..., x^-1] for x = e(z_j): x^k at index k
-        for zj, K in zip(z, Ks):
-            x = gauss_exact(ctx.e(zj))
-            xinv = gauss_quotient(GAUSS_ONE, x, F)
-            up, down = [GAUSS_ONE], [GAUSS_ONE]
-            for _ in range(K):
-                up.append(gauss_mul(up[-1], x, F))
-                down.append(gauss_mul(down[-1], xinv, F))
-            powers.append(up + down[:0:-1])
+        # per coordinate, e(z_j)^k = e(2k z_j/2) at index k for -K <= k <= K
+        powers = [
+            [ctx.half_power((point_key(zj), 1), 2 * k, lambda: zj)[0] for k in (*range(K + 1), *range(-K, 0))]
+            for zj, K in zip(z, Ks)
+        ]
         sums = [GAUSS_ZERO] * len(terms)
         for ye, per_c in translates:
             y = powers[0][ye[0]]

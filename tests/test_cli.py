@@ -61,6 +61,19 @@ def test_non_finite_inputs_are_config_errors(key, value):
     assert "configuration error" in out.stderr and key in out.stderr and "Traceback" not in out.stderr
 
 
+NON_FINITE_POINTS = [("eval", "theta", "nan"), ("eval", "theta", "inf"), ("eval", "gamma", "inf"), ("fourier-kernel", "nan"),
+                     ("eval", "family", "first-order", "u=0.1;0.2", "at=nan")]
+
+
+@pytest.mark.parametrize("args", NON_FINITE_POINTS, ids=" ".join)
+def test_non_finite_command_line_points_are_config_errors(args):
+    # eval theta printed 0 and exited 0, eval gamma and fourier-kernel ended in
+    # tracebacks, and the family's point was reported as lying on a pole
+    out = run_cli(*args)
+    assert out.returncode == 2
+    assert "configuration error" in out.stderr and "must be finite" in out.stderr and "Traceback" not in out.stderr
+
+
 def test_unknown_config_key_is_a_config_error(tmp_path):
     # a misspelt key (pec for prec) must not run at the default precision and pass
     cfg = tmp_path / "typo.cfg"
@@ -208,7 +221,7 @@ def test_x_keys_from_the_environment_reach_the_session(tmp_path, monkeypatch):
     xs = ["0.0%d+0.01j" % j for j in range(1, 9)]
     for j, x in enumerate(xs, 1):
         monkeypatch.setenv("CCNOPS_X%d" % j, x)
-    assert session_from_config(load_config())["xs"] == [parse_complex(x) for x in xs]
+    assert session_from_config(load_config())["xs"] == [parse_complex(x, "x%d" % j) for j, x in enumerate(xs, 1)]
     cfg = tmp_path / "x.cfg"
     cfg.write_text("x1=0.5+0.5j\nx2=0.6+0.6j\n")
     monkeypatch.delenv("CCNOPS_X2")

@@ -539,24 +539,24 @@ def test_a_point_avoids_the_poles_of_the_parts_it_reads_only(ctx, where):
 def test_one_compile_per_argument_and_one_half_e_per_base_value(monkeypatch):
     # residue checks over several specs, condition rows and coefficient
     # values on one context compile each distinct argument once, and run
-    # half_e never per argument: once per base of the context's
-    # half-exponentials, a (parameter value, den) pair that an argument
-    # reads, the root of unity e(1/2den) of a constant num/den, a fixed
-    # coordinate value, and once per power of e(tau/2)
-    ctx = CurveContext(TAU, 96)
+    # half_e never per argument: once per base of the context's one
+    # powering rule, from the context's construction on: a (parameter
+    # value, den) pair that an argument reads, the root of unity e(1/2den)
+    # of a constant num/den, a fixed coordinate value, and tau/d
     keys, calls = [], []
-    compile_, half_e = factors._compile, ctx.half_e
+    compile_, half_e = factors._compile, CurveContext.half_e
 
     def counted_compile(ctx, form, reads):
         keys.append((form.layout(), tuple(sorted((s, point_key(v)) for s, v in reads.items()))))
         return compile_(ctx, form, reads)
 
-    def counted_half_e(z):
+    def counted_half_e(self, z):
         calls.append(point_key(z))
-        return half_e(z)
+        return half_e(self, z)
 
     monkeypatch.setattr(factors, "_compile", counted_compile)
-    monkeypatch.setattr(ctx, "half_e", counted_half_e)
+    monkeypatch.setattr(CurveContext, "half_e", counted_half_e)
+    ctx = CurveContext(TAU, 96)
     D = first_order([Q / 2 + mpc("0.1", "0.06"), Q / 2 - mpc("0.1", "0.06") + ETA], T, Q, 2)
     specs = enumerate_conditions((DegreeVector(), DegreeVector(0, 1, 0)), (F(1, 2), F(1, 2)), D.params, 2)
     pairs = [s for s in specs if s.kind == "residue-pair"]
@@ -574,11 +574,12 @@ def test_one_compile_per_argument_and_one_half_e_per_base_value(monkeypatch):
     # (1, den) for a constant num/den that is not an even integer
     values = {(key, den) for _, _, _, (num, den, terms) in ctx._arguments for key, _ in terms}
     roots = {(point_key(1), den) for _, _, _, (num, den, _) in ctx._arguments if num % (2 * den)}
+    taus = {key for key, _ in ctx._half_powers if key[0] == ctx._tau_exact}  # tau/d: (tau, d)
     bases = {key for key, k in ctx._half_powers if k == 1}
     coordinates = {key for key in bases if isinstance(key[0], int)}  # (re, im) of a fixed coordinate
-    assert coordinates and bases - coordinates <= values | roots
-    assert len(calls) == len(bases) + len(ctx._half_tau_cache)  # one call per base and per power of e(tau/2)
-    assert len(calls) <= len(values | roots) + len(coordinates) + len(ctx._half_tau_cache)
+    assert coordinates and taus and bases - coordinates - taus <= values | roots
+    assert len(calls) == len(bases)  # one call per base
+    assert len(calls) <= len(values | roots) + len(coordinates) + len(taus)
 
 
 def _table_point(ctx, forms, params, z):

@@ -15,7 +15,7 @@ from ccnops.curve import (
     point_key,
 )
 from ccnops.factors import CompiledParts, compile_parts, fixed_point, fixed_shift
-from ccnops.symbols import AffineForm, ThetaExpr
+from ccnops.symbols import AffineForm, ThetaExpr, zvar
 from conftest import Q, TAU, TOL, rel
 
 
@@ -166,8 +166,10 @@ def test_theta_near_a_zero_at_shifted_points():
 def test_theta_reads_the_integer_kernel(monkeypatch):
     # at a shifted point ctx.theta is theta_at_x0 at the F-bit fixed point of
     # the exact w0 = z - m - n tau, with x0 = e(w0/2), rounded once; it calls
-    # neither the mpc exponential nor the mpc lattice reduction
+    # the exponential once, at w0/2 (the translate factor's base tau is read
+    # here first), and never the mpc lattice reduction
     ctx = CurveContext(TAU, 256)
+    ctx.tau_power(1)
     calls = []
     for name in ("e", "lattice_reduce"):
         original = getattr(CurveContext, name)
@@ -179,7 +181,7 @@ def test_theta_reads_the_integer_kernel(monkeypatch):
         monkeypatch.setattr(CurveContext, name, spy)
     z = mpc("0.17", "0.23") - 2 + 3 * ctx.tau
     got = ctx.theta(z)
-    assert calls == []
+    assert calls == ["e"]
     F = ctx._fix
     reduced = ctx.reduce_fixed(*(to_fixed(x, F) for x in point_key(z)))
     assert reduced[2:] == (-2, 3)
@@ -226,7 +228,8 @@ def test_theta_kernel_against_its_own_sum_at_f_plus_400_bits():
         return mpc(mp.ldexp(g[0], g[2]), mp.ldexp(g[1], g[2]))
 
     with mp.workprec(F + 400):
-        weights = [mp.make_mpc(point_key(w)) for w in ctx._sum_weights]
+        # the kernel's N weights w_j = (-1)^j e((j+1/2)^2 tau/2), one per Horner entry
+        weights = [(-1) ** j * exact(ctx.tau_power((2 * j + 1) ** 2, 4)) for j in range(len(ctx._theta_horner))]
         denom = sum((2 * j + 1) * w for j, w in enumerate(weights))
         for _ in range(200):
             w0 = mpc(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5) * ctx.tau.imag)
@@ -371,3 +374,32 @@ def test_product_formed_theta_is_the_first_comers_value(prec):
     own, first = gauss_round(own, ctx._wp), gauss_round(first, ctx._wp)
     assert rel(own, first) < mpf(2) ** (8 - prec)
     assert rel(first, ctx.theta(a + z)) < mpf(2) ** (8 - prec)
+
+
+@pytest.mark.parametrize("prec", [96, 256])
+def test_deep_root_of_unity_power(prec):
+    # the constant 399/800 is the root of unity e(1/1600)^399 and -601/1000
+    # is e(1/2000)^-601 (r = num mod 2den in (-den, den]): powers hundreds
+    # deep, formed by squaring (a linear chain of products overflowed the
+    # recursion limit past |k| ~ 330), against ctx.theta at the exact argument
+    ctx = CurveContext(TAU, prec)
+    z = mpc("0.1234", "-0.0567")
+    for c in (F(399, 800), F(-601, 1000)):
+        expr = ThetaExpr(((zvar(1) + AffineForm.const_form(c), 1),), 1)
+        with mp.workprec(600):
+            want = ctx.theta(z + mpf(c.numerator) / c.denominator)
+        assert rel(expr.eval(ctx, {"z1": z}), want) < mpf(2) ** (8 - prec), c
+
+
+@pytest.mark.parametrize("prec", [96, 256])
+def test_e_takes_its_argument_exactly(prec):
+    # e reduces x exactly: at x = 10^40 + 1/4 (135 bits) e(x) = i to F bits,
+    # where 2 pi i x formed at the working precision lost x's 133 integer bits
+    ctx = CurveContext(TAU, prec)
+    with mp.workprec(200):
+        x = mpf(10**40) + mpf(1) / 4
+    assert abs(ctx.e(x) - mpc(0, 1)) < mpf(2) ** -prec
+    z = mpc("0.3", "-0.2")
+    with mp.workprec(2 * prec):
+        want = mp.exp(2j * mp.pi * z)
+    assert rel(ctx.e(z), want) < mpf(2) ** -prec

@@ -68,19 +68,17 @@ def test_weight_orbits():
 
 
 def test_bruhat_intervals():
-    assert bruhat_interval((1, 1)) == [(F(0), F(0)), (F(1), F(1))]
-    assert bruhat_interval((2, 0)) == [(F(0), F(0)), (F(1), F(1)), (F(2), F(0))]
-    # the half-integer example needs the coroot lattice
-    got = bruhat_interval((F(3, 2), F(1, 2)), lattice="coroot")
+    # coroot intervals hold (1, 0), whose differences from (1, 1) and (2, 0) have odd sums
+    assert bruhat_interval((1, 1)) == [(F(0), F(0)), (F(1), F(0)), (F(1), F(1))]
+    assert bruhat_interval((2, 0)) == [(F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(2), F(0))]
+    got = bruhat_interval((F(3, 2), F(1, 2)))
     assert got == [(F(1, 2), F(1, 2)), (F(3, 2), F(1, 2))]
-    # downward closure + consistency with the corresponding order
-    for lam, lattice in (((2, 2), "root"), ((2, 1), "coroot")):
-        leq = dominance_leq if lattice == "root" else coroot_leq
-        interval = bruhat_interval(lam, lattice=lattice)
+    # downward closure + consistency with the coroot order
+    for lam in ((2, 2), (2, 1), (F(5, 2), F(3, 2), F(1, 2))):
+        interval = bruhat_interval(lam)
         for mu in interval:
-            assert leq(mu, tuple(F(x) for x in lam))
-            sub = bruhat_interval(mu, lattice=lattice)
-            for nu in sub:
+            assert coroot_leq(mu, tuple(F(x) for x in lam))
+            for nu in bruhat_interval(mu):
                 assert nu in interval
 
 
@@ -234,6 +232,26 @@ def test_automorphism_group_preserves():
     assert invariant_dimension(Q, auts) == theta_symmetrization_rank(Q, auts)
 
 
+@pytest.mark.parametrize("Q, shear", [([[2, 5], [5, 14]], 2), ([[2, 7], [7, 26]], 3)], ids=str)
+def test_automorphism_group_of_a_non_reduced_form(Q, shear):
+    # A2 in another basis, g^T A2 g for g = [[1, shear], [0, 1]]: its
+    # isometries have coordinates beyond a box of isqrt(max Q_jj n) + 2,
+    # which found 10 and 6 of the 12, and those 10 were not a group
+    g = ((1, shear), (0, 1))
+    assert weyl._mat_mul(weyl._mat_T(g), weyl._mat_mul(((2, 1), (1, 2)), g)) == tuple(map(tuple, Q))
+    auts = automorphism_group(Q)
+    assert len(auts) == 12
+    assert sorted(auts) == weyl.group_closure(auts)
+
+
+@pytest.mark.parametrize("Q", [[[2, 3], [3, 2]], [[0]], [[2, 1], [1, 0]]], ids=str)
+def test_automorphism_group_rejects_a_form_that_is_not_positive_definite(Q):
+    # an indefinite or singular form can have infinitely many isometries, and
+    # Cauchy-Schwarz bounds no search box for it
+    with pytest.raises(ValueError, match="positive definite"):
+        automorphism_group(Q)
+
+
 #: the rank oracle's default context
 ORACLE_CTX = CurveContext(mpc("0.06", "1.13"), 96)
 BASIS_FORMS = ([[2]], [[8]], [[2, 1], [1, 4]])
@@ -318,6 +336,29 @@ def test_theta_basis_values_are_periodic(Q):
     for row in theta_basis_values(Q, [z] + shifted, ORACLE_CTX):
         for val in row[1:]:
             assert abs(val - row[0]) / abs(row[0]) < mpf("1e-25")
+
+
+def test_every_half_exponential_is_one_call_of_e(monkeypatch):
+    # half_e reads e(b/2) from e, the context's one exponential, so counting
+    # e counts every exponential: the theta weights' base tau/4 at
+    # construction, the rank oracle's bases (each coordinate of a base point
+    # and tau/d) and a theta's exact w0
+    calls = []
+    for name in ("e", "half_e"):
+        original = getattr(CurveContext, name)
+
+        def spy(self, *args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(CurveContext, name, spy)
+    ctx = CurveContext(mpc("0.1", "1.1"), 96)
+    built = len(calls)
+    A2 = [[2, -1], [-1, 2]]
+    assert theta_symmetrization_rank(A2, automorphism_group(A2), ctx=ctx) == invariant_dimension(A2, automorphism_group(A2))
+    ctx.theta(mpc("0.17", "0.23"))
+    assert built == 2 and len(calls) > built
+    assert calls.count("e") == calls.count("half_e")
 
 
 @pytest.mark.parametrize("prec", [96, 256])
