@@ -86,14 +86,15 @@ per orbit representative (below) are known to reach the full rank;
 constant.
 
 The solver reads one residue-pair spec per W-orbit (`orbit_representatives`),
-W = `weyl.signed_permutations(n)`.  Every column is W-invariant,
-c_(w k)(w z) = c_k(z) for every w (`_orbit_coefficients` spreads each corner
-so), and for an invariant operator the condition at (w k, w beta + m q) is
-the image under w of the one at (k, beta + m q) (Macdonald 2003, ch. 1): the
-representative's rows stand for its orbit.  A spec of level 0 pairs k with
-s_beta k on a divisor fixed by s_beta, which lies in W, and an invariant
-operator meets it identically (its rows have certified rank 0 in the tests);
-the solver drops it, so a first-order model, whose specs are all of level 0,
+W = `weyl.signed_permutations(n)`, integer matrices acting by `weyl.act`.
+Every column is W-invariant, c_(w k)(w z) = c_k(z) for every w
+(`_orbit_coefficients` spreads each corner so), and for an invariant
+operator the condition at (w k, w beta + m q) is the image under w of the
+one at (k, beta + m q) (Macdonald 2003, ch. 1): the representative's rows
+stand for its orbit.  A spec of level 0 pairs k with s_beta k on a divisor
+fixed by s_beta, which lies in W, and an invariant operator meets it
+identically (its rows have certified rank 0 in the tests); the solver drops
+it, so a first-order model, whose specs are all of level 0,
 builds no rows and keeps every column.  The key reads w beta as a vector, not
 up to sign, so it keeps the sign of the level: the image of (k, beta + m q)
 under a w with w beta negative is, with a positive root, (w k, beta' - m q),
@@ -132,22 +133,26 @@ from .diffop import (
     DifferenceOperator,
     ExprCoefficient,
     identity_operator,
+    transpose_substitution,
 )
 from .factors import TablePoint, prefix_products, z_coefficients
 from .families import van_diejen_leading_expr, weyl_denominator
 from .symbols import AffineForm, ThetaExpr, zvar
 from .weyl import (
     AffineRoot,
+    act,
     bruhat_interval,
     inversion_set,
     numeric_rank,
     positive_roots,
     rank_certificate,
     signed_permutations,
-    sp_apply,
-    sp_inverse,
     weight_orbit,
 )
+
+
+#: the default relative tolerance of a condition check and of `identities.run_identity`
+TOLERANCE = mpf("1e-25")
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +188,7 @@ class ConditionRecord:
 @dataclass
 class ConditionReport:
     records: list = field(default_factory=list)
-    tolerance: object = mpf("1e-25")
+    tolerance: object = TOLERANCE
 
     @property
     def passed(self):
@@ -253,11 +258,11 @@ def enumerate_conditions(degree, lam, params, n):
 def orbit_representatives(specs, n):
     """One residue-pair spec per W-orbit of nonzero level, the first of each in enumeration order.
 
-    W is `weyl.signed_permutations(n)`.  A spec (k, beta + m q) is keyed on
-    the least (sorted(w k, w k2), w beta, m) over w in W, with w beta not
-    sign-normalized, so the sign of the level is kept.  Specs of level 0 are
-    dropped.  The module docstring says why the representatives carry the
-    solver's conditions.
+    W is `weyl.signed_permutations(n)`, acting by `weyl.act`.  A spec
+    (k, beta + m q) is keyed on the least (sorted(w k, w k2), w beta, m)
+    over w in W, with w beta not sign-normalized, so the sign of the level
+    is kept.  Specs of level 0 are dropped.  The module docstring says why
+    the representatives carry the solver's conditions.
     """
     group = signed_permutations(n)
     reps = {}
@@ -268,7 +273,7 @@ def orbit_representatives(specs, n):
             continue
         pair = (spec.k, spec.k2)
         key = min(
-            (tuple(sorted(sp_apply(w, k) for k in pair)), sp_apply(w, spec.root.coeffs), spec.root.level)
+            (tuple(sorted(act(w, k) for k in pair)), act(w, spec.root.coeffs), spec.root.level)
             for w in group
         )
         reps.setdefault(key, spec)
@@ -484,7 +489,7 @@ def _residue_entries(ctx, rng, spec, n, env, columns, components, samples):
 
 
 @at_context_precision
-def check_residue(ctx, op, specs, env, samples=2, seed=11, tol=mpf("1e-25")):
+def check_residue(ctx, op, specs, env, samples=2, seed=11, tol=TOLERANCE):
     """Residue-pair conditions for an operator; returns a ConditionReport.
 
     env: dict with at least q, t and eta'.  A point's defect is
@@ -511,7 +516,7 @@ def check_residue(ctx, op, specs, env, samples=2, seed=11, tol=mpf("1e-25")):
 
 
 @at_context_precision
-def check_vanishing(ctx, op, specs, env, samples=2, seed=13, tol=mpf("1e-25")):
+def check_vanishing(ctx, op, specs, env, samples=2, seed=13, tol=TOLERANCE):
     """x-vanishing and t-vanishing conditions (zeros of coefficients on divisors).
 
     Each point lies on the condition's divisor, off the poles of the
@@ -537,7 +542,7 @@ def check_vanishing(ctx, op, specs, env, samples=2, seed=13, tol=mpf("1e-25")):
 
 
 @at_context_precision
-def check_polarization(ctx, coeff, expected, samples=2, seed=17, tol=mpf("1e-25")):
+def check_polarization(ctx, coeff, expected, samples=2, seed=17, tol=TOLERANCE):
     """Measured tau-translation multipliers against the predicted (Q, w) form.
 
     coeff: a coefficient, read through coeff.eval; expected: PolarizationRecord.
@@ -640,24 +645,19 @@ def _symmetric_power(shared, uni, coords):
 
 
 def _orbit_coefficients(n, mu, corner_parts, params):
-    """Spread a corner at shift -mu over its signed-permutation orbit by invariance.
+    """Spread a corner at shift -mu over its W-orbit by invariance.
 
-    corner_parts: ThetaExprs summed at the corner.  Returns shift -> their
-    ExprCoefficient.
+    corner_parts: ThetaExprs summed at the corner c.  Returns shift -> its
+    ExprCoefficient: at w(-mu), c(w^T z) (`diffop.transpose_substitution`)
+    for the first w of `weyl.signed_permutations`(n) that reaches the shift.
     """
-    corner = tuple(-x for x in mu)
+    corner = ExprCoefficient.sum(ExprCoefficient(p, params) for p in corner_parts)
+    shift = tuple(-x for x in mu)
     coeffs = {}
     for w in signed_permutations(n):
-        k = sp_apply(w, corner)
-        if k in coeffs:
-            continue
-        iperm, isigns = sp_inverse(w)
-        mapping = {
-            "z%d" % (i + 1): AffineForm({"z%d" % (iperm[i] + 1): isigns[i]}) for i in range(n)
-        }
-        coeffs[k] = ExprCoefficient.sum(
-            ExprCoefficient(p.substitute(mapping), params) for p in corner_parts
-        )
+        k = act(w, shift)
+        if k not in coeffs:
+            coeffs[k] = corner.transformed(transpose_substitution(w))
     return coeffs
 
 

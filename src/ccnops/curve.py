@@ -366,10 +366,8 @@ class CurveContext:
         self._argument_cache = {}  # factors.compile_argument: an id per (form, values read)
         self._arguments = []  # its entry per id: (re c, im c, ((j, k_j), ...), (num, den, ((value key, n), ...)))
         self._argument_halves = {}  # e(+-c/2) per id, a product of `_half_powers` entries (factors)
-        self._product_cache = {}  # `theta_product`: the powers p^j and prod (1-p^j)^2
         self._gamma_cache = {}
         self._gamma_table_cache = {}
-        self._c_pair_cache = {}
 
     # -- primitives -------------------------------------------------------
 
@@ -679,7 +677,7 @@ class CurveContext:
         """theta(z; tau) via the defining product formula at the reduced argument (reference path).
 
         The mpc product formula, independent of the sum kernel.  The powers
-        p^j, p = e(tau), and prod_j (1-p^j)^2 come from a per-context memo
+        p^j, p = e(tau), and prod_j (1-p^j)^2 are computed once per context
         (`_product_table`); 1/x is formed once per call.
         """
         with mp.workprec(self._wp):
@@ -693,46 +691,41 @@ class CurveContext:
             inv_xh = 1 / xh
             x, inv_x = xh * xh, inv_xh * inv_xh
             val = xh - inv_xh
-            powers, denom = self._product_table()
+            powers, denom = self._product_table
             for pj in powers:
                 val *= (1 - pj * x) * (1 - pj * inv_x)
             return mult * val / denom
 
+    @functools.cached_property
     def _product_table(self):
-        """([p, p^2, ..., p^J], prod_(j<=J) (1-p^j)^2) at `ctx._wp` bits, memoized per context.
+        """([p, p^2, ..., p^J], prod_(j<=J) (1-p^j)^2) at `ctx._wp` bits, computed once per context.
 
         J is fixed for the reduced domain |Im z| <= Im tau/2, where
         |x| + 1/|x| <= e^(pi Im tau) + e^(-pi Im tau) for x = e(z): the
         first j with |p^j| (e^(pi Im tau) + e^(-pi Im tau) + 2) < 2^-wp.
         """
-
-        def compute():
-            p = self.e(self.tau)
-            s = mp.exp(mp.pi * self.tau.imag)
-            bound = s + 1 / s + 2
-            powers, denom, pj = [], mpc(1), p
-            while True:
-                powers.append(pj)
-                denom *= (1 - pj) ** 2
-                if abs(pj) * bound < self._cutoff:
-                    return powers, denom
-                if len(powers) >= 20000:
-                    raise PrecisionError("theta product did not converge")
-                pj *= p
-
-        return memo(self._product_cache, (), compute)
+        p = self.e(self.tau)
+        s = mp.exp(mp.pi * self.tau.imag)
+        bound = s + 1 / s + 2
+        powers, denom, pj = [], mpc(1), p
+        while True:
+            powers.append(pj)
+            denom *= (1 - pj) ** 2
+            if abs(pj) * bound < self._cutoff:
+                return powers, denom
+            if len(powers) >= 20000:
+                raise PrecisionError("theta product did not converge")
+            pj *= p
 
     # -- elliptic Gamma -----------------------------------------------------
 
     def _log_c(self):
         """Principal log of C = -(p;p)_inf^2 with p = e(tau)."""
-        return self._c_pair()[0]
+        return self._c_pair[0]
 
+    @functools.cached_property
     def _c_pair(self):
         """(log C, C) at F + GUARD_BITS bits, computed once per context."""
-        return memo(self._c_pair_cache, (), self._c_pair_at)
-
-    def _c_pair_at(self):
         with mp.workprec(self._fix + GUARD_BITS):
             p = mp.expjpi(2 * mp.make_mpc(self._tau_exact))
             prod, pj = mpc(1), p
@@ -771,7 +764,7 @@ class CurveContext:
                 weights.append(((dr << 3 * F) // d2, (-di << 3 * F) // d2, F))
                 ar, ai = (ar * pr - ai * pi) >> F, (ar * pi + ai * pr) >> F
                 br, bi = (br * Qr - bi * Qi) >> F, (br * Qi + bi * Qr) >> F
-            return weights[::-1], gauss_mul(p, Q, F), gauss_cut(*gauss_exact(self._c_pair()[1]), F)
+            return weights[::-1], gauss_mul(p, Q, F), gauss_cut(*gauss_exact(self._c_pair[1]), F)
 
         qk = point_key(q)
         return memo(self._gamma_table_cache, qk, compute)

@@ -37,6 +37,7 @@ from .curve import (
 )
 from .factors import CompiledParts, compile_parts, fixed_point, fixed_shift
 from .symbols import AffineForm, GammaProduct, ThetaExpr, zvar
+from .weyl import act, hyperoctahedral_generators
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,16 @@ def bindings_for(params, z):
     for i, w in enumerate(z):
         bind["z%d" % (i + 1)] = w
     return bind
+
+
+def transpose_substitution(w):
+    """The substitution z -> w^T z of the symbols z1..zn, for an n x n integer matrix w.
+
+    For w in W, w^T = w^-1: c(w^T z) is the coefficient c moved by w, as
+    `DifferenceOperator.group_act` and `conditions._orbit_coefficients` read it.
+    """
+    n = len(w)
+    return {"z%d" % (i + 1): AffineForm({"z%d" % (j + 1): w[j][i] for j in range(n)}) for i in range(n)}
 
 
 def shift_point(z, q, k):
@@ -288,24 +299,17 @@ class DifferenceOperator:
     # -- group action -----------------------------------------------------
 
     def group_act(self, w):
-        """Conjugation by the signed permutation w: coefficients and keys move together."""
-        from .weyl import sp_apply, sp_inverse
+        """Conjugation by w in W, an integer matrix: the coefficient c at k moves to w k as c(w^T z).
 
-        winv = sp_inverse(w)
-        assignments = {}
-        iperm, isigns = winv
-        for i in range(self.n):
-            assignments["z%d" % (i + 1)] = AffineForm({"z%d" % (iperm[i] + 1): isigns[i]})
-        coeffs = {}
-        for k, c in self.coeffs.items():
-            coeffs[sp_apply(w, k)] = c.transformed(assignments)
+        The substitution z -> w^T z is `transpose_substitution`(w).
+        """
+        assignments = transpose_substitution(w)
+        coeffs = {act(w, k): c.transformed(assignments) for k, c in self.coeffs.items()}
         return DifferenceOperator(self.n, coeffs, self.params, self.degree)
 
     @at_context_precision
     def is_invariant(self, ctx, samples):
         """Max relative defect of D - w D w^{-1} over group generators at samples; mp.inf if the supports differ."""
-        from .weyl import hyperoctahedral_generators
-
         worst = mpf(0)
         for w in hyperoctahedral_generators(self.n):
             Dw = self.group_act(w)

@@ -12,7 +12,7 @@ import random
 
 from mpmath import mp, mpc, mpf
 
-from .conditions import ConditionReport
+from .conditions import TOLERANCE, ConditionReport
 from .curve import at_context_precision
 from .diffop import rel_defect
 
@@ -44,7 +44,7 @@ def _draw_q(rng, ctx):
 
 
 @at_context_precision
-def run_identity(ctx, name, n=2, samples=20, seed=1, tol=mpf("1e-25")):
+def run_identity(ctx, name, n=2, samples=20, seed=1, tol=TOLERANCE):
     """Evaluate one catalogue identity; returns a ConditionReport."""
     if name not in CATALOGUE:
         raise ValueError("unknown identity %r" % (name,))

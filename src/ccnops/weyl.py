@@ -22,6 +22,14 @@ the pairing of a weight of one parity class with beta is an integer.
 `positive_roots` lists the type-C roots, `positive_finite_roots` the type-D
 ones that the inversion sets run over.
 
+The Weyl group W(C_n) is a set of integer matrices, the package's one Weyl
+group element: `signed_permutations(n)` lists its 2^n n! elements,
+`hyperoctahedral_generators(n)` generates it, and `act` is the one action on
+shifts, weights and points.  The inverse of w is its transpose and
+composition is the matrix product.  The lattice oracle (`group_closure`,
+`invariant_dimension`, `theta_symmetrization_rank`) takes the same matrices,
+as it takes the isometries of `automorphism_group`.
+
 Every rank and nullspace dimension of the package is decided by one function,
 `rank_certificate`, and one rule: the singular values above 2^-(prec//2)
 count.  That absolute floor assumes entries of order one (s_max between
@@ -113,19 +121,9 @@ def coroot_leq(lam, mu):
 
 
 def weight_orbit(lam):
-    """All signed permutations of a dominant weight, deduplicated."""
+    """The W-orbit {w lam : w in `signed_permutations`(n)} of a weight."""
     lam = as_weight(lam)
-    out = set()
-    n = len(lam)
-    for perm in itertools.permutations(range(n)):
-        base = tuple(lam[p] for p in perm)
-        nz = [i for i in range(n) if base[i] != 0]
-        for signs in itertools.product((1, -1), repeat=len(nz)):
-            v = list(base)
-            for i, s in zip(nz, signs):
-                v[i] = base[i] * s
-            out.add(tuple(v))
-    return out
+    return {act(w, lam) for w in signed_permutations(len(lam))}
 
 
 def bruhat_interval(lam):
@@ -243,66 +241,47 @@ def inversion_set(lam):
 
 
 # ---------------------------------------------------------------------------
-# signed permutations
+# the Weyl group as integer matrices
+
+
+def _signed_permutation(perm, signs):
+    """The integer matrix g with g[i][perm[i]] = signs[i], so (g v)_i = signs[i] v_perm(i)."""
+    n = len(perm)
+    return tuple(tuple(signs[i] if j == perm[i] else 0 for j in range(n)) for i in range(n))
 
 
 def signed_permutations(n):
-    """The full hyperoctahedral group as (perm, signs) pairs."""
-    out = []
-    for perm in itertools.permutations(range(n)):
-        for signs in itertools.product((1, -1), repeat=n):
-            out.append((perm, signs))
-    return out
+    """The hyperoctahedral group W(C_n) as integer matrices, all 2^n n! of them.
+
+    The order is fixed: permutations in lexicographic order, then signs in
+    `itertools.product((1, -1), repeat=n)` order;
+    `conditions._orbit_coefficients` keeps the first w that reaches each
+    shift.
+    """
+    return [
+        _signed_permutation(perm, signs)
+        for perm in itertools.permutations(range(n))
+        for signs in itertools.product((1, -1), repeat=n)
+    ]
 
 
 def hyperoctahedral_generators(n):
-    """Adjacent transpositions plus the last-coordinate sign flip."""
-    gens = []
-    for i in range(n - 1):
-        perm = list(range(n))
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        gens.append((tuple(perm), (1,) * n))
-    signs = [1] * n
-    if n:
-        signs[n - 1] = -1
-    gens.append((tuple(range(n)), tuple(signs)))
-    return gens
+    """Adjacent transpositions plus the last-coordinate sign flip, as integer matrices."""
+    ident = list(range(n))
+    swaps = [ident[:i] + [i + 1, i] + ident[i + 2 :] for i in range(n - 1)]
+    return [_signed_permutation(perm, (1,) * n) for perm in swaps] + [
+        _signed_permutation(ident, (1,) * (n - 1) + (-1,))
+    ]
 
 
-def sp_apply(w, vec):
-    """Apply the signed permutation w = (perm, signs): (w.vec)_i = s_i * vec_{perm(i)}."""
-    perm, signs = w
-    return tuple(signs[i] * vec[perm[i]] for i in range(len(vec)))
+def act(g, v):
+    """The action g v of an integer matrix g on a vector v, as a tuple.
 
-
-def sp_inverse(w):
-    perm, signs = w
-    n = len(perm)
-    iperm = [0] * n
-    isigns = [1] * n
-    for i in range(n):
-        iperm[perm[i]] = i
-        isigns[perm[i]] = signs[i]
-    return (tuple(iperm), tuple(isigns))
-
-
-def sp_compose(w1, w2):
-    """w1 after w2: (w1*w2).vec = w1.(w2.vec)."""
-    perm1, signs1 = w1
-    perm2, signs2 = w2
-    n = len(perm1)
-    perm = tuple(perm2[perm1[i]] for i in range(n))
-    signs = tuple(signs1[i] * signs2[perm1[i]] for i in range(n))
-    return (perm, signs)
-
-
-def sp_matrix(w):
-    perm, signs = w
-    n = len(perm)
-    g = [[0] * n for _ in range(n)]
-    for i in range(n):
-        g[i][perm[i]] = signs[i]
-    return g
+    Only the nonzero entries of g are read, so a signed permutation costs
+    one product per coordinate.  The inverse of w in W is `_mat_T`(w) and
+    composition is `_mat_mul`.
+    """
+    return tuple(sum(x * y for x, y in zip(row, v) if x) for row in g)
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +301,6 @@ def _mat_T(a):
 
 def _identity(n):
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def _mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 def group_closure(gens):
@@ -428,7 +403,7 @@ def invariant_dimension(Q, gens):
     _check_positive_definite(Q)
     _check_isometries(Q, gens)
     elements = discriminant_group(Q)
-    group = group_closure(gens) if gens else []
+    group = group_closure(gens or [_identity(n)])
     index = {c: i for i, c in enumerate(elements)}
     seen = set()
     orbits = 0
@@ -639,7 +614,7 @@ def _theta_basis(Q, elements, points, group, ctx):
     translates = []
     for g in group:
         gT = _mat_T(g)
-        translates.append((_mat_vec(gT, col), [[(_mat_vec(gT, k), *rest) for k, *rest in rows] for rows in terms]))
+        translates.append((act(gT, col), [[(act(gT, k), *rest) for k, *rest in rows] for rows in terms]))
     exponents = [v for ye, per_c in translates for v in [ye, *(row[0] for rows in per_c for row in rows)]]
     Ks = [max(abs(v[j]) for v in exponents) for j in range(n)]
     values = [[] for _ in terms]

@@ -41,7 +41,6 @@ from ccnops.weyl import (
     automorphism_group,
     hyperoctahedral_generators,
     invariant_dimension,
-    sp_matrix,
     theta_symmetrization_rank,
 )
 from conftest import ETA, Q, T, TOL, even_positive_definite, op_defect, rel, sample_points
@@ -363,5 +362,10 @@ def test_criterion_11_invariant_dimensions():
             got = theta_symmetrization_rank(Qm, gens)
             assert want == got, (Qm, len(gens), want, got)
             count += 1
+    for n in (1, 2):  # W(C_n) on 2 I_n, the Weyl group's own form
+        Qm = [[2 * int(i == j) for j in range(n)] for i in range(n)]
+        gens = hyperoctahedral_generators(n)
+        assert invariant_dimension(Qm, gens) == theta_symmetrization_rank(Qm, gens) == n + 1
+        count += 1
     print("criterion 11-invariant-dimensions PASS  (%d lattice/group pairs, %.1fs)" % (count, time.time() - t0))
     assert count >= 20

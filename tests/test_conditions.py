@@ -1082,7 +1082,7 @@ def _invariance_defect(ctx, model, points):
             for z in points:
                 ref = op.eval_coeff(ctx, k, z)
                 for w in group:
-                    got = op.eval_coeff(ctx, weyl.sp_apply(w, k), weyl.sp_apply(w, z))
+                    got = op.eval_coeff(ctx, weyl.act(w, k), weyl.act(w, z))
                     worst = max(worst, abs(got - ref) / abs(ref))
     return worst
 

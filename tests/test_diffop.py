@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction as F
@@ -96,22 +97,24 @@ def test_compose_associative(ctx):
 
 def test_group_act_identity(ctx):
     D = first_order([mpc("0.1", "0.05"), mpc("0.2", "-0.1")], T, Q, 2)
-    w = ((0, 1), (1, 1))
+    w = ((1, 0), (0, 1))
     assert op_defect(ctx, D, D.group_act(w), sample_points(2, 1)) < TOL
 
 
 def test_group_action_composition(ctx):
-    from ccnops.weyl import signed_permutations, sp_compose
+    # acting by w2 then by w1 is acting by the matrix product w1 w2, and the transpose undoes w;
+    # the operator is not invariant, so each w moves its shift and its coefficient
+    from ccnops.weyl import _mat_mul, _mat_T, signed_permutations
 
-    rng = random.Random(13)
-    els = signed_permutations(2)
-    D = first_order([mpc("0.1", "0.05"), mpc("0.2", "-0.1")], T, Q, 2)
+    D = monomial_operator(2, (F(1), F(0)), ThetaExpr(((zvar(1) + zvar(2) * 2, 1),), arity=2), PARAMS)
     pts = sample_points(2, 1)
-    for _ in range(6):
-        w1, w2 = rng.choice(els), rng.choice(els)
-        lhs = D.group_act(w2).group_act(w1)
-        rhs = D.group_act(sp_compose(w1, w2))
+    for w1, w2 in itertools.product(signed_permutations(2), repeat=2):
+        lhs, rhs = D.group_act(w2).group_act(w1), D.group_act(_mat_mul(w1, w2))
+        assert set(lhs.coeffs) == set(rhs.coeffs)
         assert op_defect(ctx, lhs, rhs, pts) < TOL
+        back = D.group_act(w1).group_act(_mat_T(w1))
+        assert set(back.coeffs) == set(D.coeffs)
+        assert op_defect(ctx, back, D, pts) < TOL
 
 
 def test_is_invariant(ctx):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -12,12 +13,14 @@ from ccnops.weyl import (
     _seeded_base_points,
     _q_inverse,
     AffineRoot,
+    act,
     as_weight,
     automorphism_group,
     bruhat_interval,
     coroot_leq,
     discriminant_group,
     dominance_leq,
+    group_closure,
     hyperoctahedral_generators,
     invariant_dimension,
     inversion_set,
@@ -25,10 +28,6 @@ from ccnops.weyl import (
     positive_finite_roots,
     positive_roots,
     rank_certificate,
-    sp_apply,
-    sp_compose,
-    sp_inverse,
-    sp_matrix,
     signed_permutations,
     theta_basis_values,
     theta_symmetrization_rank,
@@ -160,19 +159,42 @@ def test_inversion_against_bruteforce():
 
 
 def test_group_action_structure():
+    # composition is the matrix product and the inverse is the transpose
     rng = random.Random(12)
     els = signed_permutations(3)
     for _ in range(30):
         w1, w2 = rng.choice(els), rng.choice(els)
         v = tuple(F(rng.randrange(-3, 4)) for _ in range(3))
-        assert sp_apply(sp_compose(w1, w2), v) == sp_apply(w1, sp_apply(w2, v))
-        assert sp_apply(sp_inverse(w1), sp_apply(w1, v)) == v
+        assert act(weyl._mat_mul(w1, w2), v) == act(w1, act(w2, v))
+        assert act(weyl._mat_T(w1), act(w1, v)) == v
+        assert weyl._mat_mul(weyl._mat_T(w1), w1) == weyl._identity(3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_signed_permutations_are_the_group_the_generators_generate(n):
+    els = signed_permutations(n)
+    assert len(els) == len(set(els)) == 2**n * math.factorial(n)
+    assert set(els) == set(group_closure(hyperoctahedral_generators(n)))
+
+
+def test_signed_permutations_keep_their_enumeration_order():
+    # permutations in lexicographic order, then signs in itertools.product order:
+    # conditions._orbit_coefficients keeps the first w that reaches each shift
+    assert signed_permutations(2) == [
+        ((1, 0), (0, 1)),
+        ((1, 0), (0, -1)),
+        ((-1, 0), (0, 1)),
+        ((-1, 0), (0, -1)),
+        ((0, 1), (1, 0)),
+        ((0, 1), (-1, 0)),
+        ((0, -1), (1, 0)),
+        ((0, -1), (-1, 0)),
+    ]
 
 
 def test_invariant_dimension_examples():
     assert invariant_dimension([[2]], [[[-1]]]) == 2
-    gens = [sp_matrix(g) for g in hyperoctahedral_generators(2)]
-    assert invariant_dimension([[2, 0], [0, 2]], gens) == 3
+    assert invariant_dimension([[2, 0], [0, 2]], hyperoctahedral_generators(2)) == 3
     assert invariant_dimension([[4, 1], [1, 4]], []) == 15
 
 
@@ -187,8 +209,7 @@ def test_invariant_dimension_validates_inputs():
 
 def test_theta_rank_oracle_basic():
     assert theta_symmetrization_rank([[2]], [[[-1]]]) == 2
-    gens = [sp_matrix(g) for g in hyperoctahedral_generators(2)]
-    assert theta_symmetrization_rank([[2, 0], [0, 2]], gens) == 3
+    assert theta_symmetrization_rank([[2, 0], [0, 2]], hyperoctahedral_generators(2)) == 3
 
 
 def test_rank_oracle_rejects_a_generator_that_does_not_preserve_q():
