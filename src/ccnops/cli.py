@@ -642,6 +642,8 @@ def cmd_eval(args, cfg):
             raise ConfigError("eval compose needs two operands")
         op1 = _registry_build(*_split_spec(tokens[1]), S)
         op2 = _registry_build(*_split_spec(tokens[2]), S)
+        if op1.n != op2.n:
+            raise ConfigError("eval compose needs operands of one arity, got n=%d and n=%d" % (op1.n, op2.n))
         op = op1.compose(op2)
         rest = tokens[3:]
     else:
@@ -711,6 +713,8 @@ def cmd_solve_section(args, cfg):
     S = session_from_config(cfg)
     n = _solvable_n(S, "solve-section " + args.family)
     if args.family == "first-order":
+        if args.dprime < 0:
+            raise ConfigError("dprime must be at least 0, got %d" % args.dprime)
         model, null, ops = section_solve_first_order(
             S["ctx"], n, args.dprime, S["eta_prime"], S["q"], S["t"], seed=S["seed"]
         )

@@ -67,11 +67,11 @@ and rounds each entry once, and `check_residue` rounds the entry and its two
 terms once each.
 
 Dimensions are decided by the one rank rule of `weyl.rank_certificate`: the
-solver's `nullspace_basis` and `operator_span_contains` scale their matrices
-to entries of order one (s_max between 10^-0.2 and 10^2.6 at nonzero rank in
-the tests and the benchmark), and a rank stands only with certified bounds
-on either side of the floor 2^-(prec//2), a RANK_GAP ratio apart, from a
-pivoted Cholesky of the exact integer Gram matrix A^H A.
+solver's `nullspace_basis` scales its matrix to entries of order one (s_max
+between 10^-0.2 and 10^2.6 at nonzero rank in the tests and the benchmark),
+and a rank stands only with certified bounds on either side of the floor
+2^-(prec//2), a RANK_GAP ratio apart, from a pivoted Cholesky of the exact
+integer Gram matrix A^H A.
 
 Both section models follow one ansatz rule for every n.  A weight mu's
 columns are a shared theta block times Sym^k of a univariate theta basis in
@@ -143,7 +143,6 @@ from .weyl import (
     act,
     bruhat_interval,
     inversion_set,
-    numeric_rank,
     positive_roots,
     rank_certificate,
     signed_permutations,
@@ -761,7 +760,9 @@ def nullspace_basis(rows, ncols, prec=256):
 
 @at_context_precision
 def first_order_model(ctx, n, dprime, eta_prime, q, t, seed=31):
-    """Ansatz for degree (0, s + d'f): single orbit of (1/2,...,1/2)."""
+    """Ansatz for degree (0, s + d'f): single orbit of (1/2,...,1/2); d' >= 0."""
+    if dprime < 0:
+        raise ValueError("dprime must be at least 0, got %d" % dprime)
     rng = random.Random(seed)
     params = {"q": exact_mpc(q), "t": exact_mpc(t)}
     K = 2 * dprime + 2
@@ -844,12 +845,6 @@ def vandiejen_nullspace(ctx, xs, q, t, n, eta_prime=None, seed=37):
     return model, model.nullspace(seed=seed)
 
 
-def vandiejen_sections(ctx, xs, q, t, n, eta_prime=None, seed=37):
-    """(model, all n+1 sections) from one nullspace solve, triangularized by weight."""
-    model, null = vandiejen_nullspace(ctx, xs, q, t, n, eta_prime=eta_prime, seed=seed)
-    return model, sections_by_weight(model, null)
-
-
 def sections_by_weight(model, null):
     """The n+1 sections of a solved van Diejen model, in echelon form by weight.
 
@@ -891,66 +886,3 @@ def sections_by_weight(model, null):
             if any(mu):
                 sections[sum(1 for x in mu if x != 0)] = model.operator_from_vector(vec)
         return sections
-
-
-# ---------------------------------------------------------------------------
-# public dispatcher
-
-
-def section_solve(ctx, degree, lam, leading, params, seed=31):
-    """Numeric basis of the section space for a supported degree family.
-
-    degree: pair of DegreeVectors.  Supported families: (0,0) (constants)
-    at any n, and (0, s+d'f) and (0, 2s+2f-e_1-...-e_8), whose models build
-    at any n but whose solve (`SectionModel.nullspace`) raises
-    NotImplementedError above n = 2.  `leading` is "free" (full nullspace)
-    or "prescribed" (van Diejen normalization).  Returns (dimension, list of
-    operators).
-    """
-    d1, d2 = degree
-    n = len(lam)
-    q = params["q"]
-    t = params.get("t", 0)
-    if d2.s == 0 and d2.f == 0 and not any(d2.e or ()):
-        return 1, [identity_operator(n, {"q": exact_mpc(q), "t": exact_mpc(t)})]
-    if d2.s == 1 and not any(d2.e or ()):
-        eta = params.get("eta_prime")
-        if eta is None:
-            raise ValueError("the first-order family needs eta_prime")
-        model, null, ops = section_solve_first_order(ctx, n, d2.f, eta, q, t, seed=seed)
-        return len(null), ops
-    if d2.s == 2 and d2.f == 2 and tuple(d2.e or ()) == (1,) * 8:
-        xs = [params["x%d" % (j + 1)] for j in range(8)]
-        if leading == "prescribed":
-            _, sections = vandiejen_sections(
-                ctx, xs, q, t, n, eta_prime=params.get("eta_prime"), seed=seed
-            )
-            return len(sections), sections
-        model, null = vandiejen_nullspace(
-            ctx, xs, q, t, n, eta_prime=params.get("eta_prime"), seed=seed
-        )
-        return len(null), [model.operator_from_vector(v) for v in null]
-    raise NotImplementedError("section solving implemented for the supported degree families")
-
-
-@at_context_precision
-def operator_span_contains(ctx, basis_ops, op, points):
-    """Whether op lies in the numeric span of basis_ops on sampled coefficients."""
-    keys = set()
-    for b in basis_ops:
-        keys |= set(b.support())
-    keys |= set(op.support())
-    cols = []
-    for b in basis_ops + [op]:
-        col = []
-        for z in points:
-            for k in sorted(keys):
-                col.append(b.eval_coeff(ctx, k, z))
-        cols.append(col)
-    scale = max(abs(v) for v in cols[-1]) or mpf(1)
-    cols = [[v / scale for v in col] for col in cols]
-    rows = [[col[i] for col in cols] for i in range(len(cols[0]))]
-    r_with = numeric_rank(rows, prec=ctx.prec)
-    rows_without = [row[:-1] for row in rows]
-    r_without = numeric_rank(rows_without, prec=ctx.prec)
-    return r_with == r_without

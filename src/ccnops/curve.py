@@ -171,9 +171,6 @@ MAX_RETRIES = 64
 #: truncation guard bits on top of the working precision
 GUARD_BITS = 16
 
-#: most factors per row, and rows, of `CurveContext.gamma_double_product`
-DOUBLE_PRODUCT_TERMS = 400
-
 
 _MISS = object()
 
@@ -819,40 +816,3 @@ class CurveContext:
             else:
                 raise PoleProximityError("gamma_q(z) has a pole at z = %s" % mp.make_mpc(zk))
         return gauss_div(num, den, self._wp)
-
-    def gamma_double_product(self, z, q):
-        """Reference evaluation of the Gamma symbol by its raw double product.
-
-        p^j Q^k (p = e(tau), Q = e(q)) and its modulus are running products;
-        a row stops once |p^j Q^k| (|x| + 1/|x|) is below the cutoff.
-        """
-        with mp.workprec(self._wp):
-            z = mpc(z)
-            q = mpc(q)
-            if q.imag < MIN_IM:
-                raise ModulusError("Im(q) below threshold")
-            logc = self._log_c()
-            pref = mp.exp(-(z / q) * logc) * self.e(-z * (z - q) / (4 * q))
-            p = self.e(self.tau)
-            Q = self.e(q)
-            x = self.e(z)
-            pq_x = p * Q / x
-            size = abs(x) + 1 / abs(x)
-            abs_p, abs_Q = abs(p), abs(Q)
-            val = mpc(1)
-            pj, abs_pj = mpc(1), mpf(1)
-            for _ in range(DOUBLE_PRODUCT_TERMS):
-                row = mpc(1)
-                done_row = False
-                pjk, abs_pjk = pj, abs_pj  # p^j Q^k and its modulus
-                for kk in range(DOUBLE_PRODUCT_TERMS):
-                    row *= (1 - pjk * pq_x) / (1 - pjk * x)
-                    if abs_pjk * size < self._cutoff:
-                        done_row = kk > 0
-                        break
-                    pjk, abs_pjk = pjk * Q, abs_pjk * abs_Q
-                val *= row
-                if done_row and abs_pj * size < self._cutoff:
-                    break
-                pj, abs_pj = pj * p, abs_pj * abs_p
-            return pref * val

@@ -321,42 +321,6 @@ class DifferenceOperator:
                     worst = max(worst, rel_defect(a, Dw.eval_coeff(ctx, k, z)))
         return worst
 
-    # -- structure --------------------------------------------------------
-
-    def orbit_weights(self):
-        """Dominant representatives of the support orbits."""
-        reps = set()
-        for k in self.coeffs:
-            reps.add(tuple(sorted((abs(x) for x in k), reverse=True)))
-        return sorted(reps)
-
-    def leading_terms(self):
-        """Dominance-maximal dominant weights with the corner (-mu) coefficients."""
-        from .weyl import dominance_leq
-
-        if not self.coeffs:
-            raise ValueError("empty operator")
-        reps = self.orbit_weights()
-        maxima = []
-        for mu in reps:
-            dominated = False
-            for nu in reps:
-                if nu == mu:
-                    continue
-                try:
-                    if dominance_leq(mu, nu):
-                        dominated = True
-                        break
-                except ValueError:
-                    continue
-            if not dominated:
-                maxima.append(mu)
-        out = []
-        for mu in maxima:
-            corner = tuple(-x for x in mu)
-            out.append((mu, self.coefficient(corner)))
-        return out
-
     # -- gauges and adjoints -----------------------------------------------
 
     def gauge_conjugate(self, gamma_out, gamma_in):
@@ -441,8 +405,3 @@ def identity_operator(n, params):
 def multiplication_operator(n, expr, params):
     """The operator 'multiply by expr(z)'."""
     return DifferenceOperator(n, {tuple([0] * n): ExprCoefficient(expr, params)}, params)
-
-
-def monomial_operator(n, k, expr, params):
-    """expr(z) * T^k."""
-    return DifferenceOperator(n, {tuple(k): ExprCoefficient(expr, params)}, params)

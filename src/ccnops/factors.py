@@ -27,8 +27,8 @@ share the table, each with the memo its traffic suits:
 * coefficient values (`compile_parts`, `CompiledParts`), behind
   `ThetaExpr.eval`, `ExprCoefficient.eval` (which `conditions.check_vanishing`
   reads), the composites of `DifferenceOperator.compose`, and the formal
-  layer: the head ratios of `formal` (`FormalGaugedOperator.compose`,
-  `invert` and `compare_gauged`) and the Fourier kernel's tail relation
+  layer: the head ratios of `formal` (`FormalGaugedOperator.compose` and
+  `compare_gauged`) and the Fourier kernel's tail relation
   (`families._TailSolver.A`).  Each theta is
   `CurveContext.theta_of_fixed`, memoized on the fixed-point argument: the
   first argument to reach a key forms its value, and a later one reads it.

@@ -539,9 +539,6 @@ class TrigOperator:
             total = term if total is None else total + term
         return total
 
-    def coefficients_at(self, z):
-        return {k: cf(z) for k, cf in self.terms.items()}
-
 
 # ---------------------------------------------------------------------------
 # curious kernel identities (n = 2)

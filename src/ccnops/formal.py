@@ -8,7 +8,7 @@ with total degree <= order above the support corner.
 A Gamma head commutes through a tail key m as the ratio
 rho_m(z) = Gamma(z + q m) / Gamma(z), resolved to a ThetaExpr; a ratio that
 does not resolve raises `symbols.UnbalancedError`.  The ratios of
-`compose` and `invert`, and the ratio of two heads in `compare_gauged`, are
+`compose` and the ratio of two heads in `compare_gauged` are
 `diffop.ExprCoefficient`s, so they are read on the context's compiled
 argument table (`factors`) like every finite coefficient.
 """
@@ -59,42 +59,6 @@ class Tail:
                 return fn(ctx, z)
 
         return memo(self._memo, (ctx, tuple(k), tuple(map(point_key, z))), compute)
-
-
-class _InverseSolver:
-    """The recursion that the tail entries of `FormalGaugedOperator.invert` solve.
-
-    With G = Gamma(z-c)^{-1} T(-c) D', F*G has tail U * D' where
-    U_m(z) = e_m(z + c) rho_m(z + c), rho the inverse head's ratios as
-    `ExprCoefficient`s; the inverse tail's entry m is
-    -sum_l U_l(z) D'_(m-l)(z + q l) over the nonzero keys l <= m, read
-    through the inverse tail's own memo.  The solver holds the
-    source tail and the operator's global shift, not the operator, and the
-    inverse tail only through the weak reference of `solved_tail`.
-    """
-
-    def __init__(self, source, rho, c_form, params, q):
-        self.source, self.rho, self.c_form, self.params, self.q = source, rho, c_form, params, q
-        self.tail = None  # weakref.ref to the inverse tail (`solved_tail`)
-
-    def _u(self, ctx, m, z):
-        c = self.c_form.eval(self.params, ctx._wp)
-        zc = tuple(w + c for w in z)
-        v = self.source.eval(ctx, m, zc)
-        if v == 0:
-            return v
-        return v * self.rho[m].eval(ctx, zc)
-
-    def solve(self, ctx, m, z):
-        """D'_m(z) for a nonzero key m."""
-        inverse = self.tail()
-        total = mpc(0)
-        for l in self.source.entries:
-            if all(x == 0 for x in l) or any(a > b for a, b in zip(l, m)):
-                continue
-            rest = tuple(a - b for a, b in zip(m, l))
-            total += self._u(ctx, l, z) * inverse.eval(ctx, rest, shift_point(z, self.q, l))
-        return -total
 
 
 def unit_tail(n, order):
@@ -193,32 +157,6 @@ class FormalGaugedOperator:
         return FormalGaugedOperator(
             n, gamma, self.c_form + other.c_form, Tail(n, new_entries, order), params
         )
-
-    def invert(self, order=None):
-        """Formal inverse; the tail constant term must be a unit (it is 1)."""
-        n = self.n
-        order = self.tail.order if order is None else order
-        if order > self.tail.order:
-            raise ValueError("truncation order exceeds available tail data")
-        base = self.tail.corner()
-        if any(base):
-            raise ValueError("inversion requires a unit tail based at 0")
-        params = self.params
-        q = params["q"]
-        # U = tail twisted by its own head's ratios, shifted by -c:
-        # from F*G = Gamma*Gamma'(..)*T(0)*[U * tailG] with U_m(z) = e_m(z-c+?) …
-        # Solving F*G=1 with G = (Gamma(z-c))^{-1} T(-c) D' gives
-        # U_m(z) = e_m(z - c) * rho_m(z - c) where rho_m resolves
-        # Gamma'(z+qm)/Gamma'(z) for Gamma' = Gamma(z - c)^{-1}.
-        shift_minus_c = {"z%d" % (i + 1): zvar(i + 1) - self.c_form for i in range(n)}
-        gamma_inv = self.gamma.substitute(shift_minus_c).inverse()
-        rho = {m: ExprCoefficient(gamma_inv.shift_ratio(m, n), params) for m in self.tail.entries}
-
-        if self.tail.entries.get((0,) * n) != 1:
-            raise ValueError("inversion requires tail constant term exactly 1")
-
-        inverse = solved_tail(n, order, _InverseSolver(self.tail, rho, self.c_form, params, q))
-        return FormalGaugedOperator(n, gamma_inv, self.c_form * -1, inverse, params)
 
     def rebased(self, r):
         """Rewrite with global shift c - r*q by moving T(q r) into the tail keys."""

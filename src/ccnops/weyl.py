@@ -1,16 +1,10 @@
 """Hyperoctahedral / affine type-C combinatorics on weights and roots.
 
 Weights are tuples of rationals sharing a parity class (all integral or all
-half-integral).  Two partial orders are exposed:
-
-* the root-lattice dominance order (`dominance_leq`): integral difference
-  with even coordinate sum and nonnegative partial sums;
-* the coroot order (`coroot_leq`): integral difference with nonnegative
-  partial sums only.
-
-Bruhat intervals (`bruhat_interval`) are taken in the coroot order, the order
-in which single coordinates may drop by 1, which the section solver reads;
-the dominance order serves `leading_terms`.
+half-integral).  Dominant weights are partially ordered by the coroot order
+(`coroot_leq`): integral difference with nonnegative partial sums.  Bruhat
+intervals (`bruhat_interval`) are taken in that order, the order in which
+single coordinates may drop by 1, which the section solver reads.
 
 An affine root beta + m q (`AffineRoot`) is beta's integer coefficient
 vector on e_1..e_n (e_i +- e_j, or 2 e_i) and the level m, for any n.  Its
@@ -69,7 +63,6 @@ from .curve import (
     gauss_div,
     gauss_fixed,
     gauss_mul,
-    gauss_round,
     gauss_scale,
     point_key,
 )
@@ -92,26 +85,16 @@ def is_dominant(w):
     return all(w[i] >= w[i + 1] for i in range(len(w) - 1)) and (not w or w[-1] >= 0)
 
 
-def _check_dominant_pair(lam, mu):
+def coroot_leq(lam, mu):
+    """lam <= mu in the coroot order (partial sums only)."""
     lam, mu = as_weight(lam), as_weight(mu)
     if not (is_dominant(lam) and is_dominant(mu)):
-        raise ValueError("dominance order requires dominant weights")
+        raise ValueError("the coroot order requires dominant weights")
     if len(lam) != len(mu):
         raise ValueError("weights of different rank")
     d = [m - l for l, m in zip(lam, mu)]
     if any(x.denominator != 1 for x in d):
         raise ValueError("weights in different parity classes")
-    return d
-
-
-def dominance_leq(lam, mu):
-    """lam <= mu in the root-lattice dominance order: `coroot_leq` with an even difference sum."""
-    return sum(_check_dominant_pair(lam, mu)) % 2 == 0 and coroot_leq(lam, mu)
-
-
-def coroot_leq(lam, mu):
-    """lam <= mu in the coroot order (partial sums only)."""
-    d = _check_dominant_pair(lam, mu)
     run = Fraction(0)
     for x in d:
         run += x
@@ -495,12 +478,14 @@ def _ellipsoid_rows(Q, d, bound, residues):
     return [list(rows(r, ())) for r in residues]
 
 
-@at_context_precision
-def theta_basis_values(Q, points, ctx):
-    """The degree-Q theta basis at `points`: one row per c of `discriminant_group(Q)`.
+def _theta_basis(Q, elements, points, group, ctx):
+    """Per c of `elements` (`discriminant_group(Q)`) and per base point z, sum over g in `group` of f_c(g z).
 
-    f_c(z) = sum_{m in Z^n + c} e(m^T Q m tau/2 + m^T Q z), truncated to the
-    ellipsoid m^T Q m <= R = (rho + 2S)^2 with
+    The degree-Q theta basis is
+
+        f_c(z) = sum_{m in Z^n + c} e(m^T Q m tau/2 + m^T Q z),
+
+    truncated to the ellipsoid m^T Q m <= R = (rho + 2S)^2 with
 
         rho^2 = (prec + 32) ln 2 / (pi Im tau),
         S = max over the points of ||u||_Q,  u = Im z / Im tau,
@@ -556,29 +541,21 @@ def theta_basis_values(Q, points, ctx):
     a repeated point (the seeded points of `theta_symmetrization_rows`, for
     one form and every group) reads them back.  They, y and the start
     factors are Gaussian floats cut to F bits after each product
-    (`gauss_mul`), each row's sum is
-    multiplied by its start factor, the rows of one c add exactly
-    (`gauss_add`), and their sum is rounded once, to `ctx._wp` bits.
+    (`gauss_mul`), and each row's sum is multiplied by its start factor.
 
-    The same rows evaluate `theta_symmetrization_rows` at pairs (z, g) of a
-    base point z and an integer g with g^T Q g = Q, without forming g z.
-    Since e((g z)_i) = prod_j e(z_j)^(g_ij), the factor prod_i e((g z)_i)^(k_i)
-    of a term is prod_j e(z_j)^((g^T k)_j): a row's start factor at (z, g)
+    A pair (z, g) of a base point z and an integer g with g^T Q g = Q is
+    evaluated without forming g z.  Since e((g z)_i) = prod_j e(z_j)^(g_ij),
+    the factor prod_i e((g z)_i)^(k_i) of a term is
+    prod_j e(z_j)^((g^T k)_j): a row's start factor at (z, g)
     is prod_j e(z_j)^((g^T k)_j) and its y is prod_j e(z_j)^((g^T Q e_n)_j),
     both read from one table of integer powers of e(z_j) per coordinate of
     the base point.  S is taken over the base points alone: Im (g z) / Im tau
     = g u and ||g u||_Q^2 = u^T g^T Q g u = ||u||_Q^2, so the ellipsoid that
     bounds the tail at z bounds it at every g z.
-    """
-    return [[gauss_round(v, ctx._wp) for v in row] for row in _theta_basis(Q, discriminant_group(Q), points, [_identity(len(Q))], ctx)]
 
-
-def _theta_basis(Q, elements, points, group, ctx):
-    """Per c of `elements` (`discriminant_group(Q)`) and per base point z, sum over g in `group` of f_c(g z).
-
-    The sums are exact and unrounded, as Gaussian floats; the pairs (z, g)
-    are evaluated as `theta_basis_values` sets out, on the powers of the
-    base point's e(z_j).
+    The rows of one c, and the values at the pairs (z, g) of one base point,
+    add exactly (`gauss_add`); the sums are returned unrounded, as Gaussian
+    floats.
     """
     n = len(Q)
     Q = [[int(x) for x in row] for row in Q]
@@ -661,7 +638,7 @@ def theta_symmetrization_rows(Q, gens, ctx):
 
     One row per c of the discriminant group, one column per base point z:
     (1/|G|) sum_g f_c(g z) over the group G that gens generate.  Each pair
-    (z, g) is evaluated without forming g z (`theta_basis_values`): a row's
+    (z, g) is evaluated without forming g z (`_theta_basis`): a row's
     start factor is prod_j e(z_j)^((g^T k)_j) and its y is
     prod_j e(z_j)^((g^T Q e_n)_j), integer powers of the base point's one
     e(z_j) per coordinate; the truncation S is taken over the base points
@@ -685,8 +662,8 @@ def theta_symmetrization_rows(Q, gens, ctx):
 def theta_symmetrization_rank(Q, gens, ctx=None):
     """Oracle for `invariant_dimension`: numeric rank of the symmetrizer.
 
-    The degree-Q theta bundle on E^n has the basis f_c of
-    `theta_basis_values`, indexed by the discriminant group Q^{-1} Z^n / Z^n.
+    The degree-Q theta bundle on E^n has the basis f_c of `_theta_basis`,
+    indexed by the discriminant group Q^{-1} Z^n / Z^n.
     Each c lies in Q^{-1} Z^n, so Qc is an integer vector and so is k = Qm for
     every m in Z^n + c; hence e(m^T Q z) = prod_j e(z_j)^(k_j), and every term
     of f_c(z) is a z-free weight e(m^T Q m tau/2), a power of one

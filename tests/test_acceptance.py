@@ -16,7 +16,6 @@ from ccnops.conditions import (
     check_residue,
     check_vanishing,
     enumerate_conditions,
-    operator_span_contains,
     section_solve_first_order,
     sections_by_weight,
     vandiejen_nullspace,

@@ -6,6 +6,8 @@ import sys
 import pytest
 
 from ccnops.cli import ConfigError, load_config, parse_complex, run_suite, session_from_config
+from ccnops.conditions import first_order_model
+from conftest import ETA, Q, T
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -148,6 +150,7 @@ MALFORMED = [
     ("eval", "gamma"),
     ("eval", "family"),
     ("eval", "compose", "first-order"),
+    ("eval", "compose", "first-order[n=1]", "first-order[n=2]"),
     ("--n", "2", "eval", "family", "first-order", "at=0.11+0.13j"),
     ("--n", "1", "eval", "family", "first-order", "u=0.3+0.1j;0.2+0.4j", "at=0.11+0.13j;0.5"),
     ("fourier-kernel", "0.1", "--at", "0.1;0.2;0.3"),
@@ -272,6 +275,16 @@ def test_solve_section_command():
     out = run_cli("--n", "1", "solve-section", "first-order", "--dprime", "1")
     assert out.returncode == 0
     assert "dimension 4" in out.stdout
+
+
+@pytest.mark.parametrize("n, dprime", [(1, -1), (2, -3)])
+def test_negative_dprime_is_a_config_error(ctx, n, dprime):
+    # d' < 0 leaves an empty ansatz (K = 2d' + 2 <= 0), which read as dimension 0
+    out = run_cli("--n", str(n), "solve-section", "first-order", "--dprime", str(dprime))
+    assert out.returncode == 2
+    assert "configuration error" in out.stderr and "dprime" in out.stderr and "Traceback" not in out.stderr
+    with pytest.raises(ValueError, match="dprime"):
+        first_order_model(ctx, n, dprime, ETA, Q, T)
 
 
 def test_fourier_kernel_command():

@@ -21,14 +21,11 @@ from ccnops.conditions import (
     enumerate_conditions,
     first_order_model,
     nullspace_basis,
-    operator_span_contains,
     orbit_representatives,
-    section_solve,
     section_solve_first_order,
     sections_by_weight,
     vandiejen_model,
     vandiejen_nullspace,
-    vandiejen_sections,
 )
 from ccnops.curve import (
     GAUSS_ONE,
@@ -163,7 +160,7 @@ def test_check_vanishing_detects_generic_failure(ctx, xs8):
 
 
 def test_check_vanishing_vandiejen_corner(ctx, xs8):
-    _, (_, H) = vandiejen_sections(ctx, xs8, Q, T, 1)
+    _, H = sections_by_weight(*vandiejen_nullspace(ctx, xs8, Q, T, 1))
     degree = (DegreeVector(), DegreeVector(0, 2, 2, (1,) * 8))
     specs = enumerate_conditions(degree, (F(1),), H.params, 1)
     env = dict(H.params)
@@ -185,12 +182,6 @@ def test_check_polarization(ctx):
     # wrong prediction fails
     rep = check_polarization(ctx, c_sq, PolarizationRecord(((F(1),),), -1))
     assert not rep.passed
-
-
-def test_section_solve_dispatcher_constants(ctx):
-    degree = (DegreeVector(), DegreeVector())
-    dim, ops = section_solve(ctx, degree, (F(0),), "free", {"q": Q, "t": T})
-    assert dim == 1 and ops[0].support() == [(F(0),)]
 
 
 def test_section_solve_first_order_dimensions(ctx):
@@ -240,7 +231,7 @@ def test_vandiejen_section_failure_raises(ctx, xs8):
     xs_bad = list(xs8)
     xs_bad[0] = xs8[0] + mpf("1e-3")
     with pytest.raises(ArithmeticError):
-        vandiejen_sections(ctx, xs_bad, Q, T, 1, eta_prime=sum(xs8) / 2)
+        sections_by_weight(*vandiejen_nullspace(ctx, xs_bad, Q, T, 1, eta_prime=sum(xs8) / 2))
 
 
 def test_sections_do_not_depend_on_the_nullspace_basis(ctx, xs8):
@@ -256,15 +247,6 @@ def test_sections_do_not_depend_on_the_nullspace_basis(ctx, xs8):
         assert op_defect(ctx, A, B, pts) < mpf("1e-70")
 
 
-def test_operator_span_contains(ctx):
-    D1 = first_order([], T, Q, 1)
-    D2 = first_order([mpc("0.1", "0.2"), Q + ETA - mpc("0.1", "0.2")], T, Q, 1)
-    pts = sample_points(1, 3)
-    assert operator_span_contains(ctx, [D1, D2], D1.scaled(mpc("2.5", "0.5")), pts)
-    other = first_order([mpc("0.3", "-0.1"), mpc("0.05", "0.15")], T, Q, 1)
-    assert not operator_span_contains(ctx, [D1], other, pts)
-
-
 def test_vandiejen_t_zero_and_wedge(ctx, xs8):
     # the solve stays 3-dimensional at t = 0, and the wedge of the n = 1
     # sections passes the same residue suite there.  The wedge lives in the
@@ -274,7 +256,7 @@ def test_vandiejen_t_zero_and_wedge(ctx, xs8):
 
     model, null = vandiejen_nullspace(ctx, xs8, Q, mpc(0), 2)
     assert len(null) == 3
-    _, secs1 = vandiejen_sections(ctx, xs8, Q, mpc(0), 1)
+    secs1 = sections_by_weight(*vandiejen_nullspace(ctx, xs8, Q, mpc(0), 1))
     W = wedge_section([secs1[0], secs1[1]], {"q": Q, "t": mpc(0)})
     degree = (DegreeVector(), DegreeVector(0, 2, 2, (1,) * 8))
     specs = enumerate_conditions(degree, (F(1), F(1)), W.params, 2)
@@ -283,9 +265,17 @@ def test_vandiejen_t_zero_and_wedge(ctx, xs8):
     env["t"] = mpc(0)
     rep = check_residue(ctx, W, [s for s in specs if s.kind == "residue-pair"], env, samples=1)
     assert rep.passed
-    ops = [model.operator_from_vector(v) for v in null]
-    pts = sample_points(2, 3, seed=211)
-    assert not operator_span_contains(ctx, ops, W, pts)
+    # the coefficients of the sections and the wedge at every shift and
+    # sample point, one column each, scaled by the wedge's largest: full
+    # column rank means the 3 sections alone have rank 3 and the wedge is
+    # not in their span, both read from one certificate
+    ops = [model.operator_from_vector(v) for v in null] + [W]
+    keys = sorted(set().union(*(op.support() for op in ops)))
+    with mp.workprec(ctx._wp):
+        rows = [[op.eval_coeff(ctx, k, z) for op in ops] for z in sample_points(2, 3, seed=211) for k in keys]
+        scale = max(abs(row[-1]) for row in rows)
+        rows = [[x / scale for x in row] for row in rows]
+    assert weyl.rank_certificate(rows, ctx.prec).rank == len(ops) == 4
 
 
 BETAS = (AffineRoot((2, 0)), AffineRoot((1, 1)), AffineRoot((1, -1)))
@@ -415,7 +405,7 @@ def test_inverted_correction_is_rejected(ctx, xs8, monkeypatch):
     # the factor carries weight: with e(+b exponent X) in place of
     # e(-b exponent X) a solved van Diejen n=1 section fails its residue
     # check, and the n=1 solve no longer finds its two sections
-    _, (_, H) = vandiejen_sections(ctx, xs8, Q, T, 1)
+    _, H = sections_by_weight(*vandiejen_nullspace(ctx, xs8, Q, T, 1))
     specs = enumerate_conditions((DegreeVector(), DegreeVector(0, 2, 2, (1,) * 8)), (F(1),), H.params, 1)
     env = {**H.params, "eta_prime": sum(xs8) / 2}
     assert check_residue(ctx, H, specs, env, samples=1).passed
@@ -429,7 +419,8 @@ def test_inverted_correction_is_rejected(ctx, xs8, monkeypatch):
 def test_vandiejen_corner_matches_leading_expr(ctx, xs8):
     # the m = n = 1 section, normalized to corner coefficient 1, carries the
     # closed-form leading coefficient at the corner shift k = (-1,)
-    model, sections = vandiejen_sections(ctx, xs8, Q, T, 1)
+    model, null = vandiejen_nullspace(ctx, xs8, Q, T, 1)
+    sections = sections_by_weight(model, null)
     corner = sections[1].coefficient((F(-1),))
     expr = van_diejen_leading_expr(1, 1)
     for z in sample_points(1, 2, seed=307):
@@ -789,7 +780,7 @@ def test_checker_records_match_the_per_part_oracle(ctx, xs8, monkeypatch):
     # to 2^(8-prec), on a solved van Diejen section and a first-order
     # operator in two variables; check_vanishing reads `eval`, not the
     # sweep, so its records only keep the two lists aligned
-    _, (_, H) = vandiejen_sections(ctx, xs8, Q, T, 1)
+    _, H = sections_by_weight(*vandiejen_nullspace(ctx, xs8, Q, T, 1))
     D = first_order([Q / 2 + mpc("0.1", "0.06"), Q / 2 - mpc("0.1", "0.06") + ETA], T, Q, 2)
     cases = (
         (H, enumerate_conditions((DegreeVector(), DegreeVector(0, 2, 2, (1,) * 8)), (F(1),), H.params, 1)),

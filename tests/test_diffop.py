@@ -16,7 +16,6 @@ from ccnops.diffop import (
     SelbergDensity,
     bindings_for,
     identity_operator,
-    monomial_operator,
     multiplication_operator,
     shift_point,
 )
@@ -27,6 +26,11 @@ from conftest import ETA, Q, TAU, T, TOL, op_defect, rel, sample_points
 
 PARAMS = {"q": Q, "t": T}
 US = [mpc("0.12", "0.05"), mpc("-0.07", "0.11")]
+
+
+def monomial_operator(n, k, expr, params):
+    """expr(z) * T^k."""
+    return DifferenceOperator(n, {tuple(k): ExprCoefficient(expr, params)}, params)
 
 
 def test_apply_identity(ctx):
@@ -122,29 +126,6 @@ def test_is_invariant(ctx):
     assert D.is_invariant(ctx, sample_points(2, 2)) < TOL
     single = monomial_operator(2, (F(1), F(0)), ThetaExpr(((zvar(1), 1),), arity=2), PARAMS)
     assert single.is_invariant(ctx, sample_points(2, 1)) >= TOL
-
-
-def test_leading_terms(ctx):
-    D = first_order([mpc("0.1", "0.05"), mpc("0.2", "-0.1")], T, Q, 2)
-    terms = D.leading_terms()
-    assert [mu for mu, _ in terms] == [(F(1, 2), F(1, 2))]
-    # 1 + orbit of (1,1): single maximum (1,1)
-    coeffs = {(F(0), F(0)): ExprCoefficient(ThetaExpr.one(2), PARAMS)}
-    for k in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        coeffs[tuple(F(x) for x in k)] = ExprCoefficient(ThetaExpr.one(2), PARAMS)
-    D2 = DifferenceOperator(2, coeffs, PARAMS)
-    assert [mu for mu, _ in D2.leading_terms()] == [(F(1), F(1))]
-    # dominance-incomparable supports are both returned
-    coeffs = {}
-    for mu in ((3, 0), (2, 2)):
-        from ccnops.weyl import weight_orbit
-
-        for k in weight_orbit(mu):
-            coeffs[k] = ExprCoefficient(ThetaExpr.one(2), PARAMS)
-    D3 = DifferenceOperator(2, coeffs, PARAMS)
-    assert sorted(mu for mu, _ in D3.leading_terms()) == [(F(2), F(2)), (F(3), F(0))]
-    with pytest.raises(ValueError):
-        DifferenceOperator(2, {}, PARAMS).leading_terms()
 
 
 def test_gauge_trivial(ctx):
@@ -326,7 +307,7 @@ def test_op_defect_measures_a_leading_perturbation(ctx):
     D = first_order(US, T, Q, 2)
     pts = sample_points(2, 2)
     assert op_defect(ctx, D, D, pts) == 0
-    corner = tuple(-x for x in D.leading_terms()[0][0])
+    corner = (F(-1, 2), F(-1, 2))  # -mu for the leading weight mu = (1/2, 1/2)
     coeffs = {k: (c.scaled(1 + mpf("1e-6")) if k == corner else c) for k, c in D.coeffs.items()}
     perturbed = DifferenceOperator(D.n, coeffs, D.params, D.degree)
     assert mpf("1e-7") < op_defect(ctx, D, perturbed, pts) < mpf("1e-5")

@@ -86,15 +86,6 @@ def test_kernel_torsion_guard(ctx):
         FourierKernel(ctx, mpc("0.1", "0.1"), mpf(1) / 2, T, 1, 3)
 
 
-def test_kernel_inverse_is_negated_argument(ctx):
-    cval = mpc("0.123", "0.221")
-    params = {"q": Q, "t": T, "cS": cval}
-    cf = AffineForm.var("cS")
-    Kc = FourierKernel(ctx, cf, Q, AffineForm.var("t"), 1, 4, extra_params=params)
-    Km = FourierKernel(ctx, cf * -1, Q, AffineForm.var("t"), 1, 4, extra_params=params)
-    assert compare_gauged(ctx, Kc.invert(), Km, sample_points(1, 2), order=3) < mpf("1e-40")
-
-
 def test_kernel_operator_relations(ctx):
     # K(c) D(c +- u; t) = prod theta(z_i +- u) K(c - q/2)
     n = 1
@@ -211,29 +202,6 @@ def test_kernel_is_freed_without_the_cycle_collector(ctx):
         R.tail.eval(ctx, (3,), z3)
         del R
         assert source() is None
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
-def test_inverse_is_freed_without_the_cycle_collector(ctx):
-    # the inverse tail's entries hold their tail weakly and the source tail,
-    # not the inverted operator, so both go with their last reference; an
-    # inverse tail kept past its operator still solves new points
-    z1, z2 = sample_points(1, 2, seed=67)
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        K = FourierKernel(ctx, mpc("0.123", "0.221"), Q, T, 1, 3)
-        inv = K.invert()
-        want = inv.tail.eval(ctx, (2,), z1)
-        kernel, inverse = weakref.ref(K), weakref.ref(inv)
-        del inv, K
-        assert kernel() is None and inverse() is None
-        K = FourierKernel(ctx, mpc("0.123", "0.221"), Q, T, 1, 3)
-        tail = K.invert().tail
-        assert tail.eval(ctx, (2,), z1) == want
-        assert rel(tail.eval(ctx, (3,), z2), K.invert().tail.eval(ctx, (3,), z2)) < TOL
     finally:
         if was_enabled:
             gc.enable()

@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from ccnops import weyl
-from ccnops.curve import CurveContext
+from ccnops.curve import CurveContext, gauss_round
 from ccnops.weyl import (
     _det_int,
     _seeded_base_points,
@@ -19,7 +19,6 @@ from ccnops.weyl import (
     bruhat_interval,
     coroot_leq,
     discriminant_group,
-    dominance_leq,
     group_closure,
     hyperoctahedral_generators,
     invariant_dimension,
@@ -29,35 +28,11 @@ from ccnops.weyl import (
     positive_roots,
     rank_certificate,
     signed_permutations,
-    theta_basis_values,
     theta_symmetrization_rank,
     theta_symmetrization_rows,
     weight_orbit,
 )
 from conftest import even_positive_definite
-
-
-def test_dominance_examples():
-    assert dominance_leq((1, 1), (2, 0))
-    assert not dominance_leq((2, 0), (1, 1))
-    # odd difference sum: incomparable in the root-lattice order
-    assert not dominance_leq((0, 0), (1, 0))
-    assert not dominance_leq((1, 0), (0, 0))
-
-
-def test_dominance_partial_order():
-    rng = random.Random(11)
-    weights = []
-    while len(weights) < 24:
-        w = tuple(sorted((rng.randrange(4) for _ in range(3)), reverse=True))
-        weights.append(w)
-    for _ in range(200):
-        a, b, c = rng.choice(weights), rng.choice(weights), rng.choice(weights)
-        assert dominance_leq(a, a)
-        if dominance_leq(a, b) and dominance_leq(b, a):
-            assert a == b
-        if dominance_leq(a, b) and dominance_leq(b, c):
-            assert dominance_leq(a, c)
 
 
 def test_weight_orbits():
@@ -299,6 +274,17 @@ FAR_POINTS = {
 BASIS_CASES = [pytest.param(Q, False, id=str(Q)) for Q in BASIS_FORMS] + [
     pytest.param(Q, True, id=str(Q) + "-far") for Q in ([[8]], [[2, 1], [1, 4]])
 ]
+
+
+def theta_basis_values(Q, points, ctx):
+    """The degree-Q theta basis at `points`: one row per c of `discriminant_group(Q)`.
+
+    The reference view of the rank oracle: `weyl._theta_basis` at the
+    identity group, each value rounded once to `ctx._wp` bits.
+    """
+    with mp.workprec(ctx._wp):
+        rows = weyl._theta_basis(Q, discriminant_group(Q), points, [weyl._identity(len(Q))], ctx)
+        return [[gauss_round(v, ctx._wp) for v in row] for row in rows]
 
 
 def _theta_by_definition(ctx, Q, c, z):
