@@ -386,11 +386,7 @@ def _suite_fourier(S):
 
     def normalization():
         K0 = FourierKernel(ctx, mpc(0), q, t, n, N)
-        worst = max(
-            abs(K0.tail_value(m, zpts[0]))
-            for m in K0.tail.entries
-            if any(m)
-        ) if len(K0.tail.entries) > 1 else mpf(0)
+        worst = max((abs(K0.tail_value(m, zpts[0])) for m in K0.tail.keys if any(m)), default=mpf(0))
         Km = FourierKernel(ctx, AffineForm.var("q") * Fraction(-1, 2), q, t, n, N)
         D1 = first_order([], t, q, n)
         worst = max(worst, compare_gauged(ctx, Km, gauged_from_operator(D1), zpts, order=1))
@@ -740,7 +736,7 @@ def cmd_fourier_kernel(args, cfg):
     K = FourierKernel(S["ctx"], c, S["q"], S["t"], S["n"], S["trunc"])
     z = parse_point(args.at, S["n"]) if args.at else default_point(S["n"])
     try:
-        values = [(m, K.tail_value(m, z)) for m in sorted(K.tail.entries)]
+        values = [(m, K.tail_value(m, z)) for m in sorted(K.tail.keys)]
     except PoleProximityError as exc:
         raise ConfigError(str(exc)) from exc
     for m, value in values:

@@ -32,11 +32,10 @@ from .diffop import (
 )
 from .formal import (
     FormalGaugedOperator,
+    Tail,
     compare_gauged,
     gamma_multiplier,
     gauged_from_operator,
-    solved_tail,
-    unit_tail,
 )
 from .symbols import AffineForm, GammaProduct, ThetaExpr, zvar
 
@@ -191,13 +190,13 @@ def kernel_head(n, c, t):
 class _TailSolver:
     """The defining relation that a FourierKernel's tail entries solve.
 
-    Each entry holds this solver, and the solver holds the tail only through
-    the weak reference of `formal.solved_tail`.
+    `solve` is the rule of the kernel's tail (`formal.Tail`): it reads the
+    lower entries through the tail that `Tail.eval` hands it, so the solver
+    holds no tail and a kernel is freed with its last reference.
     """
 
     def __init__(self, ctx, c_form, t_form, params, n):
         self.ctx, self.c_form, self.t_form, self.params, self.n = ctx, c_form, t_form, params, n
-        self.tail = None  # weakref.ref to the tail (`formal.solved_tail`)
         self._coeffs = {}
 
     def A(self, sigma, z, mprime, j):
@@ -219,15 +218,18 @@ class _TailSolver:
         factors = [(u + y, 1) for y in ys for u in us] + weyl_denominator(ys, self.t_form)
         return ExprCoefficient(ThetaExpr(tuple(factors), self.n), self.params)
 
-    def solve(self, ctx, m, w):
-        """e_m(w) from the defining relation at the pivot coordinate (m != 0).
+    def solve(self, ctx, m, w, tail):
+        """e_m(w): 1 at m = 0, else from the defining relation at the pivot coordinate.
 
-        The tail is solved from the kernel's own thetas, so a tail entry asked
+        The lower entries e_m'(w) are read from `tail`, the kernel's own.  The
+        tail is solved from the kernel's own thetas, so an entry m != 0 asked
         for under another context raises instead of returning this one's value.
         """
+        if not any(m):
+            return mpc(1)
         if ctx is not self.ctx:
             raise ValueError("a FourierKernel tail evaluates only under the kernel's own context")
-        q, n, tail = self.params["q"], self.n, self.tail()
+        q, n = self.params["q"], self.n
         # pivot: coordinate with m_j >= 1 maximizing |theta(-m_j q)|
         best, j = None, None
         for i in range(n):
@@ -253,7 +255,8 @@ class FourierKernel(FormalGaugedOperator):
     """The unique formal gauging operator annihilated by D(c +- u)|_{u=z_j}.
 
     Tail coefficients are solved triangularly in the componentwise order,
-    pivoting on the coordinate j maximizing |theta(-m_j q)| (`_TailSolver`).
+    pivoting on the coordinate j maximizing |theta(-m_j q)|: the tail's keys
+    are the m with total degree <= order and its one rule is `_TailSolver.solve`.
     `c` and `t` may be given as numbers (a fresh parameter symbol is
     allocated) or as AffineForms over symbols supplied through
     `extra_params`, which lets related kernels share symbols so that
@@ -276,7 +279,8 @@ class FourierKernel(FormalGaugedOperator):
             raise TorsionError("q is numerically torsion up to the truncation order")
 
         self._solver = _TailSolver(ctx, c_form, t_form, params, n)
-        tail = solved_tail(n, order, self._solver)
+        keys = [m for m in itertools.product(range(order + 1), repeat=n) if sum(m) <= order]
+        tail = Tail(n, keys, order, self._solver.solve)
         super().__init__(n, kernel_head(n, c_form, t_form), c_form, tail, params)
 
     def tail_value(self, m, w):
@@ -370,9 +374,7 @@ def braid_check(ctx, c, d, t0, q, t, n, order, points):
     defect_braid = compare_gauged(ctx, left, right, points, order=order)
     Kminus = FourierKernel(ctx, cf * -1, q, AffineForm.var("t"), n, order, extra_params=params)
     prod = Kc.compose(Kminus, order=order)
-    ident = FormalGaugedOperator(
-        n, GammaProduct.one(), AffineForm.const_form(0), unit_tail(n, order), params
-    )
+    ident = gamma_multiplier(n, GammaProduct.one(), params)
     defect_inv = compare_gauged(ctx, prod, ident, points, order=order)
     return defect_braid, defect_inv
 
@@ -563,9 +565,7 @@ def hilbert_gauge_identities(ctx, u1, u2, u3, q, tval, c, order, points):
     K2 = FourierKernel(ctx, f3 - f1, q, f2 * 2, n, order, extra_params=params)
     K3 = FourierKernel(ctx, f1 - f2, q, f3 * 2, n, order, extra_params=params)
     prod = K1.compose(K2, order=order).compose(K3, order=order)
-    ident = FormalGaugedOperator(
-        n, GammaProduct.one(), AffineForm.const_form(0), unit_tail(n, order), {"q": params["q"]}
-    )
+    ident = gamma_multiplier(n, GammaProduct.one(), params)
     defect_triple = compare_gauged(ctx, prod, ident, points, order=order)
 
     qf = AffineForm.var("q")

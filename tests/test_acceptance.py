@@ -10,7 +10,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from mpmath import mp, mpc, mpf
+from mpmath import mpc, mpf
 
 from ccnops.conditions import (
     check_residue,
@@ -204,7 +204,7 @@ def test_criterion_6_fourier_kernel(ctx):
         worst = max(worst, max(K.defining_residual(z, order=order - 1) for z in pts))
         # K(0) = 1
         K0 = FourierKernel(ctx, mpc(0), Q, T, n, order)
-        for m in K0.tail.entries:
+        for m in K0.tail.keys:
             if any(m):
                 worst = max(worst, abs(K0.tail_value(m, pts[0])))
         # K(-q/2) matches the first cascade step

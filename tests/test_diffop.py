@@ -269,7 +269,7 @@ def _memoized_evaluators(z):
     kk = DD.support()[-1]
     gauged = gauged_from_operator(D)
     tail = gauged.tail
-    m = max(tail.entries)
+    m = max(tail.keys)
     assert isinstance(D.coefficient(k), ExprCoefficient)
     assert isinstance(DD.coefficient(kk), CompositeCoefficient)
     return {

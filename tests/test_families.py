@@ -4,19 +4,18 @@ from fractions import Fraction as F
 import pytest
 from mpmath import mp, mpc, mpf
 
-from ccnops.curve import CurveContext, TorsionError
-from ccnops.diffop import DegreeVector, SelbergDensity
+from ccnops.curve import TorsionError
+from ccnops.diffop import DegreeVector
 from ccnops.families import (
     cascade_leading_expr,
     d_cascade,
     d_torsion_closed_form,
     first_order,
-    theta_pm_multiplier,
     wedge_section,
     weyl_denominator,
 )
 from ccnops.symbols import AffineForm, ThetaExpr, zvar
-from conftest import ETA, Q, T, TOL, TAU, op_defect, rel, sample_points
+from conftest import ETA, Q, T, TOL, op_defect, rel, sample_points
 
 PARAMS = {"q": Q, "t": T}
 

@@ -19,7 +19,7 @@ from ccnops.families import (
 )
 from ccnops.formal import compare_gauged, gauged_from_operator
 from ccnops.symbols import AffineForm
-from conftest import Q, T, TOL, op_defect, rel, sample_points
+from conftest import Q, T, TOL, rel, sample_points
 
 PARAMS = {"q": Q, "t": T}
 
@@ -181,9 +181,9 @@ def test_curious_identities_collapse_case(ctx):
 
 
 def test_kernel_is_freed_without_the_cycle_collector(ctx):
-    # tail entries hold the tail weakly, so a kernel and its tail go with
-    # their last reference; a tail kept past its kernel, or the tail of a
-    # rebased copy, still solves new points
+    # a tail's rule receives its tail, so a kernel's rule holds no tail and a
+    # kernel and its tail go with their last reference; a tail kept past its
+    # kernel, or the tail of a rebased copy, still solves new points
     z1, z2, z3 = sample_points(1, 3, seed=61)
     was_enabled = gc.isenabled()
     gc.disable()

@@ -110,7 +110,7 @@ def _fourier_tail_and_compare():
     ctx = CurveContext(TAU, 256)
     pts = sample_points(1, 2)
     K = FourierKernel(ctx, C, Q, T, 1, 3)
-    tails = [K.tail_value(m, z) for z in pts for m in sorted(K.tail.entries)]
+    tails = [K.tail_value(m, z) for z in pts for m in sorted(K.tail.keys)]
     Km = FourierKernel(ctx, AffineForm.var("q", Fraction(-1, 2)), Q, T, 1, 3)
     defect = compare_gauged(ctx, Km, gauged_from_operator(first_order([], T, Q, 1)), pts, order=1)
     assert defect < TOL

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpc
 
 from ccnops.symbols import (
     AffineForm,
